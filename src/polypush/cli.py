@@ -306,8 +306,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _common_solver_flags(p):
-    p.add_argument("--backend", choices=("sos", "local", "hybrid"), default="local")
+def _common_solver_flags(p, backends=("sos", "local", "hybrid")):
+    p.add_argument("--backend", choices=backends, default="local")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("moments", help="exact or estimated moment tables")
-    p.add_argument("--network", default=None)
-    p.add_argument("--samples", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--network", default=None)
+    source.add_argument("--samples", default=None)
     p.add_argument("--kind", choices=("quadratic", "pair"), default="quadratic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _common_solver_flags(p)
+    _common_solver_flags(p, backends=("sos", "local"))
     p.set_defaults(func=cmd_solve_lr)
 
     p = sub.add_parser("eval", help="gauge distance and Wasserstein bound")

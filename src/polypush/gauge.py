@@ -33,10 +33,6 @@ class AlignmentConfig:
     refine: bool = True
 
 
-def _unit_tensors(net: PolyNetwork) -> np.ndarray:
-    return net.unit_tensors()
-
-
 def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray) -> float:
     """max_a ||F_{V^{x omega}}(T_a) - T'_a||_F."""
     worst = 0.0
@@ -77,10 +73,8 @@ def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
         B = _alignment_matrices(netB, c)
         _, Va = np.linalg.eigh(A)
         _, Vb = np.linalg.eigh(B)
-        base = Vb @ Va.T
         for s in _sign_candidates(r):
             cands.append(Vb @ np.diag(s) @ Va.T)
-        del base
     if netA.omega % 2 == 1:
         cands.extend([-U for U in list(cands)])
     return cands

@@ -20,12 +20,13 @@ from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
-from .moments import PairMomentTable, hermite_pair_moment, sigma_matrix
+from .moments import PairMomentTable, pair_moment_closed_form, sigma_matrix
 from .networks import PolyNetwork, rotate_network
 from .relaxation import (
     Poly,
     SolverConfig,
     Infeasible,
+    _fvector_coefficients,
     encode_lowrank,
     pseudo_expect,
     solve,
@@ -55,7 +56,7 @@ class LRConfig:
     r: int
     omega: int = 3
     ell: int = 1
-    backend: str = "local"  # sos | local | hybrid
+    backend: str = "local"  # local | sos
     degree: Optional[int] = None
     restarts: int = 20
     tol: float = 1e-10
@@ -69,6 +70,8 @@ class LRConfig:
     def __post_init__(self):
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
+        if self.backend not in ("local", "sos"):
+            raise UsageError(f"unknown low-rank backend {self.backend!r}")
 
 
 def f_vector(T) -> np.ndarray:
@@ -88,28 +91,33 @@ def pair_inner(va, vb, omega: int, mode: str = "gaussian", scale: float = 1.0):
     identity: plain Frobenius product <v,w>^omega;
     rotation_invariant: the Gaussian value times the degree-2*omega radial scale.
     """
+    va = np.asarray(va, dtype=float)
+    vb = np.asarray(vb, dtype=float)
+    return float(
+        _pair_values(float(va @ vb), float(va @ va), float(vb @ vb), omega, mode, scale)
+    )
+
+
+def _pair_values(dot, nv2, nw2, omega: int, mode: str, scale: float):
+    """pair_inner from inner products and squared norms, elementwise."""
     if mode == "identity":
-        return float(np.dot(va, vb)) ** omega
-    val = hermite_pair_moment(va, vb, omega)
+        return dot**omega
+    val = pair_moment_closed_form(dot, nv2, nw2, omega)
     if mode == "rotation_invariant":
-        val *= scale
+        val = val * scale
     return val
 
 
-def _network_pair_table(net: PolyNetwork, mode: str, scale: float) -> np.ndarray:
-    d = net.d
-    S = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            total = 0.0
-            for t in range(net.ell):
-                for tp in range(net.ell):
-                    total += pair_inner(
-                        net.components[a, t], net.components[b, tp],
-                        net.omega, mode, scale,
-                    )
-            S[a, b] = S[b, a] = total
-    return S
+def _pair_table(comps: np.ndarray, omega: int, mode: str, scale: float) -> np.ndarray:
+    """The pair-moment model S_ab = sum_{t,t'} pair_inner(v_{a,t}, v_{b,t'})
+    over the Gram of all components; the upper triangle is mirrored."""
+    d, ell, r = comps.shape
+    V = comps.reshape(d * ell, r)
+    G = V @ V.T
+    n2 = np.diag(G)
+    vals = _pair_values(G, n2[:, None], n2[None, :], omega, mode, scale)
+    S = vals.reshape(d, ell, d, ell).sum(axis=(1, 3))
+    return np.triu(S) + np.triu(S, 1).T
 
 
 def exact_lowrank_pair_moments(
@@ -118,7 +126,9 @@ def exact_lowrank_pair_moments(
     """Exact pair moments E[y_a y_b] of a low-rank network's pushforward."""
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
-    return PairMomentTable(S=_network_pair_table(net, mode, scale), eta=0.0)
+    return PairMomentTable(
+        S=_pair_table(net.components, net.omega, mode, scale), eta=0.0
+    )
 
 
 def hermite_network_pair_moments(
@@ -154,21 +164,17 @@ def _fit_components(
     d = S.shape[0]
     r, ell, omega = cfg.r, cfg.ell, cfg.omega
     n = d * ell * r
-    idx_pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    iu = np.triu_indices(d)
+    if iu[0].size < n:
+        raise UsageError(
+            f"{iu[0].size} pair moments cannot determine {n} component "
+            f"entries (d = {d}, ell = {ell}, r = {r})"
+        )
+    target = S[iu]
 
     def fun(x):
-        comps = x.reshape(d, ell, r)
-        res = np.empty(len(idx_pairs))
-        for k, (a, b) in enumerate(idx_pairs):
-            total = 0.0
-            for t in range(ell):
-                for tp in range(ell):
-                    total += pair_inner(
-                        comps[a, t], comps[b, tp], omega,
-                        cfg.sigma_mode, cfg.sigma_scale,
-                    )
-            res[k] = total - S[a, b]
-        return res
+        model = _pair_table(x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale)
+        return model[iu] - target
 
     scale = (float(np.max(np.abs(np.diag(S)))) + 1e-12) ** (1.0 / (2 * omega))
     best_x, best_res = None, np.inf
@@ -291,7 +297,7 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
     if isinstance(pe1, Infeasible):
         raise ConvergenceError("stage-1 relaxation infeasible")
     tvar = stage1.meta["tvar"]
-    fcoef = _f_coefficients(r, omega, sidx)
+    fcoef = _fvector_coefficients(r, omega, sidx)
 
     def f_poly(a, i):
         p = Poly()
@@ -420,18 +426,6 @@ def _identity_sigma_sym(r: int, omega: int) -> np.ndarray:
     return np.diag([1.0 / multiplicity(t) for t in sidx])
 
 
-def _f_coefficients(r: int, omega: int, sidx) -> list[dict[int, float]]:
-    k = (omega - 1) // 2
-    pos = {tup: u for u, tup in enumerate(sidx)}
-    out: list[dict[int, float]] = [dict() for _ in range(r)]
-    for i in range(r):
-        for js in itertools.product(range(r), repeat=k):
-            idx = tuple(sorted(sum(((j, j) for j in js), ()) + (i,)))
-            u = pos[idx]
-            out[i][u] = out[i].get(u, 0.0) + 1.0
-    return out
-
-
 def components_from_tensors(
     tensors: np.ndarray, ell: int, omega: int, rng_seed: int = 0, restarts: int = 12
 ) -> np.ndarray:
@@ -473,18 +467,18 @@ def factorize(
 ) -> RecoveryReport:
     """Recover a rank-ell network from pairwise Sigma-moments.
 
-    local: damped least squares on components with restarts, gauge-fixed via
-    the F_a machinery and the anchor sign rule.  sos: two-stage relaxation —
-    stage 1 unconstrained-gauge, Gram of F's queried from the
-    pseudoexpectation, find_combo, stage 2 with the gauge families, entries
-    from square-root magnitudes and pairwise signs.  hybrid: local refinement
-    of the sos tensors.
+    local: damped least squares on the components from ``config.restarts``
+    random starts, gauge-fixed via the F_a machinery and the anchor sign
+    rule.  sos: two-stage relaxation -- stage 1 unconstrained-gauge, Gram of
+    F's queried from the pseudoexpectation, find_combo, stage 2 with the
+    gauge families, entries from square-root magnitudes and pairwise signs,
+    then a per-unit rank-ell fit of the components.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
     cfg = config
     diag: dict = {"backend": cfg.backend}
-    if cfg.backend in ("sos", "hybrid"):
+    if cfg.backend == "sos":
         tensors, sos_diag = _sos_factorize(S, cfg)
         diag.update(sos_diag)
         comps = components_from_tensors(tensors, cfg.ell, cfg.omega, cfg.rng_seed)
@@ -492,14 +486,6 @@ def factorize(
             kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
             components=comps,
         )
-        if cfg.backend == "hybrid":
-            rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 42)))
-            comps, res = _fit_components(S, cfg, rng)
-            net = PolyNetwork(
-                kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
-                components=comps,
-            )
-            net = _canonicalize(net, cfg.rng_seed)
     else:
         rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 42)))
         comps, res = _fit_components(S, cfg, rng)
@@ -508,7 +494,7 @@ def factorize(
             components=comps,
         )
         net = _canonicalize(net, cfg.rng_seed)
-    model = _network_pair_table(net, cfg.sigma_mode, cfg.sigma_scale)
+    model = _pair_table(net.components, cfg.omega, cfg.sigma_mode, cfg.sigma_scale)
     res_S = float(np.max(np.abs(model - S)))
     gd = None
     if truth is not None:

@@ -33,11 +33,13 @@ __all__ = [
     "QuadraticMomentTable",
     "PairMomentTable",
     "SigmaMatrix",
+    "trace_moments",
     "exact_quadratic_moments",
     "estimate_quadratic_moments",
     "sigma_matrix",
     "sigma_inner",
     "hermite_pair_moment",
+    "pair_moment_closed_form",
     "estimate_pair_moments",
     "rotation_invariant_scale",
     "cumulant_diagonal",
@@ -111,23 +113,33 @@ def chunked_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return total / n
 
 
+def trace_moments(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic moment model: P_ab = Tr(Q_a Q_b), C_abc = Tr(Q_a Q_b Q_c)."""
+    P = np.einsum("aij,bji->ab", Q, Q)
+    C = np.einsum("aij,bjk,cki->abc", Q, Q, Q)
+    return P, C
+
+
+def _symmetrize3(T: np.ndarray) -> np.ndarray:
+    """Average a third-order array over all 6 index permutations."""
+    return (T + np.transpose(T, (0, 2, 1)) + np.transpose(T, (1, 0, 2))
+            + np.transpose(T, (1, 2, 0)) + np.transpose(T, (2, 0, 1))
+            + np.transpose(T, (2, 1, 0))) / 6.0
+
+
 def exact_quadratic_moments(net: PolyNetwork) -> QuadraticMomentTable:
     """Population moment table of a quadratic network (eta = 0)."""
     if net.kind != "quadratic":
         raise UsageError("exact_quadratic_moments needs a quadratic network")
     Q = net.Q
     mu = np.einsum("aii->a", Q)
-    S = np.einsum("aij,bji->ab", Q, Q)
-    T = np.einsum("aij,bjk,cki->abc", Q, Q, Q)
-    # symmetrize T over all 6 permutations (cyclic traces already give 3)
-    T = (T + np.transpose(T, (0, 2, 1)) + np.transpose(T, (1, 0, 2))
-         + np.transpose(T, (1, 2, 0)) + np.transpose(T, (2, 0, 1))
-         + np.transpose(T, (2, 1, 0))) / 6.0
-    return QuadraticMomentTable(mu=mu, S=S, T=T, eta=0.0)
+    S, T = trace_moments(Q)
+    # cyclic traces give 3 of the 6 permutations; average over all of them
+    return QuadraticMomentTable(mu=mu, S=S, T=_symmetrize3(T), eta=0.0)
 
 
 def estimate_quadratic_moments(
-    samples: np.ndarray, eta: float = 0.0, delta: float = 0.05
+    samples: np.ndarray, eta: float = 0.0
 ) -> QuadraticMomentTable:
     """Two-pass centered estimators from an (n, d) sample matrix.
 
@@ -149,10 +161,7 @@ def estimate_quadratic_moments(
     S /= 2.0 * n
     T /= 8.0 * n
     S = 0.5 * (S + S.T)
-    T = (T + np.transpose(T, (0, 2, 1)) + np.transpose(T, (1, 0, 2))
-         + np.transpose(T, (1, 2, 0)) + np.transpose(T, (2, 0, 1))
-         + np.transpose(T, (2, 1, 0))) / 6.0
-    return QuadraticMomentTable(mu=mu, S=S, T=T, eta=eta)
+    return QuadraticMomentTable(mu=mu, S=S, T=_symmetrize3(T), eta=eta)
 
 
 def required_samples_quadratic(r: int, R: float, d: int, eta: float, delta: float) -> int:
@@ -220,15 +229,19 @@ def sigma_inner(Ta: np.ndarray, Tb: np.ndarray, Sigma: np.ndarray) -> float:
 
 
 def hermite_pair_moment(v: np.ndarray, w: np.ndarray, omega: int) -> float:
-    """E[<v, g>^omega <w, g>^omega] in closed form.
-
-    Equals omega! * sum_m multinomial(omega; m, m, omega-2m) 4^{-m}
-    <v,w>^{omega-2m} ||v||^{2m} ||w||^{2m}.
-    """
+    """E[<v, g>^omega <w, g>^omega] in closed form (see pair_moment_closed_form)."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    dot = float(v @ w)
-    nv2, nw2 = float(v @ v), float(w @ w)
+    return float(
+        pair_moment_closed_form(float(v @ w), float(v @ v), float(w @ w), omega)
+    )
+
+
+def pair_moment_closed_form(dot, nv2, nw2, omega: int):
+    """omega! * sum_m multinomial(omega; m, m, omega-2m) 4^{-m}
+    dot^{omega-2m} nv2^m nw2^m, the Gaussian pair moment of two vectors with
+    inner product ``dot`` and squared norms ``nv2``, ``nw2``; elementwise on
+    arrays."""
     total = 0.0
     for m in range(omega // 2 + 1):
         coeff = (
@@ -239,9 +252,7 @@ def hermite_pair_moment(v: np.ndarray, w: np.ndarray, omega: int) -> float:
     return math.factorial(omega) * total
 
 
-def estimate_pair_moments(
-    samples: np.ndarray, eta: float = 0.0, delta: float = 0.05
-) -> PairMomentTable:
+def estimate_pair_moments(samples: np.ndarray, eta: float = 0.0) -> PairMomentTable:
     """Uncentered pairwise estimator S_ab = mean(z_a z_b)."""
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:

@@ -515,7 +515,7 @@ def encode_tensor_ring(
     R: float,
     kappa: float,
     eta: float,
-    degree: int = 4,
+    degree: Optional[int] = None,
 ) -> PolynomialProgram:
     """The quadratic-recovery program with gauge-fixing combinations lam, mu.
 
@@ -530,6 +530,7 @@ def encode_tensor_ring(
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     d = S.shape[0]
+    degree = 4 if degree is None else degree
     if degree < 4 or degree % 2 != 0:
         raise UsageError("tensor-ring relaxation degree must be even and >= 4")
     m = r * (r + 1) // 2

@@ -9,6 +9,7 @@ ascending and the first row of Q_mu nonnegative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -18,6 +19,7 @@ from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DegeneracyError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
+from .moments import trace_moments
 from .networks import PolyNetwork, rotate_network
 from .relaxation import (
     Poly,
@@ -61,13 +63,10 @@ class NonDegenCombo:
 class TRConfig:
     r: int
     backend: str = "local"  # sos | local | hybrid
-    degree: int = 4
+    degree: Optional[int] = None  # relaxation degree; None means 4
     restarts: int = 20
     tol: float = 1e-9
     rng_seed: int = 0
-    penalty: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_stages: int = 3
     combo_retries: int = 5
     kappa: float = 0.01
     eta: float = 0.0
@@ -162,78 +161,69 @@ def gauge_fix(
 # local (nonconvex) backend
 # ---------------------------------------------------------------------------
 
-def _tri_pairs(r: int):
-    return [(i, j) for i in range(r) for j in range(i, r)]
-
-
 def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
-    pairs = _tri_pairs(r)
+    i, j = np.triu_indices(r)
+    X = np.asarray(x, dtype=float).reshape(d, i.size)
     Q = np.zeros((d, r, r))
-    for a in range(d):
-        for k, (i, j) in enumerate(pairs):
-            Q[a, i, j] = x[a * len(pairs) + k]
-            Q[a, j, i] = x[a * len(pairs) + k]
+    Q[:, i, j] = X
+    Q[:, j, i] = X
     return Q
 
 
 def _pack(Q: np.ndarray) -> np.ndarray:
-    d, r, _ = Q.shape
-    pairs = _tri_pairs(r)
-    return np.array([Q[a, i, j] for a in range(d) for (i, j) in pairs])
+    i, j = np.triu_indices(Q.shape[1])
+    return Q[:, i, j].reshape(-1)
 
 
-def _moment_residuals(Q: np.ndarray, S: np.ndarray, T: np.ndarray):
-    d = Q.shape[0]
-    res = []
-    P = np.einsum("aij,bji->ab", Q, Q)
-    for a in range(d):
-        for b in range(a, d):
-            res.append(P[a, b] - S[a, b])
-    C = np.einsum("aij,bjk,cki->abc", Q, Q, Q)
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                res.append(C[a, b, c] - T[a, b, c])
-    return res
-
-
-def _gauge_residuals(Q: np.ndarray, lam: np.ndarray, mu: np.ndarray):
-    r = Q.shape[1]
-    Qlam = np.einsum("a,aij->ij", lam, Q)
-    Qmu = np.einsum("a,aij->ij", mu, Q)
-    res = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            res.append(Qlam[i, j])
-    for i in range(r - 1):
-        res.append(min(0.0, Qlam[i + 1, i + 1] - Qlam[i, i]))
-    for j in range(r):
-        res.append(min(0.0, Qmu[0, j]))
-    return res
-
-
-def _local_fit(
-    S: np.ndarray,
-    T: np.ndarray,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    cfg: TRConfig,
-    x0: np.ndarray,
-) -> np.ndarray:
+def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int):
+    """``count`` packed Gaussian starts scaled to the diagonal of S, drawn from
+    the Philox stream (rng_seed, stream)."""
     d = S.shape[0]
-    r = cfg.r
+    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), stream)))
+    scale = math.sqrt(float(np.max(np.diag(S))) / max(r, 1)) + 1e-12
+    for _ in range(count):
+        yield scale * rng.standard_normal(d * r * (r + 1) // 2)
 
-    # the gauge is restored exactly by gauge_fix afterwards, so the fit only
-    # needs to match the trace moments
+
+def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
+    """Damped least-squares fit of the trace moments from each start in turn.
+
+    The fit matches only the upper-triangle entries of S and the sorted-triple
+    entries of T; the gauge is restored exactly by gauge_fix afterwards.
+    Stops once the best table residual is <= ``stop``.  Returns (Q, table
+    residual, starts tried) of the best fit.
+    """
+    d = S.shape[0]
+    iu = np.triu_indices(d)
+    it = tuple(np.array(list(itertools.combinations_with_replacement(range(d), 3))).T)
+    target = np.concatenate([S[iu], T[it]])
+
     def fun(x):
-        Q = _unpack(x, d, r)
-        return np.array(_moment_residuals(Q, S, T))
+        P, C = trace_moments(_unpack(x, d, r))
+        return np.concatenate([P[iu], C[it]]) - target
 
-    sol = least_squares(
-        fun, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        max_nfev=2000,
-    )
-    return sol.x
+    best_Q, best_res, tried = None, np.inf, 0
+    for x0 in starts:
+        sol = least_squares(
+            fun, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            max_nfev=2000,
+        )
+        Q = _unpack(sol.x, d, r)
+        res = max(_table_residual_pair(Q, S, T))
+        tried += 1
+        if res < best_res:
+            best_Q, best_res = Q, res
+        if best_res <= stop:
+            break
+    return best_Q, best_res, tried
+
+
+def _best_local_fit(S, T, config: TRConfig):
+    """Gauge-free moment fit over at least five starts from stream 23: the
+    sos/hybrid corner sign and warm start, and the degenerate-Gram fallback.
+    Returns (Q, table residual, starts tried)."""
+    starts = _random_starts(S, config.r, config.rng_seed, 23, max(5, config.restarts))
+    return _fit_restarts(S, T, config.r, starts, max(config.eta, 1e-10))
 
 
 def decompose(
@@ -244,29 +234,37 @@ def decompose(
 ) -> RecoveryReport:
     """Recover {Q_a} from trace moments.
 
-    ``local`` fits the trace residuals plus annealed gauge penalties by
-    damped least squares over ``config.restarts`` initializations and returns
-    the best; ``sos`` solves the moment relaxation and reads units off the
-    pseudoexpectation; ``hybrid`` refines the sos rounding locally.  The
-    symmetry-breaking combinations come from find_combo on S, retried with
-    fresh weights up to config.combo_retries times.
+    ``local`` fits the trace moments by damped least squares from
+    ``config.restarts`` random starts and keeps the best fit; ``sos`` solves
+    the moment relaxation, warm-started from a local fit, and reads the units
+    off the pseudoexpectation; ``hybrid`` refines the sos rounding locally.
+    The symmetry-breaking combinations come from find_combo on S, retried
+    with fresh weights up to ``config.combo_retries`` times.  The local fit
+    does not depend on the combination, so it runs once per call and each
+    retry only gauge-fixes it again (sos and hybrid also re-solve the
+    combination-dependent relaxation); the best-scoring retry wins.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     d = S.shape[0]
     r = config.r
     eta = config.eta
+    fit = None  # (Q, residual, starts tried), made at the first usable combo
     best: Optional[tuple[float, PolyNetwork, NonDegenCombo, dict]] = None
     for attempt in range(config.combo_retries):
         try:
             combo = find_combo(S, r, rng_seed=config.rng_seed * 1000 + attempt)
-            net, diag = _decompose_once(S, T, combo, config)
+            if fit is None and config.backend == "local":
+                starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
+                fit = _fit_restarts(S, T, r, starts, config.tol)
+            elif fit is None:
+                fit = _best_local_fit(S, T, config)
+            net, diag = _decompose_once(S, T, combo, fit, config)
         except (DegeneracyError, ConvergenceError):
             continue
-        table_res = _table_residuals(net, S, T)
         ups = validate_nondegeneracy(net, combo.lam, combo.mu)
         combo.upsilon = ups
-        score = max(table_res)
+        score = max(_table_residual_pair(net.Q, S, T))
         diag["upsilon"] = ups
         diag["attempt"] = attempt
         if best is None or score < best[0]:
@@ -283,25 +281,31 @@ def decompose(
         # that is also the accurate recovery route -- the moment map loses
         # first-order identifiability there, so a least-squares fit would be
         # limited to ~sqrt(residual) accuracy.
-        fit = None
+        net = None
         try:
             comps = jennrich_diagonal(T, rng_seed=config.rng_seed)
             if len(comps) == r:
                 Qdiag = np.stack(
                     [np.diag([float(c[a]) for c in comps]) for a in range(d)]
                 )
-                fit = PolyNetwork(kind="quadratic", r=r, d=d, Q=Qdiag)
+                net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Qdiag)
         except DegeneracyError:
-            fit = None
-        if fit is not None and max(_table_residuals(fit, S, T)) > max(
+            net = None
+        if net is not None and max(_table_residual_pair(net.Q, S, T)) > max(
             1e3 * eta, 1e-8
         ):
-            fit = None
-        if fit is None:
-            fit = _best_local_fit(S, T, config)
-        if fit is not None:
-            score = max(_table_residuals(fit, S, T))
-            best = (score, fit, None, {"backend": config.backend,
+            net = None
+        if net is None:
+            # a local backend gets here without a fit; a hybrid one may
+            # already hold this same fit
+            if fit is None:
+                fit = _best_local_fit(S, T, config)
+            Q, res, _ = fit
+            if res <= max(10 * eta, 1e-6):
+                net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
+        if net is not None:
+            score = max(_table_residual_pair(net.Q, S, T))
+            best = (score, net, None, {"backend": config.backend,
                                        "gauge_fixed": False})
     if best is None:
         raise ConvergenceError("every symmetry-breaking attempt failed")
@@ -311,7 +315,7 @@ def decompose(
         raise ConvergenceError(
             f"best residual {score:.3e} above threshold {threshold:.3e}"
         )
-    res_S, res_T = _table_residual_pair(net, S, T)
+    res_S, res_T = _table_residual_pair(net.Q, S, T)
     gd = None
     if truth is not None:
         gd, _ = gauge_distance(net, truth, AlignmentConfig(rng_seed=config.rng_seed))
@@ -321,28 +325,24 @@ def decompose(
     )
 
 
-def _decompose_once(S, T, combo: NonDegenCombo, config: TRConfig):
+def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
+    """One combination's recovery from the shared local ``fit``."""
     d = S.shape[0]
     r = config.r
     diag: dict = {"backend": config.backend}
-    R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
+    Q_fit, fit_res, tried = fit
     if config.backend in ("sos", "hybrid"):
         lam, mu = combo.lam, combo.mu
         # the (1,1) entry of the gauge-fixed mu-combination is sign-invariant;
-        # flip mu when the instance pins it negative so the first-row family
-        # stays feasible.  A quick local fit provides both the sign estimate
-        # and a warm start for the conic solver.
-        fit = _best_local_fit(S, T, config)
-        if fit is not None:
-            Qlam = np.einsum("a,aij->ij", lam, fit.Q)
-            Qmu = np.einsum("a,aij->ij", mu, fit.Q)
-            _, V = np.linalg.eigh(Qlam)
-            corner = float(np.sign((V.T @ Qmu @ V)[0, 0]) or 1.0)
-        else:
-            corner = _mu_corner_sign(S, T, lam, mu, r)
-        if corner < 0:
+        # flip mu when the fit pins it negative so the first-row family
+        # stays feasible
+        Qlam = np.einsum("a,aij->ij", lam, Q_fit)
+        Qmu = np.einsum("a,aij->ij", mu, Q_fit)
+        _, V = np.linalg.eigh(Qlam)
+        if (V.T @ Qmu @ V)[0, 0] < 0:
             mu = -mu
             combo = NonDegenCombo(lam=lam, mu=mu)
+        R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
         # scale the instance so Q entries are O(1): first-order conic solvers
         # are very sensitive to variable magnitude
         sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
@@ -351,8 +351,9 @@ def _decompose_once(S, T, combo: NonDegenCombo, config: TRConfig):
             eta=config.eta * sc**2, degree=config.degree,
         )
         warm = None
-        if fit is not None:
-            warm = _warm_point(prog, fit, lam, mu, config, sc)
+        if fit_res <= max(10 * config.eta, 1e-6):
+            fitnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
+            warm = _warm_point(prog, fitnet, lam, mu, config, sc)
             if warm is None:
                 # A tight moment fit exists but violates the encoded norm
                 # caps: the instance is too degenerate for this program, so
@@ -387,60 +388,17 @@ def _decompose_once(S, T, combo: NonDegenCombo, config: TRConfig):
         diag["solver_residual"] = out.residual
         if config.backend == "sos":
             return net, diag
-        x_init = [_pack(Q)]
-    else:
-        x_init = []
-    rng = np.random.Generator(
-        np.random.Philox(key=(config.rng_seed & (2**64 - 1), 21))
-    )
-    m = len(_tri_pairs(r))
-    scale = math.sqrt(float(np.max(np.diag(S))) / max(r, 1)) + 1e-12
-    for _ in range(config.restarts):
-        x_init.append(scale * rng.standard_normal(d * m))
-    best_x, best_res = None, np.inf
-    tried = 0
-    for x0 in x_init:
-        x = _local_fit(S, T, combo.lam, combo.mu, config, x0)
-        Q = _unpack(x, d, r)
-        res = max(_table_residuals(PolyNetwork(kind="quadratic", r=r, d=d, Q=Q), S, T))
-        tried += 1
-        if res < best_res:
-            best_res, best_x = res, x
-        if best_res <= config.tol:
-            break
+        starts = itertools.chain(
+            [_pack(Q)], _random_starts(S, r, config.rng_seed, 21, config.restarts)
+        )
+        Q_fit, _, tried = _fit_restarts(S, T, r, starts, config.tol)
     diag["restarts_used"] = tried
-    Q = _unpack(best_x, d, r)
-    net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-    # exact canonicalization (the annealed penalties only enforce it softly)
+    net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
     try:
         net, _ = gauge_fix(net, combo.lam, combo.mu)
     except DegeneracyError:
         pass
     return net, diag
-
-
-def _best_local_fit(S, T, config: TRConfig) -> Optional[PolyNetwork]:
-    """Best gauge-free moment fit over a handful of restarts, or None."""
-    d = S.shape[0]
-    r = config.r
-    m = len(_tri_pairs(r))
-    rng = np.random.Generator(
-        np.random.Philox(key=(config.rng_seed & (2**64 - 1), 23))
-    )
-    scale = math.sqrt(float(np.max(np.diag(S))) / max(r, 1)) + 1e-12
-    best_x, best_res = None, np.inf
-    for _ in range(max(5, config.restarts)):
-        x0 = scale * rng.standard_normal(d * m)
-        x = _local_fit(S, T, None, None, config, x0)
-        Q = _unpack(x, d, r)
-        res = max(_table_residuals(PolyNetwork(kind="quadratic", r=r, d=d, Q=Q), S, T))
-        if res < best_res:
-            best_res, best_x = res, x
-        if best_res <= max(config.eta, 1e-10):
-            break
-    if best_x is None or best_res > max(10 * config.eta, 1e-6):
-        return None
-    return PolyNetwork(kind="quadratic", r=r, d=d, Q=_unpack(best_x, d, r))
 
 
 def _warm_point(prog, fit: PolyNetwork, lam, mu, config: TRConfig, sc: float):
@@ -471,44 +429,8 @@ def _warm_point(prog, fit: PolyNetwork, lam, mu, config: TRConfig, sc: float):
     return point
 
 
-def _mu_corner_sign(S, T, lam, mu, r) -> float:
-    """Sign of the gauge-invariant (1,1) entry of the mu-combination, estimated
-    from the moment tables via a quick unconstrained local fit."""
-    # cheap estimate: the entry's sign equals the sign of
-    # e_1^T (V^T Q_mu V) e_1 for any recovery; use lam/mu on a raw fit seed.
-    # When the estimate is unavailable, keep mu unchanged.
-    try:
-        cfg = TRConfig(r=r, backend="local", restarts=3, rng_seed=7)
-        d = S.shape[0]
-        rng = np.random.Generator(np.random.Philox(key=(7, 22)))
-        m = len(_tri_pairs(r))
-        best_x, best_res = None, np.inf
-        for _ in range(3):
-            x0 = rng.standard_normal(d * m)
-            def fun(x):
-                return np.array(_moment_residuals(_unpack(x, d, r), S, T))
-            sol = least_squares(fun, x0, method="lm", max_nfev=300)
-            res = float(np.max(np.abs(fun(sol.x))))
-            if res < best_res:
-                best_res, best_x = res, sol.x
-        Q = _unpack(best_x, d, r)
-        Qlam = np.einsum("a,aij->ij", lam, Q)
-        Qmu = np.einsum("a,aij->ij", mu, Q)
-        _, V = np.linalg.eigh(Qlam)
-        return float(np.sign((V.T @ Qmu @ V)[0, 0]) or 1.0)
-    except Exception:
-        return 1.0
-
-
-def _table_residuals(net: PolyNetwork, S, T) -> list[float]:
-    rs, rt = _table_residual_pair(net, S, T)
-    return [rs, rt]
-
-
-def _table_residual_pair(net: PolyNetwork, S, T) -> tuple[float, float]:
-    Q = net.Q
-    P = np.einsum("aij,bji->ab", Q, Q)
-    C = np.einsum("aij,bjk,cki->abc", Q, Q, Q)
+def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:
+    P, C = trace_moments(Q)
     return float(np.max(np.abs(P - S))), float(np.max(np.abs(C - T)))
 
 
@@ -576,22 +498,14 @@ def extend_tail(
     m = r * (r + 1) // 2
     if dp < m:
         raise UsageError(f"head must have at least C(r+1,2) = {m} units")
-    pairs = _tri_pairs(r)
-    X = np.zeros((dp, m))
-    for a in range(dp):
-        for k, (i, j) in enumerate(pairs):
-            X[a, k] = head[a, i, j] * (1.0 if i == j else 2.0)
+    i, j = np.triu_indices(r)
+    X = head[:, i, j] * np.where(i == j, 1.0, 2.0)
     svals = np.linalg.svd(X, compute_uv=False)
     if svals[-1] < 1e-10 * max(1.0, svals[0]):
         raise DegeneracyError("head flattening is rank deficient")
     rhs = X.T @ S[:dp, dp:d]  # (m, d - d')
     coef = np.linalg.solve(X.T @ X, rhs)  # (m, d - d')
-    out = np.zeros((d - dp, r, r))
-    for b in range(d - dp):
-        for k, (i, j) in enumerate(pairs):
-            out[b, i, j] = coef[k, b]
-            out[b, j, i] = coef[k, b]
-    return out
+    return _unpack(coef.T, d - dp, r)
 
 
 @dataclass
@@ -617,11 +531,8 @@ def verify_assumption_tr(net: PolyNetwork) -> AssumptionReportTR:
         raise UsageError("verify_assumption_tr needs a quadratic network")
     r, d = net.r, net.d
     m = r * (r + 1) // 2
-    pairs = _tri_pairs(r)
-    M = np.zeros((d, m))
-    for a in range(d):
-        for k, (i, j) in enumerate(pairs):
-            M[a, k] = net.Q[a, i, j] * (1.0 if i == j else math.sqrt(2.0))
+    i, j = np.triu_indices(r)
+    M = net.Q[:, i, j] * np.where(i == j, 1.0, math.sqrt(2.0))
     svals = np.linalg.svd(M, compute_uv=False)
     sigma_m = float(svals[m - 1]) if d >= m else 0.0
     warning = None if d >= m else f"d = {d} < C(r+1,2) = {m}; sigma_m is 0"

@@ -161,6 +161,29 @@ class TestExitCodes:
                    "--restarts", "2", "--out", str(tmp_path / "rec.json"))
         assert code == 3
 
+    def test_moments_needs_a_source(self, tmp_path):
+        assert run("moments", "--out", str(tmp_path / "t.json")) == 2
+
+    def test_solve_lr_too_many_unknowns(self, tmp_path):
+        net = tmp_path / "lr.json"
+        table = tmp_path / "lrmom.json"
+        assert run("generate", "--kind", "lowrank", "--r", "3", "--d", "3",
+                   "--ell", "2", "--rho", "0.5", "--out", str(net)) == 0
+        assert run("moments", "--network", str(net), "--kind", "pair",
+                   "--out", str(table)) == 0
+        assert run("solve_lr", "--table", str(table), "--r", "3", "--ell", "2",
+                   "--out", str(tmp_path / "rec.json")) == 2
+
+    def test_solve_lr_rejects_hybrid(self, tmp_path):
+        net = tmp_path / "lr.json"
+        table = tmp_path / "lrmom.json"
+        assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "4",
+                   "--rho", "0.5", "--out", str(net)) == 0
+        assert run("moments", "--network", str(net), "--kind", "pair",
+                   "--out", str(table)) == 0
+        assert run("solve_lr", "--table", str(table), "--r", "2",
+                   "--backend", "hybrid", "--out", str(tmp_path / "rec.json")) == 2
+
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block
         table = tmp_path / "zero.json"
@@ -173,6 +196,15 @@ class TestExitCodes:
                    "--restarts", "2", "--backend", "sos",
                    "--out", str(tmp_path / "rec.json"))
         assert code in (3, 4)
+
+
+class TestSolveBackends:
+    def test_sos_without_degree(self, tmp_path, quad_net):
+        table = tmp_path / "table.json"
+        assert run("moments", "--network", str(quad_net), "--out", str(table)) == 0
+        assert run("solve_tr", "--table", str(table), "--r", "2",
+                   "--backend", "sos", "--truth", str(quad_net),
+                   "--out", str(tmp_path / "rec.json")) == 0
 
 
 class TestReproducibility:

@@ -151,6 +151,44 @@ class TestFactorize:
         rep = factorize(S, LRConfig(r=1, omega=3, ell=1, backend="sos"), truth=net)
         assert rep.gauge_dist <= 1e-4
 
+    def test_hybrid_backend_rejected(self):
+        S = exact_lowrank_pair_moments(smoothed_lr_net(2, 4, 3, 1, 0.5, 0)).S
+        with pytest.raises(UsageError):
+            factorize(S, LRConfig(r=2, omega=3, ell=1, backend="hybrid"))
+
+    def test_too_few_pair_moments_rejected(self):
+        # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns
+        S = exact_lowrank_pair_moments(smoothed_lr_net(3, 3, 3, 2, 0.5, 0)).S
+        with pytest.raises(UsageError):
+            factorize(S, LRConfig(r=3, omega=3, ell=2))
+
+
+class TestExactPairMoments:
+    @pytest.fixture
+    def net(self):
+        return smoothed_lr_net(2, 4, 3, 2, 0.7, 9)
+
+    def test_gaussian_matches_sigma_inner(self, net):
+        Sigma = sigma_matrix(2, 3).Sigma
+        tens = net.unit_tensors()
+        S = exact_lowrank_pair_moments(net, mode="gaussian").S
+        for a in range(net.d):
+            for b in range(net.d):
+                assert S[a, b] == pytest.approx(
+                    sigma_inner(tens[a], tens[b], Sigma), rel=1e-10, abs=1e-12
+                )
+
+    def test_identity_is_frobenius(self, net):
+        tens = net.unit_tensors()
+        S = exact_lowrank_pair_moments(net, mode="identity").S
+        dense = np.einsum("aijk,bijk->ab", tens, tens)
+        assert np.allclose(S, dense, rtol=1e-10, atol=1e-12)
+
+    def test_rotation_invariant_scales_gaussian(self, net):
+        S = exact_lowrank_pair_moments(net, mode="rotation_invariant", scale=1.7).S
+        G = exact_lowrank_pair_moments(net, mode="gaussian").S
+        assert np.allclose(S, 1.7 * G, rtol=1e-12, atol=0.0)
+
 
 class TestExtendTailLr:
     def test_exact_head_exact_tail(self):

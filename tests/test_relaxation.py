@@ -221,7 +221,7 @@ class TestEncodeLowrank:
             )
 
     def test_ground_truth_feasible(self):
-        from polypush.lowrank import _network_pair_table, _warm_point_lr
+        from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
 
         rng = np.random.default_rng(2)
         r, d, omega, ell = 2, 4, 3, 1
@@ -230,7 +230,7 @@ class TestEncodeLowrank:
         net = PolyNetwork(
             kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
         )
-        S = _network_pair_table(net, "gaussian", 1.0)
+        S = exact_lowrank_pair_moments(net).S
         sig = sigma_matrix(r, omega)
         w, U = np.linalg.eigh(sig.Sigma_sym)
         half = (U * np.sqrt(np.clip(w, 0, None))) @ U.T

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthogonal, symmetric_gaussian
-from polypush.errors import DegeneracyError, UsageError
+from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.moments import exact_quadratic_moments
 from polypush.networks import PolyNetwork, SmoothingParams, rotate_network, smooth_quadratic
@@ -172,6 +172,23 @@ class TestDecompose:
         rep = decompose(t.S, t.T, TRConfig(r=1, backend="sos"), truth=net)
         assert rep.gauge_dist <= 1e-3
         assert rep.diagnostics["solver_residual"] <= 1e-6
+
+    def test_combo_retries_reuse_one_fit(self, monkeypatch):
+        # inconsistent table: every combo retry fails, but the local fit does
+        # not depend on the combination, so it runs once (one lm call per start)
+        import polypush.tensor_ring as tr
+
+        calls = []
+        real = tr.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "least_squares", counting)
+        with pytest.raises(ConvergenceError):
+            decompose(np.eye(3), 5.0 * np.ones((3, 3, 3)), TRConfig(r=2, restarts=2))
+        assert len(calls) == 2
 
 
 class TestJennrich:
