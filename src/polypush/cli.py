@@ -2,7 +2,8 @@
 
 Every command is a pure function of (inputs, flags, seed); a RunManifest
 JSON with input/output digests is written next to each output so runs can
-be audited and replayed.  Numeric output carries 17 significant digits.
+be audited and replayed.  Floats are written as the shortest repr that
+reads back to the same float64.
 
 Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 """
@@ -52,11 +53,6 @@ from .tensor_ring import TRConfig, decompose, verify_assumption_tr
 from .relaxation import SolverConfig
 
 
-def _fmt(x) -> float:
-    """Round-trip through 17 significant digits for stable text output."""
-    return float(f"{float(x):.17g}")
-
-
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -69,6 +65,31 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+SAMPLE_CHUNK = 4096
+
+
+def _write_samples(path: str, z: np.ndarray) -> None:
+    """Write ``{"d", "n", "z"}`` byte for byte as ``_write_json`` would, with
+    ``z`` streamed in chunks of rows.
+
+    json's C encoder writes each chunk with the same float repr and
+    NaN/Infinity spelling as the indented pure-Python encoder; two string
+    replacements put back the indent=2 layout, since no float repr contains
+    "], [" or ", ".
+    """
+    n, d = z.shape
+    encode = json.JSONEncoder().encode
+    with open(path, "w") as fh:
+        fh.write(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      ')
+        for start in range(0, n, SAMPLE_CHUNK):
+            if start:
+                fh.write("\n    ],\n    [\n      ")
+            rows = encode(z[start:start + SAMPLE_CHUNK].tolist())[2:-2]
+            fh.write(rows.replace("], [", "\n    ],\n    [\n      ")
+                     .replace(", ", ",\n      "))
+        fh.write("\n    ]\n  ]\n}\n")
 
 
 def _read_json(path: str):
@@ -87,7 +108,7 @@ def _manifest(args, inputs: list[str], outputs: list[str]) -> None:
     }
     man = {
         "command": args.command,
-        "flags": {k: (v if not isinstance(v, float) else _fmt(v)) for k, v in flags.items()},
+        "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": {p: _digest(p) for p in inputs},
@@ -138,15 +159,34 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     net = network_from_json(_read_json(args.network))
     z = sample(net, _seed_dist(args.sigma), args.n, rng_seed=args.seed)
-    _write_json(args.out, {"n": args.n, "d": net.d, "z": [[_fmt(v) for v in row] for row in z]})
+    _write_samples(args.out, z)
     _manifest(args, [args.network], [args.out])
     return 0
 
 
+def _read_samples(path: str) -> np.ndarray:
+    """The (n, d) sample matrix of a samples file; "n" and "d", when present,
+    must match its shape.  Finiteness is checked by the estimators."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or "z" not in obj:
+        raise UsageError(f"{path}: samples JSON has no \"z\" field")
+    try:
+        z = np.asarray(obj["z"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: \"z\" is not a matrix of numbers: {exc}") from exc
+    if z.ndim != 2:
+        raise UsageError(f"{path}: \"z\" must be an (n, d) matrix, got shape {z.shape}")
+    n, d = z.shape
+    if obj.get("n", n) != n or obj.get("d", d) != d:
+        raise UsageError(
+            f"{path}: header says n={obj.get('n')}, d={obj.get('d')} but \"z\" is {n}x{d}"
+        )
+    return z
+
+
 def cmd_moments(args) -> int:
     if args.samples:
-        obj = _read_json(args.samples)
-        z = np.asarray(obj["z"], dtype=float)
+        z = _read_samples(args.samples)
         if args.kind == "quadratic":
             table = estimate_quadratic_moments(z)
         else:
@@ -173,9 +213,9 @@ def cmd_solve_tr(args) -> int:
     report = decompose(table.S, table.T, cfg, truth=truth)
     _write_json(args.out, network_to_json(report.network))
     summary = {
-        "residual_S": _fmt(report.residual_S),
-        "residual_T": _fmt(report.residual_T),
-        "gauge_dist": None if report.gauge_dist is None else _fmt(report.gauge_dist),
+        "residual_S": float(report.residual_S),
+        "residual_T": float(report.residual_T),
+        "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
     print(json.dumps(summary))
     _manifest(args, [p for p in (args.table, args.truth) if p], [args.out])
@@ -195,8 +235,8 @@ def cmd_solve_lr(args) -> int:
     report = factorize(table.S, cfg, truth=truth)
     _write_json(args.out, network_to_json(report.network))
     summary = {
-        "residual_S": _fmt(report.residual_S),
-        "gauge_dist": None if report.gauge_dist is None else _fmt(report.gauge_dist),
+        "residual_S": float(report.residual_S),
+        "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
     print(json.dumps(summary))
     _manifest(args, [p for p in (args.table, args.truth) if p], [args.out])
@@ -208,7 +248,7 @@ def cmd_eval(args) -> int:
     net_b = network_from_json(_read_json(args.reference))
     dist, _ = gauge_distance(net_a, net_b, AlignmentConfig(rng_seed=args.seed))
     w1 = w1_upper_bound(dist, net_a.r, net_a.d, net_a.omega, _seed_dist(args.sigma))
-    out = {"gauge_dist": _fmt(dist), "w1_upper_bound": _fmt(w1)}
+    out = {"gauge_dist": float(dist), "w1_upper_bound": float(w1)}
     print(json.dumps(out))
     if args.out:
         _write_json(args.out, out)
@@ -222,11 +262,11 @@ def cmd_verify(args) -> int:
         rep = verify_assumption_tr(net)
         out = {
             "kind": "quadratic",
-            "radius": _fmt(rep.radius),
-            "sigma_m": _fmt(rep.sigma_m),
+            "radius": float(rep.radius),
+            "sigma_m": float(rep.sigma_m),
             "m": rep.m,
             "d": rep.d,
-            "predicted_kappa": None if rep.predicted_kappa is None else _fmt(rep.predicted_kappa),
+            "predicted_kappa": None if rep.predicted_kappa is None else float(rep.predicted_kappa),
             "flag": rep.flag,
             "warning": rep.warning,
         }
@@ -234,10 +274,10 @@ def cmd_verify(args) -> int:
         rep = verify_assumption_lr(net)
         out = {
             "kind": "lowrank",
-            "radius": _fmt(rep.radius),
-            "sigma_min_M": _fmt(rep.sigma_min_M),
-            "sigma_min_H": _fmt(rep.sigma_min_H),
-            "sigma_min_K": None if rep.sigma_min_K is None else _fmt(rep.sigma_min_K),
+            "radius": float(rep.radius),
+            "sigma_min_M": float(rep.sigma_min_M),
+            "sigma_min_H": float(rep.sigma_min_H),
+            "sigma_min_K": None if rep.sigma_min_K is None else float(rep.sigma_min_K),
             "k_skipped": rep.k_skipped,
             "flag_psi": rep.flag_psi,
             "flag_kappa": rep.flag_kappa,
@@ -265,7 +305,10 @@ def cmd_lowerbound(args) -> int:
 def cmd_bench(args) -> int:
     rows = []
     seeds = range(args.seed, args.seed + args.reps)
-    etas = [float(e) for e in args.eta_list.split(",")]
+    try:
+        etas = [float(e) for e in args.eta_list.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--eta-list must be comma-separated numbers: {exc}") from exc
     for eta in etas:
         for s in seeds:
             base = PolyNetwork(
@@ -291,7 +334,7 @@ def cmd_bench(args) -> int:
             wall_ms = 1000.0 * (time.perf_counter() - t0)
             rows.append(
                 [args.r, args.d, 2, 0, args.rho, eta, 0, args.backend, s,
-                 _fmt(gd), _fmt(resid), _fmt(wall_ms)]
+                 float(gd), float(resid), float(wall_ms)]
             )
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CHUNK = 4096
+SIGMA_BYTES_CAP = 1 << 30
 
 
 @dataclass
@@ -149,6 +150,8 @@ def estimate_quadratic_moments(
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise UsageError("samples must be a nonempty (n, d) matrix")
+    if not np.isfinite(z).all():
+        raise UsageError("samples must be finite (no NaN or inf entries)")
     mu = chunked_mean(z)
     zc = z - mu
     n, d = z.shape
@@ -191,8 +194,16 @@ def sigma_matrix(
     every entry by the degree-2*omega radial factor.
     """
     n = r**omega
-    if n > 10**6:
-        raise ResourceError(f"r^omega = {n} exceeds the dense-Sigma cap 10^6")
+    m = num_sorted_indices(r, omega)
+    # every dense 8-byte array built below: Sigma (n x n) and the int64 index
+    # sum and float64 lookup temporaries of its product loop; the same three
+    # for Sigma_sym (m x m), and D (m x m)
+    need = 8 * (3 * n * n + 4 * m * m)
+    if need > SIGMA_BYTES_CAP:
+        raise ResourceError(
+            f"Sigma for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
+            f"over the {SIGMA_BYTES_CAP / 2**30:g} GiB cap"
+        )
     idx = np.stack(np.meshgrid(*([np.arange(r)] * omega), indexing="ij"), axis=-1)
     idx = idx.reshape(n, omega)
     counts = np.zeros((n, r), dtype=np.int64)
@@ -206,7 +217,6 @@ def sigma_matrix(
         Sigma = Sigma * rotation_invariant_scale(seed, 2 * omega, r)
 
     sorted_idx = sorted_multi_indices(r, omega)
-    m = len(sorted_idx)
     scounts = np.zeros((m, r), dtype=np.int64)
     for p, tup in enumerate(sorted_idx):
         for k in tup:
@@ -257,6 +267,8 @@ def estimate_pair_moments(samples: np.ndarray, eta: float = 0.0) -> PairMomentTa
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise UsageError("samples must be a nonempty (n, d) matrix")
+    if not np.isfinite(z).all():
+        raise UsageError("samples must be finite (no NaN or inf entries)")
     n, d = z.shape
     S = np.zeros((d, d))
     for start in range(0, n, CHUNK):

@@ -307,21 +307,28 @@ def network_from_json(obj: dict | str) -> PolyNetwork:
     try:
         kind = obj["kind"]
         if kind == "quadratic":
-            return PolyNetwork(
-                kind="quadratic",
-                r=int(obj["r"]),
-                d=int(obj["d"]),
-                Q=np.asarray(obj["Q"], dtype=float),
-            )
+            Q = np.asarray(obj["Q"], dtype=float)
+            _check_finite(Q, "Q")
+            return PolyNetwork(kind="quadratic", r=int(obj["r"]), d=int(obj["d"]), Q=Q)
         if kind == "lowrank":
+            comps = np.asarray(obj["components"], dtype=float)
+            _check_finite(comps, "components")
             return PolyNetwork(
                 kind="lowrank",
                 r=int(obj["r"]),
                 d=int(obj["d"]),
                 omega=int(obj["omega"]),
                 ell=int(obj["ell"]),
-                components=np.asarray(obj["components"], dtype=float),
+                components=comps,
             )
         raise UsageError(f"unknown network kind {kind!r}")
     except KeyError as exc:
         raise UsageError(f"network JSON missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed network JSON: {exc}") from exc
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
+    # NaN passes the symmetry check (NaN > tol is False), so test here
+    if not np.isfinite(a).all():
+        raise UsageError(f"network JSON: {name} has non-finite entries")

@@ -8,6 +8,12 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import settings
+
+# the same examples on every run, and no per-example deadline: timings on
+# small shared hosts vary too much for one
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def pairings(items):

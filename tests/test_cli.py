@@ -1,12 +1,16 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from polypush import cli
 from polypush.cli import main
 from polypush.lowerbound import build_networks, search_matched_pair
-from polypush.networks import network_from_json
+from polypush.networks import SeedDistribution, network_from_json, sample
 
 
 def run(*argv):
@@ -16,6 +20,12 @@ def run(*argv):
 def read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def samples_json(z):
+    """The samples file as json.dump of the whole matrix writes it."""
+    return json.dumps({"n": z.shape[0], "d": z.shape[1], "z": z.tolist()},
+                      indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -53,6 +63,38 @@ class TestGenerate:
         man = read(str(quad_net) + ".manifest.json")
         assert man["command"] == "generate"
         assert str(quad_net) in man["outputs"]
+
+
+class TestSamplesFile:
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    def test_golden_bytes(self, tmp_path, n, d):
+        net = tmp_path / "net.json"
+        out = tmp_path / "samples.json"
+        assert run("generate", "--r", "2", "--d", str(d), "--seed", str(d),
+                   "--out", str(net)) == 0
+        assert run("sample", "--network", str(net), "--n", str(n), "--seed", "4",
+                   "--out", str(out)) == 0
+        z = sample(network_from_json(read(net)), SeedDistribution(kind="gaussian"),
+                   n, rng_seed=4)
+        assert out.read_text() == samples_json(z)
+
+    def test_edge_values(self, tmp_path):
+        big = np.finfo(float).max
+        z = np.array([[-0.0, 5e-324, big, -big],
+                      [1e16, 1e-5, np.nan, np.inf],
+                      [-np.inf, 0.0, 1.0, -1.5]])
+        out = tmp_path / "samples.json"
+        cli._write_samples(str(out), z)
+        assert out.read_text() == samples_json(z)
+
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+           chunk=st.integers(1, 4))
+    def test_matches_json_dump(self, tmp_path_factory, z, chunk):
+        out = tmp_path_factory.mktemp("samples") / "samples.json"
+        with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
+            cli._write_samples(str(out), z)
+        assert out.read_text() == samples_json(z)
 
 
 class TestRoundTrip:
@@ -161,6 +203,33 @@ class TestExitCodes:
                    "--restarts", "2", "--out", str(tmp_path / "rec.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "d": 2},
+        {"n": 2, "d": 2, "z": [[1.0, 2.0], [3.0]]},
+        {"n": 2, "d": 2, "z": [[1.0, float("nan")], [3.0, 4.0]]},
+        {"n": 2, "d": 2, "z": [[1.0, 2.0], [float("-inf"), 4.0]]},
+        {"n": 3, "d": 2, "z": [[1.0, 2.0], [3.0, 4.0]]},
+        {"n": 2, "d": 1, "z": [[1.0, 2.0], [3.0, 4.0]]},
+    ], ids=["no-z", "ragged", "nan", "inf", "n-mismatch", "d-mismatch"])
+    @pytest.mark.parametrize("kind", ["quadratic", "pair"])
+    def test_moments_rejects_bad_samples(self, tmp_path, obj, kind):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(obj))
+        assert run("moments", "--samples", str(samples), "--kind", kind,
+                   "--out", str(tmp_path / "t.json")) == 2
+
+    @pytest.mark.parametrize("command", [("sample", "--n", "10"), ("moments",), ("verify",)])
+    def test_non_finite_network(self, tmp_path, command):
+        # NaN passes the symmetry check, so only the JSON boundary catches it
+        net = tmp_path / "nan.json"
+        net.write_text(json.dumps({"kind": "quadratic", "r": 2, "d": 1,
+                                   "Q": [[[1.0, float("nan")], [float("nan"), 1.0]]]}))
+        assert run(command[0], "--network", str(net), *command[1:],
+                   "--out", str(tmp_path / "out.json")) == 2
+
+    def test_bench_bad_eta_list(self, tmp_path):
+        assert run("bench", "--eta-list", "abc", "--out", str(tmp_path / "b.csv")) == 2
+
     def test_moments_needs_a_source(self, tmp_path):
         assert run("moments", "--out", str(tmp_path / "t.json")) == 2
 
@@ -214,10 +283,15 @@ class TestReproducibility:
             net = tmp_path / f"net_{tag}.json"
             table = tmp_path / f"table_{tag}.json"
             rec = tmp_path / f"rec_{tag}.json"
+            samples = tmp_path / f"samples_{tag}.json"
+            est = tmp_path / f"est_{tag}.json"
             assert run("generate", "--r", "2", "--d", "3", "--rho", "0.5",
                        "--seed", "3", "--out", str(net)) == 0
             assert run("moments", "--network", str(net), "--out", str(table)) == 0
             assert run("solve_tr", "--table", str(table), "--r", "2",
                        "--seed", "3", "--out", str(rec)) == 0
-            outs.append((net.read_bytes(), table.read_bytes(), rec.read_bytes()))
+            assert run("sample", "--network", str(net), "--n", "5000",
+                       "--seed", "3", "--out", str(samples)) == 0
+            assert run("moments", "--samples", str(samples), "--out", str(est)) == 0
+            outs.append(tuple(p.read_bytes() for p in (net, table, rec, samples, est)))
         assert outs[0] == outs[1]

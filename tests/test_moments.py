@@ -95,6 +95,15 @@ class TestEstimators:
         with pytest.raises(UsageError):
             estimate_pair_moments(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        z = np.ones((5, 2))
+        z[3, 1] = bad
+        with pytest.raises(UsageError):
+            estimate_quadratic_moments(z)
+        with pytest.raises(UsageError):
+            estimate_pair_moments(z)
+
     def test_pair_estimator_univariate_cube(self):
         net = PolyNetwork(
             kind="lowrank", r=1, d=1, omega=3, ell=1,
@@ -151,6 +160,12 @@ class TestSigmaMatrix:
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
             sigma_matrix(10, 7)
+
+    def test_resource_cap_counts_bytes(self):
+        # r^omega = 1e5 is under a 1e6 entry-count cap, but dense n x n
+        # float64 arrays would need 80 GB
+        with pytest.raises(ResourceError):
+            sigma_matrix(10, 5)
 
     def test_rotation_invariant_rescale(self):
         r = 3

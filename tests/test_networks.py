@@ -197,3 +197,15 @@ class TestJson:
                         components=np.zeros((1, 1, 2)))
         with pytest.raises(UsageError):
             network_from_json("not json")
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "quadratic", "r": 1, "d": 2, "Q": [[[float("nan")]], [[1.0]]]},
+        {"kind": "quadratic", "r": 1, "d": 1, "Q": [[[float("inf")]]]},
+        {"kind": "lowrank", "r": 2, "d": 1, "omega": 3, "ell": 1,
+         "components": [[[0.5, float("-inf")]]]},
+        {"kind": "quadratic", "r": 2, "d": 1, "Q": [[[1.0, 0.0], [0.0]]]},
+        {"kind": "quadratic", "r": "two", "d": 1, "Q": [[[1.0]]]},
+    ])
+    def test_from_json_rejects_malformed_entries(self, obj):
+        with pytest.raises(UsageError):
+            network_from_json(obj)
