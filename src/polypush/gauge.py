@@ -18,8 +18,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import UsageError
-from .networks import PolyNetwork, rotate_network
-from .tensors import GaugeRotation, paired_contraction, rotate_tensor
+from .networks import PolyNetwork, paired_outers
+from .tensors import GaugeRotation, rotate_tensor
 
 __all__ = ["AlignmentConfig", "gauge_distance"]
 
@@ -27,10 +27,14 @@ __all__ = ["AlignmentConfig", "gauge_distance"]
 @dataclass
 class AlignmentConfig:
     rng_seed: int = 0
-    restarts: int = 8
-    grid_step: float = 1e-3
-    combos: int = 4
-    refine: bool = True
+
+
+# Nelder-Mead starts of the r >= 3 refinement
+RESTARTS = 8
+# angle step of the r = 2 grid scan
+GRID_STEP = 1e-3
+# generic unit combinations whose eigenframes seed the r >= 3 candidates
+COMBOS = 4
 
 
 def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray) -> float:
@@ -41,43 +45,41 @@ def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray) -> float:
     return worst
 
 
-def _alignment_matrices(net: PolyNetwork, coeffs: np.ndarray) -> np.ndarray:
+def _alignment_matrices(net: PolyNetwork, stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """A symmetric r x r matrix whose eigenframe tracks the gauge.
 
-    Quadratic networks use the coefficient combination of the units directly;
-    odd-order networks use the same combination of the rank-one matrices built
-    from paired-contraction vectors (which co-rotate with the gauge).
+    ``stack`` holds matrices that co-rotate with the gauge: the units of a
+    quadratic network, the rank-one F_a = f_a f_a^T of an odd-order one.
+    Returns their coefficient combination.
     """
     if net.kind == "quadratic":
-        return np.einsum("a,aij->ij", coeffs, net.Q)
+        return np.einsum("a,aij->ij", coeffs, stack)
     M = np.zeros((net.r, net.r))
     for a in range(net.d):
-        f = paired_contraction(net.unit_tensor(a))
-        M += coeffs[a] * np.outer(f, f)
+        M += coeffs[a] * stack[a]
     return M
-
-
-def _sign_candidates(r: int):
-    for signs in itertools.product((1.0, -1.0), repeat=r):
-        yield np.array(signs)
 
 
 def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
     """Candidate rotations from eigen-alignment of generic combinations."""
     r = netA.r
     rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 77)))
+    stackA, stackB = (
+        net.Q if net.kind == "quadratic" else paired_outers(net) for net in (netA, netB)
+    )
     cands = [np.eye(r)]
-    for _ in range(cfg.combos):
+    for _ in range(COMBOS):
         c = rng.standard_normal(netA.d)
-        A = _alignment_matrices(netA, c)
-        B = _alignment_matrices(netB, c)
+        A = _alignment_matrices(netA, stackA, c)
+        B = _alignment_matrices(netB, stackB, c)
         _, Va = np.linalg.eigh(A)
         _, Vb = np.linalg.eigh(B)
-        for s in _sign_candidates(r):
+        for s in itertools.product((1.0, -1.0), repeat=r):
             cands.append(Vb @ np.diag(s) @ Va.T)
     if netA.omega % 2 == 1:
         cands.extend([-U for U in list(cands)])
-    return cands
+    # score identical candidates once: at r = 1 all of them are +-1
+    return list({U.tobytes(): U for U in cands}.values())
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -85,7 +87,7 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _grid_scan_r2(tensA, tensB, omega, step):
+def _grid_scan_r2(tensA, tensB, step):
     """Exhaustive SO(2) + reflected-coset scan, vectorized over the angle grid."""
     thetas = np.arange(0.0, 2 * math.pi, step)
     c, s = np.cos(thetas), np.sin(thetas)
@@ -176,18 +178,12 @@ def gauge_distance(
     cfg = cfg or AlignmentConfig()
     if (netA.r, netA.d, netA.omega) != (netB.r, netB.d, netB.omega):
         raise UsageError("networks must share (r, d, omega)")
-    r, omega = netA.r, netA.omega
+    r = netA.r
     tensA = [netA.unit_tensor(a) for a in range(netA.d)]
     tensB = [netB.unit_tensor(a) for a in range(netB.d)]
 
-    if r == 1:
-        vals = {1.0: _objective(tensA, tensB, np.array([[1.0]]))}
-        vals[-1.0] = _objective(tensA, tensB, np.array([[-1.0]]))
-        s = min(vals, key=vals.get)
-        return vals[s], GaugeRotation(np.array([[s]]))
-
     if r == 2:
-        val, V = _grid_scan_r2(tensA, tensB, omega, cfg.grid_step)
+        val, V = _grid_scan_r2(tensA, tensB, GRID_STEP)
         # keep the orthogonality certificate tight
         u, _, vt = np.linalg.svd(V)
         return val, GaugeRotation(u @ vt)
@@ -200,8 +196,7 @@ def gauge_distance(
         val = _objective(tensA, tensB, U)
         if val < best_val:
             best_val, best_U = val, U
-    if cfg.refine:
-        best_val, best_U = _refine(tensA, tensB, best_U, rng, cfg.restarts)
+    best_val, best_U = _refine(tensA, tensB, best_U, rng, RESTARTS)
     u, _, vt = np.linalg.svd(best_U)
     best_U = u @ vt
     return float(_objective(tensA, tensB, best_U)), GaugeRotation(best_U)

@@ -10,7 +10,6 @@ signs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -21,17 +20,20 @@ from scipy.optimize import least_squares
 from .errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import PairMomentTable, pair_moment_closed_form, sigma_matrix
-from .networks import PolyNetwork, rotate_network
+from .networks import PolyNetwork, paired_outers, rotate_network
 from .relaxation import (
+    KAPPA,
     Poly,
     SolverConfig,
     Infeasible,
     _fvector_coefficients,
+    cold_capped,
     encode_lowrank,
+    finish_warm_point,
     pseudo_expect,
     solve,
 )
-from .tensor_ring import RecoveryReport, find_combo, gauge_fix
+from .tensor_ring import RecoveryReport, corner_signed_mu, find_combo, gauge_fix
 from .tensors import (
     SymTensor,
     multiplicity,
@@ -63,7 +65,6 @@ class LRConfig:
     rng_seed: int = 0
     sigma_mode: str = "gaussian"  # gaussian | identity | rotation_invariant
     sigma_scale: float = 1.0  # rotation-invariant degree-2*omega factor
-    kappa: float = 0.01
     eta: float = 0.0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
@@ -198,10 +199,7 @@ def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
     """Gauge-fix a lowrank network through its F_a = f_a f_a^T matrices and
     resolve the global +-Id ambiguity by the argmax anchor sign rule."""
     d, r = net.d, net.r
-    F = np.zeros((d, r, r))
-    for a in range(d):
-        f = f_vector(net.unit_tensor(a))
-        F[a] = np.outer(f, f)
+    F = paired_outers(net)
     Ghat = np.einsum("aij,bij->ab", F, F)
     qnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=F)
     m = r * (r + 1) // 2
@@ -253,8 +251,6 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
     R = (float(np.max(np.diag(S))) + 1e-9) ** 0.5 / min(
         1.0, np.sqrt(float(np.min(np.linalg.eigvalsh(Sigma_sym))))
     )
-    w_sig, U_sig = np.linalg.eigh(Sigma_sym)
-    B = sig.D @ ((U_sig * np.sqrt(np.clip(w_sig, 0.0, None))) @ U_sig.T)
     # quick local fit on the scaled table: seeds both solver stages and pins
     # the sign of the mu combination below
     fitnet: Optional[PolyNetwork] = None
@@ -269,23 +265,11 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
     except ConvergenceError:
         fitnet = None
 
-    def _solve_stage(prog, warm):
-        solver_cfg = replace(cfg.solver, warm_start=warm)
-        if warm is None:
-            solver_cfg = replace(
-                solver_cfg, max_iter=min(solver_cfg.max_iter, 10000)
-            )
-        else:
-            # a feasible warm point needs no tie-break; the trace objective
-            # would only drag the iterates away from it
-            solver_cfg = replace(solver_cfg, trace_weight=0.0)
-        return solve(prog, solver_cfg)
-
     stage1 = encode_lowrank(
-        r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=cfg.kappa,
+        r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
         eta=eta_sc, degree=cfg.degree,
     )
-    warm1 = _warm_point_lr(stage1, fitnet, B, eta_sc) if fitnet is not None else None
+    warm1 = _warm_point_lr(stage1, fitnet, eta_sc) if fitnet is not None else None
     if fitnet is not None and warm1 is None:
         # a tight moment fit violating the encoded caps certifies that the
         # instance is too degenerate for this program; a cold solve cannot
@@ -293,7 +277,7 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
         raise ConvergenceError(
             "instance violates non-degeneracy caps of the relaxation"
         )
-    pe1 = _solve_stage(stage1, warm1)
+    pe1 = solve(stage1, cold_capped(cfg.solver, warm1), warm1)
     if isinstance(pe1, Infeasible):
         raise ConvergenceError("stage-1 relaxation infeasible")
     tvar = stage1.meta["tvar"]
@@ -315,22 +299,12 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
             Ghat[a, b] = Ghat[b, a] = pseudo_expect(pe1, p)
     combo = find_combo(Ghat, r, rng_seed=cfg.rng_seed)
     lam, mu = combo.lam, combo.mu
-    # the (1,1) entry of the gauge-fixed mu combination of F_a = f_a f_a^T is
-    # sign-invariant: flip mu when a local fit pins it negative, otherwise
-    # the stage-2 families are infeasible by construction
+    # a local fit pins the sign of mu that keeps the stage-2 families on
+    # F_a = f_a f_a^T feasible
     rot_net: Optional[PolyNetwork] = None
     if fitnet is not None:
-        F = np.zeros((d, r, r))
-        for a in range(d):
-            f = f_vector(fitnet.unit_tensor(a))
-            F[a] = np.outer(f, f)
-        Flam = np.einsum("a,aij->ij", lam, F)
-        Fmu = np.einsum("a,aij->ij", mu, F)
-        _, V = np.linalg.eigh(Flam)
-        corner = float(np.sign((V.T @ Fmu @ V)[0, 0]) or 1.0)
-        if corner < 0:
-            mu = -mu
-            Fmu = -Fmu
+        F = paired_outers(fitnet)
+        mu = corner_signed_mu(F, lam, mu)
         try:
             _, grot = gauge_fix(
                 PolyNetwork(kind="quadratic", r=r, d=d, Q=F), lam, mu
@@ -341,18 +315,18 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
 
     def _stage2(mu_eff):
         return encode_lowrank(
-            r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=cfg.kappa,
+            r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
             eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu_eff),
         )
 
     stage2 = _stage2(mu)
-    warm2 = _warm_point_lr(stage2, rot_net, B, eta_sc) if rot_net is not None else None
-    pe2 = _solve_stage(stage2, warm2)
+    warm2 = _warm_point_lr(stage2, rot_net, eta_sc) if rot_net is not None else None
+    pe2 = solve(stage2, cold_capped(cfg.solver, warm2), warm2)
     if isinstance(pe2, Infeasible) and fitnet is None:
         # without a fit the mu sign is a coin flip; retry the other branch
         mu = -mu
         stage2 = _stage2(mu)
-        pe2 = _solve_stage(stage2, None)
+        pe2 = solve(stage2, cold_capped(cfg.solver, None))
     if isinstance(pe2, Infeasible):
         raise ConvergenceError("stage-2 relaxation infeasible")
     tvar2 = stage2.meta["tvar"]
@@ -369,13 +343,9 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
             corr = pseudo_expect(pe2, Poly.var(tvar2[(a, u)]) * anchor)
             signs[a, u] = 1.0 if corr >= 0 else -1.0
     entries = signs * mags / sc
-    tensors = np.zeros((d,) + (r,) * omega)
-    for a in range(d):
-        dense = np.zeros((r,) * omega)
-        for u, tup in enumerate(sidx):
-            for perm in set(itertools.permutations(tup)):
-                dense[perm] = entries[a, u]
-        tensors[a] = dense
+    tensors = np.stack(
+        [SymTensor(omega, r, dict(zip(sidx, row))).to_dense() for row in entries]
+    )
     diag = {
         "stage1_iterations": pe1.iterations,
         "stage2_iterations": pe2.iterations,
@@ -386,17 +356,16 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
     return tensors, diag
 
 
-def _warm_point_lr(prog, net: PolyNetwork, B: np.ndarray, eta: float):
+def _warm_point_lr(prog, net: PolyNetwork, eta: float):
     """Feasible assignment seeding the conic solver from a component fit.
 
-    Packs the sorted tensor entries, the components, and the least-norm left
-    inverses L = pinv(M) and P = pinv(M B); returns None when the assignment
-    fails the program's own constraints.
+    Packs the sorted tensor entries and the components, completed by
+    finish_warm_point; returns None when the assignment fails the program's
+    own constraints.
     """
     meta = prog.meta
     d, m, r, ell = meta["d"], meta["m"], meta["r"], meta["ell"]
     sidx, tvar, vvar = meta["sidx"], meta["tvar"], meta["vvar"]
-    lvar, pvar = meta["lvar"], meta["pvar"]
     point = np.zeros(prog.nvars)
     M = np.zeros((d, m))
     for a in range(d):
@@ -408,15 +377,7 @@ def _warm_point_lr(prog, net: PolyNetwork, B: np.ndarray, eta: float):
         for t in range(ell):
             for i in range(r):
                 point[vvar[(a, t, i)]] = net.components[a, t, i]
-    L = np.linalg.pinv(M)
-    P = np.linalg.pinv(M @ B)
-    for k in range(m):
-        for a in range(d):
-            point[lvar[(k, a)]] = L[k, a]
-            point[pvar[(k, a)]] = P[k, a]
-    if prog.check_point(point, tol=1e-9) > max(eta, 1e-7):
-        return None
-    return point
+    return finish_warm_point(prog, point, M, eta)
 
 
 def _identity_sigma_sym(r: int, omega: int) -> np.ndarray:
@@ -537,11 +498,7 @@ def extend_tail_lr(
     coef, *_ = np.linalg.lstsq(H, S[:dp, dp:d], rcond=None)  # (m, d-d')
     out = np.zeros((d - dp,) + (r,) * omega)
     for b in range(d - dp):
-        dense = np.zeros((r,) * omega)
-        for u, tup in enumerate(sidx):
-            for perm in set(itertools.permutations(tup)):
-                dense[perm] = coef[u, b]
-        out[b] = dense
+        out[b] = SymTensor(omega, r, dict(zip(sidx, coef[:, b]))).to_dense()
     return out
 
 
@@ -589,14 +546,8 @@ def verify_assumption_lr(
     sigma_min_M = float(svals[min(d, m) - 1])
 
     mh = r * (r + 1) // 2
-    H = np.zeros((d, mh))
-    for a in range(d):
-        f = f_vector(tensors[a])
-        k = 0
-        for i in range(r):
-            for j in range(i, r):
-                H[a, k] = f[i] * f[j]
-                k += 1
+    iu, ju = np.triu_indices(r)
+    H = paired_outers(net)[:, iu, ju]
     hs = np.linalg.svd(H, compute_uv=False)
     sigma_min_H = float(hs[min(d, mh) - 1])
 

@@ -19,13 +19,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import UsageError
-from .tensors import GaugeRotation, rotate_tensor
+from .tensors import GaugeRotation, paired_contraction
 
 __all__ = [
     "PolyNetwork",
     "SeedDistribution",
     "SmoothingParams",
     "rotate_network",
+    "paired_outers",
     "sample",
     "smooth_quadratic",
     "smooth_componentwise",
@@ -101,6 +102,17 @@ class PolyNetwork:
         return max(
             float(np.linalg.norm(self.unit_tensor(a))) for a in range(self.d)
         )
+
+
+def paired_outers(net: PolyNetwork) -> np.ndarray:
+    """The (d, r, r) stack F_a = f_a f_a^T of an odd-order network, f_a the
+    paired contraction of unit a.  The F_a co-rotate with the gauge like
+    quadratic units."""
+    F = np.zeros((net.d, net.r, net.r))
+    for a in range(net.d):
+        f = paired_contraction(net.unit_tensor(a))
+        F[a] = np.outer(f, f)
+    return F
 
 
 def rotate_network(net: PolyNetwork, V: GaugeRotation | np.ndarray) -> PolyNetwork:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -156,18 +156,19 @@ class PolynomialProgram:
 class SolverConfig:
     tol: float = 1e-7
     max_iter: int = 50000
-    max_dim: int = 5000
-    rho: float = 1.0
-    # over-relaxation > 1 limit-cycles once a linear objective is present;
-    # plain alternation converges reliably on these instances
-    over_relax: float = 1.0
-    trace_weight: float = 1e-6
-    stall_window: int = 2000
-    multiplier_degree: Optional[int] = None  # cap on equality multiplier degree
-    # optional feasible (or near-feasible) assignment of the program
-    # variables; its monomial lift seeds the iteration.  Cold starts converge
-    # too but can be orders of magnitude slower on rank-one-optimum programs.
-    warm_start: Optional[np.ndarray] = None
+
+
+# cap on the side of any moment matrix the lift builds
+MAX_DIM = 5000
+# weight of the trace-of-moment-matrix tie-break objective on cold starts
+TRACE_WEIGHT = 1e-6
+# iterations without a 1e-4 relative residual improvement that mean a stall
+STALL_WINDOW = 2000
+# iteration cap of a recovery backend's solve without a warm point
+COLD_MAX_ITER = 10000
+# the recovery backends' lower bound on the flattening's singular values; it
+# caps the norm of the left inverses in both encoded programs
+KAPPA = 0.01
 
 
 @dataclass
@@ -228,18 +229,16 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
 class _Lifted:
     """Index bookkeeping for the lifted conic problem."""
 
-    def __init__(self, program: PolynomialProgram, cfg: SolverConfig):
+    def __init__(self, program: PolynomialProgram):
         program.validate()
-        self.program = program
-        self.cfg = cfg
         self.mono_index: dict[Monomial, int] = {(): 0}
         self.blocks: list[tuple[list[Monomial], Optional[Poly], bool]] = []
         # (basis, localizing poly or None for a plain moment block, is_moment)
         for g, grp in enumerate(program.groups):
             basis = _monomials(grp.variables, grp.degree // 2)
-            if len(basis) > cfg.max_dim:
+            if len(basis) > MAX_DIM:
                 raise ResourceError(
-                    f"moment-matrix side {len(basis)} exceeds cap {cfg.max_dim}"
+                    f"moment-matrix side {len(basis)} exceeds cap {MAX_DIM}"
                 )
             self.blocks.append((basis, None, True))
             for u in basis:
@@ -252,10 +251,7 @@ class _Lifted:
         self.eq_rhs.append(1.0)
         for p, g in program.equalities:
             grp = program.groups[g]
-            budget = grp.degree - p.degree()
-            if cfg.multiplier_degree is not None:
-                budget = min(budget, cfg.multiplier_degree)
-            for q in _monomials(grp.variables, budget):
+            for q in _monomials(grp.variables, grp.degree - p.degree()):
                 row: dict[int, float] = {}
                 for m, c in p.terms.items():
                     j = self._touch(_merge(m, q))
@@ -352,7 +348,9 @@ def _psd_project(v: np.ndarray, s: int) -> np.ndarray:
 
 
 def solve(
-    program: PolynomialProgram, cfg: Optional[SolverConfig] = None
+    program: PolynomialProgram,
+    cfg: Optional[SolverConfig] = None,
+    warm: Optional[np.ndarray] = None,
 ) -> Pseudoexpectation | Infeasible:
     """ADMM conic solve of the lifted relaxation.
 
@@ -360,10 +358,15 @@ def solve(
     rows, KKT system factorized once) with a PSD-cone projection, carrying a
     scaled dual; stops when the primal and dual residuals drop below cfg.tol.
     Returns ``Infeasible`` when the residual stalls above 10*cfg.tol for
-    cfg.stall_window consecutive iterations.  Fully deterministic.
+    STALL_WINDOW consecutive iterations.  Fully deterministic.
+
+    ``warm``, a feasible or near-feasible assignment of the program
+    variables, seeds the iteration with its monomial lift; cold starts can be
+    orders of magnitude slower.  Only cold starts add the TRACE_WEIGHT
+    tie-break, which would drag the iterates away from a warm point.
     """
     cfg = cfg or SolverConfig()
-    lifted = _Lifted(program, cfg)
+    lifted = _Lifted(program)
     lifted.build_matrices()
     A, E, f = lifted.A, lifted.E, lifted.f
     ny, nX = lifted.ny, lifted.nX
@@ -403,14 +406,13 @@ def solve(
     f = fkeep
 
     cX = np.zeros(nX)
-    cX[lifted.diag_positions] = cfg.trace_weight
+    cX[lifted.diag_positions] = TRACE_WEIGHT if warm is None else 0.0
 
-    rho, alpha = cfg.rho, cfg.over_relax
     zy = np.zeros(ny)
     zy[0] = 1.0
     zX = np.zeros(nX)
-    if cfg.warm_start is not None:
-        point = np.asarray(cfg.warm_start, dtype=float)
+    if warm is not None:
+        point = np.asarray(warm, dtype=float)
         for m, j in lifted.mono_index.items():
             val = 1.0
             for i in m:
@@ -428,22 +430,21 @@ def solve(
     res = np.inf
     for it in range(1, cfg.max_iter + 1):
         ty = zy - uy
-        tX = zX - uX - cX / rho
+        tX = zX - uX - cX
         rhs[:ny] = ty + A.T @ tX
         sol = kkt.solve(rhs)
         xy = sol[:ny]
         xX = A @ xy
-        # over-relaxation on the cone step
-        hX = alpha * xX + (1 - alpha) * zX
-        hy = alpha * xy + (1 - alpha) * zy
+        # plain alternation: over-relaxation limit-cycles once the trace
+        # objective is present
         zX_new = np.empty_like(zX)
-        for (off, s), _blk in zip(lifted.block_slices, lifted.blocks):
+        for off, s in lifted.block_slices:
             size = s * (s + 1) // 2
-            zX_new[off:off + size] = _psd_project(hX[off:off + size] + uX[off:off + size], s)
-        zy_new = hy + uy
-        uy += hy - zy_new
-        uX += hX - zX_new
-        dual = rho * math.sqrt(
+            zX_new[off:off + size] = _psd_project(xX[off:off + size] + uX[off:off + size], s)
+        zy_new = xy + uy
+        uy += xy - zy_new
+        uX += xX - zX_new
+        dual = math.sqrt(
             float(np.sum((zX_new - zX) ** 2)) + float(np.sum((zy_new - zy) ** 2))
         )
         zy, zX = zy_new, zX_new
@@ -461,7 +462,7 @@ def solve(
             stall = 0
         else:
             stall += 1
-        if res > 10 * cfg.tol and stall >= cfg.stall_window:
+        if res > 10 * cfg.tol and stall >= STALL_WINDOW:
             return Infeasible(residual=res, iterations=it)
     else:
         if res > 100 * cfg.tol:
@@ -487,6 +488,41 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
+# warm starts of the recovery backends
+# ---------------------------------------------------------------------------
+
+def cold_capped(cfg: SolverConfig, warm: Optional[np.ndarray]) -> SolverConfig:
+    """A backend's solver settings: without a warm point the iteration count
+    is capped at COLD_MAX_ITER, so degenerate instances fail in bounded time
+    instead of grinding."""
+    if warm is None:
+        return replace(cfg, max_iter=min(cfg.max_iter, COLD_MAX_ITER))
+    return cfg
+
+
+def finish_warm_point(
+    prog: PolynomialProgram, point: np.ndarray, M: np.ndarray, eta: float
+) -> Optional[np.ndarray]:
+    """Complete a warm point whose unit variables are already packed.
+
+    ``M`` is the (d, m) flattening of those units.  Writes the least-norm
+    left inverse pinv(M) into the program's L variables, and pinv(M B) into
+    its P variables if it has them (the low-rank program).  Returns None
+    when the point violates the program's own constraints by more than
+    max(eta, 1e-7).
+    """
+    inverses = [("lvar", np.linalg.pinv(M))]
+    if "pvar" in prog.meta:
+        inverses.append(("pvar", np.linalg.pinv(M @ prog.meta["B"])))
+    for key, X in inverses:
+        for (k, a), v in prog.meta[key].items():
+            point[v] = X[k, a]
+    if prog.check_point(point, tol=1e-9) > max(eta, 1e-7):
+        return None
+    return point
+
+
+# ---------------------------------------------------------------------------
 # Program encodings
 # ---------------------------------------------------------------------------
 
@@ -504,6 +540,22 @@ def _add_band(prog: PolynomialProgram, p: Poly, target: float, eta: float, gid: 
     else:
         for ineq in _band(p, target, eta):
             prog.inequalities.append((ineq, gid))
+
+
+def _add_left_inverse(prog, var, entry, m: int, d: int, cap: float, gid: int):
+    """The family X M = Id_m with ||X||_F^2 <= cap in group ``gid``, where
+    ``var[(k, a)]`` numbers the variables of X and ``entry(a, u)`` is the
+    polynomial of the (d, m) matrix M's entry."""
+    for k in range(m):
+        for u in range(m):
+            p = Poly.const(-1.0 if k == u else 0.0)
+            for a in range(d):
+                p = p + Poly.var(var[(k, a)]) * entry(a, u)
+            prog.equalities.append((p, gid))
+    norm = Poly()
+    for v in var.values():
+        norm = norm + Poly.var(v) * Poly.var(v)
+    prog.inequalities.append((Poly.const(cap) - norm, gid))
 
 
 def encode_tensor_ring(
@@ -608,16 +660,7 @@ def encode_tensor_ring(
             p = p + float(mu[a]) * q(a, 0, j)
         prog.inequalities.append((p, 0))
     # left inverse: L M = Id_m over the (Q, L) group at degree 2
-    for k in range(m):
-        for (u, (i, j)) in enumerate(pairs):
-            p = Poly.const(-1.0 if k == u else 0.0)
-            for a in range(d):
-                p = p + Poly.var(lvar[(k, a)]) * q(a, i, j)
-            prog.equalities.append((p, 1))
-    lnorm = Poly()
-    for v in lvar.values():
-        lnorm = lnorm + Poly.var(v) * Poly.var(v)
-    prog.inequalities.append((Poly.const(r * r / kappa**2) - lnorm, 1))
+    _add_left_inverse(prog, lvar, lambda a, u: q(a, *pairs[u]), m, d, r * r / kappa**2, 1)
     prog.validate()
     return prog
 
@@ -660,6 +703,7 @@ def encode_lowrank(
     w, U = np.linalg.eigh(Sigma_sym)
     w = np.clip(w, 0.0, None)
     sig_half = (U * np.sqrt(w)) @ U.T
+    B = D @ sig_half  # (m, m): column u weight of T entries
 
     names: list[str] = []
     tvar: dict[tuple[int, int], int] = {}
@@ -705,7 +749,7 @@ def encode_lowrank(
         nvars=len(names), names=names, groups=groups, degree=degree,
         meta={"r": r, "omega": omega, "ell": ell, "d": d, "m": m,
               "sidx": sidx, "mult": mult, "tvar": tvar, "vvar": vvar,
-              "lvar": lvar, "pvar": pvar, "eta": eta, "t_gid": t_gid},
+              "lvar": lvar, "pvar": pvar, "B": B, "eta": eta, "t_gid": t_gid},
     )
 
     def tpoly(a, u):
@@ -735,33 +779,19 @@ def encode_lowrank(
         for u in range(m):
             norm2 = norm2 + mult[u] * (tpoly(a, u) * tpoly(a, u))
         prog.inequalities.append((Poly.const(R * R) - norm2, unit_gid[a]))
-    # left inverse L M = Id_m
-    for k in range(m):
-        for u in range(m):
-            p = Poly.const(-1.0 if k == u else 0.0)
-            for a in range(d):
-                p = p + Poly.var(lvar[(k, a)]) * tpoly(a, u)
-            prog.equalities.append((p, lp_gid))
-    # P (M D sig_half) = Id_m
-    B = D @ sig_half  # (m, m): column u weight of T entries
-    for k in range(m):
-        for u in range(m):
-            p = Poly.const(-1.0 if k == u else 0.0)
-            for a in range(d):
-                for w_ in range(m):
-                    coef = float(B[w_, u])
-                    if coef != 0.0:
-                        p = p + coef * (Poly.var(pvar[(k, a)]) * tpoly(a, w_))
-            prog.equalities.append((p, lp_gid))
-    lnorm = Poly()
-    for v in lvar.values():
-        lnorm = lnorm + Poly.var(v) * Poly.var(v)
-    prog.inequalities.append((Poly.const(r**omega / kappa**2) - lnorm, lp_gid))
-    pnorm = Poly()
-    for v in pvar.values():
-        pnorm = pnorm + Poly.var(v) * Poly.var(v)
-    prog.inequalities.append(
-        (Poly.const(r**omega * omega ** (omega / 2) / kappa**2) - pnorm, lp_gid)
+
+    def mb(a, u):  # entry (a, u) of M B = M D sig_half
+        p = Poly()
+        for w_ in range(m):
+            coef = float(B[w_, u])
+            if coef != 0.0:
+                p = p + coef * tpoly(a, w_)
+        return p
+
+    # left inverses L M = Id_m and P M B = Id_m
+    _add_left_inverse(prog, lvar, tpoly, m, d, r**omega / kappa**2, lp_gid)
+    _add_left_inverse(
+        prog, pvar, mb, m, d, r**omega * omega ** (omega / 2) / kappa**2, lp_gid
     )
 
     if lam_mu is not None:

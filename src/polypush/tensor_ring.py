@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,10 +22,13 @@ from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moments
 from .networks import PolyNetwork, rotate_network
 from .relaxation import (
+    KAPPA,
     Poly,
     SolverConfig,
     Infeasible,
+    cold_capped,
     encode_tensor_ring,
+    finish_warm_point,
     pseudo_expect,
     solve,
 )
@@ -67,10 +70,12 @@ class TRConfig:
     restarts: int = 20
     tol: float = 1e-9
     rng_seed: int = 0
-    combo_retries: int = 5
-    kappa: float = 0.01
     eta: float = 0.0
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+
+# symmetry-breaking combinations decompose tries before giving up
+COMBO_RETRIES = 5
 
 
 @dataclass
@@ -157,6 +162,17 @@ def gauge_fix(
     return rotate_network(net, R), GaugeRotation(R)
 
 
+def corner_signed_mu(stack: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``mu``, negated when the (1,1) entry of the mu-combination of the
+    (d, r, r) ``stack`` is negative in the lam-combination's eigenbasis:
+    gauge_fix cannot change that entry's sign, so the relaxations' "first
+    row of the mu-combination nonnegative" family needs this mu."""
+    _, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, stack))
+    if (V.T @ np.einsum("a,aij->ij", mu, stack) @ V)[0, 0] < 0:
+        return -mu
+    return mu
+
+
 # ---------------------------------------------------------------------------
 # local (nonconvex) backend
 # ---------------------------------------------------------------------------
@@ -239,7 +255,7 @@ def decompose(
     the moment relaxation, warm-started from a local fit, and reads the units
     off the pseudoexpectation; ``hybrid`` refines the sos rounding locally.
     The symmetry-breaking combinations come from find_combo on S, retried
-    with fresh weights up to ``config.combo_retries`` times.  The local fit
+    with fresh weights up to COMBO_RETRIES times.  The local fit
     does not depend on the combination, so it runs once per call and each
     retry only gauge-fixes it again (sos and hybrid also re-solve the
     combination-dependent relaxation); the best-scoring retry wins.
@@ -251,7 +267,7 @@ def decompose(
     eta = config.eta
     fit = None  # (Q, residual, starts tried), made at the first usable combo
     best: Optional[tuple[float, PolyNetwork, NonDegenCombo, dict]] = None
-    for attempt in range(config.combo_retries):
+    for attempt in range(COMBO_RETRIES):
         try:
             combo = find_combo(S, r, rng_seed=config.rng_seed * 1000 + attempt)
             if fit is None and config.backend == "local":
@@ -331,29 +347,21 @@ def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
     r = config.r
     diag: dict = {"backend": config.backend}
     Q_fit, fit_res, tried = fit
+    lam, mu = combo.lam, combo.mu
     if config.backend in ("sos", "hybrid"):
-        lam, mu = combo.lam, combo.mu
-        # the (1,1) entry of the gauge-fixed mu-combination is sign-invariant;
-        # flip mu when the fit pins it negative so the first-row family
-        # stays feasible
-        Qlam = np.einsum("a,aij->ij", lam, Q_fit)
-        Qmu = np.einsum("a,aij->ij", mu, Q_fit)
-        _, V = np.linalg.eigh(Qlam)
-        if (V.T @ Qmu @ V)[0, 0] < 0:
-            mu = -mu
-            combo = NonDegenCombo(lam=lam, mu=mu)
+        mu = corner_signed_mu(Q_fit, lam, mu)
         R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
         # scale the instance so Q entries are O(1): first-order conic solvers
         # are very sensitive to variable magnitude
         sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
         prog = encode_tensor_ring(
-            r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=config.kappa,
+            r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
             eta=config.eta * sc**2, degree=config.degree,
         )
         warm = None
         if fit_res <= max(10 * config.eta, 1e-6):
             fitnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
-            warm = _warm_point(prog, fitnet, lam, mu, config, sc)
+            warm = _warm_point(prog, fitnet, lam, mu, config.eta * sc**2, sc)
             if warm is None:
                 # A tight moment fit exists but violates the encoded norm
                 # caps: the instance is too degenerate for this program, so
@@ -361,18 +369,7 @@ def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
                 raise ConvergenceError(
                     "instance violates non-degeneracy caps of the relaxation"
                 )
-        solver_cfg = replace(config.solver, warm_start=warm)
-        if warm is not None:
-            # a feasible warm point needs no tie-break; the trace objective
-            # would only drag the iterates away from it
-            solver_cfg = replace(solver_cfg, trace_weight=0.0)
-        if warm is None:
-            # without a warm start, bound the worst case so degenerate
-            # instances fail in bounded time instead of grinding
-            solver_cfg = replace(
-                solver_cfg, max_iter=min(solver_cfg.max_iter, 10000)
-            )
-        out = solve(prog, solver_cfg)
+        out = solve(prog, cold_capped(config.solver, warm), warm)
         if isinstance(out, Infeasible):
             raise ConvergenceError(
                 f"relaxation reported infeasible (residual {out.residual:.3e})"
@@ -395,38 +392,32 @@ def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
     diag["restarts_used"] = tried
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
     try:
-        net, _ = gauge_fix(net, combo.lam, combo.mu)
+        net, _ = gauge_fix(net, lam, mu)
     except DegeneracyError:
         pass
     return net, diag
 
 
-def _warm_point(prog, fit: PolyNetwork, lam, mu, config: TRConfig, sc: float):
+def _warm_point(prog, fit: PolyNetwork, lam, mu, eta: float, sc: float):
     """Feasible assignment seeding the conic solver: the local fit gauge-fixed
-    against (lam, mu), with L the least-norm left inverse of the flattening.
-    Returns None when the assignment fails the program's own constraints."""
-    d, r = fit.d, fit.r
+    against (lam, mu) and scaled by ``sc``, completed by finish_warm_point.
+    Returns None when it fails the program's own constraints (beyond
+    ``eta``, in the program's scale)."""
+    d = fit.d
     pairs = prog.meta["pairs"]
-    qvar, lvar = prog.meta["qvar"], prog.meta["lvar"]
-    m = len(pairs)
+    qvar = prog.meta["qvar"]
     try:
         net, _ = gauge_fix(fit, lam, mu)
     except DegeneracyError:
         return None
     point = np.zeros(prog.nvars)
-    M = np.zeros((d, m))
+    M = np.zeros((d, len(pairs)))
     for a in range(d):
         for u, (i, j) in enumerate(pairs):
             val = net.Q[a, i, j] * sc
             point[qvar[(a, i, j)]] = val
             M[a, u] = val
-    L = np.linalg.pinv(M)
-    for k in range(m):
-        for a in range(d):
-            point[lvar[(k, a)]] = L[k, a]
-    if prog.check_point(point, tol=1e-9) > max(config.eta * sc**2, 1e-7):
-        return None
-    return point
+    return finish_warm_point(prog, point, M, eta)
 
 
 def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:

@@ -232,14 +232,11 @@ class TestEncodeLowrank:
         )
         S = exact_lowrank_pair_moments(net).S
         sig = sigma_matrix(r, omega)
-        w, U = np.linalg.eigh(sig.Sigma_sym)
-        half = (U * np.sqrt(np.clip(w, 0, None))) @ U.T
-        B = sig.D @ half
         prog = encode_lowrank(
             r, omega, ell, S, sig.Sigma_sym, sig.D,
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
-        point = _warm_point_lr(prog, net, B, 0.0)
+        point = _warm_point_lr(prog, net, 0.0)
         assert point is not None
         assert prog.check_point(point, tol=1e-9) <= 1e-7
 
@@ -253,3 +250,62 @@ class TestEncodeLowrank:
         assert isinstance(pe, Pseudoexpectation)
         qv = prog.meta["qvar"][(0, 0, 0)]
         assert pseudo_expect(pe, Poly.var(qv)) == pytest.approx(1.0, abs=1e-3)
+
+
+class TestWarmPoint:
+    """The backends' warm points: kind-specific packing, shared completion by
+    the left inverses and the feasibility gate."""
+
+    def _quadratic(self, radius_factor):
+        from polypush.tensor_ring import _warm_point, corner_signed_mu
+
+        rng = np.random.default_rng(1)
+        r, d = 2, 3
+        Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
+        net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
+        t = exact_quadratic_moments(net)
+        combo = find_combo(t.S, r, rng_seed=0)
+        mu = corner_signed_mu(Q, combo.lam, combo.mu)
+        prog = encode_tensor_ring(
+            r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
+            kappa=1e-3, eta=0.0,
+        )
+        return prog, _warm_point(prog, net, combo.lam, mu, 0.0, 1.0)
+
+    def _lowrank(self, radius_factor):
+        from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
+        from polypush.networks import paired_outers, rotate_network
+        from polypush.tensor_ring import corner_signed_mu
+
+        rng = np.random.default_rng(2)
+        r, d, omega, ell = 2, 4, 3, 1
+        comps = rng.standard_normal((d, ell, r))
+        comps /= np.linalg.norm(comps, axis=2, keepdims=True)
+        net = PolyNetwork(
+            kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
+        )
+        S = exact_lowrank_pair_moments(net).S
+        sig = sigma_matrix(r, omega)
+        # the stage-2 program: gauge families on F_a = f_a f_a^T, and the
+        # truth rotated into that gauge
+        F = paired_outers(net)
+        combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
+        mu = corner_signed_mu(F, combo.lam, combo.mu)
+        _, rot = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, mu)
+        prog = encode_lowrank(
+            r, omega, ell, S, sig.Sigma_sym, sig.D, R=net.radius * radius_factor,
+            kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
+        )
+        return prog, _warm_point_lr(prog, rotate_network(net, rot), 0.0)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_gauge_fixed_truth_is_feasible(self, kind):
+        prog, point = getattr(self, "_" + kind)(1.01)
+        assert point is not None
+        # the program's equalities include L M = Id
+        assert prog.check_point(point, tol=1e-9) <= 1e-7
+
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_radius_below_network_gives_none(self, kind):
+        _, point = getattr(self, "_" + kind)(0.9)
+        assert point is None
