@@ -3,8 +3,9 @@
 d_G(net, net') = min over V in O(r) of max_a ||F_{V^{x omega}}(T_a) - T'_a||_F.
 The minimization is nonconvex; we search candidate rotations from
 eigen-alignment of generic unit combinations, enumerate signs, and refine
-locally on O(r).  For r <= 2 an exhaustive angle grid (plus reflection) makes
-the bound exact to ~1e-8.
+locally on O(r).  For r = 2 an exhaustive angle grid (plus reflection),
+refined around its best point, makes the bound exact to ~1e-12; for r = 1
+the candidates are exactly +-1.
 """
 
 from __future__ import annotations
@@ -110,15 +111,17 @@ def _grid_scan_r2(tensA, tensB, step):
             best = (float(obj[k]), (thetas[k], flip))
     theta0, flip = best[1]
 
-    def f(theta):
-        V = _rot2(theta) @ refl if flip else _rot2(theta)
+    def f(delta):
+        V = _rot2(theta0 + delta) @ refl if flip else _rot2(theta0 + delta)
         return _objective(tensA, tensB, V)
 
+    # refine the offset from the grid point, not the angle itself: the
+    # bounded method's tolerance grows with |x|, and |theta| reaches 2 pi
     res = minimize_scalar(
-        f, bounds=(theta0 - 2 * step, theta0 + 2 * step), method="bounded",
+        f, bounds=(-2 * step, 2 * step), method="bounded",
         options={"xatol": 1e-12},
     )
-    theta = float(res.x) if res.fun <= best[0] else theta0
+    theta = theta0 + float(res.x) if res.fun <= best[0] else theta0
     V = _rot2(theta) @ refl if flip else _rot2(theta)
     return _objective(tensA, tensB, V), V
 

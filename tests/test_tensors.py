@@ -159,6 +159,23 @@ class TestGaugeDistance:
         dist, _ = gauge_distance(net, rotate_network(net, V), AlignmentConfig())
         assert dist <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_rotated_copy_r2_precise(self, kind, seed):
+        # the grid scan's refinement resolves the angle to ~1e-12, whatever
+        # the angle; proper rotations and reflections alike
+        rng = np.random.default_rng(20 + seed)
+        if kind == "quadratic":
+            Q = np.stack([symmetric_gaussian(rng, 2) for _ in range(3)])
+            net = PolyNetwork(kind="quadratic", r=2, d=3, Q=Q)
+        else:
+            comps = rng.standard_normal((4, 1, 2))
+            comps /= np.linalg.norm(comps, axis=2, keepdims=True)
+            net = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1, components=comps)
+        V = random_orthogonal(rng, 2)
+        dist, _ = gauge_distance(net, rotate_network(net, V), AlignmentConfig())
+        assert dist <= 1e-10
+
     def test_r1_sign_gap(self):
         # O(1) = {+1, -1} and the order-2 action fixes Q either way
         netA = PolyNetwork(kind="quadratic", r=1, d=1, Q=np.array([[[1.0]]]))
