@@ -167,13 +167,6 @@ def estimate_quadratic_moments(
     return QuadraticMomentTable(mu=mu, S=S, T=_symmetrize3(T), eta=eta)
 
 
-def required_samples_quadratic(r: int, R: float, d: int, eta: float, delta: float) -> int:
-    """Sufficient sample count r^3 R^6 log^3(2d/delta) / eta^2 (up to constants)."""
-    if eta <= 0:
-        raise UsageError("eta must be positive to size a sample")
-    return int(math.ceil(r**3 * R**6 * math.log(2 * d / delta) ** 3 / eta**2))
-
-
 def _double_factorial_table(maxc: int) -> np.ndarray:
     """t[c] = (c-1)!! for even c, else 0 (Gaussian univariate moments)."""
     t = np.zeros(maxc + 1)
@@ -338,24 +331,46 @@ def table_to_json(table) -> dict:
     raise UsageError(f"unknown table type {type(table).__name__}")
 
 
+def _finite_array(value, key: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"moment-table field {key!r} is not numeric") from exc
+    if not np.isfinite(arr).all():
+        raise UsageError(f"moment-table field {key!r} has NaN or inf entries")
+    return arr
+
+
 def table_from_json(obj: dict | str):
+    """A moment table from its JSON form.  Raises UsageError unless every
+    entry is finite, S is d x d, T is d x d x d, mu has length d and eta is
+    a number."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid moment-table JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError("a moment table must be a JSON object")
     try:
-        if obj["kind"] == "quadratic":
-            return QuadraticMomentTable(
-                mu=np.asarray(obj["mu"], dtype=float),
-                S=np.asarray(obj["S"], dtype=float),
-                T=np.asarray(obj["T"], dtype=float),
-                eta=float(obj.get("eta", 0.0)),
-            )
-        if obj["kind"] == "pair":
-            return PairMomentTable(
-                S=np.asarray(obj["S"], dtype=float), eta=float(obj.get("eta", 0.0))
-            )
-        raise UsageError(f"unknown moment-table kind {obj['kind']!r}")
+        kind = obj["kind"]
+        if kind not in ("quadratic", "pair"):
+            raise UsageError(f"unknown moment-table kind {kind!r}")
+        keys = ("mu", "S", "T") if kind == "quadratic" else ("S",)
+        arrays = {key: _finite_array(obj[key], key) for key in keys}
+        arrays["eta"] = _finite_array(obj.get("eta", 0.0), "eta")
     except KeyError as exc:
         raise UsageError(f"moment-table JSON missing field {exc}") from exc
+    S = arrays["S"]
+    d = S.shape[0] if S.ndim else 0
+    shapes = {"eta": (), "mu": (d,), "S": (d, d), "T": (d, d, d)}
+    for key, arr in arrays.items():
+        if arr.shape != shapes[key]:
+            raise UsageError(
+                f"moment-table field {key!r} has shape {arr.shape}, "
+                f"expected {shapes[key]}"
+            )
+    eta = float(arrays["eta"])
+    if kind == "pair":
+        return PairMomentTable(S=S, eta=eta)
+    return QuadraticMomentTable(mu=arrays["mu"], S=S, T=arrays["T"], eta=eta)

@@ -227,6 +227,26 @@ class TestExitCodes:
         assert run(command[0], "--network", str(net), *command[1:],
                    "--out", str(tmp_path / "out.json")) == 2
 
+    @pytest.mark.parametrize("flaw", ["nan", "shape"])
+    @pytest.mark.parametrize("command", [
+        ("solve_tr", "--r", "2", "--restarts", "2"),
+        ("solve_lr", "--r", "1", "--restarts", "2"),
+    ], ids=["solve_tr", "solve_lr"])
+    def test_solve_rejects_bad_table(self, tmp_path, command, flaw):
+        d = 3
+        S = np.eye(d)
+        if flaw == "nan":
+            S[0, 1] = S[1, 0] = float("nan")
+        else:
+            S = S[:, :2]
+        obj = {"kind": "pair", "S": S.tolist(), "eta": 0.0}
+        if command[0] == "solve_tr":
+            obj.update(kind="quadratic", mu=[0.0] * d, T=np.zeros((d, d, d)).tolist())
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(obj))
+        assert run(command[0], "--table", str(table), *command[1:],
+                   "--out", str(tmp_path / "rec.json")) == 2
+
     def test_bench_bad_eta_list(self, tmp_path):
         assert run("bench", "--eta-list", "abc", "--out", str(tmp_path / "b.csv")) == 2
 

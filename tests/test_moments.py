@@ -323,3 +323,50 @@ class TestJsonTables:
             table_from_json("{")
         with pytest.raises(UsageError):
             table_from_json({"kind": "mystery"})
+
+    @staticmethod
+    def _quadratic_obj(d=2):
+        return {"kind": "quadratic", "mu": [0.0] * d, "S": np.eye(d).tolist(),
+                "T": np.zeros((d, d, d)).tolist(), "eta": 0.0}
+
+    @pytest.mark.parametrize("field", ["mu", "S", "T"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_quadratic_rejected(self, field, bad):
+        obj = self._quadratic_obj()
+        arr = np.asarray(obj[field])
+        arr.flat[-1] = bad
+        obj[field] = arr.tolist()
+        with pytest.raises(UsageError, match="NaN or inf"):
+            table_from_json(obj)
+
+    def test_non_finite_pair_rejected(self):
+        with pytest.raises(UsageError, match="NaN or inf"):
+            table_from_json({"kind": "pair", "S": [[1.0, float("nan")], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("S", np.eye(2)[:, :1].tolist()),
+        ("S", [1.0, 2.0]),
+        ("T", np.zeros((2, 2)).tolist()),
+        ("T", np.zeros((2, 2, 3)).tolist()),
+        ("mu", [0.0] * 3),
+        ("mu", [[0.0, 0.0]]),
+    ], ids=["S-not-square", "S-vector", "T-matrix", "T-3rd-axis", "mu-long", "mu-nested"])
+    def test_quadratic_shape_mismatch_rejected(self, field, value):
+        obj = self._quadratic_obj()
+        obj[field] = value
+        with pytest.raises(UsageError, match="shape"):
+            table_from_json(obj)
+
+    def test_pair_shape_mismatch_rejected(self):
+        with pytest.raises(UsageError, match="shape"):
+            table_from_json({"kind": "pair", "S": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
+
+    @pytest.mark.parametrize("S", [[[1.0, 0.0], [0.0]], [["a", 0.0], [0.0, 1.0]]],
+                             ids=["ragged", "non-numeric"])
+    def test_malformed_entries_rejected(self, S):
+        with pytest.raises(UsageError, match="not numeric"):
+            table_from_json({"kind": "pair", "S": S})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(UsageError):
+            table_from_json("[1, 2]")
