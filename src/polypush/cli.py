@@ -2,8 +2,9 @@
 
 Every command is a pure function of (inputs, flags, seed); a RunManifest
 JSON with input/output digests is written next to each output so runs can
-be audited and replayed.  Floats are written as the shortest repr that
-reads back to the same float64.
+be audited and replayed; a run that fails with a PolypushError writes one
+too, with its exit code and error.  Floats are written as the shortest
+repr that reads back to the same float64.
 
 Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 """
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -102,20 +104,30 @@ def _read_json(path: str):
         raise UsageError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _manifest(args, inputs: list[str], outputs: list[str]) -> None:
+# the flags that name a command's input files
+INPUT_FLAGS = ("base", "network", "samples", "table", "truth", "reference")
+
+
+def _manifest(args, error: Optional[PolypushError] = None) -> None:
+    """Write ``<--out>.manifest.json``: the command, its flags and seed, and
+    the digests of its input files and of ``--out``, each listed only if it
+    exists.  A failed run's manifest adds its exit code and error."""
     flags = {
         k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
     }
+    inputs = [getattr(args, k) for k in INPUT_FLAGS if getattr(args, k, None)]
     man = {
         "command": args.command,
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "inputs": {p: _digest(p) for p in inputs},
-        "outputs": {p: _digest(p) for p in outputs},
+        "inputs": {p: _digest(p) for p in inputs if os.path.isfile(p)},
+        "outputs": {p: _digest(p) for p in [args.out] if os.path.isfile(p)},
     }
-    target = outputs[0] if outputs else f"{args.command}"
-    _write_json(target + ".manifest.json", man)
+    if error is not None:
+        man["exit_code"] = error.exit_code
+        man["error"] = str(error)
+    _write_json(args.out + ".manifest.json", man)
 
 
 def _seed_dist(name: str) -> SeedDistribution:
@@ -152,7 +164,7 @@ def cmd_generate(args) -> int:
             SmoothingParams(rho=args.rho, base=base, rng_seed=args.seed)
         )
     _write_json(args.out, network_to_json(net))
-    _manifest(args, [args.base] if args.base else [], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -160,7 +172,7 @@ def cmd_sample(args) -> int:
     net = network_from_json(_read_json(args.network))
     z = sample(net, _seed_dist(args.sigma), args.n, rng_seed=args.seed)
     _write_samples(args.out, z)
-    _manifest(args, [args.network], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -198,7 +210,7 @@ def cmd_moments(args) -> int:
         else:
             table = exact_lowrank_pair_moments(net)
     _write_json(args.out, table_to_json(table))
-    _manifest(args, [args.samples or args.network], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -218,7 +230,7 @@ def cmd_solve_tr(args) -> int:
         "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
     print(json.dumps(summary))
-    _manifest(args, [p for p in (args.table, args.truth) if p], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -239,7 +251,7 @@ def cmd_solve_lr(args) -> int:
         "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
     print(json.dumps(summary))
-    _manifest(args, [p for p in (args.table, args.truth) if p], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -252,7 +264,7 @@ def cmd_eval(args) -> int:
     print(json.dumps(out))
     if args.out:
         _write_json(args.out, out)
-        _manifest(args, [args.network, args.reference], [args.out])
+        _manifest(args)
     return 0
 
 
@@ -285,7 +297,7 @@ def cmd_verify(args) -> int:
     print(json.dumps(out))
     if args.out:
         _write_json(args.out, out)
-        _manifest(args, [args.network], [args.out])
+        _manifest(args)
     return 0
 
 
@@ -296,7 +308,7 @@ def cmd_lowerbound(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _manifest(args, [], [args.out])
+        _manifest(args)
     else:
         print(text)
     return 0
@@ -345,7 +357,7 @@ def cmd_bench(args) -> int:
     writer.writerows(rows)
     with open(args.out, "w") as fh:
         fh.write(buf.getvalue())
-    _manifest(args, [], [args.out])
+    _manifest(args)
     return 0
 
 
@@ -458,6 +470,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except PolypushError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.out:
+            try:
+                _manifest(args, exc)
+            except OSError as werr:
+                print(f"error: no manifest written: {werr}", file=sys.stderr)
         return exc.exit_code
     except SystemExit as exc:
         # argparse uses 2 for usage errors already

@@ -4,6 +4,10 @@ Each class maps onto one process exit code so batch scripts can branch on
 failure category without parsing stderr.
 """
 
+# cap on the bytes of the dense arrays one call builds; above it the call
+# raises ResourceError before allocating them
+DENSE_BYTES_CAP = 1 << 30
+
 
 class PolypushError(Exception):
     """Base class for all library errors."""

@@ -19,7 +19,12 @@ from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
-from .moments import PairMomentTable, pair_moment_closed_form, sigma_matrix
+from .moments import (
+    PairMomentTable,
+    pair_moment_closed_form,
+    pair_moment_partials,
+    sigma_matrix,
+)
 from .networks import PolyNetwork, paired_outers, rotate_network
 from .relaxation import (
     KAPPA,
@@ -121,6 +126,44 @@ def _pair_table(comps: np.ndarray, omega: int, mode: str, scale: float) -> np.nd
     return np.triu(S) + np.triu(S, 1).T
 
 
+def _pair_partials(dot, nv2, nw2, omega: int, mode: str, scale: float):
+    """The partials of _pair_values in dot, nv2 and nw2, elementwise."""
+    if mode == "identity":
+        zero = np.zeros_like(dot)
+        return omega * dot ** (omega - 1), zero, zero
+    parts = pair_moment_partials(dot, nv2, nw2, omega)
+    if mode == "rotation_invariant":
+        parts = tuple(p * scale for p in parts)
+    return parts
+
+
+def _pair_table_jacobian(
+    comps: np.ndarray, omega: int, mode: str, scale: float, rows
+) -> np.ndarray:
+    """Jacobian of the _pair_table entries S_ab at (a, b) = ``rows`` in the
+    components, one row per entry and one column per component entry.
+
+    With V the (d*ell, r) stack of all components, G = V Vᵀ and n = diag G,
+    pair(v_i, v_j) has gradient p_dot v_j + 2 p_nv2 v_i in v_i and
+    p_dot v_i + 2 p_nw2 v_j in v_j; S_ab sums them over the components of
+    units a and b."""
+    d, ell, r = comps.shape
+    V = comps.reshape(d * ell, r)
+    G = V @ V.T
+    n2 = np.diag(G)
+    p_dot, p_nv2, p_nw2 = _pair_partials(G, n2[:, None], n2[None, :], omega, mode, scale)
+    g_i = p_dot[..., None] * V[None, :, :] + 2 * p_nv2[..., None] * V[:, None, :]
+    g_j = p_dot[..., None] * V[:, None, :] + 2 * p_nw2[..., None] * V[None, :, :]
+    g_i = g_i.reshape(d, ell, d, ell, r).sum(axis=3)  # [a, t, b]: summed over b's components
+    g_j = g_j.reshape(d, ell, d, ell, r).sum(axis=1)  # [a, b, t']: summed over a's components
+    a, b = rows
+    k = np.arange(a.size)
+    J = np.zeros((a.size, d, ell, r))
+    J[k, a] += g_i[a, :, b]
+    J[k, b] += g_j[a, b]
+    return J.reshape(a.size, -1)
+
+
 def exact_lowrank_pair_moments(
     net: PolyNetwork, mode: str = "gaussian", scale: float = 1.0
 ) -> PairMomentTable:
@@ -177,11 +220,16 @@ def _fit_components(
         model = _pair_table(x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale)
         return model[iu] - target
 
+    def jac(x):
+        return _pair_table_jacobian(
+            x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale, iu
+        )
+
     scale = (float(np.max(np.abs(np.diag(S)))) + 1e-12) ** (1.0 / (2 * omega))
     best_x, best_res = None, np.inf
     for _ in range(cfg.restarts):
         x0 = scale * rng.standard_normal(n) / math.sqrt(r)
-        sol = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15)
+        sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
         res = float(np.max(np.abs(sol.fun)))
         if res < best_res:
             best_res, best_x = res, sol.x
@@ -387,6 +435,34 @@ def _identity_sigma_sym(r: int, omega: int) -> np.ndarray:
     return np.diag([1.0 / multiplicity(t) for t in sidx])
 
 
+def _power_sum(cs: np.ndarray, omega: int) -> np.ndarray:
+    """sum_t v_t^{x omega} over the rows v_t of ``cs``, flattened."""
+    recon = 0.0
+    for v in cs:
+        out = v
+        for _ in range(omega - 1):
+            out = np.multiply.outer(out, v)
+        recon = recon + out.reshape(-1)
+    return recon
+
+
+def _power_sum_jacobian(cs: np.ndarray, omega: int) -> np.ndarray:
+    """Jacobian of _power_sum in the entries of ``cs``: the derivative of
+    v^{x omega} in v_k is the sum over positions p of v^{x (omega-1)} with
+    e_k put in at position p."""
+    r = cs.shape[1]
+    blocks = []
+    for v in cs:
+        head = np.ones(())
+        for _ in range(omega - 1):
+            head = np.multiply.outer(head, v)
+        # axes: omega - 1 factors of v, then the slot of e_k, then k
+        base = np.multiply.outer(head, np.eye(r))
+        grad = sum(np.moveaxis(base, omega - 1, p) for p in range(omega))
+        blocks.append(grad.reshape(r**omega, r))
+    return np.concatenate(blocks, axis=1)
+
+
 def components_from_tensors(
     tensors: np.ndarray, ell: int, omega: int, rng_seed: int = 0, restarts: int = 12
 ) -> np.ndarray:
@@ -396,24 +472,21 @@ def components_from_tensors(
     r = tensors.shape[1]
     rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), 41)))
     comps = np.zeros((d, ell, r))
+
+    def jac(x):
+        return _power_sum_jacobian(x.reshape(ell, r), omega)
+
     for a in range(d):
         target = tensors[a].reshape(-1)
 
         def fun(x):
-            cs = x.reshape(ell, r)
-            recon = np.zeros_like(target)
-            for t in range(ell):
-                out = cs[t]
-                for _ in range(omega - 1):
-                    out = np.multiply.outer(out, cs[t])
-                recon = recon + out.reshape(-1)
-            return recon - target
+            return _power_sum(x.reshape(ell, r), omega) - target
 
         scale = float(np.max(np.abs(target))) ** (1.0 / omega) + 1e-9
         best_x, best_res = None, np.inf
         for _ in range(restarts):
             x0 = scale * rng.standard_normal(ell * r)
-            sol = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15)
+            sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
             res = float(np.max(np.abs(sol.fun)))
             if res < best_res:
                 best_res, best_x = res, sol.x

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ResourceError, UsageError
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .networks import PolyNetwork, SeedDistribution, gaussian_norm_moment
 from .tensors import (
     multiplicity,
@@ -34,12 +34,14 @@ __all__ = [
     "PairMomentTable",
     "SigmaMatrix",
     "trace_moments",
+    "trace_moment_gradients",
     "exact_quadratic_moments",
     "estimate_quadratic_moments",
     "sigma_matrix",
     "sigma_inner",
     "hermite_pair_moment",
     "pair_moment_closed_form",
+    "pair_moment_partials",
     "estimate_pair_moments",
     "rotation_invariant_scale",
     "cumulant_diagonal",
@@ -49,7 +51,6 @@ __all__ = [
 ]
 
 CHUNK = 4096
-SIGMA_BYTES_CAP = 1 << 30
 
 
 @dataclass
@@ -119,6 +120,35 @@ def trace_moments(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P = np.einsum("aij,bji->ab", Q, Q)
     C = np.einsum("aij,bjk,cki->abc", Q, Q, Q)
     return P, C
+
+
+def trace_moment_gradients(
+    Q: np.ndarray, pairs: tuple[np.ndarray, ...], triples: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the trace moments at the index arrays ``pairs`` = (a, b)
+    and ``triples`` = (a, b, c), in the entries of every unit taken as
+    independent: entry [k, e] of the two returned arrays is
+
+        dTr(Q_a Q_b)/dQ_e      = δ_ae Q_bᵀ + δ_be Q_aᵀ,
+        dTr(Q_a Q_b Q_c)/dQ_e  = δ_ae (Q_b Q_c)ᵀ + δ_be (Q_c Q_a)ᵀ + δ_ce (Q_a Q_b)ᵀ
+
+    for the k-th pair and the k-th triple, each an (r, r) matrix.
+    """
+    d = Q.shape[0]
+    Qt = np.swapaxes(Q, 1, 2)
+    a, b = pairs
+    k = np.arange(a.size)
+    gP = np.zeros((a.size,) + Q.shape, dtype=Q.dtype)
+    gP[k, a] += Qt[b]
+    gP[k, b] += Qt[a]
+    QQt = np.einsum("aij,bjk->abki", Q, Q)  # (Q_a Q_b)ᵀ
+    a, b, c = triples
+    k = np.arange(a.size)
+    gC = np.zeros((a.size, d) + Q.shape[1:], dtype=Q.dtype)
+    gC[k, a] += QQt[b, c]
+    gC[k, b] += QQt[c, a]
+    gC[k, c] += QQt[a, b]
+    return gP, gC
 
 
 def _symmetrize3(T: np.ndarray) -> np.ndarray:
@@ -192,10 +222,10 @@ def sigma_matrix(
     # sum and float64 lookup temporaries of its product loop; the same three
     # for Sigma_sym (m x m), and D (m x m)
     need = 8 * (3 * n * n + 4 * m * m)
-    if need > SIGMA_BYTES_CAP:
+    if need > DENSE_BYTES_CAP:
         raise ResourceError(
             f"Sigma for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
-            f"over the {SIGMA_BYTES_CAP / 2**30:g} GiB cap"
+            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
         )
     idx = np.stack(np.meshgrid(*([np.arange(r)] * omega), indexing="ij"), axis=-1)
     idx = idx.reshape(n, omega)
@@ -246,13 +276,34 @@ def pair_moment_closed_form(dot, nv2, nw2, omega: int):
     inner product ``dot`` and squared norms ``nv2``, ``nw2``; elementwise on
     arrays."""
     total = 0.0
-    for m in range(omega // 2 + 1):
-        coeff = (
-            math.factorial(omega)
-            // (math.factorial(m) ** 2 * math.factorial(omega - 2 * m))
-        )
+    for m, coeff in _pair_coefficients(omega):
         total += coeff * 0.25**m * dot ** (omega - 2 * m) * nv2**m * nw2**m
     return math.factorial(omega) * total
+
+
+def pair_moment_partials(dot, nv2, nw2, omega: int):
+    """The partial derivatives of pair_moment_closed_form in ``dot``, ``nv2``
+    and ``nw2``, elementwise on arrays (zero terms are left out, so no
+    negative power of a zero argument is taken)."""
+    g_dot = g_nv2 = g_nw2 = np.zeros(np.broadcast(dot, nv2, nw2).shape)
+    for m, coeff in _pair_coefficients(omega):
+        c = coeff * 0.25**m
+        k = omega - 2 * m
+        if k:
+            g_dot = g_dot + c * k * dot ** (k - 1) * nv2**m * nw2**m
+        if m:
+            g_nv2 = g_nv2 + c * m * dot**k * nv2 ** (m - 1) * nw2**m
+            g_nw2 = g_nw2 + c * m * dot**k * nv2**m * nw2 ** (m - 1)
+    f = math.factorial(omega)
+    return f * g_dot, f * g_nv2, f * g_nw2
+
+
+def _pair_coefficients(omega: int):
+    """(m, multinomial(omega; m, m, omega-2m)) for m = 0 .. omega // 2."""
+    for m in range(omega // 2 + 1):
+        yield m, math.factorial(omega) // (
+            math.factorial(m) ** 2 * math.factorial(omega - 2 * m)
+        )
 
 
 def estimate_pair_moments(samples: np.ndarray, eta: float = 0.0) -> PairMomentTable:

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ResourceError, UsageError
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .tensors import multiplicity, sorted_multi_indices
 
 __all__ = [
@@ -374,6 +374,17 @@ def solve(
     # would make the KKT system singular; keep an independent subset
     # rank-revealing pivoted Cholesky of the row Gram matrix (much cheaper
     # than a pivoted QR of E^T at these sizes)
+    n_eq = E.shape[0]
+    # the dense arrays built below: G and LAPACK's copy of it (n_eq x n_eq
+    # each), and E densified, once whole and once split into its kept and
+    # dropped rows (n_eq x ny each)
+    need = 16 * n_eq * (n_eq + ny)
+    if need > DENSE_BYTES_CAP:
+        raise ResourceError(
+            f"the relaxation's {n_eq} equality rows over {ny} moments need "
+            f"{need / 2**30:.3g} GiB of dense arrays, over the "
+            f"{DENSE_BYTES_CAP / 2**30:g} GiB cap"
+        )
     G = (E @ E.T).toarray()
     _, piv_rows, rank, _ = sla.lapack.dpstrf(
         G, tol=1e-14 * max(1.0, float(G.diagonal().max())), lower=1

@@ -19,7 +19,7 @@ from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DegeneracyError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
-from .moments import trace_moments
+from .moments import trace_moment_gradients, trace_moments
 from .networks import PolyNetwork, rotate_network
 from .relaxation import (
     KAPPA,
@@ -179,8 +179,8 @@ def corner_signed_mu(stack: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.n
 
 def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
     i, j = np.triu_indices(r)
-    X = np.asarray(x, dtype=float).reshape(d, i.size)
-    Q = np.zeros((d, r, r))
+    X = np.asarray(x).reshape(d, i.size)
+    Q = np.zeros((d, r, r), dtype=np.result_type(X, float))
     Q[:, i, j] = X
     Q[:, j, i] = X
     return Q
@@ -189,6 +189,17 @@ def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
 def _pack(Q: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(Q.shape[1])
     return Q[:, i, j].reshape(-1)
+
+
+def _packed_moment_jacobian(x: np.ndarray, d: int, r: int, pairs, triples) -> np.ndarray:
+    """Jacobian of the trace moments at the index arrays ``pairs`` and
+    ``triples`` in the packed parameters ``x`` of _unpack."""
+    g = np.concatenate(trace_moment_gradients(_unpack(x, d, r), pairs, triples))
+    i, j = np.triu_indices(r)
+    # an off-diagonal parameter sets both Q_e[i, j] and Q_e[j, i]; a
+    # diagonal one sets Q_e[i, i] once, so its doubled sum is halved
+    J = (g + np.swapaxes(g, -1, -2))[..., i, j] * np.where(i == j, 0.5, 1.0)
+    return J.reshape(len(g), -1)
 
 
 def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int):
@@ -218,10 +229,17 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
         P, C = trace_moments(_unpack(x, d, r))
         return np.concatenate([P[iu], C[it]]) - target
 
+    def jac(x):
+        return _packed_moment_jacobian(x, d, r, iu, it)
+
     best_Q, best_res, tried = None, np.inf, 0
     for x0 in starts:
+        # max_nfev caps residual evaluations, at least one per LM iteration.
+        # scipy 1.17's lm counts no Jacobian evaluation against it, analytic
+        # or by differences, so the analytic Jacobian leaves each start the
+        # same iteration cap
         sol = least_squares(
-            fun, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=2000,
         )
         Q = _unpack(sol.x, d, r)

@@ -119,3 +119,16 @@ def random_orthogonal(rng, r):
 def symmetric_gaussian(rng, r):
     G = rng.standard_normal((r, r))
     return 0.5 * (G + G.T)
+
+
+def complex_step_jacobian(f, x, h=1e-30):
+    """Jacobian of a real-analytic f at the real point x by the complex step
+    df/dx_k = Im f(x + i h e_k) / h: no difference is taken, so for the
+    polynomial models of the package it is exact to rounding."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.size):
+        step = np.zeros(x.size, dtype=complex)
+        step[k] = 1j * h
+        cols.append(np.imag(f(x + step)) / h)
+    return np.stack(cols, axis=1)

@@ -1,14 +1,20 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polypush import cli
+from polypush import cli, relaxation
 from polypush.cli import main
+from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
 from polypush.networks import SeedDistribution, network_from_json, sample
 
@@ -285,6 +291,103 @@ class TestExitCodes:
                    "--restarts", "2", "--backend", "sos",
                    "--out", str(tmp_path / "rec.json"))
         assert code in (3, 4)
+
+
+def error_classes():
+    """PolypushError and every class derived from it."""
+    found, todo = [], [PolypushError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda c: c.__name__)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {k: str(root / f"{k}.json") for k in ("net", "lnet", "qtab", "ptab")}
+    assert run("generate", "--r", "2", "--d", "3", "--seed", "1",
+               "--out", paths["net"]) == 0
+    assert run("generate", "--kind", "lowrank", "--r", "1", "--d", "3", "--seed", "1",
+               "--out", paths["lnet"]) == 0
+    assert run("moments", "--network", paths["net"], "--out", paths["qtab"]) == 0
+    assert run("moments", "--network", paths["lnet"], "--kind", "pair",
+               "--out", paths["ptab"]) == 0
+    return root, paths
+
+
+# command -> (the library call it makes, its arguments besides --out)
+LIBRARY_CALLS = {
+    "generate": ("smooth_quadratic", lambda p: ["--r", "2", "--d", "3"]),
+    "sample": ("sample", lambda p: ["--network", p["net"], "--n", "5"]),
+    "moments": ("exact_quadratic_moments", lambda p: ["--network", p["net"]]),
+    "solve_tr": ("decompose", lambda p: ["--table", p["qtab"], "--r", "2",
+                                         "--truth", p["net"]]),
+    "solve_lr": ("factorize", lambda p: ["--table", p["ptab"], "--r", "1"]),
+    "eval": ("gauge_distance", lambda p: ["--network", p["net"], "--reference", p["lnet"]]),
+    "verify": ("verify_assumption_tr", lambda p: ["--network", p["net"]]),
+    "lowerbound": ("search_matched_pair", lambda p: ["--r", "3"]),
+    "bench": ("exact_quadratic_moments", lambda p: ["--reps", "1"]),
+}
+
+
+class TestFailedRuns:
+    @pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+    @settings(max_examples=5)
+    @given(message=st.text(max_size=30))
+    def test_error_reaches_exit_code(self, input_files, command, cls, message):
+        root, paths = input_files
+        target, argv = LIBRARY_CALLS[command]
+        args = argv(paths)
+        out = os.path.join(tempfile.mkdtemp(dir=root), "out.json")
+        err = io.StringIO()
+        with mock.patch.object(cli, target, side_effect=cls(message)), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, *args, "--out", out])
+        assert code == cls.exit_code
+        assert err.getvalue() == f"error: {message}\n"
+        assert not os.path.exists(out)
+        man = read(out + ".manifest.json")
+        assert man["command"] == command
+        assert (man["exit_code"], man["error"]) == (cls.exit_code, message)
+        assert man["outputs"] == {}
+        assert man["inputs"] == {p: sha256(p) for p in paths.values() if p in args}
+
+    def test_missing_input_left_out(self, tmp_path, input_files):
+        _, paths = input_files
+        out = tmp_path / "rec.json"
+        missing = str(tmp_path / "missing.json")
+        assert run("solve_tr", "--table", missing, "--r", "2", "--truth", paths["net"],
+                   "--out", str(out)) == 2
+        man = read(str(out) + ".manifest.json")
+        assert man["exit_code"] == 2 and missing in man["error"]
+        assert man["inputs"] == {paths["net"]: sha256(paths["net"])}
+        assert man["outputs"] == {}
+
+    def test_dense_cap_exits_5(self, tmp_path, input_files, monkeypatch):
+        _, paths = input_files
+        monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", 1)
+        out = tmp_path / "rec.json"
+        assert run("solve_tr", "--table", paths["qtab"], "--r", "2", "--backend", "sos",
+                   "--out", str(out)) == 5
+        assert read(str(out) + ".manifest.json")["exit_code"] == 5
+
+    def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "rec.json"
+        assert run("solve_tr", "--table", str(tmp_path / "missing.json"), "--r", "2",
+                   "--out", str(out)) == 2
+        assert "no manifest written" in capsys.readouterr().err
+
+    def test_success_manifest_has_no_error(self, quad_net):
+        man = read(str(quad_net) + ".manifest.json")
+        assert "exit_code" not in man and "error" not in man
 
 
 class TestSolveBackends:

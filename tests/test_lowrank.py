@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import gaussian_product_moment, random_orthogonal
+from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
+from polypush import lowrank
 from polypush.errors import DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
@@ -328,3 +330,53 @@ class TestSignConsistency:
             tt = net.unit_tensor(a)
             mask = np.abs(tt) > 10 * max(resid, 1e-6)
             assert np.all(np.sign(ta[mask]) == np.sign(tt[mask]))
+
+
+class TestJacobians:
+    @settings(max_examples=60)
+    @given(
+        d=st.integers(1, 5), ell=st.integers(1, 2), r=st.integers(1, 3),
+        omega=st.sampled_from([3, 5]),
+        mode=st.sampled_from(["gaussian", "identity", "rotation_invariant"]),
+        scale=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_table_matches_complex_step(self, d, ell, r, omega, mode, scale, seed):
+        rows = np.triu_indices(d)
+        x = np.random.default_rng(seed).standard_normal(d * ell * r)
+
+        def model(x):
+            return lowrank._pair_table(x.reshape(d, ell, r), omega, mode, scale)[rows]
+
+        want = complex_step_jacobian(model, x)
+        got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, mode, scale, rows)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=40)
+    @given(
+        ell=st.integers(1, 3), r=st.integers(1, 3), omega=st.sampled_from([1, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_sum_matches_complex_step(self, ell, r, omega, seed):
+        x = np.random.default_rng(seed).standard_normal(ell * r)
+        want = complex_step_jacobian(
+            lambda x: lowrank._power_sum(x.reshape(ell, r), omega), x
+        )
+        got = lowrank._power_sum_jacobian(x.reshape(ell, r), omega)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("backend", ["local", "sos"])
+    def test_every_fit_has_a_jacobian(self, monkeypatch, backend):
+        calls = []
+        fit = lowrank.least_squares
+
+        def checked(fun, x0, **kw):
+            calls.append(callable(kw.get("jac")))
+            return fit(fun, x0, **kw)
+
+        monkeypatch.setattr(lowrank, "least_squares", checked)
+        net = smoothed_lr_net(1, 3, 3, 1, 0.5, 0)
+        S = exact_lowrank_pair_moments(net).S
+        factorize(S, LRConfig(r=1, backend=backend, restarts=3))
+        assert calls and all(calls)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import symmetric_gaussian
-from polypush.errors import UsageError
+from polypush import relaxation
+from polypush.errors import ResourceError, UsageError
 from polypush.moments import exact_quadratic_moments, sigma_matrix
 from polypush.networks import PolyNetwork
 from polypush.relaxation import (
@@ -41,6 +42,21 @@ class TestPoly:
 
 
 class TestSolve:
+    def test_dense_cap_counts_bytes(self, monkeypatch):
+        # G and its LAPACK copy (n_eq^2 each), E dense and split (n_eq * ny
+        # each), all float64; the cap is lowered so nothing large is built
+        prog = single_var_program(degree=4)
+        prog.equalities.append((Poly.var(0) * Poly.var(0) - 1.0, 0))
+        lifted = relaxation._Lifted(prog)
+        lifted.build_matrices()
+        n_eq = lifted.E.shape[0]
+        need = 16 * n_eq * (n_eq + lifted.ny)
+        monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need - 1)
+        with pytest.raises(ResourceError):
+            solve(prog, SolverConfig())
+        monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need)
+        assert isinstance(solve(prog, SolverConfig()), Pseudoexpectation)
+
     def test_linear_pin(self):
         prog = single_var_program()
         prog.equalities.append((Poly.var(0) - 0.5, 0))

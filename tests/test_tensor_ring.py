@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_orthogonal, symmetric_gaussian
+from conftest import complex_step_jacobian, random_orthogonal, symmetric_gaussian
+from polypush import tensor_ring
 from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
-from polypush.moments import exact_quadratic_moments
+from polypush.moments import exact_quadratic_moments, trace_moments
 from polypush.networks import PolyNetwork, SmoothingParams, rotate_network, smooth_quadratic
 from polypush.tensor_ring import (
     TRConfig,
@@ -288,3 +291,39 @@ class TestVerifyAssumption:
             if rep.flag:
                 hits += 1
         assert hits >= 90
+
+
+class TestMomentJacobian:
+    @settings(max_examples=40)
+    @given(d=st.integers(1, 6), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_complex_step(self, d, r, seed):
+        # the rows and columns of the local fit: upper-triangle pairs and
+        # sorted triples of units, packed upper-triangle entries
+        pairs = np.triu_indices(d)
+        triples = tuple(np.array(list(
+            itertools.combinations_with_replacement(range(d), 3))).T)
+        x = np.random.default_rng(seed).standard_normal(d * r * (r + 1) // 2)
+
+        def model(x):
+            P, C = trace_moments(tensor_ring._unpack(x, d, r))
+            return np.concatenate([P[pairs], C[triples]])
+
+        want = complex_step_jacobian(model, x)
+        got = tensor_ring._packed_moment_jacobian(x, d, r, pairs, triples)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("backend", ["local", "sos", "hybrid"])
+    def test_every_fit_has_a_jacobian(self, monkeypatch, backend):
+        calls = []
+        fit = tensor_ring.least_squares
+
+        def checked(fun, x0, **kw):
+            calls.append(callable(kw.get("jac")))
+            return fit(fun, x0, **kw)
+
+        monkeypatch.setattr(tensor_ring, "least_squares", checked)
+        net = smoothed_net(2, 3, 1.0, 0)
+        t = exact_quadratic_moments(net)
+        decompose(t.S, t.T, TRConfig(r=2, backend=backend, restarts=3))
+        assert calls and all(calls)
