@@ -214,13 +214,18 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _tr_config(args, seed: int, eta: float) -> TRConfig:
+    """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
+    return TRConfig(
+        r=args.r, backend=args.backend, degree=args.degree,
+        restarts=args.restarts, tol=args.tol, rng_seed=seed,
+        eta=eta, solver=SolverConfig(tol=min(args.tol * 10, 1e-7)),
+    )
+
+
 def cmd_solve_tr(args) -> int:
     table = table_from_json(_read_json(args.table))
-    cfg = TRConfig(
-        r=args.r, backend=args.backend, degree=args.degree,
-        restarts=args.restarts, tol=args.tol, rng_seed=args.seed,
-        eta=args.eta, solver=SolverConfig(tol=min(args.tol * 10, 1e-7)),
-    )
+    cfg = _tr_config(args, args.seed, args.eta)
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = decompose(table.S, table.T, cfg, truth=truth)
     _write_json(args.out, network_to_json(report.network))
@@ -334,13 +339,13 @@ def cmd_bench(args) -> int:
             T = table.T + eta * rng.uniform(-1, 1, size=table.T.shape)
             S = 0.5 * (S + S.T)
             t0 = time.perf_counter()
-            cfg = TRConfig(
-                r=args.r, backend=args.backend, restarts=args.restarts,
-                tol=args.tol, rng_seed=s, eta=eta,
-            )
+            cfg = _tr_config(args, s, eta)
             try:
                 report = decompose(S, T, cfg, truth=truth)
                 gd, resid = report.gauge_dist, report.residual
+            except UsageError:
+                # the flags are wrong for every row, not this instance
+                raise
             except PolypushError:
                 gd, resid = float("nan"), float("nan")
             wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -361,12 +366,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _common_solver_flags(p, backends=("sos", "local", "hybrid")):
-    p.add_argument("--backend", choices=backends, default="local")
+def _common_solver_flags(p):
+    p.add_argument("--backend", choices=("sos", "local"), default="local")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--eta", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="reference network for gauge distance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.add_argument("--eta", type=float, default=0.0)
     _common_solver_flags(p)
     p.set_defaults(func=cmd_solve_tr)
 
@@ -424,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _common_solver_flags(p, backends=("sos", "local"))
+    p.add_argument("--eta", type=float, default=0.0)
+    _common_solver_flags(p)
     p.set_defaults(func=cmd_solve_lr)
 
     p = sub.add_parser("eval", help="gauge distance and Wasserstein bound")
@@ -449,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lowerbound)
 
-    p = sub.add_parser("bench", help="sweep decomposition accuracy and runtime to CSV")
+    # no abbreviations: solve_tr's --eta would read as --eta-list here
+    p = sub.add_parser("bench", help="sweep decomposition accuracy and runtime to CSV",
+                       allow_abbrev=False)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--rho", type=float, default=0.5)

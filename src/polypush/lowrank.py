@@ -11,7 +11,7 @@ signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from .relaxation import (
     SolverConfig,
     Infeasible,
     _fvector_coefficients,
-    cold_capped,
     encode_lowrank,
     finish_warm_point,
     pseudo_expect,
@@ -279,17 +278,25 @@ def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
 # sos backend (two-stage pseudoexpectation pipeline)
 # ---------------------------------------------------------------------------
 
-def _sos_factorize(S: np.ndarray, cfg: LRConfig):
-    r, omega, ell = cfg.r, cfg.omega, cfg.ell
-    d = S.shape[0]
-    if r > 2 or d > 4 or omega != 3:
+def _check_sos_size(d: int, cfg: LRConfig) -> None:
+    """The instance sizes the relaxation path handles."""
+    if cfg.r > 2 or d > 4 or cfg.omega != 3:
         raise ResourceError(
             "the relaxation path is capped at r <= 2, d <= 4, omega = 3"
         )
-    sidx = sorted_multi_indices(r, omega)
-    m = len(sidx)
+    m = len(sorted_multi_indices(cfg.r, cfg.omega))
     if d < m:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
+
+
+def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
+    """Unit tensors from the two-stage relaxation, each stage warm-started
+    from the local fit ``comps`` of S; raises ConvergenceError instead of
+    solving a stage cold."""
+    r, omega, ell = cfg.r, cfg.omega, cfg.ell
+    d = S.shape[0]
+    sidx = sorted_multi_indices(r, omega)
+    m = len(sidx)
     sig = sigma_matrix(r, omega)
     Sigma_sym = sig.Sigma_sym if cfg.sigma_mode != "identity" else _identity_sigma_sym(r, omega)
     # scale so the tensor entries are O(1) (conic solver conditioning)
@@ -299,33 +306,24 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
     R = (float(np.max(np.diag(S))) + 1e-9) ** 0.5 / min(
         1.0, np.sqrt(float(np.min(np.linalg.eigvalsh(Sigma_sym))))
     )
-    # quick local fit on the scaled table: seeds both solver stages and pins
-    # the sign of the mu combination below
-    fitnet: Optional[PolyNetwork] = None
-    try:
-        rng = np.random.Generator(
-            np.random.Philox(key=(cfg.rng_seed & (2**64 - 1), 29))
-        )
-        comps, _ = _fit_components(S, replace(cfg, eta=eta_sc), rng)
-        fitnet = PolyNetwork(
-            kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
-        )
-    except ConvergenceError:
-        fitnet = None
+    # pair moments have degree 2 omega in the components
+    fitnet = PolyNetwork(
+        kind="lowrank", r=r, d=d, omega=omega, ell=ell,
+        components=comps * sc ** (1.0 / omega),
+    )
 
     stage1 = encode_lowrank(
         r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
         eta=eta_sc, degree=cfg.degree,
     )
-    warm1 = _warm_point_lr(stage1, fitnet, eta_sc) if fitnet is not None else None
-    if fitnet is not None and warm1 is None:
+    warm1 = _warm_point_lr(stage1, fitnet, eta_sc)
+    if warm1 is None:
         # a tight moment fit violating the encoded caps certifies that the
-        # instance is too degenerate for this program; a cold solve cannot
-        # succeed either
+        # instance is too degenerate for this program
         raise ConvergenceError(
             "instance violates non-degeneracy caps of the relaxation"
         )
-    pe1 = solve(stage1, cold_capped(cfg.solver, warm1), warm1)
+    pe1 = solve(stage1, cfg.solver, warm1)
     if isinstance(pe1, Infeasible):
         raise ConvergenceError("stage-1 relaxation infeasible")
     tvar = stage1.meta["tvar"]
@@ -346,35 +344,25 @@ def _sos_factorize(S: np.ndarray, cfg: LRConfig):
                     p = p + f_poly(a, i) * f_poly(a, j) * f_poly(b, i) * f_poly(b, j)
             Ghat[a, b] = Ghat[b, a] = pseudo_expect(pe1, p)
     combo = find_combo(Ghat, r, rng_seed=cfg.rng_seed)
-    lam, mu = combo.lam, combo.mu
-    # a local fit pins the sign of mu that keeps the stage-2 families on
-    # F_a = f_a f_a^T feasible
-    rot_net: Optional[PolyNetwork] = None
-    if fitnet is not None:
-        F = paired_outers(fitnet)
-        mu = corner_signed_mu(F, lam, mu)
-        try:
-            _, grot = gauge_fix(
-                PolyNetwork(kind="quadratic", r=r, d=d, Q=F), lam, mu
-            )
-            rot_net = rotate_network(fitnet, grot)
-        except DegeneracyError:
-            rot_net = None
-
-    def _stage2(mu_eff):
-        return encode_lowrank(
-            r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
-            eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu_eff),
+    lam = combo.lam
+    # the fit pins the sign of mu that keeps the stage-2 families on
+    # F_a = f_a f_a^T feasible, and the rotation of the stage-2 warm point
+    F = paired_outers(fitnet)
+    mu = corner_signed_mu(F, lam, combo.mu)
+    try:
+        _, grot = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), lam, mu)
+    except DegeneracyError as exc:
+        raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
+    stage2 = encode_lowrank(
+        r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
+        eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu),
+    )
+    warm2 = _warm_point_lr(stage2, rotate_network(fitnet, grot), eta_sc)
+    if warm2 is None:
+        raise ConvergenceError(
+            "the gauge-fixed fit violates the stage-2 relaxation's constraints"
         )
-
-    stage2 = _stage2(mu)
-    warm2 = _warm_point_lr(stage2, rot_net, eta_sc) if rot_net is not None else None
-    pe2 = solve(stage2, cold_capped(cfg.solver, warm2), warm2)
-    if isinstance(pe2, Infeasible) and fitnet is None:
-        # without a fit the mu sign is a coin flip; retry the other branch
-        mu = -mu
-        stage2 = _stage2(mu)
-        pe2 = solve(stage2, cold_capped(cfg.solver, None))
+    pe2 = solve(stage2, cfg.solver, warm2)
     if isinstance(pe2, Infeasible):
         raise ConvergenceError("stage-2 relaxation infeasible")
     tvar2 = stage2.meta["tvar"]
@@ -463,8 +451,12 @@ def _power_sum_jacobian(cs: np.ndarray, omega: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+# random starts of each unit's fit in components_from_tensors
+TENSOR_FIT_RESTARTS = 12
+
+
 def components_from_tensors(
-    tensors: np.ndarray, ell: int, omega: int, rng_seed: int = 0, restarts: int = 12
+    tensors: np.ndarray, ell: int, omega: int, rng_seed: int = 0
 ) -> np.ndarray:
     """Per-unit rank-ell fit v_{a,t} minimizing ||sum_t v_t^{x omega} - T_a||_F."""
     tensors = np.asarray(tensors, dtype=float)
@@ -484,7 +476,7 @@ def components_from_tensors(
 
         scale = float(np.max(np.abs(target))) ** (1.0 / omega) + 1e-9
         best_x, best_res = None, np.inf
-        for _ in range(restarts):
+        for _ in range(TENSOR_FIT_RESTARTS):
             x0 = scale * rng.standard_normal(ell * r)
             sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
             res = float(np.max(np.abs(sol.fun)))
@@ -501,32 +493,32 @@ def factorize(
 ) -> RecoveryReport:
     """Recover a rank-ell network from pairwise Sigma-moments.
 
-    local: damped least squares on the components from ``config.restarts``
-    random starts, gauge-fixed via the F_a machinery and the anchor sign
-    rule.  sos: two-stage relaxation -- stage 1 unconstrained-gauge, Gram of
-    F's queried from the pseudoexpectation, find_combo, stage 2 with the
-    gauge families, entries from square-root magnitudes and pairwise signs,
-    then a per-unit rank-ell fit of the components.
+    Every backend starts from one local fit: damped least squares on the
+    components from ``config.restarts`` random starts.  local gauge-fixes it
+    via the F_a machinery and the anchor sign rule.  sos warm-starts a
+    two-stage relaxation from it -- stage 1 unconstrained-gauge, Gram of F's
+    queried from the pseudoexpectation, find_combo, stage 2 with the gauge
+    families, entries from square-root magnitudes and pairwise signs, then a
+    per-unit rank-ell fit of the components.  sos never solves a stage cold:
+    a fit that gives no feasible warm point raises ConvergenceError.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
     cfg = config
     diag: dict = {"backend": cfg.backend}
     if cfg.backend == "sos":
-        tensors, sos_diag = _sos_factorize(S, cfg)
+        _check_sos_size(d, cfg)
+    rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 42)))
+    comps, _ = _fit_components(S, cfg, rng)
+    if cfg.backend == "sos":
+        tensors, sos_diag = _sos_factorize(S, comps, cfg)
         diag.update(sos_diag)
         comps = components_from_tensors(tensors, cfg.ell, cfg.omega, cfg.rng_seed)
-        net = PolyNetwork(
-            kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
-            components=comps,
-        )
-    else:
-        rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 42)))
-        comps, res = _fit_components(S, cfg, rng)
-        net = PolyNetwork(
-            kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
-            components=comps,
-        )
+    net = PolyNetwork(
+        kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
+        components=comps,
+    )
+    if cfg.backend == "local":
         net = _canonicalize(net, cfg.rng_seed)
     model = _pair_table(net.components, cfg.omega, cfg.sigma_mode, cfg.sigma_scale)
     res_S = float(np.max(np.abs(model - S)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -164,8 +164,6 @@ MAX_DIM = 5000
 TRACE_WEIGHT = 1e-6
 # iterations without a 1e-4 relative residual improvement that mean a stall
 STALL_WINDOW = 2000
-# iteration cap of a recovery backend's solve without a warm point
-COLD_MAX_ITER = 10000
 # the recovery backends' lower bound on the flattening's singular values; it
 # caps the norm of the left inverses in both encoded programs
 KAPPA = 0.01
@@ -375,10 +373,8 @@ def solve(
     # rank-revealing pivoted Cholesky of the row Gram matrix (much cheaper
     # than a pivoted QR of E^T at these sizes)
     n_eq = E.shape[0]
-    # the dense arrays built below: G and LAPACK's copy of it (n_eq x n_eq
-    # each), and E densified, once whole and once split into its kept and
-    # dropped rows (n_eq x ny each)
-    need = 16 * n_eq * (n_eq + ny)
+    # the dense arrays built below: G and LAPACK's copy of it, n_eq x n_eq
+    need = 16 * n_eq * n_eq
     if need > DENSE_BYTES_CAP:
         raise ResourceError(
             f"the relaxation's {n_eq} equality rows over {ny} moments need "
@@ -390,11 +386,13 @@ def solve(
         G, tol=1e-14 * max(1.0, float(G.diagonal().max())), lower=1
     )
     keep = np.sort(piv_rows[:rank] - 1)
-    Edense = E.toarray()
-    Ekeep = Edense[keep]
     fkeep = f[keep]
-    dropped = np.setdiff1d(np.arange(E.shape[0]), keep)
-    E = sp.csr_matrix(Ekeep)
+    dropped = np.setdiff1d(np.arange(n_eq), keep)
+    E_drop = E[dropped]
+    E = E[keep]
+    # a coefficient that cancelled in the lift is stored as an explicit zero;
+    # keep it out of the KKT matrix's sparsity pattern
+    E.eliminate_zeros()
     neq = E.shape[0]
 
     # KKT for min ||y - t_y||^2 + ||A y - t_X||^2 s.t. E y = f
@@ -410,7 +408,7 @@ def solve(
         probe = np.zeros(ny + neq)
         probe[ny:] = fkeep
         y0 = kkt.solve(probe)[:ny]
-        gap = float(np.max(np.abs(Edense[dropped] @ y0 - f[dropped])))
+        gap = float(np.max(np.abs(E_drop @ y0 - f[dropped])))
         scale = max(1.0, float(np.max(np.abs(f))))
         if gap > 1e-8 * scale:
             return Infeasible(residual=gap, iterations=0)
@@ -501,15 +499,6 @@ def solve(
 # ---------------------------------------------------------------------------
 # warm starts of the recovery backends
 # ---------------------------------------------------------------------------
-
-def cold_capped(cfg: SolverConfig, warm: Optional[np.ndarray]) -> SolverConfig:
-    """A backend's solver settings: without a warm point the iteration count
-    is capped at COLD_MAX_ITER, so degenerate instances fail in bounded time
-    instead of grinding."""
-    if warm is None:
-        return replace(cfg, max_iter=min(cfg.max_iter, COLD_MAX_ITER))
-    return cfg
-
 
 def finish_warm_point(
     prog: PolynomialProgram, point: np.ndarray, M: np.ndarray, eta: float

@@ -26,7 +26,6 @@ from .relaxation import (
     Poly,
     SolverConfig,
     Infeasible,
-    cold_capped,
     encode_tensor_ring,
     finish_warm_point,
     pseudo_expect,
@@ -65,7 +64,7 @@ class NonDegenCombo:
 @dataclass
 class TRConfig:
     r: int
-    backend: str = "local"  # sos | local | hybrid
+    backend: str = "local"  # local | sos
     degree: Optional[int] = None  # relaxation degree; None means 4
     restarts: int = 20
     tol: float = 1e-9
@@ -73,9 +72,17 @@ class TRConfig:
     eta: float = 0.0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        if self.backend not in ("local", "sos"):
+            raise UsageError(f"unknown tensor-ring backend {self.backend!r}")
+
 
 # symmetry-breaking combinations decompose tries before giving up
 COMBO_RETRIES = 5
+# eigengaps of the lambda combination at or below this make gauge_fix fail
+GAP_TOL = 1e-12
+# random contraction pairs jennrich_diagonal tries before giving up
+JENNRICH_RETRIES = 10
 
 
 @dataclass
@@ -138,7 +145,7 @@ def validate_nondegeneracy(
 
 
 def gauge_fix(
-    net: PolyNetwork, lam: np.ndarray, mu: np.ndarray, gap_tol: float = 1e-12
+    net: PolyNetwork, lam: np.ndarray, mu: np.ndarray
 ) -> tuple[PolyNetwork, GaugeRotation]:
     """Canonical gauge representative given symmetry-breaking combinations.
 
@@ -152,7 +159,7 @@ def gauge_fix(
     else:
         raise UsageError("gauge_fix operates on quadratic networks")
     w, V = np.linalg.eigh(combo)
-    if len(w) > 1 and float(np.min(np.diff(w))) <= gap_tol:
+    if len(w) > 1 and float(np.min(np.diff(w))) <= GAP_TOL:
         raise DegeneracyError("zero eigengap in the lambda combination")
     Wrot = V.T
     X = Wrot @ combo_mu @ Wrot.T
@@ -184,11 +191,6 @@ def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
     Q[:, i, j] = X
     Q[:, j, i] = X
     return Q
-
-
-def _pack(Q: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(Q.shape[1])
-    return Q[:, i, j].reshape(-1)
 
 
 def _packed_moment_jacobian(x: np.ndarray, d: int, r: int, pairs, triples) -> np.ndarray:
@@ -252,12 +254,12 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
     return best_Q, best_res, tried
 
 
-def _best_local_fit(S, T, config: TRConfig):
-    """Gauge-free moment fit over at least five starts from stream 23: the
-    sos/hybrid corner sign and warm start, and the degenerate-Gram fallback.
-    Returns (Q, table residual, starts tried)."""
-    starts = _random_starts(S, config.r, config.rng_seed, 23, max(5, config.restarts))
-    return _fit_restarts(S, T, config.r, starts, max(config.eta, 1e-10))
+def _local_fit(S, T, config: TRConfig):
+    """The moment fit every backend starts from: ``config.restarts`` starts
+    from Philox stream 21, stopping at ``config.tol``.  Returns (Q, table
+    residual, starts tried)."""
+    starts = _random_starts(S, config.r, config.rng_seed, 21, config.restarts)
+    return _fit_restarts(S, T, config.r, starts, config.tol)
 
 
 def decompose(
@@ -268,14 +270,17 @@ def decompose(
 ) -> RecoveryReport:
     """Recover {Q_a} from trace moments.
 
-    ``local`` fits the trace moments by damped least squares from
-    ``config.restarts`` random starts and keeps the best fit; ``sos`` solves
-    the moment relaxation, warm-started from a local fit, and reads the units
-    off the pseudoexpectation; ``hybrid`` refines the sos rounding locally.
-    The symmetry-breaking combinations come from find_combo on S, retried
-    with fresh weights up to COMBO_RETRIES times.  The local fit
-    does not depend on the combination, so it runs once per call and each
-    retry only gauge-fixes it again (sos and hybrid also re-solve the
+    Every backend starts from one local fit: damped least squares on the
+    trace moments from ``config.restarts`` random starts, keeping the best.
+    ``local`` gauge-fixes that fit; ``sos`` solves the moment relaxation
+    warm-started from the gauge-fixed fit and reads the units off the
+    pseudoexpectation.  ``sos`` never solves the relaxation cold: a fit that
+    misses the warm-start threshold max(10 eta, 1e-6) raises ConvergenceError
+    at once, and a combination that cannot gauge-fix the fit fails without
+    encoding a program.  The symmetry-breaking combinations come from
+    find_combo on S, retried with fresh weights up to COMBO_RETRIES times.
+    The fit does not depend on the combination, so it runs once per call and
+    each retry only gauge-fixes it again (sos also re-solves the
     combination-dependent relaxation); the best-scoring retry wins.
     """
     S = np.asarray(S, dtype=float)
@@ -288,11 +293,17 @@ def decompose(
     for attempt in range(COMBO_RETRIES):
         try:
             combo = find_combo(S, r, rng_seed=config.rng_seed * 1000 + attempt)
-            if fit is None and config.backend == "local":
-                starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
-                fit = _fit_restarts(S, T, r, starts, config.tol)
-            elif fit is None:
-                fit = _best_local_fit(S, T, config)
+        except DegeneracyError:
+            continue
+        if fit is None:
+            fit = _local_fit(S, T, config)
+            warm_thr = max(10 * eta, 1e-6)
+            if config.backend == "sos" and fit[1] > warm_thr:
+                raise ConvergenceError(
+                    f"local fit residual {fit[1]:.3e} above the relaxation's "
+                    f"warm-start threshold {warm_thr:.3e}"
+                )
+        try:
             net, diag = _decompose_once(S, T, combo, fit, config)
         except (DegeneracyError, ConvergenceError):
             continue
@@ -304,12 +315,12 @@ def decompose(
         if best is None or score < best[0]:
             best = (score, net, combo, diag)
         break_thr = max(1e3 * eta, config.tol)
-        if config.backend in ("sos", "hybrid"):
+        if config.backend == "sos":
             # the conic solver's rounding only resolves entries to ~solver tol
             break_thr = max(break_thr, 100 * config.solver.tol)
         if score <= break_thr:
             break
-    if best is None and config.backend != "sos":
+    if best is None and config.backend == "local":
         # degenerate Gram (e.g. commuting units): no symmetry-breaking combo
         # exists.  Commuting instances are simultaneously diagonalizable, and
         # that is also the accurate recovery route -- the moment map loses
@@ -330,10 +341,8 @@ def decompose(
         ):
             net = None
         if net is None:
-            # a local backend gets here without a fit; a hybrid one may
-            # already hold this same fit
             if fit is None:
-                fit = _best_local_fit(S, T, config)
+                fit = _local_fit(S, T, config)
             Q, res, _ = fit
             if res <= max(10 * eta, 1e-6):
                 net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
@@ -344,7 +353,7 @@ def decompose(
     if best is None:
         raise ConvergenceError("every symmetry-breaking attempt failed")
     score, net, combo, diag = best
-    threshold = max(1e3 * eta, 1e-6) if config.backend != "sos" else 1e-3
+    threshold = max(1e3 * eta, 1e-6) if config.backend == "local" else 1e-3
     if score > threshold:
         raise ConvergenceError(
             f"best residual {score:.3e} above threshold {threshold:.3e}"
@@ -363,74 +372,59 @@ def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
     """One combination's recovery from the shared local ``fit``."""
     d = S.shape[0]
     r = config.r
-    diag: dict = {"backend": config.backend}
-    Q_fit, fit_res, tried = fit
-    lam, mu = combo.lam, combo.mu
-    if config.backend in ("sos", "hybrid"):
-        mu = corner_signed_mu(Q_fit, lam, mu)
-        R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
-        # scale the instance so Q entries are O(1): first-order conic solvers
-        # are very sensitive to variable magnitude
-        sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
-        prog = encode_tensor_ring(
-            r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
-            eta=config.eta * sc**2, degree=config.degree,
-        )
-        warm = None
-        if fit_res <= max(10 * config.eta, 1e-6):
-            fitnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
-            warm = _warm_point(prog, fitnet, lam, mu, config.eta * sc**2, sc)
-            if warm is None:
-                # A tight moment fit exists but violates the encoded norm
-                # caps: the instance is too degenerate for this program, so
-                # a long cold solve cannot succeed either.
-                raise ConvergenceError(
-                    "instance violates non-degeneracy caps of the relaxation"
-                )
-        out = solve(prog, cold_capped(config.solver, warm), warm)
-        if isinstance(out, Infeasible):
-            raise ConvergenceError(
-                f"relaxation reported infeasible (residual {out.residual:.3e})"
-            )
-        qvar = prog.meta["qvar"]
-        Q = np.zeros((d, r, r))
-        for (a, i, j), v in qvar.items():
-            val = pseudo_expect(out, Poly.var(v)) / sc
-            Q[a, i, j] = val
-            Q[a, j, i] = val
-        net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-        diag["solver_iterations"] = out.iterations
-        diag["solver_residual"] = out.residual
-        if config.backend == "sos":
-            return net, diag
-        starts = itertools.chain(
-            [_pack(Q)], _random_starts(S, r, config.rng_seed, 21, config.restarts)
-        )
-        Q_fit, _, tried = _fit_restarts(S, T, r, starts, config.tol)
-    diag["restarts_used"] = tried
+    Q_fit, _, tried = fit
+    diag: dict = {"backend": config.backend, "restarts_used": tried}
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
-    try:
-        net, _ = gauge_fix(net, lam, mu)
-    except DegeneracyError:
-        pass
-    return net, diag
+    if config.backend == "local":
+        try:
+            net, _ = gauge_fix(net, combo.lam, combo.mu)
+        except DegeneracyError:
+            pass
+        return net, diag
+    lam = combo.lam
+    mu = corner_signed_mu(Q_fit, lam, combo.mu)
+    # a DegeneracyError here fails the combination before a program is built
+    fixed, _ = gauge_fix(net, lam, mu)
+    R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
+    # scale the instance so Q entries are O(1): first-order conic solvers
+    # are very sensitive to variable magnitude
+    sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
+    prog = encode_tensor_ring(
+        r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
+        eta=config.eta * sc**2, degree=config.degree,
+    )
+    warm = _warm_point(prog, fixed, config.eta * sc**2, sc)
+    if warm is None:
+        # A tight moment fit exists but violates the encoded norm caps: the
+        # instance is too degenerate for this program.
+        raise ConvergenceError(
+            "instance violates non-degeneracy caps of the relaxation"
+        )
+    out = solve(prog, config.solver, warm)
+    if isinstance(out, Infeasible):
+        raise ConvergenceError(
+            f"relaxation reported infeasible (residual {out.residual:.3e})"
+        )
+    Q = np.zeros((d, r, r))
+    for (a, i, j), v in prog.meta["qvar"].items():
+        val = pseudo_expect(out, Poly.var(v)) / sc
+        Q[a, i, j] = val
+        Q[a, j, i] = val
+    diag["solver_iterations"] = out.iterations
+    diag["solver_residual"] = out.residual
+    return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q), diag
 
 
-def _warm_point(prog, fit: PolyNetwork, lam, mu, eta: float, sc: float):
-    """Feasible assignment seeding the conic solver: the local fit gauge-fixed
-    against (lam, mu) and scaled by ``sc``, completed by finish_warm_point.
-    Returns None when it fails the program's own constraints (beyond
-    ``eta``, in the program's scale)."""
-    d = fit.d
+def _warm_point(prog, net: PolyNetwork, eta: float, sc: float):
+    """Feasible assignment seeding the conic solver: the network ``net``,
+    already gauge-fixed against the program's (lam, mu), scaled by ``sc`` and
+    completed by finish_warm_point.  Returns None when it fails the program's
+    own constraints (beyond ``eta``, in the program's scale)."""
     pairs = prog.meta["pairs"]
     qvar = prog.meta["qvar"]
-    try:
-        net, _ = gauge_fix(fit, lam, mu)
-    except DegeneracyError:
-        return None
     point = np.zeros(prog.nvars)
-    M = np.zeros((d, len(pairs)))
-    for a in range(d):
+    M = np.zeros((net.d, len(pairs)))
+    for a in range(net.d):
         for u, (i, j) in enumerate(pairs):
             val = net.Q[a, i, j] * sc
             point[qvar[(a, i, j)]] = val
@@ -443,7 +437,7 @@ def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:
     return float(np.max(np.abs(P - S))), float(np.max(np.abs(C - T)))
 
 
-def jennrich_diagonal(T: np.ndarray, rng_seed: int = 0, retries: int = 10):
+def jennrich_diagonal(T: np.ndarray, rng_seed: int = 0):
     """Components of a symmetric third-order tensor T ~ sum_i v_i^{x3} by
     simultaneous diagonalization of two random contractions."""
     T = np.asarray(T, dtype=float)
@@ -457,7 +451,7 @@ def jennrich_diagonal(T: np.ndarray, rng_seed: int = 0, retries: int = 10):
     if rank == 0:
         return []
     last_exc = None
-    for _ in range(retries):
+    for _ in range(JENNRICH_RETRIES):
         g1 = rng.standard_normal(d)
         g2 = rng.standard_normal(d)
         M1 = np.einsum("ijk,k->ij", T, g1)

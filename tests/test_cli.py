@@ -269,15 +269,26 @@ class TestExitCodes:
         assert run("solve_lr", "--table", str(table), "--r", "3", "--ell", "2",
                    "--out", str(tmp_path / "rec.json")) == 2
 
-    def test_solve_lr_rejects_hybrid(self, tmp_path):
-        net = tmp_path / "lr.json"
-        table = tmp_path / "lrmom.json"
-        assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "4",
-                   "--rho", "0.5", "--out", str(net)) == 0
-        assert run("moments", "--network", str(net), "--kind", "pair",
-                   "--out", str(table)) == 0
-        assert run("solve_lr", "--table", str(table), "--r", "2",
-                   "--backend", "hybrid", "--out", str(tmp_path / "rec.json")) == 2
+    @pytest.mark.parametrize("backend", ["hybrid", "nonsense"])
+    @pytest.mark.parametrize("command", [
+        ("solve_tr", "--table", "qtab", "--r", "2"),
+        ("solve_lr", "--table", "ptab", "--r", "1"),
+        ("bench",),
+    ], ids=["solve_tr", "solve_lr", "bench"])
+    def test_solve_lr_rejects_hybrid(self, tmp_path, input_files, command, backend):
+        _, paths = input_files
+        argv = [paths.get(a, a) for a in command]
+        assert run(*argv, "--backend", backend, "--out", str(tmp_path / "rec.json")) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--eta", "0.5", "--degree", "7"),
+        ("--backend", "sos", "--degree", "3"),
+    ], ids=["eta", "sos-degree-3"])
+    def test_bench_flags_as_solve_tr(self, tmp_path, flags):
+        # bench reads no --eta, and builds its decomposition settings as
+        # solve_tr does, so a degree the relaxation rejects fails the run
+        assert run("bench", "--reps", "1", "--eta-list", "0.0", *flags,
+                   "--out", str(tmp_path / "b.csv")) == 2
 
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
 from polypush import lowrank
-from polypush.errors import DegeneracyError, UsageError
+from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
     LRConfig,
@@ -26,6 +26,7 @@ from polypush.networks import (
     rotate_network,
     smooth_componentwise,
 )
+from polypush.tensor_ring import TRConfig
 from polypush.tensors import rotate_tensor, sorted_multi_indices, symmetrize
 
 
@@ -153,10 +154,56 @@ class TestFactorize:
         rep = factorize(S, LRConfig(r=1, omega=3, ell=1, backend="sos"), truth=net)
         assert rep.gauge_dist <= 1e-4
 
-    def test_hybrid_backend_rejected(self):
-        S = exact_lowrank_pair_moments(smoothed_lr_net(2, 4, 3, 1, 0.5, 0)).S
+    @pytest.mark.parametrize("backend", ["hybrid", "nonsense"])
+    @pytest.mark.parametrize("config", [LRConfig, TRConfig])
+    def test_hybrid_backend_rejected(self, config, backend):
         with pytest.raises(UsageError):
-            factorize(S, LRConfig(r=2, omega=3, ell=1, backend="hybrid"))
+            config(r=2, backend=backend)
+
+    @pytest.mark.parametrize("case", ["rank1", "inconsistent"])
+    def test_sos_never_solves_cold(self, monkeypatch, case):
+        # |S_01| > sqrt(S_00 S_11) has no Gaussian pair-moment model, so the
+        # fit misses and sos must fail before any program is solved
+        warm_points = []
+        real = lowrank.solve
+
+        def recording(prog, cfg=None, warm=None):
+            warm_points.append(warm)
+            return real(prog, cfg, warm)
+
+        monkeypatch.setattr(lowrank, "solve", recording)
+        cfg = LRConfig(r=1, omega=3, ell=1, backend="sos", restarts=3)
+        if case == "rank1":
+            t = np.array([1.1, 0.6, -0.9])
+            factorize(15.0 * np.outer(t, t), cfg)
+            assert len(warm_points) == 2
+        else:
+            with pytest.raises(ConvergenceError):
+                factorize(np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), cfg)
+            assert warm_points == []
+        assert all(w is not None for w in warm_points)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sos_starts_from_the_local_fit(self, monkeypatch, seed):
+        t = np.random.default_rng(seed).standard_normal(3) ** 3
+        S = 15.0 * np.outer(t, t)
+        real = lowrank.least_squares
+        starts = {}
+        for backend in ("local", "sos"):
+            seen = starts[backend] = []
+
+            def recording(fun, x0, **kw):
+                seen.append(np.array(x0))
+                return real(fun, x0, **kw)
+
+            monkeypatch.setattr(lowrank, "least_squares", recording)
+            factorize(S, LRConfig(r=1, omega=3, ell=1, backend=backend, rng_seed=seed))
+        # sos then fits each unit's components to its tensor: 3 entries for
+        # the whole network, 1 for a single unit
+        fit = [x for x in starts["sos"] if x.size == 3]
+        assert len(fit) == len(starts["local"]) >= 1
+        for a, b in zip(fit, starts["local"]):
+            assert np.array_equal(a, b)
 
     def test_too_few_pair_moments_rejected(self):
         # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns

@@ -43,14 +43,14 @@ class TestPoly:
 
 class TestSolve:
     def test_dense_cap_counts_bytes(self, monkeypatch):
-        # G and its LAPACK copy (n_eq^2 each), E dense and split (n_eq * ny
-        # each), all float64; the cap is lowered so nothing large is built
+        # G and its LAPACK copy, n_eq^2 float64 each; the cap is lowered so
+        # nothing large is built
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 1.0, 0))
         lifted = relaxation._Lifted(prog)
         lifted.build_matrices()
         n_eq = lifted.E.shape[0]
-        need = 16 * n_eq * (n_eq + lifted.ny)
+        need = 16 * n_eq * n_eq
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError):
             solve(prog, SolverConfig())
@@ -286,7 +286,8 @@ class TestWarmPoint:
             r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0,
         )
-        return prog, _warm_point(prog, net, combo.lam, mu, 0.0, 1.0)
+        fixed, _ = gauge_fix(net, combo.lam, mu)
+        return prog, _warm_point(prog, fixed, 0.0, 1.0)
 
     def _lowrank(self, radius_factor):
         from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
