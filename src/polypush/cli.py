@@ -44,6 +44,7 @@ from .networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
+    _philox_rng,
     network_from_json,
     network_to_json,
     sample,
@@ -334,7 +335,7 @@ def cmd_bench(args) -> int:
             )
             truth = smooth_quadratic(SmoothingParams(rho=args.rho, base=base, rng_seed=s))
             table = exact_quadratic_moments(truth)
-            rng = np.random.Generator(np.random.Philox(key=(s, 99)))
+            rng = _philox_rng(s, 99)
             S = table.S + eta * rng.uniform(-1, 1, size=table.S.shape)
             T = table.T + eta * rng.uniform(-1, 1, size=table.T.shape)
             S = 0.5 * (S + S.T)

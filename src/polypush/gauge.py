@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import UsageError
-from .networks import PolyNetwork, paired_outers
+from .networks import PolyNetwork, _philox_rng, paired_outers
 from .tensors import GaugeRotation, rotate_tensor
 
 __all__ = ["AlignmentConfig", "gauge_distance"]
@@ -64,7 +64,7 @@ def _alignment_matrices(net: PolyNetwork, stack: np.ndarray, coeffs: np.ndarray)
 def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
     """Candidate rotations from eigen-alignment of generic combinations."""
     r = netA.r
-    rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 77)))
+    rng = _philox_rng(cfg.rng_seed, 77)
     stackA, stackB = (
         net.Q if net.kind == "quadratic" else paired_outers(net) for net in (netA, netB)
     )
@@ -191,7 +191,7 @@ def gauge_distance(
         u, _, vt = np.linalg.svd(V)
         return val, GaugeRotation(u @ vt)
 
-    rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 78)))
+    rng = _philox_rng(cfg.rng_seed, 78)
     best_val, best_U = np.inf, np.eye(r)
     for U in _candidates(netA, netB, cfg):
         u, _, vt = np.linalg.svd(U)

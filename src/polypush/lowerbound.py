@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
 from .errors import ConvergenceError, UsageError
-from .networks import PolyNetwork
+from .networks import PolyNetwork, _philox_rng
 
 __all__ = [
     "MatchedPair",
@@ -116,7 +116,7 @@ def search_matched_pair(
 def _attempt_pair(
     r: int, targets: list[int], base: np.ndarray, restarts: int, rng_seed: int
 ) -> Optional[MatchedPair]:
-    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), 7)))
+    rng = _philox_rng(rng_seed, 7)
     soft = [l for l in range(1, 2 * r) if l not in targets]
     nteq = len(targets)
 

@@ -5,7 +5,8 @@ gauge is broken through the paired-contraction vectors f_a: the rank-one
 matrices F_a = f_a f_a^T transform like quadratic units, so the quadratic
 symmetry-breaking machinery (find_combo / gauge_fix) applies; the leftover
 +-Id ambiguity of odd orders is resolved by an argmax anchor and pairwise
-signs.
+signs.  Both backends start from one local fit of the components; sos
+rounds the units off one gauge-fixed relaxation warm-started from it.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .moments import (
     pair_moment_partials,
     sigma_matrix,
 )
-from .networks import PolyNetwork, paired_outers, rotate_network
+from .networks import PolyNetwork, _philox_rng, paired_outers, rotate_network
 from .relaxation import (
     KAPPA,
     Poly,
     SolverConfig,
     Infeasible,
-    _fvector_coefficients,
     encode_lowrank,
     finish_warm_point,
     pseudo_expect,
@@ -242,12 +242,18 @@ def _fit_components(
     return best_x.reshape(d, ell, r), best_res
 
 
+def _outers_gram(net: PolyNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices F_a = f_a f_a^T of a lowrank network and their Gram
+    <F_a, F_b>, which find_combo takes as the quadratic moment S."""
+    F = paired_outers(net)
+    return F, np.einsum("aij,bij->ab", F, F)
+
+
 def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
     """Gauge-fix a lowrank network through its F_a = f_a f_a^T matrices and
     resolve the global +-Id ambiguity by the argmax anchor sign rule."""
     d, r = net.d, net.r
-    F = paired_outers(net)
-    Ghat = np.einsum("aij,bij->ab", F, F)
+    F, Ghat = _outers_gram(net)
     qnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=F)
     m = r * (r + 1) // 2
     if d < m:
@@ -275,7 +281,7 @@ def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
 
 
 # ---------------------------------------------------------------------------
-# sos backend (two-stage pseudoexpectation pipeline)
+# sos backend (one gauge-fixed pseudoexpectation)
 # ---------------------------------------------------------------------------
 
 def _check_sos_size(d: int, cfg: LRConfig) -> None:
@@ -290,9 +296,10 @@ def _check_sos_size(d: int, cfg: LRConfig) -> None:
 
 
 def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
-    """Unit tensors from the two-stage relaxation, each stage warm-started
-    from the local fit ``comps`` of S; raises ConvergenceError instead of
-    solving a stage cold."""
+    """Unit tensors rounded off the one gauge-fixed relaxation, warm-started
+    from the local fit ``comps`` gauge-fixed through the Gram of its F_a.
+    Returns (tensors, the gauge-fixed fit, diagnostics); raises
+    ConvergenceError instead of solving cold."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
     sidx = sorted_multi_indices(r, omega)
@@ -307,89 +314,60 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
         1.0, np.sqrt(float(np.min(np.linalg.eigvalsh(Sigma_sym))))
     )
     # pair moments have degree 2 omega in the components
+    csc = sc ** (1.0 / omega)
     fitnet = PolyNetwork(
-        kind="lowrank", r=r, d=d, omega=omega, ell=ell,
-        components=comps * sc ** (1.0 / omega),
+        kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps * csc,
     )
-
-    stage1 = encode_lowrank(
-        r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
-        eta=eta_sc, degree=cfg.degree,
-    )
-    warm1 = _warm_point_lr(stage1, fitnet, eta_sc)
-    if warm1 is None:
-        # a tight moment fit violating the encoded caps certifies that the
-        # instance is too degenerate for this program
-        raise ConvergenceError(
-            "instance violates non-degeneracy caps of the relaxation"
-        )
-    pe1 = solve(stage1, cfg.solver, warm1)
-    if isinstance(pe1, Infeasible):
-        raise ConvergenceError("stage-1 relaxation infeasible")
-    tvar = stage1.meta["tvar"]
-    fcoef = _fvector_coefficients(r, omega, sidx)
-
-    def f_poly(a, i):
-        p = Poly()
-        for u, c in fcoef[i].items():
-            p = p + c * Poly.var(tvar[(a, u)])
-        return p
-
-    Ghat = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            p = Poly()
-            for i in range(r):
-                for j in range(r):
-                    p = p + f_poly(a, i) * f_poly(a, j) * f_poly(b, i) * f_poly(b, j)
-            Ghat[a, b] = Ghat[b, a] = pseudo_expect(pe1, p)
+    F, Ghat = _outers_gram(fitnet)
     combo = find_combo(Ghat, r, rng_seed=cfg.rng_seed)
     lam = combo.lam
-    # the fit pins the sign of mu that keeps the stage-2 families on
-    # F_a = f_a f_a^T feasible, and the rotation of the stage-2 warm point
-    F = paired_outers(fitnet)
+    # the fit pins the sign of mu that keeps the gauge families on
+    # F_a = f_a f_a^T feasible, and the rotation of the warm point
     mu = corner_signed_mu(F, lam, combo.mu)
     try:
         _, grot = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), lam, mu)
     except DegeneracyError as exc:
         raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
-    stage2 = encode_lowrank(
+    fixed = rotate_network(fitnet, grot)
+    prog = encode_lowrank(
         r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
         eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu),
     )
-    warm2 = _warm_point_lr(stage2, rotate_network(fitnet, grot), eta_sc)
-    if warm2 is None:
+    warm = _warm_point_lr(prog, fixed, eta_sc)
+    if warm is None:
+        # a tight moment fit violating the encoded caps certifies that the
+        # instance is too degenerate for this program
         raise ConvergenceError(
-            "the gauge-fixed fit violates the stage-2 relaxation's constraints"
+            "instance violates non-degeneracy caps of the relaxation"
         )
-    pe2 = solve(stage2, cfg.solver, warm2)
-    if isinstance(pe2, Infeasible):
-        raise ConvergenceError("stage-2 relaxation infeasible")
-    tvar2 = stage2.meta["tvar"]
+    pe = solve(prog, cfg.solver, warm)
+    if isinstance(pe, Infeasible):
+        raise ConvergenceError(
+            f"relaxation reported infeasible (residual {pe.residual:.3e})"
+        )
+    tvar = prog.meta["tvar"]
     mags = np.zeros((d, m))
     for a in range(d):
         for u in range(m):
-            v = Poly.var(tvar2[(a, u)])
-            mags[a, u] = math.sqrt(max(0.0, pseudo_expect(pe2, v * v)))
+            v = Poly.var(tvar[(a, u)])
+            mags[a, u] = math.sqrt(max(0.0, pseudo_expect(pe, v * v)))
     a_star, u_star = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    anchor = Poly.var(tvar2[(a_star, u_star)])
+    anchor = Poly.var(tvar[(a_star, u_star)])
     signs = np.ones((d, m))
     for a in range(d):
         for u in range(m):
-            corr = pseudo_expect(pe2, Poly.var(tvar2[(a, u)]) * anchor)
+            corr = pseudo_expect(pe, Poly.var(tvar[(a, u)]) * anchor)
             signs[a, u] = 1.0 if corr >= 0 else -1.0
     entries = signs * mags / sc
     tensors = np.stack(
         [SymTensor(omega, r, dict(zip(sidx, row))).to_dense() for row in entries]
     )
     diag = {
-        "stage1_iterations": pe1.iterations,
-        "stage2_iterations": pe2.iterations,
-        "stage1_residual": pe1.residual,
-        "stage2_residual": pe2.residual,
+        "solver_iterations": pe.iterations,
+        "solver_residual": pe.residual,
         "magnitudes": mags,
     }
-    return tensors, diag
+    return tensors, fixed.components / csc, diag
 
 
 def _warm_point_lr(prog, net: PolyNetwork, eta: float):
@@ -451,18 +429,13 @@ def _power_sum_jacobian(cs: np.ndarray, omega: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-# random starts of each unit's fit in components_from_tensors
-TENSOR_FIT_RESTARTS = 12
-
-
-def components_from_tensors(
-    tensors: np.ndarray, ell: int, omega: int, rng_seed: int = 0
-) -> np.ndarray:
-    """Per-unit rank-ell fit v_{a,t} minimizing ||sum_t v_t^{x omega} - T_a||_F."""
+def components_from_tensors(tensors: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per-unit rank-ell fit v_{a,t} minimizing ||sum_t v_t^{x omega} - T_a||_F,
+    one damped least-squares polish of each unit from ``start`` (d, ell, r)."""
     tensors = np.asarray(tensors, dtype=float)
-    d = tensors.shape[0]
-    r = tensors.shape[1]
-    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), 41)))
+    start = np.asarray(start, dtype=float)
+    d, ell, r = start.shape
+    omega = tensors.ndim - 1
     comps = np.zeros((d, ell, r))
 
     def jac(x):
@@ -474,15 +447,10 @@ def components_from_tensors(
         def fun(x):
             return _power_sum(x.reshape(ell, r), omega) - target
 
-        scale = float(np.max(np.abs(target))) ** (1.0 / omega) + 1e-9
-        best_x, best_res = None, np.inf
-        for _ in range(TENSOR_FIT_RESTARTS):
-            x0 = scale * rng.standard_normal(ell * r)
-            sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
-            res = float(np.max(np.abs(sol.fun)))
-            if res < best_res:
-                best_res, best_x = res, sol.x
-        comps[a] = best_x.reshape(ell, r)
+        sol = least_squares(
+            fun, start[a].reshape(-1), jac=jac, method="lm", xtol=1e-15, ftol=1e-15
+        )
+        comps[a] = sol.x.reshape(ell, r)
     return comps
 
 
@@ -495,12 +463,13 @@ def factorize(
 
     Every backend starts from one local fit: damped least squares on the
     components from ``config.restarts`` random starts.  local gauge-fixes it
-    via the F_a machinery and the anchor sign rule.  sos warm-starts a
-    two-stage relaxation from it -- stage 1 unconstrained-gauge, Gram of F's
-    queried from the pseudoexpectation, find_combo, stage 2 with the gauge
-    families, entries from square-root magnitudes and pairwise signs, then a
-    per-unit rank-ell fit of the components.  sos never solves a stage cold:
-    a fit that gives no feasible warm point raises ConvergenceError.
+    via the F_a machinery and the anchor sign rule.  sos gauge-fixes it the
+    same way (find_combo on the Gram of the fit's F_a), warm-starts the one
+    relaxation with the gauge families from it, rounds the entries off the
+    pseudoexpectation (square-root magnitudes and signs against an anchor),
+    then polishes each unit's components once from the gauge-fixed fit.  sos
+    never solves cold: a fit that gives no feasible warm point raises
+    ConvergenceError.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
@@ -508,12 +477,11 @@ def factorize(
     diag: dict = {"backend": cfg.backend}
     if cfg.backend == "sos":
         _check_sos_size(d, cfg)
-    rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed, 42)))
-    comps, _ = _fit_components(S, cfg, rng)
+    comps, _ = _fit_components(S, cfg, _philox_rng(cfg.rng_seed, 42))
     if cfg.backend == "sos":
-        tensors, sos_diag = _sos_factorize(S, comps, cfg)
+        tensors, start, sos_diag = _sos_factorize(S, comps, cfg)
         diag.update(sos_diag)
-        comps = components_from_tensors(tensors, cfg.ell, cfg.omega, cfg.rng_seed)
+        comps = components_from_tensors(tensors, start)
     net = PolyNetwork(
         kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
         components=comps,

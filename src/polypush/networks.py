@@ -182,7 +182,19 @@ def _seed_rng(rng_seed: int, *stream: int) -> np.random.Generator:
     raw = ",".join(str(int(v)) for v in (rng_seed,) + stream).encode()
     dig = hashlib.sha256(raw).digest()
     key = np.frombuffer(dig[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _philox_rng(int(key[0]), int(key[1]))
+
+
+def _philox_rng(seed: int, stream: int) -> np.random.Generator:
+    """Philox generator keyed by the two 64-bit words (seed mod 2^64, stream).
+
+    Every Philox stream of the package is made here.  The key is one 128-bit
+    integer, so a negative seed wraps to its two's complement: a key tuple
+    holding a negative or masked seed would be cast through float64 and
+    collide with its neighbours."""
+    return np.random.Generator(
+        np.random.Philox(key=(int(seed) % 2**64) | (int(stream) << 64))
+    )
 
 
 def draw_seeds(

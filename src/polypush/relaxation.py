@@ -683,9 +683,9 @@ def encode_lowrank(
     Variables per unit: sorted-index entries of T_a and the rank-ell
     components v_{a,t}; global left inverses L and P of the sorted-entry
     flattening M (the P constraint uses the multiplicity diagonal D and the
-    PSD square root of Sigma_sym).  ``lam_mu`` switches on the second-stage
-    gauge-fixing families on F_lam / F_mu built from the paired-contraction
-    vectors f_a.
+    PSD square root of Sigma_sym).  ``lam_mu`` appends the gauge-fixing
+    families on F_lam / F_mu built from the paired-contraction vectors f_a;
+    without it the program is gauge-free.
     """
     if omega % 2 == 0 or omega < 3:
         raise UsageError("low-rank program needs odd omega >= 3")

@@ -20,7 +20,7 @@ from scipy.optimize import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
-from .networks import PolyNetwork, rotate_network
+from .networks import PolyNetwork, _philox_rng, rotate_network
 from .relaxation import (
     KAPPA,
     Poly,
@@ -122,7 +122,7 @@ def find_combo(Ghat: np.ndarray, r: int, rng_seed: int = 0) -> NonDegenCombo:
         )
     Ht = U[:, top] * np.sqrt(vals)
     W = Ht @ np.linalg.inv(Ht.T @ Ht)  # columns w^{(ij)}
-    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), 11)))
+    rng = _philox_rng(rng_seed, 11)
     g = rng.standard_normal(m)
     gp = rng.standard_normal(m)
     h = W @ g
@@ -208,7 +208,7 @@ def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int
     """``count`` packed Gaussian starts scaled to the diagonal of S, drawn from
     the Philox stream (rng_seed, stream)."""
     d = S.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), stream)))
+    rng = _philox_rng(rng_seed, stream)
     scale = math.sqrt(float(np.max(np.diag(S))) / max(r, 1)) + 1e-12
     for _ in range(count):
         yield scale * rng.standard_normal(d * r * (r + 1) // 2)
@@ -290,10 +290,12 @@ def decompose(
     eta = config.eta
     fit = None  # (Q, residual, starts tried), made at the first usable combo
     best: Optional[tuple[float, PolyNetwork, NonDegenCombo, dict]] = None
+    last_error = None
     for attempt in range(COMBO_RETRIES):
         try:
             combo = find_combo(S, r, rng_seed=config.rng_seed * 1000 + attempt)
-        except DegeneracyError:
+        except DegeneracyError as exc:
+            last_error = exc
             continue
         if fit is None:
             fit = _local_fit(S, T, config)
@@ -305,7 +307,8 @@ def decompose(
                 )
         try:
             net, diag = _decompose_once(S, T, combo, fit, config)
-        except (DegeneracyError, ConvergenceError):
+        except (DegeneracyError, ConvergenceError) as exc:
+            last_error = exc
             continue
         ups = validate_nondegeneracy(net, combo.lam, combo.mu)
         combo.upsilon = ups
@@ -351,7 +354,9 @@ def decompose(
             best = (score, net, None, {"backend": config.backend,
                                        "gauge_fixed": False})
     if best is None:
-        raise ConvergenceError("every symmetry-breaking attempt failed")
+        raise ConvergenceError(
+            f"every symmetry-breaking attempt failed; the last: {last_error}"
+        )
     score, net, combo, diag = best
     threshold = max(1e3 * eta, 1e-6) if config.backend == "local" else 1e-3
     if score > threshold:
@@ -442,7 +447,7 @@ def jennrich_diagonal(T: np.ndarray, rng_seed: int = 0):
     simultaneous diagonalization of two random contractions."""
     T = np.asarray(T, dtype=float)
     d = T.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=(rng_seed & (2**64 - 1), 31)))
+    rng = _philox_rng(rng_seed, 31)
     # numerical rank of the flattening determines the component count
     flat = T.reshape(d, d * d)
     svals = np.linalg.svd(flat, compute_uv=False)

@@ -176,7 +176,7 @@ class TestFactorize:
         if case == "rank1":
             t = np.array([1.1, 0.6, -0.9])
             factorize(15.0 * np.outer(t, t), cfg)
-            assert len(warm_points) == 2
+            assert len(warm_points) == 1
         else:
             with pytest.raises(ConvergenceError):
                 factorize(np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), cfg)
@@ -188,7 +188,8 @@ class TestFactorize:
         t = np.random.default_rng(seed).standard_normal(3) ** 3
         S = 15.0 * np.outer(t, t)
         real = lowrank.least_squares
-        starts = {}
+        real_fit = lowrank._fit_components
+        starts, fits = {}, {}
         for backend in ("local", "sos"):
             seen = starts[backend] = []
 
@@ -196,14 +197,60 @@ class TestFactorize:
                 seen.append(np.array(x0))
                 return real(fun, x0, **kw)
 
+            def keeping(*args, backend=backend):
+                fits[backend] = real_fit(*args)
+                return fits[backend]
+
             monkeypatch.setattr(lowrank, "least_squares", recording)
+            monkeypatch.setattr(lowrank, "_fit_components", keeping)
             factorize(S, LRConfig(r=1, omega=3, ell=1, backend=backend, rng_seed=seed))
-        # sos then fits each unit's components to its tensor: 3 entries for
-        # the whole network, 1 for a single unit
+        # sos then polishes each unit's components once: 3 entries for the
+        # whole network, 1 for a single unit
         fit = [x for x in starts["sos"] if x.size == 3]
         assert len(fit) == len(starts["local"]) >= 1
         for a, b in zip(fit, starts["local"]):
             assert np.array_equal(a, b)
+        # each unit's polish starts at the gauge-fixed fit, which at r = 1 is
+        # the fit itself up to one sign for all units
+        unit = np.concatenate([x for x in starts["sos"] if x.size == 1])
+        comps = fits["sos"][0].reshape(-1)
+        assert unit.size == 3
+        sign = np.sign(unit[0] * comps[0])
+        assert np.allclose(unit, sign * comps, rtol=1e-14, atol=0.0)
+
+    def test_sos_solves_one_gauge_fixed_relaxation(self, monkeypatch):
+        # this fit violates the gauge-free program's caps before it is
+        # gauge-fixed; gauge-fixed, it is feasible for the sos program
+        net = smoothed_lr_net(2, 4, 3, 1, 0.5, 9)
+        S = exact_lowrank_pair_moments(net).S
+        calls = {"encode_lowrank": 0, "solve": 0}
+        for name in calls:
+            real = getattr(lowrank, name)
+
+            def counting(*args, real=real, name=name, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+
+            monkeypatch.setattr(lowrank, name, counting)
+        unit_starts = []
+        real_lsq = lowrank.least_squares
+
+        def recording(fun, x0, **kw):
+            if np.size(x0) == 2:  # ell * r entries: one unit's polish
+                unit_starts.append(np.array(x0))
+            return real_lsq(fun, x0, **kw)
+
+        monkeypatch.setattr(lowrank, "least_squares", recording)
+        rep = factorize(
+            S, LRConfig(r=2, omega=3, ell=1, backend="sos", rng_seed=9), truth=net
+        )
+        assert rep.gauge_dist <= 1e-6
+        assert calls == {"encode_lowrank": 1, "solve": 1}
+        assert len(unit_starts) == net.d
+        # the starts are the exact fit in some gauge
+        start = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1,
+                            components=np.stack(unit_starts).reshape(4, 1, 2))
+        assert gauge_distance(start, net, AlignmentConfig())[0] <= 1e-6
 
     def test_too_few_pair_moments_rejected(self):
         # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns

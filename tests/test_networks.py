@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
+    _philox_rng,
+    _seed_rng,
     evaluate,
     gaussian_norm_moment,
     network_from_json,
@@ -22,6 +27,51 @@ from polypush.networks import (
 )
 
 GAUSS = SeedDistribution(kind="gaussian")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polypush"
+
+
+class TestPhiloxStreams:
+    # the package's streams: jennrich 31, lowerbound 7, find_combo 11,
+    # _random_starts 21, factorize 42, gauge 77 and 78, cli bench 99
+    STREAMS = (7, 11, 21, 31, 42, 77, 78, 99)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_key_is_seed_and_stream(self, stream):
+        want = np.random.Generator(np.random.Philox(key=(5, stream)))
+        assert np.array_equal(
+            _philox_rng(5, stream).standard_normal(8), want.standard_normal(8)
+        )
+
+    def test_negative_seeds_do_not_collide(self):
+        from polypush.tensor_ring import _random_starts
+
+        # runs under filterwarnings = error: a key cast through float64
+        # warns, and neighbouring negative seeds then draw the same starts
+        S = np.eye(3)
+        a = next(_random_starts(S, 2, -1000, 21, 1))
+        b = next(_random_starts(S, 2, -1001, 21, 1))
+        assert not np.array_equal(a, b)
+        # a negative seed is its two's complement
+        assert np.array_equal(
+            _philox_rng(-1, 21).standard_normal(4),
+            _philox_rng(2**64 - 1, 21).standard_normal(4),
+        )
+
+    def test_hashed_streams_unchanged(self):
+        key = np.frombuffer(hashlib.sha256(b"3,1,2").digest()[:16], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(
+            _seed_rng(3, 1, 2).standard_normal(8), want.standard_normal(8)
+        )
+
+    def test_every_philox_goes_through_the_helper(self):
+        helper = inspect.getsource(_philox_rng)
+        hits = {
+            path.name: path.read_text().count("np.random.Philox(")
+            for path in sorted(SRC.glob("*.py"))
+        }
+        assert {k: v for k, v in hits.items() if v} == {"networks.py": 1}
+        assert helper.count("np.random.Philox(") == 1
 
 
 class TestSample:

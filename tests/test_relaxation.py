@@ -303,7 +303,7 @@ class TestWarmPoint:
         )
         S = exact_lowrank_pair_moments(net).S
         sig = sigma_matrix(r, omega)
-        # the stage-2 program: gauge families on F_a = f_a f_a^T, and the
+        # the sos program: gauge families on F_a = f_a f_a^T, and the
         # truth rotated into that gauge
         F = paired_outers(net)
         combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)

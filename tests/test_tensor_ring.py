@@ -239,6 +239,13 @@ class TestDecompose:
         for a, b in zip(starts["sos"], starts["local"]):
             assert np.array_equal(a, b)
 
+    def test_failure_says_why_the_last_combo_failed(self):
+        # every combination's gauge-fixed fit violates the program's caps
+        seed = 1859470763
+        t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, seed))
+        with pytest.raises(ConvergenceError, match="violates non-degeneracy caps"):
+            decompose(t.S, t.T, TRConfig(r=2, backend="sos", rng_seed=seed))
+
 
 class TestJennrich:
     def test_two_component_example(self):
