@@ -4,8 +4,15 @@ d_G(net, net') = min over V in O(r) of max_a ||F_{V^{x omega}}(T_a) - T'_a||_F.
 The minimization is nonconvex; we search candidate rotations from
 eigen-alignment of generic unit combinations, enumerate signs, and refine
 locally on O(r).  For r = 2 an exhaustive angle grid (plus reflection),
-refined around its best point, makes the bound exact to ~1e-12; for r = 1
+refined around its best point, makes the bound exact to rounding; for r = 1
 the candidates are exactly +-1.
+
+One kernel, ``_rotate_units``, applies V^{x omega} to the stacked units with
+one matrix product per mode, for one V or a batch of them; the candidate
+scoring, the r = 2 grid scan and both refinements go through it.  The r >= 3
+search starts no further Nelder-Mead run once its best value is at the
+rounding level of the units, ``FLOOR_ULPS * eps * max |T_a|``: no start can
+lower it by more than rounding, so an exact rotated copy costs no refinement.
 """
 
 from __future__ import annotations
@@ -15,12 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import UsageError
 from .networks import PolyNetwork, _philox_rng, paired_outers
-from .tensors import GaugeRotation, rotate_tensor
+from .tensors import GaugeRotation
 
 __all__ = ["AlignmentConfig", "gauge_distance"]
 
@@ -36,33 +42,40 @@ RESTARTS = 8
 GRID_STEP = 1e-3
 # generic unit combinations whose eigenframes seed the r >= 3 candidates
 COMBOS = 4
+# the rounding level of an alignment, in units of eps * max |T_a|: the best
+# eigenframe candidate of an exact rotated copy scores within ~30 of them
+# (measured up to r = 6 and omega = 5)
+FLOOR_ULPS = 64
 
 
-def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray) -> float:
-    """max_a ||F_{V^{x omega}}(T_a) - T'_a||_F."""
-    worst = 0.0
-    for Ta, Tb in zip(tensA, tensB):
-        worst = max(worst, float(np.linalg.norm(rotate_tensor(V, Ta) - Tb)))
-    return worst
+def _rotate_units(V: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """V^{x omega} applied to each of the stacked units (d, r, ..., r).
 
-
-def _alignment_matrices(net: PolyNetwork, stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """A symmetric r x r matrix whose eigenframe tracks the gauge.
-
-    ``stack`` holds matrices that co-rotate with the gauge: the units of a
-    quadratic network, the rank-one F_a = f_a f_a^T of an odd-order one.
-    Returns their coefficient combination.
+    V is one (r, r) rotation, giving (d, r, ..., r), or a batch (B, r, r),
+    giving (B, d, r, ..., r).  The axes (modes..., unit) form a cycle: each
+    pass multiplies the leading mode by V, one product per V, and moves it
+    behind the others, so after omega passes the unit axis leads again.
     """
-    if net.kind == "quadratic":
-        return np.einsum("a,aij->ij", coeffs, stack)
-    M = np.zeros((net.r, net.r))
-    for a in range(net.d):
-        M += coeffs[a] * stack[a]
-    return M
+    r = units.shape[-1]
+    out = units.reshape(len(units), -1).T
+    for _ in range(units.ndim - 1):
+        out = (V @ out.reshape(out.shape[:-2] + (r, -1))).swapaxes(-1, -2)
+    return out.reshape(V.shape[:-2] + units.shape)
+
+
+def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray):
+    """max_a ||F_{V^{x omega}}(T_a) - T'_a||_F, for one V or each of a batch."""
+    diff = _rotate_units(V, tensA) - tensB
+    sq = np.square(diff).reshape(V.shape[:-2] + (len(tensB), -1))
+    return np.sqrt(sq.sum(axis=-1).max(axis=-1))
 
 
 def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
-    """Candidate rotations from eigen-alignment of generic combinations."""
+    """Candidate rotations from eigen-alignment of generic combinations.
+
+    The stacks co-rotate with the gauge: the units of a quadratic network,
+    the rank-one F_a = f_a f_a^T of an odd-order one.
+    """
     r = netA.r
     rng = _philox_rng(cfg.rng_seed, 77)
     stackA, stackB = (
@@ -71,102 +84,88 @@ def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
     cands = [np.eye(r)]
     for _ in range(COMBOS):
         c = rng.standard_normal(netA.d)
-        A = _alignment_matrices(netA, stackA, c)
-        B = _alignment_matrices(netB, stackB, c)
-        _, Va = np.linalg.eigh(A)
-        _, Vb = np.linalg.eigh(B)
+        _, Va = np.linalg.eigh(np.einsum("a,aij->ij", c, stackA))
+        _, Vb = np.linalg.eigh(np.einsum("a,aij->ij", c, stackB))
         for s in itertools.product((1.0, -1.0), repeat=r):
             cands.append(Vb @ np.diag(s) @ Va.T)
     if netA.omega % 2 == 1:
         cands.extend([-U for U in list(cands)])
     # score identical candidates once: at r = 1 all of them are +-1
-    return list({U.tobytes(): U for U in cands}.values())
+    return np.stack(list({U.tobytes(): U for U in cands}.values()))
 
 
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rot2(theta) -> np.ndarray:
+    """Rotations by the angles theta, (2, 2) or (B, 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
 def _grid_scan_r2(tensA, tensB, step):
     """Exhaustive SO(2) + reflected-coset scan, vectorized over the angle grid."""
     thetas = np.arange(0.0, 2 * math.pi, step)
-    c, s = np.cos(thetas), np.sin(thetas)
-    R = np.empty((thetas.size, 2, 2))
-    R[:, 0, 0], R[:, 0, 1] = c, -s
-    R[:, 1, 0], R[:, 1, 1] = s, c
-    refl = np.array([[1.0, 0.0], [0.0, -1.0]])
-    best = (np.inf, None)
-    for flip in (False, True):
-        Vb = R @ refl if flip else R
-        # batch-apply V to every unit tensor on all modes
-        rotated = np.stack(
-            [_batch_rotate(Vb, Ta) for Ta in tensA]
-        )  # (d, B, 2, 2, ...)
-        diffs = rotated - np.stack(tensB)[:, None]
-        sq = diffs.reshape(len(tensA), thetas.size, -1)
-        obj = np.sqrt(np.max(np.sum(sq * sq, axis=2), axis=0))
-        k = int(np.argmin(obj))
-        if obj[k] < best[0]:
-            best = (float(obj[k]), (thetas[k], flip))
-    theta0, flip = best[1]
+    refl = np.diag([1.0, -1.0])
+    R = _rot2(thetas)
+    # proper rotations first: on a tie the proper one wins
+    obj = _objective(tensA, tensB, np.concatenate([R, R @ refl]))
+    k = int(np.argmin(obj))
+    theta0, flip = thetas[k % thetas.size], k >= thetas.size
 
-    def f(delta):
-        V = _rot2(theta0 + delta) @ refl if flip else _rot2(theta0 + delta)
-        return _objective(tensA, tensB, V)
+    def rotation(theta):
+        return _rot2(theta) @ refl if flip else _rot2(theta)
 
     # refine the offset from the grid point, not the angle itself: the
-    # bounded method's tolerance grows with |x|, and |theta| reaches 2 pi
-    res = minimize_scalar(
-        f, bounds=(-2 * step, 2 * step), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    theta = theta0 + float(res.x) if res.fun <= best[0] else theta0
-    V = _rot2(theta) @ refl if flip else _rot2(theta)
-    return _objective(tensA, tensB, V), V
+    # bounded method stops within ~sqrt(eps) |x| of the minimum, and |theta|
+    # reaches 2 pi.  Over +-2 step that is still ~1e-10, so a second pass
+    # over +-1e-9 around the first answer resolves the angle to its rounding,
+    # and the distance to rounding whatever the size of the units.
+    theta, best = theta0, obj[k]
+    for width in (2 * step, 1e-9):
+        center = theta
+        res = minimize_scalar(
+            lambda delta: _objective(tensA, tensB, rotation(center + delta)),
+            bounds=(-width, width), method="bounded",
+            options={"xatol": 2 * math.pi * np.finfo(float).eps},
+        )
+        if res.fun <= best:
+            theta, best = center + float(res.x), res.fun
+    V = rotation(theta)
+    return float(_objective(tensA, tensB, V)), V
 
 
-def _batch_rotate(Vb: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Apply a batch of rotations (B, r, r) to one tensor on every mode."""
-    out = np.broadcast_to(T, (Vb.shape[0],) + T.shape).copy()
-    for axis in range(T.ndim):
-        out = np.moveaxis(out, axis + 1, 1)
-        # contract V over the current mode: (B, r, rest) -> (B, r, rest)
-        shape = out.shape
-        flat = out.reshape(shape[0], shape[1], -1)
-        flat = np.einsum("bij,bjk->bik", Vb, flat)
-        out = np.moveaxis(flat.reshape(shape), 1, axis + 1)
-    return out
+def _expm_skew(K: np.ndarray) -> np.ndarray:
+    """exp(K) for a real skew-symmetric K, from the eigh of the Hermitian iK."""
+    lam, W = np.linalg.eigh(1j * K)
+    return ((W * np.exp(-1j * lam)) @ W.conj().T).real
 
 
-def _skew(xi: np.ndarray, r: int) -> np.ndarray:
-    S = np.zeros((r, r))
-    iu = np.triu_indices(r, 1)
-    S[iu] = xi
-    return S - S.T
-
-
-def _refine(tensA, tensB, U0: np.ndarray, rng: np.random.Generator, restarts: int):
-    """Nelder-Mead descent over the exponential chart around U0."""
+def _refine(tensA, tensB, U0: np.ndarray, rng: np.random.Generator, restarts: int,
+            floor: float):
+    """Nelder-Mead descent over the exponential chart around U0; no start is
+    made once the best value is at most ``floor``.  Returns the best U."""
     r = U0.shape[0]
     npar = r * (r - 1) // 2
     if npar == 0:
-        return _objective(tensA, tensB, U0), U0
-    best_val, best_U = _objective(tensA, tensB, U0), U0
+        return U0
+    best_val, best_U = float(_objective(tensA, tensB, U0)), U0
+    iu = np.triu_indices(r, 1)
 
-    def f(xi):
-        return _objective(tensA, tensB, U0 @ expm(_skew(xi, r)))
+    def chart(xi):
+        K = np.zeros((r, r))
+        K[iu] = xi
+        return U0 @ _expm_skew(K - K.T)
 
     starts = [np.zeros(npar)] + [
         0.05 * rng.standard_normal(npar) for _ in range(max(0, restarts - 1))
     ]
     for x0 in starts:
-        res = minimize(f, x0, method="Nelder-Mead",
+        if best_val <= floor:
+            break
+        res = minimize(lambda xi: _objective(tensA, tensB, chart(xi)), x0,
+                       method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
         if res.fun < best_val:
-            best_val = float(res.fun)
-            best_U = U0 @ expm(_skew(res.x, r))
-    return best_val, best_U
+            best_val, best_U = float(res.fun), chart(res.x)
+    return best_U
 
 
 def gauge_distance(
@@ -182,8 +181,7 @@ def gauge_distance(
     if (netA.r, netA.d, netA.omega) != (netB.r, netB.d, netB.omega):
         raise UsageError("networks must share (r, d, omega)")
     r = netA.r
-    tensA = [netA.unit_tensor(a) for a in range(netA.d)]
-    tensB = [netB.unit_tensor(a) for a in range(netB.d)]
+    tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
 
     if r == 2:
         val, V = _grid_scan_r2(tensA, tensB, GRID_STEP)
@@ -192,14 +190,11 @@ def gauge_distance(
         return val, GaugeRotation(u @ vt)
 
     rng = _philox_rng(cfg.rng_seed, 78)
-    best_val, best_U = np.inf, np.eye(r)
-    for U in _candidates(netA, netB, cfg):
-        u, _, vt = np.linalg.svd(U)
-        U = u @ vt
-        val = _objective(tensA, tensB, U)
-        if val < best_val:
-            best_val, best_U = val, U
-    best_val, best_U = _refine(tensA, tensB, best_U, rng, RESTARTS)
+    u, _, vt = np.linalg.svd(_candidates(netA, netB, cfg))
+    cands = u @ vt
+    best_U = cands[int(np.argmin(_objective(tensA, tensB, cands)))]
+    floor = FLOOR_ULPS * np.finfo(float).eps * max(np.abs(tensA).max(), np.abs(tensB).max())
+    best_U = _refine(tensA, tensB, best_U, rng, RESTARTS, floor)
     u, _, vt = np.linalg.svd(best_U)
     best_U = u @ vt
     return float(_objective(tensA, tensB, best_U)), GaugeRotation(best_U)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from conftest import random_orthogonal, symmetric_gaussian
+from polypush import gauge
 from polypush.errors import UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.networks import PolyNetwork, rotate_network
@@ -18,6 +22,7 @@ from polypush.tensors import (
     num_sorted_indices,
     rotate_tensor,
     sorted_multi_indices,
+    symmetrize,
     ten,
     vec,
 )
@@ -192,6 +197,108 @@ class TestGaugeDistance:
         dAB, _ = gauge_distance(netA, netB, AlignmentConfig())
         dBA, _ = gauge_distance(netB, netA, AlignmentConfig())
         assert dAB == pytest.approx(dBA, abs=1e-6)
+
+
+def _objective_reference(tensA, tensB, V):
+    """max_a ||rotate_tensor(V, T_a) - T'_a||_F, one unit at a time."""
+    return max(float(np.linalg.norm(rotate_tensor(V, Ta) - Tb)) for Ta, Tb in zip(tensA, tensB))
+
+
+def _random_net(rng, r, d, omega, scale=1.0):
+    if omega == 2:
+        Q = scale * np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
+        return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
+    ell = 1 + int(rng.integers(2))
+    comps = scale * rng.standard_normal((d, ell, r))
+    return PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
+
+
+class TestGaugeKernel:
+    @pytest.mark.parametrize("r,omega", [(2, 2), (4, 2), (2, 3), (3, 3), (2, 5), (3, 5)])
+    def test_batched_objective_matches_per_unit_rotation(self, r, omega):
+        rng = np.random.default_rng(30 + 10 * r + omega)
+        tensA, tensB = (
+            np.stack([symmetrize(rng.standard_normal((r,) * omega)) for _ in range(4)])
+            for _ in range(2)
+        )
+        Vs = np.stack([random_orthogonal(rng, r) for _ in range(5)])
+        ref = np.array([_objective_reference(tensA, tensB, V) for V in Vs])
+        single = np.array([gauge._objective(tensA, tensB, V) for V in Vs])
+        batch = gauge._objective(tensA, tensB, Vs)
+        assert batch.shape == (5,)
+        assert np.max(np.abs(single - ref) / ref) <= 1e-14
+        assert np.max(np.abs(batch - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("r", range(3, 7))
+    def test_skew_exponential_closed_form(self, r):
+        rng = np.random.default_rng(50 + r)
+        X = rng.standard_normal((r, r))
+        K = X - X.T
+        E = gauge._expm_skew(K)
+        assert np.max(np.abs(E - expm(K))) <= 1e-13
+        assert np.max(np.abs(E.T @ E - np.eye(r))) <= 1e-13
+
+
+class TestGaugeStop:
+    @pytest.fixture
+    def refines(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gauge, "minimize", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(3, 6, 2), (4, 10, 2), (3, 10, 3)])
+    def test_exact_copy_stops_at_rounding(self, refines, shape, seed):
+        # the best eigenframe candidate is already at rounding level, so no
+        # Nelder-Mead run is started
+        r, d, omega = shape
+        rng = np.random.default_rng(70 + seed)
+        net = _random_net(rng, r, d, omega)
+        turned = rotate_network(net, random_orthogonal(rng, r))
+        dist, _ = gauge_distance(turned, net, AlignmentConfig())
+        scale = max(np.abs(net.unit_tensors()).max(), np.abs(turned.unit_tensors()).max())
+        assert dist <= 1e-12 * scale
+        assert refines == []
+
+    def test_noisy_copy_runs_every_start(self, refines):
+        rng = np.random.default_rng(80)
+        net = _random_net(rng, 3, 6, 2)
+        turned = rotate_network(net, random_orthogonal(rng, 3))
+        noise = 1e-3 * np.stack([symmetric_gaussian(rng, 3) for _ in range(6)])
+        noisy = PolyNetwork(kind="quadratic", r=3, d=6, Q=turned.Q + noise)
+        dist, _ = gauge_distance(noisy, net, AlignmentConfig())
+        assert 1e-4 <= dist <= 1e-2
+        assert refines == ["Nelder-Mead"] * gauge.RESTARTS
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rotated_copy_r2_unnormalized(self, seed):
+        # the angle is resolved to rounding, so the distance scales with
+        # the units and not with an absolute angle tolerance
+        rng = np.random.default_rng(90 + seed)
+        net = _random_net(rng, 2, 4, 3, scale=3.0)
+        dist, _ = gauge_distance(net, rotate_network(net, random_orthogonal(rng, 2)), AlignmentConfig())
+        assert dist <= 1e-13 * max(1.0, net.radius)
+
+    # d >= r: with fewer units the paired outers of an odd-order network do
+    # not fix an eigenframe, and the local search from it may miss
+    @settings(max_examples=30)
+    @given(
+        r=st.sampled_from([2, 3, 4]),
+        omega=st.sampled_from([2, 3]),
+        extra=st.integers(0, 3),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotated_copy_any_shape(self, r, omega, extra, scale, seed):
+        rng = np.random.default_rng(seed)
+        net = _random_net(rng, r, r + extra, omega, scale)
+        dist, _ = gauge_distance(net, rotate_network(net, random_orthogonal(rng, r)), AlignmentConfig())
+        assert dist <= 1e-10 * max(1.0, net.radius)
 
 
 class TestTypes:
