@@ -217,11 +217,13 @@ def cmd_moments(args) -> int:
 
 def _tr_config(args, seed: int, eta: float) -> TRConfig:
     """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
-    return TRConfig(
+    cfg = TRConfig(
         r=args.r, backend=args.backend, degree=args.degree,
-        restarts=args.restarts, tol=args.tol, rng_seed=seed,
-        eta=eta, solver=SolverConfig(tol=min(args.tol * 10, 1e-7)),
+        restarts=args.restarts, tol=args.tol, rng_seed=seed, eta=eta,
     )
+    # after TRConfig has checked --tol, so a bad value is named as given
+    cfg.solver = SolverConfig(tol=min(args.tol * 10, 1e-7))
+    return cfg
 
 
 def cmd_solve_tr(args) -> int:

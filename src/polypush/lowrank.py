@@ -32,6 +32,7 @@ from .relaxation import (
     Poly,
     SolverConfig,
     Infeasible,
+    check_settings,
     encode_lowrank,
     finish_warm_point,
     pseudo_expect,
@@ -73,6 +74,10 @@ class LRConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        check_settings(
+            {"r": self.r, "omega": self.omega, "ell": self.ell, "restarts": self.restarts},
+            {"tol": self.tol},
+        )
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):

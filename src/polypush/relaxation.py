@@ -7,6 +7,13 @@ monomials within the degree budget, inequalities get localizing blocks, and
 the resulting conic feasibility problem (affine slice of a product of PSD
 cones) is solved by ADMM with a small trace-of-moment-matrix objective as a
 deterministic tie-break.
+
+The lift is one pass over the program (``_Lifted``): it numbers the
+monomials and writes the rows of the block map A and the equality system E
+as it goes, visiting the upper triangle of each block only.  Each ADMM
+iteration projects the blocks of one side together (``_cone_plan``,
+``_project_cones``): one batched ``eigh`` per side s > 1, one clip for the
+side-1 blocks.
 """
 
 from __future__ import annotations
@@ -152,10 +159,24 @@ class PolynomialProgram:
         return worst
 
 
+def check_settings(counts: dict[str, int], tolerances: dict[str, float]):
+    """UsageError unless every count is >= 1 and every tolerance is finite
+    and > 0."""
+    for name, v in counts.items():
+        if v < 1:
+            raise UsageError(f"{name} must be >= 1, got {v}")
+    for name, v in tolerances.items():
+        if not (math.isfinite(v) and v > 0):
+            raise UsageError(f"{name} must be finite and > 0, got {v}")
+
+
 @dataclass
 class SolverConfig:
     tol: float = 1e-7
     max_iter: int = 50000
+
+    def __post_init__(self):
+        check_settings({"max_iter": self.max_iter}, {"solver tol": self.tol})
 
 
 # cap on the side of any moment matrix the lift builds
@@ -225,28 +246,37 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
 # ---------------------------------------------------------------------------
 
 class _Lifted:
-    """Index bookkeeping for the lifted conic problem."""
+    """The lifted conic problem, built in one pass over the program.
+
+    ``mono_index`` numbers the monomials in the order the lift first touches
+    them: moment blocks, then equality multipliers, then localizing blocks.
+    ``A`` maps y to the stacked scaled svec of every block (upper triangle,
+    row-major, off-diagonal entries times sqrt 2) and ``E y = f`` holds the
+    normalization and the multiplier rows.  Only the upper triangle of a
+    block is visited: the mirror pair (iv, iu) merges to the monomials
+    already touched as (iu, iv), so the numbering is that of a full u x v
+    sweep.
+    """
 
     def __init__(self, program: PolynomialProgram):
         program.validate()
         self.mono_index: dict[Monomial, int] = {(): 0}
-        self.blocks: list[tuple[list[Monomial], Optional[Poly], bool]] = []
         # (basis, localizing poly or None for a plain moment block, is_moment)
-        for g, grp in enumerate(program.groups):
+        self.blocks: list[tuple[list[Monomial], Optional[Poly], bool]] = []
+        self.block_slices: list[tuple[int, int]] = []  # (svec offset, side)
+        self.diag_positions: list[int] = []  # svec positions of moment diagonals
+        self.nX = 0
+        a_coo: tuple[list, list, list] = ([], [], [])
+        for grp in program.groups:
             basis = _monomials(grp.variables, grp.degree // 2)
             if len(basis) > MAX_DIM:
                 raise ResourceError(
                     f"moment-matrix side {len(basis)} exceeds cap {MAX_DIM}"
                 )
-            self.blocks.append((basis, None, True))
-            for u in basis:
-                for v in basis:
-                    self._touch(_merge(u, v))
-        self.eq_rows: list[dict[int, float]] = []
-        self.eq_rhs: list[float] = []
-        # normalization
-        self.eq_rows.append({0: 1.0})
-        self.eq_rhs.append(1.0)
+            self._add_block(basis, None, a_coo)
+        # normalization, then each equality times every multiplier monomial
+        erows, ecols, evals = [0], [0], [1.0]
+        eq_rhs = [1.0]
         for p, g in program.equalities:
             grp = program.groups[g]
             for q in _monomials(grp.variables, grp.degree - p.degree()):
@@ -254,67 +284,51 @@ class _Lifted:
                 for m, c in p.terms.items():
                     j = self._touch(_merge(m, q))
                     row[j] = row.get(j, 0.0) + c
-                self.eq_rows.append(row)
-                self.eq_rhs.append(0.0)
+                erows.extend([len(eq_rhs)] * len(row))
+                ecols.extend(row)
+                evals.extend(row.values())
+                eq_rhs.append(0.0)
         for p, g in program.inequalities:
             grp = program.groups[g]
             half = (grp.degree - p.degree()) // 2
-            basis = _monomials(grp.variables, half)
-            for u in basis:
-                for v in basis:
-                    for m in p.terms:
-                        self._touch(_merge(_merge(u, v), m))
-            self.blocks.append((basis, p, False))
+            self._add_block(_monomials(grp.variables, half), p, a_coo)
         self.ny = len(self.mono_index)
+        rows, cols, vals = a_coo
+        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(self.nX, self.ny))
+        self.E = sp.csr_matrix((evals, (erows, ecols)), shape=(len(eq_rhs), self.ny))
+        self.f = np.asarray(eq_rhs)
 
     def _touch(self, m: Monomial) -> int:
         if m not in self.mono_index:
             self.mono_index[m] = len(self.mono_index)
         return self.mono_index[m]
 
-    def build_matrices(self):
-        """Sparse map A: y -> stacked scaled-svec of all blocks, plus eq system."""
-        rows, cols, vals = [], [], []
-        self.block_slices = []
-        self.diag_positions = []  # svec positions of moment-block diagonals
-        offset = 0
+    def _add_block(self, basis: list[Monomial], p: Optional[Poly], a_coo):
+        """Append the block of ``basis`` (localized by ``p`` unless None)
+        and its rows of A, as COO triplets, to ``a_coo``."""
+        rows, cols, vals = a_coo
+        s = len(basis)
+        self.blocks.append((basis, p, p is None))
+        self.block_slices.append((self.nX, s))
         sqrt2 = math.sqrt(2.0)
-        for basis, p, is_moment in self.blocks:
-            s = len(basis)
-            size = s * (s + 1) // 2
-            self.block_slices.append((offset, s))
-            pos = 0
-            for iu in range(s):
-                for iv in range(iu, s):
-                    scale = 1.0 if iu == iv else sqrt2
-                    uv = _merge(basis[iu], basis[iv])
-                    if p is None:
-                        rows.append(offset + pos)
-                        cols.append(self.mono_index[uv])
-                        vals.append(scale)
-                        if iu == iv and is_moment:
-                            self.diag_positions.append(offset + pos)
-                    else:
-                        for m, c in p.terms.items():
-                            rows.append(offset + pos)
-                            cols.append(self.mono_index[_merge(uv, m)])
-                            vals.append(scale * c)
-                    pos += 1
-            offset += size
-        self.nX = offset
-        self.A = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.nX, self.ny)
-        )
-        erows, ecols, evals = [], [], []
-        for i, row in enumerate(self.eq_rows):
-            for j, c in row.items():
-                erows.append(i)
-                ecols.append(j)
-                evals.append(c)
-        self.E = sp.csr_matrix(
-            (evals, (erows, ecols)), shape=(len(self.eq_rows), self.ny)
-        )
-        self.f = np.asarray(self.eq_rhs)
+        pos = self.nX
+        for iu in range(s):
+            for iv in range(iu, s):
+                scale = 1.0 if iu == iv else sqrt2
+                uv = _merge(basis[iu], basis[iv])
+                if p is None:
+                    rows.append(pos)
+                    cols.append(self._touch(uv))
+                    vals.append(scale)
+                    if iu == iv:
+                        self.diag_positions.append(pos)
+                else:
+                    for m, c in p.terms.items():
+                        rows.append(pos)
+                        cols.append(self._touch(_merge(uv, m)))
+                        vals.append(scale * c)
+                pos += 1
+        self.nX = pos
 
 
 def _svec_to_mat(v: np.ndarray, s: int) -> np.ndarray:
@@ -327,22 +341,39 @@ def _svec_to_mat(v: np.ndarray, s: int) -> np.ndarray:
     return M
 
 
-def _mat_to_svec(M: np.ndarray) -> np.ndarray:
-    s = M.shape[0]
-    iu = np.triu_indices(s)
-    v = M[iu].copy()
-    off = iu[0] != iu[1]
-    v[off] *= math.sqrt(2.0)
-    return v
+def _cone_plan(block_slices: list[tuple[int, int]]) -> list[tuple]:
+    """The blocks grouped by side, built once per solve: for each side s,
+    (s, the (n_blocks, s(s+1)/2) gather index of their svecs,
+    triu_indices(s), the mask of the off-diagonal svec entries)."""
+    offsets: dict[int, list[int]] = {}
+    for off, s in block_slices:
+        offsets.setdefault(s, []).append(off)
+    plan = []
+    for s, offs in sorted(offsets.items()):
+        idx = np.asarray(offs)[:, None] + np.arange(s * (s + 1) // 2)
+        iu = np.triu_indices(s)
+        plan.append((s, idx, iu, iu[0] != iu[1]))
+    return plan
 
 
-def _psd_project(v: np.ndarray, s: int) -> np.ndarray:
-    if s == 1:
-        return np.maximum(v, 0.0)
-    M = _svec_to_mat(v, s)
-    w, U = np.linalg.eigh(M)
-    w = np.maximum(w, 0.0)
-    return _mat_to_svec((U * w) @ U.T)
+def _project_cones(v: np.ndarray, plan: list[tuple], out: np.ndarray):
+    """Write the projection of each block's svec in ``v`` onto the PSD cone
+    into ``out``, with one batched eigh per block side."""
+    for s, idx, (iu, ju), off in plan:
+        x = v[idx]
+        if s == 1:
+            out[idx] = np.maximum(x, 0.0)
+            continue
+        # divide as _svec_to_mat does: times 1/sqrt(2) rounds differently
+        x[:, off] /= math.sqrt(2.0)
+        M = np.empty((len(idx), s, s))
+        M[:, iu, ju] = x
+        M[:, ju, iu] = x
+        w, U = np.linalg.eigh(M)
+        P = (U * np.maximum(w, 0.0)[:, None, :]) @ U.swapaxes(1, 2)
+        x = P[:, iu, ju]
+        x[:, off] *= math.sqrt(2.0)
+        out[idx] = x
 
 
 def solve(
@@ -352,9 +383,11 @@ def solve(
 ) -> Pseudoexpectation | Infeasible:
     """ADMM conic solve of the lifted relaxation.
 
-    Alternates an affine projection (moment-matrix consistency + equality
-    rows, KKT system factorized once) with a PSD-cone projection, carrying a
-    scaled dual; stops when the primal and dual residuals drop below cfg.tol.
+    Lifts the program in one pass, then alternates an affine projection
+    (moment-matrix consistency + equality rows, KKT system factorized once)
+    with a PSD-cone projection, batched over the blocks of each side, carrying
+    a scaled dual; stops when the primal and dual residuals drop below
+    cfg.tol.
     Returns ``Infeasible`` when the residual stalls above 10*cfg.tol for
     STALL_WINDOW consecutive iterations.  Fully deterministic.
 
@@ -365,7 +398,6 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     lifted = _Lifted(program)
-    lifted.build_matrices()
     A, E, f = lifted.A, lifted.E, lifted.f
     ny, nX = lifted.ny, lifted.nX
     # multiplier expansion produces linearly dependent equality rows, which
@@ -432,6 +464,8 @@ def solve(
     uX = np.zeros(nX)
     rhs = np.zeros(ny + neq)
     rhs[ny:] = f
+    AT = A.T
+    plan = _cone_plan(lifted.block_slices)
 
     best_res = np.inf
     stall = 0
@@ -440,16 +474,14 @@ def solve(
     for it in range(1, cfg.max_iter + 1):
         ty = zy - uy
         tX = zX - uX - cX
-        rhs[:ny] = ty + A.T @ tX
+        rhs[:ny] = ty + AT @ tX
         sol = kkt.solve(rhs)
         xy = sol[:ny]
         xX = A @ xy
         # plain alternation: over-relaxation limit-cycles once the trace
         # objective is present
         zX_new = np.empty_like(zX)
-        for off, s in lifted.block_slices:
-            size = s * (s + 1) // 2
-            zX_new[off:off + size] = _psd_project(xX[off:off + size] + uX[off:off + size], s)
+        _project_cones(xX + uX, plan, zX_new)
         zy_new = xy + uy
         uy += xy - zy_new
         uX += xX - zX_new

@@ -26,6 +26,7 @@ from .relaxation import (
     Poly,
     SolverConfig,
     Infeasible,
+    check_settings,
     encode_tensor_ring,
     finish_warm_point,
     pseudo_expect,
@@ -73,6 +74,7 @@ class TRConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        check_settings({"r": self.r, "restarts": self.restarts}, {"tol": self.tol})
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown tensor-ring backend {self.backend!r}")
 

@@ -280,6 +280,27 @@ class TestExitCodes:
         argv = [paths.get(a, a) for a in command]
         assert run(*argv, "--backend", backend, "--out", str(tmp_path / "rec.json")) == 2
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve_tr", ("--r", "0")),
+        ("solve_tr", ("--r", "-1")),
+        ("solve_tr", ("--r", "2", "--restarts", "0")),
+        ("solve_tr", ("--r", "2", "--tol", "-1")),
+        ("solve_tr", ("--r", "2", "--tol", "nan")),
+        ("solve_lr", ("--r", "0")),
+        ("solve_lr", ("--r", "1", "--omega", "-1")),
+        ("solve_lr", ("--r", "1", "--ell", "0")),
+        ("solve_lr", ("--r", "1", "--restarts", "0")),
+        ("solve_lr", ("--r", "1", "--tol", "-1")),
+        ("solve_lr", ("--r", "1", "--tol", "nan")),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]))
+    def test_solver_settings_checked(self, tmp_path, input_files, capsys, command, flags):
+        _, paths = input_files
+        table = paths["qtab" if command == "solve_tr" else "ptab"]
+        assert run(command, "--table", table, *flags,
+                   "--out", str(tmp_path / "rec.json")) == 2
+        # the error names the setting that was given
+        assert f"{flags[-2][2:]} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ("--eta", "0.5", "--degree", "7"),
         ("--backend", "sos", "--degree", "3"),

@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import symmetric_gaussian
 from polypush import relaxation
@@ -48,7 +52,6 @@ class TestSolve:
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 1.0, 0))
         lifted = relaxation._Lifted(prog)
-        lifted.build_matrices()
         n_eq = lifted.E.shape[0]
         need = 16 * n_eq * n_eq
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need - 1)
@@ -56,6 +59,14 @@ class TestSolve:
             solve(prog, SolverConfig())
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need)
         assert isinstance(solve(prog, SolverConfig()), Pseudoexpectation)
+
+    @pytest.mark.parametrize("bad", [
+        {"tol": 0.0}, {"tol": -1e-7}, {"tol": float("nan")}, {"tol": float("inf")},
+        {"max_iter": 0}, {"max_iter": -5},
+    ], ids=lambda v: "=".join(map(str, *v.items())))
+    def test_settings_checked(self, bad):
+        with pytest.raises(UsageError):
+            SolverConfig(**bad)
 
     def test_linear_pin(self):
         prog = single_var_program()
@@ -111,6 +122,153 @@ class TestSolve:
             assert abs(pseudo_expect(pe, p)) <= 10 * cfg.tol
         for p, _ in prog.inequalities:
             assert pseudo_expect(pe, p) >= -10 * cfg.tol
+
+
+def graded_lex(variables, max_deg):
+    return [m for k in range(max_deg + 1)
+            for m in itertools.combinations_with_replacement(variables, k)]
+
+
+def monomial_value(m, x):
+    return math.prod(x[i] for i in m)
+
+
+def scaled_svec(M):
+    iu = np.triu_indices(M.shape[0])
+    return M[iu] * np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0))
+
+
+@st.composite
+def small_programs(draw):
+    """1-3 variables in one group of degree 2 or 4, an optional degree-2
+    group over a prefix of them, and random equalities and inequalities."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.sampled_from([2, 4]))
+    variables = tuple(range(nvars))
+    groups = [VarGroup(variables, degree, "all")]
+    if draw(st.booleans()):
+        groups.append(VarGroup(variables[:draw(st.integers(1, nvars))], 2, "head"))
+    prog = PolynomialProgram(nvars=nvars, names=[f"x{i}" for i in variables],
+                             groups=groups, degree=degree)
+    coef = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3)
+    for family in (prog.equalities, prog.inequalities):
+        for _ in range(draw(st.integers(0, 3))):
+            g = draw(st.integers(0, len(groups) - 1))
+            monos = graded_lex(groups[g].variables, groups[g].degree)
+            chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4,
+                                   unique=True))
+            family.append((Poly({m: draw(coef) for m in chosen}), g))
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=nvars, max_size=nvars)))
+    return prog, x
+
+
+class TestLift:
+    """The one-pass lift against a direct evaluation at a point."""
+
+    @settings(max_examples=80)
+    @given(case=small_programs())
+    def test_matches_direct_evaluation(self, case):
+        prog, x = case
+        lifted = relaxation._Lifted(prog)
+        # the numbering of a full u x v sweep, first touch first
+        ref: dict = {(): 0}
+
+        def touch(*parts):
+            ref.setdefault(tuple(sorted(sum(parts, ()))), len(ref))
+
+        bases = [graded_lex(g.variables, g.degree // 2) for g in prog.groups]
+        for basis in bases:
+            for u in basis:
+                for v in basis:
+                    touch(u, v)
+        for p, g in prog.equalities:
+            grp = prog.groups[g]
+            for q in graded_lex(grp.variables, grp.degree - p.degree()):
+                for m in p.terms:
+                    touch(m, q)
+        for p, g in prog.inequalities:
+            grp = prog.groups[g]
+            basis = graded_lex(grp.variables, (grp.degree - p.degree()) // 2)
+            for u in basis:
+                for v in basis:
+                    for m in p.terms:
+                        touch(u, v, m)
+        assert list(lifted.mono_index.items()) == list(ref.items())
+
+        y = np.array([monomial_value(m, x) for m in ref])
+        blocks = [(basis, 1.0) for basis in bases] + [
+            (graded_lex(prog.groups[g].variables,
+                        (prog.groups[g].degree - p.degree()) // 2), p.evaluate(x))
+            for p, g in prog.inequalities
+        ]
+        want_X = np.concatenate([
+            scaled_svec(weight * np.array([[monomial_value(u + v, x) for v in basis]
+                                           for u in basis]))
+            for basis, weight in blocks
+        ])
+        np.testing.assert_allclose(lifted.A @ y, want_X, rtol=1e-12, atol=1e-10)
+
+        want_E = [1.0] + [
+            p.evaluate(x) * monomial_value(q, x)
+            for p, g in prog.equalities
+            for q in graded_lex(prog.groups[g].variables, prog.groups[g].degree - p.degree())
+        ]
+        np.testing.assert_allclose(lifted.E @ y, want_E, rtol=1e-12, atol=1e-10)
+        np.testing.assert_array_equal(lifted.f, [1.0] + [0.0] * (len(want_E) - 1))
+
+
+def project_one(v, s):
+    """Reference PSD-cone projection of one scaled svec."""
+    if s == 1:
+        return np.maximum(v, 0.0)
+    iu = np.triu_indices(s)
+    off = iu[0] != iu[1]
+    M = np.zeros((s, s))
+    M[iu] = v
+    M[iu[0][off], iu[1][off]] /= math.sqrt(2.0)
+    M = M + np.triu(M, 1).T
+    w, U = np.linalg.eigh(M)
+    P = (U * np.maximum(w, 0.0)) @ U.T
+    out = P[iu]
+    out[off] *= math.sqrt(2.0)
+    return out
+
+
+class TestConePlan:
+    @settings(max_examples=40)
+    @given(sides=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_projection_is_per_block_projection(self, sides, seed):
+        slices, off = [], 0
+        for s in sides:
+            slices.append((off, s))
+            off += s * (s + 1) // 2
+        v = np.random.default_rng(seed).standard_normal(off)
+        out = np.full(off, np.nan)
+        relaxation._project_cones(v, relaxation._cone_plan(slices), out)
+        want = np.concatenate([project_one(v[o:o + s * (s + 1) // 2], s)
+                               for o, s in slices])
+        np.testing.assert_array_equal(out, want)
+
+    def test_one_eigh_per_side_and_iteration(self, monkeypatch):
+        # the cold r = 1, d = 1 tensor-ring program: blocks of sides 3, 3,
+        # 2, 2 and 1
+        prog = encode_tensor_ring(
+            1, np.array([[1.0]]), np.ones((1, 1, 1)), np.array([1.0]),
+            np.array([1.0]), R=1.1, kappa=0.1, eta=0.0,
+        )
+        sides = {s for _, s in relaxation._Lifted(prog).block_slices if s > 1}
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(M):
+            calls.append(M.shape)
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        pe = solve(prog, SolverConfig())
+        assert pe.iterations == 874
+        assert len(calls) == 874 * len(sides)
 
 
 class TestPseudoExpect:
