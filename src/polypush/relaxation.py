@@ -261,8 +261,8 @@ class _Lifted:
     def __init__(self, program: PolynomialProgram):
         program.validate()
         self.mono_index: dict[Monomial, int] = {(): 0}
-        # (basis, localizing poly or None for a plain moment block, is_moment)
-        self.blocks: list[tuple[list[Monomial], Optional[Poly], bool]] = []
+        # (basis, localizing poly or None for a plain moment block)
+        self.blocks: list[tuple[list[Monomial], Optional[Poly]]] = []
         self.block_slices: list[tuple[int, int]] = []  # (svec offset, side)
         self.diag_positions: list[int] = []  # svec positions of moment diagonals
         self.nX = 0
@@ -308,7 +308,7 @@ class _Lifted:
         and its rows of A, as COO triplets, to ``a_coo``."""
         rows, cols, vals = a_coo
         s = len(basis)
-        self.blocks.append((basis, p, p is None))
+        self.blocks.append((basis, p))
         self.block_slices.append((self.nX, s))
         sqrt2 = math.sqrt(2.0)
         pos = self.nX
@@ -511,8 +511,8 @@ def solve(
 
     values = {m: float(xy[j]) for m, j in lifted.mono_index.items()}
     mats, bases = [], []
-    for (off, s), (basis, p, is_moment) in zip(lifted.block_slices, lifted.blocks):
-        if not is_moment:
+    for (off, s), (basis, p) in zip(lifted.block_slices, lifted.blocks):
+        if p is not None:
             continue
         size = s * (s + 1) // 2
         mats.append(_svec_to_mat(zX[off:off + size], s))
