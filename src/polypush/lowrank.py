@@ -2,11 +2,13 @@
 
 Recovers rank-ell order-omega networks from S_ab ~ <T_a, T_b>_Sigma.  The
 gauge is broken through the paired-contraction vectors f_a: the rank-one
-matrices F_a = f_a f_a^T transform like quadratic units, so the quadratic
-symmetry-breaking machinery (find_combo / gauge_fix) applies; the leftover
-+-Id ambiguity of odd orders is resolved by an argmax anchor and pairwise
-signs.  Both backends start from one local fit of the components; sos
-rounds the units off one gauge-fixed relaxation warm-started from it.
+matrices F_a = f_a f_a^T transform like quadratic units, so each recovery
+draws one combination, no retries, with find_combo on the Gram of the fit's
+F_a and gauge-fixes the fit with the corner-signed mu through
+tensor_ring.gauge_fix_fit; the leftover +-Id ambiguity of odd orders is
+resolved by an argmax anchor and pairwise signs.  Both backends start from
+one local fit of the components; sos rounds the units off one gauge-fixed
+relaxation warm-started from it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .relaxation import (
     pseudo_expect,
     solve,
 )
-from .tensor_ring import RecoveryReport, corner_signed_mu, find_combo, gauge_fix
+from . import tensor_ring
+from .tensor_ring import RecoveryReport
 from .tensors import (
     SymTensor,
     multiplicity,
@@ -247,34 +250,31 @@ def _fit_components(
     return best_x.reshape(d, ell, r), best_res
 
 
-def _outers_gram(net: PolyNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices F_a = f_a f_a^T of a lowrank network and their Gram
-    <F_a, F_b>, which find_combo takes as the quadratic moment S."""
+def _gauge_fix_components(net: PolyNetwork, rng_seed: int):
+    """The lowrank ``net`` gauge-fixed through its F_a = f_a f_a^T, with the
+    one combination find_combo draws from their Gram <F_a, F_b>.  Returns
+    (lam, corner-signed mu, fixed network); raises DegeneracyError when the
+    Gram or the lam-combination is degenerate."""
     F = paired_outers(net)
-    return F, np.einsum("aij,bij->ab", F, F)
+    combo = tensor_ring.find_combo(
+        np.einsum("aij,bij->ab", F, F), net.r, rng_seed=rng_seed
+    )
+    qnet = PolyNetwork(kind="quadratic", r=net.r, d=net.d, Q=F)
+    mu, _, rot = tensor_ring.gauge_fix_fit(qnet, combo)
+    return combo.lam, mu, rotate_network(net, rot)
 
 
 def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
-    """Gauge-fix a lowrank network through its F_a = f_a f_a^T matrices and
-    resolve the global +-Id ambiguity by the argmax anchor sign rule."""
+    """Gauge-fix a lowrank network through its F_a matrices and resolve the
+    global +-Id ambiguity by the argmax anchor sign rule; a network whose
+    gauge cannot be broken is returned as-is."""
     d, r = net.d, net.r
-    F, Ghat = _outers_gram(net)
-    qnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=F)
-    m = r * (r + 1) // 2
-    if d < m:
-        return net  # cannot break the gauge; report as-is
-    last = None
-    for attempt in range(5):
-        try:
-            combo = find_combo(Ghat, r, rng_seed=rng_seed * 100 + attempt)
-            _, rot = gauge_fix(qnet, combo.lam, combo.mu)
-            last = rot
-            break
-        except DegeneracyError:
-            continue
-    if last is None:
+    if d < r * (r + 1) // 2:
+        return net  # find_combo needs d >= C(r+1,2)
+    try:
+        _, _, out = _gauge_fix_components(net, rng_seed)
+    except DegeneracyError:
         return net
-    out = rotate_network(net, last.V)
     # +-Id: make the anchor entry (largest magnitude) positive
     tens = out.unit_tensors()
     flat = np.abs(tens).reshape(d, -1)
@@ -323,17 +323,12 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
     fitnet = PolyNetwork(
         kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps * csc,
     )
-    F, Ghat = _outers_gram(fitnet)
-    combo = find_combo(Ghat, r, rng_seed=cfg.rng_seed)
-    lam = combo.lam
     # the fit pins the sign of mu that keeps the gauge families on
     # F_a = f_a f_a^T feasible, and the rotation of the warm point
-    mu = corner_signed_mu(F, lam, combo.mu)
     try:
-        _, grot = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), lam, mu)
+        lam, mu, fixed = _gauge_fix_components(fitnet, cfg.rng_seed)
     except DegeneracyError as exc:
         raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
-    fixed = rotate_network(fitnet, grot)
     prog = encode_lowrank(
         r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
         eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu),
@@ -467,14 +462,16 @@ def factorize(
     """Recover a rank-ell network from pairwise Sigma-moments.
 
     Every backend starts from one local fit: damped least squares on the
-    components from ``config.restarts`` random starts.  local gauge-fixes it
-    via the F_a machinery and the anchor sign rule.  sos gauge-fixes it the
-    same way (find_combo on the Gram of the fit's F_a), warm-starts the one
-    relaxation with the gauge families from it, rounds the entries off the
+    components from ``config.restarts`` random starts.  Both gauge-fix it
+    with one combination, no retries: find_combo on the Gram of the fit's
+    F_a with ``config.rng_seed``, and the corner-signed mu.  local then
+    applies the anchor sign rule, and leaves a fit whose gauge cannot be
+    broken unfixed.  sos warm-starts the one relaxation with the gauge
+    families from the gauge-fixed fit, rounds the entries off the
     pseudoexpectation (square-root magnitudes and signs against an anchor),
     then polishes each unit's components once from the gauge-fixed fit.  sos
-    never solves cold: a fit that gives no feasible warm point raises
-    ConvergenceError.
+    never solves cold: a fit that cannot be gauge-fixed or gives no feasible
+    warm point raises ConvergenceError.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]

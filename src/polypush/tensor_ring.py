@@ -1,10 +1,13 @@
 """Tensor ring decomposition: recover quadratic units {Q_a} from the trace
 moments S_ab = Tr(Q_a Q_b) and T_abc = Tr(Q_a Q_b Q_c).
 
-The gauge O(r) is broken by two random unit combinations lambda, mu chosen so
-that Q_lambda has a spectral gap and Q_mu has no vanishing entries in
-Q_lambda's eigenbasis; the canonical representative has Q_lambda diagonal
-ascending and the first row of Q_mu nonnegative.
+The gauge O(r) is broken by one pair of random unit combinations lambda, mu
+per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
+vanishing entries in Q_lambda's eigenbasis with high probability in the
+smoothed setting, and find_combo's only failure does not depend on the draw,
+so it is never retried.  The canonical representative has Q_lambda diagonal
+ascending and the first row of Q_mu nonnegative, with mu corner-signed so
+that its (1,1) entry is nonnegative too (gauge_fix_fit).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "find_combo",
     "validate_nondegeneracy",
     "gauge_fix",
+    "gauge_fix_fit",
     "decompose",
     "jennrich_diagonal",
     "extend_tail",
@@ -52,7 +56,6 @@ __all__ = [
 class NonDegenCombo:
     lam: np.ndarray
     mu: np.ndarray
-    upsilon: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -79,8 +82,6 @@ class TRConfig:
             raise UsageError(f"unknown tensor-ring backend {self.backend!r}")
 
 
-# symmetry-breaking combinations decompose tries before giving up
-COMBO_RETRIES = 5
 # eigengaps of the lambda combination at or below this make gauge_fix fail
 GAP_TOL = 1e-12
 # random contraction pairs jennrich_diagonal tries before giving up
@@ -171,15 +172,25 @@ def gauge_fix(
     return rotate_network(net, R), GaugeRotation(R)
 
 
-def corner_signed_mu(stack: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``mu``, negated when the (1,1) entry of the mu-combination of the
-    (d, r, r) ``stack`` is negative in the lam-combination's eigenbasis:
-    gauge_fix cannot change that entry's sign, so the relaxations' "first
-    row of the mu-combination nonnegative" family needs this mu."""
-    _, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, stack))
-    if (V.T @ np.einsum("a,aij->ij", mu, stack) @ V)[0, 0] < 0:
-        return -mu
-    return mu
+def gauge_fix_fit(
+    net: PolyNetwork, combo: NonDegenCombo
+) -> tuple[np.ndarray, PolyNetwork, GaugeRotation]:
+    """The one gauge-fixing step of every recovery: gauge_fix of the
+    quadratic ``net`` with combo.lam and the corner-signed mu.
+
+    mu is combo.mu, negated when the (1,1) entry of the mu-combination is
+    negative in the lam-combination's eigenbasis: gauge_fix cannot change
+    that entry's sign, so the relaxations' "first row of the mu-combination
+    nonnegative" family holds for the fixed network only with this mu.
+    Returns (mu, fixed network, rotation); raises DegeneracyError where
+    gauge_fix does.
+    """
+    lam, mu = combo.lam, combo.mu
+    _, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, net.Q))
+    if (V.T @ np.einsum("a,aij->ij", mu, net.Q) @ V)[0, 0] < 0:
+        mu = -mu
+    fixed, rot = gauge_fix(net, lam, mu)
+    return mu, fixed, rot
 
 
 # ---------------------------------------------------------------------------
@@ -272,100 +283,38 @@ def decompose(
 ) -> RecoveryReport:
     """Recover {Q_a} from trace moments.
 
-    Every backend starts from one local fit: damped least squares on the
-    trace moments from ``config.restarts`` random starts, keeping the best.
-    ``local`` gauge-fixes that fit; ``sos`` solves the moment relaxation
-    warm-started from the gauge-fixed fit and reads the units off the
-    pseudoexpectation.  ``sos`` never solves the relaxation cold: a fit that
-    misses the warm-start threshold max(10 eta, 1e-6) raises ConvergenceError
-    at once, and a combination that cannot gauge-fix the fit fails without
-    encoding a program.  The symmetry-breaking combinations come from
-    find_combo on S, retried with fresh weights up to COMBO_RETRIES times.
-    The fit does not depend on the combination, so it runs once per call and
-    each retry only gauge-fixes it again (sos also re-solves the
-    combination-dependent relaxation); the best-scoring retry wins.
+    One combination, no retries: find_combo on S with ``config.rng_seed``
+    draws the recovery's lambda, mu once.  Every backend starts from one
+    local fit: damped least squares on the trace moments from
+    ``config.restarts`` random starts, keeping the best.  ``local``
+    gauge-fixes that fit with lambda and the corner-signed mu
+    (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
+    no eigengap; ``sos`` solves the moment relaxation warm-started from the
+    gauge-fixed fit and reads the units off the pseudoexpectation.  ``sos``
+    never solves the relaxation cold: a fit that misses the warm-start
+    threshold max(10 eta, 1e-6) or cannot be gauge-fixed raises
+    ConvergenceError without encoding a program.  A degenerate S (e.g.
+    commuting units) has no combination: ``local`` then recovers by
+    simultaneous diagonalization and falls back to the unfixed fit, and
+    ``sos`` raises ConvergenceError before fitting.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
-    d = S.shape[0]
-    r = config.r
-    eta = config.eta
-    fit = None  # (Q, residual, starts tried), made at the first usable combo
-    best: Optional[tuple[float, PolyNetwork, NonDegenCombo, dict]] = None
-    last_error = None
-    for attempt in range(COMBO_RETRIES):
-        try:
-            combo = find_combo(S, r, rng_seed=config.rng_seed * 1000 + attempt)
-        except DegeneracyError as exc:
-            last_error = exc
-            continue
-        if fit is None:
-            fit = _local_fit(S, T, config)
-            warm_thr = max(10 * eta, 1e-6)
-            if config.backend == "sos" and fit[1] > warm_thr:
-                raise ConvergenceError(
-                    f"local fit residual {fit[1]:.3e} above the relaxation's "
-                    f"warm-start threshold {warm_thr:.3e}"
-                )
-        try:
-            net, diag = _decompose_once(S, T, combo, fit, config)
-        except (DegeneracyError, ConvergenceError) as exc:
-            last_error = exc
-            continue
-        ups = validate_nondegeneracy(net, combo.lam, combo.mu)
-        combo.upsilon = ups
-        score = max(_table_residual_pair(net.Q, S, T))
-        diag["upsilon"] = ups
-        diag["attempt"] = attempt
-        if best is None or score < best[0]:
-            best = (score, net, combo, diag)
-        break_thr = max(1e3 * eta, config.tol)
+    try:
+        combo = find_combo(S, config.r, rng_seed=config.rng_seed)
+    except DegeneracyError as exc:
         if config.backend == "sos":
-            # the conic solver's rounding only resolves entries to ~solver tol
-            break_thr = max(break_thr, 100 * config.solver.tol)
-        if score <= break_thr:
-            break
-    if best is None and config.backend == "local":
-        # degenerate Gram (e.g. commuting units): no symmetry-breaking combo
-        # exists.  Commuting instances are simultaneously diagonalizable, and
-        # that is also the accurate recovery route -- the moment map loses
-        # first-order identifiability there, so a least-squares fit would be
-        # limited to ~sqrt(residual) accuracy.
-        net = None
-        try:
-            comps = jennrich_diagonal(T, rng_seed=config.rng_seed)
-            if len(comps) == r:
-                Qdiag = np.stack(
-                    [np.diag([float(c[a]) for c in comps]) for a in range(d)]
-                )
-                net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Qdiag)
-        except DegeneracyError:
-            net = None
-        if net is not None and max(_table_residual_pair(net.Q, S, T)) > max(
-            1e3 * eta, 1e-8
-        ):
-            net = None
-        if net is None:
-            if fit is None:
-                fit = _local_fit(S, T, config)
-            Q, res, _ = fit
-            if res <= max(10 * eta, 1e-6):
-                net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-        if net is not None:
-            score = max(_table_residual_pair(net.Q, S, T))
-            best = (score, net, None, {"backend": config.backend,
-                                       "gauge_fixed": False})
-    if best is None:
-        raise ConvergenceError(
-            f"every symmetry-breaking attempt failed; the last: {last_error}"
-        )
-    score, net, combo, diag = best
-    threshold = max(1e3 * eta, 1e-6) if config.backend == "local" else 1e-3
-    if score > threshold:
-        raise ConvergenceError(
-            f"best residual {score:.3e} above threshold {threshold:.3e}"
-        )
+            raise ConvergenceError(f"no symmetry-breaking combination: {exc}") from exc
+        net, diag = _commuting_recovery(S, T, config, exc)
+    else:
+        net, diag = _recover(S, T, combo, config)
+        diag["upsilon"] = validate_nondegeneracy(net, combo.lam, combo.mu)
     res_S, res_T = _table_residual_pair(net.Q, S, T)
+    threshold = max(1e3 * config.eta, 1e-6) if config.backend == "local" else 1e-3
+    if max(res_S, res_T) > threshold:
+        raise ConvergenceError(
+            f"residual {max(res_S, res_T):.3e} above threshold {threshold:.3e}"
+        )
     gd = None
     if truth is not None:
         gd, _ = gauge_distance(net, truth, AlignmentConfig(rng_seed=config.rng_seed))
@@ -375,23 +324,64 @@ def decompose(
     )
 
 
-def _decompose_once(S, T, combo: NonDegenCombo, fit, config: TRConfig):
-    """One combination's recovery from the shared local ``fit``."""
+def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
+    """``local``'s recovery when S has no symmetry-breaking combination.
+
+    Commuting units are simultaneously diagonalizable, and that is also the
+    accurate route: the moment map loses first-order identifiability there,
+    so a least-squares fit is limited to ~sqrt(residual) accuracy.  The
+    unfixed local fit is the fallback.  Returns (network, diagnostics).
+    """
     d = S.shape[0]
     r = config.r
-    Q_fit, _, tried = fit
+    eta = config.eta
+    net = None
+    try:
+        comps = jennrich_diagonal(T, rng_seed=config.rng_seed)
+        if len(comps) == r:
+            Qdiag = np.stack([np.diag([float(c[a]) for c in comps]) for a in range(d)])
+            net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Qdiag)
+    except DegeneracyError:
+        pass
+    if net is not None and max(_table_residual_pair(net.Q, S, T)) > max(1e3 * eta, 1e-8):
+        net = None
+    if net is None:
+        Q, res, _ = _local_fit(S, T, config)
+        if res > max(10 * eta, 1e-6):
+            raise ConvergenceError(
+                f"no symmetry-breaking combination ({cause}), and neither "
+                f"simultaneous diagonalization nor the local fit (residual "
+                f"{res:.3e}) recovers the table"
+            )
+        net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
+    return net, {"backend": config.backend, "gauge_fixed": False}
+
+
+def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
+    """The recovery from the one local fit, gauge-fixed with ``combo``.
+    Returns (network, diagnostics)."""
+    d = S.shape[0]
+    r = config.r
+    Q_fit, res, tried = _local_fit(S, T, config)
     diag: dict = {"backend": config.backend, "restarts_used": tried}
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
     if config.backend == "local":
         try:
-            net, _ = gauge_fix(net, combo.lam, combo.mu)
+            _, net, _ = gauge_fix_fit(net, combo)
         except DegeneracyError:
             pass
         return net, diag
+    warm_thr = max(10 * config.eta, 1e-6)
+    if res > warm_thr:
+        raise ConvergenceError(
+            f"local fit residual {res:.3e} above the relaxation's "
+            f"warm-start threshold {warm_thr:.3e}"
+        )
+    try:
+        mu, fixed, _ = gauge_fix_fit(net, combo)
+    except DegeneracyError as exc:
+        raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
     lam = combo.lam
-    mu = corner_signed_mu(Q_fit, lam, combo.mu)
-    # a DegeneracyError here fails the combination before a program is built
-    fixed, _ = gauge_fix(net, lam, mu)
     R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
     # scale the instance so Q entries are O(1): first-order conic solvers
     # are very sensitive to variable magnitude

@@ -22,7 +22,7 @@ from polypush.relaxation import (
     pseudo_expect,
     solve,
 )
-from polypush.tensor_ring import find_combo, gauge_fix
+from polypush.tensor_ring import find_combo, gauge_fix_fit
 
 
 def single_var_program(degree=2):
@@ -333,16 +333,13 @@ class TestEncodeTensorRing:
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
         t = exact_quadratic_moments(net)
         combo = find_combo(t.S, r, rng_seed=0)
-        lam, mu = combo.lam, combo.mu
-        # flip mu so the sign-invariant corner entry of the fixed form is >= 0
-        Qlam = np.einsum("a,aij->ij", lam, Q)
-        Qmu = np.einsum("a,aij->ij", mu, Q)
-        _, V = np.linalg.eigh(Qlam)
-        if (V.T @ Qmu @ V)[0, 0] < 0:
-            mu = -mu
-        fixed, _ = gauge_fix(net, lam, mu)
+        # mu corner-signed: the sign-invariant corner entry of the fixed
+        # form is >= 0
+        mu, fixed, _ = gauge_fix_fit(net, combo)
+        Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
+        assert Qmu[0, 0] >= 0 and np.all(Qmu[0] >= 0)
         prog = encode_tensor_ring(
-            r, t.S, t.T, lam, mu, R=net.radius * 1.01, kappa=1e-3, eta=0.0
+            r, t.S, t.T, combo.lam, mu, R=net.radius * 1.01, kappa=1e-3, eta=0.0
         )
         m = r * (r + 1) // 2
         pairs = [(i, j) for i in range(r) for j in range(i, r)]
@@ -431,7 +428,7 @@ class TestWarmPoint:
     the left inverses and the feasibility gate."""
 
     def _quadratic(self, radius_factor):
-        from polypush.tensor_ring import _warm_point, corner_signed_mu
+        from polypush.tensor_ring import _warm_point
 
         rng = np.random.default_rng(1)
         r, d = 2, 3
@@ -439,18 +436,16 @@ class TestWarmPoint:
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
         t = exact_quadratic_moments(net)
         combo = find_combo(t.S, r, rng_seed=0)
-        mu = corner_signed_mu(Q, combo.lam, combo.mu)
+        mu, fixed, _ = gauge_fix_fit(net, combo)
         prog = encode_tensor_ring(
             r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0,
         )
-        fixed, _ = gauge_fix(net, combo.lam, mu)
         return prog, _warm_point(prog, fixed, 0.0, 1.0)
 
     def _lowrank(self, radius_factor):
         from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
         from polypush.networks import paired_outers, rotate_network
-        from polypush.tensor_ring import corner_signed_mu
 
         rng = np.random.default_rng(2)
         r, d, omega, ell = 2, 4, 3, 1
@@ -465,8 +460,7 @@ class TestWarmPoint:
         # truth rotated into that gauge
         F = paired_outers(net)
         combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
-        mu = corner_signed_mu(F, combo.lam, combo.mu)
-        _, rot = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, mu)
+        mu, _, rot = gauge_fix_fit(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo)
         prog = encode_lowrank(
             r, omega, ell, S, sig.Sigma_sym, sig.D, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),

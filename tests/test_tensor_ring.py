@@ -10,7 +10,13 @@ from polypush import tensor_ring
 from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.moments import exact_quadratic_moments, trace_moments
-from polypush.networks import PolyNetwork, SmoothingParams, rotate_network, smooth_quadratic
+from polypush.networks import (
+    PolyNetwork,
+    SmoothingParams,
+    rotate_network,
+    smooth_componentwise,
+    smooth_quadratic,
+)
 from polypush.tensor_ring import (
     TRConfig,
     decompose,
@@ -26,6 +32,20 @@ from polypush.tensor_ring import (
 def smoothed_net(r, d, rho, seed):
     base = PolyNetwork(kind="quadratic", r=r, d=d, Q=np.zeros((d, r, r)))
     return smooth_quadratic(SmoothingParams(rho=rho, base=base, rng_seed=seed))
+
+
+def record_calls(monkeypatch, *names):
+    """The names of the tensor_ring functions ``names`` in the order called."""
+    calls = []
+    for name in names:
+        real = getattr(tensor_ring, name)
+
+        def recording(*args, real=real, name=name, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tensor_ring, name, recording)
+    return calls
 
 
 class TestFindCombo:
@@ -154,13 +174,18 @@ class TestDecompose:
         rep = decompose(t.S, t.T, TRConfig(r=2, restarts=20))
         assert np.allclose(rep.network.Q, np.transpose(rep.network.Q, (0, 2, 1)))
 
-    def test_diagonal_matches_jennrich(self):
+    def test_diagonal_matches_jennrich(self, monkeypatch):
         rng = np.random.default_rng(5)
         vs = rng.standard_normal((2, 3)) + np.array([[2.0], [-2.0]])
         Q = np.stack([np.diag(vs[:, a]) for a in range(3)])
         net = PolyNetwork(kind="quadratic", r=2, d=3, Q=Q)
         t = exact_quadratic_moments(net)
+        # commuting units: S has no combination, so the one find_combo call
+        # fails and the recovery goes straight to jennrich_diagonal
+        calls = record_calls(monkeypatch, "find_combo", "jennrich_diagonal")
         rep = decompose(t.S, t.T, TRConfig(r=2, restarts=20), truth=net)
+        assert calls == ["find_combo", "jennrich_diagonal"]
+        assert rep.diagnostics["gauge_fixed"] is False
         comps = jennrich_diagonal(t.T, rng_seed=0)
         jnet = PolyNetwork(
             kind="quadratic", r=2, d=3,
@@ -176,22 +201,20 @@ class TestDecompose:
         assert rep.gauge_dist <= 1e-3
         assert rep.diagnostics["solver_residual"] <= 1e-6
 
-    def test_combo_retries_reuse_one_fit(self, monkeypatch):
-        # inconsistent table: every combo retry fails, but the local fit does
-        # not depend on the combination, so it runs once (one lm call per start)
-        import polypush.tensor_ring as tr
-
-        calls = []
-        real = tr.least_squares
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(tr, "least_squares", counting)
+    def test_failed_recovery_draws_one_combo_and_fits_once(self, monkeypatch):
+        # inconsistent table: the recovery fails after one combination and
+        # one local fit (one lm call per start)
+        calls = record_calls(monkeypatch, "find_combo", "least_squares")
         with pytest.raises(ConvergenceError):
             decompose(np.eye(3), 5.0 * np.ones((3, 3, 3)), TRConfig(r=2, restarts=2))
-        assert len(calls) == 2
+        assert calls == ["find_combo", "least_squares", "least_squares"]
+
+    def test_degenerate_gram_fails_sos_before_fitting(self, monkeypatch):
+        calls = record_calls(monkeypatch, "find_combo", "least_squares")
+        with pytest.raises(ConvergenceError, match="no symmetry-breaking combination"):
+            decompose(np.zeros((3, 3)), np.zeros((3, 3, 3)),
+                      TRConfig(r=2, backend="sos", restarts=2))
+        assert calls == ["find_combo"]
 
     @pytest.mark.parametrize("case", ["found", "inconsistent"])
     def test_sos_never_solves_cold(self, monkeypatch, case):
@@ -239,12 +262,59 @@ class TestDecompose:
         for a, b in zip(starts["sos"], starts["local"]):
             assert np.array_equal(a, b)
 
-    def test_failure_says_why_the_last_combo_failed(self):
-        # every combination's gauge-fixed fit violates the program's caps
+    def test_failure_says_why_the_combo_failed(self):
+        # the combination's gauge-fixed fit violates the program's caps
         seed = 1859470763
         t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, seed))
         with pytest.raises(ConvergenceError, match="violates non-degeneracy caps"):
             decompose(t.S, t.T, TRConfig(r=2, backend="sos", rng_seed=seed))
+
+
+@pytest.mark.parametrize("kind, backend", [
+    ("quadratic", "local"), ("quadratic", "sos"), ("lowrank", "local"), ("lowrank", "sos"),
+])
+def test_one_combination_per_recovery(monkeypatch, kind, backend):
+    # every recovery path draws one combination with the plain rng_seed and
+    # hands it to the one gauge-fixing step with the corner-signed mu
+    from polypush.lowrank import LRConfig, exact_lowrank_pair_moments, factorize
+
+    seeds, fixes = [], []
+    real_combo = tensor_ring.find_combo
+    real_fix = tensor_ring.gauge_fix_fit
+
+    def counting(*args, **kw):
+        seeds.append(kw["rng_seed"])
+        return real_combo(*args, **kw)
+
+    def fixing(net, combo):
+        out = real_fix(net, combo)
+        fixes.append((net, combo, out))
+        return out
+
+    monkeypatch.setattr(tensor_ring, "find_combo", counting)
+    monkeypatch.setattr(tensor_ring, "gauge_fix_fit", fixing)
+    if kind == "quadratic":
+        net = smoothed_net(2, 3, 1.0, 1)
+        t = exact_quadratic_moments(net)
+        rep = decompose(t.S, t.T, TRConfig(r=2, backend=backend, rng_seed=1), truth=net)
+    else:
+        base = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1,
+                           components=np.zeros((4, 1, 2)))
+        net = smooth_componentwise(SmoothingParams(rho=0.5, base=base, rng_seed=9))
+        S = exact_lowrank_pair_moments(net).S
+        rep = factorize(S, LRConfig(r=2, backend=backend, rng_seed=9), truth=net)
+    assert rep.gauge_dist <= 1e-6
+    assert seeds == [1 if kind == "quadratic" else 9] and len(fixes) == 1
+    _, combo, (mu, fixed, _) = fixes[0]
+    assert np.array_equal(np.abs(mu), np.abs(combo.mu))
+    # the fixed stack: lambda-combination diagonal, the mu-combination's
+    # first row nonnegative, its corner included
+    Qlam = np.einsum("a,aij->ij", combo.lam, fixed.Q)
+    Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
+    assert np.max(np.abs(Qlam - np.diag(np.diag(Qlam)))) <= 1e-10
+    assert np.all(Qmu[0] >= 0)
+    if kind == "quadratic" and backend == "local":
+        assert np.array_equal(rep.network.Q, fixed.Q)
 
 
 class TestJennrich:
