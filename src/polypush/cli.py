@@ -53,7 +53,7 @@ from .networks import (
     w1_upper_bound,
 )
 from .tensor_ring import TRConfig, decompose, verify_assumption_tr
-from .relaxation import SolverConfig
+from .relaxation import SolverConfig, check_settings
 
 
 def _digest(path: str) -> str:
@@ -215,6 +215,18 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _read_table(path: str, kind: str):
+    """The moment table in ``path``; UsageError unless it is of ``kind``
+    ("quadratic" or "pair")."""
+    obj = _read_json(path)
+    table = table_from_json(obj)
+    if obj["kind"] != kind:
+        raise UsageError(
+            f"{path}: expected a {kind} moment table, got a {obj['kind']} one"
+        )
+    return table
+
+
 def _tr_config(args, seed: int, eta: float) -> TRConfig:
     """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
     cfg = TRConfig(
@@ -227,7 +239,7 @@ def _tr_config(args, seed: int, eta: float) -> TRConfig:
 
 
 def cmd_solve_tr(args) -> int:
-    table = table_from_json(_read_json(args.table))
+    table = _read_table(args.table, "quadratic")
     cfg = _tr_config(args, args.seed, args.eta)
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = decompose(table.S, table.T, cfg, truth=truth)
@@ -243,7 +255,7 @@ def cmd_solve_tr(args) -> int:
 
 
 def cmd_solve_lr(args) -> int:
-    table = table_from_json(_read_json(args.table))
+    table = _read_table(args.table, "pair")
     cfg = LRConfig(
         r=args.r, omega=args.omega, ell=args.ell, backend=args.backend,
         degree=args.degree, restarts=args.restarts, tol=args.tol,
@@ -329,6 +341,9 @@ def cmd_bench(args) -> int:
         etas = [float(e) for e in args.eta_list.split(",")]
     except ValueError as exc:
         raise UsageError(f"--eta-list must be comma-separated numbers: {exc}") from exc
+    check_settings({"reps": args.reps}, {})
+    for eta in etas:
+        check_settings({}, {}, {"eta": eta})
     for eta in etas:
         for s in seeds:
             base = PolyNetwork(

@@ -28,6 +28,7 @@ from scipy.optimize import least_squares, linear_sum_assignment
 
 from .errors import ConvergenceError, UsageError
 from .networks import PolyNetwork, _philox_rng
+from .relaxation import check_settings
 
 __all__ = [
     "MatchedPair",
@@ -96,6 +97,7 @@ def search_matched_pair(
     """
     if r < 3:
         raise UsageError("need r >= 3 for a matched pair")
+    check_settings({"restarts": restarts}, {"tol": tol})
     base = np.arange(1, r + 1, dtype=float)
     best_pair: Optional[MatchedPair] = None
     for odds in ((1, 3), (1,), ()):
@@ -139,7 +141,7 @@ def _attempt_pair(
         return res
 
     best, best_res = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         c0 = base + 0.02 * rng.standard_normal(r)
         w0 = rng.standard_normal(r)
         x0 = np.concatenate([c0, w0])

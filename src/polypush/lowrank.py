@@ -80,6 +80,7 @@ class LRConfig:
         check_settings(
             {"r": self.r, "omega": self.omega, "ell": self.ell, "restarts": self.restarts},
             {"tol": self.tol},
+            {"eta": self.eta},
         )
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")

@@ -71,6 +71,8 @@ class PolyNetwork:
         elif self.kind == "lowrank":
             if self.omega % 2 == 0 or self.omega < 3:
                 raise UsageError("lowrank networks need odd omega >= 3")
+            if self.ell < 1:
+                raise UsageError(f"lowrank networks need ell >= 1, got {self.ell}")
             comps = np.asarray(self.components, dtype=float)
             if comps.shape != (self.d, self.ell, self.r):
                 raise UsageError(

@@ -159,15 +159,22 @@ class PolynomialProgram:
         return worst
 
 
-def check_settings(counts: dict[str, int], tolerances: dict[str, float]):
-    """UsageError unless every count is >= 1 and every tolerance is finite
-    and > 0."""
+def check_settings(
+    counts: dict[str, int],
+    tolerances: dict[str, float],
+    levels: Optional[dict[str, float]] = None,
+):
+    """UsageError unless every count is >= 1, every tolerance is finite and
+    > 0, and every level (a noise level such as eta) is finite and >= 0."""
     for name, v in counts.items():
         if v < 1:
             raise UsageError(f"{name} must be >= 1, got {v}")
     for name, v in tolerances.items():
         if not (math.isfinite(v) and v > 0):
             raise UsageError(f"{name} must be finite and > 0, got {v}")
+    for name, v in (levels or {}).items():
+        if not (math.isfinite(v) and v >= 0):
+            raise UsageError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass

@@ -77,7 +77,9 @@ class TRConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        check_settings({"r": self.r, "restarts": self.restarts}, {"tol": self.tol})
+        check_settings(
+            {"r": self.r, "restarts": self.restarts}, {"tol": self.tol}, {"eta": self.eta}
+        )
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown tensor-ring backend {self.backend!r}")
 

@@ -286,12 +286,15 @@ class TestExitCodes:
         ("solve_tr", ("--r", "2", "--restarts", "0")),
         ("solve_tr", ("--r", "2", "--tol", "-1")),
         ("solve_tr", ("--r", "2", "--tol", "nan")),
+        ("solve_tr", ("--r", "2", "--eta", "-1")),
+        ("solve_tr", ("--r", "2", "--eta", "inf")),
         ("solve_lr", ("--r", "0")),
         ("solve_lr", ("--r", "1", "--omega", "-1")),
         ("solve_lr", ("--r", "1", "--ell", "0")),
         ("solve_lr", ("--r", "1", "--restarts", "0")),
         ("solve_lr", ("--r", "1", "--tol", "-1")),
         ("solve_lr", ("--r", "1", "--tol", "nan")),
+        ("solve_lr", ("--r", "1", "--eta", "-1")),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]))
     def test_solver_settings_checked(self, tmp_path, input_files, capsys, command, flags):
         _, paths = input_files
@@ -300,6 +303,39 @@ class TestExitCodes:
                    "--out", str(tmp_path / "rec.json")) == 2
         # the error names the setting that was given
         assert f"{flags[-2][2:]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("bench", "--reps", "0"), "reps"),
+        (("bench", "--reps", "-2"), "reps"),
+        (("bench", "--reps", "1", "--eta-list=-1"), "eta"),
+        (("bench", "--reps", "1", "--eta-list", "0.0,nan"), "eta"),
+        (("lowerbound", "--r", "3", "--restarts", "0"), "restarts"),
+        (("lowerbound", "--r", "3", "--tol", "-1"), "tol"),
+    ], ids=["bench-reps-0", "bench-reps-negative", "bench-eta-negative", "bench-eta-nan",
+            "lowerbound-restarts-0", "lowerbound-tol-negative"])
+    def test_settings_checked_where_they_enter(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, table, want", [
+        ("solve_tr", "ptab", "quadratic"),
+        ("solve_lr", "qtab", "pair"),
+    ], ids=["solve_tr", "solve_lr"])
+    def test_solve_rejects_other_table_kind(self, tmp_path, input_files, capsys,
+                                            command, table, want):
+        _, paths = input_files
+        assert run(command, "--table", paths[table], "--r", "1",
+                   "--out", str(tmp_path / "rec.json")) == 2
+        assert f"expected a {want} moment table" in capsys.readouterr().err
+
+    def test_generate_lowrank_needs_ell(self, tmp_path, capsys):
+        out = tmp_path / "lr.json"
+        assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "3",
+                   "--ell", "0", "--out", str(out)) == 2
+        assert "ell >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ("--eta", "0.5", "--degree", "7"),

@@ -1,0 +1,56 @@
+"""The benchmark tracer wraps library attributes by name; a refactor that
+drops or rebinds one must fail here rather than in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polypush.lowrank import LRConfig, exact_lowrank_pair_moments, factorize
+from polypush.moments import exact_quadratic_moments
+from polypush.networks import PolyNetwork, SmoothingParams, smooth_componentwise, smooth_quadratic
+from polypush.tensor_ring import TRConfig, decompose
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py loaded by path, writing no bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_wrap_point_resolves(tracing):
+    for mod_name, attr, _, _ in tracing.WRAP_POINTS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (
+            f"{mod_name}.{attr}"
+        )
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+def test_traced_recovery_counts_one_combination(tracing, kind):
+    if kind == "quadratic":
+        base = PolyNetwork(kind="quadratic", r=2, d=3, Q=np.zeros((3, 2, 2)))
+        net = smooth_quadratic(SmoothingParams(rho=1.0, base=base, rng_seed=1))
+        t = exact_quadratic_moments(net)
+        recover = lambda: decompose(t.S, t.T, TRConfig(r=2, rng_seed=1))  # noqa: E731
+    else:
+        base = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1,
+                           components=np.zeros((4, 1, 2)))
+        net = smooth_componentwise(SmoothingParams(rho=0.5, base=base, rng_seed=9))
+        S = exact_lowrank_pair_moments(net).S
+        recover = lambda: factorize(S, LRConfig(r=2, rng_seed=9))  # noqa: E731
+    tracer = tracing.Tracer(op="test")
+    with tracing.installed(tracer):
+        recover()
+    # both kinds find and apply their combination through tensor_ring
+    assert tracer.counts["tensor_ring.find_combo_calls"] == 1
+    assert [sp.name for sp in tracer.spans].count("tensor_ring.gauge_fix") == 1
