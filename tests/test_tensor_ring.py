@@ -262,8 +262,9 @@ class TestDecompose:
         for a, b in zip(starts["sos"], starts["local"]):
             assert np.array_equal(a, b)
 
-    def test_failure_says_why_the_combo_failed(self):
-        # the combination's gauge-fixed fit violates the program's caps
+    def test_failure_says_why_the_last_combo_failed(self):
+        # the one (and so the last) combination's gauge-fixed fit violates
+        # the program's caps
         seed = 1859470763
         t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, seed))
         with pytest.raises(ConvergenceError, match="violates non-degeneracy caps"):
