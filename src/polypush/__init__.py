@@ -1,9 +1,13 @@
 """polypush: learning polynomial transformations of Gaussian seeds by moments.
 
 Library for recovering quadratic (tensor-ring) and low-rank odd-order
-networks from moment tables, with moment-relaxation and local solver
-backends, gauge-aware evaluation, smoothed-instance generation, and a
-lower-bound lab producing statistically-close / parameter-distant pairs.
+networks from moment tables, with gauge-aware evaluation, smoothed-instance
+generation, and a lower-bound lab producing statistically-close /
+parameter-distant pairs.  Both recoveries fit the moments locally and
+gauge-fix the fit.  The ``sos`` backend returns that gauge-fixed fit once it
+is certified feasible, at that one point, for the paper's moment program;
+that is weaker than the paper's guarantee, which rests on the
+pseudo-expectation being unique.
 """
 
 __version__ = "0.1.0"

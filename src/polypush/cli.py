@@ -53,7 +53,7 @@ from .networks import (
     w1_upper_bound,
 )
 from .tensor_ring import TRConfig, decompose, verify_assumption_tr
-from .relaxation import SolverConfig, check_settings
+from .relaxation import check_settings
 
 
 def _digest(path: str) -> str:
@@ -229,13 +229,10 @@ def _read_table(path: str, kind: str):
 
 def _tr_config(args, seed: int, eta: float) -> TRConfig:
     """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
-    cfg = TRConfig(
+    return TRConfig(
         r=args.r, backend=args.backend, degree=args.degree,
         restarts=args.restarts, tol=args.tol, rng_seed=seed, eta=eta,
     )
-    # after TRConfig has checked --tol, so a bad value is named as given
-    cfg.solver = SolverConfig(tol=min(args.tol * 10, 1e-7))
-    return cfg
 
 
 def cmd_solve_tr(args) -> int:

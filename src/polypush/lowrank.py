@@ -7,14 +7,14 @@ draws one combination, no retries, with find_combo on the Gram of the fit's
 F_a and gauge-fixes the fit with the corner-signed mu through
 tensor_ring.gauge_fix_fit; the leftover +-Id ambiguity of odd orders is
 resolved by an argmax anchor and pairwise signs.  Both backends start from
-one local fit of the components; sos rounds the units off one gauge-fixed
-relaxation warm-started from it.
+one local fit of the components; sos returns the gauge-fixed fit once it
+is certified feasible for the encoded moment program.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,17 +29,10 @@ from .moments import (
     sigma_matrix,
 )
 from .networks import PolyNetwork, _philox_rng, paired_outers, rotate_network
-from .relaxation import (
-    KAPPA,
-    Poly,
-    SolverConfig,
-    Infeasible,
-    check_settings,
-    encode_lowrank,
-    finish_warm_point,
-    pseudo_expect,
-    solve,
-)
+from .relaxation import KAPPA, check_settings, encode_lowrank, finish_warm_point
+# no recovery path calls solve: perfbench/tracing.py wraps the name
+# lowrank.solve, and tests/test_trace_points.py checks that it resolves
+from .relaxation import solve  # noqa: F401
 from . import tensor_ring
 from .tensor_ring import RecoveryReport
 from .tensors import (
@@ -74,7 +67,6 @@ class LRConfig:
     sigma_mode: str = "gaussian"  # gaussian | identity | rotation_invariant
     sigma_scale: float = 1.0  # rotation-invariant degree-2*omega factor
     eta: float = 0.0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         check_settings(
@@ -287,32 +279,34 @@ def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
 
 
 # ---------------------------------------------------------------------------
-# sos backend (one gauge-fixed pseudoexpectation)
+# sos backend (the gauge-fixed fit, certified against the encoded program)
 # ---------------------------------------------------------------------------
 
 def _check_sos_size(d: int, cfg: LRConfig) -> None:
-    """The instance sizes the relaxation path handles."""
-    if cfg.r > 2 or d > 4 or cfg.omega != 3:
-        raise ResourceError(
-            "the relaxation path is capped at r <= 2, d <= 4, omega = 3"
-        )
+    """The instances the certificate path takes: omega = 3 and d >= m.
+
+    sos encodes the program but never lifts or solves it, so r and d are not
+    capped.  At omega = 5 the program's caps on the left inverses exclude
+    the fit on every instance tried, so that order is refused up front.
+    """
+    if cfg.omega != 3:
+        raise ResourceError("the relaxation path is capped at omega = 3")
     m = len(sorted_multi_indices(cfg.r, cfg.omega))
     if d < m:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
 
 
 def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
-    """Unit tensors rounded off the one gauge-fixed relaxation, warm-started
-    from the local fit ``comps`` gauge-fixed through the Gram of its F_a.
-    Returns (tensors, the gauge-fixed fit, diagnostics); raises
-    ConvergenceError instead of solving cold."""
+    """The local fit ``comps`` gauge-fixed through the Gram of its F_a,
+    certified feasible for the encoded program with those gauge families.
+    Returns (components, diagnostics); raises ConvergenceError when the fit
+    cannot be gauge-fixed or breaks the program's constraints."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
-    sidx = sorted_multi_indices(r, omega)
-    m = len(sidx)
     sig = sigma_matrix(r, omega)
     Sigma_sym = sig.Sigma_sym if cfg.sigma_mode != "identity" else _identity_sigma_sym(r, omega)
-    # scale so the tensor entries are O(1) (conic solver conditioning)
+    # the program is stated in the scale where tensor entries are O(1), so
+    # the certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
     S = S * sc**2
     eta_sc = cfg.eta * sc**2
@@ -325,7 +319,7 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
         kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps * csc,
     )
     # the fit pins the sign of mu that keeps the gauge families on
-    # F_a = f_a f_a^T feasible, and the rotation of the warm point
+    # F_a = f_a f_a^T feasible, and the rotation of the certified point
     try:
         lam, mu, fixed = _gauge_fix_components(fitnet, cfg.rng_seed)
     except DegeneracyError as exc:
@@ -341,42 +335,15 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
         raise ConvergenceError(
             "instance violates non-degeneracy caps of the relaxation"
         )
-    pe = solve(prog, cfg.solver, warm)
-    if isinstance(pe, Infeasible):
-        raise ConvergenceError(
-            f"relaxation reported infeasible (residual {pe.residual:.3e})"
-        )
-    tvar = prog.meta["tvar"]
-    mags = np.zeros((d, m))
-    for a in range(d):
-        for u in range(m):
-            v = Poly.var(tvar[(a, u)])
-            mags[a, u] = math.sqrt(max(0.0, pseudo_expect(pe, v * v)))
-    a_star, u_star = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    anchor = Poly.var(tvar[(a_star, u_star)])
-    signs = np.ones((d, m))
-    for a in range(d):
-        for u in range(m):
-            corr = pseudo_expect(pe, Poly.var(tvar[(a, u)]) * anchor)
-            signs[a, u] = 1.0 if corr >= 0 else -1.0
-    entries = signs * mags / sc
-    tensors = np.stack(
-        [SymTensor(omega, r, dict(zip(sidx, row))).to_dense() for row in entries]
-    )
-    diag = {
-        "solver_iterations": pe.iterations,
-        "solver_residual": pe.residual,
-        "magnitudes": mags,
-    }
-    return tensors, fixed.components / csc, diag
+    return fixed.components / csc, {"certificate_violation": warm[1]}
 
 
 def _warm_point_lr(prog, net: PolyNetwork, eta: float):
-    """Feasible assignment seeding the conic solver from a component fit.
+    """The program's assignment at a component fit.
 
     Packs the sorted tensor entries and the components, completed by
-    finish_warm_point; returns None when the assignment fails the program's
-    own constraints.
+    finish_warm_point; returns (point, worst violation), or None when the
+    assignment fails the program's own constraints.
     """
     meta = prog.meta
     d, m, r, ell = meta["d"], meta["m"], meta["r"], meta["ell"]
@@ -402,59 +369,6 @@ def _identity_sigma_sym(r: int, omega: int) -> np.ndarray:
     return np.diag([1.0 / multiplicity(t) for t in sidx])
 
 
-def _power_sum(cs: np.ndarray, omega: int) -> np.ndarray:
-    """sum_t v_t^{x omega} over the rows v_t of ``cs``, flattened."""
-    recon = 0.0
-    for v in cs:
-        out = v
-        for _ in range(omega - 1):
-            out = np.multiply.outer(out, v)
-        recon = recon + out.reshape(-1)
-    return recon
-
-
-def _power_sum_jacobian(cs: np.ndarray, omega: int) -> np.ndarray:
-    """Jacobian of _power_sum in the entries of ``cs``: the derivative of
-    v^{x omega} in v_k is the sum over positions p of v^{x (omega-1)} with
-    e_k put in at position p."""
-    r = cs.shape[1]
-    blocks = []
-    for v in cs:
-        head = np.ones(())
-        for _ in range(omega - 1):
-            head = np.multiply.outer(head, v)
-        # axes: omega - 1 factors of v, then the slot of e_k, then k
-        base = np.multiply.outer(head, np.eye(r))
-        grad = sum(np.moveaxis(base, omega - 1, p) for p in range(omega))
-        blocks.append(grad.reshape(r**omega, r))
-    return np.concatenate(blocks, axis=1)
-
-
-def components_from_tensors(tensors: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per-unit rank-ell fit v_{a,t} minimizing ||sum_t v_t^{x omega} - T_a||_F,
-    one damped least-squares polish of each unit from ``start`` (d, ell, r)."""
-    tensors = np.asarray(tensors, dtype=float)
-    start = np.asarray(start, dtype=float)
-    d, ell, r = start.shape
-    omega = tensors.ndim - 1
-    comps = np.zeros((d, ell, r))
-
-    def jac(x):
-        return _power_sum_jacobian(x.reshape(ell, r), omega)
-
-    for a in range(d):
-        target = tensors[a].reshape(-1)
-
-        def fun(x):
-            return _power_sum(x.reshape(ell, r), omega) - target
-
-        sol = least_squares(
-            fun, start[a].reshape(-1), jac=jac, method="lm", xtol=1e-15, ftol=1e-15
-        )
-        comps[a] = sol.x.reshape(ell, r)
-    return comps
-
-
 def factorize(
     S: np.ndarray,
     config: LRConfig,
@@ -467,12 +381,13 @@ def factorize(
     with one combination, no retries: find_combo on the Gram of the fit's
     F_a with ``config.rng_seed``, and the corner-signed mu.  local then
     applies the anchor sign rule, and leaves a fit whose gauge cannot be
-    broken unfixed.  sos warm-starts the one relaxation with the gauge
-    families from the gauge-fixed fit, rounds the entries off the
-    pseudoexpectation (square-root magnitudes and signs against an anchor),
-    then polishes each unit's components once from the gauge-fixed fit.  sos
-    never solves cold: a fit that cannot be gauge-fixed or gives no feasible
-    warm point raises ConvergenceError.
+    broken unfixed.  sos returns the gauge-fixed fit once it is certified
+    feasible, at that one point, for the encoded program with the gauge
+    families from the gauge-fixed fit (``diagnostics["certificate_violation"]``
+    is its worst constraint violation).  That is weaker than the paper's
+    guarantee, which rests on the pseudo-expectation being unique; the
+    relaxation is not solved.  A fit that cannot be gauge-fixed or breaks the
+    program's constraints raises ConvergenceError.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
@@ -482,9 +397,8 @@ def factorize(
         _check_sos_size(d, cfg)
     comps, _ = _fit_components(S, cfg, _philox_rng(cfg.rng_seed, 42))
     if cfg.backend == "sos":
-        tensors, start, sos_diag = _sos_factorize(S, comps, cfg)
+        comps, sos_diag = _sos_factorize(S, comps, cfg)
         diag.update(sos_diag)
-        comps = components_from_tensors(tensors, start)
     net = PolyNetwork(
         kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
         components=comps,

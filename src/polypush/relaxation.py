@@ -1,12 +1,20 @@
 """Moment relaxations: monomial polynomials, program encodings, conic solver.
 
 A ``PolynomialProgram`` declares variables, polynomial equalities/inequalities,
-and a relaxation degree.  ``solve`` lifts it: every variable *group* gets a
-moment matrix over its monomial basis, equalities are multiplied by basis
-monomials within the degree budget, inequalities get localizing blocks, and
-the resulting conic feasibility problem (affine slice of a product of PSD
-cones) is solved by ADMM with a small trace-of-moment-matrix objective as a
-deterministic tie-break.
+and a relaxation degree.  ``encode_tensor_ring`` and ``encode_lowrank`` state
+the paper's recovery programs, and ``check_point`` evaluates their
+constraints at one assignment.  That is all the ``sos`` backends use: they
+return the gauge-fixed local fit once ``finish_warm_point`` certifies it
+feasible for the encoded program.  A feasible point is weaker than the
+paper's guarantee, which rests on the pseudo-expectation being unique; no
+recovery path solves the relaxation.
+
+``solve`` lifts a program: every variable *group* gets a moment matrix over
+its monomial basis, equalities are multiplied by basis monomials within the
+degree budget, inequalities get localizing blocks, and the resulting conic
+feasibility problem (affine slice of a product of PSD cones) is solved by
+ADMM with a small trace-of-moment-matrix objective as a deterministic
+tie-break.
 
 The lift is one pass over the program (``_Lifted``): it numbers the
 monomials and writes the rows of the block map A and the equality system E
@@ -536,19 +544,19 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# warm starts of the recovery backends
+# certificates of the recovery backends
 # ---------------------------------------------------------------------------
 
 def finish_warm_point(
     prog: PolynomialProgram, point: np.ndarray, M: np.ndarray, eta: float
-) -> Optional[np.ndarray]:
-    """Complete a warm point whose unit variables are already packed.
+) -> Optional[tuple[np.ndarray, float]]:
+    """Complete a point whose unit variables are already packed, and certify it.
 
     ``M`` is the (d, m) flattening of those units.  Writes the least-norm
     left inverse pinv(M) into the program's L variables, and pinv(M B) into
-    its P variables if it has them (the low-rank program).  Returns None
-    when the point violates the program's own constraints by more than
-    max(eta, 1e-7).
+    its P variables if it has them (the low-rank program).  Returns the
+    point and its worst constraint violation (``check_point`` at tol 1e-9),
+    or None when that violation exceeds max(eta, 1e-7).
     """
     inverses = [("lvar", np.linalg.pinv(M))]
     if "pvar" in prog.meta:
@@ -556,9 +564,10 @@ def finish_warm_point(
     for key, X in inverses:
         for (k, a), v in prog.meta[key].items():
             point[v] = X[k, a]
-    if prog.check_point(point, tol=1e-9) > max(eta, 1e-7):
+    violation = float(prog.check_point(point, tol=1e-9))
+    if violation > max(eta, 1e-7):
         return None
-    return point
+    return point, violation
 
 
 # ---------------------------------------------------------------------------

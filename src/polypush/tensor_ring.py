@@ -24,17 +24,10 @@ from .errors import ConvergenceError, DegeneracyError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
 from .networks import PolyNetwork, _philox_rng, rotate_network
-from .relaxation import (
-    KAPPA,
-    Poly,
-    SolverConfig,
-    Infeasible,
-    check_settings,
-    encode_tensor_ring,
-    finish_warm_point,
-    pseudo_expect,
-    solve,
-)
+from .relaxation import KAPPA, check_settings, encode_tensor_ring, finish_warm_point
+# no recovery path calls solve: perfbench/tracing.py wraps the name
+# tensor_ring.solve, and tests/test_trace_points.py checks that it resolves
+from .relaxation import solve  # noqa: F401
 from .tensors import GaugeRotation
 
 __all__ = [
@@ -74,7 +67,6 @@ class TRConfig:
     tol: float = 1e-9
     rng_seed: int = 0
     eta: float = 0.0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         check_settings(
@@ -103,12 +95,17 @@ class RecoveryReport:
         return max(self.residual_S, self.residual_T)
 
 
-def find_combo(Ghat: np.ndarray, r: int, rng_seed: int = 0) -> NonDegenCombo:
+def find_combo(
+    Ghat: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
+) -> NonDegenCombo:
     """Randomized symmetry-breaking combinations from the Gram matrix Ghat.
 
     Takes the best rank-m approximation of Ghat (m = C(r+1,2)), forms
     H~ = U sqrt(diag of top eigenvalues), pulls back the standard basis via
     w^{(ij)} = H~ (H~^T H~)^{-1} e_{ij}, and mixes with Gaussian weights.
+    A Gram estimated at noise level ``eta`` can push a top-m eigenvalue
+    slightly below 0 when d = m; one in [-d eta, 0] is raised to d eta.  Any
+    other top-m eigenvalue <= 0 raises DegeneracyError.
     """
     Ghat = np.asarray(Ghat, dtype=float)
     d = Ghat.shape[0]
@@ -120,6 +117,8 @@ def find_combo(Ghat: np.ndarray, r: int, rng_seed: int = 0) -> NonDegenCombo:
     w, U = np.linalg.eigh(0.5 * (Ghat + Ghat.T))
     top = np.argsort(w)[::-1][:m]
     vals = w[top]
+    if eta > 0:
+        vals = np.where((vals <= 0) & (vals >= -d * eta), d * eta, vals)
     if np.min(vals) <= 0:
         raise DegeneracyError(
             "rank-m eigenvalue block of Ghat is not positive; instance too "
@@ -291,19 +290,21 @@ def decompose(
     ``config.restarts`` random starts, keeping the best.  ``local``
     gauge-fixes that fit with lambda and the corner-signed mu
     (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
-    no eigengap; ``sos`` solves the moment relaxation warm-started from the
-    gauge-fixed fit and reads the units off the pseudoexpectation.  ``sos``
-    never solves the relaxation cold: a fit that misses the warm-start
-    threshold max(10 eta, 1e-6) or cannot be gauge-fixed raises
-    ConvergenceError without encoding a program.  A degenerate S (e.g.
-    commuting units) has no combination: ``local`` then recovers by
+    no eigengap.  ``sos`` returns the same gauge-fixed fit once it is
+    certified feasible, at that one point, for the encoded moment program
+    (``diagnostics["certificate_violation"]`` is its worst constraint
+    violation).  That is weaker than the paper's guarantee, which rests on
+    the pseudo-expectation being unique; the relaxation is not solved.  A
+    fit that misses the threshold max(10 eta, 1e-6), cannot be gauge-fixed
+    or breaks the program's caps raises ConvergenceError.  A degenerate S
+    (e.g. commuting units) has no combination: ``local`` then recovers by
     simultaneous diagonalization and falls back to the unfixed fit, and
     ``sos`` raises ConvergenceError before fitting.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     try:
-        combo = find_combo(S, config.r, rng_seed=config.rng_seed)
+        combo = find_combo(S, config.r, rng_seed=config.rng_seed, eta=config.eta)
     except DegeneracyError as exc:
         if config.backend == "sos":
             raise ConvergenceError(f"no symmetry-breaking combination: {exc}") from exc
@@ -370,26 +371,26 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
     if config.backend == "local":
         try:
             _, net, _ = gauge_fix_fit(net, combo)
+            diag["gauge_fixed"] = True
         except DegeneracyError:
-            pass
+            diag["gauge_fixed"] = False
         return net, diag
-    warm_thr = max(10 * config.eta, 1e-6)
-    if res > warm_thr:
+    fit_thr = max(10 * config.eta, 1e-6)
+    if res > fit_thr:
         raise ConvergenceError(
-            f"local fit residual {res:.3e} above the relaxation's "
-            f"warm-start threshold {warm_thr:.3e}"
+            f"local fit residual {res:.3e} above the certificate's "
+            f"threshold {fit_thr:.3e}"
         )
     try:
         mu, fixed, _ = gauge_fix_fit(net, combo)
     except DegeneracyError as exc:
         raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
-    lam = combo.lam
     R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
-    # scale the instance so Q entries are O(1): first-order conic solvers
-    # are very sensitive to variable magnitude
+    # the program is stated in the scale where Q entries are O(1), so the
+    # certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
     prog = encode_tensor_ring(
-        r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
+        r, S * sc**2, T * sc**3, combo.lam, mu, R=R * sc, kappa=KAPPA,
         eta=config.eta * sc**2, degree=config.degree,
     )
     warm = _warm_point(prog, fixed, config.eta * sc**2, sc)
@@ -399,26 +400,16 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
         raise ConvergenceError(
             "instance violates non-degeneracy caps of the relaxation"
         )
-    out = solve(prog, config.solver, warm)
-    if isinstance(out, Infeasible):
-        raise ConvergenceError(
-            f"relaxation reported infeasible (residual {out.residual:.3e})"
-        )
-    Q = np.zeros((d, r, r))
-    for (a, i, j), v in prog.meta["qvar"].items():
-        val = pseudo_expect(out, Poly.var(v)) / sc
-        Q[a, i, j] = val
-        Q[a, j, i] = val
-    diag["solver_iterations"] = out.iterations
-    diag["solver_residual"] = out.residual
-    return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q), diag
+    diag["certificate_violation"] = warm[1]
+    return fixed, diag
 
 
 def _warm_point(prog, net: PolyNetwork, eta: float, sc: float):
-    """Feasible assignment seeding the conic solver: the network ``net``,
-    already gauge-fixed against the program's (lam, mu), scaled by ``sc`` and
-    completed by finish_warm_point.  Returns None when it fails the program's
-    own constraints (beyond ``eta``, in the program's scale)."""
+    """The program's assignment at the network ``net``, already gauge-fixed
+    against the program's (lam, mu), scaled by ``sc`` and completed by
+    finish_warm_point.  Returns (point, worst violation), or None when it
+    fails the program's own constraints (beyond ``eta``, in the program's
+    scale)."""
     pairs = prog.meta["pairs"]
     qvar = prog.meta["qvar"]
     point = np.zeros(prog.nvars)

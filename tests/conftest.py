@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 # the same examples on every run, and no per-example deadline: timings on
@@ -132,3 +133,16 @@ def complex_step_jacobian(f, x, h=1e-30):
         step[k] = 1j * h
         cols.append(np.imag(f(x + step)) / h)
     return np.stack(cols, axis=1)
+
+
+@pytest.fixture
+def forbid_solve(monkeypatch):
+    """Make the relaxation solver raise under every name a recovery module
+    can reach it by: the recovery paths certify a point and never solve."""
+    from polypush import lowrank, relaxation, tensor_ring
+
+    def refuse(*args, **kw):
+        raise AssertionError("a recovery path called relaxation.solve")
+
+    for mod in (relaxation, tensor_ring, lowrank):
+        monkeypatch.setattr(mod, "solve", refuse)

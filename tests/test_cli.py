@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polypush import cli, relaxation
+from polypush import cli, moments
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
@@ -440,10 +440,11 @@ class TestFailedRuns:
         assert man["outputs"] == {}
 
     def test_dense_cap_exits_5(self, tmp_path, input_files, monkeypatch):
+        # low-rank sos builds Sigma through sigma_matrix, which checks the cap
         _, paths = input_files
-        monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", 1)
+        monkeypatch.setattr(moments, "DENSE_BYTES_CAP", 1)
         out = tmp_path / "rec.json"
-        assert run("solve_tr", "--table", paths["qtab"], "--r", "2", "--backend", "sos",
+        assert run("solve_lr", "--table", paths["ptab"], "--r", "1", "--backend", "sos",
                    "--out", str(out)) == 5
         assert read(str(out) + ".manifest.json")["exit_code"] == 5
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
 from polypush import lowrank
-from polypush.errors import ConvergenceError, DegeneracyError, UsageError
+from polypush.errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
     LRConfig,
@@ -179,35 +179,24 @@ class TestFactorize:
             config(**{"r": 2, **bad})
 
     @pytest.mark.parametrize("case", ["rank1", "inconsistent"])
-    def test_sos_never_solves_cold(self, monkeypatch, case):
+    def test_sos_never_solves_cold(self, forbid_solve, case):
         # |S_01| > sqrt(S_00 S_11) has no Gaussian pair-moment model, so the
-        # fit misses and sos must fail before any program is solved
-        warm_points = []
-        real = lowrank.solve
-
-        def recording(prog, cfg=None, warm=None):
-            warm_points.append(warm)
-            return real(prog, cfg, warm)
-
-        monkeypatch.setattr(lowrank, "solve", recording)
+        # fit misses and sos fails; sos solves no program either way
         cfg = LRConfig(r=1, omega=3, ell=1, backend="sos", restarts=3)
         if case == "rank1":
             t = np.array([1.1, 0.6, -0.9])
-            factorize(15.0 * np.outer(t, t), cfg)
-            assert len(warm_points) == 1
+            rep = factorize(15.0 * np.outer(t, t), cfg)
+            assert rep.diagnostics["certificate_violation"] <= 1e-7
         else:
             with pytest.raises(ConvergenceError):
                 factorize(np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), cfg)
-            assert warm_points == []
-        assert all(w is not None for w in warm_points)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sos_starts_from_the_local_fit(self, monkeypatch, seed):
         t = np.random.default_rng(seed).standard_normal(3) ** 3
         S = 15.0 * np.outer(t, t)
         real = lowrank.least_squares
-        real_fit = lowrank._fit_components
-        starts, fits = {}, {}
+        starts = {}
         for backend in ("local", "sos"):
             seen = starts[backend] = []
 
@@ -215,60 +204,68 @@ class TestFactorize:
                 seen.append(np.array(x0))
                 return real(fun, x0, **kw)
 
-            def keeping(*args, backend=backend):
-                fits[backend] = real_fit(*args)
-                return fits[backend]
-
             monkeypatch.setattr(lowrank, "least_squares", recording)
-            monkeypatch.setattr(lowrank, "_fit_components", keeping)
             factorize(S, LRConfig(r=1, omega=3, ell=1, backend=backend, rng_seed=seed))
-        # sos then polishes each unit's components once: 3 entries for the
-        # whole network, 1 for a single unit
-        fit = [x for x in starts["sos"] if x.size == 3]
-        assert len(fit) == len(starts["local"]) >= 1
-        for a, b in zip(fit, starts["local"]):
+        assert len(starts["sos"]) == len(starts["local"]) >= 1
+        for a, b in zip(starts["sos"], starts["local"]):
             assert np.array_equal(a, b)
-        # each unit's polish starts at the gauge-fixed fit, which at r = 1 is
-        # the fit itself up to one sign for all units
-        unit = np.concatenate([x for x in starts["sos"] if x.size == 1])
-        comps = fits["sos"][0].reshape(-1)
-        assert unit.size == 3
-        sign = np.sign(unit[0] * comps[0])
-        assert np.allclose(unit, sign * comps, rtol=1e-14, atol=0.0)
 
-    def test_sos_solves_one_gauge_fixed_relaxation(self, monkeypatch):
+    def test_sos_certifies_one_gauge_fixed_program(self, monkeypatch, forbid_solve):
         # this fit violates the gauge-free program's caps before it is
         # gauge-fixed; gauge-fixed, it is feasible for the sos program
         net = smoothed_lr_net(2, 4, 3, 1, 0.5, 9)
         S = exact_lowrank_pair_moments(net).S
-        calls = {"encode_lowrank": 0, "solve": 0}
-        for name in calls:
-            real = getattr(lowrank, name)
+        encoded = []
+        real = lowrank.encode_lowrank
 
-            def counting(*args, real=real, name=name, **kw):
-                calls[name] += 1
-                return real(*args, **kw)
+        def counting(*args, **kw):
+            encoded.append(kw["lam_mu"])
+            return real(*args, **kw)
 
-            monkeypatch.setattr(lowrank, name, counting)
-        unit_starts = []
-        real_lsq = lowrank.least_squares
-
-        def recording(fun, x0, **kw):
-            if np.size(x0) == 2:  # ell * r entries: one unit's polish
-                unit_starts.append(np.array(x0))
-            return real_lsq(fun, x0, **kw)
-
-        monkeypatch.setattr(lowrank, "least_squares", recording)
+        monkeypatch.setattr(lowrank, "encode_lowrank", counting)
         rep = factorize(
             S, LRConfig(r=2, omega=3, ell=1, backend="sos", rng_seed=9), truth=net
         )
         assert rep.gauge_dist <= 1e-6
-        assert calls == {"encode_lowrank": 1, "solve": 1}
-        assert len(unit_starts) == net.d
-        # the starts are the exact fit in some gauge
-        start = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1,
-                            components=np.stack(unit_starts).reshape(4, 1, 2))
-        assert gauge_distance(start, net, AlignmentConfig())[0] <= 1e-6
+        assert rep.diagnostics["certificate_violation"] <= 1e-7
+        assert len(encoded) == 1 and encoded[0] is not None
+
+    def test_sos_matches_local(self, forbid_solve):
+        # on the instances sos certifies, it returns local's network up to
+        # gauge; the others break the program's caps at d = m
+        certified = []
+        for seed in range(25):
+            S = exact_lowrank_pair_moments(smoothed_lr_net(2, 4, 3, 1, 0.5, seed)).S
+            local = factorize(S, LRConfig(r=2, omega=3, ell=1, rng_seed=seed))
+            try:
+                sos = factorize(S, LRConfig(r=2, omega=3, ell=1, backend="sos",
+                                            rng_seed=seed))
+            except ConvergenceError as exc:
+                assert "non-degeneracy caps" in str(exc)
+                continue
+            certified.append(seed)
+            dist, _ = gauge_distance(sos.network, local.network, AlignmentConfig())
+            assert dist <= 1e-12
+        assert len(certified) >= 6
+
+    def test_sos_certifies_d_at_least_2m(self, forbid_solve):
+        # with d = 12 >= 2m the gauge-fixed truth clears the program's caps
+        ok = 0
+        for seed in range(10):
+            net = smoothed_lr_net(2, 12, 3, 1, 0.5, seed)
+            S = exact_lowrank_pair_moments(net).S
+            try:
+                rep = factorize(S, LRConfig(r=2, omega=3, ell=1, backend="sos",
+                                            rng_seed=seed), truth=net)
+            except ConvergenceError:
+                continue
+            ok += rep.gauge_dist <= 1e-10
+        assert ok >= 9
+
+    @pytest.mark.parametrize("omega, d, error", [(5, 12, ResourceError), (3, 3, UsageError)])
+    def test_sos_size_checks(self, omega, d, error):
+        with pytest.raises(error):
+            factorize(np.eye(d), LRConfig(r=2, omega=omega, ell=1, backend="sos"))
 
     def test_too_few_pair_moments_rejected(self):
         # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns
@@ -461,20 +458,6 @@ class TestJacobians:
 
         want = complex_step_jacobian(model, x)
         got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, mode, scale, rows)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @settings(max_examples=40)
-    @given(
-        ell=st.integers(1, 3), r=st.integers(1, 3), omega=st.sampled_from([1, 3, 5]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_power_sum_matches_complex_step(self, ell, r, omega, seed):
-        x = np.random.default_rng(seed).standard_normal(ell * r)
-        want = complex_step_jacobian(
-            lambda x: lowrank._power_sum(x.reshape(ell, r), omega), x
-        )
-        got = lowrank._power_sum_jacobian(x.reshape(ell, r), omega)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -407,9 +407,8 @@ class TestEncodeLowrank:
             r, omega, ell, S, sig.Sigma_sym, sig.D,
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
-        point = _warm_point_lr(prog, net, 0.0)
-        assert point is not None
-        assert prog.check_point(point, tol=1e-9) <= 1e-7
+        point, violation = _warm_point_lr(prog, net, 0.0)
+        assert violation == prog.check_point(point, tol=1e-9) <= 1e-7
 
     def test_tensor_ring_r1_closed_form(self):
         # S = q^2, T = q^3 with q = 1: the pseudoexpectation pins Q to 1
@@ -424,7 +423,7 @@ class TestEncodeLowrank:
 
 
 class TestWarmPoint:
-    """The backends' warm points: kind-specific packing, shared completion by
+    """The backends' certified points: kind-specific packing, shared completion by
     the left inverses and the feasibility gate."""
 
     def _quadratic(self, radius_factor):
@@ -469,10 +468,10 @@ class TestWarmPoint:
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_gauge_fixed_truth_is_feasible(self, kind):
-        prog, point = getattr(self, "_" + kind)(1.01)
-        assert point is not None
-        # the program's equalities include L M = Id
-        assert prog.check_point(point, tol=1e-9) <= 1e-7
+        prog, (point, violation) = getattr(self, "_" + kind)(1.01)
+        # the program's equalities include L M = Id; the reported violation
+        # is the program's own check at the completed point
+        assert violation == prog.check_point(point, tol=1e-9) <= 1e-7
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_radius_below_network_gives_none(self, kind):

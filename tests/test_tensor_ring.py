@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+import importlib
+import inspect
 import itertools
 import math
 
@@ -86,6 +90,25 @@ class TestFindCombo:
     def test_degenerate_gram_rejected(self):
         with pytest.raises(DegeneracyError):
             find_combo(np.zeros((3, 3)), 2)
+
+    def test_eta_floor(self):
+        rng = np.random.default_rng(4)
+        H = rng.standard_normal((3, 3))
+        G = H @ H.T
+        w, U = np.linalg.eigh(G)
+        # a positive Gram draws the same combination at any eta
+        base = find_combo(G, 2, rng_seed=5)
+        for eta in (1e-6, 1e-2):
+            got = find_combo(G, 2, rng_seed=5, eta=eta)
+            assert np.array_equal(got.lam, base.lam) and np.array_equal(got.mu, base.mu)
+        # smallest eigenvalue -1e-5: d eta = 3e-5 covers it, eta = 0 and a
+        # floor of 3e-6 do not
+        w[0] = -1e-5
+        G = (U * w) @ U.T
+        find_combo(G, 2, rng_seed=5, eta=1e-5)
+        for eta in (0.0, 1e-6):
+            with pytest.raises(DegeneracyError):
+                find_combo(G, 2, rng_seed=5, eta=eta)
 
 
 class TestValidateNondegeneracy:
@@ -199,7 +222,7 @@ class TestDecompose:
         t = exact_quadratic_moments(net)
         rep = decompose(t.S, t.T, TRConfig(r=1, backend="sos"), truth=net)
         assert rep.gauge_dist <= 1e-3
-        assert rep.diagnostics["solver_residual"] <= 1e-6
+        assert rep.diagnostics["certificate_violation"] <= 1e-7
 
     def test_failed_recovery_draws_one_combo_and_fits_once(self, monkeypatch):
         # inconsistent table: the recovery fails after one combination and
@@ -217,31 +240,22 @@ class TestDecompose:
         assert calls == ["find_combo"]
 
     @pytest.mark.parametrize("case", ["found", "inconsistent"])
-    def test_sos_never_solves_cold(self, monkeypatch, case):
+    def test_sos_never_solves_cold(self, forbid_solve, case):
         # the first instance is one whose fit from other starts missed, which
-        # sent every combo to a cold solve; the second has no fit at all and
-        # must fail before any program is solved
-        warm_points = []
-        real = tensor_ring.solve
-
-        def recording(prog, cfg=None, warm=None):
-            warm_points.append(warm)
-            return real(prog, cfg, warm)
-
-        monkeypatch.setattr(tensor_ring, "solve", recording)
+        # once sent every combo to a cold solve; the second has no fit at all.
+        # sos certifies the fit or fails, and solves no program either way
         if case == "found":
             seed = 1541374982
             net = smoothed_net(2, 3, 1.0, seed)
             t = exact_quadratic_moments(net)
             rep = decompose(t.S, t.T, TRConfig(r=2, backend="sos", rng_seed=seed),
                             truth=net)
-            assert rep.gauge_dist <= 1e-6 and warm_points
+            assert rep.gauge_dist <= 1e-6
+            assert rep.diagnostics["certificate_violation"] <= 1e-7
         else:
             with pytest.raises(ConvergenceError):
                 decompose(np.eye(3), 5.0 * np.ones((3, 3, 3)),
                           TRConfig(r=2, backend="sos", restarts=2))
-            assert warm_points == []
-        assert all(w is not None for w in warm_points)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sos_starts_from_the_local_fit(self, monkeypatch, seed):
@@ -261,6 +275,28 @@ class TestDecompose:
         assert len(starts["sos"]) == len(starts["local"]) >= 1
         for a, b in zip(starts["sos"], starts["local"]):
             assert np.array_equal(a, b)
+
+    def test_sos_returns_the_local_fit(self, forbid_solve):
+        # sos certifies the gauge-fixed fit that local returns, bit for bit
+        for seed in range(12):
+            t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, seed))
+            reps = [decompose(t.S, t.T, TRConfig(r=2, backend=b, rng_seed=seed))
+                    for b in ("local", "sos")]
+            assert np.array_equal(reps[0].network.Q, reps[1].network.Q)
+
+    def test_noisy_gram_keeps_its_combination(self):
+        # d = m = 6: the noise pushes the smallest eigenvalue of S to -7.9e-6,
+        # inside find_combo's [-d eta, 0] floor, so the fit is still gauge-fixed
+        net = smoothed_net(3, 6, 1.0, 8)
+        t = exact_quadratic_moments(net)
+        rng = np.random.default_rng(8)
+        S = t.S + rng.uniform(-1, 1, t.S.shape) * 1e-4
+        T = t.T + rng.uniform(-1, 1, t.T.shape) * 1e-4
+        S = 0.5 * (S + S.T)
+        assert -1e-5 < np.linalg.eigvalsh(S)[0] < 0
+        rep = decompose(S, T, TRConfig(r=3, rng_seed=8, eta=1e-4), truth=net)
+        assert rep.diagnostics["gauge_fixed"] is True
+        assert rep.gauge_dist <= 5e-5
 
     def test_failure_says_why_the_last_combo_failed(self):
         # the one (and so the last) combination's gauge-fixed fit violates
@@ -314,8 +350,25 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
     Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
     assert np.max(np.abs(Qlam - np.diag(np.diag(Qlam)))) <= 1e-10
     assert np.all(Qmu[0] >= 0)
-    if kind == "quadratic" and backend == "local":
+    if kind == "quadratic":
         assert np.array_equal(rep.network.Q, fixed.Q)
+
+
+@pytest.mark.parametrize("module, config", [("tensor_ring", "TRConfig"), ("lowrank", "LRConfig")])
+def test_every_config_field_is_read(module, config):
+    # a field that only its own validation reads sets nothing
+    mod = importlib.import_module(f"polypush.{module}")
+    tree = ast.parse(inspect.getsource(mod))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == config]
+    post_init = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
+    skip = {id(n) for f in post_init for n in ast.walk(f)}
+    read = {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in ("config", "cfg") and id(n) not in skip
+    }
+    fields = {f.name for f in dataclasses.fields(getattr(mod, config))}
+    assert fields - read == set()
 
 
 class TestJennrich:
