@@ -54,6 +54,7 @@ from .tensor_ring import (
     find_combo,
     gauge_fix,
     jennrich_diagonal,
+    spectral_units,
     verify_assumption_tr,
 )
 from .lowrank import (
@@ -85,7 +86,7 @@ __all__ = [
     "estimate_quadratic_moments", "exact_quadratic_moments",
     "hermite_pair_moment", "sigma_matrix", "table_from_json", "table_to_json",
     "RecoveryReport", "TRConfig", "decompose", "extend_tail", "find_combo",
-    "gauge_fix", "jennrich_diagonal", "verify_assumption_tr",
+    "gauge_fix", "jennrich_diagonal", "spectral_units", "verify_assumption_tr",
     "LRConfig", "extend_tail_lr", "f_vector", "factorize",
     "verify_assumption_lr",
     "LBInstance", "MatchedPair", "build_networks", "char_gap",

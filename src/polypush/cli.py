@@ -384,7 +384,11 @@ def cmd_bench(args) -> int:
 def _common_solver_flags(p):
     p.add_argument("--backend", choices=("sos", "local"), default="local")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument(
+        "--restarts", type=int, default=20,
+        help="random starts of the local fit, tried in turn after its closed-form "
+        "start (where one can be formed) while the fit misses --tol",
+    )
     p.add_argument("--tol", type=float, default=1e-9)
 
 

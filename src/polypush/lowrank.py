@@ -8,11 +8,17 @@ F_a and gauge-fixes the fit with the corner-signed mu through
 tensor_ring.gauge_fix_fit; the leftover +-Id ambiguity of odd orders is
 resolved by an argmax anchor and pairwise signs.  Both backends start from
 one local fit of the components; sos returns the gauge-fixed fit once it
-is certified feasible for the encoded moment program.
+is certified feasible for the encoded moment program.  At ell = 1 the fit's
+first start is a closed form (_rank1_components): the diagonal of S gives
+the component norms and each off-diagonal entry, through the increasing pair
+moment, the cosine of a pair, so the Gram of the components and its top-r
+eigenpairs follow.  Random starts run only when that start's fit misses the
+tolerance, and at ell >= 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
+from .errors import ConvergenceError, DegeneracyError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
     PairMomentTable,
@@ -202,9 +208,74 @@ def hermite_network_pair_moments(
 # local backend
 # ---------------------------------------------------------------------------
 
-def _fit_components(
-    S: np.ndarray, cfg: LRConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
+# safeguarded Newton steps _pair_cosines takes at most
+NEWTON_STEPS = 60
+
+
+def _pair_cosines(y, omega: int, mode: str, scale: float):
+    """The t in [-1, 1] with p(t) = y p(1), elementwise, where
+    p(t) = _pair_values(t, 1, 1, ...) is odd and increasing for odd omega;
+    |y| >= 1 maps to +-1.
+
+    Newton's method from t = y^(1/omega), the root in identity mode, falls
+    back to bisection whenever a step leaves the bracket of the root.
+    """
+    c = _pair_values(1.0, 1.0, 1.0, omega, mode, scale)
+    y = np.clip(y, -1.0, 1.0)
+    t = np.sign(y) * np.abs(y) ** (1.0 / omega)
+    lo, hi = -np.ones_like(t), np.ones_like(t)
+    for _ in range(NEWTON_STEPS):
+        f = _pair_values(t, 1.0, 1.0, omega, mode, scale) - c * y
+        lo = np.where(f < 0, t, lo)
+        hi = np.where(f > 0, t, hi)
+        slope = _pair_partials(t, 1.0, 1.0, omega, mode, scale)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - f / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        step = np.where(f == 0, t, step)
+        moved = np.max(np.abs(step - t), initial=0.0)
+        t = step
+        if moved <= 2 * np.finfo(float).eps:
+            break
+    return t
+
+
+def _rank1_components(S: np.ndarray, cfg: LRConfig) -> np.ndarray:
+    """The packed components of an ell = 1 network in closed form.
+
+    pair(v_a, v_b) = |v_a|^omega |v_b|^omega p(cos), so S_aa = c |v_a|^(2 omega)
+    with c = p(1) gives the norms, p(t_ab) = c S_ab / sqrt(S_aa S_bb) the
+    cosines (_pair_cosines), and the top-r eigenpairs of the Gram
+    |v_a| |v_b| t_ab the components up to O(r), in every Sigma mode.  Raises
+    DegeneracyError when a diagonal entry of S is not positive.
+    """
+    mode, scale, omega = cfg.sigma_mode, cfg.sigma_scale, cfg.omega
+    diag = np.diag(S)
+    s = diag / _pair_values(1.0, 1.0, 1.0, omega, mode, scale)
+    if np.min(s) <= 0:
+        raise DegeneracyError("the closed form needs a positive diagonal of S")
+    norms = s ** (1.0 / (2 * omega))
+    cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega, mode, scale)
+    w, U = np.linalg.eigh(np.outer(norms, norms) * cos)
+    top = np.argsort(w)[::-1][: cfg.r]
+    return (U[:, top] * np.sqrt(np.maximum(w[top], 0.0))).reshape(-1)
+
+
+def _random_components(S: np.ndarray, cfg: LRConfig):
+    """``cfg.restarts`` packed Gaussian starts scaled to the diagonal of S,
+    drawn from the Philox stream (cfg.rng_seed, 42)."""
+    rng = _philox_rng(cfg.rng_seed, 42)
+    n = S.shape[0] * cfg.ell * cfg.r
+    scale = (float(np.max(np.abs(np.diag(S)))) + 1e-12) ** (1.0 / (2 * cfg.omega))
+    for _ in range(cfg.restarts):
+        yield scale * rng.standard_normal(n) / math.sqrt(cfg.r)
+
+
+def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
+    """Damped least-squares fit of the pair moments from each start in turn,
+    stopping once the best residual is <= ``cfg.tol``.  Returns (components,
+    index of the start they came from) of the best fit; raises
+    ConvergenceError when its residual is above max(1e3 eta, 1e-6)."""
     d = S.shape[0]
     r, ell, omega = cfg.r, cfg.ell, cfg.omega
     n = d * ell * r
@@ -225,14 +296,12 @@ def _fit_components(
             x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale, iu
         )
 
-    scale = (float(np.max(np.abs(np.diag(S)))) + 1e-12) ** (1.0 / (2 * omega))
-    best_x, best_res = None, np.inf
-    for _ in range(cfg.restarts):
-        x0 = scale * rng.standard_normal(n) / math.sqrt(r)
+    best_x, best_res, best = None, np.inf, 0
+    for k, x0 in enumerate(starts):
         sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
         res = float(np.max(np.abs(sol.fun)))
         if res < best_res:
-            best_res, best_x = res, sol.x
+            best_res, best_x, best = res, sol.x, k
         if best_res <= cfg.tol:
             break
     threshold = max(1e3 * cfg.eta, 1e-6)
@@ -240,7 +309,7 @@ def _fit_components(
         raise ConvergenceError(
             f"component fit residual {best_res:.3e} above {threshold:.3e}"
         )
-    return best_x.reshape(d, ell, r), best_res
+    return best_x.reshape(d, ell, r), best
 
 
 def _gauge_fix_components(net: PolyNetwork, rng_seed: int):
@@ -283,14 +352,11 @@ def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
 # ---------------------------------------------------------------------------
 
 def _check_sos_size(d: int, cfg: LRConfig) -> None:
-    """The instances the certificate path takes: omega = 3 and d >= m.
+    """The instances the certificate path takes: d >= m.
 
-    sos encodes the program but never lifts or solves it, so r and d are not
-    capped.  At omega = 5 the program's caps on the left inverses exclude
-    the fit on every instance tried, so that order is refused up front.
+    sos encodes the program but never lifts or solves it, so r, d and omega
+    are not capped.
     """
-    if cfg.omega != 3:
-        raise ResourceError("the relaxation path is capped at omega = 3")
     m = len(sorted_multi_indices(cfg.r, cfg.omega))
     if d < m:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
@@ -377,7 +443,10 @@ def factorize(
     """Recover a rank-ell network from pairwise Sigma-moments.
 
     Every backend starts from one local fit: damped least squares on the
-    components from ``config.restarts`` random starts.  Both gauge-fix it
+    components, first from the closed form at ell = 1, then from up to
+    ``config.restarts`` random starts while the best fit misses
+    ``config.tol`` (``diagnostics["start"]`` is "closed_form" or "random",
+    the start of the fit).  Both gauge-fix it
     with one combination, no retries: find_combo on the Gram of the fit's
     F_a with ``config.rng_seed``, and the corner-signed mu.  local then
     applies the anchor sign rule, and leaves a fit whose gauge cannot be
@@ -395,7 +464,17 @@ def factorize(
     diag: dict = {"backend": cfg.backend}
     if cfg.backend == "sos":
         _check_sos_size(d, cfg)
-    comps, _ = _fit_components(S, cfg, _philox_rng(cfg.rng_seed, 42))
+    starts = _random_components(S, cfg)
+    closed = None
+    if cfg.ell == 1:
+        try:
+            closed = _rank1_components(S, cfg)
+        except (DegeneracyError, np.linalg.LinAlgError):
+            pass
+        else:
+            starts = itertools.chain([closed], starts)
+    comps, best = _fit_components(S, cfg, starts)
+    diag["start"] = "closed_form" if closed is not None and best == 0 else "random"
     if cfg.backend == "sos":
         comps, sos_diag = _sos_factorize(S, comps, cfg)
         diag.update(sos_diag)

@@ -1,6 +1,12 @@
 """Tensor ring decomposition: recover quadratic units {Q_a} from the trace
 moments S_ab = Tr(Q_a Q_b) and T_abc = Tr(Q_a Q_b Q_c).
 
+Every backend starts from one local fit, a damped least-squares fit of the
+moments whose first start is spectral_units' closed form: S and T fix the
+Jordan algebra the units span, and its Peirce decomposition reads the units
+off up to the gauge.  Random starts run only when that start's fit misses the
+tolerance, or when the closed form cannot be formed (a rank-deficient S).
+
 The gauge O(r) is broken by one pair of random unit combinations lambda, mu
 per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
 vanishing entries in Q_lambda's eigenbasis with high probability in the
@@ -35,6 +41,7 @@ __all__ = [
     "TRConfig",
     "RecoveryReport",
     "find_combo",
+    "spectral_units",
     "validate_nondegeneracy",
     "gauge_fix",
     "gauge_fix_fit",
@@ -95,14 +102,11 @@ class RecoveryReport:
         return max(self.residual_S, self.residual_T)
 
 
-def find_combo(
-    Ghat: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
-) -> NonDegenCombo:
-    """Randomized symmetry-breaking combinations from the Gram matrix Ghat.
+def _whiten(Ghat: np.ndarray, r: int, eta: float = 0.0):
+    """(H, W) of the Gram matrix Ghat: H = U sqrt(diag of the top m
+    eigenvalues) (m = C(r+1,2)) is its best rank-m factor, and
+    W = H (H^T H)^{-1} the pull-back with W^T H = I.
 
-    Takes the best rank-m approximation of Ghat (m = C(r+1,2)), forms
-    H~ = U sqrt(diag of top eigenvalues), pulls back the standard basis via
-    w^{(ij)} = H~ (H~^T H~)^{-1} e_{ij}, and mixes with Gaussian weights.
     A Gram estimated at noise level ``eta`` can push a top-m eigenvalue
     slightly below 0 when d = m; one in [-d eta, 0] is raised to d eta.  Any
     other top-m eigenvalue <= 0 raises DegeneracyError.
@@ -124,14 +128,92 @@ def find_combo(
             "rank-m eigenvalue block of Ghat is not positive; instance too "
             "noisy or degenerate"
         )
-    Ht = U[:, top] * np.sqrt(vals)
-    W = Ht @ np.linalg.inv(Ht.T @ Ht)  # columns w^{(ij)}
+    H = U[:, top] * np.sqrt(vals)
+    return H, H @ np.linalg.inv(H.T @ H)
+
+
+def find_combo(
+    Ghat: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
+) -> NonDegenCombo:
+    """Randomized symmetry-breaking combinations from the Gram matrix Ghat.
+
+    Pulls the standard basis back through _whiten's W,
+    w^{(ij)} = H (H^T H)^{-1} e_{ij}, and mixes with Gaussian weights.
+    Raises DegeneracyError where _whiten does.
+    """
+    m = r * (r + 1) // 2
+    _, W = _whiten(Ghat, r, eta)  # columns w^{(ij)}
     rng = _philox_rng(rng_seed, 11)
     g = rng.standard_normal(m)
     gp = rng.standard_normal(m)
     h = W @ g
     hp = W @ gp
     return NonDegenCombo(lam=h / np.linalg.norm(h), mu=hp / np.linalg.norm(hp))
+
+
+# random unit combinations spectral_units tries for its Peirce decomposition
+PEIRCE_DRAWS = 8
+
+
+def spectral_units(
+    S: np.ndarray, T: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Units {Q_a} read off the trace moments in closed form.
+
+    Whitening S (_whiten) gives H = M O with M the units' coordinates in an
+    orthonormal basis of Sym(r) and O orthogonal, so tau = T(W, W, W) holds
+    the structure constants Tr(E_k E_l E_n) of an orthonormal basis E_k of
+    the Jordan algebra Sym(r), and Q_a = sum_k H_ak E_k.  Jordan
+    multiplication by G = sum_k g_k E_k, the matrix L = sum_k g_k tau_k, has
+    the Peirce decomposition of Sym(r) (Faraut & Koranyi 1994) as its
+    eigenbasis: the idempotents P_i = v_i v_i^T (eigenvalue gamma_i, where
+    tau(P, P, P) = +-1) and c_ij = (v_i v_j^T + v_j v_i^T)/sqrt 2
+    (eigenvalue (gamma_i + gamma_j)/2, where tau(c, c, c) = 0).  Of
+    PEIRCE_DRAWS unit draws g, the normalized H^T h for h Gaussian from
+    Philox stream (rng_seed, 13), the one with the largest smallest eigengap
+    is kept.  Each P_i is signed to
+    tau = +1; c is paired with (i, j) by tau(P_i, c, c) = tau(P_j, c, c)
+    = 1/2 and signed so that tau(c_0j, c_jk, c_0k) > 0.  Then
+    Q_a[i, i] = H_a . P_i and Q_a[i, j] = H_a . c_ij / sqrt 2, up to the
+    gauge O(r).
+
+    Returns (Q, the chosen smallest eigengap of L).  Raises DegeneracyError
+    where _whiten does (a rank-deficient S, e.g. commuting units) or when
+    the pairing is not one-to-one.
+    """
+    H, W = _whiten(S, r, eta)
+    m = H.shape[1]
+    tau = np.einsum("abc,ak,bl,cn->kln", np.asarray(T, dtype=float), W, W, W,
+                    optimize=True)
+    rng = _philox_rng(rng_seed, 13)
+    gap, C = -np.inf, None
+    for _ in range(PEIRCE_DRAWS):
+        # g = H^T h, the combination sum_a h_a Q_a, puts little weight on
+        # the weak directions of S, where W amplifies the rounding of T
+        g = H.T @ rng.standard_normal(H.shape[0])
+        vals, vecs = np.linalg.eigh(np.tensordot(g / np.linalg.norm(g), tau, 1))
+        draw_gap = float(np.diff(vals).min(initial=np.inf))
+        if C is None or draw_gap > gap:
+            gap, C = draw_gap, vecs
+    cube = np.einsum("klp,kp,lp->p", np.tensordot(tau, C, axes=(2, 0)), C, C)
+    idem = np.argsort(-np.abs(cube), kind="stable")[:r]
+    P = C[:, idem] * np.sign(cube[idem])
+    off = C[:, np.setdiff1d(np.arange(m), idem)]
+    # weight[i, p] = tau(P_i, c_p, c_p): 1/2 for the two i of c_p's pair
+    weight = np.einsum("kln,ki,lp,np->ip", tau, P, off, off, optimize=True)
+    pairs = np.sort(np.argsort(-weight, axis=0, kind="stable")[:2], axis=0)
+    c = {(int(i), int(j)): off[:, p] for p, (i, j) in enumerate(pairs.T)}
+    if len(c) != m - r:
+        raise DegeneracyError("Peirce pairing of the off-diagonal elements is not one-to-one")
+    for j, k in itertools.combinations(range(1, r), 2):
+        if np.einsum("kln,k,l,n->", tau, c[0, j], c[j, k], c[0, k]) < 0:
+            c[j, k] = -c[j, k]
+    Q = np.zeros((H.shape[0], r, r))
+    for i in range(r):
+        Q[:, i, i] = H @ P[:, i]
+    for (i, j), cij in c.items():
+        Q[:, i, j] = Q[:, j, i] = H @ cij / math.sqrt(2.0)
+    return Q, gap
 
 
 def validate_nondegeneracy(
@@ -234,7 +316,7 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
     The fit matches only the upper-triangle entries of S and the sorted-triple
     entries of T; the gauge is restored exactly by gauge_fix afterwards.
     Stops once the best table residual is <= ``stop``.  Returns (Q, table
-    residual, starts tried) of the best fit.
+    residual, starts tried, index of the start it came from) of the best fit.
     """
     d = S.shape[0]
     iu = np.triu_indices(d)
@@ -248,7 +330,7 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
     def jac(x):
         return _packed_moment_jacobian(x, d, r, iu, it)
 
-    best_Q, best_res, tried = None, np.inf, 0
+    best_Q, best_res, best, tried = None, np.inf, 0, 0
     for x0 in starts:
         # max_nfev caps residual evaluations, at least one per LM iteration.
         # scipy 1.17's lm counts no Jacobian evaluation against it, analytic
@@ -262,18 +344,35 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
         res = max(_table_residual_pair(Q, S, T))
         tried += 1
         if res < best_res:
-            best_Q, best_res = Q, res
+            best_Q, best_res, best = Q, res, tried - 1
         if best_res <= stop:
             break
-    return best_Q, best_res, tried
+    return best_Q, best_res, tried, best
 
 
 def _local_fit(S, T, config: TRConfig):
-    """The moment fit every backend starts from: ``config.restarts`` starts
-    from Philox stream 21, stopping at ``config.tol``.  Returns (Q, table
-    residual, starts tried)."""
-    starts = _random_starts(S, config.r, config.rng_seed, 21, config.restarts)
-    return _fit_restarts(S, T, config.r, starts, config.tol)
+    """The moment fit every backend starts from.
+
+    The first start is spectral_units' closed form; the ``config.restarts``
+    random starts from Philox stream 21 run only while the best fit misses
+    ``config.tol`` (all of them when the closed form cannot be formed).
+    Returns (Q, table residual, diagnostics: ``restarts_used``, the starts
+    tried; ``start``, "spectral" or "random" for the start of the returned
+    fit; ``spectral_gap``, the closed form's eigengap, or None).
+    """
+    r = config.r
+    starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
+    gap = None
+    try:
+        Q0, gap = spectral_units(S, T, r, config.rng_seed, config.eta)
+    except (DegeneracyError, np.linalg.LinAlgError):
+        pass
+    else:
+        i, j = np.triu_indices(r)
+        starts = itertools.chain([Q0[:, i, j].reshape(-1)], starts)
+    Q, res, tried, best = _fit_restarts(S, T, r, starts, config.tol)
+    start = "spectral" if gap is not None and best == 0 else "random"
+    return Q, res, {"restarts_used": tried, "start": start, "spectral_gap": gap}
 
 
 def decompose(
@@ -286,8 +385,12 @@ def decompose(
 
     One combination, no retries: find_combo on S with ``config.rng_seed``
     draws the recovery's lambda, mu once.  Every backend starts from one
-    local fit: damped least squares on the trace moments from
-    ``config.restarts`` random starts, keeping the best.  ``local``
+    local fit (_local_fit): damped least squares on the trace moments from
+    spectral_units' closed form, then from up to ``config.restarts`` random
+    starts while the best fit misses ``config.tol``.  ``diagnostics`` names
+    the start of the fit (``start``: "spectral" or "random"), the starts
+    tried (``restarts_used``) and the closed form's eigengap
+    (``spectral_gap``, None when it could not be formed).  ``local``
     gauge-fixes that fit with lambda and the corner-signed mu
     (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
     no eigengap.  ``sos`` returns the same gauge-fixed fit once it is
@@ -348,8 +451,10 @@ def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
         pass
     if net is not None and max(_table_residual_pair(net.Q, S, T)) > max(1e3 * eta, 1e-8):
         net = None
+    diag = {"backend": config.backend, "gauge_fixed": False}
     if net is None:
-        Q, res, _ = _local_fit(S, T, config)
+        Q, res, fit_diag = _local_fit(S, T, config)
+        diag.update(fit_diag)
         if res > max(10 * eta, 1e-6):
             raise ConvergenceError(
                 f"no symmetry-breaking combination ({cause}), and neither "
@@ -357,7 +462,7 @@ def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
                 f"{res:.3e}) recovers the table"
             )
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-    return net, {"backend": config.backend, "gauge_fixed": False}
+    return net, diag
 
 
 def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
@@ -365,8 +470,8 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
     Returns (network, diagnostics)."""
     d = S.shape[0]
     r = config.r
-    Q_fit, res, tried = _local_fit(S, T, config)
-    diag: dict = {"backend": config.backend, "restarts_used": tried}
+    Q_fit, res, fit_diag = _local_fit(S, T, config)
+    diag: dict = {"backend": config.backend, **fit_diag}
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
     if config.backend == "local":
         try:

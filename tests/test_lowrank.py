@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
 from polypush import lowrank
-from polypush.errors import ConvergenceError, DegeneracyError, ResourceError, UsageError
+from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
     LRConfig,
@@ -262,16 +262,85 @@ class TestFactorize:
             ok += rep.gauge_dist <= 1e-10
         assert ok >= 9
 
-    @pytest.mark.parametrize("omega, d, error", [(5, 12, ResourceError), (3, 3, UsageError)])
+    @pytest.mark.parametrize("omega, d, error", [(5, 12, ConvergenceError), (3, 3, UsageError)])
     def test_sos_size_checks(self, omega, d, error):
+        # d < m is refused up front; omega = 5 is not, and the certificate
+        # refuses the exact (2,12,1,5) table, whose fit breaks the caps
+        S = exact_lowrank_pair_moments(smoothed_lr_net(2, d, omega, 1, 0.5, 0)).S
         with pytest.raises(error):
-            factorize(np.eye(d), LRConfig(r=2, omega=omega, ell=1, backend="sos"))
+            factorize(S, LRConfig(r=2, omega=omega, ell=1, backend="sos"))
 
     def test_too_few_pair_moments_rejected(self):
         # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns
         S = exact_lowrank_pair_moments(smoothed_lr_net(3, 3, 3, 2, 0.5, 0)).S
         with pytest.raises(UsageError):
             factorize(S, LRConfig(r=3, omega=3, ell=2))
+
+
+class TestClosedForm:
+    MODES = ("gaussian", "identity", "rotation_invariant")
+
+    @staticmethod
+    def record_fits(monkeypatch):
+        seen = []
+        real = lowrank.least_squares
+
+        def recording(fun, x0, **kw):
+            seen.append(np.array(x0))
+            return real(fun, x0, **kw)
+
+        monkeypatch.setattr(lowrank, "least_squares", recording)
+        return seen
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("r, d, omega", [(2, 4, 3), (3, 10, 3), (2, 6, 5)])
+    def test_exact_tables_need_no_random_start(self, monkeypatch, r, d, omega, mode):
+        seen = self.record_fits(monkeypatch)
+        for seed in range(3):
+            net = smoothed_lr_net(r, d, omega, 1, 0.5, seed)
+            S = exact_lowrank_pair_moments(net, mode=mode, scale=1.7).S
+            cfg = LRConfig(r=r, omega=omega, sigma_mode=mode, sigma_scale=1.7, rng_seed=seed)
+            x = lowrank._rank1_components(S, cfg)
+            model = lowrank._pair_table(x.reshape(d, 1, r), omega, mode, 1.7)
+            assert np.max(np.abs(model - S)) <= 1e-12 * np.max(np.abs(S))
+            seen.clear()
+            rep = factorize(S, cfg)
+            assert len(seen) == 1 and np.array_equal(seen[0], x)
+            assert rep.diagnostics["start"] == "closed_form"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cosines_invert_the_pair_moment(self, mode):
+        t = np.linspace(-1.0, 1.0, 41)
+        for omega in (1, 3, 5):
+            p = lowrank._pair_values(t, 1.0, 1.0, omega, mode, 1.7)
+            y = p / lowrank._pair_values(1.0, 1.0, 1.0, omega, mode, 1.7)
+            assert np.max(np.abs(lowrank._pair_cosines(y, omega, mode, 1.7) - t)) <= 1e-12
+        assert np.array_equal(
+            lowrank._pair_cosines(np.array([-3.0, 1.5]), 3, mode, 1.7), [-1.0, 1.0]
+        )
+
+    def test_ell_2_keeps_the_random_starts(self, monkeypatch):
+        # no closed form at ell >= 2: the starts are stream 42's draws, in
+        # order, as before the closed form existed
+        net = smoothed_lr_net(1, 5, 3, 2, 0.5, 1)
+        S = exact_lowrank_pair_moments(net).S
+        seen = self.record_fits(monkeypatch)
+        rep = factorize(S, LRConfig(r=1, omega=3, ell=2, rng_seed=1))
+        assert rep.diagnostics["start"] == "random"
+        rng = np.random.Generator(np.random.Philox(key=(1, 42)))
+        scale = (float(np.max(np.abs(np.diag(S)))) + 1e-12) ** (1.0 / 6)
+        assert seen
+        for x0 in seen:
+            assert np.array_equal(x0, scale * rng.standard_normal(5 * 2 * 1) / math.sqrt(1))
+
+    def test_nonpositive_diagonal_falls_back(self, monkeypatch):
+        S = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(DegeneracyError):
+            lowrank._rank1_components(S, LRConfig(r=1))
+        seen = self.record_fits(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            factorize(S, LRConfig(r=1, restarts=2))
+        assert len(seen) == 2
 
 
 class TestExactPairMoments:

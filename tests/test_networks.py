@@ -32,8 +32,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polypush"
 
 class TestPhiloxStreams:
     # the package's streams: jennrich 31, lowerbound 7, find_combo 11,
-    # _random_starts 21, factorize 42, gauge 77 and 78, cli bench 99
-    STREAMS = (7, 11, 21, 31, 42, 77, 78, 99)
+    # spectral_units 13, _random_starts 21, factorize 42, gauge 77 and 78,
+    # cli bench 99
+    STREAMS = (7, 11, 13, 21, 31, 42, 77, 78, 99)
 
     @pytest.mark.parametrize("stream", STREAMS)
     def test_key_is_seed_and_stream(self, stream):

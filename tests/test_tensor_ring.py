@@ -203,8 +203,11 @@ class TestDecompose:
         Q = np.stack([np.diag(vs[:, a]) for a in range(3)])
         net = PolyNetwork(kind="quadratic", r=2, d=3, Q=Q)
         t = exact_quadratic_moments(net)
-        # commuting units: S has no combination, so the one find_combo call
-        # fails and the recovery goes straight to jennrich_diagonal
+        # commuting units: S has no combination and no closed form, so the
+        # one find_combo call fails and the recovery goes straight to
+        # jennrich_diagonal
+        with pytest.raises(DegeneracyError):
+            tensor_ring.spectral_units(t.S, t.T, 2)
         calls = record_calls(monkeypatch, "find_combo", "jennrich_diagonal")
         rep = decompose(t.S, t.T, TRConfig(r=2, restarts=20), truth=net)
         assert calls == ["find_combo", "jennrich_diagonal"]
@@ -226,11 +229,12 @@ class TestDecompose:
 
     def test_failed_recovery_draws_one_combo_and_fits_once(self, monkeypatch):
         # inconsistent table: the recovery fails after one combination and
-        # one local fit (one lm call per start)
+        # one local fit (one lm call per start: the spectral start, then the
+        # two random ones)
         calls = record_calls(monkeypatch, "find_combo", "least_squares")
         with pytest.raises(ConvergenceError):
             decompose(np.eye(3), 5.0 * np.ones((3, 3, 3)), TRConfig(r=2, restarts=2))
-        assert calls == ["find_combo", "least_squares", "least_squares"]
+        assert calls == ["find_combo"] + ["least_squares"] * 3
 
     def test_degenerate_gram_fails_sos_before_fitting(self, monkeypatch):
         calls = record_calls(monkeypatch, "find_combo", "least_squares")
@@ -369,6 +373,53 @@ def test_every_config_field_is_read(module, config):
     }
     fields = {f.name for f in dataclasses.fields(getattr(mod, config))}
     assert fields - read == set()
+
+
+class TestSpectralUnits:
+    @settings(max_examples=60)
+    @given(r=st.integers(1, 4), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_exact_tables_read_off_the_units(self, r, extra, seed):
+        d = r * (r + 1) // 2 + extra
+        net = smoothed_net(r, d, 1.0, seed)
+        t = exact_quadratic_moments(net)
+        Q, gap = tensor_ring.spectral_units(t.S, t.T, r, rng_seed=seed)
+        assert gap > 0
+        got = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
+        dist, _ = gauge_distance(got, net, AlignmentConfig(rng_seed=seed))
+        assert dist <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_5_15_needs_one_start(self, seed):
+        net = smoothed_net(5, 15, 1.0, seed)
+        t = exact_quadratic_moments(net)
+        rep = decompose(t.S, t.T, TRConfig(r=5, rng_seed=seed), truth=net)
+        assert rep.diagnostics["restarts_used"] == 1
+        assert rep.diagnostics["start"] == "spectral"
+        assert rep.diagnostics["spectral_gap"] > 0
+        assert rep.gauge_dist <= 1e-12
+
+    def test_fallback_keeps_the_random_starts(self, monkeypatch):
+        # without a closed form, the fit draws exactly the starts of
+        # Philox stream 21 in order
+        t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, 4))
+
+        def singular(*args, **kw):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(tensor_ring, "spectral_units", singular)
+        seen = []
+        real = tensor_ring.least_squares
+
+        def recording(fun, x0, **kw):
+            seen.append(np.array(x0))
+            return real(fun, x0, **kw)
+
+        monkeypatch.setattr(tensor_ring, "least_squares", recording)
+        rep = decompose(t.S, t.T, TRConfig(r=2, rng_seed=4, restarts=3))
+        assert rep.diagnostics["start"] == "random"
+        assert rep.diagnostics["spectral_gap"] is None
+        want = list(tensor_ring._random_starts(t.S, 2, 4, 21, 3))
+        assert seen and all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 class TestJennrich:
