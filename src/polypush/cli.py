@@ -52,7 +52,7 @@ from .networks import (
     smooth_quadratic,
     w1_upper_bound,
 )
-from .tensor_ring import TRConfig, decompose, verify_assumption_tr
+from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
 from .relaxation import check_settings
 
 
@@ -71,27 +71,33 @@ def _write_json(path: str, obj) -> None:
 
 
 SAMPLE_CHUNK = 4096
+# what the indent=2 layout of _write_json puts between two rows of a matrix
+ROW_SEP = "\n    ],\n    [\n      "
 
 
 def _write_samples(path: str, z: np.ndarray) -> None:
     """Write ``{"d", "n", "z"}`` byte for byte as ``_write_json`` would, with
-    ``z`` streamed in chunks of rows.
+    ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows.
 
-    json's C encoder writes each chunk with the same float repr and
-    NaN/Infinity spelling as the indented pure-Python encoder; two string
-    replacements put back the indent=2 layout, since no float repr contains
-    "], [" or ", ".
+    Each chunk is one ``%`` format of a template that holds a ``%r`` per
+    entry in the indent=2 layout, filled from the chunk's Python floats:
+    ``%r`` of a float is the shortest repr json writes too.  Only the
+    non-finite values are spelled differently, so a chunk that holds one has
+    "nan" and "inf" mapped to json's "NaN" and "Infinity"; no finite repr
+    contains either string.
     """
     n, d = z.shape
-    encode = json.JSONEncoder().encode
+    row = ",\n      ".join(["%r"] * d)
     with open(path, "w") as fh:
         fh.write(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      ')
         for start in range(0, n, SAMPLE_CHUNK):
+            block = z[start:start + SAMPLE_CHUNK]
+            text = ROW_SEP.join([row] * len(block)) % tuple(block.ravel().tolist())
+            if not np.isfinite(block).all():
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
             if start:
-                fh.write("\n    ],\n    [\n      ")
-            rows = encode(z[start:start + SAMPLE_CHUNK].tolist())[2:-2]
-            fh.write(rows.replace("], [", "\n    ],\n    [\n      ")
-                     .replace(", ", ",\n      "))
+                fh.write(ROW_SEP)
+            fh.write(text)
         fh.write("\n    ]\n  ]\n}\n")
 
 
@@ -387,9 +393,17 @@ def _common_solver_flags(p):
     p.add_argument(
         "--restarts", type=int, default=20,
         help="random starts of the local fit, tried in turn after its closed-form "
-        "start (where one can be formed) while the fit misses --tol",
+        "start (where one can be formed) while the fit misses --tol; with --eta > 0 "
+        "they also stop once a start repeats the best residual so far",
     )
     p.add_argument("--tol", type=float, default=1e-9)
+
+
+ETA_HELP = (
+    "noise level of the table (0: exact); above 0 it scales the residual "
+    "thresholds, and the local fit's starts stop once one repeats the best "
+    f"residual so far, to relative {REPEAT_RTOL:g}"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="reference network for gauge distance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
     _common_solver_flags(p)
     p.set_defaults(func=cmd_solve_tr)
 
@@ -448,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
     _common_solver_flags(p)
     p.set_defaults(func=cmd_solve_lr)
 

@@ -13,7 +13,8 @@ first start is a closed form (_rank1_components): the diagonal of S gives
 the component norms and each off-diagonal entry, through the increasing pair
 moment, the cosine of a pair, so the Gram of the components and its top-r
 eigenpairs follow.  Random starts run only when that start's fit misses the
-tolerance, and at ell >= 2.
+tolerance, and at ell >= 2; on a table with noise they stop once one repeats
+the best residual so far (tensor_ring._best_fit).
 """
 
 from __future__ import annotations
@@ -272,10 +273,15 @@ def _random_components(S: np.ndarray, cfg: LRConfig):
 
 
 def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
-    """Damped least-squares fit of the pair moments from each start in turn,
-    stopping once the best residual is <= ``cfg.tol``.  Returns (components,
-    index of the start they came from) of the best fit; raises
-    ConvergenceError when its residual is above max(1e3 eta, 1e-6)."""
+    """Damped least-squares fit of the pair moments from each start in turn.
+
+    Stops as tensor_ring._best_fit does: once the best residual is <=
+    ``cfg.tol``, or, on a table with noise (``cfg.eta`` > 0), once a start's
+    residual is within relative tensor_ring.REPEAT_RTOL of the best one so
+    far, the same minimum found twice.  Returns (components, index of the
+    start they came from, diagnostics: ``restarts_used`` and ``fit_stop``) of
+    the best fit; raises ConvergenceError when its residual is above
+    max(1e3 eta, 1e-6)."""
     d = S.shape[0]
     r, ell, omega = cfg.r, cfg.ell, cfg.omega
     n = d * ell * r
@@ -296,20 +302,18 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
             x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale, iu
         )
 
-    best_x, best_res, best = None, np.inf, 0
-    for k, x0 in enumerate(starts):
-        sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
-        res = float(np.max(np.abs(sol.fun)))
-        if res < best_res:
-            best_res, best_x, best = res, sol.x, k
-        if best_res <= cfg.tol:
-            break
+    def fits():
+        for x0 in starts:
+            sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
+            yield sol.x, float(np.max(np.abs(sol.fun)))
+
+    best_x, best_res, best, diag = tensor_ring._best_fit(fits(), cfg.tol, cfg.eta)
     threshold = max(1e3 * cfg.eta, 1e-6)
     if best_res > threshold:
         raise ConvergenceError(
             f"component fit residual {best_res:.3e} above {threshold:.3e}"
         )
-    return best_x.reshape(d, ell, r), best
+    return best_x.reshape(d, ell, r), best, diag
 
 
 def _gauge_fix_components(net: PolyNetwork, rng_seed: int):
@@ -445,8 +449,13 @@ def factorize(
     Every backend starts from one local fit: damped least squares on the
     components, first from the closed form at ell = 1, then from up to
     ``config.restarts`` random starts while the best fit misses
-    ``config.tol`` (``diagnostics["start"]`` is "closed_form" or "random",
-    the start of the fit).  Both gauge-fix it
+    ``config.tol``.  On a table with noise (``config.eta`` > 0), which no fit
+    may bring within ``config.tol``, the starts also stop once one repeats
+    the best residual so far to relative tensor_ring.REPEAT_RTOL: the same
+    minimum found twice.  ``diagnostics`` names the start of the fit
+    (``start``: "closed_form" or "random"), the starts tried
+    (``restarts_used``) and why they stopped (``fit_stop``: "tol", "repeat"
+    or "exhausted").  Both backends gauge-fix it
     with one combination, no retries: find_combo on the Gram of the fit's
     F_a with ``config.rng_seed``, and the corner-signed mu.  local then
     applies the anchor sign rule, and leaves a fit whose gauge cannot be
@@ -473,7 +482,8 @@ def factorize(
             pass
         else:
             starts = itertools.chain([closed], starts)
-    comps, best = _fit_components(S, cfg, starts)
+    comps, best, fit_diag = _fit_components(S, cfg, starts)
+    diag.update(fit_diag)
     diag["start"] = "closed_form" if closed is not None and best == 0 else "random"
     if cfg.backend == "sos":
         comps, sos_diag = _sos_factorize(S, comps, cfg)

@@ -5,7 +5,8 @@ Every backend starts from one local fit, a damped least-squares fit of the
 moments whose first start is spectral_units' closed form: S and T fix the
 Jordan algebra the units span, and its Peirce decomposition reads the units
 off up to the gauge.  Random starts run only when that start's fit misses the
-tolerance, or when the closed form cannot be formed (a rank-deficient S).
+tolerance, or when the closed form cannot be formed (a rank-deficient S); on a
+table with noise they stop once one repeats the best residual so far.
 
 The gauge O(r) is broken by one pair of random unit combinations lambda, mu
 per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
@@ -310,13 +311,50 @@ def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int
         yield scale * rng.standard_normal(d * r * (r + 1) // 2)
 
 
-def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
+# relative gap within which a start's residual repeats the best one so far:
+# the same local minimum found twice, where a fit of a noisy table stops
+REPEAT_RTOL = 1e-6
+
+
+def _best_fit(fits, tol: float, eta: float):
+    """The best of ``fits``, (fit, residual) pairs that run one start each as
+    they are drawn.
+
+    Stops once the best residual is <= ``tol`` (fit_stop "tol").  With
+    ``eta`` > 0, a table with noise that no fit may bring within ``tol``, it
+    also stops once a start's residual is within relative REPEAT_RTOL of the
+    best one before it (fit_stop "repeat"), which the first start, with no
+    best before it, never is.  Otherwise every start runs (fit_stop
+    "exhausted").  Returns (fit, residual, index of its start, diagnostics:
+    ``restarts_used``, the starts tried, and ``fit_stop``).
+    """
+    best_fit, best_res, best, tried, stop = None, np.inf, 0, 0, "exhausted"
+    for fit, res in fits:
+        tried += 1
+        # best_res is inf until a start has a finite residual, and
+        # inf <= REPEAT_RTOL * inf holds
+        repeat = (eta > 0 and math.isfinite(best_res)
+                  and abs(res - best_res) <= REPEAT_RTOL * best_res)
+        if res < best_res:
+            best_fit, best_res, best = fit, res, tried - 1
+        if best_res <= tol:
+            stop = "tol"
+            break
+        if repeat:
+            stop = "repeat"
+            break
+    return best_fit, best_res, best, {"restarts_used": tried, "fit_stop": stop}
+
+
+def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, tol: float, eta: float):
     """Damped least-squares fit of the trace moments from each start in turn.
 
     The fit matches only the upper-triangle entries of S and the sorted-triple
     entries of T; the gauge is restored exactly by gauge_fix afterwards.
-    Stops once the best table residual is <= ``stop``.  Returns (Q, table
-    residual, starts tried, index of the start it came from) of the best fit.
+    Stops as _best_fit does: once the best table residual is <= ``tol``, or,
+    on a table with noise (``eta`` > 0), once a start repeats the best
+    residual so far.  Returns (Q, table residual, index of its start,
+    _best_fit's diagnostics) of the best fit.
     """
     d = S.shape[0]
     iu = np.triu_indices(d)
@@ -330,24 +368,20 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, stop: float):
     def jac(x):
         return _packed_moment_jacobian(x, d, r, iu, it)
 
-    best_Q, best_res, best, tried = None, np.inf, 0, 0
-    for x0 in starts:
-        # max_nfev caps residual evaluations, at least one per LM iteration.
-        # scipy 1.17's lm counts no Jacobian evaluation against it, analytic
-        # or by differences, so the analytic Jacobian leaves each start the
-        # same iteration cap
-        sol = least_squares(
-            fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=2000,
-        )
-        Q = _unpack(sol.x, d, r)
-        res = max(_table_residual_pair(Q, S, T))
-        tried += 1
-        if res < best_res:
-            best_Q, best_res, best = Q, res, tried - 1
-        if best_res <= stop:
-            break
-    return best_Q, best_res, tried, best
+    def fits():
+        for x0 in starts:
+            # max_nfev caps residual evaluations, at least one per LM
+            # iteration.  scipy 1.17's lm counts no Jacobian evaluation
+            # against it, analytic or by differences, so the analytic
+            # Jacobian leaves each start the same iteration cap
+            sol = least_squares(
+                fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                max_nfev=2000,
+            )
+            Q = _unpack(sol.x, d, r)
+            yield Q, max(_table_residual_pair(Q, S, T))
+
+    return _best_fit(fits(), tol, eta)
 
 
 def _local_fit(S, T, config: TRConfig):
@@ -355,10 +389,13 @@ def _local_fit(S, T, config: TRConfig):
 
     The first start is spectral_units' closed form; the ``config.restarts``
     random starts from Philox stream 21 run only while the best fit misses
-    ``config.tol`` (all of them when the closed form cannot be formed).
-    Returns (Q, table residual, diagnostics: ``restarts_used``, the starts
-    tried; ``start``, "spectral" or "random" for the start of the returned
-    fit; ``spectral_gap``, the closed form's eigengap, or None).
+    ``config.tol`` (all of them when the closed form cannot be formed) and,
+    on a table with noise (``config.eta`` > 0), until a start repeats the
+    best residual so far (_best_fit).  Returns (Q, table residual,
+    diagnostics: ``restarts_used``, the starts tried; ``fit_stop``, "tol",
+    "repeat" or "exhausted", why the starts stopped; ``start``, "spectral" or
+    "random" for the start of the returned fit; ``spectral_gap``, the closed
+    form's eigengap, or None).
     """
     r = config.r
     starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
@@ -370,9 +407,10 @@ def _local_fit(S, T, config: TRConfig):
     else:
         i, j = np.triu_indices(r)
         starts = itertools.chain([Q0[:, i, j].reshape(-1)], starts)
-    Q, res, tried, best = _fit_restarts(S, T, r, starts, config.tol)
-    start = "spectral" if gap is not None and best == 0 else "random"
-    return Q, res, {"restarts_used": tried, "start": start, "spectral_gap": gap}
+    Q, res, best, diag = _fit_restarts(S, T, r, starts, config.tol, config.eta)
+    diag["start"] = "spectral" if gap is not None and best == 0 else "random"
+    diag["spectral_gap"] = gap
+    return Q, res, diag
 
 
 def decompose(
@@ -387,10 +425,14 @@ def decompose(
     draws the recovery's lambda, mu once.  Every backend starts from one
     local fit (_local_fit): damped least squares on the trace moments from
     spectral_units' closed form, then from up to ``config.restarts`` random
-    starts while the best fit misses ``config.tol``.  ``diagnostics`` names
-    the start of the fit (``start``: "spectral" or "random"), the starts
-    tried (``restarts_used``) and the closed form's eigengap
-    (``spectral_gap``, None when it could not be formed).  ``local``
+    starts while the best fit misses ``config.tol``.  On a table with noise
+    (``config.eta`` > 0), which no fit may bring within ``config.tol``, the
+    starts also stop once one repeats the best residual so far to relative
+    REPEAT_RTOL: the same minimum found twice.  ``diagnostics`` names the
+    start of the fit (``start``: "spectral" or "random"), the starts tried
+    (``restarts_used``), why they stopped (``fit_stop``: "tol", "repeat" or
+    "exhausted") and the closed form's eigengap (``spectral_gap``, None when
+    it could not be formed).  ``local``
     gauge-fixes that fit with lambda and the corner-signed mu
     (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
     no eigengap.  ``sos`` returns the same gauge-fixed fit once it is

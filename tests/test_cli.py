@@ -209,6 +209,23 @@ class TestExitCodes:
                    "--restarts", "2", "--out", str(tmp_path / "rec.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve_tr", "solve_lr"])
+    def test_convergence_error_on_noisy_table(self, tmp_path, command):
+        # inconsistent tables given the noise level of the CLI pipeline's:
+        # a fit that stops once its minimum repeats still fails them
+        table = tmp_path / "bad.json"
+        if command == "solve_tr":
+            obj = {"kind": "quadratic", "mu": [0.0] * 3, "S": np.eye(3).tolist(),
+                   "T": (5.0 * np.ones((3, 3, 3))).tolist(), "eta": 0.0}
+            flags = ["--eta", "1e-3"]
+        else:
+            # no pair-moment model has a negative diagonal entry
+            obj = {"kind": "pair", "S": np.diag([1.0, -1000.0, 1.0, 1.0]).tolist(), "eta": 0.0}
+            flags = ["--eta", "0.1"]
+        table.write_text(json.dumps(obj))
+        assert run(command, "--table", str(table), "--r", "2", *flags,
+                   "--out", str(tmp_path / "rec.json")) == 3
+
     @pytest.mark.parametrize("obj", [
         {"n": 2, "d": 2},
         {"n": 2, "d": 2, "z": [[1.0, 2.0], [3.0]]},
