@@ -6,6 +6,15 @@ be audited and replayed; a run that fails with a PolypushError writes one
 too, with its exit code and error.  Floats are written as the shortest
 repr that reads back to the same float64.
 
+``sample`` also writes a binary sidecar ``<--out>.z.npz`` next to an
+all-finite samples file: an uncompressed zip holding the float64 matrix as
+``z.npy``, with the sha256 of the JSON bytes as its zip comment.
+``moments --samples`` takes the matrix from the sidecar when that digest
+equals the JSON file's sha256, and parses the JSON otherwise (a missing,
+stale, truncated or foreign sidecar).  The JSON stays the file of record:
+the sidecar is a cache, listed in no manifest, and deleting it is safe.
+Shortest-repr floats read back bitwise, so the table is the same either way.
+
 Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 """
 
@@ -18,7 +27,10 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
+import zipfile
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -75,9 +87,10 @@ SAMPLE_CHUNK = 4096
 ROW_SEP = "\n    ],\n    [\n      "
 
 
-def _write_samples(path: str, z: np.ndarray) -> None:
+def _write_samples(path: str, z: np.ndarray) -> str:
     """Write ``{"d", "n", "z"}`` byte for byte as ``_write_json`` would, with
-    ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows.
+    ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows; returns the sha256 of
+    the bytes written.
 
     Each chunk is one ``%`` format of a template that holds a ``%r`` per
     entry in the indent=2 layout, filled from the chunk's Python floats:
@@ -88,17 +101,88 @@ def _write_samples(path: str, z: np.ndarray) -> None:
     """
     n, d = z.shape
     row = ",\n      ".join(["%r"] * d)
-    with open(path, "w") as fh:
-        fh.write(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      ')
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode()
+            h.update(data)
+            fh.write(data)
+
+        put(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      ')
         for start in range(0, n, SAMPLE_CHUNK):
             block = z[start:start + SAMPLE_CHUNK]
             text = ROW_SEP.join([row] * len(block)) % tuple(block.ravel().tolist())
             if not np.isfinite(block).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             if start:
-                fh.write(ROW_SEP)
-            fh.write(text)
-        fh.write("\n    ]\n  ]\n}\n")
+                put(ROW_SEP)
+            put(text)
+        put("\n    ]\n  ]\n}\n")
+    return h.hexdigest()
+
+
+# the binary copy of a samples file's "z", next to it (see the module docstring)
+SIDECAR = ".z.npz"
+
+
+def _write_sidecar(path: str, z: np.ndarray, digest: str) -> None:
+    """Write ``path``'s sidecar: ``z`` as ``z.npy`` in an uncompressed zip
+    whose comment is ``digest``, through a temporary file in the same
+    directory.  A non-finite ``z`` gets none (the estimators reject its
+    file), and an earlier run's sidecar is removed."""
+    if not np.isfinite(z).all():
+        try:
+            os.remove(path + SIDECAR)
+        except FileNotFoundError:
+            pass
+        return
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        # zip members opened by name are dated 1980-01-01: the bytes are a
+        # function of z and digest alone
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            zf.comment = digest.encode()
+            with zf.open("z.npy", "w", force_zip64=True) as member:
+                fmt = np.lib.format
+                fmt.write_array_header_1_0(member, fmt.header_data_from_array_1_0(z))
+                # the matrix's own buffer: np.save would copy it to bytes first
+                member.write(z.data)
+        os.replace(tmp, path + SIDECAR)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _read_sidecar(path: str, digest: str) -> Optional[np.ndarray]:
+    """The matrix in ``path``'s sidecar, or None unless the sidecar's comment
+    is ``digest`` and it holds a C-order 2-D float64 ``z.npy``, stored as
+    ``_write_sidecar`` stores it: uncompressed, unencrypted and no larger than
+    the sidecar itself."""
+    try:
+        with open(path + SIDECAR, "rb") as raw, zipfile.ZipFile(raw) as zf:
+            if zf.comment != digest.encode():
+                return None
+            info = zf.getinfo("z.npy")
+            if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                return None
+            with zf.open(info) as fh:
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    return None
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+                nbytes = info.file_size - fh.tell()
+                if (len(shape) != 2 or fortran or dtype != np.float64
+                        or nbytes != 8 * shape[0] * shape[1]
+                        or nbytes > os.fstat(raw.fileno()).st_size):
+                    return None
+                z = np.empty(shape)
+                # the member's CRC is checked once its last byte is read
+                if fh.readinto(z) != nbytes:
+                    return None
+    except (OSError, ValueError, KeyError, EOFError, NotImplementedError, zipfile.BadZipFile):
+        return None
+    return z
 
 
 def _read_json(path: str):
@@ -115,21 +199,24 @@ def _read_json(path: str):
 INPUT_FLAGS = ("base", "network", "samples", "table", "truth", "reference")
 
 
-def _manifest(args, error: Optional[PolypushError] = None) -> None:
+def _manifest(args, error: Optional[PolypushError] = None,
+              digests: Optional[dict[str, str]] = None) -> None:
     """Write ``<--out>.manifest.json``: the command, its flags and seed, and
     the digests of its input files and of ``--out``, each listed only if it
-    exists.  A failed run's manifest adds its exit code and error."""
+    exists.  ``digests`` holds those the command already took, by path.  A
+    failed run's manifest adds its exit code and error."""
     flags = {
         k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
     }
     inputs = [getattr(args, k) for k in INPUT_FLAGS if getattr(args, k, None)]
+    known = digests or {}
     man = {
         "command": args.command,
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "inputs": {p: _digest(p) for p in inputs if os.path.isfile(p)},
-        "outputs": {p: _digest(p) for p in [args.out] if os.path.isfile(p)},
+        "inputs": {p: known.get(p) or _digest(p) for p in inputs if os.path.isfile(p)},
+        "outputs": {p: known.get(p) or _digest(p) for p in [args.out] if os.path.isfile(p)},
     }
     if error is not None:
         man["exit_code"] = error.exit_code
@@ -178,34 +265,53 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     net = network_from_json(_read_json(args.network))
     z = sample(net, _seed_dist(args.sigma), args.n, rng_seed=args.seed)
-    _write_samples(args.out, z)
-    _manifest(args)
+    digest = _write_samples(args.out, z)
+    _write_sidecar(args.out, z, digest)
+    _manifest(args, digests={args.out: digest})
     return 0
 
 
-def _read_samples(path: str) -> np.ndarray:
-    """The (n, d) sample matrix of a samples file; "n" and "d", when present,
-    must match its shape.  Finiteness is checked by the estimators."""
+def _read_samples(path: str) -> tuple[np.ndarray, str]:
+    """The (n, d) sample matrix of a samples file and the sha256 of the file.
+
+    The matrix comes from the file's sidecar when that is keyed by this
+    sha256, else from the JSON: every entry a number (not a string, boolean
+    or null), and "n" and "d", when present, matching its shape.  Finiteness
+    is checked by the estimators."""
+    try:
+        digest = _digest(path)
+    except FileNotFoundError as exc:
+        raise UsageError(f"input file not found: {path}") from exc
+    z = _read_sidecar(path, digest)
+    if z is not None:
+        return z, digest
     obj = _read_json(path)
     if not isinstance(obj, dict) or "z" not in obj:
         raise UsageError(f"{path}: samples JSON has no \"z\" field")
     try:
         z = np.asarray(obj["z"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: \"z\" is not a matrix of numbers: {exc}") from exc
     if z.ndim != 2:
         raise UsageError(f"{path}: \"z\" must be an (n, d) matrix, got shape {z.shape}")
+    # float() takes numeric strings and booleans, and null reads as NaN
+    other = set(map(type, chain.from_iterable(obj["z"]))) - {float, int}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise UsageError(f"{path}: \"z\" holds entries of type {names}, not only numbers")
     n, d = z.shape
     if obj.get("n", n) != n or obj.get("d", d) != d:
         raise UsageError(
             f"{path}: header says n={obj.get('n')}, d={obj.get('d')} but \"z\" is {n}x{d}"
         )
-    return z
+    return z, digest
 
 
 def cmd_moments(args) -> int:
+    digests = None
     if args.samples:
-        z = _read_samples(args.samples)
+        z, digest = _read_samples(args.samples)
+        digests = {args.samples: digest}
         if args.kind == "quadratic":
             table = estimate_quadratic_moments(z)
         else:
@@ -217,7 +323,7 @@ def cmd_moments(args) -> int:
         else:
             table = exact_lowrank_pair_moments(net)
     _write_json(args.out, table_to_json(table))
-    _manifest(args)
+    _manifest(args, digests=digests)
     return 0
 
 
@@ -431,13 +537,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", choices=("gaussian", "identity"), default="gaussian")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument(
+        "--out", required=True,
+        help="samples JSON, the file of record; finite samples also get a binary "
+        f"copy, OUT{SIDECAR}, keyed by the JSON's sha256, which `moments` reads in "
+        "its place and which is safe to delete",
+    )
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("moments", help="exact or estimated moment tables")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--network", default=None)
-    source.add_argument("--samples", default=None)
+    source.add_argument(
+        "--samples", default=None,
+        help=f"samples JSON; its matrix is read from SAMPLES{SIDECAR} when that "
+        "sidecar is keyed by the JSON's sha256, else parsed from the JSON",
+    )
     p.add_argument("--kind", choices=("quadratic", "pair"), default="quadratic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

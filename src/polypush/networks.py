@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import UsageError
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .tensors import GaugeRotation, paired_contraction
 
 __all__ = [
@@ -219,19 +219,53 @@ def sample(
     n: int,
     rng_seed: int = 0,
 ) -> np.ndarray:
-    """Push n seed draws through the network; returns an (n, d) sample matrix."""
+    """Push n seed draws through the network; returns an (n, d) sample matrix.
+
+    ResourceError before drawing when the arrays this call holds at once
+    (``_sample_bytes``) would exceed ``DENSE_BYTES_CAP``."""
     if n < 1:
         raise UsageError("need at least one sample")
+    need = _sample_bytes(net, seed, n)
+    if need > DENSE_BYTES_CAP:
+        raise ResourceError(
+            f"{n} samples of a (r={net.r}, d={net.d}) network need {need / 2**30:.3g} GiB, "
+            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
+        )
     x = draw_seeds(seed, net.r, n, rng_seed)
     return evaluate(net, x)
+
+
+# z_a = x^T Q_a x, vectorized over samples and units
+QUADRATIC_SUBSCRIPTS = "ni,aij,nj->na"
+
+
+def _sample_bytes(net: PolyNetwork, seed: SeedDistribution, n: int) -> int:
+    """Bytes of the float64 arrays ``sample`` holds at once.
+
+    Drawing holds the (n, r) seeds; rotation-invariant seeds add their norms,
+    radii and two (n, r) temporaries (the radial sampler's own scratch is not
+    counted).  Evaluating holds the seeds, z and two copies of one
+    intermediate: (n, d, ell) powers for a low-rank network; for a quadratic
+    one, what the contraction path einsum picks at this n builds, (n, r, r)
+    or (n, d, r) or nothing.  tracemalloc's peak is this plus einsum's
+    fixed-size buffers, or one (n, r, r) copy less on some shapes.
+    """
+    r, d = net.r, net.d
+    if net.kind == "quadratic":
+        x = np.broadcast_to(0.0, (n, r))
+        first = np.einsum_path(QUADRATIC_SUBSCRIPTS, x, net.Q, x, optimize=True)[0][1]
+        inter = 0 if len(first) == 3 else r * r if first == (0, 2) else d * r
+    else:
+        inter = d * net.ell
+    draw = 3 * r + 2 if seed.kind == "rotation_invariant" else r
+    return 8 * n * max(draw, r + d + 2 * inter)
 
 
 def evaluate(net: PolyNetwork, x: np.ndarray) -> np.ndarray:
     """Evaluate the transformation on given seed rows x (shape (n, r))."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if net.kind == "quadratic":
-        # z_a = x^T Q_a x, vectorized over samples and units
-        return np.einsum("ni,aij,nj->na", x, net.Q, x, optimize=True)
+        return np.einsum(QUADRATIC_SUBSCRIPTS, x, net.Q, x, optimize=True)
     proj = np.einsum("atr,nr->nat", net.components, x)
     return np.sum(proj**net.omega, axis=2)
 

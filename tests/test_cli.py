@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polypush import cli, moments
+from polypush import cli, moments, networks
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
@@ -99,8 +99,9 @@ class TestSamplesFile:
     def test_matches_json_dump(self, tmp_path_factory, z, chunk):
         out = tmp_path_factory.mktemp("samples") / "samples.json"
         with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
-            cli._write_samples(str(out), z)
+            digest = cli._write_samples(str(out), z)
         assert out.read_text() == samples_json(z)
+        assert digest == sha256(out)
 
 
 class TestRoundTrip:
@@ -233,7 +234,12 @@ class TestExitCodes:
         {"n": 2, "d": 2, "z": [[1.0, 2.0], [float("-inf"), 4.0]]},
         {"n": 3, "d": 2, "z": [[1.0, 2.0], [3.0, 4.0]]},
         {"n": 2, "d": 1, "z": [[1.0, 2.0], [3.0, 4.0]]},
-    ], ids=["no-z", "ragged", "nan", "inf", "n-mismatch", "d-mismatch"])
+        {"n": 2, "d": 2, "z": [["1.5", 2.0], [3.0, 4.0]]},
+        {"n": 2, "d": 2, "z": [[1.5, True], [3.0, 4.0]]},
+        {"n": 2, "d": 2, "z": [[1.5, 2.0], [None, 4.0]]},
+        {"n": 2, "d": 2, "z": [[1.5, 2.0], [3.0, 10**400]]},
+    ], ids=["no-z", "ragged", "nan", "inf", "n-mismatch", "d-mismatch",
+            "string-entry", "bool-entry", "null-entry", "huge-int"])
     @pytest.mark.parametrize("kind", ["quadratic", "pair"])
     def test_moments_rejects_bad_samples(self, tmp_path, obj, kind):
         samples = tmp_path / "samples.json"
@@ -465,6 +471,19 @@ class TestFailedRuns:
                    "--out", str(out)) == 5
         assert read(str(out) + ".manifest.json")["exit_code"] == 5
 
+    @pytest.mark.parametrize("n", ["10", "1000000000000"])
+    def test_sample_cap_exits_5(self, tmp_path, input_files, monkeypatch, n):
+        # checked before drawing; at n = 10 only under a cap one byte too small
+        _, paths = input_files
+        if n == "10":
+            net = network_from_json(read(paths["net"]))
+            need = networks._sample_bytes(net, SeedDistribution(kind="gaussian"), 10)
+            monkeypatch.setattr(networks, "DENSE_BYTES_CAP", need - 1)
+        out = tmp_path / "samples.json"
+        assert run("sample", "--network", paths["net"], "--n", n, "--out", str(out)) == 5
+        assert not out.exists()
+        assert read(str(out) + ".manifest.json")["exit_code"] == 5
+
     def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "rec.json"
         assert run("solve_tr", "--table", str(tmp_path / "missing.json"), "--r", "2",
@@ -502,5 +521,101 @@ class TestReproducibility:
             assert run("sample", "--network", str(net), "--n", "5000",
                        "--seed", "3", "--out", str(samples)) == 0
             assert run("moments", "--samples", str(samples), "--out", str(est)) == 0
-            outs.append(tuple(p.read_bytes() for p in (net, table, rec, samples, est)))
+            sidecar = tmp_path / f"samples_{tag}.json{cli.SIDECAR}"
+            outs.append(tuple(p.read_bytes() for p in (net, table, rec, samples, est, sidecar)))
         assert outs[0] == outs[1]
+
+
+def moments_run(samples, out):
+    """Exit code, stderr, table bytes and manifest bytes of ``moments --samples``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main(["moments", "--samples", str(samples), "--out", str(out)])
+    files = [out, out.with_name(out.name + ".manifest.json")]
+    return code, err.getvalue(), tuple(p.read_bytes() if p.exists() else None for p in files)
+
+
+def write_samples(path, z):
+    """The files ``sample`` writes for the matrix z."""
+    cli._write_sidecar(str(path), z, cli._write_samples(str(path), z))
+
+
+class TestSidecar:
+    @pytest.fixture
+    def sampled(self, tmp_path, quad_net):
+        samples = tmp_path / "samples.json"
+        assert run("sample", "--network", str(quad_net), "--n", "300", "--seed", "2",
+                   "--out", str(samples)) == 0
+        return samples, tmp_path / f"samples.json{cli.SIDECAR}"
+
+    @given(z=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, np.finfo(float).max,
+                           -np.finfo(float).max])))
+    def test_table_with_and_without(self, tmp_path_factory, z):
+        samples = tmp_path_factory.mktemp("samples") / "samples.json"
+        write_samples(samples, z)
+        side = cli._read_sidecar(str(samples), sha256(samples))
+        assert side.tobytes() == np.ascontiguousarray(z).tobytes()
+        # with a sidecar keyed by the file, the JSON is not parsed
+        with mock.patch.object(cli, "_read_json", side_effect=AssertionError):
+            with_side = moments_run(samples, samples.with_name("table.json"))
+        os.remove(str(samples) + cli.SIDECAR)
+        assert with_side == moments_run(samples, samples.with_name("table.json"))
+
+    def test_one_digest_per_file(self, tmp_path, quad_net):
+        samples = tmp_path / "samples.json"
+        with mock.patch.object(cli, "_digest", wraps=cli._digest) as digest:
+            assert run("sample", "--network", str(quad_net), "--n", "50",
+                       "--out", str(samples)) == 0
+            assert [c.args for c in digest.call_args_list] == [(str(quad_net),)]
+            digest.reset_mock()
+            assert run("moments", "--samples", str(samples),
+                       "--out", str(tmp_path / "t.json")) == 0
+            assert [c.args for c in digest.call_args_list] == [(str(samples),),
+                                                                (str(tmp_path / "t.json"),)]
+        assert read(str(samples) + ".manifest.json")["outputs"] == {str(samples): sha256(samples)}
+        assert read(str(tmp_path / "t.json.manifest.json"))["inputs"] == {
+            str(samples): sha256(samples)}
+
+    def test_stale_after_editing_a_digit(self, sampled, tmp_path):
+        samples, sidecar = sampled
+        before = moments_run(samples, tmp_path / "t.json")
+        text = samples.read_text()
+        k = text.index(".", text.index('"z"')) + 1
+        digit = "1" if text[k] != "1" else "2"
+        samples.write_text(text[:k] + digit + text[k + 1:])
+        after = moments_run(samples, tmp_path / "t.json")
+        assert after[0] == 0 and after[2] != before[2]
+        assert read(str(tmp_path / "t.json.manifest.json"))["inputs"] == {
+            str(samples): sha256(samples)}
+        sidecar.unlink()
+        assert moments_run(samples, tmp_path / "t.json") == after
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy"])
+    def test_damaged_sidecar_falls_back(self, sampled, tmp_path, damage):
+        samples, sidecar = sampled
+        good = sidecar.read_bytes()
+        sidecar.unlink()
+        want = moments_run(samples, tmp_path / "t.json")
+        if damage == "npy":
+            # a plain .npy of the right matrix is not a sidecar
+            np.save(tmp_path / "z.npy", read(samples)["z"])
+            sidecar.write_bytes((tmp_path / "z.npy").read_bytes())
+        else:
+            sidecar.write_bytes({"truncated": good[:len(good) // 2],
+                                 "garbage": bytes(range(256)) * 4,
+                                 "empty": b""}[damage])
+        got = moments_run(samples, tmp_path / "t.json")
+        assert got[0] == 0 and got == want
+
+    def test_non_finite_writes_none(self, tmp_path):
+        samples = tmp_path / "samples.json"
+        sidecar = tmp_path / f"samples.json{cli.SIDECAR}"
+        write_samples(samples, np.ones((3, 2)))
+        assert sidecar.exists()
+        write_samples(samples, np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, np.inf]]))
+        assert not sidecar.exists()
+        code, err, _ = moments_run(samples, tmp_path / "t.json")
+        assert (code, err) == (2, "error: samples must be finite (no NaN or inf entries)\n")

@@ -2,18 +2,21 @@ import hashlib
 import inspect
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import random_orthogonal, symmetric_gaussian
-from polypush.errors import UsageError
+from polypush import networks
+from polypush.errors import ResourceError, UsageError
 from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
     _philox_rng,
+    _sample_bytes,
     _seed_rng,
     evaluate,
     gaussian_norm_moment,
@@ -130,6 +133,55 @@ class TestSample:
         zB = sample(rotate_network(net, V), GAUSS, 10_000, rng_seed=5)
         for a in range(2):
             assert stats.ks_2samp(zA[:, a], zB[:, a]).pvalue > 0.01
+
+
+# (kind, r, d, ell): quadratic shapes on each of einsum's three contraction
+# paths at n = 20000 ((0, 1, 2), (0, 2) then (0, 1), and (0, 1) twice)
+SAMPLE_SHAPES = [("quadratic", 2, 3, 0), ("quadratic", 6, 30, 0), ("quadratic", 1, 5, 0),
+                 ("quadratic", 2, 20, 0), ("quadratic", 3, 1, 0), ("quadratic", 10, 1, 0),
+                 ("lowrank", 2, 4, 1), ("lowrank", 3, 3, 2)]
+
+
+def shaped_net(kind, r, d, ell):
+    rng = np.random.default_rng(r + 10 * d)
+    if kind == "quadratic":
+        return PolyNetwork(kind=kind, r=r, d=d,
+                           Q=np.stack([symmetric_gaussian(rng, r) for _ in range(d)]))
+    return PolyNetwork(kind=kind, r=r, d=d, omega=3, ell=ell,
+                       components=rng.standard_normal((d, ell, r)))
+
+
+class TestSampleBytes:
+    @pytest.mark.parametrize("seed", ["gaussian", "rotation_invariant"])
+    @pytest.mark.parametrize("shape", SAMPLE_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_matches_tracemalloc(self, shape, seed):
+        # the radial sampler allocates its n radii and nothing else
+        dist = SeedDistribution(kind=seed, radial_moment=lambda k: 1.0,
+                                radial_sampler=lambda rng, n: np.ones(n))
+        net, n = shaped_net(*shape), 20_000
+        sample(net, dist, 10, rng_seed=0)
+        tracemalloc.start()
+        try:
+            sample(net, dist, n, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = _sample_bytes(net, dist, n)
+        # above the arrays: einsum's fixed-size buffers; below: the (n, r, r)
+        # intermediate is copied once for some shapes and twice for others
+        assert peak <= need + 2**18
+        assert need <= 1.2 * peak
+
+    def test_cap_raises_before_drawing(self, monkeypatch):
+        net = shaped_net("quadratic", 2, 3, 0)
+        need = _sample_bytes(net, GAUSS, 10)
+        monkeypatch.setattr(networks, "DENSE_BYTES_CAP", need - 1)
+        monkeypatch.setattr(networks, "draw_seeds", None)
+        with pytest.raises(ResourceError, match="over the"):
+            sample(net, GAUSS, 10)
+        monkeypatch.undo()
+        monkeypatch.setattr(networks, "DENSE_BYTES_CAP", need)
+        assert sample(net, GAUSS, 10).shape == (10, 3)
 
 
 class TestSmoothing:
