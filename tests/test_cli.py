@@ -34,6 +34,13 @@ def samples_json(z):
                       indent=2, sort_keys=True) + "\n"
 
 
+def assert_samples_file(path, z):
+    """The file at ``path`` holds the bytes of ``samples_json(z)``, compared
+    line by line: pytest's diff of two long texts that differ in many lines
+    takes minutes."""
+    assert path.read_bytes().split(b"\n") == samples_json(z).encode().split(b"\n")
+
+
 @pytest.fixture
 def quad_net(tmp_path):
     out = tmp_path / "net.json"
@@ -83,7 +90,7 @@ class TestSamplesFile:
                    "--out", str(out)) == 0
         z = sample(network_from_json(read(net)), SeedDistribution(kind="gaussian"),
                    n, rng_seed=4)
-        assert out.read_text() == samples_json(z)
+        assert_samples_file(out, z)
 
     def test_edge_values(self, tmp_path):
         big = np.finfo(float).max
@@ -92,7 +99,7 @@ class TestSamplesFile:
                       [-np.inf, 0.0, 1.0, -1.5]])
         out = tmp_path / "samples.json"
         cli._write_samples(str(out), z)
-        assert out.read_text() == samples_json(z)
+        assert_samples_file(out, z)
 
     @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
            chunk=st.integers(1, 4))
@@ -100,7 +107,48 @@ class TestSamplesFile:
         out = tmp_path_factory.mktemp("samples") / "samples.json"
         with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
             digest = cli._write_samples(str(out), z)
-        assert out.read_text() == samples_json(z)
+        assert_samples_file(out, z)
+        assert digest == sha256(out)
+
+    @staticmethod
+    def boundary_matrix(layout, tmp_path):
+        """A matrix whose entries cross the edges of [1e-4, 1e16), the range
+        in which orjson spells a float as repr does, laid out as ``layout``
+        says."""
+        rng = np.random.default_rng(15)
+        if layout == "lowrank":
+            net = tmp_path / "net.json"
+            assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "4", "--omega", "3",
+                       "--ell", "1", "--rho", "0.5", "--seed", "3", "--out", str(net)) == 0
+            z = sample(network_from_json(read(net)), SeedDistribution(kind="gaussian"),
+                       5000, rng_seed=3)
+            size = np.abs(z)
+            # about a tenth of the entries take the exponent form
+            assert ((size < 1e-4) & (size != 0)).mean() > 0.05
+            return z
+        if layout == "random-bits":
+            return rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64).reshape(-1, 4)
+        big = np.finfo(float).max
+        edges = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
+                 np.nextafter(1e16, np.inf), 1e-5, np.nextafter(1e-5, 0), 1e-7, 1e-10, 1e-100,
+                 1e22, 1e100, 5e-324, 2.2250738585072014e-308, 1e-310, big,
+                 -0.0, 0.0, np.nan, np.inf, 1.0, 123.5, 1e15, 0.5]
+        z = np.concatenate([edges, np.negative(edges), rng.uniform(1e-5, 1e-4, 960),
+                            -rng.uniform(1e-5, 1e-4, 40)]).reshape(-1, 4)
+        if layout == "fortran":
+            return np.asfortranarray(z)
+        if layout == "strided":
+            return np.hstack([z, z])[::3, 1::2]
+        return z
+
+    @pytest.mark.parametrize("layout", ["edges", "random-bits", "lowrank", "fortran", "strided"])
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_spelling_boundaries(self, tmp_path, layout, chunk):
+        z = self.boundary_matrix(layout, tmp_path)
+        out = tmp_path / "samples.json"
+        with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
+            digest = cli._write_samples(str(out), z)
+        assert_samples_file(out, z)
         assert digest == sha256(out)
 
 
@@ -246,6 +294,20 @@ class TestExitCodes:
         samples.write_text(json.dumps(obj))
         assert run("moments", "--samples", str(samples), "--kind", kind,
                    "--out", str(tmp_path / "t.json")) == 2
+
+    @pytest.mark.parametrize("flag", ["--samples", "--network"])
+    def test_not_utf8(self, tmp_path, capsys, flag):
+        # one byte that is not UTF-8 after a valid document
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"a": 1}\xff')
+        out = tmp_path / "out.json"
+        command = "moments" if flag == "--samples" else "verify"
+        assert run(command, flag, str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+        man = read(str(out) + ".manifest.json")
+        assert (man["command"], man["exit_code"]) == (command, 2)
+        assert str(path) in man["error"]
+        assert man["inputs"] == {str(path): sha256(path)} and man["outputs"] == {}
 
     @pytest.mark.parametrize("command", [("sample", "--n", "10"), ("moments",), ("verify",)])
     def test_non_finite_network(self, tmp_path, command):
