@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import PolypushError, UsageError
+from .errors import PolypushError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .lowerbound import build_networks, pair_to_json, search_matched_pair
 from .lowrank import (
@@ -68,7 +68,6 @@ from .networks import (
     w1_upper_bound,
 )
 from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
-from .relaxation import check_settings
 
 
 def _digest(path: str) -> str:
@@ -358,8 +357,8 @@ def _read_table(path: str, kind: str):
 def _tr_config(args, seed: int, eta: float) -> TRConfig:
     """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
     return TRConfig(
-        r=args.r, backend=args.backend, degree=args.degree,
-        restarts=args.restarts, tol=args.tol, rng_seed=seed, eta=eta,
+        r=args.r, backend=args.backend, restarts=args.restarts, tol=args.tol,
+        rng_seed=seed, eta=eta,
     )
 
 
@@ -383,8 +382,7 @@ def cmd_solve_lr(args) -> int:
     table = _read_table(args.table, "pair")
     cfg = LRConfig(
         r=args.r, omega=args.omega, ell=args.ell, backend=args.backend,
-        degree=args.degree, restarts=args.restarts, tol=args.tol,
-        rng_seed=args.seed,
+        restarts=args.restarts, tol=args.tol, rng_seed=args.seed,
         sigma_mode="identity" if args.sigma == "identity" else "gaussian",
         eta=args.eta,
     )
@@ -511,7 +509,6 @@ def cmd_bench(args) -> int:
 
 def _common_solver_flags(p):
     p.add_argument("--backend", choices=("sos", "local"), default="local")
-    p.add_argument("--degree", type=int, default=None)
     p.add_argument(
         "--restarts", type=int, default=20,
         help="random starts of the local fit, tried in turn after its closed-form "

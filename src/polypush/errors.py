@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the library and the CLI.
+"""Exception hierarchy shared across the library and the CLI, and the one
+check of numeric settings that raises its UsageError.
 
 Each class maps onto one process exit code so batch scripts can branch on
 failure category without parsing stderr.
 """
+
+import math
+from typing import Optional
 
 # cap on the bytes of the dense arrays one call builds; above it the call
 # raises ResourceError before allocating them
@@ -37,3 +41,21 @@ class ResourceError(PolypushError):
     """A size or memory cap would be exceeded."""
 
     exit_code = 5
+
+
+def check_settings(
+    counts: dict[str, int],
+    tolerances: dict[str, float],
+    levels: Optional[dict[str, float]] = None,
+):
+    """UsageError unless every count is >= 1, every tolerance is finite and
+    > 0, and every level (a noise level such as eta) is finite and >= 0."""
+    for name, v in counts.items():
+        if v < 1:
+            raise UsageError(f"{name} must be >= 1, got {v}")
+    for name, v in tolerances.items():
+        if not (math.isfinite(v) and v > 0):
+            raise UsageError(f"{name} must be finite and > 0, got {v}")
+    for name, v in (levels or {}).items():
+        if not (math.isfinite(v) and v >= 0):
+            raise UsageError(f"{name} must be finite and >= 0, got {v}")

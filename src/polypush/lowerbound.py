@@ -26,9 +26,8 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError, UsageError, check_settings
 from .networks import PolyNetwork, _philox_rng
-from .relaxation import check_settings
 
 __all__ = [
     "MatchedPair",

@@ -27,16 +27,16 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConvergenceError, DegeneracyError, UsageError
+from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
     PairMomentTable,
+    _sigma_sym,
     pair_moment_closed_form,
     pair_moment_partials,
-    sigma_matrix,
 )
 from .networks import PolyNetwork, _philox_rng, paired_outers, rotate_network
-from .relaxation import KAPPA, check_settings, encode_lowrank, finish_warm_point
+from .relaxation import KAPPA, certify, encode_lowrank
 # no recovery path calls solve: perfbench/tracing.py wraps the name
 # lowrank.solve, and tests/test_trace_points.py checks that it resolves
 from .relaxation import solve  # noqa: F401
@@ -67,7 +67,6 @@ class LRConfig:
     omega: int = 3
     ell: int = 1
     backend: str = "local"  # local | sos
-    degree: Optional[int] = None
     restarts: int = 20
     tol: float = 1e-10
     rng_seed: int = 0
@@ -368,13 +367,18 @@ def _check_sos_size(d: int, cfg: LRConfig) -> None:
 
 def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
     """The local fit ``comps`` gauge-fixed through the Gram of its F_a,
-    certified feasible for the encoded program with those gauge families.
+    certified feasible for the encoded program with those gauge families,
+    stated with the Sigma_sym of ``cfg.sigma_mode`` and ``cfg.sigma_scale``.
     Returns (components, diagnostics); raises ConvergenceError when the fit
     cannot be gauge-fixed or breaks the program's constraints."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
-    sig = sigma_matrix(r, omega)
-    Sigma_sym = sig.Sigma_sym if cfg.sigma_mode != "identity" else _identity_sigma_sym(r, omega)
+    Sigma_sym, D = _sigma_sym(r, omega)
+    if cfg.sigma_mode == "identity":
+        # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors
+        Sigma_sym = np.diag(1.0 / np.diag(D))
+    elif cfg.sigma_mode == "rotation_invariant":
+        Sigma_sym = Sigma_sym * cfg.sigma_scale
     # the program is stated in the scale where tensor entries are O(1), so
     # the certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
@@ -395,48 +399,13 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
     except DegeneracyError as exc:
         raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
     prog = encode_lowrank(
-        r, omega, ell, S, Sigma_sym, sig.D, R=R, kappa=KAPPA,
-        eta=eta_sc, degree=cfg.degree, lam_mu=(lam, mu),
+        r, omega, ell, S, Sigma_sym, D, R=R, kappa=KAPPA, eta=eta_sc,
+        lam_mu=(lam, mu),
     )
-    warm = _warm_point_lr(prog, fixed, eta_sc)
-    if warm is None:
-        # a tight moment fit violating the encoded caps certifies that the
-        # instance is too degenerate for this program
-        raise ConvergenceError(
-            "instance violates non-degeneracy caps of the relaxation"
-        )
-    return fixed.components / csc, {"certificate_violation": warm[1]}
-
-
-def _warm_point_lr(prog, net: PolyNetwork, eta: float):
-    """The program's assignment at a component fit.
-
-    Packs the sorted tensor entries and the components, completed by
-    finish_warm_point; returns (point, worst violation), or None when the
-    assignment fails the program's own constraints.
-    """
-    meta = prog.meta
-    d, m, r, ell = meta["d"], meta["m"], meta["r"], meta["ell"]
-    sidx, tvar, vvar = meta["sidx"], meta["tvar"], meta["vvar"]
-    point = np.zeros(prog.nvars)
-    M = np.zeros((d, m))
-    for a in range(d):
-        tens = net.unit_tensor(a)
-        for u, tup in enumerate(sidx):
-            val = float(tens[tup])
-            point[tvar[(a, u)]] = val
-            M[a, u] = val
-        for t in range(ell):
-            for i in range(r):
-                point[vvar[(a, t, i)]] = net.components[a, t, i]
-    return finish_warm_point(prog, point, M, eta)
-
-
-def _identity_sigma_sym(r: int, omega: int) -> np.ndarray:
-    """Sigma_sym for the identity-Sigma mode: diag(1/|i|) on sorted indices,
-    making vec^T Sigma vec the plain Frobenius product of symmetric tensors."""
-    sidx = sorted_multi_indices(r, omega)
-    return np.diag([1.0 / multiplicity(t) for t in sidx])
+    # the (d, m) sorted-index flattening of the fixed units
+    M = fixed.unit_tensors()[:, *np.array(prog.meta["sidx"]).T]
+    violation = certify(prog, M, fixed.components)
+    return fixed.components / csc, {"certificate_violation": violation}
 
 
 def factorize(
@@ -459,13 +428,15 @@ def factorize(
     with one combination, no retries: find_combo on the Gram of the fit's
     F_a with ``config.rng_seed``, and the corner-signed mu.  local then
     applies the anchor sign rule, and leaves a fit whose gauge cannot be
-    broken unfixed.  sos returns the gauge-fixed fit once it is certified
-    feasible, at that one point, for the encoded program with the gauge
-    families from the gauge-fixed fit (``diagnostics["certificate_violation"]``
-    is its worst constraint violation).  That is weaker than the paper's
-    guarantee, which rests on the pseudo-expectation being unique; the
-    relaxation is not solved.  A fit that cannot be gauge-fixed or breaks the
-    program's constraints raises ConvergenceError.
+    broken unfixed.  sos returns the gauge-fixed fit once relaxation.certify
+    finds it feasible, at that one point, for the degree-2 omega program
+    encoded with the gauge families from the gauge-fixed fit and the
+    Sigma_sym of ``config.sigma_mode`` and ``config.sigma_scale``
+    (``diagnostics["certificate_violation"]`` is its worst constraint
+    violation).  That is weaker than the paper's guarantee, which rests on
+    the pseudo-expectation being unique; the relaxation is not solved.  A
+    fit that cannot be gauge-fixed or breaks the program's constraints
+    raises ConvergenceError.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]

@@ -26,6 +26,7 @@ from .tensors import (
     multiplicity,
     num_sorted_indices,
     sorted_multi_indices,
+    symmetrize,
     vec,
 )
 
@@ -151,13 +152,6 @@ def trace_moment_gradients(
     return gP, gC
 
 
-def _symmetrize3(T: np.ndarray) -> np.ndarray:
-    """Average a third-order array over all 6 index permutations."""
-    return (T + np.transpose(T, (0, 2, 1)) + np.transpose(T, (1, 0, 2))
-            + np.transpose(T, (1, 2, 0)) + np.transpose(T, (2, 0, 1))
-            + np.transpose(T, (2, 1, 0))) / 6.0
-
-
 def exact_quadratic_moments(net: PolyNetwork) -> QuadraticMomentTable:
     """Population moment table of a quadratic network (eta = 0)."""
     if net.kind != "quadratic":
@@ -166,7 +160,7 @@ def exact_quadratic_moments(net: PolyNetwork) -> QuadraticMomentTable:
     mu = np.einsum("aii->a", Q)
     S, T = trace_moments(Q)
     # cyclic traces give 3 of the 6 permutations; average over all of them
-    return QuadraticMomentTable(mu=mu, S=S, T=_symmetrize3(T), eta=0.0)
+    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T), eta=0.0)
 
 
 def estimate_quadratic_moments(
@@ -194,7 +188,7 @@ def estimate_quadratic_moments(
     S /= 2.0 * n
     T /= 8.0 * n
     S = 0.5 * (S + S.T)
-    return QuadraticMomentTable(mu=mu, S=S, T=_symmetrize3(T), eta=eta)
+    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T), eta=eta)
 
 
 def _double_factorial_table(maxc: int) -> np.ndarray:
@@ -204,6 +198,14 @@ def _double_factorial_table(maxc: int) -> np.ndarray:
     for c in range(2, maxc + 1, 2):
         t[c] = t[c - 2] * (c - 1)
     return t
+
+
+def _check_dense_bytes(need: int, what: str, r: int, omega: int):
+    if need > DENSE_BYTES_CAP:
+        raise ResourceError(
+            f"{what} for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
+            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
+        )
 
 
 def sigma_matrix(
@@ -219,14 +221,9 @@ def sigma_matrix(
     n = r**omega
     m = num_sorted_indices(r, omega)
     # every dense 8-byte array built below: Sigma (n x n) and the int64 index
-    # sum and float64 lookup temporaries of its product loop; the same three
-    # for Sigma_sym (m x m), and D (m x m)
-    need = 8 * (3 * n * n + 4 * m * m)
-    if need > DENSE_BYTES_CAP:
-        raise ResourceError(
-            f"Sigma for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
-            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
-        )
+    # sum and float64 lookup temporaries of its product loop, and the four
+    # m x m arrays of _sigma_sym
+    _check_dense_bytes(8 * (3 * n * n + 4 * m * m), "Sigma", r, omega)
     idx = np.stack(np.meshgrid(*([np.arange(r)] * omega), indexing="ij"), axis=-1)
     idx = idx.reshape(n, omega)
     counts = np.zeros((n, r), dtype=np.int64)
@@ -236,9 +233,22 @@ def sigma_matrix(
     Sigma = np.ones((n, n))
     for k in range(r):
         Sigma *= table[counts[:, k][:, None] + counts[None, :, k]]
+    Sigma_sym, D = _sigma_sym(r, omega)
     if seed is not None and seed.kind == "rotation_invariant":
-        Sigma = Sigma * rotation_invariant_scale(seed, 2 * omega, r)
+        scale = rotation_invariant_scale(seed, 2 * omega, r)
+        Sigma, Sigma_sym = Sigma * scale, Sigma_sym * scale
+    return SigmaMatrix(r=r, omega=omega, Sigma=Sigma, Sigma_sym=Sigma_sym, D=D)
 
+
+def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma_sym, D) of sigma_matrix for the Gaussian seed, without the
+    r^omega x r^omega Sigma: Sigma on the sorted multi-indices, and the
+    diagonal of their multiplicities."""
+    m = num_sorted_indices(r, omega)
+    # Sigma_sym, the int64 index sum and float64 lookup temporaries of its
+    # product loop, and D, each m x m
+    _check_dense_bytes(8 * 4 * m * m, "Sigma_sym", r, omega)
+    table = _double_factorial_table(2 * omega)
     sorted_idx = sorted_multi_indices(r, omega)
     scounts = np.zeros((m, r), dtype=np.int64)
     for p, tup in enumerate(sorted_idx):
@@ -247,10 +257,8 @@ def sigma_matrix(
     Sigma_sym = np.ones((m, m))
     for k in range(r):
         Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
-    if seed is not None and seed.kind == "rotation_invariant":
-        Sigma_sym = Sigma_sym * rotation_invariant_scale(seed, 2 * omega, r)
     D = np.diag([float(multiplicity(tup)) for tup in sorted_idx])
-    return SigmaMatrix(r=r, omega=omega, Sigma=Sigma, Sigma_sym=Sigma_sym, D=D)
+    return Sigma_sym, D
 
 
 def sigma_inner(Ta: np.ndarray, Tb: np.ndarray, Sigma: np.ndarray) -> float:

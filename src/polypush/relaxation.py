@@ -2,12 +2,12 @@
 
 A ``PolynomialProgram`` declares variables, polynomial equalities/inequalities,
 and a relaxation degree.  ``encode_tensor_ring`` and ``encode_lowrank`` state
-the paper's recovery programs, and ``check_point`` evaluates their
-constraints at one assignment.  That is all the ``sos`` backends use: they
-return the gauge-fixed local fit once ``finish_warm_point`` certifies it
-feasible for the encoded program.  A feasible point is weaker than the
-paper's guarantee, which rests on the pseudo-expectation being unique; no
-recovery path solves the relaxation.
+the paper's recovery programs, at degree 4 and 2 omega, and ``check_point``
+evaluates their constraints at one assignment.  That is all the ``sos``
+backends use: ``certify`` completes the gauge-fixed local fit to a point of
+the encoded program and gates it on its worst violation.  A feasible point
+is weaker than the paper's guarantee, which rests on the pseudo-expectation
+being unique; no recovery path solves the relaxation.
 
 ``solve`` lifts a program: every variable *group* gets a moment matrix over
 its monomial basis, equalities are multiplied by basis monomials within the
@@ -36,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
+from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError, check_settings
 from .tensors import multiplicity, sorted_multi_indices
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "Infeasible",
     "encode_tensor_ring",
     "encode_lowrank",
+    "certify",
     "solve",
     "pseudo_expect",
 ]
@@ -167,24 +168,6 @@ class PolynomialProgram:
         return worst
 
 
-def check_settings(
-    counts: dict[str, int],
-    tolerances: dict[str, float],
-    levels: Optional[dict[str, float]] = None,
-):
-    """UsageError unless every count is >= 1, every tolerance is finite and
-    > 0, and every level (a noise level such as eta) is finite and >= 0."""
-    for name, v in counts.items():
-        if v < 1:
-            raise UsageError(f"{name} must be >= 1, got {v}")
-    for name, v in tolerances.items():
-        if not (math.isfinite(v) and v > 0):
-            raise UsageError(f"{name} must be finite and > 0, got {v}")
-    for name, v in (levels or {}).items():
-        if not (math.isfinite(v) and v >= 0):
-            raise UsageError(f"{name} must be finite and >= 0, got {v}")
-
-
 @dataclass
 class SolverConfig:
     tol: float = 1e-7
@@ -196,7 +179,7 @@ class SolverConfig:
 
 # cap on the side of any moment matrix the lift builds
 MAX_DIM = 5000
-# weight of the trace-of-moment-matrix tie-break objective on cold starts
+# weight of the trace-of-moment-matrix tie-break objective
 TRACE_WEIGHT = 1e-6
 # iterations without a 1e-4 relative residual improvement that mean a stall
 STALL_WINDOW = 2000
@@ -392,9 +375,7 @@ def _project_cones(v: np.ndarray, plan: list[tuple], out: np.ndarray):
 
 
 def solve(
-    program: PolynomialProgram,
-    cfg: Optional[SolverConfig] = None,
-    warm: Optional[np.ndarray] = None,
+    program: PolynomialProgram, cfg: Optional[SolverConfig] = None
 ) -> Pseudoexpectation | Infeasible:
     """ADMM conic solve of the lifted relaxation.
 
@@ -405,11 +386,6 @@ def solve(
     cfg.tol.
     Returns ``Infeasible`` when the residual stalls above 10*cfg.tol for
     STALL_WINDOW consecutive iterations.  Fully deterministic.
-
-    ``warm``, a feasible or near-feasible assignment of the program
-    variables, seeds the iteration with its monomial lift; cold starts can be
-    orders of magnitude slower.  Only cold starts add the TRACE_WEIGHT
-    tie-break, which would drag the iterates away from a warm point.
     """
     cfg = cfg or SolverConfig()
     lifted = _Lifted(program)
@@ -462,19 +438,11 @@ def solve(
     f = fkeep
 
     cX = np.zeros(nX)
-    cX[lifted.diag_positions] = TRACE_WEIGHT if warm is None else 0.0
+    cX[lifted.diag_positions] = TRACE_WEIGHT
 
     zy = np.zeros(ny)
     zy[0] = 1.0
     zX = np.zeros(nX)
-    if warm is not None:
-        point = np.asarray(warm, dtype=float)
-        for m, j in lifted.mono_index.items():
-            val = 1.0
-            for i in m:
-                val *= point[i]
-            zy[j] = val
-        zX = A @ zy
     uy = np.zeros(ny)
     uX = np.zeros(nX)
     rhs = np.zeros(ny + neq)
@@ -547,27 +515,30 @@ def solve(
 # certificates of the recovery backends
 # ---------------------------------------------------------------------------
 
-def finish_warm_point(
-    prog: PolynomialProgram, point: np.ndarray, M: np.ndarray, eta: float
-) -> Optional[tuple[np.ndarray, float]]:
-    """Complete a point whose unit variables are already packed, and certify it.
+def certify(
+    prog: PolynomialProgram, M: np.ndarray, components: Optional[np.ndarray] = None
+) -> float:
+    """Worst violation of the encoded program at the point its units fix.
 
-    ``M`` is the (d, m) flattening of those units.  Writes the least-norm
-    left inverse pinv(M) into the program's L variables, and pinv(M B) into
-    its P variables if it has them (the low-rank program).  Returns the
-    point and its worst constraint violation (``check_point`` at tol 1e-9),
-    or None when that violation exceeds max(eta, 1e-7).
+    Both encoders number their variables in one layout: the (d, m)
+    flattening M of the units row-major, the (d, ell, r) components (the
+    low-rank program only), then the left inverses L and, in the low-rank
+    program, P, each as (m, d).  The point is M and ``components`` completed
+    by the least-norm left inverses pinv(M) and pinv(M B).  Returns its worst
+    violation (``check_point`` at tol 1e-9).  A violation above
+    max(eta, 1e-7) from a tight moment fit means the instance is too
+    degenerate for the program's caps: ConvergenceError.
     """
-    inverses = [("lvar", np.linalg.pinv(M))]
+    parts = [M, components, np.linalg.pinv(M)]
     if "pvar" in prog.meta:
-        inverses.append(("pvar", np.linalg.pinv(M @ prog.meta["B"])))
-    for key, X in inverses:
-        for (k, a), v in prog.meta[key].items():
-            point[v] = X[k, a]
+        parts.append(np.linalg.pinv(M @ prog.meta["B"]))
+    point = np.concatenate([np.ravel(p) for p in parts if p is not None])
+    if point.size != prog.nvars:
+        raise UsageError(f"a point of {point.size} entries for {prog.nvars} variables")
     violation = float(prog.check_point(point, tol=1e-9))
-    if violation > max(eta, 1e-7):
-        return None
-    return point, violation
+    if violation > max(prog.meta["eta"], 1e-7):
+        raise ConvergenceError("instance violates non-degeneracy caps of the relaxation")
+    return violation
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +586,9 @@ def encode_tensor_ring(
     R: float,
     kappa: float,
     eta: float,
-    degree: Optional[int] = None,
 ) -> PolynomialProgram:
-    """The quadratic-recovery program with gauge-fixing combinations lam, mu.
+    """The degree-4 quadratic-recovery program with gauge-fixing combinations
+    lam, mu.
 
     Variables: upper-triangular entries of each Q_a (symmetry is structural)
     and a left inverse L of the flattening matrix M (rows = upper-triangular
@@ -630,9 +601,6 @@ def encode_tensor_ring(
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     d = S.shape[0]
-    degree = 4 if degree is None else degree
-    if degree < 4 or degree % 2 != 0:
-        raise UsageError("tensor-ring relaxation degree must be even and >= 4")
     m = r * (r + 1) // 2
     if d < m:
         raise UsageError(f"need d >= C(r+1,2) = {m}")
@@ -654,10 +622,10 @@ def encode_tensor_ring(
         lo, hi = min(i, j), max(i, j)
         return Poly.var(qvar[(a, lo, hi)])
 
-    group_q = VarGroup(tuple(range(nq)), degree, "Q")
+    group_q = VarGroup(tuple(range(nq)), 4, "Q")
     group_ql = VarGroup(tuple(range(len(names))), 2, "QL")
     prog = PolynomialProgram(
-        nvars=len(names), names=names, groups=[group_q, group_ql], degree=degree,
+        nvars=len(names), names=names, groups=[group_q, group_ql], degree=4,
         meta={"r": r, "d": d, "m": m, "qvar": qvar, "lvar": lvar, "pairs": pairs,
               "lam": lam, "mu": mu, "R": R, "kappa": kappa, "eta": eta},
     )
@@ -723,10 +691,10 @@ def encode_lowrank(
     R: float,
     kappa: float,
     eta: float,
-    degree: Optional[int] = None,
     lam_mu: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PolynomialProgram:
-    """The low-rank factorization program (pairwise Sigma-moment matching).
+    """The degree-2 omega low-rank factorization program (pairwise
+    Sigma-moment matching).
 
     Variables per unit: sorted-index entries of T_a and the rank-ell
     components v_{a,t}; global left inverses L and P of the sorted-entry
@@ -737,9 +705,7 @@ def encode_lowrank(
     """
     if omega % 2 == 0 or omega < 3:
         raise UsageError("low-rank program needs odd omega >= 3")
-    degree = 2 * omega if degree is None else degree
-    if degree < 2 * omega:
-        raise UsageError("low-rank relaxation degree must be >= 2*omega")
+    degree = 2 * omega
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
     sidx = sorted_multi_indices(r, omega)

@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConvergenceError, DegeneracyError, UsageError
+from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
 from .networks import PolyNetwork, _philox_rng, rotate_network
-from .relaxation import KAPPA, check_settings, encode_tensor_ring, finish_warm_point
+from .relaxation import KAPPA, certify, encode_tensor_ring
 # no recovery path calls solve: perfbench/tracing.py wraps the name
 # tensor_ring.solve, and tests/test_trace_points.py checks that it resolves
 from .relaxation import solve  # noqa: F401
@@ -70,7 +70,6 @@ class NonDegenCombo:
 class TRConfig:
     r: int
     backend: str = "local"  # local | sos
-    degree: Optional[int] = None  # relaxation degree; None means 4
     restarts: int = 20
     tol: float = 1e-9
     rng_seed: int = 0
@@ -435,8 +434,9 @@ def decompose(
     it could not be formed).  ``local``
     gauge-fixes that fit with lambda and the corner-signed mu
     (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
-    no eigengap.  ``sos`` returns the same gauge-fixed fit once it is
-    certified feasible, at that one point, for the encoded moment program
+    no eigengap.  ``sos`` returns the same gauge-fixed fit once
+    relaxation.certify finds it feasible, at that one point, for the
+    degree-4 moment program encoded with lambda and the corner-signed mu
     (``diagnostics["certificate_violation"]`` is its worst constraint
     violation).  That is weaker than the paper's guarantee, which rests on
     the pseudo-expectation being unique; the relaxation is not solved.  A
@@ -538,35 +538,11 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
     prog = encode_tensor_ring(
         r, S * sc**2, T * sc**3, combo.lam, mu, R=R * sc, kappa=KAPPA,
-        eta=config.eta * sc**2, degree=config.degree,
+        eta=config.eta * sc**2,
     )
-    warm = _warm_point(prog, fixed, config.eta * sc**2, sc)
-    if warm is None:
-        # A tight moment fit exists but violates the encoded norm caps: the
-        # instance is too degenerate for this program.
-        raise ConvergenceError(
-            "instance violates non-degeneracy caps of the relaxation"
-        )
-    diag["certificate_violation"] = warm[1]
+    i, j = np.triu_indices(r)
+    diag["certificate_violation"] = certify(prog, fixed.Q[:, i, j] * sc)
     return fixed, diag
-
-
-def _warm_point(prog, net: PolyNetwork, eta: float, sc: float):
-    """The program's assignment at the network ``net``, already gauge-fixed
-    against the program's (lam, mu), scaled by ``sc`` and completed by
-    finish_warm_point.  Returns (point, worst violation), or None when it
-    fails the program's own constraints (beyond ``eta``, in the program's
-    scale)."""
-    pairs = prog.meta["pairs"]
-    qvar = prog.meta["qvar"]
-    point = np.zeros(prog.nvars)
-    M = np.zeros((net.d, len(pairs)))
-    for a in range(net.d):
-        for u, (i, j) in enumerate(pairs):
-            val = net.Q[a, i, j] * sc
-            point[qvar[(a, i, j)]] = val
-            M[a, u] = val
-    return finish_warm_point(prog, point, M, eta)
 
 
 def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:

@@ -133,11 +133,14 @@ def paired_contraction(T: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(T: np.ndarray) -> np.ndarray:
-    """Average a dense tensor over all axis permutations."""
+    """Average a dense tensor over all axis permutations.
+
+    The sum starts from T itself, in itertools.permutations order, so
+    entries that are all -0.0 stay -0.0."""
     T = np.asarray(T, dtype=float)
-    acc = np.zeros_like(T)
+    acc = T.copy()
     perms = list(itertools.permutations(range(T.ndim)))
-    for p in perms:
+    for p in perms[1:]:
         acc += np.transpose(T, p)
     return acc / len(perms)
 

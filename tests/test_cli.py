@@ -423,14 +423,29 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
-        ("--eta", "0.5", "--degree", "7"),
-        ("--backend", "sos", "--degree", "3"),
-    ], ids=["eta", "sos-degree-3"])
-    def test_bench_flags_as_solve_tr(self, tmp_path, flags):
+        ("--eta", "0.5"),
+        ("--tol", "0"),
+        ("--restarts", "0"),
+    ], ids=["eta", "tol-0", "restarts-0"])
+    def test_bench_flags_as_solve_tr(self, tmp_path, input_files, flags):
         # bench reads no --eta, and builds its decomposition settings as
-        # solve_tr does, so a degree the relaxation rejects fails the run
+        # solve_tr does, so a setting solve_tr rejects fails the run
         assert run("bench", "--reps", "1", "--eta-list", "0.0", *flags,
                    "--out", str(tmp_path / "b.csv")) == 2
+        if flags[0] != "--eta":
+            _, paths = input_files
+            assert run("solve_tr", "--table", paths["qtab"], "--r", "2", *flags,
+                       "--out", str(tmp_path / "rec.json")) == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve_tr", ("--table", "t.json", "--r", "1")),
+        ("solve_lr", ("--table", "t.json", "--r", "1")),
+        ("bench", ()),
+    ], ids=["solve_tr", "solve_lr", "bench"])
+    def test_no_degree_flag(self, tmp_path, capsys, command, flags):
+        # each program fixes its relaxation degree: 4, or 2 omega
+        assert run(command, *flags, "--degree", "4", "--out", str(tmp_path / "out")) == 2
+        assert "unrecognized arguments: --degree 4" in capsys.readouterr().err
 
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block
@@ -525,7 +540,8 @@ class TestFailedRuns:
         assert man["outputs"] == {}
 
     def test_dense_cap_exits_5(self, tmp_path, input_files, monkeypatch):
-        # low-rank sos builds Sigma through sigma_matrix, which checks the cap
+        # low-rank sos builds Sigma_sym through moments._sigma_sym, which
+        # checks the cap
         _, paths = input_files
         monkeypatch.setattr(moments, "DENSE_BYTES_CAP", 1)
         out = tmp_path / "rec.json"
@@ -558,7 +574,7 @@ class TestFailedRuns:
 
 
 class TestSolveBackends:
-    def test_sos_without_degree(self, tmp_path, quad_net):
+    def test_sos_recovers_exact_table(self, tmp_path, quad_net):
         table = tmp_path / "table.json"
         assert run("moments", "--network", str(quad_net), "--out", str(table)) == 0
         assert run("solve_tr", "--table", str(table), "--r", "2",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
-from polypush import lowrank
+from polypush import lowrank, moments
 from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
@@ -269,6 +269,29 @@ class TestFactorize:
         S = exact_lowrank_pair_moments(smoothed_lr_net(2, d, omega, 1, 0.5, 0)).S
         with pytest.raises(error):
             factorize(S, LRConfig(r=2, omega=omega, ell=1, backend="sos"))
+
+    @pytest.mark.parametrize("mode", ["gaussian", "identity", "rotation_invariant"])
+    def test_sos_certifies_every_sigma_mode(self, forbid_solve, mode):
+        # the program is stated with the fit's Sigma_sym: sigma_scale scales
+        # it in rotation-invariant mode (the other modes ignore the scale)
+        for seed in range(4):
+            net = smoothed_lr_net(1, 3, 3, 1, 1.0, seed)
+            S = exact_lowrank_pair_moments(net, mode=mode, scale=1.7).S
+            cfg = LRConfig(r=1, backend="sos", sigma_mode=mode, sigma_scale=1.7,
+                           rng_seed=seed)
+            rep = factorize(S, cfg, truth=net)
+            assert rep.gauge_dist <= 1e-12
+            assert rep.diagnostics["certificate_violation"] <= 1e-7
+
+    def test_sos_builds_no_full_sigma(self, monkeypatch, forbid_solve):
+        # sos reads Sigma_sym (4 x 4) and D, never Sigma (8 x 8): a cap
+        # between their needs leaves the exact (2,4,1,3) recovery alone
+        net = smoothed_lr_net(2, 4, 3, 1, 0.5, 9)
+        S = exact_lowrank_pair_moments(net).S
+        monkeypatch.setattr(moments, "DENSE_BYTES_CAP", 1024)
+        rep = factorize(S, LRConfig(r=2, omega=3, ell=1, backend="sos", rng_seed=9),
+                        truth=net)
+        assert rep.gauge_dist <= 1e-6
 
     def test_too_few_pair_moments_rejected(self):
         # d(d+1)/2 = 6 equations for d*ell*r = 18 unknowns

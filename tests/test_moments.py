@@ -11,6 +11,7 @@ from conftest import (
     symmetric_gaussian,
     wick_linear_pair_moment,
 )
+from polypush import moments
 from polypush.errors import ResourceError, UsageError
 from polypush.moments import (
     cumulant_diagonal,
@@ -30,7 +31,7 @@ from polypush.networks import (
     rotate_network,
     sample,
 )
-from polypush.tensors import sorted_multi_indices, vec
+from polypush.tensors import sorted_multi_indices, symmetrize, vec
 
 GAUSS = SeedDistribution(kind="gaussian")
 
@@ -125,6 +126,40 @@ class TestEstimators:
             for b in range(2):
                 exact = sigma_inner(net.unit_tensor(a), net.unit_tensor(b), Sigma)
                 assert est[a, b] == pytest.approx(exact, rel=0.02)
+
+
+def six_term_average(T):
+    """The average of a third-order array over its 6 index permutations,
+    summed left to right from T itself."""
+    out = T
+    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        out = out + np.transpose(T, perm)
+    return out / 6.0
+
+
+class TestSymmetrization:
+    @pytest.mark.parametrize("source", ["exact", "estimated"])
+    def test_tables_bitwise(self, monkeypatch, source):
+        # both tables average their raw T with tensors.symmetrize, which
+        # must round as the six-term sum does
+        rng = np.random.default_rng(4)
+        if source == "exact":
+            Q = np.stack([symmetric_gaussian(rng, 3) for _ in range(4)])
+            net = PolyNetwork(kind="quadratic", r=3, d=4, Q=Q)
+            table = lambda: exact_quadratic_moments(net)  # noqa: E731
+        else:
+            z = rng.standard_normal((500, 4))
+            table = lambda: estimate_quadratic_moments(z)  # noqa: E731
+        T = table().T
+        monkeypatch.setattr(moments, "symmetrize", lambda x: x)
+        assert T.tobytes() == six_term_average(table().T).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_signed_zeros_kept(self, order):
+        T = np.full((2,) * order, -0.0)
+        assert np.signbit(symmetrize(T)).all()
+        if order == 3:
+            assert symmetrize(T).tobytes() == six_term_average(T).tobytes()
 
 
 class TestSigmaMatrix:

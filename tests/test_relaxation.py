@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import symmetric_gaussian
 from polypush import relaxation
-from polypush.errors import ResourceError, UsageError
+from polypush.errors import ConvergenceError, ResourceError, UsageError
 from polypush.moments import exact_quadratic_moments, sigma_matrix
 from polypush.networks import PolyNetwork
 from polypush.relaxation import (
@@ -17,12 +17,19 @@ from polypush.relaxation import (
     Pseudoexpectation,
     SolverConfig,
     VarGroup,
+    certify,
     encode_lowrank,
     encode_tensor_ring,
     pseudo_expect,
     solve,
 )
 from polypush.tensor_ring import find_combo, gauge_fix_fit
+
+
+def lowrank_flattening(prog, net):
+    """The (d, m) sorted-index flattening of a low-rank network's units."""
+    return np.array([[net.unit_tensor(a)[t] for t in prog.meta["sidx"]]
+                     for a in range(net.d)])
 
 
 def single_var_program(degree=2):
@@ -319,13 +326,6 @@ class TestEncodeTensorRing:
         # symmetry / diagonal / sorted families are vacuous at r = 1
         assert prog.degree == 4
 
-    def test_degree_validation(self):
-        with pytest.raises(UsageError):
-            encode_tensor_ring(
-                1, np.array([[1.0]]), np.ones((1, 1, 1)), np.array([1.0]),
-                np.array([1.0]), R=1.0, kappa=0.1, eta=0.0, degree=3,
-            )
-
     def test_ground_truth_feasible(self):
         rng = np.random.default_rng(1)
         r, d = 2, 3
@@ -378,13 +378,7 @@ class TestEncodeLowrank:
         half = (U * np.sqrt(np.clip(w, 0, None))) @ U.T
         assert np.max(np.abs(half @ half - sig.Sigma_sym)) <= 1e-10
 
-    def test_degree_validation(self):
-        sig = sigma_matrix(1, 3)
-        with pytest.raises(UsageError):
-            encode_lowrank(
-                1, 3, 1, np.array([[15.0]]), sig.Sigma_sym, sig.D,
-                R=1.5, kappa=0.1, eta=0.0, degree=4,
-            )
+    def test_even_omega_rejected(self):
         with pytest.raises(UsageError):
             encode_lowrank(
                 1, 2, 1, np.array([[1.0]]), np.eye(1), np.eye(1),
@@ -392,7 +386,7 @@ class TestEncodeLowrank:
             )
 
     def test_ground_truth_feasible(self):
-        from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
+        from polypush.lowrank import exact_lowrank_pair_moments
 
         rng = np.random.default_rng(2)
         r, d, omega, ell = 2, 4, 3, 1
@@ -407,8 +401,7 @@ class TestEncodeLowrank:
             r, omega, ell, S, sig.Sigma_sym, sig.D,
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
-        point, violation = _warm_point_lr(prog, net, 0.0)
-        assert violation == prog.check_point(point, tol=1e-9) <= 1e-7
+        assert certify(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
 
     def test_tensor_ring_r1_closed_form(self):
         # S = q^2, T = q^3 with q = 1: the pseudoexpectation pins Q to 1
@@ -422,13 +415,11 @@ class TestEncodeLowrank:
         assert pseudo_expect(pe, Poly.var(qv)) == pytest.approx(1.0, abs=1e-3)
 
 
-class TestWarmPoint:
-    """The backends' certified points: kind-specific packing, shared completion by
-    the left inverses and the feasibility gate."""
+class TestCertify:
+    """certify: the one packing of a certified point for both programs, its
+    completion by the left inverses, and the feasibility gate."""
 
     def _quadratic(self, radius_factor):
-        from polypush.tensor_ring import _warm_point
-
         rng = np.random.default_rng(1)
         r, d = 2, 3
         Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
@@ -440,10 +431,11 @@ class TestWarmPoint:
             r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0,
         )
-        return prog, _warm_point(prog, fixed, 0.0, 1.0)
+        i, j = np.triu_indices(r)
+        return prog, fixed.Q[:, i, j], None
 
     def _lowrank(self, radius_factor):
-        from polypush.lowrank import _warm_point_lr, exact_lowrank_pair_moments
+        from polypush.lowrank import exact_lowrank_pair_moments
         from polypush.networks import paired_outers, rotate_network
 
         rng = np.random.default_rng(2)
@@ -464,16 +456,61 @@ class TestWarmPoint:
             r, omega, ell, S, sig.Sigma_sym, sig.D, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
         )
-        return prog, _warm_point_lr(prog, rotate_network(net, rot), 0.0)
+        fixed = rotate_network(net, rot)
+        return prog, lowrank_flattening(prog, fixed), fixed.components
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_gauge_fixed_truth_is_feasible(self, kind):
-        prog, (point, violation) = getattr(self, "_" + kind)(1.01)
-        # the program's equalities include L M = Id; the reported violation
-        # is the program's own check at the completed point
-        assert violation == prog.check_point(point, tol=1e-9) <= 1e-7
+        prog, M, comps = getattr(self, "_" + kind)(1.01)
+        # the program's equalities include L M = Id; the violation is the
+        # program's own check at the point completed by pinv(M)
+        assert certify(prog, M, comps) <= 1e-7
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
-    def test_radius_below_network_gives_none(self, kind):
-        _, point = getattr(self, "_" + kind)(0.9)
-        assert point is None
+    def test_radius_below_network_raises(self, kind):
+        prog, M, comps = getattr(self, "_" + kind)(0.9)
+        with pytest.raises(ConvergenceError) as err:
+            certify(prog, M, comps)
+        assert str(err.value) == "instance violates non-degeneracy caps of the relaxation"
+
+    def test_point_size_checked(self):
+        prog, M, _ = self._lowrank(1.01)
+        with pytest.raises(UsageError):
+            certify(prog, M)
+
+    @pytest.mark.parametrize("dims", [
+        (1, 1), (2, 3), (3, 6), (2, 5), (1, 3, 1, 3), (2, 4, 1, 3), (2, 6, 2, 3), (2, 6, 1, 5),
+    ], ids=lambda dims: ",".join(map(str, dims)))
+    def test_layout_matches_encoder_numbering(self, dims):
+        # certify packs (units M, components, L, P) in turn, each row-major;
+        # every variable dict of the encoders must number that layout
+        rng = np.random.default_rng(0)
+        r, d = dims[:2]
+        if len(dims) == 2:
+            prog = encode_tensor_ring(
+                r, rng.standard_normal((d, d)), rng.standard_normal((d, d, d)),
+                np.ones(d) / math.sqrt(d), np.ones(d) / math.sqrt(d),
+                R=1.0, kappa=0.1, eta=0.0,
+            )
+            pairs = list(zip(*np.triu_indices(r)))
+            assert prog.meta["pairs"] == pairs
+            units = {(a, u): prog.meta["qvar"][(a, *pairs[u])]
+                     for a in range(d) for u in range(len(pairs))}
+            blocks = [(units, (d, len(pairs))), (prog.meta["lvar"], (len(pairs), d))]
+        else:
+            ell, omega = dims[2:]
+            sig = sigma_matrix(r, omega)
+            prog = encode_lowrank(
+                r, omega, ell, rng.standard_normal((d, d)), sig.Sigma_sym, sig.D,
+                R=1.0, kappa=0.1, eta=0.0,
+            )
+            m = prog.meta["m"]
+            blocks = [(prog.meta["tvar"], (d, m)), (prog.meta["vvar"], (d, ell, r)),
+                      (prog.meta["lvar"], (m, d)), (prog.meta["pvar"], (m, d))]
+        start = 0
+        for var, shape in blocks:
+            pos = start + np.arange(math.prod(shape)).reshape(shape)
+            assert len(var) == pos.size
+            assert all(v == pos[key] for key, v in var.items())
+            start += pos.size
+        assert start == prog.nvars
