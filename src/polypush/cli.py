@@ -5,9 +5,11 @@ JSON with input/output digests is written next to each output so runs can
 be audited and replayed; a run that fails with a PolypushError writes one
 too, with its exit code and error.  Floats are written as the shortest
 repr that reads back to the same float64.  A samples file is the largest
-output by far: its digits come from orjson's Ryu, the same shortest digits,
-with the few entries that orjson spells otherwise respelled as repr does
-(see ``_write_samples``), so it is byte for byte what ``json.dump`` writes.
+output by far: orjson lays it out and writes its digits, Ryu's shortest
+ones as in repr, and the entries orjson spells in another notation (nonzero
+|x| < 1e-4, |x| >= 1e16, non-finite) are respelled from those digits with
+bytes and numpy operations (see ``_write_samples``), so the file is byte for
+byte what ``json.dump`` writes.
 
 ``sample`` also writes a binary sidecar ``<--out>.z.npz`` next to an
 all-finite samples file: an uncompressed zip holding the float64 matrix as
@@ -87,8 +89,57 @@ def _write_json(path: str, obj) -> None:
 SAMPLE_CHUNK = 4096
 # what the indent=2 layout of _write_json puts between two rows of a matrix
 ROW_SEP = b"\n    ],\n    [\n      "
-# json's spelling of the values orjson writes as null
-NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# what orjson's indent=2 layout of {"z": rows} puts around the rows, less ROW_SEP
+ROWS_HEAD = b'{\n  "z": [\n    [\n      '
+ROWS_TAIL = b"\n    ]\n  ]\n}"
+
+
+def _tiny_tokens(text: bytes) -> bytes:
+    """orjson's ``0.0000DDD`` tokens of |x| in [1e-5, 1e-4), comma-joined,
+    respelled as repr's ``D.DDe-05`` (``De-05`` for one digit)."""
+    buf = np.frombuffer(text.replace(b"0.0000", b""), dtype=np.uint8)
+    comma = np.flatnonzero(buf == ord(","))
+    first = np.concatenate(([0], comma + 1))
+    first += buf[first] == ord("-")
+    ends = np.concatenate((comma, [buf.size]))
+    buf = np.insert(buf, first[ends - first > 1] + 1, ord("."))
+    return buf.tobytes().replace(b",", b"e-05,") + b"e-05"
+
+
+# (lower bound of |x|, respelling of orjson's tokens) for the finite entries
+# that orjson spells otherwise than repr, largest bound first: each class
+# takes the entries below the bound before it.  Rounding to the nearest
+# double is monotone, so x >= float(10**-k) exactly when x's shortest digits
+# are >= 10**-k: the bounds split on the decimal exponent, which is what
+# chooses both spellings.
+RESPELL = (
+    (1e16, lambda t: t.replace(b"e", b"e+")),    # 1e16      -> 1e+16
+    (1e-5, _tiny_tokens),                        # 0.00005   -> 5e-05
+    (1e-9, lambda t: t.replace(b"e-", b"e-0")),  # 1e-7      -> 1e-07
+    (0.0, lambda t: t),                          # 1e-10 as repr writes it
+)
+
+
+def _respelled(values: np.ndarray) -> list:
+    """The tokens json.dump writes for ``values``, the entries that orjson
+    spells otherwise than repr: nonzero |x| < 1e-4, |x| >= 1e16 and the
+    non-finite ones."""
+    import orjson
+
+    tokens = np.empty(values.size, dtype=object)
+    finite = np.isfinite(values)
+    other = values[~finite]
+    tokens[~finite] = np.where(np.isnan(other), b"NaN",
+                               np.where(other > 0, b"Infinity", b"-Infinity"))
+    size = np.where(finite, np.abs(values), -1.0)
+    upper = np.inf
+    for lower, fix in RESPELL:
+        cls = np.flatnonzero((size >= lower) & (size < upper))
+        if cls.size:
+            text = orjson.dumps(values[cls], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            tokens[cls] = np.array(fix(text).split(b","), dtype=object)
+        upper = lower
+    return tokens.tolist()
 
 
 def _write_samples(path: str, z: np.ndarray) -> str:
@@ -96,21 +147,23 @@ def _write_samples(path: str, z: np.ndarray) -> str:
     ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows; returns the sha256 of
     the bytes written.
 
-    Each chunk's digits come from one ``orjson.dumps`` of its entries, whose
-    Ryu digits are the shortest round-trip ones, as in the float repr that
-    json writes.  orjson spells them the same way for every finite |x| in
-    [1e-4, 1e16) and zero; the other entries are respelled from ``repr``:
-    nonzero |x| < 1e-4 (orjson writes ``0.00005`` and ``1e-7`` for
-    ``5e-05`` and ``1e-07``), |x| >= 1e16 (``1e16`` for ``1e+16``) and the
-    non-finite ones (``null`` for ``NaN``, ``Infinity`` and ``-Infinity``).
-    The tokens then fill a ``%s`` template in the indent=2 layout.
+    Each chunk is laid out by one ``orjson.dumps({"z": block})`` with indent
+    2, whose rows are json's indent=2 rows and whose Ryu digits are the
+    shortest round-trip ones, as in the float repr that json writes.  orjson
+    spells them the same way for every finite |x| in [1e-4, 1e16) and zero.
+    The other entries are set to NaN in a copy of the chunk, so that orjson
+    writes each as ``null``, and are spliced back between the pieces that
+    ``null`` splits, respelled by class from orjson's own digits (see
+    ``RESPELL``): ``0.00005`` becomes ``5e-05``, ``1e-7`` becomes ``1e-07``
+    and ``1e16`` becomes ``1e+16``, while the non-finite entries take json's
+    ``NaN``, ``Infinity`` and ``-Infinity``.
     """
     # imported here, not with the module: only `sample` needs it, and the
     # library's other users then neither load it nor pay its ~14 ms import
     import orjson
 
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
     n, d = z.shape
-    row = b",\n      ".join([b"%s"] * d)
     h = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data: bytes) -> None:
@@ -121,15 +174,22 @@ def _write_samples(path: str, z: np.ndarray) -> str:
         for start in range(0, n, SAMPLE_CHUNK):
             # orjson takes C-contiguous arrays only
             block = np.ascontiguousarray(z[start:start + SAMPLE_CHUNK], dtype=np.float64)
-            flat = block.ravel()
-            tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-            size = np.abs(flat)
-            respell = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0)))
-            for i, text in zip(respell.tolist(), map(repr, flat[respell].tolist())):
-                tokens[i] = NON_FINITE.get(text, text).encode()
+            size = np.abs(block)
+            odd = ~(size < 1e16) | ((size < 1e-4) & (size != 0))
+            values = block[odd]
+            # a copy: z's own entries stay as they are
+            block = np.where(odd, np.nan, block)
+            text = orjson.dumps({"z": block}, option=option)
+            text = text[len(ROWS_HEAD):-len(ROWS_TAIL)]
+            if values.size:
+                gaps = text.split(b"null")
+                pieces = [b""] * (2 * len(gaps) - 1)
+                pieces[0::2] = gaps
+                pieces[1::2] = _respelled(values)
+                text = b"".join(pieces)
             if start:
                 put(ROW_SEP)
-            put(ROW_SEP.join([row] * len(block)) % tuple(tokens))
+            put(text)
         put(b"\n    ]\n  ]\n}\n")
     return h.hexdigest()
 

@@ -282,12 +282,12 @@ def smooth_quadratic(params: SmoothingParams) -> PolyNetwork:
     r, d = base.r, base.d
     scale = params.rho / math.sqrt(r)
     Q = np.array(base.Q, dtype=float, copy=True)
+    iu = np.triu_indices(r)
+    G = np.empty((r, r))
     for a in range(d):
-        rng = _seed_rng(params.rng_seed, 1, a)
-        G = np.zeros((r, r))
-        iu = np.triu_indices(r)
-        G[iu] = rng.standard_normal(len(iu[0]))
-        G = G + np.triu(G, 1).T
+        g = _seed_rng(params.rng_seed, 1, a).standard_normal(len(iu[0]))
+        G[iu] = g
+        G[iu[1], iu[0]] = g
         Q[a] += scale * G
     return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q, smoothing_rho=params.rho)
 

@@ -101,7 +101,20 @@ class TestSamplesFile:
         cli._write_samples(str(out), z)
         assert_samples_file(out, z)
 
-    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+    # entries orjson spells otherwise than repr, for about half the draws:
+    # tiny (zero among them; decimal exponents -5 to -10 alike), subnormal,
+    # huge and non-finite
+    ODD_ENTRIES = st.one_of(
+        st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
+        st.builds(lambda m, k: m * 10.0**k, st.floats(-9.99, 9.99), st.integers(-10, -5)),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.floats(min_value=1e16, allow_infinity=False),
+        st.floats(max_value=-1e16, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=st.floats() | ODD_ENTRIES),
            chunk=st.integers(1, 4))
     def test_matches_json_dump(self, tmp_path_factory, z, chunk):
         out = tmp_path_factory.mktemp("samples") / "samples.json"
@@ -113,7 +126,8 @@ class TestSamplesFile:
     @staticmethod
     def boundary_matrix(layout, tmp_path):
         """A matrix whose entries cross the edges of [1e-4, 1e16), the range
-        in which orjson spells a float as repr does, laid out as ``layout``
+        in which orjson spells a float as repr does, and the edges at 1e-5 and
+        1e-9 inside it at which its spelling changes, laid out as ``layout``
         says."""
         rng = np.random.default_rng(15)
         if layout == "lowrank":
@@ -129,19 +143,28 @@ class TestSamplesFile:
         if layout == "random-bits":
             return rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64).reshape(-1, 4)
         big = np.finfo(float).max
-        edges = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16,
-                 np.nextafter(1e16, np.inf), 1e-5, np.nextafter(1e-5, 0), 1e-7, 1e-10, 1e-100,
+        edges = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+                 np.nextafter(1e16, np.inf), 1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1),
+                 5e-05, 1e-7, np.nextafter(1e-9, 0), 1e-9, np.nextafter(1e-9, 1), 1e-10, 1e-100,
                  1e22, 1e100, 5e-324, 2.2250738585072014e-308, 1e-310, big,
                  -0.0, 0.0, np.nan, np.inf, 1.0, 123.5, 1e15, 0.5]
         z = np.concatenate([edges, np.negative(edges), rng.uniform(1e-5, 1e-4, 960),
-                            -rng.uniform(1e-5, 1e-4, 40)]).reshape(-1, 4)
+                            -rng.uniform(1e-5, 1e-4, 40)])
+        if layout.startswith("all-odd"):
+            # every entry respelled: spliced entries sit next to each other,
+            # and each chunk starts and ends with one
+            size = np.abs(z)
+            z = z[~(size < 1e16) | ((size < 1e-4) & (size != 0))]
+            return z.reshape(-1, 1 if layout == "all-odd-column" else 2)
+        z = z.reshape(-1, 4)
         if layout == "fortran":
             return np.asfortranarray(z)
         if layout == "strided":
             return np.hstack([z, z])[::3, 1::2]
         return z
 
-    @pytest.mark.parametrize("layout", ["edges", "random-bits", "lowrank", "fortran", "strided"])
+    @pytest.mark.parametrize("layout", ["edges", "random-bits", "lowrank", "fortran", "strided",
+                                        "all-odd", "all-odd-column"])
     @pytest.mark.parametrize("chunk", [7, 4096])
     def test_spelling_boundaries(self, tmp_path, layout, chunk):
         z = self.boundary_matrix(layout, tmp_path)

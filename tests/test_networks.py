@@ -203,6 +203,23 @@ class TestSmoothing:
         vals = np.concatenate(vals)  # 10^5 draws
         assert vals.var() == pytest.approx(rho**2 / r, rel=0.05)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_quadratic_bits_as_triu_mirror(self, r):
+        # G_a is the upper triangle plus its strict part transposed, G + triu(G, 1).T
+        d = 3
+        rng = np.random.default_rng(r)
+        base = PolyNetwork(kind="quadratic", r=r, d=d,
+                           Q=np.stack([symmetric_gaussian(rng, r) for _ in range(d)]))
+        iu = np.triu_indices(r)
+        for seed in range(20):
+            out = smooth_quadratic(SmoothingParams(rho=0.7, base=base, rng_seed=seed))
+            Q = base.Q.copy()
+            for a in range(d):
+                G = np.zeros((r, r))
+                G[iu] = networks._seed_rng(seed, 1, a).standard_normal(len(iu[0]))
+                Q[a] += 0.7 / math.sqrt(r) * (G + np.triu(G, 1).T)
+            assert out.Q.tobytes() == Q.tobytes()
+
     def test_quadratic_output_symmetric(self):
         base = PolyNetwork(kind="quadratic", r=4, d=2, Q=np.zeros((2, 4, 4)))
         out = smooth_quadratic(SmoothingParams(rho=1.0, base=base, rng_seed=1))
