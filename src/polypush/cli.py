@@ -5,11 +5,10 @@ JSON with input/output digests is written next to each output so runs can
 be audited and replayed; a run that fails with a PolypushError writes one
 too, with its exit code and error.  Floats are written as the shortest
 repr that reads back to the same float64.  A samples file is the largest
-output by far: orjson lays it out and writes its digits, Ryu's shortest
-ones as in repr, and the entries orjson spells in another notation (nonzero
-|x| < 1e-4, |x| >= 1e16, non-finite) are respelled from those digits with
-bytes and numpy operations (see ``_write_samples``), so the file is byte for
-byte what ``json.dump`` writes.
+output by far, and orjson writes it (see ``_write_samples``): the layout of
+``json.dump`` and the same shortest digits, spelled as ``0.00001`` where repr
+writes ``1e-05`` and ``1e16`` where it writes ``1e+16``, and ``null`` for a
+non-finite sample, so the file is strict JSON.
 
 ``sample`` also writes a binary sidecar ``<--out>.z.npz`` next to an
 all-finite samples file: an uncompressed zip holding the float64 matrix as
@@ -72,91 +71,46 @@ from .networks import (
 from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
 
 
+def _open(path: str, mode: str = "r", **kwargs):
+    """``open``, raising its OSError as a UsageError that names ``path``."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        verb = "read" if "r" in mode else "write"
+        raise UsageError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+
+
 def _digest(path: str) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 SAMPLE_CHUNK = 4096
-# what the indent=2 layout of _write_json puts between two rows of a matrix
+# what the indent=2 layout of the samples file puts between two rows of "z"
 ROW_SEP = b"\n    ],\n    [\n      "
-# what orjson's indent=2 layout of {"z": rows} puts around the rows, less ROW_SEP
+# what orjson's indent=2 layout of {"z": rows} puts around the rows
 ROWS_HEAD = b'{\n  "z": [\n    [\n      '
 ROWS_TAIL = b"\n    ]\n  ]\n}"
 
 
-def _tiny_tokens(text: bytes) -> bytes:
-    """orjson's ``0.0000DDD`` tokens of |x| in [1e-5, 1e-4), comma-joined,
-    respelled as repr's ``D.DDe-05`` (``De-05`` for one digit)."""
-    buf = np.frombuffer(text.replace(b"0.0000", b""), dtype=np.uint8)
-    comma = np.flatnonzero(buf == ord(","))
-    first = np.concatenate(([0], comma + 1))
-    first += buf[first] == ord("-")
-    ends = np.concatenate((comma, [buf.size]))
-    buf = np.insert(buf, first[ends - first > 1] + 1, ord("."))
-    return buf.tobytes().replace(b",", b"e-05,") + b"e-05"
-
-
-# (lower bound of |x|, respelling of orjson's tokens) for the finite entries
-# that orjson spells otherwise than repr, largest bound first: each class
-# takes the entries below the bound before it.  Rounding to the nearest
-# double is monotone, so x >= float(10**-k) exactly when x's shortest digits
-# are >= 10**-k: the bounds split on the decimal exponent, which is what
-# chooses both spellings.
-RESPELL = (
-    (1e16, lambda t: t.replace(b"e", b"e+")),    # 1e16      -> 1e+16
-    (1e-5, _tiny_tokens),                        # 0.00005   -> 5e-05
-    (1e-9, lambda t: t.replace(b"e-", b"e-0")),  # 1e-7      -> 1e-07
-    (0.0, lambda t: t),                          # 1e-10 as repr writes it
-)
-
-
-def _respelled(values: np.ndarray) -> list:
-    """The tokens json.dump writes for ``values``, the entries that orjson
-    spells otherwise than repr: nonzero |x| < 1e-4, |x| >= 1e16 and the
-    non-finite ones."""
-    import orjson
-
-    tokens = np.empty(values.size, dtype=object)
-    finite = np.isfinite(values)
-    other = values[~finite]
-    tokens[~finite] = np.where(np.isnan(other), b"NaN",
-                               np.where(other > 0, b"Infinity", b"-Infinity"))
-    size = np.where(finite, np.abs(values), -1.0)
-    upper = np.inf
-    for lower, fix in RESPELL:
-        cls = np.flatnonzero((size >= lower) & (size < upper))
-        if cls.size:
-            text = orjson.dumps(values[cls], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-            tokens[cls] = np.array(fix(text).split(b","), dtype=object)
-        upper = lower
-    return tokens.tolist()
-
-
 def _write_samples(path: str, z: np.ndarray) -> str:
-    """Write ``{"d", "n", "z"}`` byte for byte as ``_write_json`` would, with
-    ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows; returns the sha256 of
-    the bytes written.
+    """Write ``{"d", "n", "z"}`` as orjson lays it out with indent 2 and
+    sorted keys, with ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows;
+    returns the sha256 of the bytes written.
 
-    Each chunk is laid out by one ``orjson.dumps({"z": block})`` with indent
-    2, whose rows are json's indent=2 rows and whose Ryu digits are the
-    shortest round-trip ones, as in the float repr that json writes.  orjson
-    spells them the same way for every finite |x| in [1e-4, 1e16) and zero.
-    The other entries are set to NaN in a copy of the chunk, so that orjson
-    writes each as ``null``, and are spliced back between the pieces that
-    ``null`` splits, respelled by class from orjson's own digits (see
-    ``RESPELL``): ``0.00005`` becomes ``5e-05``, ``1e-7`` becomes ``1e-07``
-    and ``1e16`` becomes ``1e+16``, while the non-finite entries take json's
-    ``NaN``, ``Infinity`` and ``-Infinity``.
+    Each chunk is one ``orjson.dumps({"z": block})`` with indent 2, less the
+    text around its rows.  Its floats are Ryu's shortest round-trip digits,
+    spelled as repr spells them for every |x| in [1e-4, 1e16) and zero, and
+    as ``0.00001`` or ``1e16`` beyond; a non-finite entry is ``null``.
     """
     # imported here, not with the module: only `sample` needs it, and the
     # library's other users then neither load it nor pay its ~14 ms import
@@ -165,7 +119,7 @@ def _write_samples(path: str, z: np.ndarray) -> str:
     option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
     n, d = z.shape
     h = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with _open(path, "wb") as fh:
         def put(data: bytes) -> None:
             h.update(data)
             fh.write(data)
@@ -174,22 +128,9 @@ def _write_samples(path: str, z: np.ndarray) -> str:
         for start in range(0, n, SAMPLE_CHUNK):
             # orjson takes C-contiguous arrays only
             block = np.ascontiguousarray(z[start:start + SAMPLE_CHUNK], dtype=np.float64)
-            size = np.abs(block)
-            odd = ~(size < 1e16) | ((size < 1e-4) & (size != 0))
-            values = block[odd]
-            # a copy: z's own entries stay as they are
-            block = np.where(odd, np.nan, block)
-            text = orjson.dumps({"z": block}, option=option)
-            text = text[len(ROWS_HEAD):-len(ROWS_TAIL)]
-            if values.size:
-                gaps = text.split(b"null")
-                pieces = [b""] * (2 * len(gaps) - 1)
-                pieces[0::2] = gaps
-                pieces[1::2] = _respelled(values)
-                text = b"".join(pieces)
             if start:
                 put(ROW_SEP)
-            put(text)
+            put(orjson.dumps({"z": block}, option=option)[len(ROWS_HEAD):-len(ROWS_TAIL)])
         put(b"\n    ]\n  ]\n}\n")
     return h.hexdigest()
 
@@ -260,10 +201,8 @@ def _read_sidecar(path: str, digest: str) -> Optional[np.ndarray]:
 
 def _read_json(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -350,13 +289,11 @@ def _read_samples(path: str) -> tuple[np.ndarray, str]:
     """The (n, d) sample matrix of a samples file and the sha256 of the file.
 
     The matrix comes from the file's sidecar when that is keyed by this
-    sha256, else from the JSON: every entry a number (not a string, boolean
-    or null), and "n" and "d", when present, matching its shape.  Finiteness
-    is checked by the estimators."""
-    try:
-        digest = _digest(path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"input file not found: {path}") from exc
+    sha256, else from the JSON: every entry a number (not a string or
+    boolean), and "n" and "d", when present, matching its shape.  A null
+    entry, a non-finite sample as ``sample`` writes it, is refused here;
+    NaN and Infinity tokens are refused by the estimators."""
+    digest = _digest(path)
     z = _read_sidecar(path, digest)
     if z is not None:
         return z, digest
@@ -371,6 +308,8 @@ def _read_samples(path: str) -> tuple[np.ndarray, str]:
         raise UsageError(f"{path}: \"z\" must be an (n, d) matrix, got shape {z.shape}")
     # float() takes numeric strings and booleans, and null reads as NaN
     other = set(map(type, chain.from_iterable(obj["z"]))) - {float, int}
+    if type(None) in other:
+        raise UsageError(f"{path}: samples must be finite (null stands for a NaN or inf sample)")
     if other:
         names = ", ".join(sorted(t.__name__ for t in other))
         raise UsageError(f"{path}: \"z\" holds entries of type {names}, not only numbers")
@@ -509,7 +448,7 @@ def cmd_lowerbound(args) -> int:
     inst = build_networks(pair)
     text = pair_to_json(inst)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text + "\n")
         _manifest(args)
     else:
@@ -561,7 +500,7 @@ def cmd_bench(args) -> int:
          "gauge_dist", "residual", "wall_ms"]
     )
     writer.writerows(rows)
-    with open(args.out, "w") as fh:
+    with _open(args.out, "w") as fh:
         fh.write(buf.getvalue())
     _manifest(args)
     return 0
@@ -612,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--out", required=True,
-        help="samples JSON, the file of record; finite samples also get a binary "
-        f"copy, OUT{SIDECAR}, keyed by the JSON's sha256, which `moments` reads in "
-        "its place and which is safe to delete",
+        help="samples JSON, the file of record, with null for a non-finite sample; finite "
+        f"samples also get a binary copy, OUT{SIDECAR}, keyed by the JSON's sha256, which "
+        "`moments` reads in its place and which is safe to delete",
     )
     p.set_defaults(func=cmd_sample)
 
@@ -702,7 +641,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.out:
             try:
                 _manifest(args, exc)
-            except OSError as werr:
+            except (OSError, UsageError) as werr:
                 print(f"error: no manifest written: {werr}", file=sys.stderr)
         return exc.exit_code
     except SystemExit as exc:

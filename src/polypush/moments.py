@@ -103,16 +103,15 @@ class SigmaMatrix:
     D: np.ndarray
 
 
-def chunked_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Deterministic mean via fixed-size chunk sums combined in order."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[axis]
+def chunked_mean(x: np.ndarray) -> np.ndarray:
+    """Deterministic mean over axis 0 via fixed-size chunk sums combined in order."""
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.shape[0]
     if n == 0:
         raise UsageError("empty sample")
-    total = None
-    for start in range(0, n, CHUNK):
-        part = np.take(x, range(start, min(start + CHUNK, n)), axis=axis).sum(axis=axis)
-        total = part if total is None else total + part
+    total = x[:CHUNK].sum(axis=0)
+    for start in range(CHUNK, n, CHUNK):
+        total = total + x[start:start + CHUNK].sum(axis=0)
     return total / n
 
 

@@ -8,6 +8,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -28,17 +29,30 @@ def read(path):
         return json.load(fh)
 
 
-def samples_json(z):
-    """The samples file as json.dump of the whole matrix writes it."""
-    return json.dumps({"n": z.shape[0], "d": z.shape[1], "z": z.tolist()},
-                      indent=2, sort_keys=True) + "\n"
+def samples_bytes(z):
+    """The samples file as one orjson call on the whole matrix writes it."""
+    obj = {"n": z.shape[0], "d": z.shape[1], "z": np.ascontiguousarray(z)}
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS
+    return orjson.dumps(obj, option=option) + b"\n"
+
+
+def assert_reads_back(rows, z):
+    """``rows``, a parsed "z", holds each finite entry of ``z`` bitwise and
+    None for each other one."""
+    null = np.array([[v is None for v in row] for row in rows])
+    assert np.array_equal(null, ~np.isfinite(z))
+    got = np.array(rows, dtype=float)[~null]
+    assert np.array_equal(got.view(np.uint64), z[~null].view(np.uint64))
 
 
 def assert_samples_file(path, z):
-    """The file at ``path`` holds the bytes of ``samples_json(z)``, compared
-    line by line: pytest's diff of two long texts that differ in many lines
-    takes minutes."""
-    assert path.read_bytes().split(b"\n") == samples_json(z).encode().split(b"\n")
+    """The file at ``path`` holds the bytes of ``samples_bytes(z)``, compared
+    line by line (pytest's diff of two long texts that differ in many lines
+    takes minutes), and json.load reads ``z`` back from it, as does
+    orjson.loads, which refuses the NaN and Infinity tokens of json.dump."""
+    assert path.read_bytes().split(b"\n") == samples_bytes(z).split(b"\n")
+    assert_reads_back(read(path)["z"], z)
+    assert_reads_back(orjson.loads(path.read_bytes())["z"], z)
 
 
 @pytest.fixture
@@ -103,7 +117,7 @@ class TestSamplesFile:
 
     # entries orjson spells otherwise than repr, for about half the draws:
     # tiny (zero among them; decimal exponents -5 to -10 alike), subnormal,
-    # huge and non-finite
+    # huge, and non-finite ones, which it writes as null
     ODD_ENTRIES = st.one_of(
         st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
         st.builds(lambda m, k: m * 10.0**k, st.floats(-9.99, 9.99), st.integers(-10, -5)),
@@ -116,18 +130,36 @@ class TestSamplesFile:
     @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                         elements=st.floats() | ODD_ENTRIES),
            chunk=st.integers(1, 4))
-    def test_matches_json_dump(self, tmp_path_factory, z, chunk):
+    def test_matches_one_orjson_call(self, tmp_path_factory, z, chunk):
         out = tmp_path_factory.mktemp("samples") / "samples.json"
         with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
             digest = cli._write_samples(str(out), z)
         assert_samples_file(out, z)
         assert digest == sha256(out)
 
+    # entries orjson spells as repr does: zero and |x| in [1e-4, 1e16)
+    USUAL_ENTRIES = st.one_of(
+        st.floats(1e-4, 1e16, exclude_max=True),
+        st.floats(-1e16, -1e-4, exclude_min=True),
+        st.sampled_from([0.0, -0.0]),
+    )
+
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=USUAL_ENTRIES),
+           chunk=st.integers(1, 4))
+    def test_matches_json_dump(self, tmp_path_factory, z, chunk):
+        out = tmp_path_factory.mktemp("samples") / "samples.json"
+        with mock.patch.object(cli, "SAMPLE_CHUNK", chunk):
+            cli._write_samples(str(out), z)
+        text = json.dumps({"n": z.shape[0], "d": z.shape[1], "z": z.tolist()},
+                          indent=2, sort_keys=True)
+        assert out.read_bytes() == text.encode() + b"\n"
+
     @staticmethod
     def boundary_matrix(layout, tmp_path):
         """A matrix whose entries cross the edges of [1e-4, 1e16), the range
         in which orjson spells a float as repr does, and the edges at 1e-5 and
-        1e-9 inside it at which its spelling changes, laid out as ``layout``
+        1e-9 below it at which repr's spelling changes, laid out as ``layout``
         says."""
         rng = np.random.default_rng(15)
         if layout == "lowrank":
@@ -151,8 +183,8 @@ class TestSamplesFile:
         z = np.concatenate([edges, np.negative(edges), rng.uniform(1e-5, 1e-4, 960),
                             -rng.uniform(1e-5, 1e-4, 40)])
         if layout.startswith("all-odd"):
-            # every entry respelled: spliced entries sit next to each other,
-            # and each chunk starts and ends with one
+            # only entries spelled otherwise than repr, or null: each row and
+            # each chunk starts and ends with one
             size = np.abs(z)
             z = z[~(size < 1e16) | ((size < 1e-4) & (size != 0))]
             return z.reshape(-1, 1 if layout == "all-odd-column" else 2)
@@ -585,6 +617,31 @@ class TestFailedRuns:
         assert not out.exists()
         assert read(str(out) + ".manifest.json")["exit_code"] == 5
 
+    @pytest.mark.parametrize("argv, bad, verb", [
+        (("verify", "--network", "{dir}", "--out", "{out}"), "{dir}", "read"),
+        (("moments", "--samples", "{dir}", "--out", "{out}"), "{dir}", "read"),
+        (("sample", "--network", "{net}", "--n", "5", "--out", "{lost}"), "{lost}", "write"),
+        (("generate", "--r", "2", "--d", "3", "--out", "{lost}"), "{lost}", "write"),
+    ], ids=["verify-dir", "moments-dir", "sample-lost-out", "generate-lost-out"])
+    def test_os_error_exits_2(self, tmp_path, input_files, capsys, argv, bad, verb):
+        # a directory as input, or --out in a directory that does not exist
+        _, paths = input_files
+        names = {"dir": str(tmp_path / "a-dir"), "out": str(tmp_path / "out.json"),
+                 "net": paths["net"], "lost": str(tmp_path / "no-such-dir" / "out.json")}
+        os.mkdir(names["dir"])
+        argv = [a.format(**names) for a in argv]
+        bad = bad.format(**names)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot {verb} {bad}: ")
+        manifest = argv[argv.index("--out") + 1] + ".manifest.json"
+        if verb == "write":
+            assert "no manifest written" in err and not os.path.exists(manifest)
+        else:
+            man = read(manifest)
+            assert man["exit_code"] == 2 and bad in man["error"]
+            assert man["inputs"] == {} and man["outputs"] == {}
+
     def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "rec.json"
         assert run("solve_tr", "--table", str(tmp_path / "missing.json"), "--r", "2",
@@ -719,4 +776,5 @@ class TestSidecar:
         write_samples(samples, np.array([[1.0, 2.0], [np.nan, 4.0], [5.0, np.inf]]))
         assert not sidecar.exists()
         code, err, _ = moments_run(samples, tmp_path / "t.json")
-        assert (code, err) == (2, "error: samples must be finite (no NaN or inf entries)\n")
+        assert (code, err) == (
+            2, f"error: {samples}: samples must be finite (null stands for a NaN or inf sample)\n")

@@ -105,6 +105,17 @@ class TestEstimators:
         with pytest.raises(UsageError):
             estimate_pair_moments(z)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_chunked_mean_bits_as_take(self, order, n):
+        # the formula chunked_mean had while it took an axis
+        x = np.asarray(np.random.default_rng(n).standard_normal((n, 3)) * 1e3, order=order)
+        want = None
+        for start in range(0, n, moments.CHUNK):
+            part = np.take(x, range(start, min(start + moments.CHUNK, n)), axis=0).sum(axis=0)
+            want = part if want is None else want + part
+        assert moments.chunked_mean(x).tobytes() == (want / n).tobytes()
+
     def test_pair_estimator_univariate_cube(self):
         net = PolyNetwork(
             kind="lowrank", r=1, d=1, omega=3, ell=1,

@@ -1,5 +1,7 @@
-"""The benchmark tracer wraps library attributes by name; a refactor that
-drops or rebinds one must fail here rather than in a traced benchmark run."""
+"""The benchmark tracer wraps library attributes by name, and its workloads
+check what the CLI writes; a refactor that drops or rebinds an attribute, or
+changes a file the checks read, must fail here rather than in a benchmark
+run."""
 
 import importlib
 import importlib.util
@@ -14,18 +16,22 @@ from polypush.moments import exact_quadratic_moments
 from polypush.networks import PolyNetwork, SmoothingParams, smooth_componentwise, smooth_quadratic
 from polypush.tensor_ring import TRConfig, decompose
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    """perfbench/tracing.py loaded by path, writing no bytecode next to it."""
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py loaded by path, writing no bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, mod)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return load_perfbench(monkeypatch, "tracing")
 
 
 def test_every_wrap_point_resolves(tracing):
@@ -54,3 +60,16 @@ def test_traced_recovery_counts_one_combination(tracing, kind):
     # both kinds find and apply their combination through tensor_ring
     assert tracer.counts["tensor_ring.find_combo_calls"] == 1
     assert [sp.name for sp in tracer.spans].count("tensor_ring.gauge_fix") == 1
+
+
+def test_workload_checks_pass(monkeypatch, tmp_path):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    # the first cli-pipeline round: sample, moments, solve_* and eval of q#0
+    # and of l#0, each op checked against the files the ones before it wrote
+    ops = workloads.cli_pipeline(11, str(tmp_path / "cli"))[:8]
+    assert [op.name.split()[1] for op in ops] == ["q#0"] * 4 + ["l#0"] * 4
+    (cold,) = [op for op in workloads.relax(11, str(tmp_path / "relax"))
+               if op.name == "cold solve tr(1,1)"]
+    for op in [*ops, cold]:
+        outcome = op.check(op.run())
+        assert outcome.ok, f"{op.name}: {outcome.note}"
