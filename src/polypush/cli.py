@@ -71,13 +71,16 @@ from .networks import (
 from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
 
 
+def _path_error(verb: str, path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
 def _open(path: str, mode: str = "r", **kwargs):
     """``open``, raising its OSError as a UsageError that names ``path``."""
     try:
         return open(path, mode, **kwargs)
     except OSError as exc:
-        verb = "read" if "r" in mode else "write"
-        raise UsageError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+        raise _path_error("read" if "r" in mode else "write", path, exc) from exc
 
 
 def _digest(path: str) -> str:
@@ -143,12 +146,15 @@ def _write_sidecar(path: str, z: np.ndarray, digest: str) -> None:
     """Write ``path``'s sidecar: ``z`` as ``z.npy`` in an uncompressed zip
     whose comment is ``digest``, through a temporary file in the same
     directory.  A non-finite ``z`` gets none (the estimators reject its
-    file), and an earlier run's sidecar is removed."""
+    file), and an earlier run's sidecar is removed.  An OSError of either
+    step is raised as a UsageError that names the sidecar."""
     if not np.isfinite(z).all():
         try:
             os.remove(path + SIDECAR)
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise _path_error("remove", path + SIDECAR, exc) from exc
         return
     z = np.ascontiguousarray(z, dtype=np.float64)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -164,6 +170,9 @@ def _write_sidecar(path: str, z: np.ndarray, digest: str) -> None:
                 # the matrix's own buffer: np.save would copy it to bytes first
                 member.write(z.data)
         os.replace(tmp, path + SIDECAR)
+    except OSError as exc:
+        os.remove(tmp)
+        raise _path_error("write", path + SIDECAR, exc) from exc
     except BaseException:
         os.remove(tmp)
         raise

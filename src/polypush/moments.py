@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
-from .networks import PolyNetwork, SeedDistribution, gaussian_norm_moment
+from .networks import PolyNetwork, SeedDistribution, blas_product, gaussian_norm_moment
 from .tensors import (
     multiplicity,
     num_sorted_indices,
@@ -168,7 +168,8 @@ def estimate_quadratic_moments(
     """Two-pass centered estimators from an (n, d) sample matrix.
 
     S_ab = mean((z_a - mean z_a)(z_b - mean z_b)) / 2 and the triple analogue
-    divided by 8.  ``eta`` records the caller's entrywise accuracy target.
+    divided by 8, summed over chunks of ``CHUNK`` rows with one matrix product
+    each.  ``eta`` records the caller's entrywise accuracy target.
     """
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
@@ -183,10 +184,15 @@ def estimate_quadratic_moments(
     for start in range(0, n, CHUNK):
         c = zc[start:start + CHUNK]
         S += c.T @ c
-        T += np.einsum("na,nb,nc->abc", c, c, c, optimize=True)
+        # T_abc += sum_n (c_a c_b) c_c, one matrix product per chunk
+        cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), d * d)
+        T += blas_product(cc.T, c).reshape(d, d, d)
     S /= 2.0 * n
     T /= 8.0 * n
     S = 0.5 * (S + S.T)
+    # the six orderings of a product round differently; reading each entry at
+    # its sorted index makes T, and so its symmetrization, exactly symmetric
+    T = T[tuple(np.sort(np.indices((d, d, d)).reshape(3, -1), axis=0))].reshape(d, d, d)
     return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T), eta=eta)
 
 

@@ -213,6 +213,25 @@ def draw_seeds(
     return x
 
 
+# OpenBLAS 0.3.31 blocks a long inner dimension by its thread count: a
+# (400 x 848) @ (848 x 20) product gave other bits at 1 and 2 threads.  None
+# of the products tried with an inner dimension up to this one did
+BLAS_INNER = 128
+
+
+def blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D arrays by BLAS gemm, the same bits at any BLAS
+    thread count: the inner dimension goes in blocks of ``BLAS_INNER``,
+    summed in order, and a one-column ``b`` gets a zero column, since numpy
+    hands such a product to gemv, whose sums depend on the thread count."""
+    if b.shape[1] == 1:
+        return blas_product(a, np.hstack([b, np.zeros_like(b)]))[:, :1]
+    out = a[:, :BLAS_INNER] @ b[:BLAS_INNER]
+    for start in range(BLAS_INNER, a.shape[1], BLAS_INNER):
+        out += a[:, start:start + BLAS_INNER] @ b[start:start + BLAS_INNER]
+    return out
+
+
 def sample(
     net: PolyNetwork,
     seed: SeedDistribution,
@@ -221,8 +240,10 @@ def sample(
 ) -> np.ndarray:
     """Push n seed draws through the network; returns an (n, d) sample matrix.
 
-    ResourceError before drawing when the arrays this call holds at once
-    (``_sample_bytes``) would exceed ``DENSE_BYTES_CAP``."""
+    The seeds come from ``draw_seeds`` and go through ``evaluate``, one
+    matrix product per network.  ResourceError before drawing when the arrays
+    this call holds at once (``_sample_bytes``) would exceed
+    ``DENSE_BYTES_CAP``."""
     if n < 1:
         raise UsageError("need at least one sample")
     need = _sample_bytes(net, seed, n)
@@ -235,39 +256,54 @@ def sample(
     return evaluate(net, x)
 
 
-# z_a = x^T Q_a x, vectorized over samples and units
-QUADRATIC_SUBSCRIPTS = "ni,aij,nj->na"
-
-
 def _sample_bytes(net: PolyNetwork, seed: SeedDistribution, n: int) -> int:
     """Bytes of the float64 arrays ``sample`` holds at once.
 
     Drawing holds the (n, r) seeds; rotation-invariant seeds add their norms,
     radii and two (n, r) temporaries (the radial sampler's own scratch is not
-    counted).  Evaluating holds the seeds, z and two copies of one
-    intermediate: (n, d, ell) powers for a low-rank network; for a quadratic
-    one, what the contraction path einsum picks at this n builds, (n, r, r)
-    or (n, d, r) or nothing.  tracemalloc's peak is this plus einsum's
-    fixed-size buffers, or one (n, r, r) copy less on some shapes.
+    counted).  Evaluating holds the seeds and the arrays of ``evaluate``:
+    for a quadratic network the r(r+1)/2 products x_i x_j of each row and z;
+    for a low-rank one the d * ell projections, their powers and z.  A
+    product of ``blas_product`` is at least two columns wide, and takes one
+    more of its size when its inner dimension exceeds ``BLAS_INNER``.
     """
     r, d = net.r, net.d
     if net.kind == "quadratic":
-        x = np.broadcast_to(0.0, (n, r))
-        first = np.einsum_path(QUADRATIC_SUBSCRIPTS, x, net.Q, x, optimize=True)[0][1]
-        inter = 0 if len(first) == 3 else r * r if first == (0, 2) else d * r
+        m = r * (r + 1) // 2
+        hold = m + max(d, 2) * (1 + (m > BLAS_INNER))
     else:
-        inter = d * net.ell
+        k = d * net.ell
+        hold = max(k, 2) + k + d
     draw = 3 * r + 2 if seed.kind == "rotation_invariant" else r
-    return 8 * n * max(draw, r + d + 2 * inter)
+    return 8 * n * max(draw, r + hold)
 
 
 def evaluate(net: PolyNetwork, x: np.ndarray) -> np.ndarray:
-    """Evaluate the transformation on given seed rows x (shape (n, r))."""
+    """Evaluate the transformation on given seed rows x (shape (n, r)).
+
+    Each kind is one matrix product on the rows (``blas_product``).
+    Quadratic: the products x_i x_j, i <= j, times the matching entries of
+    Q_a, off-diagonal ones doubled.  Low-rank: the projections
+    <v_{a,t}, x>, raised to the power omega by repeated multiplication and
+    summed over t.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != net.r:
+        raise UsageError(f"seed rows must have shape (n, {net.r}), got {x.shape}")
     if net.kind == "quadratic":
-        return np.einsum(QUADRATIC_SUBSCRIPTS, x, net.Q, x, optimize=True)
-    proj = np.einsum("atr,nr->nat", net.components, x)
-    return np.sum(proj**net.omega, axis=2)
+        i, j = np.triu_indices(net.r)
+        F = np.empty((len(i), len(x)))
+        for k in range(len(i)):
+            np.multiply(x[:, i[k]], x[:, j[k]], out=F[k])
+        # Q_a is exactly symmetric (__post_init__), so x^T Q_a x holds each
+        # off-diagonal entry twice; doubling is exact
+        W = net.Q[:, i, j] * np.where(i == j, 1.0, 2.0)
+        return blas_product(F.T, W.T)
+    proj = blas_product(x, net.components.reshape(net.d * net.ell, net.r).T)
+    power = proj * proj
+    for _ in range(net.omega - 2):
+        power *= proj
+    return power.reshape(len(x), net.d, net.ell).sum(axis=2)
 
 
 def smooth_quadratic(params: SmoothingParams) -> PolyNetwork:

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -622,25 +624,43 @@ class TestFailedRuns:
         (("moments", "--samples", "{dir}", "--out", "{out}"), "{dir}", "read"),
         (("sample", "--network", "{net}", "--n", "5", "--out", "{lost}"), "{lost}", "write"),
         (("generate", "--r", "2", "--d", "3", "--out", "{lost}"), "{lost}", "write"),
-    ], ids=["verify-dir", "moments-dir", "sample-lost-out", "generate-lost-out"])
+        (("sample", "--network", "{net}", "--n", "5", "--out", "{out}"),
+         "{out}" + cli.SIDECAR, "write"),
+        (("sample", "--network", "{inf}", "--n", "50", "--out", "{out}"),
+         "{out}" + cli.SIDECAR, "remove"),
+    ], ids=["verify-dir", "moments-dir", "sample-lost-out", "generate-lost-out",
+            "sample-sidecar-dir", "sample-non-finite-sidecar-dir"])
     def test_os_error_exits_2(self, tmp_path, input_files, capsys, argv, bad, verb):
-        # a directory as input, or --out in a directory that does not exist
+        # a directory as input, --out in a directory that does not exist, or a
+        # directory where sample's sidecar goes
         _, paths = input_files
         names = {"dir": str(tmp_path / "a-dir"), "out": str(tmp_path / "out.json"),
-                 "net": paths["net"], "lost": str(tmp_path / "no-such-dir" / "out.json")}
+                 "net": paths["net"], "inf": str(tmp_path / "inf.json"),
+                 "lost": str(tmp_path / "no-such-dir" / "out.json")}
         os.mkdir(names["dir"])
+        # z = 8e307 x^2 is inf for |x| > 1.5
+        with open(names["inf"], "w") as fh:
+            json.dump({"kind": "quadratic", "r": 1, "d": 1, "Q": [[[8e307]]]}, fh)
         argv = [a.format(**names) for a in argv]
         bad = bad.format(**names)
-        assert run(*argv) == 2
+        if bad.endswith(cli.SIDECAR):
+            os.mkdir(bad)
+        with np.errstate(over="ignore"):
+            assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot {verb} {bad}: ")
-        manifest = argv[argv.index("--out") + 1] + ".manifest.json"
-        if verb == "write":
+        assert not list(tmp_path.glob("*.tmp"))
+        out = argv[argv.index("--out") + 1]
+        manifest = out + ".manifest.json"
+        if out == names["lost"]:
             assert "no manifest written" in err and not os.path.exists(manifest)
         else:
             man = read(manifest)
             assert man["exit_code"] == 2 and bad in man["error"]
-            assert man["inputs"] == {} and man["outputs"] == {}
+            nets = (names["net"], names["inf"])
+            assert man["inputs"] == {p: sha256(p) for p in argv if p in nets}
+            # the samples file is written before its sidecar
+            assert man["outputs"] == ({out: sha256(out)} if os.path.exists(out) else {})
 
     def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "rec.json"
@@ -682,6 +702,43 @@ class TestReproducibility:
             sidecar = tmp_path / f"samples_{tag}.json{cli.SIDECAR}"
             outs.append(tuple(p.read_bytes() for p in (net, table, rec, samples, est, sidecar)))
         assert outs[0] == outs[1]
+
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # sample and moments --samples in child processes at 1 and 2 BLAS
+        # threads.  The networks take the products BLAS could split by thread
+        # count: a d = 20 third-moment estimate whose last chunk has 849 rows,
+        # and one-column products (quadratic d = 1, low-rank d * ell = 1).
+        # An odd n splits the rows unevenly between the threads
+        runs = [
+            (["--r", "2", "--d", "20"], "quadratic"),
+            (["--r", "10", "--d", "1"], "quadratic"),
+            (["--kind", "lowrank", "--r", "3", "--d", "1", "--ell", "1"], "pair"),
+        ]
+        calls = []
+        for k, (gen, kind) in enumerate(runs):
+            net, samples, table = (f"{k}{name}.json" for name in ("net", "samples", "table"))
+            calls += [["generate", *gen, "--rho", "1.0", "--seed", "4", "--out", net],
+                      ["sample", "--network", net, "--n", "50001", "--seed", "5",
+                       "--out", samples],
+                      ["moments", "--samples", samples, "--kind", kind, "--out", table]]
+        script = (f"from polypush.cli import main\n"
+                  f"for argv in {calls!r}:\n    assert main(argv) == 0\n")
+        path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+                os.environ.get("PYTHONPATH")]
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            subprocess.run([sys.executable, "-c", script], cwd=out, env=env, check=True,
+                           timeout=120)
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if not p.name.endswith(".manifest.json")})
+        assert len(files[0]) == 4 * len(runs)
+        assert files[0].keys() == files[1].keys()
+        for name in files[0]:
+            assert files[0][name] == files[1][name], name
 
 
 def moments_run(samples, out):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -115,6 +116,28 @@ class TestEstimators:
             part = np.take(x, range(start, min(start + moments.CHUNK, n)), axis=0).sum(axis=0)
             want = part if want is None else want + part
         assert moments.chunked_mean(x).tobytes() == (want / n).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_quadratic_estimator_as_einsum(self, order, n):
+        # the per-chunk einsum the estimator had before its matrix product; the
+        # samples are skewed, like those of a quadratic network, so T is not ~0
+        g = np.random.default_rng(n).standard_normal((n, 3))
+        z = np.asarray(g**2 * [1.0, 3.0, -0.5] + g[:, [1, 2, 0]] + 1e3, order=order)
+        zc = z - moments.chunked_mean(z)
+        S, T = np.zeros((3, 3)), np.zeros((3, 3, 3))
+        for start in range(0, n, moments.CHUNK):
+            c = zc[start:start + moments.CHUNK]
+            S += c.T @ c
+            T += np.einsum("na,nb,nc->abc", c, c, c, optimize=True)
+        S /= 2.0 * n
+        S = 0.5 * (S + S.T)
+        T = symmetrize(T / (8.0 * n))
+        got = estimate_quadratic_moments(z)
+        assert got.S.tobytes() == S.tobytes()
+        assert np.max(np.abs(got.T - T)) <= 1e-13 * np.max(np.abs(T))
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(got.T, got.T.transpose(perm))
 
     def test_pair_estimator_univariate_cube(self):
         net = PolyNetwork(

@@ -3,9 +3,12 @@ import inspect
 import math
 import pathlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from conftest import random_orthogonal, symmetric_gaussian
@@ -18,6 +21,8 @@ from polypush.networks import (
     _philox_rng,
     _sample_bytes,
     _seed_rng,
+    BLAS_INNER,
+    blas_product,
     evaluate,
     gaussian_norm_moment,
     network_from_json,
@@ -116,6 +121,11 @@ class TestSample:
         z = evaluate(net, x)
         assert np.allclose(z[:, 0], x[:, 0] ** 3)
 
+    def test_evaluate_rejects_wrong_width(self):
+        net = PolyNetwork(kind="quadratic", r=2, d=1, Q=np.eye(2)[None])
+        with pytest.raises(UsageError, match=r"shape \(n, 2\)"):
+            evaluate(net, np.ones((4, 3)))
+
     def test_deterministic_in_seed(self):
         net = PolyNetwork(kind="quadratic", r=2, d=1, Q=np.eye(2)[None])
         a = sample(net, GAUSS, 100, rng_seed=7)
@@ -135,11 +145,13 @@ class TestSample:
             assert stats.ks_2samp(zA[:, a], zB[:, a]).pvalue > 0.01
 
 
-# (kind, r, d, ell): quadratic shapes on each of einsum's three contraction
-# paths at n = 20000 ((0, 1, 2), (0, 2) then (0, 1), and (0, 1) twice)
+# (kind, r, d, ell): d = 1 and d * ell = 1 make one-column products, which
+# blas_product widens by a zero column; r = 16 has 136 products x_i x_j per
+# row, more than BLAS_INNER
 SAMPLE_SHAPES = [("quadratic", 2, 3, 0), ("quadratic", 6, 30, 0), ("quadratic", 1, 5, 0),
                  ("quadratic", 2, 20, 0), ("quadratic", 3, 1, 0), ("quadratic", 10, 1, 0),
-                 ("lowrank", 2, 4, 1), ("lowrank", 3, 3, 2)]
+                 ("quadratic", 16, 2, 0), ("lowrank", 2, 4, 1), ("lowrank", 3, 3, 2),
+                 ("lowrank", 3, 1, 1)]
 
 
 def shaped_net(kind, r, d, ell):
@@ -167,8 +179,8 @@ class TestSampleBytes:
         finally:
             tracemalloc.stop()
         need = _sample_bytes(net, dist, n)
-        # above the arrays: einsum's fixed-size buffers; below: the (n, r, r)
-        # intermediate is copied once for some shapes and twice for others
+        # above the arrays: numpy's small buffers and the scratch of the
+        # rotation-invariant draw
         assert peak <= need + 2**18
         assert need <= 1.2 * peak
 
@@ -182,6 +194,58 @@ class TestSampleBytes:
         monkeypatch.undo()
         monkeypatch.setattr(networks, "DENSE_BYTES_CAP", need)
         assert sample(net, GAUSS, 10).shape == (10, 3)
+
+
+# entries of magnitude 0 or in [1e-20, 1e3]: no fifth power of a projection
+# under- or overflows, so the error bounds below hold
+ENTRIES = st.sampled_from([0.0]) | st.floats(1e-20, 1e3) | st.floats(-1e3, -1e-20)
+EPS = Fraction(np.finfo(float).eps)
+
+
+class TestEvaluateAccuracy:
+    # z against exact rational arithmetic on the float inputs
+
+    @settings(max_examples=60)
+    @given(data=st.data(), r=st.integers(1, 6), d=st.integers(1, 3))
+    def test_quadratic(self, data, r, d):
+        A = data.draw(hnp.arrays(np.float64, (d, r, r), elements=ENTRIES))
+        net = PolyNetwork(kind="quadratic", r=r, d=d, Q=A + np.transpose(A, (0, 2, 1)))
+        x = data.draw(hnp.arrays(np.float64, (3, r), elements=ENTRIES))
+        z = evaluate(net, x)
+        for row, zrow in zip(x, z):
+            xs = [Fraction(v) for v in row]
+            for Qa, za in zip(net.Q, zrow):
+                terms = [xs[i] * Fraction(Qa[i, j]) * xs[j] for i in range(r) for j in range(r)]
+                assert abs(Fraction(za) - sum(terms)) <= 8 * EPS * sum(map(abs, terms))
+
+    @settings(max_examples=60)
+    @given(data=st.data(), r=st.integers(1, 6), d=st.integers(1, 3),
+           ell=st.sampled_from([1, 2]), omega=st.sampled_from([3, 5]))
+    def test_lowrank(self, data, r, d, ell, omega):
+        comps = data.draw(hnp.arrays(np.float64, (d, ell, r), elements=ENTRIES))
+        net = PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
+        x = data.draw(hnp.arrays(np.float64, (3, r), elements=ENTRIES))
+        z = evaluate(net, x)
+        for row, zrow in zip(x, z):
+            xs = [Fraction(v) for v in row]
+            for unit, za in zip(comps, zrow):
+                exact = sum(sum(Fraction(c) * v for c, v in zip(vt, xs)) ** omega for vt in unit)
+                # <|v_t|, |x|>, not |<v_t, x>|: a projection that cancels keeps
+                # the rounding error of its terms
+                scale = sum(sum(abs(Fraction(c) * v) for c, v in zip(vt, xs)) ** omega
+                            for vt in unit)
+                assert abs(Fraction(za) - exact) <= (omega * (r + 1) + ell) * EPS * scale
+
+
+class TestBlasProduct:
+    @pytest.mark.parametrize("k", [1, BLAS_INNER, BLAS_INNER + 1, 3 * BLAS_INNER + 5])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_matches_matmul(self, k, cols):
+        rng = np.random.default_rng(k + cols)
+        a, b = rng.standard_normal((50, k)), rng.standard_normal((k, cols))
+        got = blas_product(a, b)
+        assert got.shape == (50, cols)
+        assert np.all(np.abs(got - a @ b) <= 2 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b)))
 
 
 class TestSmoothing:
