@@ -575,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sidecar is keyed by the JSON's sha256, else parsed from the JSON",
     )
     p.add_argument("--kind", choices=("quadratic", "pair"), default="quadratic")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_moments)
 
@@ -612,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="non-degeneracy diagnostics")
     p.add_argument("--network", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -5,7 +5,7 @@ gauge is broken through the paired-contraction vectors f_a: the rank-one
 matrices F_a = f_a f_a^T transform like quadratic units, so each recovery
 draws one combination, no retries, with find_combo on the Gram of the fit's
 F_a and gauge-fixes the fit with the corner-signed mu through
-tensor_ring.gauge_fix_fit; the leftover +-Id ambiguity of odd orders is
+tensor_ring.gauge_fix; the leftover +-Id ambiguity of odd orders is
 resolved by an argmax anchor and pairwise signs.  Both backends start from
 one local fit of the components; sos returns the gauge-fixed fit once it
 is certified feasible for the encoded moment program.  At ell = 1 the fit's
@@ -325,7 +325,7 @@ def _gauge_fix_components(net: PolyNetwork, rng_seed: int):
         np.einsum("aij,bij->ab", F, F), net.r, rng_seed=rng_seed
     )
     qnet = PolyNetwork(kind="quadratic", r=net.r, d=net.d, Q=F)
-    mu, _, rot = tensor_ring.gauge_fix_fit(qnet, combo)
+    _, rot, mu = tensor_ring.gauge_fix(qnet, combo.lam, combo.mu)
     return combo.lam, mu, rotate_network(net, rot)
 
 
@@ -577,9 +577,7 @@ def verify_assumption_lr(
             for u, tup in enumerate(kidx):
                 K[a, u] = kmult[u] * np.prod(w[list(tup)])
         ks = np.linalg.svd(K, compute_uv=False)
-        rep.sigma_min_K = float(ks[min(d, len(kidx)) - 1]) if d >= 1 else 0.0
-        if d < len(kidx):
-            rep.sigma_min_K = float(ks[d - 1])
+        rep.sigma_min_K = float(ks[min(d, len(kidx)) - 1])
     if net.smoothing_rho is not None:
         rho = net.smoothing_rho
         rep.predicted_psi = (rho / (r * omega)) ** omega

@@ -135,13 +135,11 @@ class VarGroup:
 
     variables: tuple[int, ...]
     degree: int
-    label: str = ""
 
 
 @dataclass
 class PolynomialProgram:
     nvars: int
-    names: list[str]
     groups: list[VarGroup]
     equalities: list[tuple[Poly, int]] = field(default_factory=list)   # (p, group id)
     inequalities: list[tuple[Poly, int]] = field(default_factory=list)  # p >= 0
@@ -520,21 +518,26 @@ def certify(
 ) -> float:
     """Worst violation of the encoded program at the point its units fix.
 
-    Both encoders number their variables in one layout: the (d, m)
-    flattening M of the units row-major, the (d, ell, r) components (the
-    low-rank program only), then the left inverses L and, in the low-rank
-    program, P, each as (m, d).  The point is M and ``components`` completed
-    by the least-norm left inverses pinv(M) and pinv(M B).  Returns its worst
-    violation (``check_point`` at tol 1e-9).  A violation above
-    max(eta, 1e-7) from a tight moment fit means the instance is too
-    degenerate for the program's caps: ConvergenceError.
+    The point fills the encoder's variable blocks in ``prog.meta``: "units"
+    with the (d, m) flattening M of the units, "components" with
+    ``components`` (the low-rank program only), and "L" and, in the
+    low-rank program, "P" with the least-norm left inverses pinv(M) and
+    pinv(M B).  Returns its worst violation (``check_point`` at tol 1e-9).
+    A violation above max(eta, 1e-7) from a tight moment fit means the
+    instance is too degenerate for the program's caps: ConvergenceError.
     """
-    parts = [M, components, np.linalg.pinv(M)]
-    if "pvar" in prog.meta:
-        parts.append(np.linalg.pinv(M @ prog.meta["B"]))
-    point = np.concatenate([np.ravel(p) for p in parts if p is not None])
-    if point.size != prog.nvars:
-        raise UsageError(f"a point of {point.size} entries for {prog.nvars} variables")
+    values = {"units": M, "components": components, "L": np.linalg.pinv(M)}
+    if "P" in prog.meta:
+        values["P"] = np.linalg.pinv(M @ prog.meta["B"])
+    point = np.empty(prog.nvars)
+    for key, value in values.items():
+        block = prog.meta.get(key)
+        if np.shape(value) != np.shape(block):
+            raise UsageError(
+                f"a {key} block of shape {np.shape(value)} for variables {np.shape(block)}"
+            )
+        if block is not None:
+            point[block] = value
     violation = float(prog.check_point(point, tol=1e-9))
     if violation > max(prog.meta["eta"], 1e-7):
         raise ConvergenceError("instance violates non-degeneracy caps of the relaxation")
@@ -545,36 +548,87 @@ def certify(
 # Program encodings
 # ---------------------------------------------------------------------------
 
-def _band(p: Poly, target: float, eta: float) -> list[Poly]:
-    """|p - target| <= eta as two one-sided constraints (>= 0 form)."""
-    return [Poly.const(target + eta) - p, p - Poly.const(target - eta)]
+def _blocks(*shapes: tuple[int, ...]) -> tuple[list[np.ndarray], int]:
+    """The variable blocks of a program: consecutive row-major index arrays
+    of the given shapes, numbered from 0, and the number of variables."""
+    blocks, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(np.arange(start, start + size).reshape(shape))
+        start += size
+    return blocks, start
 
 
 def _add_band(prog: PolynomialProgram, p: Poly, target: float, eta: float, gid: int):
-    """Moment-matching band; collapses to an equality row when the band is
-    narrower than the solver can resolve (two inequalities 2*eta apart make
-    first-order conic methods crawl)."""
+    """Moment-matching band |p - target| <= eta as two one-sided constraints
+    (>= 0 form); collapses to an equality row when the band is narrower than
+    the solver can resolve (two inequalities 2*eta apart make first-order
+    conic methods crawl)."""
     if eta <= 1e-7:
         prog.equalities.append((p - Poly.const(target), gid))
     else:
-        for ineq in _band(p, target, eta):
-            prog.inequalities.append((ineq, gid))
+        prog.inequalities.append((Poly.const(target + eta) - p, gid))
+        prog.inequalities.append((p - Poly.const(target - eta), gid))
 
 
-def _add_left_inverse(prog, var, entry, m: int, d: int, cap: float, gid: int):
+def _add_cap(prog: PolynomialProgram, cap: float, variables, weights, gid: int):
+    """sum_i weights[i] x_i^2 <= cap over ``variables``, in group ``gid``."""
+    norm = Poly({(v, v): w for v, w in zip(variables, weights)})
+    prog.inequalities.append((Poly.const(cap) - norm, gid))
+
+
+def _add_trace_bands(prog: PolynomialProgram, q: list, tables, eta: float):
+    """Bands on the cyclic traces Tr(Q_a Q_b) = S_ab and Tr(Q_a Q_b Q_c) =
+    T_abc over a <= b (<= c), in group 0, where ``q[a][i][j]`` numbers the
+    variable of Q_a[i, j]."""
+    r = len(q[0])
+    for table in tables:
+        k = table.ndim
+        cycles = [list(zip(idx, idx[1:] + idx[:1]))
+                  for idx in itertools.product(range(r), repeat=k)]
+        for units in itertools.combinations_with_replacement(range(len(q)), k):
+            terms: dict[Monomial, float] = {}
+            for cycle in cycles:
+                mono = tuple(sorted(q[a][i][j] for a, (i, j) in zip(units, cycle)))
+                terms[mono] = terms.get(mono, 0.0) + 1.0
+            _add_band(prog, Poly(terms), float(table[units]), eta, 0)
+
+
+def _add_gauge_families(prog: PolynomialProgram, entries: list, lam, mu, gid: int):
+    """Q_lam diagonal with ascending diagonal and the first row of Q_mu
+    nonnegative, in group ``gid``, where Q_w = sum_a w_a Q_a and
+    ``entries[a][i][j]`` is the polynomial of Q_a[i, j]."""
+    r = len(entries[0])
+    lam, mu = (np.asarray(w, dtype=float).tolist() for w in (lam, mu))
+
+    def combo(w, i, j):
+        p = Poly()
+        for wa, Qa in zip(w, entries):
+            if wa != 0.0:
+                p = p + wa * Qa[i][j]
+        return p
+
+    for i in range(r):
+        for j in range(i + 1, r):
+            prog.equalities.append((combo(lam, i, j), gid))
+    for i in range(r - 1):
+        prog.inequalities.append((combo(lam, i + 1, i + 1) - combo(lam, i, i), gid))
+    for j in range(r):
+        prog.inequalities.append((combo(mu, 0, j), gid))
+
+
+def _add_left_inverse(prog: PolynomialProgram, X: list, M: list, cap: float, gid: int):
     """The family X M = Id_m with ||X||_F^2 <= cap in group ``gid``, where
-    ``var[(k, a)]`` numbers the variables of X and ``entry(a, u)`` is the
-    polynomial of the (d, m) matrix M's entry."""
+    ``X`` is an (m, d) variable block and ``M[a][u]`` the polynomial of the
+    (d, m) matrix M's entry."""
+    m = len(X)
     for k in range(m):
         for u in range(m):
             p = Poly.const(-1.0 if k == u else 0.0)
-            for a in range(d):
-                p = p + Poly.var(var[(k, a)]) * entry(a, u)
+            for a, x in enumerate(X[k]):
+                p = p + Poly.var(x) * M[a][u]
             prog.equalities.append((p, gid))
-    norm = Poly()
-    for v in var.values():
-        norm = norm + Poly.var(v) * Poly.var(v)
-    prog.inequalities.append((Poly.const(cap) - norm, gid))
+    _add_cap(prog, cap, [x for row in X for x in row], itertools.repeat(1.0), gid)
 
 
 def encode_tensor_ring(
@@ -590,93 +644,39 @@ def encode_tensor_ring(
     """The degree-4 quadratic-recovery program with gauge-fixing combinations
     lam, mu.
 
-    Variables: upper-triangular entries of each Q_a (symmetry is structural)
-    and a left inverse L of the flattening matrix M (rows = upper-triangular
-    entries of Q_a).  Constraint families: moment bands on Tr(Q_a Q_b) and
-    Tr(Q_a Q_b Q_c), Frobenius norm caps, L M = Id with ||L||_F^2 bounded,
-    Q_lam diagonal with sorted diagonal, and first row of Q_mu nonnegative.
+    Variable blocks (``prog.meta``): "units", the upper-triangular entries
+    of each Q_a as the (d, m) flattening M, m = C(r+1, 2) (symmetry is
+    structural; "qvar" is the symmetric (d, r, r) view), and "L", an
+    (m, d) left inverse of M.  Constraint families: moment bands on
+    Tr(Q_a Q_b) and Tr(Q_a Q_b Q_c), Frobenius norm caps, Q_lam diagonal
+    with sorted diagonal, first row of Q_mu nonnegative, and L M = Id with
+    ||L||_F^2 bounded.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     d = S.shape[0]
     m = r * (r + 1) // 2
     if d < m:
         raise UsageError(f"need d >= C(r+1,2) = {m}")
-    pairs = [(i, j) for i in range(r) for j in range(i, r)]
-    names: list[str] = []
-    qvar: dict[tuple[int, int, int], int] = {}
-    for a in range(d):
-        for (i, j) in pairs:
-            qvar[(a, i, j)] = len(names)
-            names.append(f"Q{a}[{i},{j}]")
-    lvar: dict[tuple[int, int], int] = {}
-    for k in range(m):
-        for a in range(d):
-            lvar[(k, a)] = len(names)
-            names.append(f"L[{k},{a}]")
-    nq = d * m
-
-    def q(a, i, j):
-        lo, hi = min(i, j), max(i, j)
-        return Poly.var(qvar[(a, lo, hi)])
-
-    group_q = VarGroup(tuple(range(nq)), 4, "Q")
-    group_ql = VarGroup(tuple(range(len(names))), 2, "QL")
+    (units, L), nvars = _blocks((d, m), (m, d))
+    i, j = np.triu_indices(r)
+    pos = np.empty((r, r), dtype=int)
+    pos[i, j] = pos[j, i] = np.arange(m)
+    qvar = units[:, pos]
     prog = PolynomialProgram(
-        nvars=len(names), names=names, groups=[group_q, group_ql], degree=4,
-        meta={"r": r, "d": d, "m": m, "qvar": qvar, "lvar": lvar, "pairs": pairs,
-              "lam": lam, "mu": mu, "R": R, "kappa": kappa, "eta": eta},
+        nvars=nvars, groups=[VarGroup(tuple(range(d * m)), 4), VarGroup(tuple(range(nvars)), 2)],
+        degree=4, meta={"units": units, "L": L, "qvar": qvar, "eta": eta},
     )
-
-    def trace_qq(a, b):
-        p = Poly()
-        for i in range(r):
-            for j in range(r):
-                p = p + q(a, i, j) * q(b, j, i)
-        return p
-
-    def trace_qqq(a, b, c):
-        p = Poly()
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    p = p + q(a, i, j) * q(b, j, k) * q(c, k, i)
-        return p
-
-    for a in range(d):
-        for b in range(a, d):
-            _add_band(prog, trace_qq(a, b), float(S[a, b]), eta, 0)
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                _add_band(prog, trace_qqq(a, b, c), float(T[a, b, c]), eta, 0)
-    for a in range(d):
-        norm2 = Poly()
-        for (i, j) in pairs:
-            w = 1.0 if i == j else 2.0
-            norm2 = norm2 + w * (q(a, i, j) * q(a, i, j))
-        prog.inequalities.append((Poly.const(R * R) - norm2, 0))
-    # gauge fixing: Q_lam diagonal & sorted, first row of Q_mu nonnegative
-    for i in range(r):
-        for j in range(i + 1, r):
-            p = Poly()
-            for a in range(d):
-                p = p + float(lam[a]) * q(a, i, j)
-            prog.equalities.append((p, 0))
-    for i in range(r - 1):
-        p = Poly()
-        for a in range(d):
-            p = p + float(lam[a]) * (q(a, i + 1, i + 1) - q(a, i, i))
-        prog.inequalities.append((p, 0))
-    for j in range(r):
-        p = Poly()
-        for a in range(d):
-            p = p + float(mu[a]) * q(a, 0, j)
-        prog.inequalities.append((p, 0))
+    q = qvar.tolist()
+    _add_trace_bands(prog, q, (S, T), eta)
+    weights = np.where(i == j, 1.0, 2.0).tolist()
+    for row in units.tolist():
+        _add_cap(prog, R * R, row, weights, 0)
+    entries = [[[Poly.var(x) for x in row] for row in Qa] for Qa in q]
+    _add_gauge_families(prog, entries, lam, mu, 0)
     # left inverse: L M = Id_m over the (Q, L) group at degree 2
-    _add_left_inverse(prog, lvar, lambda a, u: q(a, *pairs[u]), m, d, r * r / kappa**2, 1)
+    M = [[Poly.var(x) for x in row] for row in units.tolist()]
+    _add_left_inverse(prog, L.tolist(), M, r * r / kappa**2, 1)
     prog.validate()
     return prog
 
@@ -696,16 +696,18 @@ def encode_lowrank(
     """The degree-2 omega low-rank factorization program (pairwise
     Sigma-moment matching).
 
-    Variables per unit: sorted-index entries of T_a and the rank-ell
-    components v_{a,t}; global left inverses L and P of the sorted-entry
-    flattening M (the P constraint uses the multiplicity diagonal D and the
-    PSD square root of Sigma_sym).  ``lam_mu`` appends the gauge-fixing
-    families on F_lam / F_mu built from the paired-contraction vectors f_a;
-    without it the program is gauge-free.
+    Variable blocks (``prog.meta``): "units", the sorted-index entries
+    ``meta["sidx"]`` of each T_a as the (d, m) flattening M; "components",
+    the (d, ell, r) rank-ell components v_{a,t}; and "L" and "P", (m, d)
+    left inverses of M and of M B, where B = D Sigma_sym^{1/2} (``meta["B"]``)
+    takes the multiplicity diagonal D and the PSD square root of Sigma_sym.
+    Each unit's entries and components form one group at degree 2 omega.
+    ``lam_mu`` appends the gauge-fixing families on F_lam / F_mu built from
+    the paired-contraction vectors f_a; without it the program is
+    gauge-free.
     """
     if omega % 2 == 0 or omega < 3:
         raise UsageError("low-rank program needs odd omega >= 3")
-    degree = 2 * omega
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
     sidx = sorted_multi_indices(r, omega)
@@ -719,122 +721,52 @@ def encode_lowrank(
     sig_half = (U * np.sqrt(w)) @ U.T
     B = D @ sig_half  # (m, m): column u weight of T entries
 
-    names: list[str] = []
-    tvar: dict[tuple[int, int], int] = {}
-    for a in range(d):
-        for u in range(m):
-            tvar[(a, u)] = len(names)
-            names.append(f"T{a}{sidx[u]}")
-    vvar: dict[tuple[int, int, int], int] = {}
-    for a in range(d):
-        for t in range(ell):
-            for i in range(r):
-                vvar[(a, t, i)] = len(names)
-                names.append(f"v[{a},{t},{i}]")
-    lvar: dict[tuple[int, int], int] = {}
-    pvar: dict[tuple[int, int], int] = {}
-    for k in range(m):
-        for a in range(d):
-            lvar[(k, a)] = len(names)
-            names.append(f"L[{k},{a}]")
-    for k in range(m):
-        for a in range(d):
-            pvar[(k, a)] = len(names)
-            names.append(f"P[{k},{a}]")
-
-    groups = []
-    unit_gid = {}
-    for a in range(d):
-        gvars = tuple(tvar[(a, u)] for u in range(m)) + tuple(
-            vvar[(a, t, i)] for t in range(ell) for i in range(r)
-        )
-        unit_gid[a] = len(groups)
-        groups.append(VarGroup(gvars, degree, f"unit{a}"))
-    tv_all = tuple(tvar[(a, u)] for a in range(d) for u in range(m))
-    t_gid = len(groups)
-    groups.append(VarGroup(tv_all, 4, "T"))
-    lp_gid = len(groups)
-    groups.append(
-        VarGroup(
-            tv_all + tuple(lvar.values()) + tuple(pvar.values()), 2, "TLP"
-        )
-    )
+    (units, comps, L, P), nvars = _blocks((d, m), (d, ell, r), (m, d), (m, d))
+    t, v = units.tolist(), comps.tolist()
+    tv_all = units.ravel().tolist()
+    # one group per unit, then the T group (gid d) and the TLP group (gid d + 1)
+    groups = [VarGroup(tuple(t[a] + comps[a].ravel().tolist()), 2 * omega) for a in range(d)]
+    groups.append(VarGroup(tuple(tv_all), 4))
+    groups.append(VarGroup(tuple(tv_all + L.ravel().tolist() + P.ravel().tolist()), 2))
     prog = PolynomialProgram(
-        nvars=len(names), names=names, groups=groups, degree=degree,
-        meta={"r": r, "omega": omega, "ell": ell, "d": d, "m": m,
-              "sidx": sidx, "mult": mult, "tvar": tvar, "vvar": vvar,
-              "lvar": lvar, "pvar": pvar, "B": B, "eta": eta, "t_gid": t_gid},
+        nvars=nvars, groups=groups, degree=2 * omega,
+        meta={"units": units, "components": comps, "L": L, "P": P,
+              "sidx": sidx, "B": B, "eta": eta},
     )
-
-    def tpoly(a, u):
-        return Poly.var(tvar[(a, u)])
+    tpoly = [[Poly.var(x) for x in row] for row in t]
 
     # pairwise Sigma-moment bands (T group, degree-4 block keeps them queriable)
-    for a in range(d):
-        for b in range(a, d):
-            p = Poly()
-            for u in range(m):
-                for v in range(m):
-                    w_uv = mult[u] * mult[v] * Sigma_sym[u, v]
-                    if w_uv != 0.0:
-                        p = p + w_uv * (tpoly(a, u) * tpoly(b, v))
-            _add_band(prog, p, float(S[a, b]), eta, t_gid)
-    # low-rank structure per unit
+    pair_w = (mult[:, None] * mult[None, :] * Sigma_sym).tolist()
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        p = Poly()
+        for u in range(m):
+            for u2 in range(m):
+                if pair_w[u][u2] != 0.0:
+                    p = p + pair_w[u][u2] * (tpoly[a][u] * tpoly[b][u2])
+        _add_band(prog, p, float(S[a, b]), eta, d)
+    # low-rank structure per unit: T_a[u] = sum_t prod_{i in sidx[u]} v_{a,t,i}
     for a in range(d):
         for u, tup in enumerate(sidx):
-            p = tpoly(a, u) * (-1.0)
-            for t in range(ell):
-                term = Poly.const(1.0)
-                for i in tup:
-                    term = term * Poly.var(vvar[(a, t, i)])
-                p = p + term
-            prog.equalities.append((p, unit_gid[a]))
-        norm2 = Poly()
-        for u in range(m):
-            norm2 = norm2 + mult[u] * (tpoly(a, u) * tpoly(a, u))
-        prog.inequalities.append((Poly.const(R * R) - norm2, unit_gid[a]))
-
-    def mb(a, u):  # entry (a, u) of M B = M D sig_half
-        p = Poly()
-        for w_ in range(m):
-            coef = float(B[w_, u])
-            if coef != 0.0:
-                p = p + coef * tpoly(a, w_)
-        return p
+            terms = {(t[a][u],): -1.0}
+            for vt in v[a]:
+                terms[tuple(vt[i] for i in tup)] = 1.0
+            prog.equalities.append((Poly(terms), a))
+        _add_cap(prog, R * R, t[a], mult, a)
 
     # left inverses L M = Id_m and P M B = Id_m
-    _add_left_inverse(prog, lvar, tpoly, m, d, r**omega / kappa**2, lp_gid)
+    Bl = B.tolist()
+    MB = [[Poly({(row[k],): Bl[k][u] for k in range(m) if Bl[k][u] != 0.0})
+           for u in range(m)] for row in t]
+    _add_left_inverse(prog, L.tolist(), tpoly, r**omega / kappa**2, d + 1)
     _add_left_inverse(
-        prog, pvar, mb, m, d, r**omega * omega ** (omega / 2) / kappa**2, lp_gid
+        prog, P.tolist(), MB, r**omega * omega ** (omega / 2) / kappa**2, d + 1
     )
 
     if lam_mu is not None:
-        lam, mu = lam_mu
         fcoef = _fvector_coefficients(r, omega, sidx)
-
-        def f_entry(a, i):
-            p = Poly()
-            for u, c in fcoef[i].items():
-                p = p + c * tpoly(a, u)
-            return p
-
-        def F_combo(weights, i, j):
-            p = Poly()
-            for a in range(d):
-                wt = float(weights[a])
-                if wt != 0.0:
-                    p = p + wt * (f_entry(a, i) * f_entry(a, j))
-            return p
-
-        for i in range(r):
-            for j in range(i + 1, r):
-                prog.equalities.append((F_combo(lam, i, j), t_gid))
-        for i in range(r - 1):
-            prog.inequalities.append(
-                (F_combo(lam, i + 1, i + 1) - F_combo(lam, i, i), t_gid)
-            )
-        for j in range(r):
-            prog.inequalities.append((F_combo(mu, 0, j), t_gid))
+        f = [[Poly({(row[u],): c for u, c in fi.items()}) for fi in fcoef] for row in t]
+        F = [[[fa[i] * fa[j] for j in range(r)] for i in range(r)] for fa in f]
+        _add_gauge_families(prog, F, *lam_mu, d)
     prog.validate()
     return prog
 

@@ -14,7 +14,7 @@ vanishing entries in Q_lambda's eigenbasis with high probability in the
 smoothed setting, and find_combo's only failure does not depend on the draw,
 so it is never retried.  The canonical representative has Q_lambda diagonal
 ascending and the first row of Q_mu nonnegative, with mu corner-signed so
-that its (1,1) entry is nonnegative too (gauge_fix_fit).
+that its (1,1) entry is nonnegative too (gauge_fix).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "spectral_units",
     "validate_nondegeneracy",
     "gauge_fix",
-    "gauge_fix_fit",
     "decompose",
     "jennrich_diagonal",
     "extend_tail",
@@ -232,48 +231,32 @@ def validate_nondegeneracy(
 
 def gauge_fix(
     net: PolyNetwork, lam: np.ndarray, mu: np.ndarray
-) -> tuple[PolyNetwork, GaugeRotation]:
-    """Canonical gauge representative given symmetry-breaking combinations.
+) -> tuple[PolyNetwork, GaugeRotation, np.ndarray]:
+    """Canonical gauge representative given symmetry-breaking combinations:
+    the one gauge-fixing step of every recovery.
 
     Rotates so the lambda-combination is diagonal with ascending diagonal and
-    flips signs so the first row of the mu-combination is nonnegative (its
-    (1,1) entry is sign-invariant and left as-is).
+    flips signs so the first row of the mu-combination is nonnegative.  Its
+    (1,1) entry is sign-invariant, so mu is corner-signed first: negated when
+    that entry is negative in the lambda-combination's eigenbasis, and the
+    relaxations' "first row of the mu-combination nonnegative" family holds
+    for the fixed network with the returned mu.  Returns (fixed network,
+    rotation, mu); raises DegeneracyError on a zero eigengap.
     """
-    if net.kind == "quadratic":
-        combo = np.einsum("a,aij->ij", np.asarray(lam, dtype=float), net.Q)
-        combo_mu = np.einsum("a,aij->ij", np.asarray(mu, dtype=float), net.Q)
-    else:
+    if net.kind != "quadratic":
         raise UsageError("gauge_fix operates on quadratic networks")
-    w, V = np.linalg.eigh(combo)
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    w, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, net.Q))
     if len(w) > 1 and float(np.min(np.diff(w))) <= GAP_TOL:
         raise DegeneracyError("zero eigengap in the lambda combination")
-    Wrot = V.T
-    X = Wrot @ combo_mu @ Wrot.T
+    X = V.T @ np.einsum("a,aij->ij", mu, net.Q) @ V
+    if X[0, 0] < 0:
+        mu, X = -mu, -X
     signs = np.where(X[0] >= 0, 1.0, -1.0)
     signs[0] = 1.0
-    R = signs[:, None] * Wrot
-    return rotate_network(net, R), GaugeRotation(R)
-
-
-def gauge_fix_fit(
-    net: PolyNetwork, combo: NonDegenCombo
-) -> tuple[np.ndarray, PolyNetwork, GaugeRotation]:
-    """The one gauge-fixing step of every recovery: gauge_fix of the
-    quadratic ``net`` with combo.lam and the corner-signed mu.
-
-    mu is combo.mu, negated when the (1,1) entry of the mu-combination is
-    negative in the lam-combination's eigenbasis: gauge_fix cannot change
-    that entry's sign, so the relaxations' "first row of the mu-combination
-    nonnegative" family holds for the fixed network only with this mu.
-    Returns (mu, fixed network, rotation); raises DegeneracyError where
-    gauge_fix does.
-    """
-    lam, mu = combo.lam, combo.mu
-    _, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, net.Q))
-    if (V.T @ np.einsum("a,aij->ij", mu, net.Q) @ V)[0, 0] < 0:
-        mu = -mu
-    fixed, rot = gauge_fix(net, lam, mu)
-    return mu, fixed, rot
+    R = signs[:, None] * V.T
+    return rotate_network(net, R), GaugeRotation(R), mu
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +416,7 @@ def decompose(
     "exhausted") and the closed form's eigengap (``spectral_gap``, None when
     it could not be formed).  ``local``
     gauge-fixes that fit with lambda and the corner-signed mu
-    (gauge_fix_fit), and leaves it unfixed when the lambda-combination has
+    (gauge_fix), and leaves it unfixed when the lambda-combination has
     no eigengap.  ``sos`` returns the same gauge-fixed fit once
     relaxation.certify finds it feasible, at that one point, for the
     degree-4 moment program encoded with lambda and the corner-signed mu
@@ -517,7 +500,7 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
     if config.backend == "local":
         try:
-            _, net, _ = gauge_fix_fit(net, combo)
+            net, _, _ = gauge_fix(net, combo.lam, combo.mu)
             diag["gauge_fixed"] = True
         except DegeneracyError:
             diag["gauge_fixed"] = False
@@ -529,7 +512,7 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
             f"threshold {fit_thr:.3e}"
         )
     try:
-        mu, fixed, _ = gauge_fix_fit(net, combo)
+        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
     except DegeneracyError as exc:
         raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
     R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9

@@ -504,6 +504,13 @@ class TestExitCodes:
         assert run(command, *flags, "--degree", "4", "--out", str(tmp_path / "out")) == 2
         assert "unrecognized arguments: --degree 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["moments", "verify"])
+    def test_no_seed_flag(self, tmp_path, capsys, command):
+        # neither command draws anything
+        assert run(command, "--network", "net.json", "--seed", "3",
+                   "--out", str(tmp_path / "out")) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block
         table = tmp_path / "zero.json"

@@ -23,7 +23,7 @@ from polypush.relaxation import (
     pseudo_expect,
     solve,
 )
-from polypush.tensor_ring import find_combo, gauge_fix_fit
+from polypush.tensor_ring import find_combo, gauge_fix
 
 
 def lowrank_flattening(prog, net):
@@ -33,9 +33,7 @@ def lowrank_flattening(prog, net):
 
 
 def single_var_program(degree=2):
-    return PolynomialProgram(
-        nvars=1, names=["x"], groups=[VarGroup((0,), degree, "x")], degree=degree
-    )
+    return PolynomialProgram(nvars=1, groups=[VarGroup((0,), degree)], degree=degree)
 
 
 class TestPoly:
@@ -152,11 +150,10 @@ def small_programs(draw):
     nvars = draw(st.integers(1, 3))
     degree = draw(st.sampled_from([2, 4]))
     variables = tuple(range(nvars))
-    groups = [VarGroup(variables, degree, "all")]
+    groups = [VarGroup(variables, degree)]
     if draw(st.booleans()):
-        groups.append(VarGroup(variables[:draw(st.integers(1, nvars))], 2, "head"))
-    prog = PolynomialProgram(nvars=nvars, names=[f"x{i}" for i in variables],
-                             groups=groups, degree=degree)
+        groups.append(VarGroup(variables[:draw(st.integers(1, nvars))], 2))
+    prog = PolynomialProgram(nvars=nvars, groups=groups, degree=degree)
     coef = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3)
     for family in (prog.equalities, prog.inequalities):
         for _ in range(draw(st.integers(0, 3))):
@@ -335,7 +332,7 @@ class TestEncodeTensorRing:
         combo = find_combo(t.S, r, rng_seed=0)
         # mu corner-signed: the sign-invariant corner entry of the fixed
         # form is >= 0
-        mu, fixed, _ = gauge_fix_fit(net, combo)
+        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
         Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
         assert Qmu[0, 0] >= 0 and np.all(Qmu[0] >= 0)
         prog = encode_tensor_ring(
@@ -352,7 +349,7 @@ class TestEncodeTensorRing:
         L = np.linalg.pinv(M)
         for k in range(m):
             for a in range(d):
-                point[prog.meta["lvar"][(k, a)]] = L[k, a]
+                point[prog.meta["L"][k, a]] = L[k, a]
         assert prog.check_point(point, tol=1e-9) <= 1e-8
 
 
@@ -367,8 +364,8 @@ class TestEncodeLowrank:
         cubic = [p for p, _ in prog.equalities if p.degree() == 3]
         assert len(cubic) == 1
         terms = cubic[0].terms
-        tv = prog.meta["tvar"][(0, 0)]
-        vv = prog.meta["vvar"][(0, 0, 0)]
+        tv = prog.meta["units"][0, 0]
+        vv = prog.meta["components"][0, 0, 0]
         assert terms[(tv,)] == -1.0
         assert terms[(vv, vv, vv)] == 1.0
 
@@ -419,14 +416,13 @@ class TestCertify:
     """certify: the one packing of a certified point for both programs, its
     completion by the left inverses, and the feasibility gate."""
 
-    def _quadratic(self, radius_factor):
-        rng = np.random.default_rng(1)
-        r, d = 2, 3
+    def _quadratic(self, radius_factor, r=2, d=3, seed=1):
+        rng = np.random.default_rng(seed)
         Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
         t = exact_quadratic_moments(net)
         combo = find_combo(t.S, r, rng_seed=0)
-        mu, fixed, _ = gauge_fix_fit(net, combo)
+        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
         prog = encode_tensor_ring(
             r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0,
@@ -434,12 +430,11 @@ class TestCertify:
         i, j = np.triu_indices(r)
         return prog, fixed.Q[:, i, j], None
 
-    def _lowrank(self, radius_factor):
+    def _lowrank(self, radius_factor, r=2, d=4, ell=1, omega=3, seed=2):
         from polypush.lowrank import exact_lowrank_pair_moments
         from polypush.networks import paired_outers, rotate_network
 
-        rng = np.random.default_rng(2)
-        r, d, omega, ell = 2, 4, 3, 1
+        rng = np.random.default_rng(seed)
         comps = rng.standard_normal((d, ell, r))
         comps /= np.linalg.norm(comps, axis=2, keepdims=True)
         net = PolyNetwork(
@@ -451,7 +446,7 @@ class TestCertify:
         # truth rotated into that gauge
         F = paired_outers(net)
         combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
-        mu, _, rot = gauge_fix_fit(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo)
+        _, rot, mu = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, combo.mu)
         prog = encode_lowrank(
             r, omega, ell, S, sig.Sigma_sym, sig.D, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
@@ -459,9 +454,16 @@ class TestCertify:
         fixed = rotate_network(net, rot)
         return prog, lowrank_flattening(prog, fixed), fixed.components
 
-    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
-    def test_gauge_fixed_truth_is_feasible(self, kind):
-        prog, M, comps = getattr(self, "_" + kind)(1.01)
+    @pytest.mark.parametrize("kind, dims, seed", [
+        (kind, dims, seed)
+        for kind, dims in [("quadratic", (2, 3)), ("quadratic", (3, 6)), ("lowrank", (1, 3, 1, 3)),
+                           ("lowrank", (2, 4, 1, 3)), ("lowrank", (2, 6, 1, 5))]
+        for seed in range(3)
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_gauge_fixed_truth_is_feasible(self, kind, dims, seed):
+        # dims are (r, d) or (r, d, ell, omega); the gauge families of both
+        # programs hold at gauge_fix's canonical form of the truth
+        prog, M, comps = getattr(self, "_" + kind)(1.01, *dims, seed=seed)
         # the program's equalities include L M = Id; the violation is the
         # program's own check at the point completed by pinv(M)
         assert certify(prog, M, comps) <= 1e-7
@@ -474,16 +476,20 @@ class TestCertify:
         assert str(err.value) == "instance violates non-degeneracy caps of the relaxation"
 
     def test_point_size_checked(self):
-        prog, M, _ = self._lowrank(1.01)
+        prog, M, comps = self._lowrank(1.01)
         with pytest.raises(UsageError):
             certify(prog, M)
+        prog, M, _ = self._quadratic(1.01)
+        with pytest.raises(UsageError):
+            certify(prog, M, comps)
 
     @pytest.mark.parametrize("dims", [
         (1, 1), (2, 3), (3, 6), (2, 5), (1, 3, 1, 3), (2, 4, 1, 3), (2, 6, 2, 3), (2, 6, 1, 5),
     ], ids=lambda dims: ",".join(map(str, dims)))
     def test_layout_matches_encoder_numbering(self, dims):
-        # certify packs (units M, components, L, P) in turn, each row-major;
-        # every variable dict of the encoders must number that layout
+        # certify fills the blocks (units M, components, L, P), which number
+        # the variables in turn, each row-major; the unit groups hold the
+        # same indices, and qvar is the symmetric view of the units
         rng = np.random.default_rng(0)
         r, d = dims[:2]
         if len(dims) == 2:
@@ -492,11 +498,13 @@ class TestCertify:
                 np.ones(d) / math.sqrt(d), np.ones(d) / math.sqrt(d),
                 R=1.0, kappa=0.1, eta=0.0,
             )
-            pairs = list(zip(*np.triu_indices(r)))
-            assert prog.meta["pairs"] == pairs
-            units = {(a, u): prog.meta["qvar"][(a, *pairs[u])]
-                     for a in range(d) for u in range(len(pairs))}
-            blocks = [(units, (d, len(pairs))), (prog.meta["lvar"], (len(pairs), d))]
+            m = r * (r + 1) // 2
+            shapes = {"units": (d, m), "L": (m, d)}
+            units, qvar = prog.meta["units"], prog.meta["qvar"]
+            i, j = np.triu_indices(r)
+            assert np.array_equal(qvar[:, i, j], units)
+            assert np.array_equal(qvar, qvar.swapaxes(1, 2))
+            assert prog.groups[0].variables == tuple(units.ravel())
         else:
             ell, omega = dims[2:]
             sig = sigma_matrix(r, omega)
@@ -504,13 +512,15 @@ class TestCertify:
                 r, omega, ell, rng.standard_normal((d, d)), sig.Sigma_sym, sig.D,
                 R=1.0, kappa=0.1, eta=0.0,
             )
-            m = prog.meta["m"]
-            blocks = [(prog.meta["tvar"], (d, m)), (prog.meta["vvar"], (d, ell, r)),
-                      (prog.meta["lvar"], (m, d)), (prog.meta["pvar"], (m, d))]
+            m = len(prog.meta["sidx"])
+            shapes = {"units": (d, m), "components": (d, ell, r), "L": (m, d), "P": (m, d)}
+            for a in range(d):
+                assert prog.groups[a].variables == tuple(
+                    np.concatenate([prog.meta["units"][a], prog.meta["components"][a].ravel()])
+                )
         start = 0
-        for var, shape in blocks:
-            pos = start + np.arange(math.prod(shape)).reshape(shape)
-            assert len(var) == pos.size
-            assert all(v == pos[key] for key, v in var.items())
-            start += pos.size
+        for key, shape in shapes.items():
+            size = math.prod(shape)
+            assert np.array_equal(prog.meta[key], start + np.arange(size).reshape(shape))
+            start += size
         assert start == prog.nvars

@@ -145,8 +145,8 @@ class TestGaugeFix:
     def test_idempotent(self):
         net = smoothed_net(2, 3, 0.5, 2)
         lam, mu = self._combo(net)
-        fixed, _ = gauge_fix(net, lam, mu)
-        fixed2, rot = gauge_fix(fixed, lam, mu)
+        fixed, _, _ = gauge_fix(net, lam, mu)
+        fixed2, rot, _ = gauge_fix(fixed, lam, mu)
         assert np.max(np.abs(fixed2.Q - fixed.Q)) <= 1e-10
         assert np.max(np.abs(np.abs(rot.V) - np.eye(2))) <= 1e-10
 
@@ -155,14 +155,14 @@ class TestGaugeFix:
         net = smoothed_net(3, 6, 0.5, 3)
         lam, mu = self._combo(net)
         V = random_orthogonal(rng, 3)
-        fixedA, _ = gauge_fix(net, lam, mu)
-        fixedB, _ = gauge_fix(rotate_network(net, V), lam, mu)
+        fixedA, _, _ = gauge_fix(net, lam, mu)
+        fixedB, _, _ = gauge_fix(rotate_network(net, V), lam, mu)
         assert np.max(np.abs(fixedA.Q - fixedB.Q)) <= 1e-8
 
     def test_offdiagonal_example(self):
         Q = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         net = PolyNetwork(kind="quadratic", r=2, d=1, Q=Q)
-        fixed, _ = gauge_fix(net, np.array([1.0]), np.array([1.0]))
+        fixed, _, _ = gauge_fix(net, np.array([1.0]), np.array([1.0]))
         assert np.allclose(fixed.Q[0], np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_zero_eigengap_rejected(self):
@@ -328,21 +328,22 @@ class TestDecompose:
 def test_one_combination_per_recovery(monkeypatch, kind, backend):
     # every recovery path draws one combination with the plain rng_seed and
     # hands it to the one gauge-fixing step with the corner-signed mu
-    seeds, fixes = [], []
+    seeds, combos, fixes = [], [], []
     real_combo = tensor_ring.find_combo
-    real_fix = tensor_ring.gauge_fix_fit
+    real_fix = tensor_ring.gauge_fix
 
     def counting(*args, **kw):
         seeds.append(kw["rng_seed"])
-        return real_combo(*args, **kw)
+        combos.append(real_combo(*args, **kw))
+        return combos[-1]
 
-    def fixing(net, combo):
-        out = real_fix(net, combo)
-        fixes.append((net, combo, out))
+    def fixing(net, lam, mu):
+        out = real_fix(net, lam, mu)
+        fixes.append((net, lam, mu, out))
         return out
 
     monkeypatch.setattr(tensor_ring, "find_combo", counting)
-    monkeypatch.setattr(tensor_ring, "gauge_fix_fit", fixing)
+    monkeypatch.setattr(tensor_ring, "gauge_fix", fixing)
     if kind == "quadratic":
         net = smoothed_net(2, 3, 1.0, 1)
         t = exact_quadratic_moments(net)
@@ -355,7 +356,9 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
         rep = factorize(S, LRConfig(r=2, backend=backend, rng_seed=9), truth=net)
     assert rep.gauge_dist <= 1e-6
     assert seeds == [1 if kind == "quadratic" else 9] and len(fixes) == 1
-    _, combo, (mu, fixed, _) = fixes[0]
+    _, lam, mu_in, (fixed, _, mu) = fixes[0]
+    (combo,) = combos
+    assert lam is combo.lam and mu_in is combo.mu
     assert np.array_equal(np.abs(mu), np.abs(combo.mu))
     # the fixed stack: lambda-combination diagonal, the mu-combination's
     # first row nonnegative, its corner included
