@@ -8,6 +8,12 @@ gauge-fix the fit.  The ``sos`` backend returns that gauge-fixed fit once it
 is certified feasible, at that one point, for the paper's moment program;
 that is weaker than the paper's guarantee, which rests on the
 pseudo-expectation being unique.
+
+Importing polypush loads neither scipy nor mpmath: each module is imported
+by the first call that needs it (the fits, the gauge search and the
+relaxation solver need scipy; the lower-bound lab needs both).  The CLI
+commands ``generate``, ``sample``, ``moments`` and ``verify`` never load
+them.
 """
 
 __version__ = "0.1.0"

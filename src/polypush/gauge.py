@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
+from ._deferred import minimize, minimize_scalar
 from .errors import UsageError
 from .networks import PolyNetwork, _philox_rng, paired_outers
 from .tensors import GaugeRotation

@@ -22,10 +22,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
 
+from ._deferred import least_squares, linear_sum_assignment
 from .errors import ConvergenceError, UsageError, check_settings
 from .networks import PolyNetwork, _philox_rng
 
@@ -78,10 +77,6 @@ def hard_targets(r: int, odds: tuple[int, ...] = ()) -> list[int]:
     return sorted(l for l in targets if l <= 2 * r - 1)
 
 
-def _power_sums_mp(vals, max_l):
-    return [mp.fsum(v**l for v in vals) for l in range(1, max_l + 1)]
-
-
 def search_matched_pair(
     r: int, restarts: int = 8, tol: float = 1e-10, rng_seed: int = 0
 ) -> MatchedPair:
@@ -117,6 +112,8 @@ def search_matched_pair(
 def _attempt_pair(
     r: int, targets: list[int], base: np.ndarray, restarts: int, rng_seed: int
 ) -> Optional[MatchedPair]:
+    import mpmath as mp
+
     rng = _philox_rng(rng_seed, 7)
     soft = [l for l in range(1, 2 * r) if l not in targets]
     nteq = len(targets)
@@ -200,8 +197,7 @@ def _attempt_pair(
             x = [x[i] - step[i] for i in range(2 * r)]
         av = sorted(x[:r])
         bv = sorted(x[r:])
-        pa = _power_sums_mp(av, 2 * r - 1)
-        pb = _power_sums_mp(bv, 2 * r - 1)
+        pa, pb = ([mp.fsum(v**l for v in vals) for l in range(1, 2 * r)] for vals in (av, bv))
         diffs = [pa[l] - pb[l] for l in range(2 * r - 1)]
         residual = float(mp.fsum(dd**2 for dd in diffs))
         residual_matched = float(
@@ -259,6 +255,8 @@ def char_gap(
     cancellation of two products agreeing to ~1e-50 would otherwise swamp
     the gap — then the grid scan runs in float64.
     """
+    import mpmath as mp
+
     r = pair.r
     if t_grid is None:
         t_grid = np.arange(0.0, 10.0 + 1e-12, 1e-3)

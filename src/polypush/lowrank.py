@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._deferred import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .tensors import GaugeRotation, paired_contraction
@@ -352,10 +351,19 @@ def smooth_componentwise(params: SmoothingParams) -> PolyNetwork:
 
 
 def gaussian_norm_moment(r: int, e: int) -> float:
-    """E||g||^e for g ~ N(0, Id_r): 2^{e/2} Gamma((r+e)/2) / Gamma(r/2)."""
-    return math.exp(
-        0.5 * e * math.log(2.0) + gammaln((r + e) / 2.0) - gammaln(r / 2.0)
-    )
+    """E||g||^e for g ~ N(0, Id_r): 2^{e/2} Gamma((r+e)/2) / Gamma(r/2).
+
+    For even e that is the integer r (r+2) ... (r+e-2); for odd e it is
+    sqrt(2) Gamma((r+1)/2) / Gamma(r/2) times (r+1) (r+3) ... (r+e-2), the
+    Gamma ratio through log-Gamma once Gamma((r+1)/2) overflows (r > 342)."""
+    m = float(math.prod(range(r + e % 2, r + e - 1, 2)))
+    if e % 2 == 0:
+        return m
+    try:
+        ratio = math.gamma((r + 1) / 2) / math.gamma(r / 2)
+    except OverflowError:
+        ratio = math.exp(math.lgamma((r + 1) / 2) - math.lgamma(r / 2))
+    return math.sqrt(2.0) * ratio * m
 
 
 def w1_upper_bound(

@@ -14,7 +14,8 @@ its monomial basis, equalities are multiplied by basis monomials within the
 degree budget, inequalities get localizing blocks, and the resulting conic
 feasibility problem (affine slice of a product of PSD cones) is solved by
 ADMM with a small trace-of-moment-matrix objective as a deterministic
-tie-break.
+tie-break.  The lift and the solver are the package's only users of
+scipy.linalg and scipy.sparse, and import them when called.
 
 The lift is one pass over the program (``_Lifted``): it numbers the
 monomials and writes the rows of the block map A and the equality system E
@@ -32,9 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError, check_settings
 from .tensors import multiplicity, sorted_multi_indices
@@ -255,6 +253,8 @@ class _Lifted:
     """
 
     def __init__(self, program: PolynomialProgram):
+        import scipy.sparse as sp
+
         program.validate()
         self.mono_index: dict[Monomial, int] = {(): 0}
         # (basis, localizing poly or None for a plain moment block)
@@ -385,6 +385,10 @@ def solve(
     Returns ``Infeasible`` when the residual stalls above 10*cfg.tol for
     STALL_WINDOW consecutive iterations.  Fully deterministic.
     """
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     cfg = cfg or SolverConfig()
     lifted = _Lifted(program)
     A, E, f = lifted.A, lifted.E, lifted.f

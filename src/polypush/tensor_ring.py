@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._deferred import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
@@ -422,9 +422,11 @@ def decompose(
     degree-4 moment program encoded with lambda and the corner-signed mu
     (``diagnostics["certificate_violation"]`` is its worst constraint
     violation).  That is weaker than the paper's guarantee, which rests on
-    the pseudo-expectation being unique; the relaxation is not solved.  A
-    fit that misses the threshold max(10 eta, 1e-6), cannot be gauge-fixed
-    or breaks the program's caps raises ConvergenceError.  A degenerate S
+    the pseudo-expectation being unique; the relaxation is not solved.
+    ``sos`` raises ConvergenceError when the fit misses max(10 eta, 1e-6),
+    cannot be gauge-fixed or breaks the program's caps.  Either backend
+    raises ConvergenceError when the returned network's worst table residual
+    exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A degenerate S
     (e.g. commuting units) has no combination: ``local`` then recovers by
     simultaneous diagonalization and falls back to the unfixed fit, and
     ``sos`` raises ConvergenceError before fitting.

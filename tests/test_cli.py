@@ -748,6 +748,37 @@ class TestReproducibility:
             assert files[0][name] == files[1][name], name
 
 
+def test_fresh_process_loads_scipy_only_to_solve(tmp_path):
+    # generate, sample, moments and verify call nothing from scipy or
+    # mpmath, so a process that runs only them imports neither; solve_tr then
+    # loads scipy.optimize, which shows the probe sees a load when there is one
+    calls = [["generate", "--r", "2", "--d", "3", "--seed", "1", "--out", "net.json"],
+             ["sample", "--network", "net.json", "--n", "50", "--out", "samples.json"],
+             ["moments", "--samples", "samples.json", "--out", "est.json"],
+             ["moments", "--network", "net.json", "--out", "table.json"],
+             ["verify", "--network", "net.json", "--out", "verify.json"]]
+    solve = ["solve_tr", "--table", "table.json", "--r", "2", "--out", "rec.json"]
+    script = (
+        "import sys\n"
+        "import polypush, polypush.cli\n"
+        "from polypush.cli import main\n"
+        "def loaded():\n"
+        "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+        "                   if m.startswith(('scipy', 'mpmath'))})\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert main({solve!r}) == 0\n"
+        "assert 'scipy.optimize' in sys.modules, loaded()\n"
+    )
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def moments_run(samples, out):
     """Exit code, stderr, table bytes and manifest bytes of ``moments --samples``."""
     err = io.StringIO()

@@ -5,6 +5,7 @@ import pathlib
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +339,27 @@ class TestW1Bound:
         # E g^2 = 1 via the Gamma formula
         assert gaussian_norm_moment(1, 2) == pytest.approx(1.0, abs=1e-12)
         assert w1_upper_bound(0.3, 1, 1, 2, GAUSS) == pytest.approx(0.3, abs=1e-12)
+
+    @staticmethod
+    def norm_moment_40_digits(r, e):
+        # 2^{e/2} Gamma((r+e)/2) / Gamma(r/2) in 40-digit arithmetic
+        with mpmath.workdps(40):
+            half = mpmath.mpf(1) / 2
+            return mpmath.mpf(2) ** (e * half) * mpmath.gamma((r + e) * half) / mpmath.gamma(r * half)
+
+    def test_norm_moment_against_40_digits(self):
+        for r in range(1, 65):
+            for e in range(13):
+                want = self.norm_moment_40_digits(r, e)
+                assert abs(gaussian_norm_moment(r, e) - want) <= 1e-15 * want, (r, e)
+
+    def test_norm_moment_at_large_r(self):
+        # past r = 342 Gamma((r+1)/2) overflows a float
+        for r in [*range(65, 10_000, 101), 341, 342, 343, 10_000]:
+            for e in range(13):
+                got = gaussian_norm_moment(r, e)
+                want = self.norm_moment_40_digits(r, e)
+                assert math.isfinite(got) and abs(got - want) <= 1e-10 * want, (r, e)
 
     def test_monotone_in_d(self):
         vals = [w1_upper_bound(1.0, 2, d, 3, GAUSS) for d in range(1, 6)]

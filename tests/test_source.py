@@ -41,3 +41,32 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# imported on first use by the functions that call them, so that importing
+# polypush, and the CLI commands that never call them, load neither
+DEFERRED_PACKAGES = ("scipy", "mpmath")
+
+
+def import_time_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every import the module runs when it is imported:
+    those outside function bodies."""
+    found = []
+    pending = list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_deferred_package_at_import_time(path):
+    eager = [f"{path.name}:{line} {module}" for line, module in import_time_imports(path)
+             if module.split(".")[0] in DEFERRED_PACKAGES]
+    assert eager == []
