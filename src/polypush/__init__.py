@@ -3,11 +3,12 @@
 Library for recovering quadratic (tensor-ring) and low-rank odd-order
 networks from moment tables, with gauge-aware evaluation, smoothed-instance
 generation, and a lower-bound lab producing statistically-close /
-parameter-distant pairs.  Both recoveries fit the moments locally and
-gauge-fix the fit.  The ``sos`` backend returns that gauge-fixed fit once it
-is certified feasible, at that one point, for the paper's moment program;
-that is weaker than the paper's guarantee, which rests on the
-pseudo-expectation being unique.
+parameter-distant pairs.  Each recovery runs one path: it fits the moments
+locally and gauge-fixes the fit once.  The ``sos`` backend adds one
+certificate step: it returns the ``local`` network once that network is
+certified feasible, at that one point, for the paper's moment program; that
+is weaker than the paper's guarantee, which rests on the pseudo-expectation
+being unique.
 
 Importing polypush loads neither scipy nor mpmath: each module is imported
 by the first call that needs it (the fits, the gauge search and the

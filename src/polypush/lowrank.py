@@ -6,9 +6,12 @@ matrices F_a = f_a f_a^T transform like quadratic units, so each recovery
 draws one combination, no retries, with find_combo on the Gram of the fit's
 F_a and gauge-fixes the fit with the corner-signed mu through
 tensor_ring.gauge_fix; the leftover +-Id ambiguity of odd orders is
-resolved by an argmax anchor and pairwise signs.  Both backends start from
-one local fit of the components; sos returns the gauge-fixed fit once it
-is certified feasible for the encoded moment program.  At ell = 1 the fit's
+resolved by an argmax anchor and pairwise signs (_canonicalize).  Both
+backends run that one path, a local fit of the components and its one gauge
+fix; sos adds one certificate step: the fixed fit must be feasible, at that
+one point, for the encoded moment program.  That is weaker than the paper's
+guarantee, which rests on the pseudo-expectation being unique; no backend
+solves the relaxation.  At ell = 1 the fit's
 first start is a closed form (_rank1_components): the diagonal of S gives
 the component norms and each off-diagonal entry, through the increasing pair
 moment, the cosine of a pair, so the Gram of the components and its top-r
@@ -43,9 +46,10 @@ from .relaxation import solve  # noqa: F401
 from . import tensor_ring
 from .tensor_ring import RecoveryReport
 from .tensors import (
-    SymTensor,
+    from_sorted_entries,
     multiplicity,
     paired_contraction,
+    sorted_entries,
     sorted_multi_indices,
 )
 
@@ -88,8 +92,6 @@ class LRConfig:
 
 def f_vector(T) -> np.ndarray:
     """Paired-index contraction of an odd-order symmetric tensor to R^r."""
-    if isinstance(T, SymTensor):
-        T = T.to_dense()
     T = np.asarray(T, dtype=float)
     if T.ndim % 2 == 0:
         raise UsageError("f_vector needs an odd-order tensor")
@@ -315,39 +317,32 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
     return best_x.reshape(d, ell, r), best, diag
 
 
-def _gauge_fix_components(net: PolyNetwork, rng_seed: int):
-    """The lowrank ``net`` gauge-fixed through its F_a = f_a f_a^T, with the
-    one combination find_combo draws from their Gram <F_a, F_b>.  Returns
-    (lam, corner-signed mu, fixed network); raises DegeneracyError when the
-    Gram or the lam-combination is degenerate."""
-    F = paired_outers(net)
-    combo = tensor_ring.find_combo(
-        np.einsum("aij,bij->ab", F, F), net.r, rng_seed=rng_seed
-    )
-    qnet = PolyNetwork(kind="quadratic", r=net.r, d=net.d, Q=F)
-    _, rot, mu = tensor_ring.gauge_fix(qnet, combo.lam, combo.mu)
-    return combo.lam, mu, rotate_network(net, rot)
-
-
-def _canonicalize(net: PolyNetwork, rng_seed: int) -> PolyNetwork:
-    """Gauge-fix a lowrank network through its F_a matrices and resolve the
-    global +-Id ambiguity by the argmax anchor sign rule; a network whose
-    gauge cannot be broken is returned as-is."""
+def _canonicalize(net: PolyNetwork, rng_seed: int):
+    """The one gauge fix of a lowrank fit: through its F_a = f_a f_a^T, with
+    the one combination find_combo draws from their Gram <F_a, F_b> and the
+    corner-signed mu, and the global +-Id ambiguity resolved by the argmax
+    anchor sign rule.  Returns (network, lam, mu); a network whose gauge
+    cannot be broken comes back as-is, with lam = mu = None."""
     d, r = net.d, net.r
     if d < r * (r + 1) // 2:
-        return net  # find_combo needs d >= C(r+1,2)
+        return net, None, None  # find_combo needs d >= C(r+1,2)
+    F = paired_outers(net)
     try:
-        _, _, out = _gauge_fix_components(net, rng_seed)
+        combo = tensor_ring.find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=rng_seed)
+        qnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=F)
+        _, rot, mu = tensor_ring.gauge_fix(qnet, combo.lam, combo.mu)
     except DegeneracyError:
-        return net
-    # +-Id: make the anchor entry (largest magnitude) positive
+        return net, None, None
+    out = rotate_network(net, rot)
+    # +-Id: make the anchor entry (largest magnitude) positive; it leaves
+    # every F_a, and so the gauge families of (lam, mu), as they are
     tens = out.unit_tensors()
     flat = np.abs(tens).reshape(d, -1)
     a_star = int(np.argmax(np.max(flat, axis=1)))
     i_star = int(np.argmax(flat[a_star]))
     if tens.reshape(d, -1)[a_star, i_star] < 0:
         out = rotate_network(out, -np.eye(r))
-    return out
+    return out, combo.lam, mu
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +360,11 @@ def _check_sos_size(d: int, cfg: LRConfig) -> None:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
 
 
-def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
-    """The local fit ``comps`` gauge-fixed through the Gram of its F_a,
-    certified feasible for the encoded program with those gauge families,
-    stated with the Sigma_sym of ``cfg.sigma_mode`` and ``cfg.sigma_scale``.
-    Returns (components, diagnostics); raises ConvergenceError when the fit
-    cannot be gauge-fixed or breaks the program's constraints."""
+def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
+    """The worst constraint violation of the gauge-fixed fit ``net`` for the
+    program encoded with the gauge families of (lam, mu) and the Sigma_sym
+    of ``cfg.sigma_mode`` and ``cfg.sigma_scale``; relaxation.certify raises
+    ConvergenceError when the fit breaks the program's constraints."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
     Sigma_sym, D = _sigma_sym(r, omega)
@@ -388,24 +382,16 @@ def _sos_factorize(S: np.ndarray, comps: np.ndarray, cfg: LRConfig):
         1.0, np.sqrt(float(np.min(np.linalg.eigvalsh(Sigma_sym))))
     )
     # pair moments have degree 2 omega in the components
-    csc = sc ** (1.0 / omega)
-    fitnet = PolyNetwork(
-        kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps * csc,
+    scaled = PolyNetwork(
+        kind="lowrank", r=r, d=d, omega=omega, ell=ell,
+        components=net.components * sc ** (1.0 / omega),
     )
-    # the fit pins the sign of mu that keeps the gauge families on
-    # F_a = f_a f_a^T feasible, and the rotation of the certified point
-    try:
-        lam, mu, fixed = _gauge_fix_components(fitnet, cfg.rng_seed)
-    except DegeneracyError as exc:
-        raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
     prog = encode_lowrank(
         r, omega, ell, S, Sigma_sym, D, R=R, kappa=KAPPA, eta=eta_sc,
         lam_mu=(lam, mu),
     )
-    # the (d, m) sorted-index flattening of the fixed units
-    M = fixed.unit_tensors()[:, *np.array(prog.meta["sidx"]).T]
-    violation = certify(prog, M, fixed.components)
-    return fixed.components / csc, {"certificate_violation": violation}
+    M = sorted_entries(scaled.unit_tensors(), omega)
+    return certify(prog, M, scaled.components)
 
 
 def factorize(
@@ -415,7 +401,8 @@ def factorize(
 ) -> RecoveryReport:
     """Recover a rank-ell network from pairwise Sigma-moments.
 
-    Every backend starts from one local fit: damped least squares on the
+    Both backends run one path, and ``sos`` adds one certificate step at
+    its end.  The path starts from one local fit: damped least squares on the
     components, first from the closed form at ell = 1, then from up to
     ``config.restarts`` random starts while the best fit misses
     ``config.tol``.  On a table with noise (``config.eta`` > 0), which no fit
@@ -424,19 +411,20 @@ def factorize(
     minimum found twice.  ``diagnostics`` names the start of the fit
     (``start``: "closed_form" or "random"), the starts tried
     (``restarts_used``) and why they stopped (``fit_stop``: "tol", "repeat"
-    or "exhausted").  Both backends gauge-fix it
-    with one combination, no retries: find_combo on the Gram of the fit's
-    F_a with ``config.rng_seed``, and the corner-signed mu.  local then
-    applies the anchor sign rule, and leaves a fit whose gauge cannot be
-    broken unfixed.  sos returns the gauge-fixed fit once relaxation.certify
-    finds it feasible, at that one point, for the degree-2 omega program
-    encoded with the gauge families from the gauge-fixed fit and the
-    Sigma_sym of ``config.sigma_mode`` and ``config.sigma_scale``
+    or "exhausted").  Both backends then gauge-fix the fit once, with one
+    combination, no retries: find_combo on the Gram of the fit's F_a with
+    ``config.rng_seed``, the corner-signed mu and the anchor sign rule
+    (``gauge_fixed`` says whether the gauge could be broken).  ``local``
+    returns a fit whose gauge cannot be broken unfixed.  ``sos`` returns the
+    same network as ``local`` after one certificate step: relaxation.certify
+    must find it feasible, at that one point, for the degree-2 omega program
+    encoded with the fit's gauge families and the Sigma_sym of
+    ``config.sigma_mode`` and ``config.sigma_scale``
     (``diagnostics["certificate_violation"]`` is its worst constraint
     violation).  That is weaker than the paper's guarantee, which rests on
-    the pseudo-expectation being unique; the relaxation is not solved.  A
-    fit that cannot be gauge-fixed or breaks the program's constraints
-    raises ConvergenceError.
+    the pseudo-expectation being unique; the relaxation is not solved.
+    ``sos`` raises ConvergenceError on a fit that cannot be gauge-fixed or
+    breaks the program's constraints.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
@@ -456,15 +444,19 @@ def factorize(
     comps, best, fit_diag = _fit_components(S, cfg, starts)
     diag.update(fit_diag)
     diag["start"] = "closed_form" if closed is not None and best == 0 else "random"
-    if cfg.backend == "sos":
-        comps, sos_diag = _sos_factorize(S, comps, cfg)
-        diag.update(sos_diag)
     net = PolyNetwork(
         kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
         components=comps,
     )
-    if cfg.backend == "local":
-        net = _canonicalize(net, cfg.rng_seed)
+    net, lam, mu = _canonicalize(net, cfg.rng_seed)
+    diag["gauge_fixed"] = lam is not None
+    if cfg.backend == "sos":
+        if lam is None:
+            raise ConvergenceError(
+                "the local fit cannot be gauge-fixed: the Gram of its F_a or "
+                "the lambda-combination is degenerate"
+            )
+        diag["certificate_violation"] = _certify(S, net, lam, mu, cfg)
     model = _pair_table(net.components, cfg.omega, cfg.sigma_mode, cfg.sigma_scale)
     res_S = float(np.max(np.abs(model - S)))
     gd = None
@@ -494,22 +486,16 @@ def extend_tail_lr(
     omega = head_tensors.ndim - 1
     sidx = sorted_multi_indices(r, omega)
     m = len(sidx)
-    mult = np.array([multiplicity(t) for t in sidx])
+    mult = multiplicity(sidx)
     if dp < m:
         raise UsageError(f"head must have at least C(r+omega-1,omega) = {m} units")
     # design row a: <T_a, T>_Sigma = sum_v [sum_u mult_u Ta_u Sig_uv mult_v] T_v
-    H = np.zeros((dp, m))
-    for a in range(dp):
-        ta = np.array([head_tensors[a][tup] for tup in sidx])
-        H[a] = (mult * ta) @ Sigma_sym * mult
+    H = (mult * sorted_entries(head_tensors, omega)) @ Sigma_sym * mult
     svals = np.linalg.svd(H, compute_uv=False)
     if svals[-1] < 1e-10 * max(1.0, svals[0]):
         raise DegeneracyError("head design matrix is rank deficient")
     coef, *_ = np.linalg.lstsq(H, S[:dp, dp:d], rcond=None)  # (m, d-d')
-    out = np.zeros((d - dp,) + (r,) * omega)
-    for b in range(d - dp):
-        out[b] = SymTensor(omega, r, dict(zip(sidx, coef[:, b]))).to_dense()
-    return out
+    return from_sorted_entries(coef.T, r, omega)
 
 
 @dataclass
@@ -545,15 +531,11 @@ def verify_assumption_lr(
         raise UsageError("verify_assumption_lr needs a lowrank network")
     limits = limits or VerifyLimits()
     r, d, omega, ell = net.r, net.d, net.omega, net.ell
-    sidx = sorted_multi_indices(r, omega)
-    m = len(sidx)
-    mult = np.sqrt(np.array([multiplicity(t) for t in sidx], dtype=float))
-    M = np.zeros((d, m))
-    tensors = net.unit_tensors()
-    for a in range(d):
-        M[a] = mult * np.array([tensors[a][tup] for tup in sidx])
+    M = np.sqrt(multiplicity(sorted_multi_indices(r, omega))) * sorted_entries(
+        net.unit_tensors(), omega
+    )
     svals = np.linalg.svd(M, compute_uv=False)
-    sigma_min_M = float(svals[min(d, m) - 1])
+    sigma_min_M = float(svals[min(M.shape) - 1])
 
     mh = r * (r + 1) // 2
     iu, ju = np.triu_indices(r)
@@ -569,15 +551,15 @@ def verify_assumption_lr(
     if ncols > limits.max_cols:
         rep.k_skipped = f"K^({e}) needs {ncols} columns (> {limits.max_cols}); skipped"
     else:
-        kidx = sorted_multi_indices(r * ell, e)
-        kmult = np.sqrt(np.array([multiplicity(t) for t in kidx], dtype=float))
-        K = np.zeros((d, len(kidx)))
-        for a in range(d):
-            w = net.components[a].reshape(-1)
-            for u, tup in enumerate(kidx):
-                K[a, u] = kmult[u] * np.prod(w[list(tup)])
+        kidx = np.array(sorted_multi_indices(r * ell, e))
+        w = net.components.reshape(d, -1)
+        # prod_k w[kidx[u, k]], one factor at a time: (d, ncols) temporaries
+        K = w[:, kidx[:, 0]]
+        for k in range(1, e):
+            K = K * w[:, kidx[:, k]]
+        K = np.sqrt(multiplicity(kidx)) * K
         ks = np.linalg.svd(K, compute_uv=False)
-        rep.sigma_min_K = float(ks[min(d, len(kidx)) - 1])
+        rep.sigma_min_K = float(ks[min(K.shape) - 1])
     if net.smoothing_rho is not None:
         rho = net.smoothing_rho
         rep.predicted_psi = (rho / (r * omega)) ** omega

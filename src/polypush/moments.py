@@ -254,15 +254,12 @@ def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
     # product loop, and D, each m x m
     _check_dense_bytes(8 * 4 * m * m, "Sigma_sym", r, omega)
     table = _double_factorial_table(2 * omega)
-    sorted_idx = sorted_multi_indices(r, omega)
-    scounts = np.zeros((m, r), dtype=np.int64)
-    for p, tup in enumerate(sorted_idx):
-        for k in tup:
-            scounts[p, k] += 1
+    sorted_idx = np.array(sorted_multi_indices(r, omega), dtype=np.int64)
+    scounts = np.sum(sorted_idx[:, :, None] == np.arange(r), axis=1)
     Sigma_sym = np.ones((m, m))
     for k in range(r):
         Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
-    D = np.diag([float(multiplicity(tup)) for tup in sorted_idx])
+    D = np.diag(multiplicity(sorted_idx))
     return Sigma_sym, D
 
 

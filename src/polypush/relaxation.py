@@ -4,9 +4,10 @@ A ``PolynomialProgram`` declares variables, polynomial equalities/inequalities,
 and a relaxation degree.  ``encode_tensor_ring`` and ``encode_lowrank`` state
 the paper's recovery programs, at degree 4 and 2 omega, and ``check_point``
 evaluates their constraints at one assignment.  That is all the ``sos``
-backends use: ``certify`` completes the gauge-fixed local fit to a point of
-the encoded program and gates it on its worst violation.  A feasible point
-is weaker than the paper's guarantee, which rests on the pseudo-expectation
+backends use, in the one certificate step they add to the ``local``
+recovery: ``certify`` completes the gauge-fixed local fit to a point of the
+encoded program and gates it on its worst violation.  A feasible point is
+weaker than the paper's guarantee, which rests on the pseudo-expectation
 being unique; no recovery path solves the relaxation.
 
 ``solve`` lifts a program: every variable *group* gets a moment matrix over
@@ -716,7 +717,7 @@ def encode_lowrank(
     d = S.shape[0]
     sidx = sorted_multi_indices(r, omega)
     m = len(sidx)
-    mult = np.array([multiplicity(t) for t in sidx], dtype=float)
+    mult = multiplicity(sidx)
     Sigma_sym = np.asarray(Sigma_sym, dtype=float)
     D = np.asarray(D, dtype=float)
     # PSD square root of Sigma_sym

@@ -403,33 +403,36 @@ def decompose(
 ) -> RecoveryReport:
     """Recover {Q_a} from trace moments.
 
-    One combination, no retries: find_combo on S with ``config.rng_seed``
-    draws the recovery's lambda, mu once.  Every backend starts from one
-    local fit (_local_fit): damped least squares on the trace moments from
-    spectral_units' closed form, then from up to ``config.restarts`` random
-    starts while the best fit misses ``config.tol``.  On a table with noise
-    (``config.eta`` > 0), which no fit may bring within ``config.tol``, the
-    starts also stop once one repeats the best residual so far to relative
-    REPEAT_RTOL: the same minimum found twice.  ``diagnostics`` names the
-    start of the fit (``start``: "spectral" or "random"), the starts tried
-    (``restarts_used``), why they stopped (``fit_stop``: "tol", "repeat" or
-    "exhausted") and the closed form's eigengap (``spectral_gap``, None when
-    it could not be formed).  ``local``
-    gauge-fixes that fit with lambda and the corner-signed mu
-    (gauge_fix), and leaves it unfixed when the lambda-combination has
-    no eigengap.  ``sos`` returns the same gauge-fixed fit once
-    relaxation.certify finds it feasible, at that one point, for the
+    Both backends run one path, and ``sos`` adds one certificate step at
+    its end.  One combination, no retries: find_combo on S with
+    ``config.rng_seed`` draws the recovery's lambda, mu once.  The path
+    starts from one local fit (_local_fit): damped least squares on the
+    trace moments from spectral_units' closed form, then from up to
+    ``config.restarts`` random starts while the best fit misses
+    ``config.tol``.  On a table with noise (``config.eta`` > 0), which no fit
+    may bring within ``config.tol``, the starts also stop once one repeats
+    the best residual so far to relative REPEAT_RTOL: the same minimum found
+    twice.  ``diagnostics`` names the start of the fit (``start``:
+    "spectral" or "random"), the starts tried (``restarts_used``), why they
+    stopped (``fit_stop``: "tol", "repeat" or "exhausted") and the closed
+    form's eigengap (``spectral_gap``, None when it could not be formed).
+    ``sos`` first gates the fit's residual at max(10 eta, 1e-6).  Both
+    backends then gauge-fix the fit once, with lambda and the corner-signed
+    mu (gauge_fix; ``gauge_fixed`` says whether it could).  ``local`` returns
+    a fit whose lambda-combination has no eigengap unfixed.  ``sos`` returns
+    the same network as ``local`` after one certificate step:
+    relaxation.certify must find it feasible, at that one point, for the
     degree-4 moment program encoded with lambda and the corner-signed mu
     (``diagnostics["certificate_violation"]`` is its worst constraint
     violation).  That is weaker than the paper's guarantee, which rests on
     the pseudo-expectation being unique; the relaxation is not solved.
-    ``sos`` raises ConvergenceError when the fit misses max(10 eta, 1e-6),
-    cannot be gauge-fixed or breaks the program's caps.  Either backend
-    raises ConvergenceError when the returned network's worst table residual
-    exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A degenerate S
-    (e.g. commuting units) has no combination: ``local`` then recovers by
-    simultaneous diagonalization and falls back to the unfixed fit, and
-    ``sos`` raises ConvergenceError before fitting.
+    ``sos`` raises ConvergenceError when the fit misses its gate, cannot be
+    gauge-fixed or breaks the program's caps.  Either backend raises
+    ConvergenceError when the returned network's worst table residual
+    exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A
+    degenerate S (e.g. commuting units) has no combination: ``local`` then
+    recovers by simultaneous diagonalization and falls back to the unfixed
+    fit, and ``sos`` raises ConvergenceError before fitting.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -493,30 +496,30 @@ def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
 
 
 def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
-    """The recovery from the one local fit, gauge-fixed with ``combo``.
-    Returns (network, diagnostics)."""
+    """The one local fit, gauge-fixed with ``combo``, and for ``sos`` its
+    certificate.  Returns (network, diagnostics)."""
     d = S.shape[0]
     r = config.r
+    sos = config.backend == "sos"
     Q_fit, res, fit_diag = _local_fit(S, T, config)
     diag: dict = {"backend": config.backend, **fit_diag}
     net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
-    if config.backend == "local":
-        try:
-            net, _, _ = gauge_fix(net, combo.lam, combo.mu)
-            diag["gauge_fixed"] = True
-        except DegeneracyError:
-            diag["gauge_fixed"] = False
-        return net, diag
     fit_thr = max(10 * config.eta, 1e-6)
-    if res > fit_thr:
+    if sos and res > fit_thr:
         raise ConvergenceError(
             f"local fit residual {res:.3e} above the certificate's "
             f"threshold {fit_thr:.3e}"
         )
     try:
-        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
+        net, _, mu = gauge_fix(net, combo.lam, combo.mu)
     except DegeneracyError as exc:
-        raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
+        if sos:
+            raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
+        diag["gauge_fixed"] = False
+        return net, diag
+    diag["gauge_fixed"] = True
+    if not sos:
+        return net, diag
     R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
     # the program is stated in the scale where Q entries are O(1), so the
     # certificate's absolute floor of 1e-7 is relative to the table
@@ -526,8 +529,8 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
         eta=config.eta * sc**2,
     )
     i, j = np.triu_indices(r)
-    diag["certificate_violation"] = certify(prog, fixed.Q[:, i, j] * sc)
-    return fixed, diag
+    diag["certificate_violation"] = certify(prog, net.Q[:, i, j] * sc)
+    return net, diag
 
 
 def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:

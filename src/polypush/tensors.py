@@ -1,4 +1,4 @@
-"""Symmetric tensor storage, reshapings, and Kronecker-power transforms.
+"""Sorted-index flattening of symmetric tensors and Kronecker-power transforms.
 
 Conventions
 -----------
@@ -6,28 +6,29 @@ Multi-indices are 0-based tuples ``(i_1, ..., i_omega)`` with entries in
 ``range(r)``.  Dense tensors are numpy arrays of shape ``(r,) * omega`` and
 their vectorization is C-order (lexicographic on the index tuple), so for a
 matrix ``vec([[a, b], [c, d]]) == (a, b, c, d)`` and
-``kron(V, V) @ vec(Q) == vec(V @ Q @ V.T)``.
+``kron(V, V) @ vec(Q) == vec(V @ Q @ V.T)``.  A symmetric tensor is also
+flattened to its m = C(r+omega-1, omega) entries at the sorted multi-indices
+(``sorted_entries``, ``from_sorted_entries``), each of which stands for
+``multiplicity`` dense entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 
 __all__ = [
-    "SymTensor",
-    "DenseTensor",
     "GaugeRotation",
     "sorted_multi_indices",
     "multiplicity",
+    "sorted_entries",
+    "from_sorted_entries",
     "vec",
-    "mat",
-    "ten",
     "kron_power",
     "apply_transform",
     "symmetrize",
@@ -45,43 +46,47 @@ def sorted_multi_indices(r: int, omega: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(r), omega))
 
 
-def multiplicity(index: tuple[int, ...], r: int | None = None) -> int:
-    """Count the distinct permutations of a multi-index.
+def multiplicity(index, r: int | None = None):
+    """Count the distinct permutations of a multi-index, or of each row of
+    an (..., omega) array of them.
 
     Equals ``omega! / prod(c_v!)`` where ``c_v`` counts repetitions of each
-    value.  ``r``, when given, is used for range validation.
+    value, as a float: exact while omega! is, for omega <= 22.  ``r``, when
+    given, is used for range validation.
     """
-    index = tuple(int(i) for i in index)
-    if r is not None:
-        for i in index:
-            if i < 0 or i >= r:
-                raise UsageError(f"multi-index entry {i} out of range for dimension {r}")
-    out = math.factorial(len(index))
-    for v in set(index):
-        out //= math.factorial(index.count(v))
-    return out
+    index = np.asarray(index, dtype=np.int64)
+    if r is not None and np.any((index < 0) | (index >= r)):
+        raise UsageError(f"multi-index entry out of range for dimension {r}")
+    omega = index.shape[-1]
+    fact = np.array([float(math.factorial(k)) for k in range(omega + 1)])
+    values = np.arange(index.max(initial=0) + 1)
+    counts = np.sum(index[..., None] == values, axis=-2)
+    return fact[omega] / np.prod(fact[counts], axis=-1)
+
+
+def sorted_entries(T: np.ndarray, omega: int) -> np.ndarray:
+    """The (..., m) entries of the stacked order-omega tensors T, of shape
+    (..., r, ..., r), at the sorted multi-indices (sorted_multi_indices)."""
+    idx = np.array(sorted_multi_indices(T.shape[-1], omega), dtype=np.int64)
+    return T[(Ellipsis, *idx.T)]
+
+
+def from_sorted_entries(v: np.ndarray, r: int, omega: int) -> np.ndarray:
+    """The dense symmetric tensors, of shape (..., r, ..., r), whose sorted
+    entries are the (..., m) array v: each entry reads the one at its sorted
+    multi-index."""
+    v = np.asarray(v, dtype=float)
+    # a multi-index's rank in lexicographic order is the rank of its base-r key
+    weights = r ** np.arange(omega - 1, -1, -1, dtype=np.int64)
+    sidx = np.array(sorted_multi_indices(r, omega), dtype=np.int64)
+    full = np.sort(np.indices((r,) * omega).reshape(omega, -1), axis=0)
+    pos = np.searchsorted(sidx @ weights, weights @ full)
+    return v[..., pos].reshape(v.shape[:-1] + (r,) * omega)
 
 
 def vec(T: np.ndarray) -> np.ndarray:
     """Flatten a tensor in lexicographic (C) order."""
     return np.asarray(T).reshape(-1)
-
-
-def mat(v: np.ndarray) -> np.ndarray:
-    """Reshape a length-r^2 vector back to an r x r matrix."""
-    v = np.asarray(v)
-    r = math.isqrt(v.size)
-    if r * r != v.size:
-        raise UsageError(f"length {v.size} is not a perfect square")
-    return v.reshape(r, r)
-
-
-def ten(v: np.ndarray, r: int, omega: int) -> np.ndarray:
-    """Reshape a length-r^omega vector to an order-omega dense tensor."""
-    v = np.asarray(v)
-    if v.size != r**omega:
-        raise UsageError(f"length {v.size} incompatible with shape {(r,) * omega}")
-    return v.reshape((r,) * omega)
 
 
 def kron_power(V: np.ndarray, omega: int) -> np.ndarray:
@@ -93,7 +98,7 @@ def kron_power(V: np.ndarray, omega: int) -> np.ndarray:
 
 
 def apply_transform(U: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Apply a linear map on vectorized tensors: returns ten(U @ vec(T)).
+    """Apply a linear map on vectorized tensors: returns U @ vec(T) reshaped as T.
 
     For ``U = kron_power(V, 2)`` this reduces to ``V @ Q @ V.T``.
     """
@@ -143,62 +148,6 @@ def symmetrize(T: np.ndarray) -> np.ndarray:
     for p in perms[1:]:
         acc += np.transpose(T, p)
     return acc / len(perms)
-
-
-@dataclass(frozen=True)
-class SymTensor:
-    """Order-omega symmetric tensor over R^r stored on sorted multi-indices."""
-
-    order: int
-    dim: int
-    values: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    @classmethod
-    def from_dense(cls, T: np.ndarray) -> "SymTensor":
-        T = np.asarray(T, dtype=float)
-        r = T.shape[0]
-        omega = T.ndim
-        vals = {idx: float(T[idx]) for idx in sorted_multi_indices(r, omega)}
-        return cls(order=omega, dim=r, values=vals)
-
-    def __post_init__(self):
-        expected = num_sorted_indices(self.dim, self.order)
-        if len(self.values) != expected:
-            raise UsageError(
-                f"symmetric tensor needs {expected} sorted-index values, got {len(self.values)}"
-            )
-
-    def __getitem__(self, index: tuple[int, ...]) -> float:
-        return self.values[tuple(sorted(index))]
-
-    def to_dense(self) -> np.ndarray:
-        T = np.empty((self.dim,) * self.order)
-        for idx in itertools.product(range(self.dim), repeat=self.order):
-            T[idx] = self.values[tuple(sorted(idx))]
-        return T
-
-    def frobenius(self) -> float:
-        total = 0.0
-        for idx, val in self.values.items():
-            total += multiplicity(idx) * val * val
-        return math.sqrt(total)
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """Thin wrapper recording order/dim next to a dense value array."""
-
-    order: int
-    dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.size != self.dim**self.order:
-            raise UsageError("dense tensor size mismatch")
-
-    def tensor(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float).reshape((self.dim,) * self.order)
 
 
 @dataclass(frozen=True)

@@ -70,3 +70,45 @@ def test_no_deferred_package_at_import_time(path):
     eager = [f"{path.name}:{line} {module}" for line, module in import_time_imports(path)
              if module.split(".")[0] in DEFERRED_PACKAGES]
     assert eager == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def orphaned_private_helpers() -> list[str]:
+    """Top-level ``_name`` functions and classes of the package that no code
+    in the package or in perfbench reads beyond their own definition.
+
+    A read is a name or attribute load, or a string equal to the name:
+    perfbench wraps module attributes it names by string."""
+    trees = {p: ast.parse(p.read_text()) for p in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]}
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            reads.setdefault(name, []).append((path, node.lineno))
+    orphans = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            outside = [
+                (p, line) for p, line in reads.get(node.name, [])
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    return orphans
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_private_helpers() == []

@@ -355,6 +355,7 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
         S = exact_lowrank_pair_moments(net).S
         rep = factorize(S, LRConfig(r=2, backend=backend, rng_seed=9), truth=net)
     assert rep.gauge_dist <= 1e-6
+    assert rep.diagnostics["gauge_fixed"] is True
     assert seeds == [1 if kind == "quadratic" else 9] and len(fixes) == 1
     _, lam, mu_in, (fixed, _, mu) = fixes[0]
     (combo,) = combos
@@ -368,6 +369,44 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
     assert np.all(Qmu[0] >= 0)
     if kind == "quadratic":
         assert np.array_equal(rep.network.Q, fixed.Q)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+def test_sos_refuses_a_fit_it_cannot_gauge_fix(monkeypatch, kind):
+    # the one gauge fix fails: local returns the fit unfixed and says so,
+    # sos refuses to certify it
+    def degenerate(*args, **kw):
+        raise DegeneracyError("degenerate")
+
+    fits = []
+
+    def recording(real):
+        def fit(*args):
+            fits.append(real(*args))
+            return fits[-1]
+        return fit
+
+    if kind == "quadratic":
+        monkeypatch.setattr(tensor_ring, "_local_fit", recording(tensor_ring._local_fit))
+        monkeypatch.setattr(tensor_ring, "gauge_fix", degenerate)
+        t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, 1))
+
+        def recover(backend):
+            return decompose(t.S, t.T, TRConfig(r=2, backend=backend, rng_seed=1))
+    else:
+        monkeypatch.setattr(lowrank, "_fit_components", recording(lowrank._fit_components))
+        monkeypatch.setattr(tensor_ring, "find_combo", degenerate)
+        S = exact_lowrank_pair_moments(smoothed_lr_net(9)).S
+
+        def recover(backend):
+            return factorize(S, LRConfig(r=2, backend=backend, rng_seed=9))
+
+    rep = recover("local")
+    unit_array = rep.network.Q if kind == "quadratic" else rep.network.components
+    assert np.array_equal(unit_array, fits[0][0])
+    assert rep.diagnostics["gauge_fixed"] is False
+    with pytest.raises(ConvergenceError, match="cannot be gauge-fixed"):
+        recover("sos")
 
 
 @pytest.mark.parametrize("module, config", [("tensor_ring", "TRConfig"), ("lowrank", "LRConfig")])

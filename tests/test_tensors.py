@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,18 +13,16 @@ from polypush.errors import UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.networks import PolyNetwork, rotate_network
 from polypush.tensors import (
-    DenseTensor,
     GaugeRotation,
-    SymTensor,
     apply_transform,
+    from_sorted_entries,
     kron_power,
-    mat,
     multiplicity,
     num_sorted_indices,
     rotate_tensor,
+    sorted_entries,
     sorted_multi_indices,
     symmetrize,
-    ten,
     vec,
 )
 
@@ -41,9 +40,12 @@ class TestMultiplicity:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
     def test_sum_over_sorted_indices(self, r, omega):
-        total = sum(multiplicity(i) for i in sorted_multi_indices(r, omega))
-        assert total == r**omega
-        assert len(sorted_multi_indices(r, omega)) == num_sorted_indices(r, omega)
+        sidx = sorted_multi_indices(r, omega)
+        each = [multiplicity(i) for i in sidx]
+        assert sum(each) == r**omega
+        assert len(sidx) == num_sorted_indices(r, omega)
+        # the array form counts every row as the one-index form does
+        assert np.array_equal(multiplicity(sidx), each)
 
 
 class TestApplyTransform:
@@ -96,23 +98,6 @@ class TestReshapings:
     def test_vec_lexicographic(self):
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(vec(M), np.array([1.0, 2.0, 3.0, 4.0]))
-
-    def test_ten_vec_roundtrip(self):
-        rng = np.random.default_rng(4)
-        T = rng.standard_normal((3, 3, 3))
-        assert np.array_equal(ten(vec(T), 3, 3), T)
-
-    def test_mat_of_basis_vector(self):
-        r = 3
-        for i in range(r):
-            for j in range(r):
-                e = np.zeros(r * r)
-                e[i * r + j] = 1.0
-                assert np.array_equal(mat(e), np.outer(np.eye(r)[i], np.eye(r)[j]))
-
-    def test_mat_rejects_non_square_length(self):
-        with pytest.raises(UsageError):
-            mat(np.zeros(5))
 
 
 class TestRotateNetwork:
@@ -302,23 +287,23 @@ class TestGaugeStop:
 
 
 class TestTypes:
-    def test_sym_tensor_sorted_lookup(self):
+    def test_sorted_entries_roundtrip(self):
+        # oracle: one lookup per multi-index, through its sorted form
         rng = np.random.default_rng(11)
-        from polypush.tensors import symmetrize
-
-        T = symmetrize(rng.standard_normal((3, 3, 3)))
-        st = SymTensor.from_dense(T)
-        assert len(st.values) == num_sorted_indices(3, 3)
-        assert st[(2, 0, 1)] == st[(0, 1, 2)]
-        assert np.allclose(st.to_dense(), T)
-        assert st.frobenius() == pytest.approx(np.linalg.norm(T), abs=1e-12)
-
-    def test_dense_tensor_roundtrip(self):
-        v = np.arange(8.0)
-        dt = DenseTensor(order=3, dim=2, values=v)
-        assert np.array_equal(vec(dt.tensor()), v)
-        with pytest.raises(UsageError):
-            DenseTensor(order=3, dim=2, values=np.zeros(7))
+        for r, omega in [(1, 3), (2, 3), (3, 3), (4, 2), (2, 5)]:
+            T = np.stack([symmetrize(rng.standard_normal((r,) * omega)) for _ in range(2)])
+            sidx = sorted_multi_indices(r, omega)
+            entries = sorted_entries(T, omega)
+            assert entries.shape == (2, num_sorted_indices(r, omega))
+            assert np.array_equal(entries, [[Tk[idx] for idx in sidx] for Tk in T])
+            dense = from_sorted_entries(entries, r, omega)
+            pos = {idx: u for u, idx in enumerate(sidx)}
+            for idx in itertools.product(range(r), repeat=omega):
+                assert np.array_equal(dense[(slice(None), *idx)],
+                                      entries[:, pos[tuple(sorted(idx))]])
+            # each sorted entry stands for multiplicity-many dense ones
+            norms = np.sqrt(np.sum(multiplicity(sidx) * entries**2, axis=1))
+            assert np.allclose(norms, np.linalg.norm(T.reshape(2, -1), axis=1), atol=1e-12)
 
     def test_gauge_rotation_validation(self):
         GaugeRotation(np.eye(3))
