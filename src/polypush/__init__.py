@@ -44,11 +44,9 @@ from .moments import (
     PairMomentTable,
     QuadraticMomentTable,
     SigmaMatrix,
-    cumulant_diagonal,
     estimate_pair_moments,
     estimate_quadratic_moments,
     exact_quadratic_moments,
-    hermite_pair_moment,
     sigma_matrix,
     table_from_json,
     table_to_json,
@@ -67,7 +65,6 @@ from .tensor_ring import (
 from .lowrank import (
     LRConfig,
     extend_tail_lr,
-    f_vector,
     factorize,
     verify_assumption_lr,
 )
@@ -89,13 +86,11 @@ __all__ = [
     "smooth_componentwise", "smooth_quadratic", "w1_upper_bound",
     "AlignmentConfig", "gauge_distance",
     "PairMomentTable", "QuadraticMomentTable", "SigmaMatrix",
-    "cumulant_diagonal", "estimate_pair_moments",
-    "estimate_quadratic_moments", "exact_quadratic_moments",
-    "hermite_pair_moment", "sigma_matrix", "table_from_json", "table_to_json",
+    "estimate_pair_moments", "estimate_quadratic_moments",
+    "exact_quadratic_moments", "sigma_matrix", "table_from_json", "table_to_json",
     "RecoveryReport", "TRConfig", "decompose", "extend_tail", "find_combo",
     "gauge_fix", "jennrich_diagonal", "spectral_units", "verify_assumption_tr",
-    "LRConfig", "extend_tail_lr", "f_vector", "factorize",
-    "verify_assumption_lr",
+    "LRConfig", "extend_tail_lr", "factorize", "verify_assumption_lr",
     "LBInstance", "MatchedPair", "build_networks", "char_gap",
     "param_distance_lb", "search_matched_pair",
 ]

@@ -247,16 +247,6 @@ def _manifest(args, error: Optional[PolypushError] = None,
     _write_json(args.out + ".manifest.json", man)
 
 
-def _seed_dist(name: str) -> SeedDistribution:
-    if name == "gaussian":
-        return SeedDistribution(kind="gaussian")
-    if name == "identity":
-        # identity-Sigma mode is a moment-table convention, not a seed law;
-        # sampling still uses the Gaussian seed
-        return SeedDistribution(kind="gaussian")
-    raise UsageError(f"unknown --sigma {name!r}")
-
-
 def cmd_generate(args) -> int:
     if args.r < 1 or args.d < 1:
         raise UsageError("--r and --d must be at least 1")
@@ -287,7 +277,7 @@ def cmd_generate(args) -> int:
 
 def cmd_sample(args) -> int:
     net = network_from_json(_read_json(args.network))
-    z = sample(net, _seed_dist(args.sigma), args.n, rng_seed=args.seed)
+    z = sample(net, SeedDistribution(), args.n, rng_seed=args.seed)
     digest = _write_samples(args.out, z)
     _write_sidecar(args.out, z, digest)
     _manifest(args, digests={args.out: digest})
@@ -410,7 +400,7 @@ def cmd_eval(args) -> int:
     net_a = network_from_json(_read_json(args.network))
     net_b = network_from_json(_read_json(args.reference))
     dist, _ = gauge_distance(net_a, net_b, AlignmentConfig(rng_seed=args.seed))
-    w1 = w1_upper_bound(dist, net_a.r, net_a.d, net_a.omega, _seed_dist(args.sigma))
+    w1 = w1_upper_bound(dist, net_a.r, net_a.d, net_a.omega, SeedDistribution())
     out = {"gauge_dist": float(dist), "w1_upper_bound": float(w1)}
     print(json.dumps(out))
     if args.out:
@@ -556,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw pushforward samples")
     p.add_argument("--network", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", choices=("gaussian", "identity"), default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--out", required=True,
@@ -604,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="gauge distance and Wasserstein bound")
     p.add_argument("--network", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--sigma", choices=("gaussian", "identity"), default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -36,7 +36,6 @@ __all__ = [
     "char_gap",
     "param_distance_lb",
     "pair_to_json",
-    "pair_from_json",
     "hard_targets",
 ]
 
@@ -325,20 +324,3 @@ def pair_to_json(inst: LBInstance) -> str:
         },
         indent=2,
     )
-
-
-def pair_from_json(text: str) -> LBInstance:
-    obj = json.loads(text)
-    pair = MatchedPair(
-        r=int(obj["r"]),
-        a=np.array(obj["a"], dtype=float),
-        b=np.array(obj["b"], dtype=float),
-        a_hp=list(obj["a_hp"]),
-        b_hp=list(obj["b_hp"]),
-        residual=float(obj["residual"]),
-        residual_matched=float(obj["residual_matched"]),
-        moment_diffs=[float(v) for v in obj.get("moment_diffs", [])],
-        separation=float(obj.get("separation", 0.0)),
-        success=bool(obj.get("success", False)),
-    )
-    return build_networks(pair)

@@ -48,21 +48,27 @@ from .tensor_ring import RecoveryReport
 from .tensors import (
     from_sorted_entries,
     multiplicity,
-    paired_contraction,
     sorted_entries,
     sorted_multi_indices,
 )
 
 __all__ = [
     "LRConfig",
-    "f_vector",
     "factorize",
     "exact_lowrank_pair_moments",
     "extend_tail_lr",
     "verify_assumption_lr",
-    "hermite_network_pair_moments",
-    "pair_inner",
 ]
+
+SIGMA_MODES = ("gaussian", "identity", "rotation_invariant")
+
+
+def _check_sigma(mode: str, scale: float) -> None:
+    """UsageError unless ``mode`` is one of SIGMA_MODES and ``scale`` is
+    finite and > 0."""
+    if mode not in SIGMA_MODES:
+        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+    check_settings({}, {"Sigma scale": scale})
 
 
 @dataclass
@@ -84,36 +90,22 @@ class LRConfig:
             {"tol": self.tol},
             {"eta": self.eta},
         )
+        _check_sigma(self.sigma_mode, self.sigma_scale)
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown low-rank backend {self.backend!r}")
 
 
-def f_vector(T) -> np.ndarray:
-    """Paired-index contraction of an odd-order symmetric tensor to R^r."""
-    T = np.asarray(T, dtype=float)
-    if T.ndim % 2 == 0:
-        raise UsageError("f_vector needs an odd-order tensor")
-    return paired_contraction(T)
-
-
-def pair_inner(va, vb, omega: int, mode: str = "gaussian", scale: float = 1.0):
-    """<v^{x omega}, w^{x omega}>_Sigma for the supported Sigma modes.
+def _pair_values(dot, nv2, nw2, omega: int, mode: str, scale: float):
+    """<v^{x omega}, w^{x omega}>_Sigma from the inner product ``dot`` and
+    the squared norms ``nv2``, ``nw2`` of v and w, elementwise.
 
     gaussian: the Gaussian pair moment E<v,g>^omega <w,g>^omega;
-    identity: plain Frobenius product <v,w>^omega;
-    rotation_invariant: the Gaussian value times the degree-2*omega radial scale.
+    identity: the plain Frobenius product <v,w>^omega;
+    rotation_invariant: the Gaussian value times the degree-2*omega radial
+    scale.
     """
-    va = np.asarray(va, dtype=float)
-    vb = np.asarray(vb, dtype=float)
-    return float(
-        _pair_values(float(va @ vb), float(va @ va), float(vb @ vb), omega, mode, scale)
-    )
-
-
-def _pair_values(dot, nv2, nw2, omega: int, mode: str, scale: float):
-    """pair_inner from inner products and squared norms, elementwise."""
     if mode == "identity":
         return dot**omega
     val = pair_moment_closed_form(dot, nv2, nw2, omega)
@@ -123,8 +115,9 @@ def _pair_values(dot, nv2, nw2, omega: int, mode: str, scale: float):
 
 
 def _pair_table(comps: np.ndarray, omega: int, mode: str, scale: float) -> np.ndarray:
-    """The pair-moment model S_ab = sum_{t,t'} pair_inner(v_{a,t}, v_{b,t'})
-    over the Gram of all components; the upper triangle is mirrored."""
+    """The pair-moment model: S_ab sums _pair_values of (v_{a,t}, v_{b,t'})
+    over the components t of unit a and t' of unit b, from the Gram of all
+    components; the upper triangle is mirrored."""
     d, ell, r = comps.shape
     V = comps.reshape(d * ell, r)
     G = V @ V.T
@@ -175,35 +168,21 @@ def _pair_table_jacobian(
 def exact_lowrank_pair_moments(
     net: PolyNetwork, mode: str = "gaussian", scale: float = 1.0
 ) -> PairMomentTable:
-    """Exact pair moments E[y_a y_b] of a low-rank network's pushforward."""
+    """Exact pair moments S_ab = <T_a, T_b>_Sigma of a low-rank network, in
+    Sigma mode ``mode`` (SIGMA_MODES; ``scale`` is the rotation-invariant
+    radial factor); in gaussian mode they are E[y_a y_b] of its pushforward.
+
+    A Hermite-activation network with unit directions u_{a,t} and
+    coefficients lambda_{a,t}, T_a = sum_t lambda_{a,t} u_{a,t}^{x omega},
+    is the identity-mode low-rank network with components
+    sign(lambda) |lambda|^(1/omega) u (omega odd).
+    """
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
+    _check_sigma(mode, scale)
     return PairMomentTable(
         S=_pair_table(net.components, net.omega, mode, scale), eta=0.0
     )
-
-
-def hermite_network_pair_moments(
-    coeffs: np.ndarray, units: np.ndarray, omega: int
-) -> PairMomentTable:
-    """Pair moments of a Hermite-activation network with unit directions.
-
-    S_ab = sum_{t,t'} lambda_{a,t} lambda_{b,t'} <v_{a,t}, v_{b,t'}>^omega,
-    which equals the plain Frobenius product <T_a, T_b> for
-    T_a = sum_t lambda_{a,t} v_{a,t}^{x omega}; usable directly as
-    identity-Sigma factorization input.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    units = np.asarray(units, dtype=float)
-    d, ell, r = units.shape
-    if coeffs.shape != (d, ell):
-        raise UsageError("coefficient array must be (d, ell)")
-    norms = np.linalg.norm(units, axis=2)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise UsageError("Hermite directions must be unit vectors")
-    dots = np.einsum("ati,bsi->atbs", units, units)
-    S = np.einsum("at,bs,atbs->ab", coeffs, coeffs, dots**omega)
-    return PairMomentTable(S=0.5 * (S + S.T), eta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +490,21 @@ class AssumptionReportLR:
     flag_kappa: Optional[bool] = None
 
 
-@dataclass
-class VerifyLimits:
-    max_cols: int = 20000
+# verify_assumption_lr skips K^(e) above this many columns
+K_MAX_COLS = 20000
 
 
-def verify_assumption_lr(
-    net: PolyNetwork, limits: Optional[VerifyLimits] = None
-) -> AssumptionReportLR:
+def verify_assumption_lr(net: PolyNetwork) -> AssumptionReportLR:
     """Condition-number diagnostics for low-rank networks.
 
     M*: rows are sorted-index flattenings of T_a (multiplicity-weighted so the
     Gram matches the Frobenius product); H: rows (f_a)_i (f_a)_j over i <= j;
     K^{(e)}: rows are sorted-index flattenings of w_a^{x e} for the
     concatenated component vector w_a, e = omega*(ell+1), computed only when
-    the column count stays under limits.max_cols.
+    the column count stays under K_MAX_COLS.
     """
     if net.kind != "lowrank":
         raise UsageError("verify_assumption_lr needs a lowrank network")
-    limits = limits or VerifyLimits()
     r, d, omega, ell = net.r, net.d, net.omega, net.ell
     M = np.sqrt(multiplicity(sorted_multi_indices(r, omega))) * sorted_entries(
         net.unit_tensors(), omega
@@ -548,8 +523,8 @@ def verify_assumption_lr(
     )
     e = omega * (ell + 1)
     ncols = math.comb(r * ell + e - 1, e)
-    if ncols > limits.max_cols:
-        rep.k_skipped = f"K^({e}) needs {ncols} columns (> {limits.max_cols}); skipped"
+    if ncols > K_MAX_COLS:
+        rep.k_skipped = f"K^({e}) needs {ncols} columns (> {K_MAX_COLS}); skipped"
     else:
         kidx = np.array(sorted_multi_indices(r * ell, e))
         w = net.components.reshape(d, -1)

@@ -40,12 +40,10 @@ __all__ = [
     "estimate_quadratic_moments",
     "sigma_matrix",
     "sigma_inner",
-    "hermite_pair_moment",
     "pair_moment_closed_form",
     "pair_moment_partials",
     "estimate_pair_moments",
     "rotation_invariant_scale",
-    "cumulant_diagonal",
     "table_to_json",
     "table_from_json",
     "chunked_mean",
@@ -271,15 +269,6 @@ def sigma_inner(Ta: np.ndarray, Tb: np.ndarray, Sigma: np.ndarray) -> float:
     return float(va @ Sigma @ vb)
 
 
-def hermite_pair_moment(v: np.ndarray, w: np.ndarray, omega: int) -> float:
-    """E[<v, g>^omega <w, g>^omega] in closed form (see pair_moment_closed_form)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(
-        pair_moment_closed_form(float(v @ w), float(v @ v), float(w @ w), omega)
-    )
-
-
 def pair_moment_closed_form(dot, nv2, nw2, omega: int):
     """omega! * sum_m multinomial(omega; m, m, omega-2m) 4^{-m}
     dot^{omega-2m} nv2^m nw2^m, the Gaussian pair moment of two vectors with
@@ -349,29 +338,6 @@ def rotation_invariant_scale(
     if r is None:
         raise UsageError("dimension r required for the Gaussian normalizer")
     return float(seed.radial_moment(e)) / gaussian_norm_moment(r, e)
-
-
-def cumulant_diagonal(vs: np.ndarray, beta: np.ndarray) -> float:
-    """Joint cumulant kappa_beta of z_a = sum_i (v_i)_a g_i^2.
-
-    ``vs`` has shape (r, d): row i is the vector of diagonal entries that
-    coordinate g_i contributes across units.  For a multi-index beta over
-    units with |beta| = m, coordinate independence gives
-
-        kappa_beta = 2^{m-1} (m-1)! * sum_i prod_a (v_i)_a^{beta_a},
-
-    since the order-m cumulant of a single chi-squared coordinate is
-    2^{m-1} (m-1)! and cumulants are multilinear in independent summands.
-    """
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    beta = np.asarray(beta, dtype=int)
-    if beta.shape[0] != vs.shape[1]:
-        raise UsageError("beta length must match the unit count d")
-    m = int(beta.sum())
-    if m < 1:
-        raise UsageError("need |beta| >= 1")
-    power_sum = float(np.sum(np.prod(vs ** beta[None, :], axis=1)))
-    return 2.0 ** (m - 1) * math.factorial(m - 1) * power_sum
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError, check_settings
 from .tensors import GaugeRotation, paired_contraction
 
 __all__ = [
@@ -171,8 +171,7 @@ class SmoothingParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise UsageError("rho must be nonnegative")
+        check_settings({}, {}, {"rho": self.rho})
 
 
 def _seed_rng(rng_seed: int, *stream: int) -> np.random.Generator:

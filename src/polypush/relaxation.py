@@ -71,9 +71,6 @@ class Poly:
     def var(cls, i: int) -> "Poly":
         return cls({(int(i),): 1.0})
 
-    def copy(self) -> "Poly":
-        return Poly(self.terms)
-
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)

@@ -46,17 +46,14 @@ def sorted_multi_indices(r: int, omega: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(r), omega))
 
 
-def multiplicity(index, r: int | None = None):
+def multiplicity(index):
     """Count the distinct permutations of a multi-index, or of each row of
     an (..., omega) array of them.
 
     Equals ``omega! / prod(c_v!)`` where ``c_v`` counts repetitions of each
-    value, as a float: exact while omega! is, for omega <= 22.  ``r``, when
-    given, is used for range validation.
+    value, as a float: exact while omega! is, for omega <= 22.
     """
     index = np.asarray(index, dtype=np.int64)
-    if r is not None and np.any((index < 0) | (index >= r)):
-        raise UsageError(f"multi-index entry out of range for dimension {r}")
     omega = index.shape[-1]
     fact = np.array([float(math.factorial(k)) for k in range(omega + 1)])
     values = np.arange(index.max(initial=0) + 1)
@@ -165,7 +162,3 @@ class GaugeRotation:
         if err > 1e-10:
             raise UsageError(f"matrix is not orthogonal (deviation {err:.2e})")
         object.__setattr__(self, "V", V)
-
-    @property
-    def dim(self) -> int:
-        return self.V.shape[0]

@@ -19,6 +19,7 @@ from polypush import cli, moments, networks
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
+from polypush.lowrank import exact_lowrank_pair_moments
 from polypush.networks import SeedDistribution, network_from_json, sample
 
 
@@ -253,6 +254,23 @@ class TestRoundTrip:
         assert run("eval", "--network", str(rec), "--reference", str(net),
                    "--out", str(out)) == 0
         assert read(out)["gauge_dist"] <= 1e-4
+
+    def test_solve_lr_sigma_identity(self, tmp_path, capsys):
+        # an identity-convention table is recovered under --sigma identity;
+        # the default Gaussian model cannot fit it
+        net = tmp_path / "lr.json"
+        assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "4",
+                   "--omega", "3", "--ell", "1", "--rho", "0.5", "--seed", "3",
+                   "--out", str(net)) == 0
+        table = tmp_path / "identity.json"
+        S = exact_lowrank_pair_moments(network_from_json(read(net)), mode="identity")
+        table.write_text(json.dumps(moments.table_to_json(S)))
+        solve = ("solve_lr", "--table", str(table), "--r", "2", "--truth", str(net))
+        capsys.readouterr()
+        assert run(*solve, "--sigma", "identity", "--out", str(tmp_path / "a.json")) == 0
+        assert json.loads(capsys.readouterr().out)["gauge_dist"] <= 1e-12
+        assert run(*solve, "--out", str(tmp_path / "b.json")) == 3
+        assert "component fit residual 2.119e-04" in capsys.readouterr().err
 
     def test_verify_both_kinds(self, tmp_path, quad_net, capsys):
         assert run("verify", "--network", str(quad_net)) == 0
@@ -510,6 +528,29 @@ class TestExitCodes:
         assert run(command, "--network", "net.json", "--seed", "3",
                    "--out", str(tmp_path / "out")) == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sample", ("--network", "net.json", "--n", "5")),
+        ("eval", ("--network", "net.json", "--reference", "net.json")),
+    ], ids=["sample", "eval"])
+    def test_no_sigma_flag(self, tmp_path, capsys, command, flags):
+        # both draw from, or bound with, the Gaussian seed; solve_lr's
+        # --sigma names a moment-table convention
+        assert run(command, *flags, "--sigma", "identity",
+                   "--out", str(tmp_path / "out")) == 2
+        assert "unrecognized arguments: --sigma identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_generate_rho_checked(self, tmp_path, capsys, kind, rho):
+        # a non-finite rho would write NaN or Infinity into the network JSON,
+        # which every later command refuses
+        out = tmp_path / "net.json"
+        assert run("generate", "--kind", kind, "--r", "2", "--d", "3",
+                   "--rho", rho, "--out", str(out)) == 2
+        assert "rho must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert read(str(out) + ".manifest.json")["exit_code"] == 2
 
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block

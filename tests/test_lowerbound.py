@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from polypush.lowerbound import (
     LBInstance,
     build_networks,
     char_gap,
-    pair_from_json,
     pair_to_json,
     param_distance_lb,
     search_matched_pair,
@@ -130,11 +130,14 @@ class TestParamDistance:
 class TestJson:
     def test_roundtrip(self, pair_r5):
         inst = build_networks(pair_r5)
-        out = pair_from_json(pair_to_json(inst))
-        assert out.pair.r == 5
-        assert np.allclose(out.pair.a, inst.pair.a)
-        assert out.sup_gap == inst.sup_gap
-        assert out.param_distance == inst.param_distance
+        out = json.loads(pair_to_json(inst))
+        assert out["r"] == 5
+        assert np.array_equal(out["a"], inst.pair.a)
+        assert np.array_equal(out["b"], inst.pair.b)
+        assert (out["a_hp"], out["b_hp"]) == (inst.pair.a_hp, inst.pair.b_hp)
+        assert out["success"] == inst.pair.success
+        assert out["sup_gap"] == inst.sup_gap
+        assert out["param_distance"] == inst.param_distance
 
 
 class TestMomentAgreement:

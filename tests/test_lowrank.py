@@ -10,13 +10,9 @@ from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
     LRConfig,
-    VerifyLimits,
     exact_lowrank_pair_moments,
     extend_tail_lr,
-    f_vector,
     factorize,
-    hermite_network_pair_moments,
-    pair_inner,
     verify_assumption_lr,
 )
 from polypush.moments import sigma_inner, sigma_matrix
@@ -27,7 +23,12 @@ from polypush.networks import (
     smooth_componentwise,
 )
 from polypush.tensor_ring import TRConfig
-from polypush.tensors import rotate_tensor, sorted_multi_indices, symmetrize
+from polypush.tensors import (
+    paired_contraction,
+    rotate_tensor,
+    sorted_multi_indices,
+    symmetrize,
+)
 
 
 def smoothed_lr_net(r, d, omega, ell, rho, seed):
@@ -36,6 +37,23 @@ def smoothed_lr_net(r, d, omega, ell, rho, seed):
         components=np.zeros((d, ell, r)),
     )
     return smooth_componentwise(SmoothingParams(rho=rho, base=base, rng_seed=seed))
+
+
+def stacked_net(*vectors):
+    """The omega = 3, ell = 1 low-rank network whose unit a has the one
+    component vectors[a]."""
+    comps = np.array(vectors, dtype=float)[:, None, :]
+    d, _, r = comps.shape
+    return PolyNetwork(kind="lowrank", r=r, d=d, omega=3, ell=1, components=comps)
+
+
+def hermite_net(lam, units, omega):
+    """The identity-mode low-rank network of the Hermite-activation network
+    T_a = sum_t lam[a, t] units[a, t]^{x omega}: its components are
+    sign(lam) |lam|^(1/omega) units."""
+    comps = (np.sign(lam) * np.abs(lam) ** (1.0 / omega))[..., None] * units
+    d, ell, r = comps.shape
+    return PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
 
 
 def sigma_sym_oracle(r, omega):
@@ -50,34 +68,35 @@ def sigma_sym_oracle(r, omega):
 
 
 class TestFVector:
+    # f_a is the paired contraction of T_a
     def test_basis_cube(self):
         T = np.zeros((2, 2, 2))
         T[0, 0, 0] = 1.0
-        assert np.allclose(f_vector(T), [1.0, 0.0])
+        assert np.allclose(paired_contraction(T), [1.0, 0.0])
 
     def test_rank_one(self):
         v = np.array([1.5, -0.5, 2.0])
         T = np.einsum("i,j,k->ijk", v, v, v)
-        assert np.allclose(f_vector(T), float(v @ v) * v, atol=1e-12)
+        assert np.allclose(paired_contraction(T), float(v @ v) * v, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         A = symmetrize(rng.standard_normal((2, 2, 2)))
         B = symmetrize(rng.standard_normal((2, 2, 2)))
-        assert np.allclose(f_vector(A + B), f_vector(A) + f_vector(B), atol=1e-13)
+        f = paired_contraction
+        assert np.allclose(f(A + B), f(A) + f(B), atol=1e-13)
 
     def test_even_order_rejected(self):
         with pytest.raises(UsageError):
-            f_vector(np.zeros((2, 2)))
+            paired_contraction(np.zeros((2, 2)))
 
 
 class TestPairInner:
     def test_identity_mode(self):
         v = np.array([1.0, 2.0])
         w = np.array([0.5, -1.0])
-        assert pair_inner(v, w, 3, "identity") == pytest.approx(
-            float(v @ w) ** 3, abs=1e-12
-        )
+        S = exact_lowrank_pair_moments(stacked_net(v, w), mode="identity").S
+        assert S[0, 1] == pytest.approx(float(v @ w) ** 3, abs=1e-12)
 
     def test_gaussian_matches_sigma(self):
         rng = np.random.default_rng(1)
@@ -86,9 +105,8 @@ class TestPairInner:
         Tv = np.einsum("i,j,k->ijk", v, v, v)
         Tw = np.einsum("i,j,k->ijk", w, w, w)
         Sigma = sigma_matrix(2, 3).Sigma
-        assert pair_inner(v, w, 3, "gaussian") == pytest.approx(
-            sigma_inner(Tv, Tw, Sigma), rel=1e-10
-        )
+        S = exact_lowrank_pair_moments(stacked_net(v, w), mode="gaussian").S
+        assert S[0, 1] == pytest.approx(sigma_inner(Tv, Tw, Sigma), rel=1e-10)
 
     def test_sigma_gauge_invariance(self):
         rng = np.random.default_rng(2)
@@ -134,12 +152,7 @@ class TestFactorize:
     def test_identity_and_gaussian_modes_agree_on_recoverability(self, seed):
         net = smoothed_lr_net(2, 4, 3, 1, 0.5, 100 + seed)
         for mode in ("gaussian", "identity"):
-            S = np.zeros((4, 4))
-            for a in range(4):
-                for b in range(4):
-                    S[a, b] = pair_inner(
-                        net.components[a, 0], net.components[b, 0], 3, mode
-                    )
+            S = exact_lowrank_pair_moments(net, mode=mode).S
             rep = factorize(
                 S, LRConfig(r=2, omega=3, ell=1, sigma_mode=mode, rng_seed=seed),
                 truth=net,
@@ -173,6 +186,11 @@ class TestFactorize:
         (LRConfig, {"restarts": 0}),
         (LRConfig, {"tol": 0.0}),
         (LRConfig, {"tol": float("nan")}),
+        (LRConfig, {"sigma_mode": "gausian"}),
+        (LRConfig, {"sigma_scale": float("nan")}),
+        (LRConfig, {"sigma_scale": float("inf")}),
+        (LRConfig, {"sigma_scale": -1.0}),
+        (LRConfig, {"sigma_scale": 0.0}),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else "=".join(map(str, *v.items())))
     def test_settings_checked(self, config, bad):
         with pytest.raises(UsageError):
@@ -391,6 +409,16 @@ class TestExactPairMoments:
         G = exact_lowrank_pair_moments(net, mode="gaussian").S
         assert np.allclose(S, 1.7 * G, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("mode, scale", [
+        ("bogus", 1.0),
+        ("gaussian", float("nan")),
+        ("rotation_invariant", -1.0),
+        ("identity", 0.0),
+    ])
+    def test_sigma_settings_checked(self, net, mode, scale):
+        with pytest.raises(UsageError):
+            exact_lowrank_pair_moments(net, mode=mode, scale=scale)
+
 
 class TestExtendTailLr:
     def test_exact_head_exact_tail(self):
@@ -470,26 +498,29 @@ class TestVerifyAssumptionLr:
         rep = verify_assumption_lr(net)
         assert rep.sigma_min_M > 0.0
 
-    def test_k_matrix_skipped_when_large(self):
+    def test_k_matrix_skipped_when_large(self, monkeypatch):
         net = smoothed_lr_net(3, 4, 3, 4, 0.5, 0)
-        rep = verify_assumption_lr(net, VerifyLimits(max_cols=10))
+        monkeypatch.setattr(lowrank, "K_MAX_COLS", 10)
+        rep = verify_assumption_lr(net)
         assert rep.sigma_min_K is None
         assert "skipped" in rep.k_skipped
 
 
 class TestHermiteNetworkPairMoments:
+    # a Hermite-activation network is an identity-mode low-rank network
     def test_orthonormal_identity(self):
         units = np.zeros((2, 1, 2))
         units[0, 0, 0] = 1.0
         units[1, 0, 1] = 1.0
-        t = hermite_network_pair_moments(np.ones((2, 1)), units, 3)
+        net = hermite_net(np.ones((2, 1)), units, 3)
+        t = exact_lowrank_pair_moments(net, mode="identity")
         assert np.allclose(t.S, np.eye(2), atol=1e-12)
 
     def test_shared_direction(self):
         v = np.array([0.6, 0.8])
         units = np.stack([v[None], v[None]])
         lam = np.array([[2.0], [-3.0]])
-        t = hermite_network_pair_moments(lam, units, 3)
+        t = exact_lowrank_pair_moments(hermite_net(lam, units, 3), mode="identity")
         assert t.S[0, 1] == pytest.approx(-6.0, abs=1e-12)
 
     def test_matches_frobenius_expansion(self):
@@ -498,7 +529,7 @@ class TestHermiteNetworkPairMoments:
         units = rng.standard_normal((2, 2, 2))
         units /= np.linalg.norm(units, axis=2, keepdims=True)
         lam = rng.standard_normal((2, 2))
-        t = hermite_network_pair_moments(lam, units, 3)
+        t = exact_lowrank_pair_moments(hermite_net(lam, units, 3), mode="identity")
         tens = []
         for a in range(2):
             T = np.zeros((2, 2, 2))
@@ -510,11 +541,6 @@ class TestHermiteNetworkPairMoments:
             for b in range(2):
                 frob = float(np.sum(tens[a] * tens[b]))
                 assert t.S[a, b] == pytest.approx(frob, abs=1e-10)
-
-    def test_non_unit_rejected(self):
-        units = 2.0 * np.ones((1, 1, 2))
-        with pytest.raises(UsageError):
-            hermite_network_pair_moments(np.ones((1, 1)), units, 3)
 
 
 class TestSignConsistency:

@@ -15,11 +15,10 @@ from conftest import (
 from polypush import moments
 from polypush.errors import ResourceError, UsageError
 from polypush.moments import (
-    cumulant_diagonal,
     estimate_pair_moments,
     estimate_quadratic_moments,
     exact_quadratic_moments,
-    hermite_pair_moment,
+    pair_moment_closed_form,
     rotation_invariant_scale,
     sigma_inner,
     sigma_matrix,
@@ -52,6 +51,26 @@ class TestExactQuadraticMoments:
         Q = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
         net = PolyNetwork(kind="quadratic", r=2, d=2, Q=Q)
         assert exact_quadratic_moments(net).S[0, 1] == 11.0
+
+    def test_diagonal_cumulants_match_partition_sum(self):
+        # oracle: partition-sum joint cumulants of z_a = sum_i vs[i, a] g_i^2
+        # from exact raw moments; cumulants of orders 1, 2 and 3 are mu, 2 S
+        # and 8 T
+        rng = np.random.default_rng(10)
+        vs = rng.standard_normal((2, 3))
+        net = PolyNetwork(kind="quadratic", r=2, d=3,
+                          Q=np.stack([np.diag(vs[:, a]) for a in range(3)]))
+        t = exact_quadratic_moments(net)
+        tables = {1: t.mu, 2: 2.0 * t.S, 3: 8.0 * t.T}
+
+        def moment(units):
+            return diagonal_pushforward_moment(vs, units)
+
+        for m, table in tables.items():
+            for units in itertools.product(range(3), repeat=m):
+                assert table[units] == pytest.approx(
+                    joint_cumulant(moment, units), abs=1e-9
+                )
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(0)
@@ -274,18 +293,22 @@ class TestSigmaInner:
 
 
 class TestHermitePairMoment:
+    @staticmethod
+    def closed_form(v, w, omega):
+        return pair_moment_closed_form(float(v @ w), float(v @ v), float(w @ w), omega)
+
     def test_linear(self):
         v = np.array([1.0, 2.0])
         w = np.array([-3.0, 0.5])
-        assert hermite_pair_moment(v, w, 1) == pytest.approx(float(v @ w), abs=1e-12)
+        assert self.closed_form(v, w, 1) == pytest.approx(float(v @ w), abs=1e-12)
 
     def test_quadratic_closed_form(self):
         rng = np.random.default_rng(6)
         v = rng.standard_normal(3)
         w = rng.standard_normal(3)
         expected = 2 * float(v @ w) ** 2 + float(v @ v) * float(w @ w)
-        assert hermite_pair_moment(v, w, 2) == pytest.approx(expected, abs=1e-10)
-        assert hermite_pair_moment(v, w, 2) == pytest.approx(
+        assert self.closed_form(v, w, 2) == pytest.approx(expected, abs=1e-10)
+        assert self.closed_form(v, w, 2) == pytest.approx(
             wick_linear_pair_moment(v, w, 2), abs=1e-10
         )
 
@@ -294,7 +317,7 @@ class TestHermitePairMoment:
             v = np.zeros(3)
             v[0] = 1.0
             dfact = math.prod(range(2 * omega - 1, 0, -2))
-            assert hermite_pair_moment(v, v, omega) == pytest.approx(dfact, abs=1e-9)
+            assert self.closed_form(v, v, omega) == pytest.approx(dfact, abs=1e-9)
 
 
 class TestRotationInvariantScale:
@@ -316,60 +339,6 @@ class TestRotationInvariantScale:
     def test_missing_oracle(self):
         with pytest.raises(UsageError):
             SeedDistribution(kind="rotation_invariant")
-
-
-class TestCumulantDiagonal:
-    def test_first_order(self):
-        rng = np.random.default_rng(7)
-        vs = rng.standard_normal((3, 2))  # r=3 coordinates, d=2 units
-        Q = np.stack([np.diag(vs[:, a]) for a in range(2)])
-        for a in range(2):
-            beta = np.zeros(2, dtype=int)
-            beta[a] = 1
-            assert cumulant_diagonal(vs, beta) == pytest.approx(
-                float(np.trace(Q[a])), abs=1e-12
-            )
-
-    def test_second_order(self):
-        rng = np.random.default_rng(8)
-        vs = rng.standard_normal((3, 1))
-        Q = np.diag(vs[:, 0])
-        assert cumulant_diagonal(vs, np.array([2])) == pytest.approx(
-            2.0 * np.trace(Q @ Q), abs=1e-12
-        )
-
-    def test_third_order_cross(self):
-        rng = np.random.default_rng(9)
-        vs = rng.standard_normal((3, 3))
-        Q = np.stack([np.diag(vs[:, a]) for a in range(3)])
-        expected = 8.0 * np.trace(Q[0] @ Q[1] @ Q[2])
-        assert cumulant_diagonal(vs, np.array([1, 1, 1])) == pytest.approx(
-            expected, abs=1e-10
-        )
-
-    def test_matches_partition_sum(self):
-        # oracle: partition-sum cumulants from exact raw moments
-        rng = np.random.default_rng(10)
-        vs = rng.standard_normal((2, 3))
-        import itertools
-
-        def moment(units):
-            return diagonal_pushforward_moment(vs, units)
-
-        for beta in itertools.product(range(4), repeat=3):
-            if not 1 <= sum(beta) <= 3:
-                continue
-            units = []
-            for a, b in enumerate(beta):
-                units += [a] * b
-            expected = joint_cumulant(moment, units)
-            assert cumulant_diagonal(vs, np.array(beta)) == pytest.approx(
-                expected, abs=1e-9
-            )
-
-    def test_needs_nonzero_order(self):
-        with pytest.raises(UsageError):
-            cumulant_diagonal(np.ones((2, 2)), np.array([0, 0]))
 
 
 class TestJsonTables:

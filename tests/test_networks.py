@@ -250,6 +250,12 @@ class TestBlasProduct:
 
 
 class TestSmoothing:
+    @pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf")])
+    def test_rho_checked(self, rho):
+        base = PolyNetwork(kind="quadratic", r=2, d=1, Q=np.zeros((1, 2, 2)))
+        with pytest.raises(UsageError, match="rho must be finite and >= 0"):
+            SmoothingParams(rho=rho, base=base)
+
     def test_quadratic_rho_zero_identity(self):
         rng = np.random.default_rng(4)
         Q = np.stack([symmetric_gaussian(rng, 3)])

@@ -33,10 +33,6 @@ class TestMultiplicity:
         assert multiplicity((0, 1)) == 2
         assert multiplicity((0, 0, 0)) == 1
 
-    def test_out_of_range(self):
-        with pytest.raises(UsageError):
-            multiplicity((0, 3), r=2)
-
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
     def test_sum_over_sorted_indices(self, r, omega):
