@@ -58,15 +58,22 @@ class PolyNetwork:
     smoothing_rho: Optional[float] = None
 
     def __post_init__(self):
+        if self.r < 1 or self.d < 1:
+            raise UsageError(f"networks need r >= 1 and d >= 1, got r={self.r}, d={self.d}")
         if self.kind == "quadratic":
             if self.omega != 2:
                 raise UsageError("quadratic networks have omega = 2")
             Q = np.asarray(self.Q, dtype=float)
             if Q.shape != (self.d, self.r, self.r):
                 raise UsageError(f"Q must have shape {(self.d, self.r, self.r)}")
-            if np.max(np.abs(Q - np.transpose(Q, (0, 2, 1))), initial=0.0) > 1e-12:
-                raise UsageError("quadratic units must be symmetric to 1e-12")
-            self.Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+            _check_finite(Q, "Q")
+            # entries beyond half the float range overflow here; the
+            # symmetrized Q is checked below
+            with np.errstate(over="ignore"):
+                if np.max(np.abs(Q - np.transpose(Q, (0, 2, 1)))) > 1e-12:
+                    raise UsageError("quadratic units must be symmetric to 1e-12")
+                self.Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+            _check_finite(self.Q, "Q")
         elif self.kind == "lowrank":
             if self.omega % 2 == 0 or self.omega < 3:
                 raise UsageError("lowrank networks need odd omega >= 3")
@@ -77,6 +84,7 @@ class PolyNetwork:
                 raise UsageError(
                     f"components must have shape {(self.d, self.ell, self.r)}"
                 )
+            _check_finite(comps, "components")
             self.components = comps
         else:
             raise UsageError(f"unknown network kind {self.kind!r}")
@@ -318,11 +326,13 @@ def smooth_quadratic(params: SmoothingParams) -> PolyNetwork:
     Q = np.array(base.Q, dtype=float, copy=True)
     iu = np.triu_indices(r)
     G = np.empty((r, r))
-    for a in range(d):
-        g = _seed_rng(params.rng_seed, 1, a).standard_normal(len(iu[0]))
-        G[iu] = g
-        G[iu[1], iu[0]] = g
-        Q[a] += scale * G
+    # a huge rho overflows to inf here, which PolyNetwork refuses
+    with np.errstate(over="ignore"):
+        for a in range(d):
+            g = _seed_rng(params.rng_seed, 1, a).standard_normal(len(iu[0]))
+            G[iu] = g
+            G[iu[1], iu[0]] = g
+            Q[a] += scale * G
     return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q, smoothing_rho=params.rho)
 
 
@@ -334,10 +344,12 @@ def smooth_componentwise(params: SmoothingParams) -> PolyNetwork:
     r = base.r
     scale = params.rho / math.sqrt(r)
     comps = np.array(base.components, dtype=float, copy=True)
-    for a in range(base.d):
-        for t in range(base.ell):
-            rng = _seed_rng(params.rng_seed, 2, a, t)
-            comps[a, t] += scale * rng.standard_normal(r)
+    # a huge rho overflows to inf here, which PolyNetwork refuses
+    with np.errstate(over="ignore"):
+        for a in range(base.d):
+            for t in range(base.ell):
+                rng = _seed_rng(params.rng_seed, 2, a, t)
+                comps[a, t] += scale * rng.standard_normal(r)
     return PolyNetwork(
         kind="lowrank",
         r=r,
@@ -411,11 +423,9 @@ def network_from_json(obj: dict | str) -> PolyNetwork:
         kind = obj["kind"]
         if kind == "quadratic":
             Q = np.asarray(obj["Q"], dtype=float)
-            _check_finite(Q, "Q")
             return PolyNetwork(kind="quadratic", r=int(obj["r"]), d=int(obj["d"]), Q=Q)
         if kind == "lowrank":
             comps = np.asarray(obj["components"], dtype=float)
-            _check_finite(comps, "components")
             return PolyNetwork(
                 kind="lowrank",
                 r=int(obj["r"]),
@@ -432,6 +442,5 @@ def network_from_json(obj: dict | str) -> PolyNetwork:
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
-    # NaN passes the symmetry check (NaN > tol is False), so test here
     if not np.isfinite(a).all():
-        raise UsageError(f"network JSON: {name} has non-finite entries")
+        raise UsageError(f"network {name} has entries that are not finite floats")

@@ -146,3 +146,16 @@ def forbid_solve(monkeypatch):
 
     for mod in (relaxation, tensor_ring, lowrank):
         monkeypatch.setattr(mod, "solve", refuse)
+
+
+def grid_scan_direct(objective, tensA, tensB, step):
+    """The r = 2 gauge grid scored point by point: every rotation by the
+    angles 0, step, 2 step, ... below 2 pi, then each of them times
+    diag(1, -1), all scored by ``objective`` in one batch.  Returns
+    (index, angle, value) of the first least value."""
+    thetas = np.arange(0.0, 2 * math.pi, step)
+    c, s = np.cos(thetas), np.sin(thetas)
+    R = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
+    obj = objective(tensA, tensB, np.concatenate([R, R @ np.diag([1.0, -1.0])]))
+    k = int(np.argmin(obj))
+    return k, float(thetas[k % thetas.size]), obj[k]

@@ -552,6 +552,19 @@ class TestExitCodes:
         assert not out.exists()
         assert read(str(out) + ".manifest.json")["exit_code"] == 2
 
+    @pytest.mark.parametrize("kind, r, d, field", [
+        ("quadratic", 2, 3, "Q"), ("lowrank", 1, 20, "components"),
+    ])
+    def test_generate_overflow_refused(self, tmp_path, capsys, kind, r, d, field):
+        # a finite rho whose perturbation overflows: the network refuses its
+        # infinite entries, with no RuntimeWarning (warnings are errors here)
+        out = tmp_path / "net.json"
+        assert run("generate", "--kind", kind, "--r", str(r), "--d", str(d),
+                   "--rho", "1e308", "--out", str(out)) == 2
+        assert f"network {field} has entries that are not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert read(str(out) + ".manifest.json")["exit_code"] == 2
+
     def test_degeneracy_error(self, tmp_path):
         # a zero Gram matrix has no positive rank-m block
         table = tmp_path / "zero.json"

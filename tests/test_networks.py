@@ -421,3 +421,33 @@ class TestJson:
     def test_from_json_rejects_malformed_entries(self, obj):
         with pytest.raises(UsageError):
             network_from_json(obj)
+
+
+class TestNetworkChecks:
+    @pytest.mark.parametrize("r, d", [(0, 2), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_empty_shapes_refused(self, kind, r, d):
+        with pytest.raises(UsageError, match="r >= 1 and d >= 1"):
+            if kind == "quadratic":
+                PolyNetwork(kind="quadratic", r=r, d=d, Q=np.zeros((d, r, r)))
+            else:
+                PolyNetwork(kind="lowrank", r=r, d=d, omega=3, ell=1,
+                            components=np.zeros((d, 1, r)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_refused(self, bad):
+        Q = np.zeros((2, 2, 2))
+        Q[1, 0, 0] = bad
+        with pytest.raises(UsageError, match="network Q has entries that are not finite"):
+            PolyNetwork(kind="quadratic", r=2, d=2, Q=Q)
+        comps = np.ones((2, 1, 2))
+        comps[0, 0, 1] = bad
+        with pytest.raises(UsageError, match="network components has entries that are not finite"):
+            PolyNetwork(kind="lowrank", r=2, d=2, omega=3, ell=1, components=comps)
+
+    def test_symmetrization_overflow_refused(self):
+        # finite entries beyond half the float range overflow in
+        # 0.5 (Q + Q^T); no RuntimeWarning escapes (warnings are errors here)
+        Q = np.full((1, 2, 2), 1.5e308)
+        with pytest.raises(UsageError, match="network Q has entries that are not finite"):
+            PolyNetwork(kind="quadratic", r=2, d=1, Q=Q)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from conftest import random_orthogonal, symmetric_gaussian
+from conftest import grid_scan_direct, random_orthogonal, symmetric_gaussian
 from polypush import gauge
 from polypush.errors import UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
@@ -280,6 +280,135 @@ class TestGaugeStop:
         net = _random_net(rng, r, r + extra, omega, scale)
         dist, _ = gauge_distance(net, rotate_network(net, random_orthogonal(rng, r)), AlignmentConfig())
         assert dist <= 1e-10 * max(1.0, net.radius)
+
+
+def _scaled_net(rng, omega, d, reflection_symmetric=False):
+    """A network with r = 2 whose units have norms spread over 1e-3 to 30;
+    a reflection-symmetric one is fixed by diag(1, -1)."""
+    scales = 10 ** rng.uniform(-3, math.log10(30), d)
+    if omega == 2:
+        Q = np.stack([symmetric_gaussian(rng, 2) for _ in range(d)]) * scales[:, None, None]
+        if reflection_symmetric:
+            Q = Q * np.eye(2)
+        return PolyNetwork(kind="quadratic", r=2, d=d, Q=Q)
+    comps = rng.standard_normal((d, 2, 2)) * scales[:, None, None]
+    if reflection_symmetric:
+        comps[..., 1] = 0.0
+    return PolyNetwork(kind="lowrank", r=2, d=d, omega=omega, ell=2, components=comps)
+
+
+def _noisy_copy(rng, net, eta):
+    if net.kind == "quadratic":
+        noise = np.stack([symmetric_gaussian(rng, net.r) for _ in range(net.d)])
+        return PolyNetwork(kind="quadratic", r=net.r, d=net.d, Q=net.Q + eta * noise)
+    return PolyNetwork(kind="lowrank", r=net.r, d=net.d, omega=net.omega, ell=net.ell,
+                       components=net.components + eta * rng.standard_normal(net.components.shape))
+
+
+class TestGridScan:
+    """The Fourier-scored r = 2 grid against a direct scan of every grid
+    rotation: the same index, angle and value, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("case", ["rotated", "reflected", "identical", "symmetric", "noisy"])
+    @pytest.mark.parametrize("omega", [2, 3, 5])
+    def test_matches_direct_scan(self, omega, case, seed):
+        rng = np.random.default_rng(1000 * omega + 10 * seed + len(case))
+        d = 1 + int(rng.integers(5))
+        net = _scaled_net(rng, omega, d, case == "symmetric")
+        V = random_orthogonal(rng, 2)
+        if (np.linalg.det(V) < 0) != (case == "reflected"):
+            V = V @ np.diag([1.0, -1.0])
+        other = net if case == "identical" else rotate_network(net, V)
+        if case == "noisy":
+            other = _noisy_copy(rng, other, 1e-3)
+        if case == "symmetric":
+            other = _scaled_net(rng, omega, d, True)
+        tensA, tensB = other.unit_tensors(), net.unit_tensors()
+        k, theta, value = gauge._grid_scan_r2(tensA, tensB, gauge.GRID_STEP)
+        want = grid_scan_direct(gauge._objective, tensA, tensB, gauge.GRID_STEP)
+        assert (k, theta) == want[:2]
+        assert np.float64(value).tobytes() == np.float64(want[2]).tobytes()
+        if case == "symmetric":
+            # diag(1, -1) fixes every unit of both, so each grid rotation ties
+            # exactly with its reflected twin, and the proper one wins
+            twin = gauge._rot2(np.array([theta])) @ np.diag([1.0, -1.0])
+            assert gauge._objective(tensA, tensB, twin)[0] == value
+            assert k < 2 * math.pi / gauge.GRID_STEP
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tilt", [0.0, 1e-16, 1e-15, 1e-14, 1e-13])
+    def test_flat_objective_matches_direct_scan(self, tilt, seed):
+        # multiples of the identity are fixed by every rotation; tilted by
+        # less than rounding, the objective is flat on the grid and rounding
+        # alone picks its argmin, which the least Fourier score often misses
+        rng = np.random.default_rng(1100 + seed)
+        netA, netB = (
+            PolyNetwork(kind="quadratic", r=2, d=3,
+                        Q=rng.standard_normal((3, 1, 1)) * np.eye(2)
+                        + tilt * np.stack([symmetric_gaussian(rng, 2) for _ in range(3)]))
+            for _ in range(2)
+        )
+        tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
+        k, theta, value = gauge._grid_scan_r2(tensA, tensB, gauge.GRID_STEP)
+        want = grid_scan_direct(gauge._objective, tensA, tensB, gauge.GRID_STEP)
+        assert (k, theta) == want[:2]
+        assert np.float64(value).tobytes() == np.float64(want[2]).tobytes()
+
+    def test_r2_never_starts_nelder_mead(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the r = 2 path called gauge.minimize")
+
+        monkeypatch.setattr(gauge, "minimize", refuse)
+        rng = np.random.default_rng(1200)
+        for omega in (2, 3, 5):
+            net = _scaled_net(rng, omega, 4)
+            noisy = _noisy_copy(rng, rotate_network(net, random_orthogonal(rng, 2)), 1e-2)
+            gauge_distance(noisy, net, AlignmentConfig())
+
+
+def _r1_candidate_search(netA, netB):
+    """The r = 1 alignment as the r >= 3 search makes it: the eigenframe
+    candidates, which reduce to +1 and -1, their argmin, and its SVD
+    orthogonalization.  Its Nelder-Mead refine returned at once, since O(1)
+    has no angle to refine."""
+    tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
+    u, _, vt = np.linalg.svd(gauge._candidates(netA, netB, AlignmentConfig()))
+    cands = u @ vt
+    U = cands[int(np.argmin(gauge._objective(tensA, tensB, cands)))]
+    u, _, vt = np.linalg.svd(U)
+    U = u @ vt
+    return float(gauge._objective(tensA, tensB, U)), U
+
+
+class TestSignAlignment:
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the r = 1 path called an optimizer")
+
+        monkeypatch.setattr(gauge, "minimize", refuse)
+        monkeypatch.setattr(gauge, "minimize_scalar", refuse)
+
+    # at even omega, +1 and -1 act alike and tie: +1 wins
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("omega", [2, 3, 5])
+    @pytest.mark.parametrize("case", ["negated", "identical", "noisy", "unrelated"])
+    def test_matches_candidate_search(self, no_search, case, omega, seed):
+        rng = np.random.default_rng(1300 + 100 * omega + seed)
+        net = _random_net(rng, 1, 1 + int(rng.integers(4)), omega, scale=10 ** rng.uniform(-3, 1.5))
+        if case == "unrelated":
+            other = _random_net(rng, 1, net.d, omega)
+        elif case == "identical":
+            other = net
+        else:
+            other = rotate_network(net, -np.eye(1))
+            if case == "noisy":
+                other = _noisy_copy(rng, other, 1e-3)
+        dist, rot = gauge_distance(other, net, AlignmentConfig())
+        want_dist, want_U = _r1_candidate_search(other, net)
+        assert np.float64(dist).tobytes() == np.float64(want_dist).tobytes()
+        assert rot.V.tobytes() == want_U.tobytes()
 
 
 class TestTypes:
