@@ -11,10 +11,12 @@ is weaker than the paper's guarantee, which rests on the pseudo-expectation
 being unique.
 
 Importing polypush loads neither scipy nor mpmath: each module is imported
-by the first call that needs it (the fits, the gauge search and the
-relaxation solver need scipy; the lower-bound lab needs both).  The CLI
-commands ``generate``, ``sample``, ``moments`` and ``verify`` never load
-them.
+by the first call that needs it.  The gauge search (``gauge_distance``, and
+so ``eval`` and any solve given ``--truth``) and the relaxation solver need
+scipy; the lower-bound lab needs both.  The local fits use the in-repo
+Levenberg-Marquardt of ``_lm``, so the CLI commands ``generate``,
+``sample``, ``moments``, ``verify``, ``solve_tr`` and ``solve_lr`` without
+``--truth`` never load them.
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,15 @@
 """scipy.optimize entry points that import scipy on their first call.
 
 Importing scipy.optimize takes more than twice as long as the rest of
-``import polypush`` (numpy included), and the CLI commands ``generate``,
-``sample``, ``moments`` and ``verify`` never call it.  The modules
-that do bind these names at top level (``from ._deferred import
-least_squares``) and call them by that global name, so a wrapper set on,
-say, ``tensor_ring.least_squares`` sees every call.
+``import polypush`` (numpy included).  Two modules still call it: the gauge
+search (``gauge_distance``'s r = 2 refine, ``minimize_scalar``, and its
+r >= 3 refine, ``minimize``) and the lower-bound lab (a bounded
+``least_squares`` and ``linear_sum_assignment``).  The local fits of both
+recoveries call the in-repo ``_lm.least_squares``, so ``generate``,
+``sample``, ``moments``, ``verify`` and the solves without ``--truth`` never
+import scipy.  The modules that do bind these names at top level (``from
+._deferred import minimize``) and call them by that global name, so a
+wrapper set on, say, ``gauge.minimize`` sees every call.
 """
 
 

@@ -8,16 +8,20 @@ F_a and gauge-fixes the fit with the corner-signed mu through
 tensor_ring.gauge_fix; the leftover +-Id ambiguity of odd orders is
 resolved by an argmax anchor and pairwise signs (_canonicalize).  Both
 backends run that one path, a local fit of the components and its one gauge
-fix; sos adds one certificate step: the fixed fit must be feasible, at that
-one point, for the encoded moment program.  That is weaker than the paper's
-guarantee, which rests on the pseudo-expectation being unique; no backend
-solves the relaxation.  At ell = 1 the fit's
-first start is a closed form (_rank1_components): the diagonal of S gives
-the component norms and each off-diagonal entry, through the increasing pair
-moment, the cosine of a pair, so the Gram of the components and its top-r
-eigenpairs follow.  Random starts run only when that start's fit misses the
-tolerance, and at ell >= 2; on a table with noise they stop once one repeats
-the best residual so far (tensor_ring._best_fit).
+fix.  The fit is the Levenberg-Marquardt of _lm.least_squares, with the
+tensor-ring fit's cap of tensor_ring.FIT_MAX_NFEV residual evaluations per
+start; it stops on a stationary point ("tol"), a step at rounding level
+("step"), a stalled cost ("plateau") or the cap ("cap").  sos adds one
+certificate step: the fixed fit must be feasible, at that one point, for the
+encoded moment program.  That is weaker than the paper's guarantee, which
+rests on the pseudo-expectation being unique; no backend solves the
+relaxation.  At ell = 1 the fit's first start is a closed form
+(_rank1_components): the diagonal of S gives the component norms and each
+off-diagonal entry, through the increasing pair moment, the cosine of a pair,
+so the Gram of the components and its top-r eigenpairs follow.  Random starts
+run only when that start's fit misses the tolerance, and at ell >= 2; on a
+table with noise they stop once one repeats the best residual so far
+(tensor_ring._best_fit).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._deferred import least_squares
+from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
@@ -253,15 +257,15 @@ def _random_components(S: np.ndarray, cfg: LRConfig):
 
 
 def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
-    """Damped least-squares fit of the pair moments from each start in turn.
+    """Levenberg-Marquardt fit (_lm.least_squares) of the pair moments from
+    each start in turn.
 
     Stops as tensor_ring._best_fit does: once the best residual is <=
     ``cfg.tol``, or, on a table with noise (``cfg.eta`` > 0), once a start's
     residual is within relative tensor_ring.REPEAT_RTOL of the best one so
     far, the same minimum found twice.  Returns (components, index of the
-    start they came from, diagnostics: ``restarts_used`` and ``fit_stop``) of
-    the best fit; raises ConvergenceError when its residual is above
-    max(1e3 eta, 1e-6)."""
+    start they came from, _best_fit's diagnostics) of the best fit; raises
+    ConvergenceError when its residual is above max(1e3 eta, 1e-6)."""
     d = S.shape[0]
     r, ell, omega = cfg.r, cfg.ell, cfg.omega
     n = d * ell * r
@@ -284,8 +288,8 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
 
     def fits():
         for x0 in starts:
-            sol = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15)
-            yield sol.x, float(np.max(np.abs(sol.fun)))
+            sol = least_squares(fun, x0, jac=jac, max_nfev=tensor_ring.FIT_MAX_NFEV)
+            yield sol.x, float(np.max(np.abs(sol.fun))), sol
 
     best_x, best_res, best, diag = tensor_ring._best_fit(fits(), cfg.tol, cfg.eta)
     threshold = max(1e3 * cfg.eta, 1e-6)
@@ -381,17 +385,21 @@ def factorize(
     """Recover a rank-ell network from pairwise Sigma-moments.
 
     Both backends run one path, and ``sos`` adds one certificate step at
-    its end.  The path starts from one local fit: damped least squares on the
-    components, first from the closed form at ell = 1, then from up to
-    ``config.restarts`` random starts while the best fit misses
-    ``config.tol``.  On a table with noise (``config.eta`` > 0), which no fit
-    may bring within ``config.tol``, the starts also stop once one repeats
-    the best residual so far to relative tensor_ring.REPEAT_RTOL: the same
-    minimum found twice.  ``diagnostics`` names the start of the fit
+    its end.  The path starts from one local fit: the Levenberg-Marquardt of
+    _lm.least_squares on the components, first from the closed form at
+    ell = 1, then from up to ``config.restarts`` random starts while the best
+    fit misses ``config.tol``; each start spends at most
+    tensor_ring.FIT_MAX_NFEV residual evaluations.  On a table with noise (``config.eta`` > 0), which
+    no fit may bring within ``config.tol``, the starts also stop once one
+    repeats the best residual so far to relative tensor_ring.REPEAT_RTOL: the
+    same minimum found twice.  ``diagnostics`` names the start of the fit
     (``start``: "closed_form" or "random"), the starts tried
-    (``restarts_used``) and why they stopped (``fit_stop``: "tol", "repeat"
-    or "exhausted").  Both backends then gauge-fix the fit once, with one
-    combination, no retries: find_combo on the Gram of the fit's F_a with
+    (``restarts_used``), why they stopped (``fit_stop``: "tol", "repeat" or
+    "exhausted"), why the best start's LM stopped (``lm_stop``: "tol", a
+    stationary point; "step", a step at rounding level; "plateau", a cost that
+    stalled; or "cap", its evaluations spent) and the residual evaluations of
+    all starts (``lm_nfev``).  Both backends then gauge-fix the fit once, with
+    one combination, no retries: find_combo on the Gram of the fit's F_a with
     ``config.rng_seed``, the corner-signed mu and the anchor sign rule
     (``gauge_fixed`` says whether the gauge could be broken).  ``local``
     returns a fit whose gauge cannot be broken unfixed.  ``sos`` returns the

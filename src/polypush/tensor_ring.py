@@ -1,8 +1,8 @@
 """Tensor ring decomposition: recover quadratic units {Q_a} from the trace
 moments S_ab = Tr(Q_a Q_b) and T_abc = Tr(Q_a Q_b Q_c).
 
-Every backend starts from one local fit, a damped least-squares fit of the
-moments whose first start is spectral_units' closed form: S and T fix the
+Every backend starts from one local fit, a Levenberg-Marquardt fit (_lm) of
+the moments whose first start is spectral_units' closed form: S and T fix the
 Jordan algebra the units span, and its Peirce decomposition reads the units
 off up to the gauge.  Random starts run only when that start's fit misses the
 tolerance, or when the closed form cannot be formed (a rank-deficient S); on a
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._deferred import least_squares
+from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
@@ -296,11 +296,13 @@ def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int
 # relative gap within which a start's residual repeats the best one so far:
 # the same local minimum found twice, where a fit of a noisy table stops
 REPEAT_RTOL = 1e-6
+# residual evaluations one start of either kind's local fit may spend
+FIT_MAX_NFEV = 2000
 
 
 def _best_fit(fits, tol: float, eta: float):
-    """The best of ``fits``, (fit, residual) pairs that run one start each as
-    they are drawn.
+    """The best of ``fits``, (fit, residual, least_squares result) triples
+    that run one start each as they are drawn.
 
     Stops once the best residual is <= ``tol`` (fit_stop "tol").  With
     ``eta`` > 0, a table with noise that no fit may bring within ``tol``, it
@@ -308,28 +310,35 @@ def _best_fit(fits, tol: float, eta: float):
     best one before it (fit_stop "repeat"), which the first start, with no
     best before it, never is.  Otherwise every start runs (fit_stop
     "exhausted").  Returns (fit, residual, index of its start, diagnostics:
-    ``restarts_used``, the starts tried, and ``fit_stop``).
+    ``restarts_used``, the starts tried; ``fit_stop``; ``lm_stop``, the stop
+    reason of the best start's least_squares; ``lm_nfev``, the residual
+    evaluations of all starts).
     """
     best_fit, best_res, best, tried, stop = None, np.inf, 0, 0, "exhausted"
-    for fit, res in fits:
+    lm_stop, nfev = None, 0
+    for fit, res, sol in fits:
         tried += 1
+        nfev += sol.nfev
         # best_res is inf until a start has a finite residual, and
         # inf <= REPEAT_RTOL * inf holds
         repeat = (eta > 0 and math.isfinite(best_res)
                   and abs(res - best_res) <= REPEAT_RTOL * best_res)
         if res < best_res:
-            best_fit, best_res, best = fit, res, tried - 1
+            best_fit, best_res, best, lm_stop = fit, res, tried - 1, sol.stop
         if best_res <= tol:
             stop = "tol"
             break
         if repeat:
             stop = "repeat"
             break
-    return best_fit, best_res, best, {"restarts_used": tried, "fit_stop": stop}
+    return best_fit, best_res, best, {
+        "restarts_used": tried, "fit_stop": stop, "lm_stop": lm_stop, "lm_nfev": nfev,
+    }
 
 
 def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, tol: float, eta: float):
-    """Damped least-squares fit of the trace moments from each start in turn.
+    """Levenberg-Marquardt fit (_lm.least_squares) of the trace moments from
+    each start in turn.
 
     The fit matches only the upper-triangle entries of S and the sorted-triple
     entries of T; the gauge is restored exactly by gauge_fix afterwards.
@@ -352,16 +361,9 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, tol: float, eta:
 
     def fits():
         for x0 in starts:
-            # max_nfev caps residual evaluations, at least one per LM
-            # iteration.  scipy 1.17's lm counts no Jacobian evaluation
-            # against it, analytic or by differences, so the analytic
-            # Jacobian leaves each start the same iteration cap
-            sol = least_squares(
-                fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=2000,
-            )
+            sol = least_squares(fun, x0, jac=jac, max_nfev=FIT_MAX_NFEV)
             Q = _unpack(sol.x, d, r)
-            yield Q, max(_table_residual_pair(Q, S, T))
+            yield Q, max(_table_residual_pair(Q, S, T)), sol
 
     return _best_fit(fits(), tol, eta)
 
@@ -375,9 +377,10 @@ def _local_fit(S, T, config: TRConfig):
     on a table with noise (``config.eta`` > 0), until a start repeats the
     best residual so far (_best_fit).  Returns (Q, table residual,
     diagnostics: ``restarts_used``, the starts tried; ``fit_stop``, "tol",
-    "repeat" or "exhausted", why the starts stopped; ``start``, "spectral" or
-    "random" for the start of the returned fit; ``spectral_gap``, the closed
-    form's eigengap, or None).
+    "repeat" or "exhausted", why the starts stopped; ``lm_stop`` and
+    ``lm_nfev`` (_best_fit); ``start``, "spectral" or "random" for the start
+    of the returned fit; ``spectral_gap``, the closed form's eigengap, or
+    None).
     """
     r = config.r
     starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
@@ -406,16 +409,21 @@ def decompose(
     Both backends run one path, and ``sos`` adds one certificate step at
     its end.  One combination, no retries: find_combo on S with
     ``config.rng_seed`` draws the recovery's lambda, mu once.  The path
-    starts from one local fit (_local_fit): damped least squares on the
-    trace moments from spectral_units' closed form, then from up to
-    ``config.restarts`` random starts while the best fit misses
-    ``config.tol``.  On a table with noise (``config.eta`` > 0), which no fit
-    may bring within ``config.tol``, the starts also stop once one repeats
-    the best residual so far to relative REPEAT_RTOL: the same minimum found
-    twice.  ``diagnostics`` names the start of the fit (``start``:
+    starts from one local fit (_local_fit): the Levenberg-Marquardt of
+    _lm.least_squares on the trace moments, from spectral_units' closed
+    form, then from up to ``config.restarts`` random starts while the best
+    fit misses ``config.tol``; each start spends at most FIT_MAX_NFEV
+    residual evaluations.  On a table with noise (``config.eta`` > 0), which
+    no fit may bring within ``config.tol``, the starts also stop once one
+    repeats the best residual so far to relative REPEAT_RTOL: the same
+    minimum found twice.  ``diagnostics`` names the start of the fit (``start``:
     "spectral" or "random"), the starts tried (``restarts_used``), why they
-    stopped (``fit_stop``: "tol", "repeat" or "exhausted") and the closed
-    form's eigengap (``spectral_gap``, None when it could not be formed).
+    stopped (``fit_stop``: "tol", "repeat" or "exhausted"), why the best
+    start's LM stopped (``lm_stop``: "tol", a stationary point; "step", a
+    step at rounding level; "plateau", a cost that stalled; or "cap", its
+    evaluations spent), the residual evaluations of all starts (``lm_nfev``)
+    and the closed form's eigengap (``spectral_gap``, None when it could not
+    be formed).
     ``sos`` first gates the fit's residual at max(10 eta, 1e-6).  Both
     backends then gauge-fix the fit once, with lambda and the corner-signed
     mu (gauge_fix; ``gauge_fixed`` says whether it could).  ``local`` returns

@@ -802,16 +802,23 @@ class TestReproducibility:
             assert files[0][name] == files[1][name], name
 
 
-def test_fresh_process_loads_scipy_only_to_solve(tmp_path):
-    # generate, sample, moments and verify call nothing from scipy or
-    # mpmath, so a process that runs only them imports neither; solve_tr then
-    # loads scipy.optimize, which shows the probe sees a load when there is one
+def test_fresh_process_loads_scipy_only_for_the_r2_refine(tmp_path):
+    # generate, sample, moments, verify and both solves without --truth call
+    # nothing from scipy or mpmath, so a process that runs only them imports
+    # neither; eval then loads scipy.optimize for its r = 2 refine, which
+    # shows the probe sees a load when there is one
     calls = [["generate", "--r", "2", "--d", "3", "--seed", "1", "--out", "net.json"],
              ["sample", "--network", "net.json", "--n", "50", "--out", "samples.json"],
              ["moments", "--samples", "samples.json", "--out", "est.json"],
              ["moments", "--network", "net.json", "--out", "table.json"],
-             ["verify", "--network", "net.json", "--out", "verify.json"]]
-    solve = ["solve_tr", "--table", "table.json", "--r", "2", "--out", "rec.json"]
+             ["verify", "--network", "net.json", "--out", "verify.json"],
+             ["solve_tr", "--table", "table.json", "--r", "2", "--out", "rec.json"],
+             ["generate", "--kind", "lowrank", "--r", "2", "--d", "4", "--omega", "3",
+              "--ell", "1", "--rho", "0.5", "--seed", "1", "--out", "lnet.json"],
+             ["moments", "--network", "lnet.json", "--out", "ltable.json"],
+             ["solve_lr", "--table", "ltable.json", "--r", "2", "--omega", "3", "--ell", "1",
+              "--out", "lrec.json"]]
+    evaluate = ["eval", "--network", "rec.json", "--reference", "net.json", "--out", "eval.json"]
     script = (
         "import sys\n"
         "import polypush, polypush.cli\n"
@@ -822,7 +829,7 @@ def test_fresh_process_loads_scipy_only_to_solve(tmp_path):
         f"for argv in {calls!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "assert loaded() == [], loaded()\n"
-        f"assert main({solve!r}) == 0\n"
+        f"assert main({evaluate!r}) == 0\n"
         "assert 'scipy.optimize' in sys.modules, loaded()\n"
     )
     path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),

@@ -81,6 +81,31 @@ def test_no_deferred_package_at_import_time(path):
     assert eager == []
 
 
+# the modules that still call scipy.optimize, through _deferred: the gauge
+# search's refines and the lower-bound lab.  The local fits call _lm, and a
+# fit that went back through scipy would import _deferred
+DEFERRED_IMPORTERS = {"gauge.py", "lowerbound.py"}
+
+
+def imports_deferred(tree: ast.Module) -> bool:
+    """Whether any import in the module names polypush._deferred."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "_deferred" for name in names):
+            return True
+    return False
+
+
+def test_only_the_gauge_search_and_the_lab_import_deferred():
+    importers = {p.name for p in SRC.glob("*.py") if imports_deferred(ast.parse(p.read_text()))}
+    assert importers == DEFERRED_IMPORTERS
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
@@ -92,8 +117,8 @@ KEPT_UNREACHED = {
     "sigma_inner": "the dense <T_a, T_b>_Sigma oracle of those tests",
     "kron_power": "the tests' reference for gauge._rotate_units and rotate_network",
     "apply_transform": "the tests' reference for gauge._rotate_units and rotate_network",
-    "extend_tail": "tail extension of a tensor-ring head (ROADMAP item 2)",
-    "extend_tail_lr": "tail extension of a low-rank head (ROADMAP item 2)",
+    "extend_tail": "tail extension of a tensor-ring head (ROADMAP item 3)",
+    "extend_tail_lr": "tail extension of a low-rank head (ROADMAP item 3)",
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complex_step_jacobian, random_orthogonal, symmetric_gaussian
-from polypush import lowrank, tensor_ring
+from polypush import _lm, lowrank, tensor_ring
 from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import LRConfig, exact_lowrank_pair_moments, factorize
@@ -496,20 +496,17 @@ def sampled_recovery(kind, seed):
     return lowrank, lambda: factorize(S, cfg, truth=net)
 
 
-# sha256 prefixes of exact-table recoveries at eta = 0 before the repeat
-# stop came in; eta = 0 fits run their starts as they did then
+# sha256 prefixes of exact-table recoveries at eta = 0; eta = 0 fits run
+# their starts as they did before the repeat stop came in
 EXACT_DIGESTS = {
-    ("quadratic", 2, 3, 0): "3ab4aeaa74d3f400",
-    ("quadratic", 2, 3, 1): "8537484dcf6a6175",
-    ("quadratic", 2, 3, 2): "a86e103f79f4a7ee",
-    ("lowrank", 2, 4, 0): "2a5f4f85ab5f4984",
-    ("lowrank", 2, 4, 1): "4994a65c8248861d",
-    ("lowrank", 2, 4, 2): "0d21202b7ae37607",
+    ("quadratic", 2, 3, 0): "87cd2d649d5e7c25",
+    ("quadratic", 2, 3, 1): "44c79b05068c64d4",
+    ("quadratic", 2, 3, 2): "70e9f0f60ea624d7",
+    ("lowrank", 2, 4, 0): "488a288f7d335af5",
+    ("lowrank", 2, 4, 1): "ebf3a0e6a85ffe6e",
+    ("lowrank", 2, 4, 2): "0c93c76467634207",
 }
-# The (3,6) recoveries of seeds 0-2 from the same code, compared entrywise:
-# their last bits depend on the process, as scipy's lm takes a different
-# first trial step from the same start, residual and Jacobian in some
-# processes (1e-15 apart at seed 1)
+# the (3,6) recoveries of seeds 0-2 from the same code, compared bitwise
 EXACT_3_6 = Path(__file__).parent / "data" / "exact_3_6_recoveries.json"
 
 
@@ -533,10 +530,15 @@ class TestRepeatStop:
     def test_no_repeat_of_an_infinite_best(self):
         # inf <= REPEAT_RTOL * inf: compared with the inf best it starts
         # from, any first start, and the first finite one, would repeat
-        fits = iter([(None, np.inf), ("second", 1.0), ("third", 1.0)])
+        def sol(nfev, stop):
+            return _lm.LMResult(x=None, fun=None, nfev=nfev, njev=1, stop=stop)
+
+        fits = iter([(None, np.inf, sol(7, "cap")), ("second", 1.0, sol(5, "plateau")),
+                     ("third", 1.0, sol(3, "step"))])
         fit, res, best, diag = tensor_ring._best_fit(fits, 1e-9, 1e-3)
         assert (fit, res, best) == ("second", 1.0, 1)
-        assert diag == {"restarts_used": 3, "fit_stop": "repeat"}
+        assert diag == {"restarts_used": 3, "fit_stop": "repeat", "lm_stop": "plateau",
+                        "lm_nfev": 15}
 
     @pytest.mark.parametrize("kind, r, d, seed", sorted(EXACT_DIGESTS))
     def test_exact_tables_recover_as_before(self, kind, r, d, seed):
@@ -549,6 +551,8 @@ class TestRepeatStop:
             rep = factorize(S, LRConfig(r=r, rng_seed=seed))
             out = rep.network.components
         assert rep.diagnostics["fit_stop"] == "tol"
+        # the closed form is within rounding of the table: one polishing step
+        assert (rep.diagnostics["lm_stop"], rep.diagnostics["lm_nfev"]) == ("step", 2)
         digest = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16]
         assert digest == EXACT_DIGESTS[kind, r, d, seed]
 
@@ -558,7 +562,7 @@ class TestRepeatStop:
         rep = decompose(t.S, t.T, TRConfig(r=3, rng_seed=seed))
         assert rep.diagnostics["fit_stop"] == "tol"
         want = np.array(json.loads(EXACT_3_6.read_text())[str(seed)])
-        assert np.max(np.abs(rep.network.Q - want)) <= 1e-13
+        assert np.array_equal(rep.network.Q, want)
 
 
 class TestJennrich:

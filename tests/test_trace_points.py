@@ -58,13 +58,16 @@ def test_traced_recovery_counts_one_combination(tracing, kind):
         recover = lambda: factorize(S, LRConfig(r=2, rng_seed=9))  # noqa: E731
     tracer = tracing.Tracer(op="test")
     with tracing.installed(tracer):
-        recover()
+        rep = recover()
     # both kinds find and apply their combination through tensor_ring
     assert tracer.counts["tensor_ring.find_combo_calls"] == 1
     assert [sp.name for sp in tracer.spans].count("tensor_ring.gauge_fix") == 1
     # the fit goes through the module's least_squares name, which the tracer
     # wraps; a fit that bypassed it would leave the counter unset
     assert tracer.counts.get(fits, 0) >= 1
+    # the tracer reads each fit's nfev, and the report sums them over the starts
+    assert tracer.counts[fits.replace("_calls", "_nfev")] == rep.diagnostics["lm_nfev"]
+    assert rep.diagnostics["lm_stop"] in ("tol", "step")
 
 
 def test_workload_checks_pass(monkeypatch, tmp_path):
