@@ -35,7 +35,7 @@ import numpy as np
 from ._deferred import minimize, minimize_scalar
 from .errors import UsageError
 from .networks import PolyNetwork, _philox_rng, paired_outers
-from .tensors import GaugeRotation
+from .tensors import GaugeRotation, _triu
 
 __all__ = ["AlignmentConfig", "gauge_distance"]
 
@@ -217,7 +217,7 @@ def _refine(tensA, tensB, U0: np.ndarray, rng: np.random.Generator, restarts: in
     r = U0.shape[0]
     npar = r * (r - 1) // 2
     best_val, best_U = float(_objective(tensA, tensB, U0)), U0
-    iu = np.triu_indices(r, 1)
+    iu = _triu(r, 1)
 
     def chart(xi):
         K = np.zeros((r, r))

@@ -37,8 +37,9 @@ from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
+    SIGMA_MODES,
     PairMomentTable,
-    _sigma_sym,
+    _mode_sigma,
     pair_moment_closed_form,
     pair_moment_partials,
 )
@@ -50,8 +51,10 @@ from .relaxation import solve  # noqa: F401
 from . import tensor_ring
 from .tensor_ring import RecoveryReport
 from .tensors import (
+    _sorted_indices,
+    _sorted_multiplicity,
+    _triu,
     from_sorted_entries,
-    multiplicity,
     sorted_entries,
     sorted_multi_indices,
 )
@@ -63,8 +66,6 @@ __all__ = [
     "extend_tail_lr",
     "verify_assumption_lr",
 ]
-
-SIGMA_MODES = ("gaussian", "identity", "rotation_invariant")
 
 
 def _check_sigma(mode: str, scale: float) -> None:
@@ -269,7 +270,7 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
     d = S.shape[0]
     r, ell, omega = cfg.r, cfg.ell, cfg.omega
     n = d * ell * r
-    iu = np.triu_indices(d)
+    iu = _triu(d)
     if iu[0].size < n:
         raise UsageError(
             f"{iu[0].size} pair moments cannot determine {n} component "
@@ -350,28 +351,21 @@ def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
     ConvergenceError when the fit breaks the program's constraints."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
-    Sigma_sym, D = _sigma_sym(r, omega)
-    if cfg.sigma_mode == "identity":
-        # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors
-        Sigma_sym = np.diag(1.0 / np.diag(D))
-    elif cfg.sigma_mode == "rotation_invariant":
-        Sigma_sym = Sigma_sym * cfg.sigma_scale
+    floor = _mode_sigma(r, omega, cfg.sigma_mode, cfg.sigma_scale)[2]
     # the program is stated in the scale where tensor entries are O(1), so
     # the certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
     S = S * sc**2
     eta_sc = cfg.eta * sc**2
-    R = (float(np.max(np.diag(S))) + 1e-9) ** 0.5 / min(
-        1.0, np.sqrt(float(np.min(np.linalg.eigvalsh(Sigma_sym))))
-    )
+    R = (float(np.max(np.diag(S))) + 1e-9) ** 0.5 / min(1.0, np.sqrt(floor))
     # pair moments have degree 2 omega in the components
     scaled = PolyNetwork(
         kind="lowrank", r=r, d=d, omega=omega, ell=ell,
         components=net.components * sc ** (1.0 / omega),
     )
     prog = encode_lowrank(
-        r, omega, ell, S, Sigma_sym, D, R=R, kappa=KAPPA, eta=eta_sc,
-        lam_mu=(lam, mu),
+        r, omega, ell, S, cfg.sigma_mode, cfg.sigma_scale, R=R, kappa=KAPPA,
+        eta=eta_sc, lam_mu=(lam, mu),
     )
     M = sorted_entries(scaled.unit_tensors(), omega)
     return certify(prog, M, scaled.components)
@@ -471,9 +465,8 @@ def extend_tail_lr(
     dp = head_tensors.shape[0]
     r = head_tensors.shape[1]
     omega = head_tensors.ndim - 1
-    sidx = sorted_multi_indices(r, omega)
-    m = len(sidx)
-    mult = multiplicity(sidx)
+    mult = _sorted_multiplicity(r, omega)
+    m = mult.size
     if dp < m:
         raise UsageError(f"head must have at least C(r+omega-1,omega) = {m} units")
     # design row a: <T_a, T>_Sigma = sum_v [sum_u mult_u Ta_u Sig_uv mult_v] T_v
@@ -514,14 +507,14 @@ def verify_assumption_lr(net: PolyNetwork) -> AssumptionReportLR:
     if net.kind != "lowrank":
         raise UsageError("verify_assumption_lr needs a lowrank network")
     r, d, omega, ell = net.r, net.d, net.omega, net.ell
-    M = np.sqrt(multiplicity(sorted_multi_indices(r, omega))) * sorted_entries(
+    M = np.sqrt(_sorted_multiplicity(r, omega)) * sorted_entries(
         net.unit_tensors(), omega
     )
     svals = np.linalg.svd(M, compute_uv=False)
     sigma_min_M = float(svals[min(M.shape) - 1])
 
     mh = r * (r + 1) // 2
-    iu, ju = np.triu_indices(r)
+    iu, ju = _triu(r)
     H = paired_outers(net)[:, iu, ju]
     hs = np.linalg.svd(H, compute_uv=False)
     sigma_min_H = float(hs[min(d, mh) - 1])
@@ -534,13 +527,13 @@ def verify_assumption_lr(net: PolyNetwork) -> AssumptionReportLR:
     if ncols > K_MAX_COLS:
         rep.k_skipped = f"K^({e}) needs {ncols} columns (> {K_MAX_COLS}); skipped"
     else:
-        kidx = np.array(sorted_multi_indices(r * ell, e))
+        kidx = _sorted_indices(r * ell, e)
         w = net.components.reshape(d, -1)
         # prod_k w[kidx[u, k]], one factor at a time: (d, ncols) temporaries
         K = w[:, kidx[:, 0]]
         for k in range(1, e):
             K = K * w[:, kidx[:, k]]
-        K = np.sqrt(multiplicity(kidx)) * K
+        K = np.sqrt(_sorted_multiplicity(r * ell, e)) * K
         ks = np.linalg.svd(K, compute_uv=False)
         rep.sigma_min_K = float(ks[min(K.shape) - 1])
     if net.smoothing_rho is not None:

@@ -9,10 +9,20 @@ Quadratic transformations z_a = x^T Q_a x of a standard Gaussian satisfy
 so the estimators below divide centered products by 2 and 8.  Degree-omega
 transformations expose only the pairwise data E[z_a z_b] = <T_a, T_b>_Sigma
 with Sigma the Gaussian moment matrix E[g^{x omega} (g^{x omega})^T].
+
+Caches
+------
+The Sigma arrays that depend only on (r, omega), the Sigma mode and its
+scale, ``_sigma_sym`` and ``_mode_sigma``'s, come from
+``functools.lru_cache`` helpers: built on first use, then kept, bounded by
+their ``maxsize`` and read-only, since every caller shares them.  The dense
+cap is checked on every call all the same.  Importing the package builds
+none of them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,9 +33,9 @@ import numpy as np
 from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .networks import PolyNetwork, SeedDistribution, blas_product, gaussian_norm_moment
 from .tensors import (
-    multiplicity,
+    _sorted_indices,
+    _sorted_multiplicity,
     num_sorted_indices,
-    sorted_multi_indices,
     symmetrize,
     vec,
 )
@@ -50,6 +60,9 @@ __all__ = [
 ]
 
 CHUNK = 4096
+# the Sigma of a low-rank recovery: the Gaussian moment matrix, the Frobenius
+# product of symmetric tensors, or the Gaussian one times a radial scale
+SIGMA_MODES = ("gaussian", "identity", "rotation_invariant")
 
 
 @dataclass
@@ -236,29 +249,62 @@ def sigma_matrix(
     Sigma = np.ones((n, n))
     for k in range(r):
         Sigma *= table[counts[:, k][:, None] + counts[None, :, k]]
-    Sigma_sym, D = _sigma_sym(r, omega)
+    Sigma_sym, D = (a.copy() for a in _sigma_sym(r, omega))
     if seed is not None and seed.kind == "rotation_invariant":
         scale = rotation_invariant_scale(seed, 2 * omega, r)
         Sigma, Sigma_sym = Sigma * scale, Sigma_sym * scale
     return SigmaMatrix(r=r, omega=omega, Sigma=Sigma, Sigma_sym=Sigma_sym, D=D)
 
 
+@functools.lru_cache(maxsize=16)
 def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma_sym, D) of sigma_matrix for the Gaussian seed, without the
     r^omega x r^omega Sigma: Sigma on the sorted multi-indices, and the
-    diagonal of their multiplicities."""
+    diagonal of their multiplicities.  It checks no cap: its callers,
+    sigma_matrix and _mode_sigma, do."""
+    m = num_sorted_indices(r, omega)
+    table = _double_factorial_table(2 * omega)
+    scounts = np.sum(_sorted_indices(r, omega)[:, :, None] == np.arange(r), axis=1)
+    Sigma_sym = np.ones((m, m))
+    for k in range(r):
+        Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
+    D = np.diag(_sorted_multiplicity(r, omega))
+    for a in (Sigma_sym, D):
+        a.setflags(write=False)
+    return Sigma_sym, D
+
+
+def _mode_sigma(r: int, omega: int, mode: str, scale: float):
+    """(Sigma_sym, B, its least eigenvalue) of Sigma mode ``mode``
+    (SIGMA_MODES; ``scale`` is the rotation-invariant radial factor), where
+    B = D Sigma_sym^{1/2} takes the multiplicity diagonal D and the PSD
+    square root.  ResourceError when the m x m arrays would exceed
+    ``DENSE_BYTES_CAP``, whether or not they are cached."""
     m = num_sorted_indices(r, omega)
     # Sigma_sym, the int64 index sum and float64 lookup temporaries of its
     # product loop, and D, each m x m
     _check_dense_bytes(8 * 4 * m * m, "Sigma_sym", r, omega)
-    table = _double_factorial_table(2 * omega)
-    sorted_idx = np.array(sorted_multi_indices(r, omega), dtype=np.int64)
-    scounts = np.sum(sorted_idx[:, :, None] == np.arange(r), axis=1)
-    Sigma_sym = np.ones((m, m))
-    for k in range(r):
-        Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
-    D = np.diag(multiplicity(sorted_idx))
-    return Sigma_sym, D
+    return _build_mode_sigma(r, omega, mode, scale)
+
+
+@functools.lru_cache(maxsize=16)
+def _build_mode_sigma(r: int, omega: int, mode: str, scale: float):
+    """_mode_sigma's arrays."""
+    if mode not in SIGMA_MODES:
+        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+    Sigma_sym, D = _sigma_sym(r, omega)
+    if mode == "identity":
+        # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors
+        Sigma_sym = np.diag(1.0 / np.diag(D))
+    elif mode == "rotation_invariant":
+        Sigma_sym = Sigma_sym * scale
+    w, U = np.linalg.eigh(Sigma_sym)
+    w = np.clip(w, 0.0, None)
+    B = D @ ((U * np.sqrt(w)) @ U.T)
+    floor = float(np.min(np.linalg.eigvalsh(Sigma_sym)))
+    for a in (Sigma_sym, B):
+        a.setflags(write=False)
+    return Sigma_sym, B, floor
 
 
 def sigma_inner(Ta: np.ndarray, Tb: np.ndarray, Sigma: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ResourceError, UsageError, check_settings
-from .tensors import GaugeRotation, paired_contraction
+from .tensors import GaugeRotation, _triu, paired_contraction
 
 __all__ = [
     "PolyNetwork",
@@ -91,37 +91,37 @@ class PolyNetwork:
 
     def unit_tensor(self, a: int) -> np.ndarray:
         """Dense order-omega tensor of unit a."""
-        if self.kind == "quadratic":
-            return np.asarray(self.Q[a])
-        T = np.zeros((self.r,) * self.omega)
-        for t in range(self.ell):
-            v = self.components[a, t]
-            out = v
-            for _ in range(self.omega - 1):
-                out = np.multiply.outer(out, v)
-            T += out
-        return T
+        return self.unit_tensors()[a]
 
     def unit_tensors(self) -> np.ndarray:
-        return np.stack([self.unit_tensor(a) for a in range(self.d)])
+        """The (d, r, ..., r) stack of every unit's dense tensor.
+
+        A low-rank unit is sum_t v_{a,t}^{x omega}: each power is the
+        running outer product with v_{a,t}, formed for every (a, t) at once,
+        and the powers are added to zeros in the order of t."""
+        if self.kind == "quadratic":
+            return self.Q.copy()
+        comps = self.components
+        power = comps
+        for k in range(1, self.omega):
+            power = power[..., None] * comps.reshape(comps.shape[:2] + (1,) * k + (self.r,))
+        T = np.zeros((self.d,) + (self.r,) * self.omega)
+        for t in range(self.ell):
+            T += power[:, t]
+        return T
 
     @property
     def radius(self) -> float:
         """max_a Frobenius norm of T_a."""
-        return max(
-            float(np.linalg.norm(self.unit_tensor(a))) for a in range(self.d)
-        )
+        return max(float(np.linalg.norm(T)) for T in self.unit_tensors())
 
 
 def paired_outers(net: PolyNetwork) -> np.ndarray:
     """The (d, r, r) stack F_a = f_a f_a^T of an odd-order network, f_a the
     paired contraction of unit a.  The F_a co-rotate with the gauge like
     quadratic units."""
-    F = np.zeros((net.d, net.r, net.r))
-    for a in range(net.d):
-        f = paired_contraction(net.unit_tensor(a))
-        F[a] = np.outer(f, f)
-    return F
+    f = paired_contraction(net.unit_tensors(), net.omega)
+    return f[:, :, None] * f[:, None, :]
 
 
 def rotate_network(net: PolyNetwork, V: GaugeRotation | np.ndarray) -> PolyNetwork:
@@ -297,7 +297,7 @@ def evaluate(net: PolyNetwork, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != net.r:
         raise UsageError(f"seed rows must have shape (n, {net.r}), got {x.shape}")
     if net.kind == "quadratic":
-        i, j = np.triu_indices(net.r)
+        i, j = _triu(net.r)
         F = np.empty((len(i), len(x)))
         for k in range(len(i)):
             np.multiply(x[:, i[k]], x[:, j[k]], out=F[k])
@@ -324,7 +324,7 @@ def smooth_quadratic(params: SmoothingParams) -> PolyNetwork:
     r, d = base.r, base.d
     scale = params.rho / math.sqrt(r)
     Q = np.array(base.Q, dtype=float, copy=True)
-    iu = np.triu_indices(r)
+    iu = _triu(r)
     G = np.empty((r, r))
     # a huge rho overflows to inf here, which PolyNetwork refuses
     with np.errstate(over="ignore"):

@@ -28,6 +28,7 @@ side-1 blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError, check_settings
-from .tensors import multiplicity, sorted_multi_indices
+from .moments import _mode_sigma
+from .tensors import _sorted_multiplicity, _triu, sorted_multi_indices
 
 __all__ = [
     "Poly",
@@ -586,14 +588,21 @@ def _add_trace_bands(prog: PolynomialProgram, q: list, tables, eta: float):
     r = len(q[0])
     for table in tables:
         k = table.ndim
-        cycles = [list(zip(idx, idx[1:] + idx[:1]))
-                  for idx in itertools.product(range(r), repeat=k)]
+        cycles = _trace_cycles(r, k)
         for units in itertools.combinations_with_replacement(range(len(q)), k):
             terms: dict[Monomial, float] = {}
             for cycle in cycles:
                 mono = tuple(sorted(q[a][i][j] for a, (i, j) in zip(units, cycle)))
                 terms[mono] = terms.get(mono, 0.0) + 1.0
             _add_band(prog, Poly(terms), float(table[units]), eta, 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _trace_cycles(r: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The index pairs (i_1, i_2), (i_2, i_3), ..., (i_k, i_1) of each term
+    of Tr(Q_1 ... Q_k), over every (i_1, ..., i_k) in product order."""
+    return tuple(tuple(zip(idx, idx[1:] + idx[:1]))
+                 for idx in itertools.product(range(r), repeat=k))
 
 
 def _add_gauge_families(prog: PolynomialProgram, entries: list, lam, mu, gid: int):
@@ -661,7 +670,7 @@ def encode_tensor_ring(
     if d < m:
         raise UsageError(f"need d >= C(r+1,2) = {m}")
     (units, L), nvars = _blocks((d, m), (m, d))
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     pos = np.empty((r, r), dtype=int)
     pos[i, j] = pos[j, i] = np.arange(m)
     qvar = units[:, pos]
@@ -688,8 +697,8 @@ def encode_lowrank(
     omega: int,
     ell: int,
     S: np.ndarray,
-    Sigma_sym: np.ndarray,
-    D: np.ndarray,
+    sigma_mode: str,
+    sigma_scale: float,
     R: float,
     kappa: float,
     eta: float,
@@ -702,7 +711,9 @@ def encode_lowrank(
     ``meta["sidx"]`` of each T_a as the (d, m) flattening M; "components",
     the (d, ell, r) rank-ell components v_{a,t}; and "L" and "P", (m, d)
     left inverses of M and of M B, where B = D Sigma_sym^{1/2} (``meta["B"]``)
-    takes the multiplicity diagonal D and the PSD square root of Sigma_sym.
+    takes the multiplicity diagonal D and the PSD square root of the
+    Sigma_sym of ``sigma_mode`` and ``sigma_scale`` (moments.SIGMA_MODES;
+    the scale is the rotation-invariant radial factor).
     Each unit's entries and components form one group at degree 2 omega.
     ``lam_mu`` appends the gauge-fixing families on F_lam / F_mu built from
     the paired-contraction vectors f_a; without it the program is
@@ -714,14 +725,9 @@ def encode_lowrank(
     d = S.shape[0]
     sidx = sorted_multi_indices(r, omega)
     m = len(sidx)
-    mult = multiplicity(sidx)
-    Sigma_sym = np.asarray(Sigma_sym, dtype=float)
-    D = np.asarray(D, dtype=float)
-    # PSD square root of Sigma_sym
-    w, U = np.linalg.eigh(Sigma_sym)
-    w = np.clip(w, 0.0, None)
-    sig_half = (U * np.sqrt(w)) @ U.T
-    B = D @ sig_half  # (m, m): column u weight of T entries
+    mult = _sorted_multiplicity(r, omega)
+    # B (m, m): column u weight of T entries
+    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode, sigma_scale)
 
     (units, comps, L, P), nvars = _blocks((d, m), (d, ell, r), (m, d), (m, d))
     t, v = units.tolist(), comps.tolist()
@@ -765,22 +771,24 @@ def encode_lowrank(
     )
 
     if lam_mu is not None:
-        fcoef = _fvector_coefficients(r, omega, sidx)
-        f = [[Poly({(row[u],): c for u, c in fi.items()}) for fi in fcoef] for row in t]
+        fcoef = _fvector_coefficients(r, omega)
+        f = [[Poly({(row[u],): c for u, c in fi}) for fi in fcoef] for row in t]
         F = [[[fa[i] * fa[j] for j in range(r)] for i in range(r)] for fa in f]
         _add_gauge_families(prog, F, *lam_mu, d)
     prog.validate()
     return prog
 
 
-def _fvector_coefficients(r: int, omega: int, sidx) -> list[dict[int, float]]:
-    """For each output coordinate i, the linear map sorted-T-entries -> f_i."""
+@functools.lru_cache(maxsize=16)
+def _fvector_coefficients(r: int, omega: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """For each output coordinate i, the linear map sorted-T-entries -> f_i,
+    as its (sorted-index position, coefficient) pairs."""
     k = (omega - 1) // 2
-    pos = {tup: u for u, tup in enumerate(sidx)}
+    pos = {tup: u for u, tup in enumerate(sorted_multi_indices(r, omega))}
     out: list[dict[int, float]] = [dict() for _ in range(r)]
     for i in range(r):
         for js in itertools.product(range(r), repeat=k):
             idx = tuple(sorted(sum(((j, j) for j in js), ()) + (i,)))
             u = pos[idx]
             out[i][u] = out[i].get(u, 0.0) + 1.0
-    return out
+    return tuple(tuple(fi.items()) for fi in out)

@@ -35,7 +35,7 @@ from .relaxation import KAPPA, certify, encode_tensor_ring
 # no recovery path calls solve: perfbench/tracing.py wraps the name
 # tensor_ring.solve, and tests/test_trace_points.py checks that it resolves
 from .relaxation import solve  # noqa: F401
-from .tensors import GaugeRotation
+from .tensors import GaugeRotation, _sorted_indices, _triu
 
 __all__ = [
     "NonDegenCombo",
@@ -264,7 +264,7 @@ def gauge_fix(
 # ---------------------------------------------------------------------------
 
 def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     X = np.asarray(x).reshape(d, i.size)
     Q = np.zeros((d, r, r), dtype=np.result_type(X, float))
     Q[:, i, j] = X
@@ -276,7 +276,7 @@ def _packed_moment_jacobian(x: np.ndarray, d: int, r: int, pairs, triples) -> np
     """Jacobian of the trace moments at the index arrays ``pairs`` and
     ``triples`` in the packed parameters ``x`` of _unpack."""
     g = np.concatenate(trace_moment_gradients(_unpack(x, d, r), pairs, triples))
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     # an off-diagonal parameter sets both Q_e[i, j] and Q_e[j, i]; a
     # diagonal one sets Q_e[i, i] once, so its doubled sum is halved
     J = (g + np.swapaxes(g, -1, -2))[..., i, j] * np.where(i == j, 0.5, 1.0)
@@ -348,8 +348,8 @@ def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, tol: float, eta:
     _best_fit's diagnostics) of the best fit.
     """
     d = S.shape[0]
-    iu = np.triu_indices(d)
-    it = tuple(np.array(list(itertools.combinations_with_replacement(range(d), 3))).T)
+    iu = _triu(d)
+    it = tuple(_sorted_indices(d, 3).T)
     target = np.concatenate([S[iu], T[it]])
 
     def fun(x):
@@ -390,7 +390,7 @@ def _local_fit(S, T, config: TRConfig):
     except (DegeneracyError, np.linalg.LinAlgError):
         pass
     else:
-        i, j = np.triu_indices(r)
+        i, j = _triu(r)
         starts = itertools.chain([Q0[:, i, j].reshape(-1)], starts)
     Q, res, best, diag = _fit_restarts(S, T, r, starts, config.tol, config.eta)
     diag["start"] = "spectral" if gap is not None and best == 0 else "random"
@@ -536,7 +536,7 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
         r, S * sc**2, T * sc**3, combo.lam, mu, R=R * sc, kappa=KAPPA,
         eta=config.eta * sc**2,
     )
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     diag["certificate_violation"] = certify(prog, net.Q[:, i, j] * sc)
     return net, diag
 
@@ -610,7 +610,7 @@ def extend_tail(
     m = r * (r + 1) // 2
     if dp < m:
         raise UsageError(f"head must have at least C(r+1,2) = {m} units")
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     X = head[:, i, j] * np.where(i == j, 1.0, 2.0)
     svals = np.linalg.svd(X, compute_uv=False)
     if svals[-1] < 1e-10 * max(1.0, svals[0]):
@@ -643,7 +643,7 @@ def verify_assumption_tr(net: PolyNetwork) -> AssumptionReportTR:
         raise UsageError("verify_assumption_tr needs a quadratic network")
     r, d = net.r, net.d
     m = r * (r + 1) // 2
-    i, j = np.triu_indices(r)
+    i, j = _triu(r)
     M = net.Q[:, i, j] * np.where(i == j, 1.0, math.sqrt(2.0))
     svals = np.linalg.svd(M, compute_uv=False)
     sigma_m = float(svals[m - 1]) if d >= m else 0.0

@@ -10,10 +10,19 @@ matrix ``vec([[a, b], [c, d]]) == (a, b, c, d)`` and
 flattened to its m = C(r+omega-1, omega) entries at the sorted multi-indices
 (``sorted_entries``, ``from_sorted_entries``), each of which stands for
 ``multiplicity`` dense entries.
+
+Caches
+------
+The index arrays that depend only on integer shape arguments, the sorted
+multi-indices of (r, omega) with their multiplicities and the upper-triangle
+indices of an n x n matrix, come from ``functools.lru_cache`` helpers: built
+on first use, then kept, bounded by their ``maxsize`` and read-only, since
+every caller shares them.  Importing the package builds none of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,9 +50,10 @@ def num_sorted_indices(r: int, omega: int) -> int:
     return math.comb(r + omega - 1, omega)
 
 
-def sorted_multi_indices(r: int, omega: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=32)
+def sorted_multi_indices(r: int, omega: int) -> tuple[tuple[int, ...], ...]:
     """All nondecreasing multi-indices over range(r), lexicographically ordered."""
-    return list(itertools.combinations_with_replacement(range(r), omega))
+    return tuple(itertools.combinations_with_replacement(range(r), omega))
 
 
 def multiplicity(index):
@@ -61,11 +71,35 @@ def multiplicity(index):
     return fact[omega] / np.prod(fact[counts], axis=-1)
 
 
+@functools.lru_cache(maxsize=32)
+def _sorted_indices(r: int, omega: int) -> np.ndarray:
+    """sorted_multi_indices(r, omega) as an (m, omega) int64 array."""
+    idx = np.array(sorted_multi_indices(r, omega), dtype=np.int64)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _sorted_multiplicity(r: int, omega: int) -> np.ndarray:
+    """The multiplicity of each of the sorted multi-indices of (r, omega)."""
+    mult = multiplicity(_sorted_indices(r, omega))
+    mult.setflags(write=False)
+    return mult
+
+
+@functools.lru_cache(maxsize=32)
+def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k)."""
+    iu = np.triu_indices(n, k)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def sorted_entries(T: np.ndarray, omega: int) -> np.ndarray:
     """The (..., m) entries of the stacked order-omega tensors T, of shape
     (..., r, ..., r), at the sorted multi-indices (sorted_multi_indices)."""
-    idx = np.array(sorted_multi_indices(T.shape[-1], omega), dtype=np.int64)
-    return T[(Ellipsis, *idx.T)]
+    return T[(Ellipsis, *_sorted_indices(T.shape[-1], omega).T)]
 
 
 def from_sorted_entries(v: np.ndarray, r: int, omega: int) -> np.ndarray:
@@ -75,7 +109,7 @@ def from_sorted_entries(v: np.ndarray, r: int, omega: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     # a multi-index's rank in lexicographic order is the rank of its base-r key
     weights = r ** np.arange(omega - 1, -1, -1, dtype=np.int64)
-    sidx = np.array(sorted_multi_indices(r, omega), dtype=np.int64)
+    sidx = _sorted_indices(r, omega)
     full = np.sort(np.indices((r,) * omega).reshape(omega, -1), axis=0)
     pos = np.searchsorted(sidx @ weights, weights @ full)
     return v[..., pos].reshape(v.shape[:-1] + (r,) * omega)
@@ -120,17 +154,22 @@ def rotate_tensor(V: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def paired_contraction(T: np.ndarray) -> np.ndarray:
-    """Contract an odd-order tensor over (order-1)/2 paired axes to an r-vector.
+def paired_contraction(T: np.ndarray, omega: int) -> np.ndarray:
+    """Contract the order-omega tensors stacked along T's leading axes, of
+    shape (..., r, ..., r), over (omega-1)/2 paired axes to r-vectors.
 
-    Returns sum_{j_1..j_k} T[j_1, j_1, ..., j_k, j_k, :] for order 2k+1.
+    Returns sum_{j_1..j_k} T[..., j_1, j_1, ..., j_k, j_k, :] for omega =
+    2k+1, tracing the leading pair first, so each tensor of a stack gets the
+    bits it gets alone.
     """
     T = np.asarray(T, dtype=float)
-    if T.ndim % 2 == 0:
-        raise UsageError("paired contraction needs an odd-order tensor")
+    if omega % 2 == 0 or T.ndim < omega:
+        raise UsageError(f"paired contraction needs an odd order of at most the "
+                         f"array's {T.ndim} axes, got {omega}")
+    lead = T.ndim - omega
     out = T
-    while out.ndim > 1:
-        out = np.trace(out, axis1=0, axis2=1)
+    for _ in range(omega // 2):
+        out = np.trace(out, axis1=lead, axis2=lead + 1)
     return out
 
 

@@ -159,3 +159,33 @@ def grid_scan_direct(objective, tensA, tensB, step):
     obj = objective(tensA, tensB, np.concatenate([R, R @ np.diag([1.0, -1.0])]))
     k = int(np.argmin(obj))
     return k, float(thetas[k % thetas.size]), obj[k]
+
+
+def unit_tensors_per_unit(net):
+    """The (d, r, ..., r) unit tensors of a network one unit at a time: a
+    quadratic unit is Q_a, a low-rank one adds each running outer product
+    v x v x ... x v (np.multiply.outer) to zeros, in the order of t."""
+    if net.kind == "quadratic":
+        return np.stack([np.array(Qa) for Qa in net.Q])
+    units = []
+    for unit in net.components:
+        T = np.zeros((net.r,) * net.omega)
+        for v in unit:
+            power = v
+            for _ in range(net.omega - 1):
+                power = np.multiply.outer(power, v)
+            T += power
+        units.append(T)
+    return np.stack(units)
+
+
+def paired_outers_per_unit(net):
+    """F_a = f_a f_a^T of an odd-order network one unit at a time, f_a the
+    paired contraction of unit_tensors_per_unit's T_a."""
+    from polypush.tensors import paired_contraction
+
+    F = np.zeros((net.d, net.r, net.r))
+    for a, T in enumerate(unit_tensors_per_unit(net)):
+        f = paired_contraction(T, net.omega)
+        F[a] = np.outer(f, f)
+    return F

@@ -72,23 +72,26 @@ class TestFVector:
     def test_basis_cube(self):
         T = np.zeros((2, 2, 2))
         T[0, 0, 0] = 1.0
-        assert np.allclose(paired_contraction(T), [1.0, 0.0])
+        assert np.allclose(paired_contraction(T, 3), [1.0, 0.0])
 
     def test_rank_one(self):
         v = np.array([1.5, -0.5, 2.0])
         T = np.einsum("i,j,k->ijk", v, v, v)
-        assert np.allclose(paired_contraction(T), float(v @ v) * v, atol=1e-12)
+        assert np.allclose(paired_contraction(T, 3), float(v @ v) * v, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         A = symmetrize(rng.standard_normal((2, 2, 2)))
         B = symmetrize(rng.standard_normal((2, 2, 2)))
-        f = paired_contraction
+
+        def f(T):
+            return paired_contraction(T, 3)
+
         assert np.allclose(f(A + B), f(A) + f(B), atol=1e-13)
 
     def test_even_order_rejected(self):
         with pytest.raises(UsageError):
-            paired_contraction(np.zeros((2, 2)))
+            paired_contraction(np.zeros((2, 2)), 2)
 
 
 class TestPairInner:

@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from conftest import random_orthogonal, symmetric_gaussian
+from conftest import (
+    paired_outers_per_unit,
+    random_orthogonal,
+    symmetric_gaussian,
+    unit_tensors_per_unit,
+)
 from polypush import networks
 from polypush.errors import ResourceError, UsageError
 from polypush.networks import (
@@ -28,6 +33,7 @@ from polypush.networks import (
     gaussian_norm_moment,
     network_from_json,
     network_to_json,
+    paired_outers,
     rotate_network,
     sample,
     smooth_componentwise,
@@ -201,6 +207,33 @@ class TestSampleBytes:
 # under- or overflows, so the error bounds below hold
 ENTRIES = st.sampled_from([0.0]) | st.floats(1e-20, 1e3) | st.floats(-1e3, -1e-20)
 EPS = Fraction(np.finfo(float).eps)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestUnitTensors:
+    # one pass over every unit gives each unit the bits of the loop over
+    # units, signed zeros included
+
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(["quadratic", "lowrank"]),
+           r=st.integers(1, 4), d=st.integers(1, 3), ell=st.integers(1, 3),
+           omega=st.sampled_from([3, 5]))
+    def test_one_pass_matches_the_loop_over_units(self, data, kind, r, d, ell, omega):
+        entries = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+        if kind == "quadratic":
+            A = data.draw(hnp.arrays(np.float64, (d, r, r), elements=entries))
+            net = PolyNetwork(kind="quadratic", r=r, d=d, Q=A + np.transpose(A, (0, 2, 1)))
+        else:
+            comps = data.draw(hnp.arrays(np.float64, (d, ell, r), elements=entries))
+            net = PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
+            assert same_bits(paired_outers(net), paired_outers_per_unit(net))
+        units = unit_tensors_per_unit(net)
+        assert same_bits(net.unit_tensors(), units)
+        assert all(same_bits(net.unit_tensor(a), units[a]) for a in range(d))
+        assert net.radius == max(float(np.linalg.norm(T)) for T in units)
 
 
 class TestEvaluateAccuracy:

@@ -355,9 +355,8 @@ class TestEncodeTensorRing:
 
 class TestEncodeLowrank:
     def test_r1_structure(self):
-        sig = sigma_matrix(1, 3)
         prog = encode_lowrank(
-            1, 3, 1, np.array([[15.0]]), sig.Sigma_sym, sig.D,
+            1, 3, 1, np.array([[15.0]]), "gaussian", 1.0,
             R=1.5, kappa=0.1, eta=0.0,
         )
         # the low-rank family at r=1, ell=1 reads T = v^3
@@ -378,7 +377,7 @@ class TestEncodeLowrank:
     def test_even_omega_rejected(self):
         with pytest.raises(UsageError):
             encode_lowrank(
-                1, 2, 1, np.array([[1.0]]), np.eye(1), np.eye(1),
+                1, 2, 1, np.array([[1.0]]), "gaussian", 1.0,
                 R=1.0, kappa=0.1, eta=0.0,
             )
 
@@ -393,9 +392,8 @@ class TestEncodeLowrank:
             kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
         )
         S = exact_lowrank_pair_moments(net).S
-        sig = sigma_matrix(r, omega)
         prog = encode_lowrank(
-            r, omega, ell, S, sig.Sigma_sym, sig.D,
+            r, omega, ell, S, "gaussian", 1.0,
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
         assert certify(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
@@ -441,14 +439,13 @@ class TestCertify:
             kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
         )
         S = exact_lowrank_pair_moments(net).S
-        sig = sigma_matrix(r, omega)
         # the sos program: gauge families on F_a = f_a f_a^T, and the
         # truth rotated into that gauge
         F = paired_outers(net)
         combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
         _, rot, mu = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, combo.mu)
         prog = encode_lowrank(
-            r, omega, ell, S, sig.Sigma_sym, sig.D, R=net.radius * radius_factor,
+            r, omega, ell, S, "gaussian", 1.0, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
         )
         fixed = rotate_network(net, rot)
@@ -507,9 +504,8 @@ class TestCertify:
             assert prog.groups[0].variables == tuple(units.ravel())
         else:
             ell, omega = dims[2:]
-            sig = sigma_matrix(r, omega)
             prog = encode_lowrank(
-                r, omega, ell, rng.standard_normal((d, d)), sig.Sigma_sym, sig.D,
+                r, omega, ell, rng.standard_normal((d, d)), "gaussian", 1.0,
                 R=1.0, kappa=0.1, eta=0.0,
             )
             m = len(prog.meta["sidx"])

@@ -106,6 +106,53 @@ def test_only_the_gauge_search_and_the_lab_import_deferred():
     assert importers == DEFERRED_IMPORTERS
 
 
+def unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of the module's references to functools' ``cache`` or
+    ``lru_cache`` that are not an ``lru_cache`` call with a positive int
+    ``maxsize``: ``cache``, a bare ``lru_cache`` or ``maxsize=None`` grow
+    for the life of the process."""
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "functools" for a in n.names}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            ref = node.attr
+        elif isinstance(node, ast.Name):
+            ref = imported.get(node.id)
+        else:
+            continue
+        if ref not in ("cache", "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        sizes = [] if call is None else [kw.value for kw in call.keywords
+                                         if kw.arg == "maxsize"] + call.args[:1]
+        if not (ref == "lru_cache" and sizes and isinstance(sizes[0], ast.Constant)
+                and type(sizes[0].value) is int and sizes[0].value > 0):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unbounded_caches_are_found():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache as lru\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(): pass\n"
+        "@functools.lru_cache\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
+        "@functools.cache\ndef d(): pass\n"
+        "@cache\ndef e(): pass\n"
+        "@lru(16)\ndef f(): pass\n"
+        "@lru()\ndef g(): pass\n"
+    )
+    assert sorted(unbounded_caches(tree)) == [5, 7, 9, 11, 15]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(ast.parse(path.read_text())) == []
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
