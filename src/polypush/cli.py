@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -412,29 +413,9 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     net = network_from_json(_read_json(args.network))
     if net.kind == "quadratic":
-        rep = verify_assumption_tr(net)
-        out = {
-            "kind": "quadratic",
-            "radius": float(rep.radius),
-            "sigma_m": float(rep.sigma_m),
-            "m": rep.m,
-            "d": rep.d,
-            "predicted_kappa": None if rep.predicted_kappa is None else float(rep.predicted_kappa),
-            "flag": rep.flag,
-            "warning": rep.warning,
-        }
+        out = {"kind": "quadratic", **dataclasses.asdict(verify_assumption_tr(net))}
     else:
-        rep = verify_assumption_lr(net)
-        out = {
-            "kind": "lowrank",
-            "radius": float(rep.radius),
-            "sigma_min_M": float(rep.sigma_min_M),
-            "sigma_min_H": float(rep.sigma_min_H),
-            "sigma_min_K": None if rep.sigma_min_K is None else float(rep.sigma_min_K),
-            "k_skipped": rep.k_skipped,
-            "flag_psi": rep.flag_psi,
-            "flag_kappa": rep.flag_kappa,
-        }
+        out = {"kind": "lowrank", **dataclasses.asdict(verify_assumption_lr(net))}
     print(json.dumps(out))
     if args.out:
         _write_json(args.out, out)
@@ -505,15 +486,18 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _common_solver_flags(p):
-    p.add_argument("--backend", choices=("sos", "local"), default="local")
+def _common_solver_flags(p, config):
+    """--backend, --restarts and --tol, with the defaults of the ``config``
+    class (TRConfig or LRConfig) the command builds."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    p.add_argument("--backend", choices=("sos", "local"), default=defaults["backend"])
     p.add_argument(
-        "--restarts", type=int, default=20,
+        "--restarts", type=int, default=defaults["restarts"],
         help="random starts of the local fit, tried in turn after its closed-form "
         "start (where one can be formed) while the fit misses --tol; with --eta > 0 "
         "they also stop once a start repeats the best residual so far",
     )
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=defaults["tol"])
 
 
 ETA_HELP = (
@@ -574,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
-    _common_solver_flags(p)
+    _common_solver_flags(p, TRConfig)
     p.set_defaults(func=cmd_solve_tr)
 
     p = sub.add_parser("solve_lr", help="low-rank factorization from a pair-moment table")
@@ -587,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
-    _common_solver_flags(p)
+    _common_solver_flags(p, LRConfig)
     p.set_defaults(func=cmd_solve_lr)
 
     p = sub.add_parser("eval", help="gauge distance and Wasserstein bound")
@@ -620,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _common_solver_flags(p)
+    _common_solver_flags(p, TRConfig)
     p.set_defaults(func=cmd_bench)
 
     return ap

@@ -68,12 +68,10 @@ __all__ = [
 ]
 
 
-def _check_sigma(mode: str, scale: float) -> None:
-    """UsageError unless ``mode`` is one of SIGMA_MODES and ``scale`` is
-    finite and > 0."""
+def _check_sigma(mode: str) -> None:
+    """UsageError unless ``mode`` is one of SIGMA_MODES."""
     if mode not in SIGMA_MODES:
         raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
-    check_settings({}, {"Sigma scale": scale})
 
 
 @dataclass
@@ -85,8 +83,7 @@ class LRConfig:
     restarts: int = 20
     tol: float = 1e-10
     rng_seed: int = 0
-    sigma_mode: str = "gaussian"  # gaussian | identity | rotation_invariant
-    sigma_scale: float = 1.0  # rotation-invariant degree-2*omega factor
+    sigma_mode: str = "gaussian"  # gaussian | identity
     eta: float = 0.0
 
     def __post_init__(self):
@@ -95,31 +92,26 @@ class LRConfig:
             {"tol": self.tol},
             {"eta": self.eta},
         )
-        _check_sigma(self.sigma_mode, self.sigma_scale)
+        _check_sigma(self.sigma_mode)
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown low-rank backend {self.backend!r}")
 
 
-def _pair_values(dot, nv2, nw2, omega: int, mode: str, scale: float):
+def _pair_values(dot, nv2, nw2, omega: int, mode: str):
     """<v^{x omega}, w^{x omega}>_Sigma from the inner product ``dot`` and
     the squared norms ``nv2``, ``nw2`` of v and w, elementwise.
 
     gaussian: the Gaussian pair moment E<v,g>^omega <w,g>^omega;
-    identity: the plain Frobenius product <v,w>^omega;
-    rotation_invariant: the Gaussian value times the degree-2*omega radial
-    scale.
+    identity: the plain Frobenius product <v,w>^omega.
     """
     if mode == "identity":
         return dot**omega
-    val = pair_moment_closed_form(dot, nv2, nw2, omega)
-    if mode == "rotation_invariant":
-        val = val * scale
-    return val
+    return pair_moment_closed_form(dot, nv2, nw2, omega)
 
 
-def _pair_table(comps: np.ndarray, omega: int, mode: str, scale: float) -> np.ndarray:
+def _pair_table(comps: np.ndarray, omega: int, mode: str) -> np.ndarray:
     """The pair-moment model: S_ab sums _pair_values of (v_{a,t}, v_{b,t'})
     over the components t of unit a and t' of unit b, from the Gram of all
     components; the upper triangle is mirrored."""
@@ -127,25 +119,20 @@ def _pair_table(comps: np.ndarray, omega: int, mode: str, scale: float) -> np.nd
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
-    vals = _pair_values(G, n2[:, None], n2[None, :], omega, mode, scale)
+    vals = _pair_values(G, n2[:, None], n2[None, :], omega, mode)
     S = vals.reshape(d, ell, d, ell).sum(axis=(1, 3))
     return np.triu(S) + np.triu(S, 1).T
 
 
-def _pair_partials(dot, nv2, nw2, omega: int, mode: str, scale: float):
+def _pair_partials(dot, nv2, nw2, omega: int, mode: str):
     """The partials of _pair_values in dot, nv2 and nw2, elementwise."""
     if mode == "identity":
         zero = np.zeros_like(dot)
         return omega * dot ** (omega - 1), zero, zero
-    parts = pair_moment_partials(dot, nv2, nw2, omega)
-    if mode == "rotation_invariant":
-        parts = tuple(p * scale for p in parts)
-    return parts
+    return pair_moment_partials(dot, nv2, nw2, omega)
 
 
-def _pair_table_jacobian(
-    comps: np.ndarray, omega: int, mode: str, scale: float, rows
-) -> np.ndarray:
+def _pair_table_jacobian(comps: np.ndarray, omega: int, mode: str, rows) -> np.ndarray:
     """Jacobian of the _pair_table entries S_ab at (a, b) = ``rows`` in the
     components, one row per entry and one column per component entry.
 
@@ -157,7 +144,7 @@ def _pair_table_jacobian(
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
-    p_dot, p_nv2, p_nw2 = _pair_partials(G, n2[:, None], n2[None, :], omega, mode, scale)
+    p_dot, p_nv2, p_nw2 = _pair_partials(G, n2[:, None], n2[None, :], omega, mode)
     g_i = p_dot[..., None] * V[None, :, :] + 2 * p_nv2[..., None] * V[:, None, :]
     g_j = p_dot[..., None] * V[:, None, :] + 2 * p_nw2[..., None] * V[None, :, :]
     g_i = g_i.reshape(d, ell, d, ell, r).sum(axis=3)  # [a, t, b]: summed over b's components
@@ -170,12 +157,10 @@ def _pair_table_jacobian(
     return J.reshape(a.size, -1)
 
 
-def exact_lowrank_pair_moments(
-    net: PolyNetwork, mode: str = "gaussian", scale: float = 1.0
-) -> PairMomentTable:
+def exact_lowrank_pair_moments(net: PolyNetwork, mode: str = "gaussian") -> PairMomentTable:
     """Exact pair moments S_ab = <T_a, T_b>_Sigma of a low-rank network, in
-    Sigma mode ``mode`` (SIGMA_MODES; ``scale`` is the rotation-invariant
-    radial factor); in gaussian mode they are E[y_a y_b] of its pushforward.
+    Sigma mode ``mode`` (SIGMA_MODES); in gaussian mode they are E[y_a y_b]
+    of its pushforward.
 
     A Hermite-activation network with unit directions u_{a,t} and
     coefficients lambda_{a,t}, T_a = sum_t lambda_{a,t} u_{a,t}^{x omega},
@@ -184,10 +169,8 @@ def exact_lowrank_pair_moments(
     """
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
-    _check_sigma(mode, scale)
-    return PairMomentTable(
-        S=_pair_table(net.components, net.omega, mode, scale), eta=0.0
-    )
+    _check_sigma(mode)
+    return PairMomentTable(S=_pair_table(net.components, net.omega, mode), eta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +181,7 @@ def exact_lowrank_pair_moments(
 NEWTON_STEPS = 60
 
 
-def _pair_cosines(y, omega: int, mode: str, scale: float):
+def _pair_cosines(y, omega: int, mode: str):
     """The t in [-1, 1] with p(t) = y p(1), elementwise, where
     p(t) = _pair_values(t, 1, 1, ...) is odd and increasing for odd omega;
     |y| >= 1 maps to +-1.
@@ -206,15 +189,15 @@ def _pair_cosines(y, omega: int, mode: str, scale: float):
     Newton's method from t = y^(1/omega), the root in identity mode, falls
     back to bisection whenever a step leaves the bracket of the root.
     """
-    c = _pair_values(1.0, 1.0, 1.0, omega, mode, scale)
+    c = _pair_values(1.0, 1.0, 1.0, omega, mode)
     y = np.clip(y, -1.0, 1.0)
     t = np.sign(y) * np.abs(y) ** (1.0 / omega)
     lo, hi = -np.ones_like(t), np.ones_like(t)
     for _ in range(NEWTON_STEPS):
-        f = _pair_values(t, 1.0, 1.0, omega, mode, scale) - c * y
+        f = _pair_values(t, 1.0, 1.0, omega, mode) - c * y
         lo = np.where(f < 0, t, lo)
         hi = np.where(f > 0, t, hi)
-        slope = _pair_partials(t, 1.0, 1.0, omega, mode, scale)[0]
+        slope = _pair_partials(t, 1.0, 1.0, omega, mode)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = t - f / slope
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
@@ -235,13 +218,13 @@ def _rank1_components(S: np.ndarray, cfg: LRConfig) -> np.ndarray:
     |v_a| |v_b| t_ab the components up to O(r), in every Sigma mode.  Raises
     DegeneracyError when a diagonal entry of S is not positive.
     """
-    mode, scale, omega = cfg.sigma_mode, cfg.sigma_scale, cfg.omega
+    mode, omega = cfg.sigma_mode, cfg.omega
     diag = np.diag(S)
-    s = diag / _pair_values(1.0, 1.0, 1.0, omega, mode, scale)
+    s = diag / _pair_values(1.0, 1.0, 1.0, omega, mode)
     if np.min(s) <= 0:
         raise DegeneracyError("the closed form needs a positive diagonal of S")
     norms = s ** (1.0 / (2 * omega))
-    cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega, mode, scale)
+    cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega, mode)
     w, U = np.linalg.eigh(np.outer(norms, norms) * cos)
     top = np.argsort(w)[::-1][: cfg.r]
     return (U[:, top] * np.sqrt(np.maximum(w[top], 0.0))).reshape(-1)
@@ -279,13 +262,10 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
     target = S[iu]
 
     def fun(x):
-        model = _pair_table(x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale)
-        return model[iu] - target
+        return _pair_table(x.reshape(d, ell, r), omega, cfg.sigma_mode)[iu] - target
 
     def jac(x):
-        return _pair_table_jacobian(
-            x.reshape(d, ell, r), omega, cfg.sigma_mode, cfg.sigma_scale, iu
-        )
+        return _pair_table_jacobian(x.reshape(d, ell, r), omega, cfg.sigma_mode, iu)
 
     def fits():
         for x0 in starts:
@@ -347,11 +327,11 @@ def _check_sos_size(d: int, cfg: LRConfig) -> None:
 def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
     """The worst constraint violation of the gauge-fixed fit ``net`` for the
     program encoded with the gauge families of (lam, mu) and the Sigma_sym
-    of ``cfg.sigma_mode`` and ``cfg.sigma_scale``; relaxation.certify raises
-    ConvergenceError when the fit breaks the program's constraints."""
+    of ``cfg.sigma_mode``; relaxation.certify raises ConvergenceError when
+    the fit breaks the program's constraints."""
     r, omega, ell = cfg.r, cfg.omega, cfg.ell
     d = S.shape[0]
-    floor = _mode_sigma(r, omega, cfg.sigma_mode, cfg.sigma_scale)[2]
+    floor = _mode_sigma(r, omega, cfg.sigma_mode)[2]
     # the program is stated in the scale where tensor entries are O(1), so
     # the certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
@@ -364,8 +344,7 @@ def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
         components=net.components * sc ** (1.0 / omega),
     )
     prog = encode_lowrank(
-        r, omega, ell, S, cfg.sigma_mode, cfg.sigma_scale, R=R, kappa=KAPPA,
-        eta=eta_sc, lam_mu=(lam, mu),
+        r, omega, ell, S, cfg.sigma_mode, R=R, kappa=KAPPA, eta=eta_sc, lam_mu=(lam, mu),
     )
     M = sorted_entries(scaled.unit_tensors(), omega)
     return certify(prog, M, scaled.components)
@@ -400,12 +379,17 @@ def factorize(
     same network as ``local`` after one certificate step: relaxation.certify
     must find it feasible, at that one point, for the degree-2 omega program
     encoded with the fit's gauge families and the Sigma_sym of
-    ``config.sigma_mode`` and ``config.sigma_scale``
-    (``diagnostics["certificate_violation"]`` is its worst constraint
-    violation).  That is weaker than the paper's guarantee, which rests on
-    the pseudo-expectation being unique; the relaxation is not solved.
-    ``sos`` raises ConvergenceError on a fit that cannot be gauge-fixed or
-    breaks the program's constraints.
+    ``config.sigma_mode`` (``diagnostics["certificate_violation"]`` is its
+    worst constraint violation).  That is weaker than the paper's guarantee,
+    which rests on the pseudo-expectation being unique; the relaxation is not
+    solved.  ``sos`` raises ConvergenceError on a fit that cannot be
+    gauge-fixed or breaks the program's constraints.
+
+    A rotation-invariant seed D only rescales the pair moments: its table
+    is S = C S_G, with S_G the Gaussian table of the same network and
+    C = moments.rotation_invariant_scale(D, 2 * omega, r).  So
+    ``factorize(S / C, LRConfig(..., eta=eta / C))`` recovers the network
+    from it in gaussian mode.
     """
     S = np.asarray(S, dtype=float)
     d = S.shape[0]
@@ -438,7 +422,7 @@ def factorize(
                 "the lambda-combination is degenerate"
             )
         diag["certificate_violation"] = _certify(S, net, lam, mu, cfg)
-    model = _pair_table(net.components, cfg.omega, cfg.sigma_mode, cfg.sigma_scale)
+    model = _pair_table(net.components, cfg.omega, cfg.sigma_mode)
     res_S = float(np.max(np.abs(model - S)))
     gd = None
     if truth is not None:

@@ -12,12 +12,11 @@ with Sigma the Gaussian moment matrix E[g^{x omega} (g^{x omega})^T].
 
 Caches
 ------
-The Sigma arrays that depend only on (r, omega), the Sigma mode and its
-scale, ``_sigma_sym`` and ``_mode_sigma``'s, come from
-``functools.lru_cache`` helpers: built on first use, then kept, bounded by
-their ``maxsize`` and read-only, since every caller shares them.  The dense
-cap is checked on every call all the same.  Importing the package builds
-none of them.
+The Sigma arrays that depend only on (r, omega) and the Sigma mode,
+``_sigma_sym`` and ``_mode_sigma``'s, come from ``functools.lru_cache``
+helpers: built on first use, then kept, bounded by their ``maxsize`` and
+read-only, since every caller shares them.  The dense cap is checked on
+every call all the same.  Importing the package builds none of them.
 """
 
 from __future__ import annotations
@@ -60,9 +59,10 @@ __all__ = [
 ]
 
 CHUNK = 4096
-# the Sigma of a low-rank recovery: the Gaussian moment matrix, the Frobenius
-# product of symmetric tensors, or the Gaussian one times a radial scale
-SIGMA_MODES = ("gaussian", "identity", "rotation_invariant")
+# the Sigma of a low-rank recovery: the Gaussian moment matrix or the
+# Frobenius product of symmetric tensors (a rotation-invariant seed's table
+# is the Gaussian one times a scalar; see lowrank.factorize)
+SIGMA_MODES = ("gaussian", "identity")
 
 
 @dataclass
@@ -274,21 +274,20 @@ def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
     return Sigma_sym, D
 
 
-def _mode_sigma(r: int, omega: int, mode: str, scale: float):
+def _mode_sigma(r: int, omega: int, mode: str):
     """(Sigma_sym, B, its least eigenvalue) of Sigma mode ``mode``
-    (SIGMA_MODES; ``scale`` is the rotation-invariant radial factor), where
-    B = D Sigma_sym^{1/2} takes the multiplicity diagonal D and the PSD
-    square root.  ResourceError when the m x m arrays would exceed
-    ``DENSE_BYTES_CAP``, whether or not they are cached."""
+    (SIGMA_MODES), where B = D Sigma_sym^{1/2} takes the multiplicity
+    diagonal D and the PSD square root.  ResourceError when the m x m arrays
+    would exceed ``DENSE_BYTES_CAP``, whether or not they are cached."""
     m = num_sorted_indices(r, omega)
     # Sigma_sym, the int64 index sum and float64 lookup temporaries of its
     # product loop, and D, each m x m
     _check_dense_bytes(8 * 4 * m * m, "Sigma_sym", r, omega)
-    return _build_mode_sigma(r, omega, mode, scale)
+    return _build_mode_sigma(r, omega, mode)
 
 
 @functools.lru_cache(maxsize=16)
-def _build_mode_sigma(r: int, omega: int, mode: str, scale: float):
+def _build_mode_sigma(r: int, omega: int, mode: str):
     """_mode_sigma's arrays."""
     if mode not in SIGMA_MODES:
         raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
@@ -296,8 +295,6 @@ def _build_mode_sigma(r: int, omega: int, mode: str, scale: float):
     if mode == "identity":
         # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors
         Sigma_sym = np.diag(1.0 / np.diag(D))
-    elif mode == "rotation_invariant":
-        Sigma_sym = Sigma_sym * scale
     w, U = np.linalg.eigh(Sigma_sym)
     w = np.clip(w, 0.0, None)
     B = D @ ((U * np.sqrt(w)) @ U.T)

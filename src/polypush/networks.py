@@ -396,24 +396,22 @@ def w1_upper_bound(
 # ---------------------------------------------------------------------------
 
 def network_to_json(net: PolyNetwork) -> dict:
+    """The network's JSON form; ``smoothing_rho`` is written when it is set."""
+    obj = {"kind": net.kind, "r": net.r, "d": net.d}
     if net.kind == "quadratic":
-        return {
-            "kind": "quadratic",
-            "r": net.r,
-            "d": net.d,
-            "Q": [q.tolist() for q in net.Q],
-        }
-    return {
-        "kind": "lowrank",
-        "r": net.r,
-        "d": net.d,
-        "omega": net.omega,
-        "ell": net.ell,
-        "components": [[v.tolist() for v in unit] for unit in net.components],
-    }
+        obj["Q"] = [q.tolist() for q in net.Q]
+    else:
+        obj.update(omega=net.omega, ell=net.ell,
+                   components=[[v.tolist() for v in unit] for unit in net.components])
+    if net.smoothing_rho is not None:
+        obj["smoothing_rho"] = net.smoothing_rho
+    return obj
 
 
 def network_from_json(obj: dict | str) -> PolyNetwork:
+    """A network from its JSON form.  The optional ``smoothing_rho`` must be
+    finite and >= 0; UsageError otherwise, and on a missing or malformed
+    field."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -421,9 +419,15 @@ def network_from_json(obj: dict | str) -> PolyNetwork:
             raise UsageError(f"invalid network JSON: {exc}") from exc
     try:
         kind = obj["kind"]
+        rho = obj.get("smoothing_rho")
+        if rho is not None:
+            rho = float(rho)
+            check_settings({}, {}, {"smoothing_rho": rho})
         if kind == "quadratic":
             Q = np.asarray(obj["Q"], dtype=float)
-            return PolyNetwork(kind="quadratic", r=int(obj["r"]), d=int(obj["d"]), Q=Q)
+            return PolyNetwork(
+                kind="quadratic", r=int(obj["r"]), d=int(obj["d"]), Q=Q, smoothing_rho=rho
+            )
         if kind == "lowrank":
             comps = np.asarray(obj["components"], dtype=float)
             return PolyNetwork(
@@ -433,11 +437,12 @@ def network_from_json(obj: dict | str) -> PolyNetwork:
                 omega=int(obj["omega"]),
                 ell=int(obj["ell"]),
                 components=comps,
+                smoothing_rho=rho,
             )
         raise UsageError(f"unknown network kind {kind!r}")
     except KeyError as exc:
         raise UsageError(f"network JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed network JSON: {exc}") from exc
 
 

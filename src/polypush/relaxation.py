@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError, check_settings
+from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError
 from .moments import _mode_sigma
 from .tensors import _sorted_multiplicity, _triu, sorted_multi_indices
 
@@ -44,7 +44,6 @@ __all__ = [
     "Poly",
     "VarGroup",
     "PolynomialProgram",
-    "SolverConfig",
     "Pseudoexpectation",
     "Infeasible",
     "encode_tensor_ring",
@@ -154,25 +153,23 @@ class PolynomialProgram:
             if not p.variables() <= set(grp.variables):
                 raise UsageError("constraint references variables outside its group")
 
-    def check_point(self, point: np.ndarray, tol: float = 0.0) -> float:
-        """Worst constraint violation of a concrete assignment."""
+    def check_point(self, point: np.ndarray) -> float:
+        """Worst constraint violation of a concrete assignment; an inequality
+        counts only beyond the slack INEQUALITY_SLACK."""
         worst = 0.0
         for p, _ in self.equalities:
             worst = max(worst, abs(p.evaluate(point)))
         for p, _ in self.inequalities:
-            worst = max(worst, max(0.0, -p.evaluate(point) - tol))
+            worst = max(worst, max(0.0, -p.evaluate(point) - INEQUALITY_SLACK))
         return worst
 
 
-@dataclass
-class SolverConfig:
-    tol: float = 1e-7
-    max_iter: int = 50000
-
-    def __post_init__(self):
-        check_settings({"max_iter": self.max_iter}, {"solver tol": self.tol})
-
-
+# how far below zero check_point lets an inequality's value fall
+INEQUALITY_SLACK = 1e-9
+# solve's stopping tolerance on the primal and dual residuals, and its cap on
+# ADMM iterations
+SOLVER_TOL = 1e-7
+MAX_ITER = 50000
 # cap on the side of any moment matrix the lift builds
 MAX_DIM = 5000
 # weight of the trace-of-moment-matrix tie-break objective
@@ -372,24 +369,21 @@ def _project_cones(v: np.ndarray, plan: list[tuple], out: np.ndarray):
         out[idx] = x
 
 
-def solve(
-    program: PolynomialProgram, cfg: Optional[SolverConfig] = None
-) -> Pseudoexpectation | Infeasible:
+def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
     """ADMM conic solve of the lifted relaxation.
 
     Lifts the program in one pass, then alternates an affine projection
     (moment-matrix consistency + equality rows, KKT system factorized once)
     with a PSD-cone projection, batched over the blocks of each side, carrying
     a scaled dual; stops when the primal and dual residuals drop below
-    cfg.tol.
-    Returns ``Infeasible`` when the residual stalls above 10*cfg.tol for
+    SOLVER_TOL, or after MAX_ITER iterations.
+    Returns ``Infeasible`` when the residual stalls above 10*SOLVER_TOL for
     STALL_WINDOW consecutive iterations.  Fully deterministic.
     """
     import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    cfg = cfg or SolverConfig()
     lifted = _Lifted(program)
     A, E, f = lifted.A, lifted.E, lifted.f
     ny, nX = lifted.ny, lifted.nX
@@ -456,7 +450,7 @@ def solve(
     stall = 0
     it = 0
     res = np.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         ty = zy - uy
         tX = zX - uX - cX
         rhs[:ny] = ty + AT @ tX
@@ -477,9 +471,9 @@ def solve(
         res = math.sqrt(
             float(np.sum((xX - zX) ** 2)) + float(np.sum((xy - zy) ** 2))
         )
-        if res <= cfg.tol and dual <= 10 * cfg.tol:
+        if res <= SOLVER_TOL and dual <= 10 * SOLVER_TOL:
             break
-        if res <= max(1e-12, 1e-3 * cfg.tol):
+        if res <= max(1e-12, 1e-3 * SOLVER_TOL):
             # deep primal convergence; the tiny trace objective keeps the
             # dual residual at a floor, no point iterating further
             break
@@ -488,10 +482,10 @@ def solve(
             stall = 0
         else:
             stall += 1
-        if res > 10 * cfg.tol and stall >= STALL_WINDOW:
+        if res > 10 * SOLVER_TOL and stall >= STALL_WINDOW:
             return Infeasible(residual=res, iterations=it)
     else:
-        if res > 100 * cfg.tol:
+        if res > 100 * SOLVER_TOL:
             return Infeasible(residual=res, iterations=it)
 
     values = {m: float(xy[j]) for m, j in lifted.mono_index.items()}
@@ -526,7 +520,7 @@ def certify(
     with the (d, m) flattening M of the units, "components" with
     ``components`` (the low-rank program only), and "L" and, in the
     low-rank program, "P" with the least-norm left inverses pinv(M) and
-    pinv(M B).  Returns its worst violation (``check_point`` at tol 1e-9).
+    pinv(M B).  Returns its worst violation (``check_point``).
     A violation above max(eta, 1e-7) from a tight moment fit means the
     instance is too degenerate for the program's caps: ConvergenceError.
     """
@@ -542,7 +536,7 @@ def certify(
             )
         if block is not None:
             point[block] = value
-    violation = float(prog.check_point(point, tol=1e-9))
+    violation = float(prog.check_point(point))
     if violation > max(prog.meta["eta"], 1e-7):
         raise ConvergenceError("instance violates non-degeneracy caps of the relaxation")
     return violation
@@ -688,7 +682,6 @@ def encode_tensor_ring(
     # left inverse: L M = Id_m over the (Q, L) group at degree 2
     M = [[Poly.var(x) for x in row] for row in units.tolist()]
     _add_left_inverse(prog, L.tolist(), M, r * r / kappa**2, 1)
-    prog.validate()
     return prog
 
 
@@ -698,7 +691,6 @@ def encode_lowrank(
     ell: int,
     S: np.ndarray,
     sigma_mode: str,
-    sigma_scale: float,
     R: float,
     kappa: float,
     eta: float,
@@ -712,8 +704,7 @@ def encode_lowrank(
     the (d, ell, r) rank-ell components v_{a,t}; and "L" and "P", (m, d)
     left inverses of M and of M B, where B = D Sigma_sym^{1/2} (``meta["B"]``)
     takes the multiplicity diagonal D and the PSD square root of the
-    Sigma_sym of ``sigma_mode`` and ``sigma_scale`` (moments.SIGMA_MODES;
-    the scale is the rotation-invariant radial factor).
+    Sigma_sym of ``sigma_mode`` (moments.SIGMA_MODES).
     Each unit's entries and components form one group at degree 2 omega.
     ``lam_mu`` appends the gauge-fixing families on F_lam / F_mu built from
     the paired-contraction vectors f_a; without it the program is
@@ -727,7 +718,7 @@ def encode_lowrank(
     m = len(sidx)
     mult = _sorted_multiplicity(r, omega)
     # B (m, m): column u weight of T entries
-    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode, sigma_scale)
+    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode)
 
     (units, comps, L, P), nvars = _blocks((d, m), (d, ell, r), (m, d), (m, d))
     t, v = units.tolist(), comps.tolist()
@@ -775,7 +766,6 @@ def encode_lowrank(
         f = [[Poly({(row[u],): c for u, c in fi}) for fi in fcoef] for row in t]
         F = [[[fa[i] * fa[j] for j in range(r)] for i in range(r)] for fa in f]
         _add_gauge_families(prog, F, *lam_mu, d)
-    prog.validate()
     return prog
 
 

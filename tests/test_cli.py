@@ -19,8 +19,9 @@ from polypush import cli, moments, networks
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
-from polypush.lowrank import exact_lowrank_pair_moments
+from polypush.lowrank import LRConfig, exact_lowrank_pair_moments
 from polypush.networks import SeedDistribution, network_from_json, sample
+from polypush.tensor_ring import TRConfig
 
 
 def run(*argv):
@@ -284,6 +285,44 @@ class TestRoundTrip:
         rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rep["kind"] == "lowrank"
         assert rep["sigma_min_M"] > 0
+
+    # verify's keys, in order, and those that need the network's smoothing_rho
+    VERIFY_KEYS = {
+        "quadratic": ["kind", "radius", "sigma_m", "m", "d", "predicted_kappa", "flag",
+                      "warning"],
+        "lowrank": ["kind", "radius", "sigma_min_M", "sigma_min_H", "sigma_min_K", "k_skipped",
+                    "predicted_psi", "predicted_kappa", "flag_psi", "flag_kappa"],
+    }
+    SMOOTHING_KEYS = {
+        "quadratic": ["predicted_kappa", "flag"],
+        "lowrank": ["predicted_psi", "predicted_kappa", "flag_psi", "flag_kappa"],
+    }
+
+    @pytest.mark.parametrize("kind, d", [("quadratic", "3"), ("lowrank", "4")])
+    def test_verify_reports_smoothing_flags(self, tmp_path, capsys, kind, d):
+        net = tmp_path / "net.json"
+        assert run("generate", "--kind", kind, "--r", "2", "--d", d, "--rho", "0.5",
+                   "--out", str(net)) == 0
+        assert read(net)["smoothing_rho"] == 0.5
+        capsys.readouterr()
+        assert run("verify", "--network", str(net)) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == self.VERIFY_KEYS[kind]
+        assert all(rep[key] is not None for key in self.SMOOTHING_KEYS[kind])
+        # a network written without the key still verifies, with nulls
+        obj = read(net)
+        del obj["smoothing_rho"]
+        net.write_text(json.dumps(obj))
+        assert run("verify", "--network", str(net)) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == self.VERIFY_KEYS[kind]
+        assert all(rep[key] is None for key in self.SMOOTHING_KEYS[kind])
+
+    def test_recovered_network_has_no_smoothing_rho(self, tmp_path, quad_net):
+        table, rec = tmp_path / "table.json", tmp_path / "rec.json"
+        assert run("moments", "--network", str(quad_net), "--out", str(table)) == 0
+        assert run("solve_tr", "--table", str(table), "--r", "2", "--out", str(rec)) == 0
+        assert "smoothing_rho" not in read(rec)
 
 
 class TestLowerbound:
@@ -552,6 +591,15 @@ class TestExitCodes:
         assert not out.exists()
         assert read(str(out) + ".manifest.json")["exit_code"] == 2
 
+    @pytest.mark.parametrize("rho", ["NaN", "Infinity", "-0.5"])
+    def test_smoothing_rho_checked(self, tmp_path, capsys, quad_net, rho):
+        text = quad_net.read_text()
+        assert '"smoothing_rho": 0.5' in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"smoothing_rho": 0.5', f'"smoothing_rho": {rho}'))
+        assert run("verify", "--network", str(bad)) == 2
+        assert "smoothing_rho must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, r, d, field", [
         ("quadratic", 2, 3, "Q"), ("lowrank", 1, 20, "components"),
     ])
@@ -732,6 +780,16 @@ class TestFailedRuns:
     def test_success_manifest_has_no_error(self, quad_net):
         man = read(str(quad_net) + ".manifest.json")
         assert "exit_code" not in man and "error" not in man
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve_tr", TRConfig), ("solve_lr", LRConfig), ("bench", TRConfig),
+])
+def test_solver_flag_defaults_are_the_config_defaults(command, config):
+    args = cli.build_parser().parse_args([command, "--table", "t.json", "--r", "2", "--out", "o"]
+                                         if command != "bench" else [command, "--out", "o"])
+    cfg = config(r=2)
+    assert (args.backend, args.restarts, args.tol) == (cfg.backend, cfg.restarts, cfg.tol)
 
 
 class TestSolveBackends:

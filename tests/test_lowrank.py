@@ -15,10 +15,12 @@ from polypush.lowrank import (
     factorize,
     verify_assumption_lr,
 )
-from polypush.moments import sigma_inner, sigma_matrix
+from polypush.moments import rotation_invariant_scale, sigma_inner, sigma_matrix
 from polypush.networks import (
     PolyNetwork,
+    SeedDistribution,
     SmoothingParams,
+    gaussian_norm_moment,
     rotate_network,
     smooth_componentwise,
 )
@@ -190,10 +192,7 @@ class TestFactorize:
         (LRConfig, {"tol": 0.0}),
         (LRConfig, {"tol": float("nan")}),
         (LRConfig, {"sigma_mode": "gausian"}),
-        (LRConfig, {"sigma_scale": float("nan")}),
-        (LRConfig, {"sigma_scale": float("inf")}),
-        (LRConfig, {"sigma_scale": -1.0}),
-        (LRConfig, {"sigma_scale": 0.0}),
+        (LRConfig, {"sigma_mode": "rotation_invariant"}),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else "=".join(map(str, *v.items())))
     def test_settings_checked(self, config, bad):
         with pytest.raises(UsageError):
@@ -290,15 +289,13 @@ class TestFactorize:
         with pytest.raises(error):
             factorize(S, LRConfig(r=2, omega=omega, ell=1, backend="sos"))
 
-    @pytest.mark.parametrize("mode", ["gaussian", "identity", "rotation_invariant"])
+    @pytest.mark.parametrize("mode", ["gaussian", "identity"])
     def test_sos_certifies_every_sigma_mode(self, forbid_solve, mode):
-        # the program is stated with the fit's Sigma_sym: sigma_scale scales
-        # it in rotation-invariant mode (the other modes ignore the scale)
+        # the program is stated with the fit's Sigma_sym
         for seed in range(4):
             net = smoothed_lr_net(1, 3, 3, 1, 1.0, seed)
-            S = exact_lowrank_pair_moments(net, mode=mode, scale=1.7).S
-            cfg = LRConfig(r=1, backend="sos", sigma_mode=mode, sigma_scale=1.7,
-                           rng_seed=seed)
+            S = exact_lowrank_pair_moments(net, mode=mode).S
+            cfg = LRConfig(r=1, backend="sos", sigma_mode=mode, rng_seed=seed)
             rep = factorize(S, cfg, truth=net)
             assert rep.gauge_dist <= 1e-12
             assert rep.diagnostics["certificate_violation"] <= 1e-7
@@ -321,7 +318,7 @@ class TestFactorize:
 
 
 class TestClosedForm:
-    MODES = ("gaussian", "identity", "rotation_invariant")
+    MODES = moments.SIGMA_MODES
 
     @staticmethod
     def record_fits(monkeypatch):
@@ -341,10 +338,10 @@ class TestClosedForm:
         seen = self.record_fits(monkeypatch)
         for seed in range(3):
             net = smoothed_lr_net(r, d, omega, 1, 0.5, seed)
-            S = exact_lowrank_pair_moments(net, mode=mode, scale=1.7).S
-            cfg = LRConfig(r=r, omega=omega, sigma_mode=mode, sigma_scale=1.7, rng_seed=seed)
+            S = exact_lowrank_pair_moments(net, mode=mode).S
+            cfg = LRConfig(r=r, omega=omega, sigma_mode=mode, rng_seed=seed)
             x = lowrank._rank1_components(S, cfg)
-            model = lowrank._pair_table(x.reshape(d, 1, r), omega, mode, 1.7)
+            model = lowrank._pair_table(x.reshape(d, 1, r), omega, mode)
             assert np.max(np.abs(model - S)) <= 1e-12 * np.max(np.abs(S))
             seen.clear()
             rep = factorize(S, cfg)
@@ -355,11 +352,11 @@ class TestClosedForm:
     def test_cosines_invert_the_pair_moment(self, mode):
         t = np.linspace(-1.0, 1.0, 41)
         for omega in (1, 3, 5):
-            p = lowrank._pair_values(t, 1.0, 1.0, omega, mode, 1.7)
-            y = p / lowrank._pair_values(1.0, 1.0, 1.0, omega, mode, 1.7)
-            assert np.max(np.abs(lowrank._pair_cosines(y, omega, mode, 1.7) - t)) <= 1e-12
+            p = lowrank._pair_values(t, 1.0, 1.0, omega, mode)
+            y = p / lowrank._pair_values(1.0, 1.0, 1.0, omega, mode)
+            assert np.max(np.abs(lowrank._pair_cosines(y, omega, mode) - t)) <= 1e-12
         assert np.array_equal(
-            lowrank._pair_cosines(np.array([-3.0, 1.5]), 3, mode, 1.7), [-1.0, 1.0]
+            lowrank._pair_cosines(np.array([-3.0, 1.5]), 3, mode), [-1.0, 1.0]
         )
 
     def test_ell_2_keeps_the_random_starts(self, monkeypatch):
@@ -407,20 +404,63 @@ class TestExactPairMoments:
         dense = np.einsum("aijk,bijk->ab", tens, tens)
         assert np.allclose(S, dense, rtol=1e-10, atol=1e-12)
 
-    def test_rotation_invariant_scales_gaussian(self, net):
-        S = exact_lowrank_pair_moments(net, mode="rotation_invariant", scale=1.7).S
-        G = exact_lowrank_pair_moments(net, mode="gaussian").S
-        assert np.allclose(S, 1.7 * G, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("mode, scale", [
-        ("bogus", 1.0),
-        ("gaussian", float("nan")),
-        ("rotation_invariant", -1.0),
-        ("identity", 0.0),
-    ])
-    def test_sigma_settings_checked(self, net, mode, scale):
+    @pytest.mark.parametrize("mode", ["bogus", "rotation_invariant"])
+    def test_sigma_mode_checked(self, net, mode):
         with pytest.raises(UsageError):
-            exact_lowrank_pair_moments(net, mode=mode, scale=scale)
+            exact_lowrank_pair_moments(net, mode=mode)
+
+
+def scale_mixture_seed(r):
+    """The rotation-invariant seed x = s g, with s ~ U[0.5, 1.5] independent
+    of g ~ N(0, Id_r): E||x||^e = E[s^e] E||g||^e."""
+    return SeedDistribution(
+        kind="rotation_invariant",
+        radial_moment=lambda e: (1.5 ** (e + 1) - 0.5 ** (e + 1)) / (e + 1)
+        * gaussian_norm_moment(r, e),
+        radial_sampler=lambda rng, n: rng.uniform(0.5, 1.5, n) * np.sqrt(rng.chisquare(r, n)),
+    )
+
+
+class TestRotationInvariantSeed:
+    """A rotation-invariant seed rescales the pair moments by one scalar,
+    C = rotation_invariant_scale(seed, 2 omega, r): its table divided by C
+    is the Gaussian table, which factorize recovers in gaussian mode."""
+
+    SHAPES = [(1, 3, 3), (2, 4, 3), (2, 6, 5), (3, 10, 3)]
+
+    @staticmethod
+    def dense_table(net, seed):
+        """<T_a, T_b>_Sigma of the seed's dense moment matrix (the oracle)."""
+        Sigma = sigma_matrix(net.r, net.omega, seed).Sigma
+        tens = net.unit_tensors()
+        return np.array([[sigma_inner(tens[a], tens[b], Sigma) for b in range(net.d)]
+                         for a in range(net.d)])
+
+    @pytest.mark.parametrize("r, d, omega", SHAPES)
+    def test_table_is_the_gaussian_one_times_c(self, r, d, omega):
+        seed = scale_mixture_seed(r)
+        C = rotation_invariant_scale(seed, 2 * omega, r)
+        assert C > 1.1
+        net = smoothed_lr_net(r, d, omega, 1, 0.5, 0)
+        G = exact_lowrank_pair_moments(net).S
+        assert np.allclose(self.dense_table(net, seed), C * G, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("backend", ["local", "sos"])
+    @pytest.mark.parametrize("r, d, omega", SHAPES)
+    def test_divided_table_is_recovered(self, forbid_solve, r, d, omega, backend):
+        # sos certifies r = 1; at r >= 2 these fits break the program's caps
+        seed = scale_mixture_seed(r)
+        C = rotation_invariant_scale(seed, 2 * omega, r)
+        for s in range(3):
+            net = smoothed_lr_net(r, d, omega, 1, 0.5, s)
+            S = self.dense_table(net, seed) / C
+            cfg = LRConfig(r=r, omega=omega, backend=backend, rng_seed=s)
+            if backend == "sos" and r > 1:
+                with pytest.raises(ConvergenceError, match="non-degeneracy caps"):
+                    factorize(S, cfg)
+                continue
+            rep = factorize(S, cfg, truth=net)
+            assert rep.gauge_dist <= 1e-12
 
 
 class TestExtendTailLr:
@@ -566,18 +606,17 @@ class TestJacobians:
     @given(
         d=st.integers(1, 5), ell=st.integers(1, 2), r=st.integers(1, 3),
         omega=st.sampled_from([3, 5]),
-        mode=st.sampled_from(["gaussian", "identity", "rotation_invariant"]),
-        scale=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(moments.SIGMA_MODES), seed=st.integers(0, 2**32 - 1),
     )
-    def test_pair_table_matches_complex_step(self, d, ell, r, omega, mode, scale, seed):
+    def test_pair_table_matches_complex_step(self, d, ell, r, omega, mode, seed):
         rows = np.triu_indices(d)
         x = np.random.default_rng(seed).standard_normal(d * ell * r)
 
         def model(x):
-            return lowrank._pair_table(x.reshape(d, ell, r), omega, mode, scale)[rows]
+            return lowrank._pair_table(x.reshape(d, ell, r), omega, mode)[rows]
 
         want = complex_step_jacobian(model, x)
-        got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, mode, scale, rows)
+        got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, mode, rows)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

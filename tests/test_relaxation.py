@@ -15,7 +15,6 @@ from polypush.relaxation import (
     Poly,
     PolynomialProgram,
     Pseudoexpectation,
-    SolverConfig,
     VarGroup,
     certify,
     encode_lowrank,
@@ -61,29 +60,21 @@ class TestSolve:
         need = 16 * n_eq * n_eq
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError):
-            solve(prog, SolverConfig())
+            solve(prog)
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need)
-        assert isinstance(solve(prog, SolverConfig()), Pseudoexpectation)
-
-    @pytest.mark.parametrize("bad", [
-        {"tol": 0.0}, {"tol": -1e-7}, {"tol": float("nan")}, {"tol": float("inf")},
-        {"max_iter": 0}, {"max_iter": -5},
-    ], ids=lambda v: "=".join(map(str, *v.items())))
-    def test_settings_checked(self, bad):
-        with pytest.raises(UsageError):
-            SolverConfig(**bad)
+        assert isinstance(solve(prog), Pseudoexpectation)
 
     def test_linear_pin(self):
         prog = single_var_program()
         prog.equalities.append((Poly.var(0) - 0.5, 0))
-        pe = solve(prog, SolverConfig())
+        pe = solve(prog)
         assert isinstance(pe, Pseudoexpectation)
         assert pseudo_expect(pe, Poly.var(0)) == pytest.approx(0.5, abs=1e-7)
 
     def test_square_pin_and_pseudo_cauchy_schwarz(self):
         prog = single_var_program()
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 1.0, 0))
-        pe = solve(prog, SolverConfig())
+        pe = solve(prog)
         ex2 = pseudo_expect(pe, Poly.var(0) * Poly.var(0))
         ex = pseudo_expect(pe, Poly.var(0))
         assert ex2 == pytest.approx(1.0, abs=1e-7)
@@ -92,7 +83,7 @@ class TestSolve:
     def test_moment_matrix_invariants(self):
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 2.0, 0))
-        pe = solve(prog, SolverConfig())
+        pe = solve(prog)
         for M, basis in zip(pe.moment_matrices, pe.moment_bases):
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-6
             k = basis.index(())
@@ -104,7 +95,7 @@ class TestSolve:
             prog = single_var_program()
             prog.equalities.append((Poly.var(0) - 0.25, 0))
             prog.inequalities.append((Poly.const(1.0) - Poly.var(0) * Poly.var(0), 0))
-            return solve(prog, SolverConfig())
+            return solve(prog)
 
         a, b = run(), run()
         assert a.iterations == b.iterations
@@ -114,19 +105,18 @@ class TestSolve:
         prog = single_var_program()
         prog.equalities.append((Poly.var(0) - 1.0, 0))
         prog.equalities.append((Poly.var(0) + 1.0, 0))
-        out = solve(prog, SolverConfig(max_iter=20000))
+        out = solve(prog)
         assert isinstance(out, Infeasible)
 
     def test_constraint_residuals_small(self):
         prog = single_var_program()
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 0.09, 0))
         prog.inequalities.append((Poly.var(0), 0))
-        cfg = SolverConfig()
-        pe = solve(prog, cfg)
+        pe = solve(prog)
         for p, _ in prog.equalities:
-            assert abs(pseudo_expect(pe, p)) <= 10 * cfg.tol
+            assert abs(pseudo_expect(pe, p)) <= 10 * relaxation.SOLVER_TOL
         for p, _ in prog.inequalities:
-            assert pseudo_expect(pe, p) >= -10 * cfg.tol
+            assert pseudo_expect(pe, p) >= -10 * relaxation.SOLVER_TOL
 
 
 def graded_lex(variables, max_deg):
@@ -270,7 +260,7 @@ class TestConePlan:
             return eigh(M)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        pe = solve(prog, SolverConfig())
+        pe = solve(prog)
         assert pe.iterations == 874
         assert len(calls) == 874 * len(sides)
 
@@ -279,7 +269,7 @@ class TestPseudoExpect:
     def _pe(self):
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) - 0.5, 0))
-        return solve(prog, SolverConfig())
+        return solve(prog)
 
     def test_constant(self):
         assert pseudo_expect(self._pe(), Poly.const(1.0)) == pytest.approx(1.0, abs=1e-8)
@@ -350,13 +340,13 @@ class TestEncodeTensorRing:
         for k in range(m):
             for a in range(d):
                 point[prog.meta["L"][k, a]] = L[k, a]
-        assert prog.check_point(point, tol=1e-9) <= 1e-8
+        assert prog.check_point(point) <= 1e-8
 
 
 class TestEncodeLowrank:
     def test_r1_structure(self):
         prog = encode_lowrank(
-            1, 3, 1, np.array([[15.0]]), "gaussian", 1.0,
+            1, 3, 1, np.array([[15.0]]), "gaussian",
             R=1.5, kappa=0.1, eta=0.0,
         )
         # the low-rank family at r=1, ell=1 reads T = v^3
@@ -377,7 +367,7 @@ class TestEncodeLowrank:
     def test_even_omega_rejected(self):
         with pytest.raises(UsageError):
             encode_lowrank(
-                1, 2, 1, np.array([[1.0]]), "gaussian", 1.0,
+                1, 2, 1, np.array([[1.0]]), "gaussian",
                 R=1.0, kappa=0.1, eta=0.0,
             )
 
@@ -393,7 +383,7 @@ class TestEncodeLowrank:
         )
         S = exact_lowrank_pair_moments(net).S
         prog = encode_lowrank(
-            r, omega, ell, S, "gaussian", 1.0,
+            r, omega, ell, S, "gaussian",
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
         assert certify(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
@@ -404,10 +394,14 @@ class TestEncodeLowrank:
             1, np.array([[1.0]]), np.ones((1, 1, 1)), np.array([1.0]),
             np.array([1.0]), R=1.1, kappa=0.1, eta=0.0,
         )
-        pe = solve(prog, SolverConfig())
+        pe = solve(prog)
         assert isinstance(pe, Pseudoexpectation)
         qv = prog.meta["qvar"][(0, 0, 0)]
         assert pseudo_expect(pe, Poly.var(qv)) == pytest.approx(1.0, abs=1e-3)
+
+
+# (r, d) tensor-ring and (r, d, ell, omega) low-rank shapes of the encoder tests
+LAYOUT_DIMS = [(1, 1), (2, 3), (3, 6), (2, 5), (1, 3, 1, 3), (2, 4, 1, 3), (2, 6, 2, 3), (2, 6, 1, 5)]
 
 
 class TestCertify:
@@ -445,7 +439,7 @@ class TestCertify:
         combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
         _, rot, mu = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, combo.mu)
         prog = encode_lowrank(
-            r, omega, ell, S, "gaussian", 1.0, R=net.radius * radius_factor,
+            r, omega, ell, S, "gaussian", R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
         )
         fixed = rotate_network(net, rot)
@@ -480,21 +474,32 @@ class TestCertify:
         with pytest.raises(UsageError):
             certify(prog, M, comps)
 
-    @pytest.mark.parametrize("dims", [
-        (1, 1), (2, 3), (3, 6), (2, 5), (1, 3, 1, 3), (2, 4, 1, 3), (2, 6, 2, 3), (2, 6, 1, 5),
-    ], ids=lambda dims: ",".join(map(str, dims)))
-    def test_layout_matches_encoder_numbering(self, dims):
-        # certify fills the blocks (units M, components, L, P), which number
-        # the variables in turn, each row-major; the unit groups hold the
-        # same indices, and qvar is the symmetric view of the units
+    @staticmethod
+    def _encode(dims):
+        """The program of a random table at ``dims``: (r, d) for the
+        tensor-ring program, (r, d, ell, omega) for the low-rank one."""
         rng = np.random.default_rng(0)
         r, d = dims[:2]
         if len(dims) == 2:
-            prog = encode_tensor_ring(
+            return encode_tensor_ring(
                 r, rng.standard_normal((d, d)), rng.standard_normal((d, d, d)),
                 np.ones(d) / math.sqrt(d), np.ones(d) / math.sqrt(d),
                 R=1.0, kappa=0.1, eta=0.0,
             )
+        ell, omega = dims[2:]
+        return encode_lowrank(
+            r, omega, ell, rng.standard_normal((d, d)), "gaussian",
+            R=1.0, kappa=0.1, eta=0.0,
+        )
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS, ids=lambda dims: ",".join(map(str, dims)))
+    def test_layout_matches_encoder_numbering(self, dims):
+        # certify fills the blocks (units M, components, L, P), which number
+        # the variables in turn, each row-major; the unit groups hold the
+        # same indices, and qvar is the symmetric view of the units
+        r, d = dims[:2]
+        prog = self._encode(dims)
+        if len(dims) == 2:
             m = r * (r + 1) // 2
             shapes = {"units": (d, m), "L": (m, d)}
             units, qvar = prog.meta["units"], prog.meta["qvar"]
@@ -503,11 +508,7 @@ class TestCertify:
             assert np.array_equal(qvar, qvar.swapaxes(1, 2))
             assert prog.groups[0].variables == tuple(units.ravel())
         else:
-            ell, omega = dims[2:]
-            prog = encode_lowrank(
-                r, omega, ell, rng.standard_normal((d, d)), "gaussian", 1.0,
-                R=1.0, kappa=0.1, eta=0.0,
-            )
+            ell = dims[2]
             m = len(prog.meta["sidx"])
             shapes = {"units": (d, m), "components": (d, ell, r), "L": (m, d), "P": (m, d)}
             for a in range(d):
@@ -520,3 +521,14 @@ class TestCertify:
             assert np.array_equal(prog.meta[key], start + np.arange(size).reshape(shape))
             start += size
         assert start == prog.nvars
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS, ids=lambda dims: ",".join(map(str, dims)))
+    def test_encoded_programs_validate(self, dims):
+        # the encoders do not validate what they build: every constraint must
+        # stay within its group's degree and variables
+        prog = self._encode(dims)
+        prog.validate()
+        bad = PolynomialProgram(nvars=prog.nvars, groups=prog.groups,
+                                equalities=[(Poly.var(prog.nvars - 1), 0)])
+        with pytest.raises(UsageError, match="outside its group"):
+            bad.validate()

@@ -226,3 +226,45 @@ def test_no_unreached_public_names():
     # a kept name that gains a caller leaves the keep-list
     public = [u for u in unreached_definitions() if not is_private(u[1])]
     assert sorted(name for _, name in public) == sorted(KEPT_UNREACHED), public
+
+
+def unset_settings(trees: list[ast.Module]) -> list[str]:
+    """"Class.field" of every field with a default in a ``*Config`` dataclass
+    of the trees that no call of that class in them passes by keyword: a
+    setting only its default ever takes."""
+    defaults = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") and any(
+                getattr(dec, "id", None) == "dataclass" for dec in node.decorator_list
+            ):
+                defaults[node.name] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                ]
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                cls = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed |= {(cls, kw.arg) for kw in node.keywords}
+    return [f"{cls}.{name}" for cls, names in sorted(defaults.items())
+            for name in names if (cls, name) not in passed]
+
+
+def test_unset_settings_are_found():
+    tree = ast.parse(
+        "@dataclass\nclass AConfig:\n    r: int\n    tol: float = 1e-9\n    seed: int = 0\n"
+        "@dataclass\nclass BConfig:\n    cap: int = 5\n"
+        "class Table:\n    eta: float = 0.0\n"
+        "a = AConfig(r=1, tol=1e-3)\n"
+        "b = mod.BConfig(**opts)\n"
+    )
+    assert unset_settings([tree]) == ["AConfig.seed", "BConfig.cap"]
+
+
+def test_every_setting_is_set_somewhere():
+    # a config field that no call in the package or in perfbench sets is an
+    # option in name only: make it a constant, or delete it
+    paths = [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+    assert unset_settings([ast.parse(p.read_text()) for p in paths]) == []
