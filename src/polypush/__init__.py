@@ -60,7 +60,6 @@ from .tensor_ring import (
     extend_tail,
     find_combo,
     gauge_fix,
-    jennrich_diagonal,
     spectral_units,
     verify_assumption_tr,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "estimate_pair_moments", "estimate_quadratic_moments",
     "exact_quadratic_moments", "sigma_matrix", "table_from_json", "table_to_json",
     "RecoveryReport", "TRConfig", "decompose", "extend_tail", "find_combo",
-    "gauge_fix", "jennrich_diagonal", "spectral_units", "verify_assumption_tr",
+    "gauge_fix", "spectral_units", "verify_assumption_tr",
     "LRConfig", "extend_tail_lr", "factorize", "verify_assumption_lr",
     "LBInstance", "MatchedPair", "build_networks", "char_gap",
     "param_distance_lb", "search_matched_pair",

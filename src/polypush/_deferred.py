@@ -4,7 +4,7 @@ Importing scipy.optimize takes more than twice as long as the rest of
 ``import polypush`` (numpy included).  Two modules still call it: the gauge
 search (``gauge_distance``'s r = 2 refine, ``minimize_scalar``, and its
 r >= 3 refine, ``minimize``) and the lower-bound lab (a bounded
-``least_squares`` and ``linear_sum_assignment``).  The local fits of both
+``least_squares``).  The local fits of both
 recoveries call the in-repo ``_lm.least_squares``, so ``generate``,
 ``sample``, ``moments``, ``verify`` and the solves without ``--truth`` never
 import scipy.  The modules that do bind these names at top level (``from
@@ -29,9 +29,3 @@ def minimize_scalar(*args, **kwargs):
     from scipy.optimize import minimize_scalar
 
     return minimize_scalar(*args, **kwargs)
-
-
-def linear_sum_assignment(*args, **kwargs):
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(*args, **kwargs)

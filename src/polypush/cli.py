@@ -251,26 +251,19 @@ def _manifest(args, error: Optional[PolypushError] = None,
 def cmd_generate(args) -> int:
     if args.r < 1 or args.d < 1:
         raise UsageError("--r and --d must be at least 1")
-    if args.kind == "quadratic":
-        if args.base:
-            base = network_from_json(_read_json(args.base))
-        else:
-            base = PolyNetwork(
-                kind="quadratic", r=args.r, d=args.d,
-                Q=np.zeros((args.d, args.r, args.r)),
-            )
-        net = smooth_quadratic(SmoothingParams(rho=args.rho, base=base, rng_seed=args.seed))
-    else:
-        if args.base:
-            base = network_from_json(_read_json(args.base))
-        else:
-            base = PolyNetwork(
-                kind="lowrank", r=args.r, d=args.d, omega=args.omega,
-                ell=args.ell, components=np.zeros((args.d, args.ell, args.r)),
-            )
-        net = smooth_componentwise(
-            SmoothingParams(rho=args.rho, base=base, rng_seed=args.seed)
+    if args.base:
+        base = network_from_json(_read_json(args.base))
+    elif args.kind == "quadratic":
+        base = PolyNetwork(
+            kind="quadratic", r=args.r, d=args.d, Q=np.zeros((args.d, args.r, args.r)),
         )
+    else:
+        base = PolyNetwork(
+            kind="lowrank", r=args.r, d=args.d, omega=args.omega,
+            ell=args.ell, components=np.zeros((args.d, args.ell, args.r)),
+        )
+    smooth = smooth_quadratic if args.kind == "quadratic" else smooth_componentwise
+    net = smooth(SmoothingParams(rho=args.rho, base=base, rng_seed=args.seed))
     _write_json(args.out, network_to_json(net))
     _manifest(args)
     return 0
@@ -382,8 +375,7 @@ def cmd_solve_lr(args) -> int:
     cfg = LRConfig(
         r=args.r, omega=args.omega, ell=args.ell, backend=args.backend,
         restarts=args.restarts, tol=args.tol, rng_seed=args.seed,
-        sigma_mode="identity" if args.sigma == "identity" else "gaussian",
-        eta=args.eta,
+        sigma_mode=args.sigma, eta=args.eta,
     )
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = factorize(table.S, cfg, truth=truth)

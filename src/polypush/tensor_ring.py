@@ -7,6 +7,8 @@ Jordan algebra the units span, and its Peirce decomposition reads the units
 off up to the gauge.  Random starts run only when that start's fit misses the
 tolerance, or when the closed form cannot be formed (a rank-deficient S); on a
 table with noise they stop once one repeats the best residual so far.
+Commuting units, whose S has rank r, are read off the same closed form
+whitened with r eigenpairs of S instead of C(r+1,2), without a fit.
 
 The gauge O(r) is broken by one pair of random unit combinations lambda, mu
 per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
@@ -46,7 +48,6 @@ __all__ = [
     "validate_nondegeneracy",
     "gauge_fix",
     "decompose",
-    "jennrich_diagonal",
     "extend_tail",
     "verify_assumption_tr",
 ]
@@ -84,8 +85,6 @@ class TRConfig:
 
 # eigengaps of the lambda combination at or below this make gauge_fix fail
 GAP_TOL = 1e-12
-# random contraction pairs jennrich_diagonal tries before giving up
-JENNRICH_RETRIES = 10
 
 
 @dataclass
@@ -101,18 +100,20 @@ class RecoveryReport:
         return max(self.residual_S, self.residual_T)
 
 
-def _whiten(Ghat: np.ndarray, r: int, eta: float = 0.0):
+def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
     """(H, W) of the Gram matrix Ghat: H = U sqrt(diag of the top m
-    eigenvalues) (m = C(r+1,2)) is its best rank-m factor, and
-    W = H (H^T H)^{-1} the pull-back with W^T H = I.
+    eigenvalues) is its best rank-m factor, and W = H (H^T H)^{-1} the
+    pull-back with W^T H = I.
 
     A Gram estimated at noise level ``eta`` can push a top-m eigenvalue
-    slightly below 0 when d = m; one in [-d eta, 0] is raised to d eta.  Any
-    other top-m eigenvalue <= 0 raises DegeneracyError.
+    slightly below 0 when d = m; one in [-d eta, 0] is raised to d eta.  An
+    exact Gram (``eta`` = 0) of rank below m has its m-th eigenvalue at
+    rounding level, of either sign; one <= d eps lambda_max counts as zero.
+    Any top-m eigenvalue then at or below that floor (0 when eta > 0)
+    raises DegeneracyError.
     """
     Ghat = np.asarray(Ghat, dtype=float)
     d = Ghat.shape[0]
-    m = r * (r + 1) // 2
     if d < m:
         raise UsageError(f"need d >= C(r+1,2) = {m}, got d = {d}")
     if np.max(np.abs(Ghat - Ghat.T)) > 1e-8:
@@ -120,9 +121,12 @@ def _whiten(Ghat: np.ndarray, r: int, eta: float = 0.0):
     w, U = np.linalg.eigh(0.5 * (Ghat + Ghat.T))
     top = np.argsort(w)[::-1][:m]
     vals = w[top]
+    floor = 0.0
     if eta > 0:
         vals = np.where((vals <= 0) & (vals >= -d * eta), d * eta, vals)
-    if np.min(vals) <= 0:
+    else:
+        floor = d * np.finfo(float).eps * vals[0]
+    if np.min(vals) <= floor:
         raise DegeneracyError(
             "rank-m eigenvalue block of Ghat is not positive; instance too "
             "noisy or degenerate"
@@ -141,7 +145,7 @@ def find_combo(
     Raises DegeneracyError where _whiten does.
     """
     m = r * (r + 1) // 2
-    _, W = _whiten(Ghat, r, eta)  # columns w^{(ij)}
+    _, W = _whiten(Ghat, m, eta)  # columns w^{(ij)}
     rng = _philox_rng(rng_seed, 11)
     g = rng.standard_normal(m)
     gp = rng.standard_normal(m)
@@ -155,14 +159,16 @@ PEIRCE_DRAWS = 8
 
 
 def spectral_units(
-    S: np.ndarray, T: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
+    S: np.ndarray, T: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0,
+    m: Optional[int] = None,
 ) -> tuple[np.ndarray, float]:
     """Units {Q_a} read off the trace moments in closed form.
 
-    Whitening S (_whiten) gives H = M O with M the units' coordinates in an
-    orthonormal basis of Sym(r) and O orthogonal, so tau = T(W, W, W) holds
-    the structure constants Tr(E_k E_l E_n) of an orthonormal basis E_k of
-    the Jordan algebra Sym(r), and Q_a = sum_k H_ak E_k.  Jordan
+    Whitening S with its top m eigenpairs (_whiten; m = C(r+1,2) unless
+    given) gives H = M O with M the units' coordinates in an orthonormal
+    basis of the Jordan algebra the units span and O orthogonal, so
+    tau = T(W, W, W) holds the structure constants Tr(E_k E_l E_n) of an
+    orthonormal basis E_k of that algebra, and Q_a = sum_k H_ak E_k.  Jordan
     multiplication by G = sum_k g_k E_k, the matrix L = sum_k g_k tau_k, has
     the Peirce decomposition of Sym(r) (Faraut & Koranyi 1994) as its
     eigenbasis: the idempotents P_i = v_i v_i^T (eigenvalue gamma_i, where
@@ -176,12 +182,18 @@ def spectral_units(
     Q_a[i, i] = H_a . P_i and Q_a[i, j] = H_a . c_ij / sqrt 2, up to the
     gauge O(r).
 
+    With m = r the algebra is the diagonal subalgebra that commuting units
+    span (S of rank r): tau is orthogonally decomposable (Anandkumar et al.,
+    JMLR 2014), every eigenvector of L is an idempotent, there are no c_ij,
+    and the units come out diagonal.
+
     Returns (Q, the chosen smallest eigengap of L).  Raises DegeneracyError
-    where _whiten does (a rank-deficient S, e.g. commuting units) or when
-    the pairing is not one-to-one.
+    where _whiten does (an S of rank below m, e.g. commuting units at
+    m = C(r+1,2)) or when the pairing is not one-to-one.
     """
-    H, W = _whiten(S, r, eta)
-    m = H.shape[1]
+    if m is None:
+        m = r * (r + 1) // 2
+    H, W = _whiten(S, m, eta)
     tau = np.einsum("abc,ak,bl,cn->kln", np.asarray(T, dtype=float), W, W, W,
                     optimize=True)
     rng = _philox_rng(rng_seed, 13)
@@ -204,9 +216,10 @@ def spectral_units(
     c = {(int(i), int(j)): off[:, p] for p, (i, j) in enumerate(pairs.T)}
     if len(c) != m - r:
         raise DegeneracyError("Peirce pairing of the off-diagonal elements is not one-to-one")
-    for j, k in itertools.combinations(range(1, r), 2):
-        if np.einsum("kln,k,l,n->", tau, c[0, j], c[j, k], c[0, k]) < 0:
-            c[j, k] = -c[j, k]
+    if c:  # m = r leaves no off-diagonal pairs to sign
+        for j, k in itertools.combinations(range(1, r), 2):
+            if np.einsum("kln,k,l,n->", tau, c[0, j], c[j, k], c[0, k]) < 0:
+                c[j, k] = -c[j, k]
     Q = np.zeros((H.shape[0], r, r))
     for i in range(r):
         Q[:, i, i] = H @ P[:, i]
@@ -439,8 +452,9 @@ def decompose(
     ConvergenceError when the returned network's worst table residual
     exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A
     degenerate S (e.g. commuting units) has no combination: ``local`` then
-    recovers by simultaneous diagonalization and falls back to the unfixed
-    fit, and ``sos`` raises ConvergenceError before fitting.
+    reads the units off spectral_units whitened with the top r eigenpairs
+    of S (the diagonal subalgebra) and falls back to the unfixed fit, and
+    ``sos`` raises ConvergenceError before fitting.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -471,24 +485,25 @@ def decompose(
 def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
     """``local``'s recovery when S has no symmetry-breaking combination.
 
-    Commuting units are simultaneously diagonalizable, and that is also the
-    accurate route: the moment map loses first-order identifiability there,
-    so a least-squares fit is limited to ~sqrt(residual) accuracy.  The
-    unfixed local fit is the fallback.  Returns (network, diagnostics).
+    Commuting units span the diagonal subalgebra, where S has rank r, and
+    spectral_units whitened with the top r eigenpairs of S reads them off in
+    closed form.  That is also the accurate route: the moment map loses
+    first-order identifiability there, so a least-squares fit is limited to
+    ~sqrt(residual) accuracy.  The closed form is kept when its table
+    residual is <= max(1e3 eta, 1e-8); the unfixed local fit is the
+    fallback.  Returns (network, diagnostics).
     """
     d = S.shape[0]
     r = config.r
     eta = config.eta
     net = None
     try:
-        comps = jennrich_diagonal(T, rng_seed=config.rng_seed)
-        if len(comps) == r:
-            Qdiag = np.stack([np.diag([float(c[a]) for c in comps]) for a in range(d)])
-            net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Qdiag)
-    except DegeneracyError:
+        Q, _ = spectral_units(S, T, r, config.rng_seed, eta, m=r)
+    except (DegeneracyError, np.linalg.LinAlgError):
         pass
-    if net is not None and max(_table_residual_pair(net.Q, S, T)) > max(1e3 * eta, 1e-8):
-        net = None
+    else:
+        if max(_table_residual_pair(Q, S, T)) <= max(1e3 * eta, 1e-8):
+            net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
     diag = {"backend": config.backend, "gauge_fixed": False}
     if net is None:
         Q, res, fit_diag = _local_fit(S, T, config)
@@ -496,7 +511,7 @@ def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
         if res > max(10 * eta, 1e-6):
             raise ConvergenceError(
                 f"no symmetry-breaking combination ({cause}), and neither "
-                f"simultaneous diagonalization nor the local fit (residual "
+                f"the diagonal closed form nor the local fit (residual "
                 f"{res:.3e}) recovers the table"
             )
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
@@ -544,56 +559,6 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
 def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:
     P, C = trace_moments(Q)
     return float(np.max(np.abs(P - S))), float(np.max(np.abs(C - T)))
-
-
-def jennrich_diagonal(T: np.ndarray, rng_seed: int = 0):
-    """Components of a symmetric third-order tensor T ~ sum_i v_i^{x3} by
-    simultaneous diagonalization of two random contractions."""
-    T = np.asarray(T, dtype=float)
-    d = T.shape[0]
-    rng = _philox_rng(rng_seed, 31)
-    # numerical rank of the flattening determines the component count
-    flat = T.reshape(d, d * d)
-    svals = np.linalg.svd(flat, compute_uv=False)
-    tol = max(T.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > max(tol, 1e-10)))
-    if rank == 0:
-        return []
-    last_exc = None
-    for _ in range(JENNRICH_RETRIES):
-        g1 = rng.standard_normal(d)
-        g2 = rng.standard_normal(d)
-        M1 = np.einsum("ijk,k->ij", T, g1)
-        M2 = np.einsum("ijk,k->ij", T, g2)
-        try:
-            # eigenvectors of M1 M2^+ span the component directions
-            vals, vecs = np.linalg.eig(M1 @ np.linalg.pinv(M2))
-            order = np.argsort(-np.abs(vals))
-            U = np.real(vecs[:, order[:rank]])
-            if np.max(np.abs(np.imag(vecs[:, order[:rank]]))) > 1e-8:
-                raise np.linalg.LinAlgError("complex eigenvectors")
-            sep = np.min(
-                [np.abs(vals[order[i]] - vals[order[j]])
-                 for i in range(rank) for j in range(i + 1, rank)]
-                or [np.inf]
-            )
-            if sep < 1e-8:
-                raise np.linalg.LinAlgError("degenerate contraction spectrum")
-        except np.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
-        U = U / np.linalg.norm(U, axis=0, keepdims=True)
-        # weights: T = sum_i w_i u_i^{x3}
-        design = np.stack([np.multiply.outer(np.outer(u, u), u).reshape(-1)
-                           for u in U.T], axis=1)
-        w, *_ = np.linalg.lstsq(design, T.reshape(-1), rcond=None)
-        recon = design @ w
-        if np.max(np.abs(recon - T.reshape(-1))) > 1e-6 * max(1.0, np.max(np.abs(T))):
-            last_exc = ValueError("poor reconstruction")
-            continue
-        comps = [float(np.cbrt(w[i])) * U[:, i] for i in range(rank)]
-        return comps
-    raise DegeneracyError(f"simultaneous diagonalization failed: {last_exc}")
 
 
 def extend_tail(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from polypush.errors import UsageError
 from polypush.lowerbound import (
     LBInstance,
+    MatchedPair,
     build_networks,
     char_gap,
     pair_to_json,
@@ -118,6 +120,17 @@ class TestParamDistance:
     def test_at_least_one(self, pair_r5):
         # 2||a-b||_1 >= 2||a-b||_2 = 1 at the pinned separation
         assert param_distance_lb(pair_r5) >= 1.0
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_matches_brute_force_over_permutations(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(20):
+            a, b = rng.uniform(-3.0, 3.0, (2, r))  # unsorted
+            pair = MatchedPair(r=r, a=a, b=b, a_hp=[], b_hp=[], residual=0.0,
+                               residual_matched=0.0)
+            brute = min(2.0 * sum(abs(a[j] - b[p[j]]) for j in range(r))
+                        for p in itertools.permutations(range(r)))
+            assert param_distance_lb(pair) == pytest.approx(brute, rel=1e-14, abs=0.0)
 
     def test_regression_fixture(self, pair_r5):
         # recorded value for (r=5, restarts=8, rng_seed=0)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import math
@@ -45,11 +46,45 @@ GAUSS = SeedDistribution(kind="gaussian")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polypush"
 
 
+# the stream argument's position in each call that picks a Philox stream
+STREAM_ARG = {"_philox_rng": 1, "_random_starts": 3}
+
+
+def philox_call_sites():
+    """{(file, line): (enclosing function, stream)} of every call in the
+    package source to a name of STREAM_ARG; stream is the integer literal
+    passed as the stream argument, or None for a computed one."""
+    sites = {}
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            # ast.walk reaches an outer def first, so a nested def's own
+            # calls end up under the nested name
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in STREAM_ARG):
+                    continue
+                pos = STREAM_ARG[node.func.id]
+                arg = (node.args[pos] if len(node.args) > pos else
+                       next(k.value for k in node.keywords if k.arg == "stream"))
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, int)
+                sites[path.name, node.lineno] = (fn.name, arg.value if literal else None)
+    return sites
+
+
 class TestPhiloxStreams:
-    # the package's streams: jennrich 31, lowerbound 7, find_combo 11,
-    # spectral_units 13, _random_starts 21, factorize 42, gauge 77 and 78,
-    # cli bench 99
-    STREAMS = (7, 11, 13, 21, 31, 42, 77, 78, 99)
+    STREAMS = sorted({s for _, s in philox_call_sites().values() if s is not None})
+
+    def test_each_call_site_has_its_own_stream(self):
+        by_stream = {}
+        for fn, stream in philox_call_sites().values():
+            by_stream.setdefault(stream, []).append(fn)
+        # computed streams: _seed_rng's hashed keys and _random_starts' own
+        # draw, whose stream is its callers' literal
+        assert sorted(by_stream.pop(None)) == ["_random_starts", "_seed_rng"]
+        assert by_stream, "no call site passes a literal stream"
+        assert {k: v for k, v in by_stream.items() if len(v) > 1} == {}
 
     @pytest.mark.parametrize("stream", STREAMS)
     def test_key_is_seed_and_stream(self, stream):

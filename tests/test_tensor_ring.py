@@ -38,7 +38,6 @@ from polypush.tensor_ring import (
     extend_tail,
     find_combo,
     gauge_fix,
-    jennrich_diagonal,
     validate_nondegeneracy,
     verify_assumption_tr,
 )
@@ -47,6 +46,15 @@ from polypush.tensor_ring import (
 def smoothed_net(r, d, rho, seed):
     base = PolyNetwork(kind="quadratic", r=r, d=d, Q=np.zeros((d, r, r)))
     return smooth_quadratic(SmoothingParams(rho=rho, base=base, rng_seed=seed))
+
+
+def commuting_net(r, d, seed):
+    """d commuting units: random diagonals in one random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((d, r))
+    O = random_orthogonal(rng, r)
+    Q = np.einsum("ik,ak,jk->aij", O, V, O)
+    return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
 
 
 def record_calls(monkeypatch, *names, module=tensor_ring):
@@ -101,6 +109,14 @@ class TestFindCombo:
     def test_degenerate_gram_rejected(self):
         with pytest.raises(DegeneracyError):
             find_combo(np.zeros((3, 3)), 2)
+
+    def test_rank_deficient_exact_gram_rejected(self):
+        # commuting units give an exact S of rank r < C(r+1,2); its m-th
+        # eigenvalue is rounding noise of either sign, below d eps lambda_max
+        for seed in range(40):
+            S = exact_quadratic_moments(commuting_net(2, 4, seed)).S
+            with pytest.raises(DegeneracyError):
+                find_combo(S, 2, rng_seed=seed)
 
     def test_eta_floor(self):
         rng = np.random.default_rng(4)
@@ -214,22 +230,49 @@ class TestDecompose:
         Q = np.stack([np.diag(vs[:, a]) for a in range(3)])
         net = PolyNetwork(kind="quadratic", r=2, d=3, Q=Q)
         t = exact_quadratic_moments(net)
-        # commuting units: S has no combination and no closed form, so the
-        # one find_combo call fails and the recovery goes straight to
-        # jennrich_diagonal
+        # commuting units: S has rank r < C(r+1,2), so the one find_combo
+        # call fails, and the units are read off spectral_units whitened
+        # with the top r eigenpairs of S
         with pytest.raises(DegeneracyError):
             tensor_ring.spectral_units(t.S, t.T, 2)
-        calls = record_calls(monkeypatch, "find_combo", "jennrich_diagonal")
+        calls = record_calls(monkeypatch, "find_combo", "spectral_units", "_local_fit")
         rep = decompose(t.S, t.T, TRConfig(r=2, restarts=20), truth=net)
-        assert calls == ["find_combo", "jennrich_diagonal"]
+        assert calls == ["find_combo", "spectral_units"]
         assert rep.diagnostics["gauge_fixed"] is False
-        comps = jennrich_diagonal(t.T, rng_seed=0)
-        jnet = PolyNetwork(
-            kind="quadratic", r=2, d=3,
-            Q=np.stack([np.diag([c[a] for c in comps]) for a in range(3)]),
-        )
-        dist, _ = gauge_distance(rep.network, jnet, AlignmentConfig())
-        assert dist <= 1e-8
+        assert rep.gauge_dist <= 1e-12
+
+    @pytest.mark.parametrize("r,d", [(2, 3), (2, 5), (2, 8), (3, 6), (3, 8)])
+    def test_commuting_units_recover_exactly(self, r, d):
+        for seed in range(10):
+            net = commuting_net(r, d, seed)
+            t = exact_quadratic_moments(net)
+            rep = decompose(t.S, t.T, TRConfig(r=r, rng_seed=seed), truth=net)
+            assert rep.diagnostics == {"backend": "local", "gauge_fixed": False}
+            assert rep.gauge_dist <= 1e-12
+            with pytest.raises(ConvergenceError, match="no symmetry-breaking"):
+                decompose(t.S, t.T, TRConfig(r=r, backend="sos", rng_seed=seed))
+
+    def test_commuting_units_below_m_are_a_usage_error(self):
+        t = exact_quadratic_moments(commuting_net(3, 5, 0))
+        with pytest.raises(UsageError):
+            decompose(t.S, t.T, TRConfig(r=3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dependent_units_fall_back_to_the_unfixed_fit(self, seed):
+        # Q_3 = Q_1 + Q_2 and Q_4 = Q_1 - 2 Q_2: S has rank 2 < C(3,2), the
+        # units do not commute, so the diagonal closed form misses and the
+        # unfixed local fit recovers them
+        rng = np.random.default_rng(seed)
+        Q1, Q2 = symmetric_gaussian(rng, 2), symmetric_gaussian(rng, 2)
+        Q = np.stack([Q1, Q2, Q1 + Q2, Q1 - 2 * Q2])
+        net = PolyNetwork(kind="quadratic", r=2, d=4, Q=Q)
+        t = exact_quadratic_moments(net)
+        rep = decompose(t.S, t.T, TRConfig(r=2, rng_seed=seed), truth=net)
+        assert rep.diagnostics["gauge_fixed"] is False
+        assert "start" in rep.diagnostics
+        assert rep.gauge_dist <= 1e-6
+        with pytest.raises(ConvergenceError):
+            decompose(t.S, t.T, TRConfig(r=2, backend="sos", rng_seed=seed))
 
     def test_sos_backend_tiny(self):
         net = smoothed_net(1, 1, 0.5, 12)
@@ -439,6 +482,18 @@ class TestSpectralUnits:
         dist, _ = gauge_distance(got, net, AlignmentConfig(rng_seed=seed))
         assert dist <= 1e-8
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_top_r_whitening_reads_off_commuting_units(self, r):
+        # with m = r every eigenvector is an idempotent: no pairs to sign
+        net = commuting_net(r, r * (r + 1) // 2 + 1, r)
+        t = exact_quadratic_moments(net)
+        Q, gap = tensor_ring.spectral_units(t.S, t.T, r, rng_seed=r, m=r)
+        assert gap > 0
+        assert np.array_equal(Q, Q * np.eye(r))
+        got = PolyNetwork(kind="quadratic", r=r, d=net.d, Q=Q)
+        dist, _ = gauge_distance(got, net, AlignmentConfig(rng_seed=r))
+        assert dist <= 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_5_15_needs_one_start(self, seed):
         net = smoothed_net(5, 15, 1.0, seed)
@@ -563,37 +618,6 @@ class TestRepeatStop:
         assert rep.diagnostics["fit_stop"] == "tol"
         want = np.array(json.loads(EXACT_3_6.read_text())[str(seed)])
         assert np.array_equal(rep.network.Q, want)
-
-
-class TestJennrich:
-    def test_two_component_example(self):
-        T = np.zeros((2, 2, 2))
-        T[0, 0, 0] = 1.0
-        T[1, 1, 1] = 2.0
-        comps = jennrich_diagonal(T, rng_seed=0)
-        got = sorted(np.round(np.asarray(c), 8).tolist() for c in comps)
-        want = sorted([[1.0, 0.0], [0.0, round(2.0 ** (1.0 / 3.0), 8)]])
-        for g, w in zip(got, want):
-            assert np.allclose(g, w, atol=1e-8)
-
-    def test_permutation_invariant_set(self):
-        rng = np.random.default_rng(6)
-        V = rng.standard_normal((2, 3))
-        T = sum(np.einsum("i,j,k->ijk", v, v, v) for v in V)
-        compsA = jennrich_diagonal(T, rng_seed=0)
-        compsB = jennrich_diagonal(T, rng_seed=1)
-        setA = sorted(tuple(np.round(c, 8)) for c in compsA)
-        setB = sorted(tuple(np.round(c, 8)) for c in compsB)
-        assert np.allclose(setA, setB, atol=1e-7)
-
-    def test_rank_one(self):
-        v = np.array([1.5, -0.5])
-        T = np.einsum("i,j,k->ijk", v, v, v)
-        comps = jennrich_diagonal(T, rng_seed=0)
-        assert len(comps) == 1
-        assert np.allclose(comps[0], v, atol=1e-8) or np.allclose(
-            comps[0], -v, atol=1e-8
-        )
 
 
 class TestExtendTail:
