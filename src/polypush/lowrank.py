@@ -5,8 +5,8 @@ gauge is broken through the paired-contraction vectors f_a: the rank-one
 matrices F_a = f_a f_a^T transform like quadratic units, so each recovery
 draws one combination, no retries, with find_combo on the Gram of the fit's
 F_a and gauge-fixes the fit with the corner-signed mu through
-tensor_ring.gauge_fix; the leftover +-Id ambiguity of odd orders is
-resolved by an argmax anchor and pairwise signs (_canonicalize).  Both
+tensor_ring.gauge_fix on the F_a; the leftover +-Id ambiguity of odd orders
+is resolved by an argmax anchor and pairwise signs (_canonicalize).  Both
 backends run that one path, a local fit of the components and its one gauge
 fix.  The fit is the Levenberg-Marquardt of _lm.least_squares, with the
 tensor-ring fit's cap of tensor_ring.FIT_MAX_NFEV residual evaluations per
@@ -281,22 +281,24 @@ def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
     return best_x.reshape(d, ell, r), best, diag
 
 
-def _canonicalize(net: PolyNetwork, rng_seed: int):
+def _canonicalize(net: PolyNetwork, rng_seed: int, diag: dict):
     """The one gauge fix of a lowrank fit: through its F_a = f_a f_a^T, with
     the one combination find_combo draws from their Gram <F_a, F_b> and the
     corner-signed mu, and the global +-Id ambiguity resolved by the argmax
-    anchor sign rule.  Returns (network, lam, mu); a network whose gauge
-    cannot be broken comes back as-is, with lam = mu = None."""
+    anchor sign rule.  Sets ``diag``'s ``gauge_fixed`` and ``upsilon``.
+    Returns (network, lam, mu); a network whose gauge cannot be broken comes
+    back as-is, with lam = mu = None."""
     d, r = net.d, net.r
+    diag["gauge_fixed"] = False
     if d < r * (r + 1) // 2:
         return net, None, None  # find_combo needs d >= C(r+1,2)
     F = paired_outers(net)
     try:
-        combo = tensor_ring.find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=rng_seed)
-        qnet = PolyNetwork(kind="quadratic", r=r, d=d, Q=F)
-        _, rot, mu = tensor_ring.gauge_fix(qnet, combo.lam, combo.mu)
+        lam, mu = tensor_ring.find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=rng_seed)
+        rot, mu, diag["upsilon"] = tensor_ring.gauge_fix(F, lam, mu)
     except DegeneracyError:
         return net, None, None
+    diag["gauge_fixed"] = True
     out = rotate_network(net, rot)
     # +-Id: make the anchor entry (largest magnitude) positive; it leaves
     # every F_a, and so the gauge families of (lam, mu), as they are
@@ -306,7 +308,7 @@ def _canonicalize(net: PolyNetwork, rng_seed: int):
     i_star = int(np.argmax(flat[a_star]))
     if tens.reshape(d, -1)[a_star, i_star] < 0:
         out = rotate_network(out, -np.eye(r))
-    return out, combo.lam, mu
+    return out, lam, mu
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,8 @@ def factorize(
     all starts (``lm_nfev``).  Both backends then gauge-fix the fit once, with
     one combination, no retries: find_combo on the Gram of the fit's F_a with
     ``config.rng_seed``, the corner-signed mu and the anchor sign rule
-    (``gauge_fixed`` says whether the gauge could be broken).  ``local``
+    (``gauge_fixed`` says whether the gauge could be broken, and
+    ``upsilon``, set only then, is gauge_fix's on the F_a).  ``local``
     returns a fit whose gauge cannot be broken unfixed.  ``sos`` returns the
     same network as ``local`` after one certificate step: relaxation.certify
     must find it feasible, at that one point, for the degree-2 omega program
@@ -413,8 +416,7 @@ def factorize(
         kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
         components=comps,
     )
-    net, lam, mu = _canonicalize(net, cfg.rng_seed)
-    diag["gauge_fixed"] = lam is not None
+    net, lam, mu = _canonicalize(net, cfg.rng_seed, diag)
     if cfg.backend == "sos":
         if lam is None:
             raise ConvergenceError(

@@ -16,7 +16,9 @@ vanishing entries in Q_lambda's eigenbasis with high probability in the
 smoothed setting, and find_combo's only failure does not depend on the draw,
 so it is never retried.  The canonical representative has Q_lambda diagonal
 ascending and the first row of Q_mu nonnegative, with mu corner-signed so
-that its (1,1) entry is nonnegative too (gauge_fix).
+that its (1,1) entry is nonnegative too (gauge_fix, on the Q_a here and on
+a low-rank network's F_a = f_a f_a^T); gauge_fix also reports the pair's
+non-degeneracy upsilon, on which the smoothed analysis rests.
 """
 
 from __future__ import annotations
@@ -40,30 +42,15 @@ from .relaxation import solve  # noqa: F401
 from .tensors import GaugeRotation, _sorted_indices, _triu
 
 __all__ = [
-    "NonDegenCombo",
     "TRConfig",
     "RecoveryReport",
     "find_combo",
     "spectral_units",
-    "validate_nondegeneracy",
     "gauge_fix",
     "decompose",
     "extend_tail",
     "verify_assumption_tr",
 ]
-
-
-@dataclass
-class NonDegenCombo:
-    lam: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        for v in (self.lam, self.mu):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-                raise UsageError("combination vectors must be unit norm")
 
 
 @dataclass
@@ -137,8 +124,9 @@ def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
 
 def find_combo(
     Ghat: np.ndarray, r: int, rng_seed: int = 0, eta: float = 0.0
-) -> NonDegenCombo:
-    """Randomized symmetry-breaking combinations from the Gram matrix Ghat.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (lambda, mu) of random unit combinations that breaks the
+    gauge, from the Gram matrix Ghat.
 
     Pulls the standard basis back through _whiten's W,
     w^{(ij)} = H (H^T H)^{-1} e_{ij}, and mixes with Gaussian weights.
@@ -151,7 +139,7 @@ def find_combo(
     gp = rng.standard_normal(m)
     h = W @ g
     hp = W @ gp
-    return NonDegenCombo(lam=h / np.linalg.norm(h), mu=hp / np.linalg.norm(hp))
+    return h / np.linalg.norm(h), hp / np.linalg.norm(hp)
 
 
 # random unit combinations spectral_units tries for its Peirce decomposition
@@ -228,48 +216,32 @@ def spectral_units(
     return Q, gap
 
 
-def validate_nondegeneracy(
-    net: PolyNetwork, lam: np.ndarray, mu: np.ndarray
-) -> tuple[float, float]:
-    """(min eigengap of Q_lambda, min |entry| of Q_mu in Q_lambda's eigenbasis)."""
-    if net.kind != "quadratic":
-        raise UsageError("non-degeneracy validation needs a quadratic network")
-    Qlam = np.einsum("a,aij->ij", np.asarray(lam, dtype=float), net.Q)
-    Qmu = np.einsum("a,aij->ij", np.asarray(mu, dtype=float), net.Q)
-    w, V = np.linalg.eigh(Qlam)
-    gap = float(np.min(np.diff(np.sort(w)))) if len(w) > 1 else float("inf")
-    X = V.T @ Qmu @ V
-    return gap, float(np.min(np.abs(X)))
-
-
 def gauge_fix(
-    net: PolyNetwork, lam: np.ndarray, mu: np.ndarray
-) -> tuple[PolyNetwork, GaugeRotation, np.ndarray]:
-    """Canonical gauge representative given symmetry-breaking combinations:
-    the one gauge-fixing step of every recovery.
+    units: np.ndarray, lam: np.ndarray, mu: np.ndarray
+) -> tuple[GaugeRotation, np.ndarray, tuple[float, float]]:
+    """The one gauge-fixing step of every recovery, on the (d, r, r) stack
+    ``units`` that co-rotates with the gauge (a quadratic network's Q_a, a
+    low-rank network's F_a).
 
-    Rotates so the lambda-combination is diagonal with ascending diagonal and
-    flips signs so the first row of the mu-combination is nonnegative.  Its
-    (1,1) entry is sign-invariant, so mu is corner-signed first: negated when
-    that entry is negative in the lambda-combination's eigenbasis, and the
-    relaxations' "first row of the mu-combination nonnegative" family holds
-    for the fixed network with the returned mu.  Returns (fixed network,
-    rotation, mu); raises DegeneracyError on a zero eigengap.
+    The rotation makes the lambda-combination diagonal ascending and the
+    first row of the mu-combination nonnegative.  Its (1,1) entry is
+    sign-invariant, so mu is negated first when that entry is negative, and
+    the relaxations' first-row family holds with the returned mu.  Returns
+    (rotation, mu, upsilon = (min eigengap of Q_lambda, min |entry| of Q_mu
+    in Q_lambda's eigenbasis)); the caller applies the rotation.  Raises
+    DegeneracyError on an eigengap <= GAP_TOL.
     """
-    if net.kind != "quadratic":
-        raise UsageError("gauge_fix operates on quadratic networks")
-    lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    w, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, net.Q))
-    if len(w) > 1 and float(np.min(np.diff(w))) <= GAP_TOL:
+    w, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, units))
+    gap = float(np.min(np.diff(w))) if len(w) > 1 else float("inf")
+    if gap <= GAP_TOL:
         raise DegeneracyError("zero eigengap in the lambda combination")
-    X = V.T @ np.einsum("a,aij->ij", mu, net.Q) @ V
+    X = V.T @ np.einsum("a,aij->ij", mu, units) @ V
     if X[0, 0] < 0:
         mu, X = -mu, -X
     signs = np.where(X[0] >= 0, 1.0, -1.0)
     signs[0] = 1.0
-    R = signs[:, None] * V.T
-    return rotate_network(net, R), GaugeRotation(R), mu
+    return GaugeRotation(signs[:, None] * V.T), mu, (gap, float(np.min(np.abs(X))))
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +411,10 @@ def decompose(
     be formed).
     ``sos`` first gates the fit's residual at max(10 eta, 1e-6).  Both
     backends then gauge-fix the fit once, with lambda and the corner-signed
-    mu (gauge_fix; ``gauge_fixed`` says whether it could).  ``local`` returns
-    a fit whose lambda-combination has no eigengap unfixed.  ``sos`` returns
-    the same network as ``local`` after one certificate step:
+    mu (gauge_fix; ``gauge_fixed`` says whether it could, and ``upsilon``,
+    set only then, is the pair's non-degeneracy).  ``local`` returns a fit
+    whose lambda-combination has no eigengap unfixed.  ``sos`` returns the
+    same network as ``local`` after one certificate step:
     relaxation.certify must find it feasible, at that one point, for the
     degree-4 moment program encoded with lambda and the corner-signed mu
     (``diagnostics["certificate_violation"]`` is its worst constraint
@@ -459,14 +432,13 @@ def decompose(
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     try:
-        combo = find_combo(S, config.r, rng_seed=config.rng_seed, eta=config.eta)
+        lam, mu = find_combo(S, config.r, rng_seed=config.rng_seed, eta=config.eta)
     except DegeneracyError as exc:
         if config.backend == "sos":
             raise ConvergenceError(f"no symmetry-breaking combination: {exc}") from exc
         net, diag = _commuting_recovery(S, T, config, exc)
     else:
-        net, diag = _recover(S, T, combo, config)
-        diag["upsilon"] = validate_nondegeneracy(net, combo.lam, combo.mu)
+        net, diag = _recover(S, T, lam, mu, config)
     res_S, res_T = _table_residual_pair(net.Q, S, T)
     threshold = max(1e3 * config.eta, 1e-6) if config.backend == "local" else 1e-3
     if max(res_S, res_T) > threshold:
@@ -518,9 +490,9 @@ def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
     return net, diag
 
 
-def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
-    """The one local fit, gauge-fixed with ``combo``, and for ``sos`` its
-    certificate.  Returns (network, diagnostics)."""
+def _recover(S, T, lam, mu, config: TRConfig):
+    """The one local fit, gauge-fixed with ``lam``, ``mu``, and for ``sos``
+    its certificate.  Returns (network, diagnostics)."""
     d = S.shape[0]
     r = config.r
     sos = config.backend == "sos"
@@ -534,12 +506,13 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
             f"threshold {fit_thr:.3e}"
         )
     try:
-        net, _, mu = gauge_fix(net, combo.lam, combo.mu)
+        rot, mu, diag["upsilon"] = gauge_fix(net.Q, lam, mu)
     except DegeneracyError as exc:
         if sos:
             raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
         diag["gauge_fixed"] = False
         return net, diag
+    net = rotate_network(net, rot)
     diag["gauge_fixed"] = True
     if not sos:
         return net, diag
@@ -548,7 +521,7 @@ def _recover(S, T, combo: NonDegenCombo, config: TRConfig):
     # certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
     prog = encode_tensor_ring(
-        r, S * sc**2, T * sc**3, combo.lam, mu, R=R * sc, kappa=KAPPA,
+        r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
         eta=config.eta * sc**2,
     )
     i, j = _triu(r)

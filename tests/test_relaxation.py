@@ -9,7 +9,7 @@ from conftest import symmetric_gaussian
 from polypush import relaxation
 from polypush.errors import ConvergenceError, ResourceError, UsageError
 from polypush.moments import exact_quadratic_moments, sigma_matrix
-from polypush.networks import PolyNetwork
+from polypush.networks import PolyNetwork, rotate_network
 from polypush.relaxation import (
     Infeasible,
     Poly,
@@ -319,14 +319,15 @@ class TestEncodeTensorRing:
         Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
         t = exact_quadratic_moments(net)
-        combo = find_combo(t.S, r, rng_seed=0)
+        lam, mu = find_combo(t.S, r, rng_seed=0)
         # mu corner-signed: the sign-invariant corner entry of the fixed
         # form is >= 0
-        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
+        rot, mu, _ = gauge_fix(net.Q, lam, mu)
+        fixed = rotate_network(net, rot)
         Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
         assert Qmu[0, 0] >= 0 and np.all(Qmu[0] >= 0)
         prog = encode_tensor_ring(
-            r, t.S, t.T, combo.lam, mu, R=net.radius * 1.01, kappa=1e-3, eta=0.0
+            r, t.S, t.T, lam, mu, R=net.radius * 1.01, kappa=1e-3, eta=0.0
         )
         m = r * (r + 1) // 2
         pairs = [(i, j) for i in range(r) for j in range(i, r)]
@@ -413,10 +414,11 @@ class TestCertify:
         Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
         t = exact_quadratic_moments(net)
-        combo = find_combo(t.S, r, rng_seed=0)
-        fixed, _, mu = gauge_fix(net, combo.lam, combo.mu)
+        lam, mu = find_combo(t.S, r, rng_seed=0)
+        rot, mu, _ = gauge_fix(net.Q, lam, mu)
+        fixed = rotate_network(net, rot)
         prog = encode_tensor_ring(
-            r, t.S, t.T, combo.lam, mu, R=net.radius * radius_factor,
+            r, t.S, t.T, lam, mu, R=net.radius * radius_factor,
             kappa=1e-3, eta=0.0,
         )
         i, j = np.triu_indices(r)
@@ -424,7 +426,7 @@ class TestCertify:
 
     def _lowrank(self, radius_factor, r=2, d=4, ell=1, omega=3, seed=2):
         from polypush.lowrank import exact_lowrank_pair_moments
-        from polypush.networks import paired_outers, rotate_network
+        from polypush.networks import paired_outers
 
         rng = np.random.default_rng(seed)
         comps = rng.standard_normal((d, ell, r))
@@ -436,11 +438,11 @@ class TestCertify:
         # the sos program: gauge families on F_a = f_a f_a^T, and the
         # truth rotated into that gauge
         F = paired_outers(net)
-        combo = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
-        _, rot, mu = gauge_fix(PolyNetwork(kind="quadratic", r=r, d=d, Q=F), combo.lam, combo.mu)
+        lam, mu = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
+        rot, mu, _ = gauge_fix(F, lam, mu)
         prog = encode_lowrank(
             r, omega, ell, S, "gaussian", R=net.radius * radius_factor,
-            kappa=1e-3, eta=0.0, lam_mu=(combo.lam, mu),
+            kappa=1e-3, eta=0.0, lam_mu=(lam, mu),
         )
         fixed = rotate_network(net, rot)
         return prog, lowrank_flattening(prog, fixed), fixed.components

@@ -36,9 +36,9 @@ from polypush.tensor_ring import (
     TRConfig,
     decompose,
     extend_tail,
+    GAP_TOL,
     find_combo,
     gauge_fix,
-    validate_nondegeneracy,
     verify_assumption_tr,
 )
 
@@ -75,9 +75,9 @@ class TestFindCombo:
     def test_unit_norm(self):
         net = smoothed_net(2, 3, 0.5, 0)
         S = exact_quadratic_moments(net).S
-        combo = find_combo(S, 2, rng_seed=0)
-        assert np.linalg.norm(combo.lam) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(combo.mu) == pytest.approx(1.0, abs=1e-10)
+        lam, mu = find_combo(S, 2, rng_seed=0)
+        assert np.linalg.norm(lam) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(mu) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_m_reconstruction(self):
         # exact rank-m Gram: the truncated factor reproduces it (eigh oracle)
@@ -96,8 +96,10 @@ class TestFindCombo:
         for trial in range(60):
             net = smoothed_net(2, 3, 0.5, 1000 + trial)
             S = exact_quadratic_moments(net).S
-            combo = find_combo(S, 2, rng_seed=trial)
-            gap, mu_min = validate_nondegeneracy(net, combo.lam, combo.mu)
+            try:
+                _, _, (gap, mu_min) = gauge_fix(net.Q, *find_combo(S, 2, rng_seed=trial))
+            except DegeneracyError:
+                continue
             if gap > 1e-4 and mu_min > 1e-4:
                 good += 1
         assert good >= 40
@@ -127,7 +129,7 @@ class TestFindCombo:
         base = find_combo(G, 2, rng_seed=5)
         for eta in (1e-6, 1e-2):
             got = find_combo(G, 2, rng_seed=5, eta=eta)
-            assert np.array_equal(got.lam, base.lam) and np.array_equal(got.mu, base.mu)
+            assert all(np.array_equal(a, b) for a, b in zip(got, base))
         # smallest eigenvalue -1e-5: d eta = 3e-5 covers it, eta = 0 and a
         # floor of 3e-6 do not
         w[0] = -1e-5
@@ -138,31 +140,43 @@ class TestFindCombo:
                 find_combo(G, 2, rng_seed=5, eta=eta)
 
 
-class TestValidateNondegeneracy:
+class TestUpsilon:
+    # gauge_fix's upsilon: (min eigengap of Q_lambda, min |entry| of Q_mu in
+    # Q_lambda's eigenbasis)
     def test_diagonal_gap(self):
-        net = PolyNetwork(
-            kind="quadratic", r=2, d=1, Q=np.diag([1.0, 2.0])[None]
-        )
-        gap, _ = validate_nondegeneracy(net, np.array([1.0]), np.array([1.0]))
+        _, _, (gap, _) = gauge_fix(np.diag([1.0, 2.0])[None], np.array([1.0]), np.array([1.0]))
         assert gap == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_eigenvalues(self):
-        net = PolyNetwork(kind="quadratic", r=2, d=1, Q=np.eye(2)[None])
-        gap, _ = validate_nondegeneracy(net, np.array([1.0]), np.array([1.0]))
-        assert gap == pytest.approx(0.0, abs=1e-12)
+        # a gap just above GAP_TOL is reported; a repeated eigenvalue has none
+        units = np.diag([1.0, 1.0 + 1e3 * GAP_TOL])[None]
+        _, _, (gap, _) = gauge_fix(units, np.array([1.0]), np.array([1.0]))
+        assert gap == pytest.approx(1e3 * GAP_TOL, rel=1e-3)
+        with pytest.raises(DegeneracyError):
+            gauge_fix(np.eye(2)[None], np.array([1.0]), np.array([1.0]))
+
+    def test_smallest_mu_entry(self):
+        units = np.stack([np.diag([1.0, 2.0]), np.array([[0.5, -0.25], [-0.25, 3.0]])])
+        _, mu, (_, mu_min) = gauge_fix(units, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert mu_min == pytest.approx(0.25, abs=1e-12)
+        assert np.array_equal(mu, [0.0, 1.0])
+
+
+def fixed_net(net, lam, mu):
+    """(net gauge-fixed by gauge_fix on its Q, the rotation)."""
+    rot, _, _ = gauge_fix(net.Q, lam, mu)
+    return rotate_network(net, rot), rot
 
 
 class TestGaugeFix:
     def _combo(self, net):
-        S = exact_quadratic_moments(net).S
-        c = find_combo(S, net.r, rng_seed=0)
-        return c.lam, c.mu
+        return find_combo(exact_quadratic_moments(net).S, net.r, rng_seed=0)
 
     def test_idempotent(self):
         net = smoothed_net(2, 3, 0.5, 2)
         lam, mu = self._combo(net)
-        fixed, _, _ = gauge_fix(net, lam, mu)
-        fixed2, rot, _ = gauge_fix(fixed, lam, mu)
+        fixed, _ = fixed_net(net, lam, mu)
+        fixed2, rot = fixed_net(fixed, lam, mu)
         assert np.max(np.abs(fixed2.Q - fixed.Q)) <= 1e-10
         assert np.max(np.abs(np.abs(rot.V) - np.eye(2))) <= 1e-10
 
@@ -171,20 +185,19 @@ class TestGaugeFix:
         net = smoothed_net(3, 6, 0.5, 3)
         lam, mu = self._combo(net)
         V = random_orthogonal(rng, 3)
-        fixedA, _, _ = gauge_fix(net, lam, mu)
-        fixedB, _, _ = gauge_fix(rotate_network(net, V), lam, mu)
+        fixedA, _ = fixed_net(net, lam, mu)
+        fixedB, _ = fixed_net(rotate_network(net, V), lam, mu)
         assert np.max(np.abs(fixedA.Q - fixedB.Q)) <= 1e-8
 
     def test_offdiagonal_example(self):
         Q = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         net = PolyNetwork(kind="quadratic", r=2, d=1, Q=Q)
-        fixed, _, _ = gauge_fix(net, np.array([1.0]), np.array([1.0]))
+        fixed, _ = fixed_net(net, np.array([1.0]), np.array([1.0]))
         assert np.allclose(fixed.Q[0], np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_zero_eigengap_rejected(self):
-        net = PolyNetwork(kind="quadratic", r=2, d=1, Q=np.eye(2)[None])
         with pytest.raises(DegeneracyError):
-            gauge_fix(net, np.array([1.0]), np.array([1.0]))
+            gauge_fix(np.eye(2)[None], np.array([1.0]), np.array([1.0]))
 
 
 class TestDecompose:
@@ -380,9 +393,9 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
         combos.append(real_combo(*args, **kw))
         return combos[-1]
 
-    def fixing(net, lam, mu):
-        out = real_fix(net, lam, mu)
-        fixes.append((net, lam, mu, out))
+    def fixing(units, lam, mu):
+        out = real_fix(units, lam, mu)
+        fixes.append((units, lam, mu, out))
         return out
 
     monkeypatch.setattr(tensor_ring, "find_combo", counting)
@@ -400,13 +413,15 @@ def test_one_combination_per_recovery(monkeypatch, kind, backend):
     assert rep.gauge_dist <= 1e-6
     assert rep.diagnostics["gauge_fixed"] is True
     assert seeds == [1 if kind == "quadratic" else 9] and len(fixes) == 1
-    _, lam, mu_in, (fixed, _, mu) = fixes[0]
-    (combo,) = combos
-    assert lam is combo.lam and mu_in is combo.mu
-    assert np.array_equal(np.abs(mu), np.abs(combo.mu))
+    units, lam, mu_in, (rot, mu, upsilon) = fixes[0]
+    ((lam_drawn, mu_drawn),) = combos
+    assert lam is lam_drawn and mu_in is mu_drawn
+    assert np.array_equal(np.abs(mu), np.abs(mu_drawn))
+    assert rep.diagnostics["upsilon"] == upsilon
     # the fixed stack: lambda-combination diagonal, the mu-combination's
     # first row nonnegative, its corner included
-    Qlam = np.einsum("a,aij->ij", combo.lam, fixed.Q)
+    fixed = rotate_network(PolyNetwork(kind="quadratic", r=2, d=len(units), Q=units), rot)
+    Qlam = np.einsum("a,aij->ij", lam, fixed.Q)
     Qmu = np.einsum("a,aij->ij", mu, fixed.Q)
     assert np.max(np.abs(Qlam - np.diag(np.diag(Qlam)))) <= 1e-10
     assert np.all(Qmu[0] >= 0)
