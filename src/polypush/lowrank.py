@@ -37,8 +37,8 @@ from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
-    SIGMA_MODES,
     PairMomentTable,
+    _check_sigma_mode,
     _mode_sigma,
     pair_moment_closed_form,
     pair_moment_partials,
@@ -68,12 +68,6 @@ __all__ = [
 ]
 
 
-def _check_sigma(mode: str) -> None:
-    """UsageError unless ``mode`` is one of SIGMA_MODES."""
-    if mode not in SIGMA_MODES:
-        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
-
-
 @dataclass
 class LRConfig:
     r: int
@@ -92,7 +86,7 @@ class LRConfig:
             {"tol": self.tol},
             {"eta": self.eta},
         )
-        _check_sigma(self.sigma_mode)
+        _check_sigma_mode(self.sigma_mode)
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):
@@ -169,7 +163,7 @@ def exact_lowrank_pair_moments(net: PolyNetwork, mode: str = "gaussian") -> Pair
     """
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
-    _check_sigma(mode)
+    _check_sigma_mode(mode)
     return PairMomentTable(S=_pair_table(net.components, net.omega, mode), eta=0.0)
 
 

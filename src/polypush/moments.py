@@ -65,6 +65,12 @@ CHUNK = 4096
 SIGMA_MODES = ("gaussian", "identity")
 
 
+def _check_sigma_mode(mode: str) -> None:
+    """UsageError unless ``mode`` is one of SIGMA_MODES."""
+    if mode not in SIGMA_MODES:
+        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+
+
 @dataclass
 class QuadraticMomentTable:
     """Observed first/second/third moment data of a quadratic transformation."""
@@ -289,8 +295,7 @@ def _mode_sigma(r: int, omega: int, mode: str):
 @functools.lru_cache(maxsize=16)
 def _build_mode_sigma(r: int, omega: int, mode: str):
     """_mode_sigma's arrays."""
-    if mode not in SIGMA_MODES:
-        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+    _check_sigma_mode(mode)
     Sigma_sym, D = _sigma_sym(r, omega)
     if mode == "identity":
         # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors

@@ -7,8 +7,9 @@ Jordan algebra the units span, and its Peirce decomposition reads the units
 off up to the gauge.  Random starts run only when that start's fit misses the
 tolerance, or when the closed form cannot be formed (a rank-deficient S); on a
 table with noise they stop once one repeats the best residual so far.
-Commuting units, whose S has rank r, are read off the same closed form
-whitened with r eigenpairs of S instead of C(r+1,2), without a fit.
+Commuting units, whose S has rank r (exact or sampled), are read off the
+same closed form whitened with r eigenpairs of S instead of C(r+1,2),
+without a fit.
 
 The gauge O(r) is broken by one pair of random unit combinations lambda, mu
 per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
@@ -92,12 +93,12 @@ def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
     eigenvalues) is its best rank-m factor, and W = H (H^T H)^{-1} the
     pull-back with W^T H = I.
 
-    A Gram estimated at noise level ``eta`` can push a top-m eigenvalue
-    slightly below 0 when d = m; one in [-d eta, 0] is raised to d eta.  An
-    exact Gram (``eta`` = 0) of rank below m has its m-th eigenvalue at
-    rounding level, of either sign; one <= d eps lambda_max counts as zero.
-    Any top-m eigenvalue then at or below that floor (0 when eta > 0)
-    raises DegeneracyError.
+    A Gram of rank below m, exact or sampled, has its m-th eigenvalue at
+    rounding level, of either sign: one in [-floor, floor], floor = d eps
+    lambda_max, counts as zero at any ``eta``.  Noise at level ``eta`` can
+    push a top-m eigenvalue slightly below 0 when d = m; one in [-d eta,
+    -floor) is raised to d eta.  Any top-m eigenvalue then <= floor raises
+    DegeneracyError.
     """
     Ghat = np.asarray(Ghat, dtype=float)
     d = Ghat.shape[0]
@@ -108,11 +109,9 @@ def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
     w, U = np.linalg.eigh(0.5 * (Ghat + Ghat.T))
     top = np.argsort(w)[::-1][:m]
     vals = w[top]
-    floor = 0.0
+    floor = d * np.finfo(float).eps * vals[0]
     if eta > 0:
-        vals = np.where((vals <= 0) & (vals >= -d * eta), d * eta, vals)
-    else:
-        floor = d * np.finfo(float).eps * vals[0]
+        vals = np.where((vals < -floor) & (vals >= -d * eta), d * eta, vals)
     if np.min(vals) <= floor:
         raise DegeneracyError(
             "rank-m eigenvalue block of Ghat is not positive; instance too "
@@ -129,17 +128,17 @@ def find_combo(
     gauge, from the Gram matrix Ghat.
 
     Pulls the standard basis back through _whiten's W,
-    w^{(ij)} = H (H^T H)^{-1} e_{ij}, and mixes with Gaussian weights.
+    w^{(ij)} = H (H^T H)^{-1} e_{ij}, and mixes with the Gaussian weights
+    U^T x: x ~ N(0, Id_d) from Philox stream (rng_seed, 11), U = H with unit
+    columns.  Their law is N(0, Id_m), and they flip with any column eigh
+    returns flipped, so the pair does not depend on eigenvector signs.
     Raises DegeneracyError where _whiten does.
     """
-    m = r * (r + 1) // 2
-    _, W = _whiten(Ghat, m, eta)  # columns w^{(ij)}
+    H, W = _whiten(Ghat, r * (r + 1) // 2, eta)  # columns w^{(ij)}
+    U = H / np.linalg.norm(H, axis=0)
     rng = _philox_rng(rng_seed, 11)
-    g = rng.standard_normal(m)
-    gp = rng.standard_normal(m)
-    h = W @ g
-    hp = W @ gp
-    return h / np.linalg.norm(h), hp / np.linalg.norm(hp)
+    lam, mu = (W @ (U.T @ rng.standard_normal(H.shape[0])) for _ in range(2))
+    return lam / np.linalg.norm(lam), mu / np.linalg.norm(mu)
 
 
 # random unit combinations spectral_units tries for its Peirce decomposition
@@ -424,10 +423,10 @@ def decompose(
     gauge-fixed or breaks the program's caps.  Either backend raises
     ConvergenceError when the returned network's worst table residual
     exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A
-    degenerate S (e.g. commuting units) has no combination: ``local`` then
-    reads the units off spectral_units whitened with the top r eigenpairs
-    of S (the diagonal subalgebra) and falls back to the unfixed fit, and
-    ``sos`` raises ConvergenceError before fitting.
+    degenerate S (e.g. commuting units, exact or sampled) has no
+    combination: ``local`` then reads the units off spectral_units whitened
+    with the top r eigenpairs of S (the diagonal subalgebra) and falls back
+    to the unfixed fit, and ``sos`` raises ConvergenceError before fitting.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
