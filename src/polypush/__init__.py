@@ -6,9 +6,11 @@ generation, and a lower-bound lab producing statistically-close /
 parameter-distant pairs.  Each recovery runs one path: it fits the moments
 locally and gauge-fixes the fit once.  The ``sos`` backend adds one
 certificate step: it returns the ``local`` network once that network is
-certified feasible, at that one point, for the paper's moment program; that
-is weaker than the paper's guarantee, which rests on the pseudo-expectation
-being unique.
+certified feasible, at that one point, for the paper's moment program, whose
+constraints are evaluated there in closed form; that is weaker than the
+paper's guarantee, which rests on the pseudo-expectation being unique.  The
+program encoders of ``relaxation`` are kept as the tests' oracle of that
+closed form and for the benchmark's cold solve.
 
 Importing polypush loads neither scipy nor mpmath: each module is imported
 by the first call that needs it.  The gauge search (``gauge_distance``, and

@@ -13,9 +13,9 @@ tensor-ring fit's cap of tensor_ring.FIT_MAX_NFEV residual evaluations per
 start; it stops on a stationary point ("tol"), a step at rounding level
 ("step"), a stalled cost ("plateau") or the cap ("cap").  sos adds one
 certificate step: the fixed fit must be feasible, at that one point, for the
-encoded moment program.  That is weaker than the paper's guarantee, which
-rests on the pseudo-expectation being unique; no backend solves the
-relaxation.  At ell = 1 the fit's first start is a closed form
+moment program, whose constraints are evaluated there in closed form.  That
+is weaker than the paper's guarantee, which rests on the pseudo-expectation
+being unique; no backend solves the relaxation.  At ell = 1 the fit's first start is a closed form
 (_rank1_components): the diagonal of S gives the component norms and each
 off-diagonal entry, through the increasing pair moment, the cosine of a pair,
 so the Gram of the components and its top-r eigenpairs follow.  Random starts
@@ -44,16 +44,18 @@ from .moments import (
     pair_moment_partials,
 )
 from .networks import PolyNetwork, _philox_rng, paired_outers, rotate_network
-from .relaxation import KAPPA, certify, encode_lowrank
-# no recovery path calls solve: perfbench/tracing.py wraps the name
-# lowrank.solve, and tests/test_trace_points.py checks that it resolves
-from .relaxation import solve  # noqa: F401
+from .relaxation import KAPPA, gate_certificate, lowrank_certificate
+# no recovery path encodes or solves a program: perfbench/tracing.py wraps
+# the names lowrank.encode_lowrank and lowrank.solve, and
+# tests/test_trace_points.py checks that they resolve
+from .relaxation import encode_lowrank, solve  # noqa: F401
 from . import tensor_ring
 from .tensor_ring import RecoveryReport
 from .tensors import (
     _sorted_indices,
     _sorted_multiplicity,
     _triu,
+    _triu_mask,
     from_sorted_entries,
     sorted_entries,
     sorted_multi_indices,
@@ -108,14 +110,15 @@ def _pair_values(dot, nv2, nw2, omega: int, mode: str):
 def _pair_table(comps: np.ndarray, omega: int, mode: str) -> np.ndarray:
     """The pair-moment model: S_ab sums _pair_values of (v_{a,t}, v_{b,t'})
     over the components t of unit a and t' of unit b, from the Gram of all
-    components; the upper triangle is mirrored."""
+    components; the upper triangle is mirrored (adding 0.0 turns a -0.0
+    entry into +0.0, as np.triu(S) + np.triu(S, 1).T does)."""
     d, ell, r = comps.shape
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
     vals = _pair_values(G, n2[:, None], n2[None, :], omega, mode)
     S = vals.reshape(d, ell, d, ell).sum(axis=(1, 3))
-    return np.triu(S) + np.triu(S, 1).T
+    return np.where(_triu_mask(d), S, S.T) + 0.0
 
 
 def _pair_partials(dot, nv2, nw2, omega: int, mode: str):
@@ -320,13 +323,14 @@ def _check_sos_size(d: int, cfg: LRConfig) -> None:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
 
 
-def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
-    """The worst constraint violation of the gauge-fixed fit ``net`` for the
-    program encoded with the gauge families of (lam, mu) and the Sigma_sym
-    of ``cfg.sigma_mode``; relaxation.certify raises ConvergenceError when
-    the fit breaks the program's constraints."""
-    r, omega, ell = cfg.r, cfg.omega, cfg.ell
-    d = S.shape[0]
+def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig):
+    """The certificate of the gauge-fixed fit ``net``: relaxation's closed
+    form of the degree-2 omega program encode_lowrank states with the gauge
+    families of (lam, mu) and the Sigma_sym of ``cfg.sigma_mode``, at the
+    point the fit completes.  Returns (its worst violation, the worst
+    violation of each constraint family); raises ConvergenceError when the
+    fit breaks the program's constraints."""
+    r, omega = cfg.r, cfg.omega
     floor = _mode_sigma(r, omega, cfg.sigma_mode)[2]
     # the program is stated in the scale where tensor entries are O(1), so
     # the certificate's absolute floor of 1e-7 is relative to the table
@@ -336,14 +340,14 @@ def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig) -> float:
     R = (float(np.max(np.diag(S))) + 1e-9) ** 0.5 / min(1.0, np.sqrt(floor))
     # pair moments have degree 2 omega in the components
     scaled = PolyNetwork(
-        kind="lowrank", r=r, d=d, omega=omega, ell=ell,
+        kind="lowrank", r=r, d=S.shape[0], omega=omega, ell=cfg.ell,
         components=net.components * sc ** (1.0 / omega),
     )
-    prog = encode_lowrank(
-        r, omega, ell, S, cfg.sigma_mode, R=R, kappa=KAPPA, eta=eta_sc, lam_mu=(lam, mu),
+    families = lowrank_certificate(
+        sorted_entries(scaled.unit_tensors(), omega), scaled.components, r, omega, S,
+        cfg.sigma_mode, R=R, kappa=KAPPA, eta=eta_sc, lam=lam, mu=mu,
     )
-    M = sorted_entries(scaled.unit_tensors(), omega)
-    return certify(prog, M, scaled.components)
+    return gate_certificate(families, eta_sc), families
 
 
 def factorize(
@@ -373,13 +377,16 @@ def factorize(
     (``gauge_fixed`` says whether the gauge could be broken, and
     ``upsilon``, set only then, is gauge_fix's on the F_a).  ``local``
     returns a fit whose gauge cannot be broken unfixed.  ``sos`` returns the
-    same network as ``local`` after one certificate step: relaxation.certify
-    must find it feasible, at that one point, for the degree-2 omega program
-    encoded with the fit's gauge families and the Sigma_sym of
-    ``config.sigma_mode`` (``diagnostics["certificate_violation"]`` is its
-    worst constraint violation).  That is weaker than the paper's guarantee,
-    which rests on the pseudo-expectation being unique; the relaxation is not
-    solved.  ``sos`` raises ConvergenceError on a fit that cannot be
+    same network as ``local`` after one certificate step (_certify): the fit
+    must be feasible, at that one point, for the degree-2 omega program
+    stated with the fit's gauge families and the Sigma_sym of
+    ``config.sigma_mode``, whose constraints are evaluated there in closed
+    form (relaxation.lowrank_certificate) rather than encoded.
+    ``diagnostics["certificate_violation"]`` is the worst constraint
+    violation and ``certificate_families`` the worst of each family
+    ("bands", "caps", "structure", "left_inverse", "gauge").  That is weaker
+    than the paper's guarantee, which rests on the pseudo-expectation being
+    unique; the relaxation is not solved.  ``sos`` raises ConvergenceError on a fit that cannot be
     gauge-fixed or breaks the program's constraints.
 
     A rotation-invariant seed D only rescales the pair moments: its table
@@ -417,7 +424,9 @@ def factorize(
                 "the local fit cannot be gauge-fixed: the Gram of its F_a or "
                 "the lambda-combination is degenerate"
             )
-        diag["certificate_violation"] = _certify(S, net, lam, mu, cfg)
+        diag["certificate_violation"], diag["certificate_families"] = _certify(
+            S, net, lam, mu, cfg
+        )
     model = _pair_table(net.components, cfg.omega, cfg.sigma_mode)
     res_S = float(np.max(np.abs(model - S)))
     gd = None

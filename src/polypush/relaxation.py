@@ -2,13 +2,16 @@
 
 A ``PolynomialProgram`` declares variables, polynomial equalities/inequalities,
 and a relaxation degree.  ``encode_tensor_ring`` and ``encode_lowrank`` state
-the paper's recovery programs, at degree 4 and 2 omega, and ``check_point``
-evaluates their constraints at one assignment.  That is all the ``sos``
-backends use, in the one certificate step they add to the ``local``
-recovery: ``certify`` completes the gauge-fixed local fit to a point of the
-encoded program and gates it on its worst violation.  A feasible point is
-weaker than the paper's guarantee, which rests on the pseudo-expectation
-being unique; no recovery path solves the relaxation.
+the paper's recovery programs, at degree 4 and 2 omega.  The ``sos``
+backends add one certificate step to the ``local`` recovery: the gauge-fixed
+local fit, completed by least-norm left inverses to a point of the program,
+is gated on its worst constraint violation.  ``tensor_ring_certificate`` and
+``lowrank_certificate`` evaluate each constraint family of the programs at
+that point in closed form, without building them, and ``gate_certificate``
+applies the gate.  The encoders are kept as the tests' oracle of those
+closed forms and for the benchmark's cold solve.  A feasible point is weaker
+than the paper's guarantee, which rests on the pseudo-expectation being
+unique; no recovery path solves the relaxation.
 
 ``solve`` lifts a program: every variable *group* gets a moment matrix over
 its monomial basis, equalities are multiplied by basis monomials within the
@@ -37,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError
-from .moments import _mode_sigma
-from .tensors import _sorted_multiplicity, _triu, sorted_multi_indices
+from .moments import _mode_sigma, trace_moments
+from .tensors import _sorted_indices, _sorted_multiplicity, _triu, sorted_multi_indices
 
 __all__ = [
     "Poly",
@@ -48,7 +51,9 @@ __all__ = [
     "Infeasible",
     "encode_tensor_ring",
     "encode_lowrank",
-    "certify",
+    "tensor_ring_certificate",
+    "lowrank_certificate",
+    "gate_certificate",
     "solve",
     "pseudo_expect",
 ]
@@ -153,18 +158,8 @@ class PolynomialProgram:
             if not p.variables() <= set(grp.variables):
                 raise UsageError("constraint references variables outside its group")
 
-    def check_point(self, point: np.ndarray) -> float:
-        """Worst constraint violation of a concrete assignment; an inequality
-        counts only beyond the slack INEQUALITY_SLACK."""
-        worst = 0.0
-        for p, _ in self.equalities:
-            worst = max(worst, abs(p.evaluate(point)))
-        for p, _ in self.inequalities:
-            worst = max(worst, max(0.0, -p.evaluate(point) - INEQUALITY_SLACK))
-        return worst
 
-
-# how far below zero check_point lets an inequality's value fall
+# how far below zero the certificates let an inequality's value fall
 INEQUALITY_SLACK = 1e-9
 # solve's stopping tolerance on the primal and dual residuals, and its cap on
 # ADMM iterations
@@ -511,35 +506,110 @@ def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
 # certificates of the recovery backends
 # ---------------------------------------------------------------------------
 
-def certify(
-    prog: PolynomialProgram, M: np.ndarray, components: Optional[np.ndarray] = None
-) -> float:
-    """Worst violation of the encoded program at the point its units fix.
+def _band_violation(model: np.ndarray, target: np.ndarray, eta: float) -> float:
+    """Worst violation of the moment bands |model - target| <= eta (_add_band):
+    equalities when eta <= 1e-7, else one-sided inequalities with the slack
+    INEQUALITY_SLACK."""
+    gap = float(np.abs(model - target).max(initial=0.0))
+    if eta > 1e-7:
+        gap -= eta + INEQUALITY_SLACK
+    return max(0.0, gap)
 
-    The point fills the encoder's variable blocks in ``prog.meta``: "units"
-    with the (d, m) flattening M of the units, "components" with
-    ``components`` (the low-rank program only), and "L" and, in the
-    low-rank program, "P" with the least-norm left inverses pinv(M) and
-    pinv(M B).  Returns its worst violation (``check_point``).
-    A violation above max(eta, 1e-7) from a tight moment fit means the
-    instance is too degenerate for the program's caps: ConvergenceError.
-    """
-    values = {"units": M, "components": components, "L": np.linalg.pinv(M)}
-    if "P" in prog.meta:
-        values["P"] = np.linalg.pinv(M @ prog.meta["B"])
-    point = np.empty(prog.nvars)
-    for key, value in values.items():
-        block = prog.meta.get(key)
-        if np.shape(value) != np.shape(block):
-            raise UsageError(
-                f"a {key} block of shape {np.shape(value)} for variables {np.shape(block)}"
-            )
-        if block is not None:
-            point[block] = value
-    violation = float(prog.check_point(point))
-    if violation > max(prog.meta["eta"], 1e-7):
+
+def _cap_violation(norms2: np.ndarray, cap) -> float:
+    """Worst violation of the caps norms2 <= cap (_add_cap), entrywise."""
+    return max(0.0, float(np.max(norms2 - cap)) - INEQUALITY_SLACK)
+
+
+def _left_inverse_violation(A: np.ndarray, caps) -> float:
+    """Worst violation of the families X_k A_k = Id_m, ||X_k||_F^2 <= caps[k]
+    (_add_left_inverse) over the (k, d, m) stack A, at their least-norm
+    solutions X_k = pinv(A_k)."""
+    X = np.linalg.pinv(A)
+    eq = float(np.abs(X @ A - np.eye(A.shape[-1])).max())
+    return max(eq, _cap_violation(np.sum(X * X, axis=(1, 2)), caps))
+
+
+def _gauge_violation(X_lam: np.ndarray, X_mu: np.ndarray) -> float:
+    """Worst violation of the gauge families (_add_gauge_families) on the
+    combinations X_lam and X_mu of the units: X_lam off-diagonal zero with
+    ascending diagonal, the first row of X_mu nonnegative."""
+    diag = X_lam.diagonal()
+    return max(
+        0.0,
+        float(np.abs(X_lam[_triu(len(diag), 1)]).max(initial=0.0)),
+        float((diag[:-1] - diag[1:]).max(initial=0.0)) - INEQUALITY_SLACK,
+        float(-X_mu[0].min()) - INEQUALITY_SLACK,
+    )
+
+
+def gate_certificate(families: dict[str, float], eta: float) -> float:
+    """The worst of the families' violations; above max(eta, 1e-7), the
+    certificate's gate, the instance is too degenerate for the program's
+    caps: ConvergenceError."""
+    violation = max(families.values())
+    if violation > max(eta, 1e-7):
         raise ConvergenceError("instance violates non-degeneracy caps of the relaxation")
     return violation
+
+
+def tensor_ring_certificate(
+    M: np.ndarray, r: int, S: np.ndarray, T: np.ndarray, lam, mu,
+    R: float, kappa: float, eta: float,
+) -> dict[str, float]:
+    """The worst violation of each constraint family of encode_tensor_ring's
+    program, with the same arguments, at the point whose units are the
+    (d, m) flattening M and whose left inverse is L = pinv(M), evaluated in
+    closed form: "bands" (the trace moments of the units against S and T
+    over a <= b and a <= b <= c), "caps" (Frobenius norms within R),
+    "left_inverse" (L M = Id, ||L||_F^2 <= r^2 / kappa^2) and "gauge"."""
+    d = M.shape[0]
+    i, j = _triu(r)
+    Q = np.empty((d, r, r))
+    Q[:, i, j] = M
+    Q[:, j, i] = M
+    P, C = trace_moments(Q)
+    pairs, triples = _triu(d), tuple(_sorted_indices(d, 3).T)
+    flat = Q.reshape(d, r * r)
+    return {
+        "bands": max(_band_violation(P[pairs], S[pairs], eta),
+                     _band_violation(C[triples], T[triples], eta)),
+        "caps": _cap_violation((M * M) @ np.where(i == j, 1.0, 2.0), R * R),
+        "left_inverse": _left_inverse_violation(M[None], r * r / kappa**2),
+        "gauge": _gauge_violation((lam @ flat).reshape(r, r), (mu @ flat).reshape(r, r)),
+    }
+
+
+def lowrank_certificate(
+    M: np.ndarray, components: np.ndarray, r: int, omega: int, S: np.ndarray,
+    sigma_mode: str, R: float, kappa: float, eta: float, lam, mu,
+) -> dict[str, float]:
+    """The worst violation of each constraint family of encode_lowrank's
+    program, with the same arguments (ell is that of ``components``) and
+    lam_mu = (lam, mu), at the point whose units are the (d, m) sorted-index
+    flattening M, whose components are ``components`` and whose left
+    inverses are L = pinv(M) and P = pinv(M B), evaluated in closed form:
+    "bands" (M W M^T against S over a <= b, W = mult mult^T o Sigma_sym),
+    "caps" (the multiplicity-weighted norms within R), "structure" (each
+    T_a entry the sum of its components' products), "left_inverse" (L M =
+    Id and P M B = Id with their Frobenius caps) and "gauge" (on
+    F_a = f_a f_a^T, f = M A)."""
+    d = M.shape[0]
+    mult = _sorted_multiplicity(r, omega)
+    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode)
+    pairs = _triu(d)
+    weighted = M * mult
+    model = (weighted @ Sigma_sym @ weighted.T)[pairs]
+    products = components[:, :, _sorted_indices(r, omega)].prod(axis=-1).sum(axis=1)
+    f = M @ _fvector_coefficients(r, omega)
+    caps = np.array([r**omega / kappa**2, r**omega * omega ** (omega / 2) / kappa**2])
+    return {
+        "bands": _band_violation(model, S[pairs], eta),
+        "caps": _cap_violation((M * M) @ mult, R * R),
+        "structure": float(np.abs(products - M).max()),
+        "left_inverse": _left_inverse_violation(np.stack([M, M @ B]), caps),
+        "gauge": _gauge_violation((f.T * lam) @ f, (f.T * mu) @ f),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -762,23 +832,23 @@ def encode_lowrank(
     )
 
     if lam_mu is not None:
-        fcoef = _fvector_coefficients(r, omega)
-        f = [[Poly({(row[u],): c for u, c in fi}) for fi in fcoef] for row in t]
+        A = _fvector_coefficients(r, omega)
+        f = [[Poly({(row[u],): A[u, i] for u in np.flatnonzero(A[:, i])}) for i in range(r)]
+             for row in t]
         F = [[[fa[i] * fa[j] for j in range(r)] for i in range(r)] for fa in f]
         _add_gauge_families(prog, F, *lam_mu, d)
     return prog
 
 
 @functools.lru_cache(maxsize=16)
-def _fvector_coefficients(r: int, omega: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """For each output coordinate i, the linear map sorted-T-entries -> f_i,
-    as its (sorted-index position, coefficient) pairs."""
+def _fvector_coefficients(r: int, omega: int) -> np.ndarray:
+    """The (m, r) matrix A with f = M A: column i is the linear map from
+    the sorted-index entries of a unit to its paired contraction f_i."""
     k = (omega - 1) // 2
     pos = {tup: u for u, tup in enumerate(sorted_multi_indices(r, omega))}
-    out: list[dict[int, float]] = [dict() for _ in range(r)]
+    A = np.zeros((len(pos), r))
     for i in range(r):
         for js in itertools.product(range(r), repeat=k):
-            idx = tuple(sorted(sum(((j, j) for j in js), ()) + (i,)))
-            u = pos[idx]
-            out[i][u] = out[i].get(u, 0.0) + 1.0
-    return tuple(tuple(fi.items()) for fi in out)
+            A[pos[tuple(sorted(sum(((j, j) for j in js), ()) + (i,)))], i] += 1.0
+    A.setflags(write=False)
+    return A

@@ -36,10 +36,11 @@ from .errors import ConvergenceError, DegeneracyError, UsageError, check_setting
 from .gauge import AlignmentConfig, gauge_distance
 from .moments import trace_moment_gradients, trace_moments
 from .networks import PolyNetwork, _philox_rng, rotate_network
-from .relaxation import KAPPA, certify, encode_tensor_ring
-# no recovery path calls solve: perfbench/tracing.py wraps the name
-# tensor_ring.solve, and tests/test_trace_points.py checks that it resolves
-from .relaxation import solve  # noqa: F401
+from .relaxation import KAPPA, gate_certificate, tensor_ring_certificate
+# no recovery path encodes or solves a program: perfbench/tracing.py wraps
+# the names tensor_ring.encode_tensor_ring and tensor_ring.solve, and
+# tests/test_trace_points.py checks that they resolve
+from .relaxation import encode_tensor_ring, solve  # noqa: F401
 from .tensors import GaugeRotation, _sorted_indices, _triu
 
 __all__ = [
@@ -413,12 +414,15 @@ def decompose(
     mu (gauge_fix; ``gauge_fixed`` says whether it could, and ``upsilon``,
     set only then, is the pair's non-degeneracy).  ``local`` returns a fit
     whose lambda-combination has no eigengap unfixed.  ``sos`` returns the
-    same network as ``local`` after one certificate step:
-    relaxation.certify must find it feasible, at that one point, for the
-    degree-4 moment program encoded with lambda and the corner-signed mu
-    (``diagnostics["certificate_violation"]`` is its worst constraint
-    violation).  That is weaker than the paper's guarantee, which rests on
-    the pseudo-expectation being unique; the relaxation is not solved.
+    same network as ``local`` after one certificate step (_certify): the fit
+    must be feasible, at that one point, for the degree-4 moment program
+    stated with lambda and the corner-signed mu, whose constraints are
+    evaluated there in closed form (relaxation.tensor_ring_certificate)
+    rather than encoded.  ``diagnostics["certificate_violation"]`` is the
+    worst constraint violation and ``certificate_families`` the worst of
+    each family ("bands", "caps", "left_inverse", "gauge").  That is weaker
+    than the paper's guarantee, which rests on the pseudo-expectation being
+    unique; the relaxation is not solved.
     ``sos`` raises ConvergenceError when the fit misses its gate, cannot be
     gauge-fixed or breaks the program's caps.  Either backend raises
     ConvergenceError when the returned network's worst table residual
@@ -515,17 +519,29 @@ def _recover(S, T, lam, mu, config: TRConfig):
     diag["gauge_fixed"] = True
     if not sos:
         return net, diag
+    diag["certificate_violation"], diag["certificate_families"] = _certify(
+        S, T, net.Q, lam, mu, config.eta
+    )
+    return net, diag
+
+
+def _certify(S, T, Q, lam, mu, eta: float) -> tuple[float, dict[str, float]]:
+    """The certificate of the gauge-fixed fit Q: relaxation's closed form of
+    the degree-4 program encode_tensor_ring states with lam and the
+    corner-signed mu, at the point Q completes.  Returns (its worst
+    violation, the worst violation of each constraint family); raises
+    ConvergenceError when the fit breaks the program's constraints."""
+    r = Q.shape[1]
     R = math.sqrt(float(np.max(np.diag(S)))) * 1.05 + 1e-9
     # the program is stated in the scale where Q entries are O(1), so the
     # certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
-    prog = encode_tensor_ring(
-        r, S * sc**2, T * sc**3, lam, mu, R=R * sc, kappa=KAPPA,
-        eta=config.eta * sc**2,
-    )
     i, j = _triu(r)
-    diag["certificate_violation"] = certify(prog, net.Q[:, i, j] * sc)
-    return net, diag
+    families = tensor_ring_certificate(
+        Q[:, i, j] * sc, r, S * sc**2, T * sc**3, lam=lam, mu=mu, R=R * sc, kappa=KAPPA,
+        eta=eta * sc**2,
+    )
+    return gate_certificate(families, eta * sc**2), families
 
 
 def _table_residual_pair(Q: np.ndarray, S, T) -> tuple[float, float]:

@@ -15,7 +15,7 @@ Caches
 ------
 The index arrays that depend only on integer shape arguments, the sorted
 multi-indices of (r, omega) with their multiplicities and the upper-triangle
-indices of an n x n matrix, come from ``functools.lru_cache`` helpers: built
+indices and mask of an n x n matrix, come from ``functools.lru_cache`` helpers: built
 on first use, then kept, bounded by their ``maxsize`` and read-only, since
 every caller shares them.  Importing the package builds none of them.
 """
@@ -94,6 +94,14 @@ def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     for a in iu:
         a.setflags(write=False)
     return iu
+
+
+@functools.lru_cache(maxsize=32)
+def _triu_mask(n: int) -> np.ndarray:
+    """The (n, n) boolean mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def sorted_entries(T: np.ndarray, omega: int) -> np.ndarray:

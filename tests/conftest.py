@@ -148,6 +148,47 @@ def forbid_solve(monkeypatch):
         monkeypatch.setattr(mod, "solve", refuse)
 
 
+def check_point(prog, point):
+    """Worst constraint violation of the encoded program ``prog`` at a
+    concrete assignment, polynomial by polynomial; an inequality counts only
+    beyond relaxation.INEQUALITY_SLACK."""
+    from polypush.relaxation import INEQUALITY_SLACK
+
+    worst = 0.0
+    for p, _ in prog.equalities:
+        worst = max(worst, abs(p.evaluate(point)))
+    for p, _ in prog.inequalities:
+        worst = max(worst, max(0.0, -p.evaluate(point) - INEQUALITY_SLACK))
+    return worst
+
+
+def oracle_violation(prog, M, components=None):
+    """The worst violation of an encoded program at the point its units fix:
+    the point fills the encoder's variable blocks in ``prog.meta``, "units"
+    with the (d, m) flattening M, "components" with ``components`` (the
+    low-rank program only), and "L" and, in the low-rank program, "P" with
+    the least-norm left inverses pinv(M) and pinv(M B) (check_point)."""
+    values = {"units": M, "components": components, "L": np.linalg.pinv(M)}
+    if "P" in prog.meta:
+        values["P"] = np.linalg.pinv(M @ prog.meta["B"])
+    point = np.empty(prog.nvars)
+    for key, value in values.items():
+        if value is not None:
+            point[prog.meta[key]] = value
+    return check_point(prog, point)
+
+
+def certify_oracle(prog, M, components=None):
+    """The certificate through the encoded program: oracle_violation,
+    gated at max(eta, 1e-7) with ConvergenceError."""
+    from polypush.errors import ConvergenceError
+
+    violation = oracle_violation(prog, M, components)
+    if violation > max(prog.meta["eta"], 1e-7):
+        raise ConvergenceError("instance violates non-degeneracy caps of the relaxation")
+    return violation
+
+
 def grid_scan_direct(objective, tensA, tensB, step):
     """The r = 2 gauge grid scored point by point: every rotation by the
     angles 0, step, 2 step, ... below 2 pi, then each of them times

@@ -235,20 +235,24 @@ class TestFactorize:
         # gauge-fixed; gauge-fixed, it is feasible for the sos program
         net = smoothed_lr_net(2, 4, 3, 1, 0.5, 9)
         S = exact_lowrank_pair_moments(net).S
-        encoded = []
-        real = lowrank.encode_lowrank
+        certified = []
+        real = lowrank.lowrank_certificate
 
         def counting(*args, **kw):
-            encoded.append(kw["lam_mu"])
+            certified.append((kw["lam"], kw["mu"]))
             return real(*args, **kw)
 
-        monkeypatch.setattr(lowrank, "encode_lowrank", counting)
+        monkeypatch.setattr(lowrank, "lowrank_certificate", counting)
         rep = factorize(
             S, LRConfig(r=2, omega=3, ell=1, backend="sos", rng_seed=9), truth=net
         )
         assert rep.gauge_dist <= 1e-6
         assert rep.diagnostics["certificate_violation"] <= 1e-7
-        assert len(encoded) == 1 and encoded[0] is not None
+        assert rep.diagnostics["certificate_violation"] == max(
+            rep.diagnostics["certificate_families"].values()
+        )
+        assert len(certified) == 1
+        assert all(w is not None for w in certified[0])
 
     def test_sos_matches_local(self, forbid_solve):
         # on the instances sos certifies, it returns local's network bit for

@@ -5,24 +5,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import symmetric_gaussian
-from polypush import relaxation
+from conftest import certify_oracle, check_point, oracle_violation, symmetric_gaussian
+from polypush import lowrank, relaxation, tensor_ring
 from polypush.errors import ConvergenceError, ResourceError, UsageError
-from polypush.moments import exact_quadratic_moments, sigma_matrix
-from polypush.networks import PolyNetwork, rotate_network
+from polypush.lowrank import LRConfig, exact_lowrank_pair_moments
+from polypush.moments import (
+    estimate_pair_moments,
+    estimate_quadratic_moments,
+    exact_quadratic_moments,
+    sigma_matrix,
+)
+from polypush.networks import (
+    PolyNetwork,
+    SeedDistribution,
+    SmoothingParams,
+    paired_outers,
+    rotate_network,
+    sample,
+    smooth_componentwise,
+    smooth_quadratic,
+)
 from polypush.relaxation import (
     Infeasible,
     Poly,
     PolynomialProgram,
     Pseudoexpectation,
     VarGroup,
-    certify,
     encode_lowrank,
     encode_tensor_ring,
+    gate_certificate,
     pseudo_expect,
     solve,
 )
 from polypush.tensor_ring import find_combo, gauge_fix
+from polypush.tensors import sorted_entries
 
 
 def lowrank_flattening(prog, net):
@@ -341,7 +357,7 @@ class TestEncodeTensorRing:
         for k in range(m):
             for a in range(d):
                 point[prog.meta["L"][k, a]] = L[k, a]
-        assert prog.check_point(point) <= 1e-8
+        assert check_point(prog, point) <= 1e-8
 
 
 class TestEncodeLowrank:
@@ -373,8 +389,6 @@ class TestEncodeLowrank:
             )
 
     def test_ground_truth_feasible(self):
-        from polypush.lowrank import exact_lowrank_pair_moments
-
         rng = np.random.default_rng(2)
         r, d, omega, ell = 2, 4, 3, 1
         comps = rng.standard_normal((d, ell, r))
@@ -387,7 +401,7 @@ class TestEncodeLowrank:
             r, omega, ell, S, "gaussian",
             R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
-        assert certify(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
+        assert certify_oracle(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
 
     def test_tensor_ring_r1_closed_form(self):
         # S = q^2, T = q^3 with q = 1: the pseudoexpectation pins Q to 1
@@ -405,11 +419,123 @@ class TestEncodeLowrank:
 LAYOUT_DIMS = [(1, 1), (2, 3), (3, 6), (2, 5), (1, 3, 1, 3), (2, 4, 1, 3), (2, 6, 2, 3), (2, 6, 1, 5)]
 
 
+# the cells of the closed form's oracle sweep: (r, d) of the tensor-ring
+# program and (r, d, ell, omega) of the low-rank one
+ORACLE_CELLS = [(2, 3), (2, 4), (3, 6), (3, 10),
+                (1, 3, 1, 3), (2, 4, 1, 3), (2, 12, 1, 3), (2, 10, 1, 5), (2, 6, 2, 3)]
+# samples behind a sampled table of the sweep
+ORACLE_N = 20_000
+
+
+def oracle_instance(dims, sampled, seed):
+    """(network, table, eta) of an oracle-sweep cell: a smoothed network
+    (rho 1 quadratic, 0.5 low rank) with its exact table at eta = 0, or a
+    table estimated from ORACLE_N samples at eta = 3 / sqrt(ORACLE_N)."""
+    r, d = dims[:2]
+    if len(dims) == 2:
+        base = PolyNetwork(kind="quadratic", r=r, d=d, Q=np.zeros((d, r, r)))
+        net = smooth_quadratic(SmoothingParams(rho=1.0, base=base, rng_seed=seed))
+        exact, estimate = exact_quadratic_moments, estimate_quadratic_moments
+    else:
+        ell, omega = dims[2:]
+        base = PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
+                           components=np.zeros((d, ell, r)))
+        net = smooth_componentwise(SmoothingParams(rho=0.5, base=base, rng_seed=seed))
+        exact, estimate = exact_lowrank_pair_moments, estimate_pair_moments
+    if not sampled:
+        return net, exact(net), 0.0
+    eta = 3 / math.sqrt(ORACLE_N)
+    z = sample(net, SeedDistribution(kind="gaussian"), ORACLE_N, rng_seed=seed)
+    return net, estimate(z, eta), eta
+
+
+def certificate_call(net, table, rng_seed, eta):
+    """The certificate step of the recovery backends run on the canonical
+    form of ``net``: the network gauge-fixed with the (lambda, mu) that
+    find_combo draws from ``table.S`` (quadratic) or from the Gram of its
+    F_a (low rank), then tensor_ring._certify or lowrank._certify at table
+    accuracy ``eta``, as the ``sos`` backends run it on a fit.  Returns
+    (the step's violation, or its ConvergenceError; the (args, kwargs) of
+    its one call of the closed form)."""
+    if net.kind == "quadratic":
+        units = net.Q
+        lam, mu = find_combo(table.S, net.r, rng_seed=rng_seed, eta=eta)
+    else:
+        units = paired_outers(net)
+        lam, mu = find_combo(np.einsum("aij,bij->ab", units, units), net.r, rng_seed=rng_seed)
+    rot, mu, _ = gauge_fix(units, lam, mu)
+    fixed = rotate_network(net, rot)
+    if net.kind == "quadratic":
+        module, name = tensor_ring, "tensor_ring_certificate"
+        step = lambda: tensor_ring._certify(table.S, table.T, fixed.Q, lam, mu, eta)  # noqa: E731
+    else:
+        module, name = lowrank, "lowrank_certificate"
+        cfg = LRConfig(r=net.r, omega=net.omega, ell=net.ell, backend="sos", eta=eta)
+        step = lambda: lowrank._certify(table.S, fixed, lam, mu, cfg)  # noqa: E731
+    calls = []
+
+    def recording(*args, **kw):
+        calls.append((args, kw))
+        return getattr(relaxation, name)(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, recording)
+        out = verdict(step)
+    (call,) = calls
+    return (out if isinstance(out, ConvergenceError) else out[0]), call
+
+
+def closed_form(args, kw):
+    """The closed-form families at a recorded call's arguments: (M, r, S, T)
+    for the tensor-ring program, (M, components, r, omega, S, sigma_mode)
+    for the low-rank one, and lam, mu, R, kappa, eta by keyword."""
+    if len(args) == 6:
+        return relaxation.lowrank_certificate(*args, **kw)
+    return relaxation.tensor_ring_certificate(*args, **kw)
+
+
+def oracle_point(args, kw):
+    """(program, M, components) of a recorded call of the closed form: the
+    program its encoder states with the same arguments, and the point."""
+    if len(args) == 4:
+        M, *rest = args
+        return encode_tensor_ring(*rest, **kw), M, None
+    M, comps, r, omega, S, mode = args
+    kw = dict(kw)
+    lam_mu = (kw.pop("lam"), kw.pop("mu"))
+    return encode_lowrank(r, omega, comps.shape[1], S, mode, lam_mu=lam_mu, **kw), M, comps
+
+
+def assert_matches_oracle(args, kw, closed):
+    """``closed``, the closed form's verdict at a recorded call (its worst
+    violation, or its ConvergenceError), is the encoded program's
+    (conftest.certify_oracle), and the worst violations agree to 1e-12
+    relative whether or not the gate passes."""
+    program = oracle_point(args, kw)
+    want = verdict(lambda: certify_oracle(*program))
+    refused = isinstance(want, ConvergenceError)
+    assert isinstance(closed, ConvergenceError) == refused, (closed, want)
+    if refused:
+        assert str(closed) == str(want)
+    violation = oracle_violation(*program)
+    assert abs(max(closed_form(args, kw).values()) - violation) <= 1e-12 * max(1.0, violation)
+
+
+def verdict(run):
+    """What ``run`` returns, or the ConvergenceError it raises."""
+    try:
+        return run()
+    except ConvergenceError as exc:
+        return exc
+
+
 class TestCertify:
-    """certify: the one packing of a certified point for both programs, its
-    completion by the left inverses, and the feasibility gate."""
+    """The closed-form certificates of both programs, pinned against the
+    encoded programs (conftest.certify_oracle), and their gate."""
 
     def _quadratic(self, radius_factor, r=2, d=3, seed=1):
+        """(args, kwargs) of tensor_ring_certificate at a random network's
+        canonical form, with R = radius_factor times its radius."""
         rng = np.random.default_rng(seed)
         Q = np.stack([symmetric_gaussian(rng, r) for _ in range(d)])
         net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
@@ -417,17 +543,15 @@ class TestCertify:
         lam, mu = find_combo(t.S, r, rng_seed=0)
         rot, mu, _ = gauge_fix(net.Q, lam, mu)
         fixed = rotate_network(net, rot)
-        prog = encode_tensor_ring(
-            r, t.S, t.T, lam, mu, R=net.radius * radius_factor,
-            kappa=1e-3, eta=0.0,
-        )
         i, j = np.triu_indices(r)
-        return prog, fixed.Q[:, i, j], None
+        return ((fixed.Q[:, i, j], r, t.S, t.T),
+                {"lam": lam, "mu": mu, "R": net.radius * radius_factor, "kappa": 1e-3,
+                 "eta": 0.0})
 
     def _lowrank(self, radius_factor, r=2, d=4, ell=1, omega=3, seed=2):
-        from polypush.lowrank import exact_lowrank_pair_moments
-        from polypush.networks import paired_outers
-
+        """(args, kwargs) of lowrank_certificate at a random network's
+        canonical form on its F_a, with R = radius_factor times its
+        radius."""
         rng = np.random.default_rng(seed)
         comps = rng.standard_normal((d, ell, r))
         comps /= np.linalg.norm(comps, axis=2, keepdims=True)
@@ -435,17 +559,14 @@ class TestCertify:
             kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
         )
         S = exact_lowrank_pair_moments(net).S
-        # the sos program: gauge families on F_a = f_a f_a^T, and the
-        # truth rotated into that gauge
         F = paired_outers(net)
         lam, mu = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
         rot, mu, _ = gauge_fix(F, lam, mu)
-        prog = encode_lowrank(
-            r, omega, ell, S, "gaussian", R=net.radius * radius_factor,
-            kappa=1e-3, eta=0.0, lam_mu=(lam, mu),
-        )
         fixed = rotate_network(net, rot)
-        return prog, lowrank_flattening(prog, fixed), fixed.components
+        return ((sorted_entries(fixed.unit_tensors(), omega), fixed.components, r, omega, S,
+                 "gaussian"),
+                {"R": net.radius * radius_factor, "kappa": 1e-3, "eta": 0.0,
+                 "lam": lam, "mu": mu})
 
     @pytest.mark.parametrize("kind, dims, seed", [
         (kind, dims, seed)
@@ -455,26 +576,97 @@ class TestCertify:
     ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
     def test_gauge_fixed_truth_is_feasible(self, kind, dims, seed):
         # dims are (r, d) or (r, d, ell, omega); the gauge families of both
-        # programs hold at gauge_fix's canonical form of the truth
-        prog, M, comps = getattr(self, "_" + kind)(1.01, *dims, seed=seed)
-        # the program's equalities include L M = Id; the violation is the
-        # program's own check at the point completed by pinv(M)
-        assert certify(prog, M, comps) <= 1e-7
+        # programs hold at gauge_fix's canonical form of the truth, and the
+        # point completed by pinv(M) (and pinv(M B)) meets L M = Id
+        args, kw = getattr(self, "_" + kind)(1.01, *dims, seed=seed)
+        closed = gate_certificate(closed_form(args, kw), kw["eta"])
+        assert closed <= 1e-7
+        assert_matches_oracle(args, kw, closed)
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_radius_below_network_raises(self, kind):
-        prog, M, comps = getattr(self, "_" + kind)(0.9)
+        args, kw = getattr(self, "_" + kind)(0.9)
+        families = closed_form(args, kw)
         with pytest.raises(ConvergenceError) as err:
-            certify(prog, M, comps)
+            gate_certificate(families, kw["eta"])
         assert str(err.value) == "instance violates non-degeneracy caps of the relaxation"
+        assert max(families, key=families.get) == "caps"
+        assert_matches_oracle(args, kw, err.value)
 
-    def test_point_size_checked(self):
-        prog, M, comps = self._lowrank(1.01)
-        with pytest.raises(UsageError):
-            certify(prog, M)
-        prog, M, _ = self._quadratic(1.01)
-        with pytest.raises(UsageError):
-            certify(prog, M, comps)
+    @pytest.mark.parametrize("kind, change, family", [
+        (kind, change, family) for kind in ("quadratic", "lowrank")
+        for change, family in [("shift_S", "bands"), ("shrink_R", "caps"),
+                               ("shift_component", "structure"),
+                               ("rank_deficient_M", "left_inverse"),
+                               ("shift_lambda", "gauge"), ("negate_mu", "gauge")]
+        if kind == "lowrank" or family != "structure"
+    ])
+    def test_each_family_trips_on_its_own(self, kind, change, family):
+        # one change at the feasible canonical form breaks one family: a
+        # shifted S entry the bands, a shrunk R the caps, a shifted
+        # component entry the low-rank structure, M rank-deficient to 1e-8
+        # the left inverse, and a shifted lambda (an off-diagonal entry of
+        # Q_lambda or F_lambda) or a negated mu (the first row of Q_mu or
+        # F_mu) the gauge families
+        args, kw = getattr(self, "_" + kind)(1.01)
+        args, kw = list(args), dict(kw)
+        if change == "shift_S":
+            S_at = 2 if kind == "quadratic" else 4
+            args[S_at] = args[S_at].copy()
+            args[S_at][0, 1] += 1e-3
+        elif change == "shrink_R":
+            kw["R"] *= 0.9
+        elif change == "shift_component":
+            args[1] = args[1].copy()
+            args[1][0, 0, 0] += 1e-3
+        elif change == "rank_deficient_M":
+            U, sv, Vt = np.linalg.svd(args[0], full_matrices=False)
+            sv[-1] = 1e-8 * sv[0]
+            args[0] = (U * sv) @ Vt
+        elif change == "shift_lambda":
+            kw["lam"] = kw["lam"] + np.eye(len(kw["lam"]))[0] * 1e-3
+        else:
+            kw["mu"] = -kw["mu"]
+        families = closed_form(tuple(args), kw)
+        assert max(families, key=families.get) == family, families
+        assert families[family] > 1e-7
+        others = [v for name, v in families.items() if name != family]
+        assert max(others) <= 1e-3 * families[family], families
+        closed = verdict(lambda: gate_certificate(families, kw["eta"]))
+        assert isinstance(closed, ConvergenceError)
+        assert_matches_oracle(tuple(args), kw, closed)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-5])
+    @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+    def test_gate_at_the_band_edge(self, kind, eta):
+        # at eta <= 1e-7 a band is an equality and the gate sits at 1e-7;
+        # above, the band is |model - S| <= eta + INEQUALITY_SLACK and the
+        # gate at eta: a shift of S passes below the gate and fails above
+        args, kw = getattr(self, "_" + kind)(1.01)
+        S_at = 2 if kind == "quadratic" else 4
+        edge = 1e-7 if eta == 0.0 else 2 * eta
+        for shift, passes in [(0.5 * edge, True), (1.5 * edge, False)]:
+            shifted = list(args)
+            shifted[S_at] = args[S_at].copy()
+            shifted[S_at][0, 1] += shift
+            shifted_kw = dict(kw, eta=eta)
+            families = closed_form(tuple(shifted), shifted_kw)
+            closed = verdict(lambda: gate_certificate(families, eta))
+            assert isinstance(closed, ConvergenceError) != passes, (shift, families)
+            assert_matches_oracle(tuple(shifted), shifted_kw, closed)
+
+    @pytest.mark.parametrize("dims, sampled, seed", [
+        (dims, sampled, seed) for dims in ORACLE_CELLS for sampled in (False, True)
+        for seed in range(2)
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_closed_form_matches_oracle(self, dims, sampled, seed):
+        # the recovery backends' certificate step, at the canonical form of
+        # a smoothed network, on its exact table or one sampled at
+        # n = 2e4 with eta = 3 / sqrt(n): the same verdict and worst
+        # violation as the encoded program
+        net, table, eta = oracle_instance(dims, sampled, seed)
+        closed, (args, kw) = certificate_call(net, table, seed, eta)
+        assert_matches_oracle(args, kw, closed)
 
     @staticmethod
     def _encode(dims):
@@ -496,9 +688,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("dims", LAYOUT_DIMS, ids=lambda dims: ",".join(map(str, dims)))
     def test_layout_matches_encoder_numbering(self, dims):
-        # certify fills the blocks (units M, components, L, P), which number
-        # the variables in turn, each row-major; the unit groups hold the
-        # same indices, and qvar is the symmetric view of the units
+        # certify_oracle fills the blocks (units M, components, L, P), which
+        # number the variables in turn, each row-major; the unit groups hold
+        # the same indices, and qvar is the symmetric view of the units
         r, d = dims[:2]
         prog = self._encode(dims)
         if len(dims) == 2:

@@ -153,6 +153,45 @@ def test_every_cache_is_bounded(path):
     assert unbounded_caches(ast.parse(path.read_text())) == []
 
 
+# the encoders and the solver, which the recovery modules re-export for the
+# benchmark's tracer but never call: their certificate is evaluated in
+# closed form
+RE_EXPORTED_ONLY = {"tensor_ring.py": ("encode_tensor_ring", "solve"),
+                    "lowrank.py": ("encode_lowrank", "solve")}
+
+
+def name_uses(tree: ast.Module, names) -> list[tuple[int, str]]:
+    """(line, name) of every reference to ``names`` outside an import
+    statement: the name loaded, or read as an attribute of ``relaxation``.
+    The names an import binds are aliases, not references."""
+    return sorted(
+        (node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names
+            and getattr(node.value, "id", None) == "relaxation")
+    )
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    return {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+            for a in n.names}
+
+
+def test_name_uses_are_found():
+    tree = ast.parse("from .relaxation import solve\nx = solve(p)\n"
+                     "y = relaxation.solve\nz = np.linalg.solve(A, b)\n")
+    assert name_uses(tree, ("solve",)) == [(2, "solve"), (3, "solve")]
+
+
+@pytest.mark.parametrize("module", sorted(RE_EXPORTED_ONLY))
+def test_recoveries_only_re_export_the_encoders(module):
+    tree = ast.parse((SRC / module).read_text())
+    names = RE_EXPORTED_ONLY[module]
+    assert imported_names(tree) >= set(names)
+    assert name_uses(tree, names) == []
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 

@@ -414,6 +414,9 @@ class TestDecompose:
                             truth=net)
             assert rep.gauge_dist <= 1e-6
             assert rep.diagnostics["certificate_violation"] <= 1e-7
+            families = rep.diagnostics["certificate_families"]
+            assert sorted(families) == ["bands", "caps", "gauge", "left_inverse"]
+            assert rep.diagnostics["certificate_violation"] == max(families.values())
         else:
             with pytest.raises(ConvergenceError):
                 decompose(np.eye(3), 5.0 * np.ones((3, 3, 3)),
