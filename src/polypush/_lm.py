@@ -1,6 +1,6 @@
 """Levenberg-Marquardt for the local fits of both recoveries.
 
-Both local fits (tensor_ring._fit_restarts and lowrank._fit_components)
+Both local fits (the _fit of tensor_ring._recover, for either kind)
 minimize 0.5 |f(x)|^2 for a residual f with an analytic Jacobian J, from
 starts that are often within rounding of a minimum (the closed forms) and
 sometimes far from any (the random starts, and tables no network fits).

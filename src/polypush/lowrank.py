@@ -1,32 +1,20 @@
 """Low-rank symmetric tensor factorization from pairwise Sigma-inner products.
 
-Recovers rank-ell order-omega networks from S_ab ~ <T_a, T_b>_Sigma.  The
-gauge is broken through the paired-contraction vectors f_a: the rank-one
-matrices F_a = f_a f_a^T transform like quadratic units, so each recovery
-draws one combination, no retries, with find_combo on the Gram of the fit's
-F_a and gauge-fixes the fit with the corner-signed mu through
-tensor_ring.gauge_fix on the F_a; the leftover +-Id ambiguity of odd orders
-is resolved by an argmax anchor and pairwise signs (_canonicalize).  Both
-backends run that one path, a local fit of the components and its one gauge
-fix.  The fit is the Levenberg-Marquardt of _lm.least_squares, with the
-tensor-ring fit's cap of tensor_ring.FIT_MAX_NFEV residual evaluations per
-start; it stops on a stationary point ("tol"), a step at rounding level
-("step"), a stalled cost ("plateau") or the cap ("cap").  sos adds one
-certificate step: the fixed fit must be feasible, at that one point, for the
-moment program, whose constraints are evaluated there in closed form.  That
-is weaker than the paper's guarantee, which rests on the pseudo-expectation
-being unique; no backend solves the relaxation.  At ell = 1 the fit's first start is a closed form
+Recovers rank-ell order-omega networks from S_ab ~ <T_a, T_b>_Sigma through
+tensor_ring._recover, the one recovery path both kinds share; this module
+gives it the pair-moment fit, its closed-form start and its certificate
+(_pair_kind).  The gauge is broken through the paired-contraction vectors
+f_a: the rank-one matrices F_a = f_a f_a^T transform like quadratic units, so
+the pair find_combo draws from the Gram of the fit's F_a gauge-fixes it
+through gauge_fix on the F_a, and the leftover +-Id of odd orders is fixed
+by an argmax anchor.  At ell = 1 the fit's first start is a closed form
 (_rank1_components): the diagonal of S gives the component norms and each
-off-diagonal entry, through the increasing pair moment, the cosine of a pair,
-so the Gram of the components and its top-r eigenpairs follow.  Random starts
-run only when that start's fit misses the tolerance, and at ell >= 2; on a
-table with noise they stop once one repeats the best residual so far
-(tensor_ring._best_fit).
+off-diagonal entry, through the increasing pair moment, the cosine of a
+pair, so the Gram of the components and its top-r eigenpairs follow.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +23,6 @@ import numpy as np
 
 from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
-from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
     PairMomentTable,
     _check_sigma_mode,
@@ -43,11 +30,13 @@ from .moments import (
     pair_moment_closed_form,
     pair_moment_partials,
 )
-from .networks import PolyNetwork, _philox_rng, paired_outers, rotate_network
+from .networks import PolyNetwork, _philox_rng, paired_outers
 from .relaxation import KAPPA, gate_certificate, lowrank_certificate
-# no recovery path encodes or solves a program: perfbench/tracing.py wraps
-# the names lowrank.encode_lowrank and lowrank.solve, and
+# tensor_ring._recover computes the gauge distance, and no recovery path
+# encodes or solves a program: perfbench/tracing.py wraps the names
+# lowrank.gauge_distance, lowrank.encode_lowrank and lowrank.solve, and
 # tests/test_trace_points.py checks that they resolve
+from .gauge import gauge_distance  # noqa: F401
 from .relaxation import encode_lowrank, solve  # noqa: F401
 from . import tensor_ring
 from .tensor_ring import RecoveryReport
@@ -58,7 +47,6 @@ from .tensors import (
     _triu_mask,
     from_sorted_entries,
     sorted_entries,
-    sorted_multi_indices,
 )
 
 __all__ = [
@@ -171,7 +159,7 @@ def exact_lowrank_pair_moments(net: PolyNetwork, mode: str = "gaussian") -> Pair
 
 
 # ---------------------------------------------------------------------------
-# local backend
+# the pair-moment fit and its starts
 # ---------------------------------------------------------------------------
 
 # safeguarded Newton steps _pair_cosines takes at most
@@ -206,16 +194,20 @@ def _pair_cosines(y, omega: int, mode: str):
     return t
 
 
-def _rank1_components(S: np.ndarray, cfg: LRConfig) -> np.ndarray:
+def _rank1_components(S: np.ndarray, cfg: LRConfig) -> tuple[np.ndarray, float]:
     """The packed components of an ell = 1 network in closed form.
 
     pair(v_a, v_b) = |v_a|^omega |v_b|^omega p(cos), so S_aa = c |v_a|^(2 omega)
     with c = p(1) gives the norms, p(t_ab) = c S_ab / sqrt(S_aa S_bb) the
     cosines (_pair_cosines), and the top-r eigenpairs of the Gram
-    |v_a| |v_b| t_ab the components up to O(r), in every Sigma mode.  Raises
-    DegeneracyError when a diagonal entry of S is not positive.
+    |v_a| |v_b| t_ab the components up to O(r), in every Sigma mode.
+    Returns (the components, the gap between the Gram's r-th eigenvalue and
+    the next, 0 past the last).  Raises DegeneracyError at ell >= 2 or when
+    a diagonal entry of S is not positive.
     """
-    mode, omega = cfg.sigma_mode, cfg.omega
+    if cfg.ell != 1:
+        raise DegeneracyError("the closed form needs ell = 1")
+    mode, omega, r = cfg.sigma_mode, cfg.omega, cfg.r
     diag = np.diag(S)
     s = diag / _pair_values(1.0, 1.0, 1.0, omega, mode)
     if np.min(s) <= 0:
@@ -223,8 +215,10 @@ def _rank1_components(S: np.ndarray, cfg: LRConfig) -> np.ndarray:
     norms = s ** (1.0 / (2 * omega))
     cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega, mode)
     w, U = np.linalg.eigh(np.outer(norms, norms) * cos)
-    top = np.argsort(w)[::-1][: cfg.r]
-    return (U[:, top] * np.sqrt(np.maximum(w[top], 0.0))).reshape(-1)
+    order = np.argsort(w)[::-1]
+    gap = float(w[order[r - 1]] - (w[order[r]] if w.size > r else 0.0))
+    top = order[:r]
+    return (U[:, top] * np.sqrt(np.maximum(w[top], 0.0))).reshape(-1), gap
 
 
 def _random_components(S: np.ndarray, cfg: LRConfig):
@@ -237,91 +231,10 @@ def _random_components(S: np.ndarray, cfg: LRConfig):
         yield scale * rng.standard_normal(n) / math.sqrt(cfg.r)
 
 
-def _fit_components(S: np.ndarray, cfg: LRConfig, starts):
-    """Levenberg-Marquardt fit (_lm.least_squares) of the pair moments from
-    each start in turn.
-
-    Stops as tensor_ring._best_fit does: once the best residual is <=
-    ``cfg.tol``, or, on a table with noise (``cfg.eta`` > 0), once a start's
-    residual is within relative tensor_ring.REPEAT_RTOL of the best one so
-    far, the same minimum found twice.  Returns (components, index of the
-    start they came from, _best_fit's diagnostics) of the best fit; raises
-    ConvergenceError when its residual is above max(1e3 eta, 1e-6)."""
-    d = S.shape[0]
-    r, ell, omega = cfg.r, cfg.ell, cfg.omega
-    n = d * ell * r
-    iu = _triu(d)
-    if iu[0].size < n:
-        raise UsageError(
-            f"{iu[0].size} pair moments cannot determine {n} component "
-            f"entries (d = {d}, ell = {ell}, r = {r})"
-        )
-    target = S[iu]
-
-    def fun(x):
-        return _pair_table(x.reshape(d, ell, r), omega, cfg.sigma_mode)[iu] - target
-
-    def jac(x):
-        return _pair_table_jacobian(x.reshape(d, ell, r), omega, cfg.sigma_mode, iu)
-
-    def fits():
-        for x0 in starts:
-            sol = least_squares(fun, x0, jac=jac, max_nfev=tensor_ring.FIT_MAX_NFEV)
-            yield sol.x, float(np.max(np.abs(sol.fun))), sol
-
-    best_x, best_res, best, diag = tensor_ring._best_fit(fits(), cfg.tol, cfg.eta)
-    threshold = max(1e3 * cfg.eta, 1e-6)
-    if best_res > threshold:
-        raise ConvergenceError(
-            f"component fit residual {best_res:.3e} above {threshold:.3e}"
-        )
-    return best_x.reshape(d, ell, r), best, diag
-
-
-def _canonicalize(net: PolyNetwork, rng_seed: int, diag: dict):
-    """The one gauge fix of a lowrank fit: through its F_a = f_a f_a^T, with
-    the one combination find_combo draws from their Gram <F_a, F_b> and the
-    corner-signed mu, and the global +-Id ambiguity resolved by the argmax
-    anchor sign rule.  Sets ``diag``'s ``gauge_fixed`` and ``upsilon``.
-    Returns (network, lam, mu); a network whose gauge cannot be broken comes
-    back as-is, with lam = mu = None."""
-    d, r = net.d, net.r
-    diag["gauge_fixed"] = False
-    if d < r * (r + 1) // 2:
-        return net, None, None  # find_combo needs d >= C(r+1,2)
-    F = paired_outers(net)
-    try:
-        lam, mu = tensor_ring.find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=rng_seed)
-        rot, mu, diag["upsilon"] = tensor_ring.gauge_fix(F, lam, mu)
-    except DegeneracyError:
-        return net, None, None
-    diag["gauge_fixed"] = True
-    out = rotate_network(net, rot)
-    # +-Id: make the anchor entry (largest magnitude) positive; it leaves
-    # every F_a, and so the gauge families of (lam, mu), as they are
-    tens = out.unit_tensors()
-    flat = np.abs(tens).reshape(d, -1)
-    a_star = int(np.argmax(np.max(flat, axis=1)))
-    i_star = int(np.argmax(flat[a_star]))
-    if tens.reshape(d, -1)[a_star, i_star] < 0:
-        out = rotate_network(out, -np.eye(r))
-    return out, lam, mu
-
-
 # ---------------------------------------------------------------------------
-# sos backend (the gauge-fixed fit, certified against the encoded program)
+# the sos certificate: the gauge-fixed fit, checked against the moment
+# program's constraints in closed form
 # ---------------------------------------------------------------------------
-
-def _check_sos_size(d: int, cfg: LRConfig) -> None:
-    """The instances the certificate path takes: d >= m.
-
-    sos encodes the program but never lifts or solves it, so r, d and omega
-    are not capped.
-    """
-    m = len(sorted_multi_indices(cfg.r, cfg.omega))
-    if d < m:
-        raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
-
 
 def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig):
     """The certificate of the gauge-fixed fit ``net``: relaxation's closed
@@ -350,44 +263,67 @@ def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig):
     return gate_certificate(families, eta_sc), families
 
 
+def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
+    """The low-rank fields of tensor_ring._recover's _Kind.  The fit matches
+    the upper triangle of S in the components, from the closed form at
+    ell = 1 (_rank1_components), then Philox stream 42; both backends refuse
+    a fit residual above max(1e3 eta, 1e-6), and the pair comes from the
+    Gram of the fit's F_a.  UsageError up front when the pair moments are
+    fewer than the component entries, or, for ``sos``, when d < m: its
+    certificate never builds, lifts or solves the program, so r, d and omega
+    are not capped."""
+    d = S.shape[0]
+    r, ell, omega, mode = cfg.r, cfg.ell, cfg.omega, cfg.sigma_mode
+    m = math.comb(r + omega - 1, omega)
+    if cfg.backend == "sos" and d < m:
+        raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
+    iu = _triu(d)
+    if iu[0].size < d * ell * r:
+        raise UsageError(
+            f"{iu[0].size} pair moments cannot determine {d * ell * r} component "
+            f"entries (d = {d}, ell = {ell}, r = {r})"
+        )
+    target = S[iu]
+
+    def fun(x):
+        return _pair_table(x.reshape(d, ell, r), omega, mode)[iu] - target
+
+    def fit(x0):
+        sol = least_squares(
+            fun, x0, jac=lambda x: _pair_table_jacobian(x.reshape(d, ell, r), omega, mode, iu),
+            max_nfev=tensor_ring.FIT_MAX_NFEV,
+        )
+        return sol.x.reshape(d, ell, r), float(np.max(np.abs(sol.fun))), sol
+
+    def fit_gate(res, sos, cause):
+        threshold = max(1e3 * cfg.eta, 1e-6)
+        if res > threshold:
+            raise ConvergenceError(f"component fit residual {res:.3e} above {threshold:.3e}")
+
+    def residuals(net, sos):
+        return float(np.max(np.abs(_pair_table(net.components, omega, mode) - S))), 0.0
+
+    return dict(
+        network=lambda comps: PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
+                                          components=comps),
+        fit=fit, closed_form=lambda: _rank1_components(S, cfg),
+        random_starts=_random_components(S, cfg), fit_gate=fit_gate, stack=paired_outers,
+        certificate=lambda net, lam, mu: _certify(S, net, lam, mu, cfg),
+        residuals=residuals,
+        unfixable="the Gram of its F_a or the lambda-combination is degenerate",
+    )
+
+
 def factorize(
     S: np.ndarray,
     config: LRConfig,
     truth: Optional[PolyNetwork] = None,
 ) -> RecoveryReport:
-    """Recover a rank-ell network from pairwise Sigma-moments.
-
-    Both backends run one path, and ``sos`` adds one certificate step at
-    its end.  The path starts from one local fit: the Levenberg-Marquardt of
-    _lm.least_squares on the components, first from the closed form at
-    ell = 1, then from up to ``config.restarts`` random starts while the best
-    fit misses ``config.tol``; each start spends at most
-    tensor_ring.FIT_MAX_NFEV residual evaluations.  On a table with noise (``config.eta`` > 0), which
-    no fit may bring within ``config.tol``, the starts also stop once one
-    repeats the best residual so far to relative tensor_ring.REPEAT_RTOL: the
-    same minimum found twice.  ``diagnostics`` names the start of the fit
-    (``start``: "closed_form" or "random"), the starts tried
-    (``restarts_used``), why they stopped (``fit_stop``: "tol", "repeat" or
-    "exhausted"), why the best start's LM stopped (``lm_stop``: "tol", a
-    stationary point; "step", a step at rounding level; "plateau", a cost that
-    stalled; or "cap", its evaluations spent) and the residual evaluations of
-    all starts (``lm_nfev``).  Both backends then gauge-fix the fit once, with
-    one combination, no retries: find_combo on the Gram of the fit's F_a with
-    ``config.rng_seed``, the corner-signed mu and the anchor sign rule
-    (``gauge_fixed`` says whether the gauge could be broken, and
-    ``upsilon``, set only then, is gauge_fix's on the F_a).  ``local``
-    returns a fit whose gauge cannot be broken unfixed.  ``sos`` returns the
-    same network as ``local`` after one certificate step (_certify): the fit
-    must be feasible, at that one point, for the degree-2 omega program
-    stated with the fit's gauge families and the Sigma_sym of
-    ``config.sigma_mode``, whose constraints are evaluated there in closed
-    form (relaxation.lowrank_certificate) rather than encoded.
-    ``diagnostics["certificate_violation"]`` is the worst constraint
-    violation and ``certificate_families`` the worst of each family
-    ("bands", "caps", "structure", "left_inverse", "gauge").  That is weaker
-    than the paper's guarantee, which rests on the pseudo-expectation being
-    unique; the relaxation is not solved.  ``sos`` raises ConvergenceError on a fit that cannot be
-    gauge-fixed or breaks the program's constraints.
+    """Recover a rank-ell network from pairwise Sigma-moments:
+    tensor_ring._recover's path with the low-rank fields of _pair_kind.
+    ``sos`` states its program with the Sigma_sym of ``config.sigma_mode``,
+    and its certificate families are "bands", "caps", "structure",
+    "left_inverse" and "gauge".
 
     A rotation-invariant seed D only rescales the pair moments: its table
     is S = C S_G, with S_G the Gaussian table of the same network and
@@ -395,47 +331,7 @@ def factorize(
     ``factorize(S / C, LRConfig(..., eta=eta / C))`` recovers the network
     from it in gaussian mode.
     """
-    S = np.asarray(S, dtype=float)
-    d = S.shape[0]
-    cfg = config
-    diag: dict = {"backend": cfg.backend}
-    if cfg.backend == "sos":
-        _check_sos_size(d, cfg)
-    starts = _random_components(S, cfg)
-    closed = None
-    if cfg.ell == 1:
-        try:
-            closed = _rank1_components(S, cfg)
-        except (DegeneracyError, np.linalg.LinAlgError):
-            pass
-        else:
-            starts = itertools.chain([closed], starts)
-    comps, best, fit_diag = _fit_components(S, cfg, starts)
-    diag.update(fit_diag)
-    diag["start"] = "closed_form" if closed is not None and best == 0 else "random"
-    net = PolyNetwork(
-        kind="lowrank", r=cfg.r, d=d, omega=cfg.omega, ell=cfg.ell,
-        components=comps,
-    )
-    net, lam, mu = _canonicalize(net, cfg.rng_seed, diag)
-    if cfg.backend == "sos":
-        if lam is None:
-            raise ConvergenceError(
-                "the local fit cannot be gauge-fixed: the Gram of its F_a or "
-                "the lambda-combination is degenerate"
-            )
-        diag["certificate_violation"], diag["certificate_families"] = _certify(
-            S, net, lam, mu, cfg
-        )
-    model = _pair_table(net.components, cfg.omega, cfg.sigma_mode)
-    res_S = float(np.max(np.abs(model - S)))
-    gd = None
-    if truth is not None:
-        gd, _ = gauge_distance(net, truth, AlignmentConfig(rng_seed=cfg.rng_seed))
-    return RecoveryReport(
-        network=net, residual_S=res_S, residual_T=0.0, gauge_dist=gd,
-        diagnostics=diag,
-    )
+    return tensor_ring._recover(_pair_kind, S, None, config, truth)
 
 
 def extend_tail_lr(

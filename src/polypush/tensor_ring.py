@@ -1,18 +1,18 @@
 """Tensor ring decomposition: recover quadratic units {Q_a} from the trace
-moments S_ab = Tr(Q_a Q_b) and T_abc = Tr(Q_a Q_b Q_c).
+moments S_ab = Tr(Q_a Q_b) and T_abc = Tr(Q_a Q_b Q_c); and the one
+recovery path (_recover) that this and the low-rank factorization share.
 
-Every backend starts from one local fit, a Levenberg-Marquardt fit (_lm) of
-the moments whose first start is spectral_units' closed form: S and T fix the
-Jordan algebra the units span, and its Peirce decomposition reads the units
-off up to the gauge.  Random starts run only when that start's fit misses the
-tolerance, or when the closed form cannot be formed (a rank-deficient S); on a
-table with noise they stop once one repeats the best residual so far.
-Commuting units, whose S has rank r (exact or sampled), are read off the
-same closed form whitened with r eigenpairs of S instead of C(r+1,2),
+That path checks the table, fits the moments by Levenberg-Marquardt (_lm)
+from the kind's closed form and then random starts, breaks the gauge O(r)
+once and, for ``sos``, certifies the fixed fit against the moment program.
+Here the closed form is spectral_units': S and T fix the Jordan algebra the
+units span, and its Peirce decomposition reads the units off up to the
+gauge.  Commuting units, whose S has rank r (exact or sampled), are read off
+the same closed form whitened with r eigenpairs of S instead of C(r+1,2),
 without a fit.
 
-The gauge O(r) is broken by one pair of random unit combinations lambda, mu
-per recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
+The gauge is broken by one pair of random unit combinations lambda, mu per
+recovery, drawn by find_combo: Q_lambda has a spectral gap and Q_mu no
 vanishing entries in Q_lambda's eigenbasis with high probability in the
 smoothed setting, and find_combo's only failure does not depend on the draw,
 so it is never retried.  The canonical representative has Q_lambda diagonal
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -245,7 +245,189 @@ def gauge_fix(
 
 
 # ---------------------------------------------------------------------------
-# local (nonconvex) backend
+# the one recovery path of both network kinds
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Kind:
+    """One network kind's part in _recover, built once per recovery.
+
+    ``fit(x0)`` runs one LM fit through the kind module's least_squares,
+    looked up at call time: (unit array, table residual, LMResult), and
+    ``network`` makes the unit array a network.  ``closed_form()`` is (packed first start, its eigengap), or raises
+    DegeneracyError or LinAlgError.  ``fit_gate`` and ``residuals``, which
+    returns (residual_S, residual_T), raise the kind's ConvergenceErrors.
+    ``stack`` co-rotates with the gauge (Q_a or F_a), and ``unfixable`` is
+    why sos refuses a fit it cannot gauge-fix ("{exc}": the cause).  A
+    ``gram`` (S) has the pair drawn before the fit; ``commuting()`` is
+    local's network when it has none, or None.
+    """
+
+    network: Callable[[np.ndarray], PolyNetwork]
+    fit: Callable[[np.ndarray], tuple]
+    closed_form: Callable[[], tuple]
+    random_starts: Iterator[np.ndarray]
+    fit_gate: Callable[[float, bool, Optional[DegeneracyError]], None]
+    stack: Callable[[PolyNetwork], np.ndarray]
+    certificate: Callable[[PolyNetwork, np.ndarray, np.ndarray], tuple]
+    residuals: Callable[[PolyNetwork, bool], tuple[float, float]]
+    unfixable: str
+    gram: Optional[np.ndarray] = None
+    commuting: Optional[Callable[[], Optional[PolyNetwork]]] = None
+
+
+# relative gap within which a start's residual repeats the best one so far:
+# the same local minimum found twice, where a fit of a noisy table stops
+REPEAT_RTOL = 1e-6
+# residual evaluations one start of either kind's local fit may spend
+FIT_MAX_NFEV = 2000
+
+
+def _best_fit(fits, tol: float, eta: float):
+    """The best of ``fits``, (fit, residual, least_squares result) triples
+    that run one start each as they are drawn.  Stops once the best residual
+    is <= ``tol`` (fit_stop "tol"), or, with ``eta`` > 0, once a start's
+    residual is within relative REPEAT_RTOL of the best one before it
+    ("repeat"); else every start runs ("exhausted").  Returns (fit,
+    residual, index of its start, the fit diagnostics of _recover)."""
+    best_fit, best_res, best, tried, stop = None, np.inf, 0, 0, "exhausted"
+    lm_stop, nfev = None, 0
+    for fit, res, sol in fits:
+        tried += 1
+        nfev += sol.nfev
+        # best_res is inf until a start has a finite residual, and
+        # inf <= REPEAT_RTOL * inf holds
+        repeat = (eta > 0 and math.isfinite(best_res)
+                  and abs(res - best_res) <= REPEAT_RTOL * best_res)
+        if res < best_res:
+            best_fit, best_res, best, lm_stop = fit, res, tried - 1, sol.stop
+        if best_res <= tol:
+            stop = "tol"
+            break
+        if repeat:
+            stop = "repeat"
+            break
+    return best_fit, best_res, best, {
+        "restarts_used": tried, "fit_stop": stop, "lm_stop": lm_stop, "lm_nfev": nfev,
+    }
+
+
+def _fit(kind: _Kind, config):
+    """_best_fit from the kind's closed-form start, then its random starts.
+    Returns (unit array, residual, diagnostics)."""
+    starts, gap = kind.random_starts, None
+    try:
+        x0, gap = kind.closed_form()
+    except (DegeneracyError, np.linalg.LinAlgError):
+        pass
+    else:
+        starts = itertools.chain([x0], starts)
+    units, res, best, diag = _best_fit(map(kind.fit, starts), config.tol, config.eta)
+    diag["start"] = "closed_form" if gap is not None and best == 0 else "random"
+    diag["spectral_gap"] = gap
+    return units, res, diag
+
+
+def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> RecoveryReport:
+    """Recover a network of either kind from its table: S and T for a
+    quadratic network, S alone (T None) for a low-rank one.
+
+    Builds the kind's _Kind from ``fields_of(S, T, config)`` once.  A kind with a ``gram`` draws its
+    one combination (lambda, mu) from it (find_combo, ``config.rng_seed``)
+    before the fit; without one, ``sos`` raises ConvergenceError and
+    ``local`` takes the kind's ``commuting`` network or the unfixed fit.
+    The fit (_fit) runs Levenberg-Marquardt from the closed form, then from
+    up to ``config.restarts`` random starts while the best misses
+    ``config.tol``, each within FIT_MAX_NFEV residual evaluations; with
+    noise (``config.eta`` > 0) the starts also stop once one repeats the
+    best residual.  After the kind's fit gate, both backends gauge-fix the
+    fit once (_gauge_fixed): ``local`` returns a fit that cannot be fixed
+    unfixed, and ``sos`` refuses it and certifies the fixed one.  The
+    kind's residuals, and the gauge distance to ``truth``, end the report.
+
+    ``diagnostics`` holds the same keys for both kinds: ``backend``;
+    ``start``, "closed_form" or "random", the start of the returned fit;
+    ``spectral_gap``, the closed form's eigengap, None without one;
+    ``restarts_used``, the starts tried; ``fit_stop``, "tol", "repeat" or
+    "exhausted"; ``lm_stop``, the best start's LM stop ("tol", a stationary
+    point; "step", a step at rounding level; "plateau", a stalled cost;
+    "cap", its evaluations spent); ``lm_nfev``, the residual evaluations of
+    all starts; ``gauge_fixed``, and when True ``upsilon``; and for ``sos``
+    ``certificate_violation`` and ``certificate_families``, the worst
+    violation overall and per family.  A commuting network, which no fit
+    made, reports ``backend`` and ``gauge_fixed`` alone.
+    """
+    S = np.asarray(S, dtype=float)
+    T = None if T is None else np.asarray(T, dtype=float)
+    kind = _Kind(**fields_of(S, T, config))
+    sos = config.backend == "sos"
+    diag: dict = {"backend": config.backend, "gauge_fixed": False}
+    combo = cause = net = None
+    if kind.gram is not None:
+        try:
+            combo = find_combo(kind.gram, config.r, rng_seed=config.rng_seed, eta=config.eta)
+        except DegeneracyError as exc:
+            if sos:
+                raise ConvergenceError(f"no symmetry-breaking combination: {exc}") from exc
+            cause, net = exc, kind.commuting()
+    if net is None:
+        units, res, fit_diag = _fit(kind, config)
+        diag.update(fit_diag)
+        kind.fit_gate(res, sos, cause)
+        net = kind.network(units)
+        if cause is None:
+            net = _gauge_fixed(kind, net, combo, config, diag)
+    res_S, res_T = kind.residuals(net, sos)
+    gd = None
+    if truth is not None:
+        gd, _ = gauge_distance(net, truth, AlignmentConfig(rng_seed=config.rng_seed))
+    return RecoveryReport(
+        network=net, residual_S=res_S, residual_T=res_T, gauge_dist=gd, diagnostics=diag,
+    )
+
+
+def _gauge_fixed(kind: _Kind, net: PolyNetwork, combo, config, diag: dict) -> PolyNetwork:
+    """``net`` gauge-fixed by gauge_fix on its stack with ``combo``, or with
+    one drawn from the stack's Gram (d >= C(r+1,2)) when None, the +-Id of
+    odd orders fixed by an anchor entry, and for ``sos`` certified: the fit
+    must be feasible, at that one point, for the kind's moment program
+    stated with lambda and the corner-signed mu, whose constraints are
+    evaluated there in closed form.  That is weaker than the paper's
+    guarantee, which rests on the pseudo-expectation being unique; no
+    program is solved.  Sets ``diag``'s keys of the step."""
+    r = net.r
+    units = kind.stack(net)
+    try:
+        if combo is None:
+            if net.d < r * (r + 1) // 2:
+                raise DegeneracyError("find_combo needs d >= C(r+1,2)")
+            combo = find_combo(np.einsum("aij,bij->ab", units, units), r,
+                               rng_seed=config.rng_seed)
+        rot, mu, diag["upsilon"] = gauge_fix(units, *combo)
+    except DegeneracyError as exc:
+        if config.backend == "sos":
+            raise ConvergenceError("the local fit cannot be gauge-fixed: "
+                                   + kind.unfixable.format(exc=exc)) from exc
+        return net
+    net = rotate_network(net, rot)
+    if net.omega % 2:
+        # +-Id: make the anchor entry (largest magnitude) positive; it leaves
+        # every F_a, and so the gauge families of (lam, mu), as they are
+        tens = net.unit_tensors()
+        flat = np.abs(tens).reshape(net.d, -1)
+        a_star = int(np.argmax(np.max(flat, axis=1)))
+        i_star = int(np.argmax(flat[a_star]))
+        if tens.reshape(net.d, -1)[a_star, i_star] < 0:
+            net = rotate_network(net, -np.eye(r))
+    diag["gauge_fixed"] = True
+    if config.backend == "sos":
+        diag["certificate_violation"], diag["certificate_families"] = kind.certificate(
+            net, combo[0], mu)
+    return net
+
+
+# ---------------------------------------------------------------------------
+# quadratic networks: trace moments
 # ---------------------------------------------------------------------------
 
 def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
@@ -278,109 +460,71 @@ def _random_starts(S: np.ndarray, r: int, rng_seed: int, stream: int, count: int
         yield scale * rng.standard_normal(d * r * (r + 1) // 2)
 
 
-# relative gap within which a start's residual repeats the best one so far:
-# the same local minimum found twice, where a fit of a noisy table stops
-REPEAT_RTOL = 1e-6
-# residual evaluations one start of either kind's local fit may spend
-FIT_MAX_NFEV = 2000
-
-
-def _best_fit(fits, tol: float, eta: float):
-    """The best of ``fits``, (fit, residual, least_squares result) triples
-    that run one start each as they are drawn.
-
-    Stops once the best residual is <= ``tol`` (fit_stop "tol").  With
-    ``eta`` > 0, a table with noise that no fit may bring within ``tol``, it
-    also stops once a start's residual is within relative REPEAT_RTOL of the
-    best one before it (fit_stop "repeat"), which the first start, with no
-    best before it, never is.  Otherwise every start runs (fit_stop
-    "exhausted").  Returns (fit, residual, index of its start, diagnostics:
-    ``restarts_used``, the starts tried; ``fit_stop``; ``lm_stop``, the stop
-    reason of the best start's least_squares; ``lm_nfev``, the residual
-    evaluations of all starts).
-    """
-    best_fit, best_res, best, tried, stop = None, np.inf, 0, 0, "exhausted"
-    lm_stop, nfev = None, 0
-    for fit, res, sol in fits:
-        tried += 1
-        nfev += sol.nfev
-        # best_res is inf until a start has a finite residual, and
-        # inf <= REPEAT_RTOL * inf holds
-        repeat = (eta > 0 and math.isfinite(best_res)
-                  and abs(res - best_res) <= REPEAT_RTOL * best_res)
-        if res < best_res:
-            best_fit, best_res, best, lm_stop = fit, res, tried - 1, sol.stop
-        if best_res <= tol:
-            stop = "tol"
-            break
-        if repeat:
-            stop = "repeat"
-            break
-    return best_fit, best_res, best, {
-        "restarts_used": tried, "fit_stop": stop, "lm_stop": lm_stop, "lm_nfev": nfev,
-    }
-
-
-def _fit_restarts(S: np.ndarray, T: np.ndarray, r: int, starts, tol: float, eta: float):
-    """Levenberg-Marquardt fit (_lm.least_squares) of the trace moments from
-    each start in turn.
-
-    The fit matches only the upper-triangle entries of S and the sorted-triple
-    entries of T; the gauge is restored exactly by gauge_fix afterwards.
-    Stops as _best_fit does: once the best table residual is <= ``tol``, or,
-    on a table with noise (``eta`` > 0), once a start repeats the best
-    residual so far.  Returns (Q, table residual, index of its start,
-    _best_fit's diagnostics) of the best fit.
-    """
-    d = S.shape[0]
+def _quadratic_kind(S: np.ndarray, T: np.ndarray, config: TRConfig) -> dict:
+    """The quadratic fields of _recover's _Kind.  The fit matches the upper
+    triangle of S and the sorted triples of T in the packed Q_a (_unpack),
+    from spectral_units' closed form, then Philox stream 21.  The pair comes
+    from S; commuting units, whose S has rank r and so no pair, are read off
+    spectral_units whitened with r eigenpairs of S, kept within residual
+    max(1e3 eta, 1e-8): a fit is limited to ~sqrt(residual) accuracy there,
+    where the moment map loses first-order identifiability.  The fit gate is
+    max(10 eta, 1e-6) for ``sos`` and for a fit without a pair; the network
+    returned must be within max(1e3 eta, 1e-6) of the table, 1e-3 for
+    ``sos``."""
+    d, r, eta = S.shape[0], config.r, config.eta
     iu = _triu(d)
     it = tuple(_sorted_indices(d, 3).T)
     target = np.concatenate([S[iu], T[it]])
+
+    def network(Q):
+        return PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
 
     def fun(x):
         P, C = trace_moments(_unpack(x, d, r))
         return np.concatenate([P[iu], C[it]]) - target
 
-    def jac(x):
-        return _packed_moment_jacobian(x, d, r, iu, it)
+    def fit(x0):
+        sol = least_squares(fun, x0, jac=lambda x: _packed_moment_jacobian(x, d, r, iu, it),
+                            max_nfev=FIT_MAX_NFEV)
+        Q = _unpack(sol.x, d, r)
+        return Q, max(_table_residual_pair(Q, S, T)), sol
 
-    def fits():
-        for x0 in starts:
-            sol = least_squares(fun, x0, jac=jac, max_nfev=FIT_MAX_NFEV)
-            Q = _unpack(sol.x, d, r)
-            yield Q, max(_table_residual_pair(Q, S, T)), sol
-
-    return _best_fit(fits(), tol, eta)
-
-
-def _local_fit(S, T, config: TRConfig):
-    """The moment fit every backend starts from.
-
-    The first start is spectral_units' closed form; the ``config.restarts``
-    random starts from Philox stream 21 run only while the best fit misses
-    ``config.tol`` (all of them when the closed form cannot be formed) and,
-    on a table with noise (``config.eta`` > 0), until a start repeats the
-    best residual so far (_best_fit).  Returns (Q, table residual,
-    diagnostics: ``restarts_used``, the starts tried; ``fit_stop``, "tol",
-    "repeat" or "exhausted", why the starts stopped; ``lm_stop`` and
-    ``lm_nfev`` (_best_fit); ``start``, "spectral" or "random" for the start
-    of the returned fit; ``spectral_gap``, the closed form's eigengap, or
-    None).
-    """
-    r = config.r
-    starts = _random_starts(S, r, config.rng_seed, 21, config.restarts)
-    gap = None
-    try:
-        Q0, gap = spectral_units(S, T, r, config.rng_seed, config.eta)
-    except (DegeneracyError, np.linalg.LinAlgError):
-        pass
-    else:
+    def closed_form():
+        Q, gap = spectral_units(S, T, r, config.rng_seed, eta)
         i, j = _triu(r)
-        starts = itertools.chain([Q0[:, i, j].reshape(-1)], starts)
-    Q, res, best, diag = _fit_restarts(S, T, r, starts, config.tol, config.eta)
-    diag["start"] = "spectral" if gap is not None and best == 0 else "random"
-    diag["spectral_gap"] = gap
-    return Q, res, diag
+        return Q[:, i, j].reshape(-1), gap
+
+    def commuting():
+        try:
+            Q, _ = spectral_units(S, T, r, config.rng_seed, eta, m=r)
+        except (DegeneracyError, np.linalg.LinAlgError):
+            return None
+        return network(Q) if max(_table_residual_pair(Q, S, T)) <= max(1e3 * eta, 1e-8) else None
+
+    def fit_gate(res, sos, cause):
+        threshold = max(10 * eta, 1e-6)
+        if res > threshold and cause is not None:
+            raise ConvergenceError(f"no symmetry-breaking combination ({cause}), and neither "
+                                   f"the diagonal closed form nor the local fit (residual "
+                                   f"{res:.3e}) recovers the table")
+        if res > threshold and sos:
+            raise ConvergenceError(f"local fit residual {res:.3e} above the certificate's "
+                                   f"threshold {threshold:.3e}")
+
+    def residuals(net, sos):
+        res = _table_residual_pair(net.Q, S, T)
+        threshold = 1e-3 if sos else max(1e3 * eta, 1e-6)
+        if max(res) > threshold:
+            raise ConvergenceError(f"residual {max(res):.3e} above threshold {threshold:.3e}")
+        return res
+
+    return dict(
+        network=network, fit=fit, closed_form=closed_form,
+        random_starts=_random_starts(S, r, config.rng_seed, 21, config.restarts),
+        fit_gate=fit_gate, stack=lambda net: net.Q,
+        certificate=lambda net, lam, mu: _certify(S, T, net.Q, lam, mu, eta),
+        residuals=residuals, unfixable="{exc}", gram=S, commuting=commuting,
+    )
 
 
 def decompose(
@@ -389,140 +533,10 @@ def decompose(
     config: TRConfig,
     truth: Optional[PolyNetwork] = None,
 ) -> RecoveryReport:
-    """Recover {Q_a} from trace moments.
-
-    Both backends run one path, and ``sos`` adds one certificate step at
-    its end.  One combination, no retries: find_combo on S with
-    ``config.rng_seed`` draws the recovery's lambda, mu once.  The path
-    starts from one local fit (_local_fit): the Levenberg-Marquardt of
-    _lm.least_squares on the trace moments, from spectral_units' closed
-    form, then from up to ``config.restarts`` random starts while the best
-    fit misses ``config.tol``; each start spends at most FIT_MAX_NFEV
-    residual evaluations.  On a table with noise (``config.eta`` > 0), which
-    no fit may bring within ``config.tol``, the starts also stop once one
-    repeats the best residual so far to relative REPEAT_RTOL: the same
-    minimum found twice.  ``diagnostics`` names the start of the fit (``start``:
-    "spectral" or "random"), the starts tried (``restarts_used``), why they
-    stopped (``fit_stop``: "tol", "repeat" or "exhausted"), why the best
-    start's LM stopped (``lm_stop``: "tol", a stationary point; "step", a
-    step at rounding level; "plateau", a cost that stalled; or "cap", its
-    evaluations spent), the residual evaluations of all starts (``lm_nfev``)
-    and the closed form's eigengap (``spectral_gap``, None when it could not
-    be formed).
-    ``sos`` first gates the fit's residual at max(10 eta, 1e-6).  Both
-    backends then gauge-fix the fit once, with lambda and the corner-signed
-    mu (gauge_fix; ``gauge_fixed`` says whether it could, and ``upsilon``,
-    set only then, is the pair's non-degeneracy).  ``local`` returns a fit
-    whose lambda-combination has no eigengap unfixed.  ``sos`` returns the
-    same network as ``local`` after one certificate step (_certify): the fit
-    must be feasible, at that one point, for the degree-4 moment program
-    stated with lambda and the corner-signed mu, whose constraints are
-    evaluated there in closed form (relaxation.tensor_ring_certificate)
-    rather than encoded.  ``diagnostics["certificate_violation"]`` is the
-    worst constraint violation and ``certificate_families`` the worst of
-    each family ("bands", "caps", "left_inverse", "gauge").  That is weaker
-    than the paper's guarantee, which rests on the pseudo-expectation being
-    unique; the relaxation is not solved.
-    ``sos`` raises ConvergenceError when the fit misses its gate, cannot be
-    gauge-fixed or breaks the program's caps.  Either backend raises
-    ConvergenceError when the returned network's worst table residual
-    exceeds max(1e3 eta, 1e-6) for ``local``, 1e-3 for ``sos``.  A
-    degenerate S (e.g. commuting units, exact or sampled) has no
-    combination: ``local`` then reads the units off spectral_units whitened
-    with the top r eigenpairs of S (the diagonal subalgebra) and falls back
-    to the unfixed fit, and ``sos`` raises ConvergenceError before fitting.
-    """
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    try:
-        lam, mu = find_combo(S, config.r, rng_seed=config.rng_seed, eta=config.eta)
-    except DegeneracyError as exc:
-        if config.backend == "sos":
-            raise ConvergenceError(f"no symmetry-breaking combination: {exc}") from exc
-        net, diag = _commuting_recovery(S, T, config, exc)
-    else:
-        net, diag = _recover(S, T, lam, mu, config)
-    res_S, res_T = _table_residual_pair(net.Q, S, T)
-    threshold = max(1e3 * config.eta, 1e-6) if config.backend == "local" else 1e-3
-    if max(res_S, res_T) > threshold:
-        raise ConvergenceError(
-            f"residual {max(res_S, res_T):.3e} above threshold {threshold:.3e}"
-        )
-    gd = None
-    if truth is not None:
-        gd, _ = gauge_distance(net, truth, AlignmentConfig(rng_seed=config.rng_seed))
-    return RecoveryReport(
-        network=net, residual_S=res_S, residual_T=res_T, gauge_dist=gd,
-        diagnostics=diag,
-    )
-
-
-def _commuting_recovery(S, T, config: TRConfig, cause: DegeneracyError):
-    """``local``'s recovery when S has no symmetry-breaking combination.
-
-    Commuting units span the diagonal subalgebra, where S has rank r, and
-    spectral_units whitened with the top r eigenpairs of S reads them off in
-    closed form.  That is also the accurate route: the moment map loses
-    first-order identifiability there, so a least-squares fit is limited to
-    ~sqrt(residual) accuracy.  The closed form is kept when its table
-    residual is <= max(1e3 eta, 1e-8); the unfixed local fit is the
-    fallback.  Returns (network, diagnostics).
-    """
-    d = S.shape[0]
-    r = config.r
-    eta = config.eta
-    net = None
-    try:
-        Q, _ = spectral_units(S, T, r, config.rng_seed, eta, m=r)
-    except (DegeneracyError, np.linalg.LinAlgError):
-        pass
-    else:
-        if max(_table_residual_pair(Q, S, T)) <= max(1e3 * eta, 1e-8):
-            net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-    diag = {"backend": config.backend, "gauge_fixed": False}
-    if net is None:
-        Q, res, fit_diag = _local_fit(S, T, config)
-        diag.update(fit_diag)
-        if res > max(10 * eta, 1e-6):
-            raise ConvergenceError(
-                f"no symmetry-breaking combination ({cause}), and neither "
-                f"the diagonal closed form nor the local fit (residual "
-                f"{res:.3e}) recovers the table"
-            )
-        net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q)
-    return net, diag
-
-
-def _recover(S, T, lam, mu, config: TRConfig):
-    """The one local fit, gauge-fixed with ``lam``, ``mu``, and for ``sos``
-    its certificate.  Returns (network, diagnostics)."""
-    d = S.shape[0]
-    r = config.r
-    sos = config.backend == "sos"
-    Q_fit, res, fit_diag = _local_fit(S, T, config)
-    diag: dict = {"backend": config.backend, **fit_diag}
-    net = PolyNetwork(kind="quadratic", r=r, d=d, Q=Q_fit)
-    fit_thr = max(10 * config.eta, 1e-6)
-    if sos and res > fit_thr:
-        raise ConvergenceError(
-            f"local fit residual {res:.3e} above the certificate's "
-            f"threshold {fit_thr:.3e}"
-        )
-    try:
-        rot, mu, diag["upsilon"] = gauge_fix(net.Q, lam, mu)
-    except DegeneracyError as exc:
-        if sos:
-            raise ConvergenceError(f"the local fit cannot be gauge-fixed: {exc}") from exc
-        diag["gauge_fixed"] = False
-        return net, diag
-    net = rotate_network(net, rot)
-    diag["gauge_fixed"] = True
-    if not sos:
-        return net, diag
-    diag["certificate_violation"], diag["certificate_families"] = _certify(
-        S, T, net.Q, lam, mu, config.eta
-    )
-    return net, diag
+    """Recover {Q_a} from the trace moments S and T: _recover's path with
+    the quadratic fields of _quadratic_kind.  ``sos`` certificate families
+    are "bands", "caps", "left_inverse" and "gauge"."""
+    return _recover(_quadratic_kind, S, T, config, truth)
 
 
 def _certify(S, T, Q, lam, mu, eta: float) -> tuple[float, dict[str, float]]:

@@ -344,7 +344,7 @@ class TestClosedForm:
             net = smoothed_lr_net(r, d, omega, 1, 0.5, seed)
             S = exact_lowrank_pair_moments(net, mode=mode).S
             cfg = LRConfig(r=r, omega=omega, sigma_mode=mode, rng_seed=seed)
-            x = lowrank._rank1_components(S, cfg)
+            x, _ = lowrank._rank1_components(S, cfg)
             model = lowrank._pair_table(x.reshape(d, 1, r), omega, mode)
             assert np.max(np.abs(model - S)) <= 1e-12 * np.max(np.abs(S))
             seen.clear()

@@ -196,7 +196,9 @@ def canonical_form(net, seed):
     Gram of the co-rotating stack."""
     if net.kind == "lowrank":
         diag = {}
-        out, _, _ = lowrank._canonicalize(net, seed, diag)
+        cfg = LRConfig(r=net.r, omega=net.omega, rng_seed=seed)
+        kind = tensor_ring._Kind(**lowrank._pair_kind(exact_lowrank_pair_moments(net).S, None, cfg))
+        out = tensor_ring._gauge_fixed(kind, net, None, cfg, diag)
         return out.components, diag.get("upsilon")
     lam, mu = find_combo(exact_quadratic_moments(net).S, net.r, rng_seed=seed)
     rot, _, upsilon = gauge_fix(net.Q, lam, mu)
@@ -326,7 +328,7 @@ class TestDecompose:
         # with the top r eigenpairs of S
         with pytest.raises(DegeneracyError):
             tensor_ring.spectral_units(t.S, t.T, 2)
-        calls = record_calls(monkeypatch, "find_combo", "spectral_units", "_local_fit")
+        calls = record_calls(monkeypatch, "find_combo", "spectral_units", "_fit")
         rep = decompose(t.S, t.T, TRConfig(r=2, restarts=20), truth=net)
         assert calls == ["find_combo", "spectral_units"]
         assert rep.diagnostics["gauge_fixed"] is False
@@ -538,15 +540,14 @@ def test_sos_refuses_a_fit_it_cannot_gauge_fix(monkeypatch, kind):
             return fits[-1]
         return fit
 
+    monkeypatch.setattr(tensor_ring, "_fit", recording(tensor_ring._fit))
     if kind == "quadratic":
-        monkeypatch.setattr(tensor_ring, "_local_fit", recording(tensor_ring._local_fit))
         monkeypatch.setattr(tensor_ring, "gauge_fix", degenerate)
         t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, 1))
 
         def recover(backend):
             return decompose(t.S, t.T, TRConfig(r=2, backend=backend, rng_seed=1))
     else:
-        monkeypatch.setattr(lowrank, "_fit_components", recording(lowrank._fit_components))
         monkeypatch.setattr(tensor_ring, "find_combo", degenerate)
         S = exact_lowrank_pair_moments(smoothed_lr_net(9)).S
 
@@ -563,14 +564,16 @@ def test_sos_refuses_a_fit_it_cannot_gauge_fix(monkeypatch, kind):
 
 @pytest.mark.parametrize("module, config", [("tensor_ring", "TRConfig"), ("lowrank", "LRConfig")])
 def test_every_config_field_is_read(module, config):
-    # a field that only its own validation reads sets nothing
+    # a field that only its own validation reads sets nothing; the module's
+    # own code and the recovery path of tensor_ring both read the config
     mod = importlib.import_module(f"polypush.{module}")
     tree = ast.parse(inspect.getsource(mod))
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == config]
     post_init = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
     skip = {id(n) for f in post_init for n in ast.walk(f)}
     read = {
-        n.attr for n in ast.walk(tree)
+        n.attr for t in (tree, ast.parse(inspect.getsource(tensor_ring)))
+        for n in ast.walk(t)
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
         and n.value.id in ("config", "cfg") and id(n) not in skip
     }
@@ -609,7 +612,7 @@ class TestSpectralUnits:
         t = exact_quadratic_moments(net)
         rep = decompose(t.S, t.T, TRConfig(r=5, rng_seed=seed), truth=net)
         assert rep.diagnostics["restarts_used"] == 1
-        assert rep.diagnostics["start"] == "spectral"
+        assert rep.diagnostics["start"] == "closed_form"
         assert rep.diagnostics["spectral_gap"] > 0
         assert rep.gauge_dist <= 1e-12
 
