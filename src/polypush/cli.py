@@ -70,6 +70,7 @@ from .networks import (
     w1_upper_bound,
 )
 from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
+from .tensors import symmetrize
 
 
 def _path_error(verb: str, path: str, exc: OSError) -> UsageError:
@@ -446,9 +447,10 @@ def cmd_bench(args) -> int:
             )
             truth = smooth_quadratic(SmoothingParams(rho=args.rho, base=base, rng_seed=s))
             table = exact_quadratic_moments(truth)
+            # noise symmetric like every estimated table's
             rng = _philox_rng(s, 99)
             S = table.S + eta * rng.uniform(-1, 1, size=table.S.shape)
-            T = table.T + eta * rng.uniform(-1, 1, size=table.T.shape)
+            T = table.T + eta * symmetrize(rng.uniform(-1, 1, size=table.T.shape))
             S = 0.5 * (S + S.T)
             t0 = time.perf_counter()
             cfg = _tr_config(args, s, eta)

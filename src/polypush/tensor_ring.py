@@ -105,8 +105,6 @@ def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
     d = Ghat.shape[0]
     if d < m:
         raise UsageError(f"need d >= C(r+1,2) = {m}, got d = {d}")
-    if np.max(np.abs(Ghat - Ghat.T)) > 1e-8:
-        raise UsageError("Ghat must be symmetric")
     w, U = np.linalg.eigh(0.5 * (Ghat + Ghat.T))
     top = np.argsort(w)[::-1][:m]
     vals = w[top]
@@ -248,6 +246,33 @@ def gauge_fix(
 # the one recovery path of both network kinds
 # ---------------------------------------------------------------------------
 
+# exact tables are symmetric to 1.6 eps of their largest entry, estimated
+# ones exactly; asymmetry beyond this share of the largest entry is refused
+SYM_RTOL = 1e-12
+
+
+def _check_tables(S, T):
+    """(S, T) as float arrays, T None for a pair table; UsageError naming the
+    field unless each is finite, S is (d, d) with d >= 1, T is (d, d, d) and
+    each is symmetric to relative SYM_RTOL."""
+    tables = {"S": np.asarray(S, dtype=float)}
+    if T is not None:
+        tables["T"] = np.asarray(T, dtype=float)
+    d = len(tables["S"]) if tables["S"].ndim else 0
+    for name, X in tables.items():
+        want = (d,) * (2 if name == "S" else 3)
+        if d == 0 or X.shape != want:
+            raise UsageError(f"table field {name!r} has shape {X.shape}, expected {want}")
+        if not np.isfinite(X).all():
+            raise UsageError(f"table field {name!r} has NaN or inf entries")
+        band = SYM_RTOL * np.abs(X).max()
+        for k in range(X.ndim - 1):
+            asym = np.abs(X - X.swapaxes(k, k + 1)).max()
+            if asym > band:
+                raise UsageError(f"table field {name!r} is not symmetric (off by {asym:.3e})")
+    return tables["S"], tables.get("T")
+
+
 @dataclass
 class _Kind:
     """One network kind's part in _recover, built once per recovery.
@@ -332,7 +357,8 @@ def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> Re
     """Recover a network of either kind from its table: S and T for a
     quadratic network, S alone (T None) for a low-rank one.
 
-    Builds the kind's _Kind from ``fields_of(S, T, config)`` once.  A kind with a ``gram`` draws its
+    Checks the table (_check_tables) and builds the kind's _Kind from
+    ``fields_of(S, T, config)``, once each.  A kind with a ``gram`` draws its
     one combination (lambda, mu) from it (find_combo, ``config.rng_seed``)
     before the fit; without one, ``sos`` raises ConvergenceError and
     ``local`` takes the kind's ``commuting`` network or the unfixed fit.
@@ -357,8 +383,7 @@ def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> Re
     violation overall and per family.  A commuting network, which no fit
     made, reports ``backend`` and ``gauge_fixed`` alone.
     """
-    S = np.asarray(S, dtype=float)
-    T = None if T is None else np.asarray(T, dtype=float)
+    S, T = _check_tables(S, T)
     kind = _Kind(**fields_of(S, T, config))
     sos = config.backend == "sos"
     diag: dict = {"backend": config.backend, "gauge_fixed": False}

@@ -432,7 +432,7 @@ class TestExitCodes:
         assert run(command[0], "--network", str(net), *command[1:],
                    "--out", str(tmp_path / "out.json")) == 2
 
-    @pytest.mark.parametrize("flaw", ["nan", "shape"])
+    @pytest.mark.parametrize("flaw", ["nan", "shape", "asym"])
     @pytest.mark.parametrize("command", [
         ("solve_tr", "--r", "2", "--restarts", "2"),
         ("solve_lr", "--r", "1", "--restarts", "2"),
@@ -442,6 +442,8 @@ class TestExitCodes:
         S = np.eye(d)
         if flaw == "nan":
             S[0, 1] = S[1, 0] = float("nan")
+        elif flaw == "asym":
+            S[0, 1] = 0.5
         else:
             S = S[:, :2]
         obj = {"kind": "pair", "S": S.tolist(), "eta": 0.0}

@@ -33,6 +33,7 @@ from polypush.networks import (
     smooth_componentwise,
     smooth_quadratic,
 )
+from polypush.tensors import symmetrize
 from polypush.tensor_ring import (
     TRConfig,
     decompose,
@@ -458,7 +459,7 @@ class TestDecompose:
         t = exact_quadratic_moments(net)
         rng = np.random.default_rng(8)
         S = t.S + rng.uniform(-1, 1, t.S.shape) * 1e-4
-        T = t.T + rng.uniform(-1, 1, t.T.shape) * 1e-4
+        T = t.T + symmetrize(rng.uniform(-1, 1, t.T.shape)) * 1e-4
         S = 0.5 * (S + S.T)
         assert -1e-5 < np.linalg.eigvalsh(S)[0] < 0
         rep = decompose(S, T, TRConfig(r=3, rng_seed=8, eta=1e-4), truth=net)
@@ -560,6 +561,82 @@ def test_sos_refuses_a_fit_it_cannot_gauge_fix(monkeypatch, kind):
     assert rep.diagnostics["gauge_fixed"] is False
     with pytest.raises(ConvergenceError, match="cannot be gauge-fixed"):
         recover("sos")
+
+
+def exact_tables(kind):
+    """The exact tables, {field: array}, of a (2,3) quadratic network or of
+    a (2,4,1,3) low-rank one, and the recovery from tables of that kind."""
+    if kind == "quadratic":
+        t = exact_quadratic_moments(smoothed_net(2, 3, 1.0, 1))
+        return {"S": t.S, "T": t.T}, lambda tables, backend="local": decompose(
+            tables["S"], tables["T"], TRConfig(r=2, backend=backend, rng_seed=1))
+    S = exact_lowrank_pair_moments(smoothed_lr_net(9)).S
+    return {"S": S}, lambda tables, backend="local": factorize(
+        tables["S"], LRConfig(r=2, backend=backend, rng_seed=9))
+
+
+@pytest.mark.parametrize("flaw", ["nan", "inf", "shape", "asym"])
+@pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
+def test_bad_tables_are_usage_errors(monkeypatch, kind, flaw):
+    # each table is checked once, where recovery starts, and refused with the
+    # field named before any combination or fit
+    tables, recover = exact_tables(kind)
+    calls = record_calls(monkeypatch, "find_combo", "_fit")
+    for field, X in tables.items():
+        X = X.copy()
+        corner = (0, 1) + (0,) * (X.ndim - 2)
+        if flaw == "nan":
+            X[corner] = np.nan
+        elif flaw == "inf":
+            X[corner] = np.inf
+        elif flaw == "shape":
+            X = X[:-1]
+        else:
+            X[corner] += 1e-9 * np.max(np.abs(X))
+        with pytest.raises(UsageError, match=repr(field)):
+            recover({**tables, field: X})
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_symmetry_band_is_relative(scale):
+    # exact tables of units scaled from 1e-6 to 1e6 are symmetric to rounding
+    # of their largest entry and pass; an asymmetry of 1e-9 of the largest
+    # entry is refused at any scale
+    t = exact_quadratic_moments(smoothed_net(3, 6, 1.0, 0))
+    S, T = scale**2 * t.S, scale**3 * t.T
+    tensor_ring._check_tables(S, T)
+    tensor_ring._check_tables(exact_lowrank_pair_moments(smoothed_lr_net(0)).S * scale, None)
+    S[0, 1] += 1e-9 * np.max(np.abs(S))
+    with pytest.raises(UsageError, match="'S' is not symmetric"):
+        tensor_ring._check_tables(S, T)
+
+
+# the diagnostics keys of a fitted recovery, for both kinds
+FIT_KEYS = {"backend", "start", "spectral_gap", "restarts_used", "fit_stop", "lm_stop",
+            "lm_nfev", "gauge_fixed"}
+
+
+@pytest.mark.parametrize("backend", ["local", "sos"])
+def test_both_kinds_report_the_same_diagnostics(monkeypatch, backend):
+    keys = {}
+    for kind in ("quadratic", "lowrank"):
+        tables, recover = exact_tables(kind)
+        rep = recover(tables, backend)
+        assert rep.diagnostics["gauge_fixed"] is True
+        assert rep.diagnostics["start"] == "closed_form" and rep.diagnostics["spectral_gap"] > 0
+        keys[kind] = set(rep.diagnostics)
+    certificate = {"certificate_violation", "certificate_families"} if backend == "sos" else set()
+    assert keys["quadratic"] == keys["lowrank"] == FIT_KEYS | {"upsilon"} | certificate
+    if backend == "local":
+        # an unfixed local fit has no upsilon
+        def degenerate(*args, **kw):
+            raise DegeneracyError("degenerate")
+
+        monkeypatch.setattr(tensor_ring, "gauge_fix", degenerate)
+        for kind in ("quadratic", "lowrank"):
+            tables, recover = exact_tables(kind)
+            assert set(recover(tables).diagnostics) == FIT_KEYS
 
 
 @pytest.mark.parametrize("module, config", [("tensor_ring", "TRConfig"), ("lowrank", "LRConfig")])

@@ -41,21 +41,23 @@ def test_every_wrap_point_resolves(tracing):
         )
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
-def test_traced_recovery_counts_one_combination(tracing, kind):
+@pytest.mark.parametrize("kind, backend", [
+    ("quadratic", "local"), ("lowrank", "local"), ("quadratic", "sos"), ("lowrank", "sos"),
+], ids=["quadratic", "lowrank", "quadratic-sos", "lowrank-sos"])
+def test_traced_recovery_counts_one_combination(tracing, kind, backend):
     if kind == "quadratic":
         fits = "tensor_ring.fit_calls"
         base = PolyNetwork(kind="quadratic", r=2, d=3, Q=np.zeros((3, 2, 2)))
         net = smooth_quadratic(SmoothingParams(rho=1.0, base=base, rng_seed=1))
         t = exact_quadratic_moments(net)
-        recover = lambda: decompose(t.S, t.T, TRConfig(r=2, rng_seed=1))  # noqa: E731
+        recover = lambda: decompose(t.S, t.T, TRConfig(r=2, backend=backend, rng_seed=1))  # noqa: E731
     else:
         fits = "lowrank.fit_calls"
         base = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1,
                            components=np.zeros((4, 1, 2)))
         net = smooth_componentwise(SmoothingParams(rho=0.5, base=base, rng_seed=9))
         S = exact_lowrank_pair_moments(net).S
-        recover = lambda: factorize(S, LRConfig(r=2, rng_seed=9))  # noqa: E731
+        recover = lambda: factorize(S, LRConfig(r=2, backend=backend, rng_seed=9))  # noqa: E731
     tracer = tracing.Tracer(op="test")
     with tracing.installed(tracer):
         rep = recover()
