@@ -13,12 +13,13 @@ program encoders of ``relaxation`` are kept as the tests' oracle of that
 closed form and for the benchmark's cold solve.
 
 Importing polypush loads neither scipy nor mpmath: each module is imported
-by the first call that needs it.  The gauge search (``gauge_distance``, and
-so ``eval`` and any solve given ``--truth``) and the relaxation solver need
-scipy; the lower-bound lab needs both.  The local fits use the in-repo
-Levenberg-Marquardt of ``_lm``, so the CLI commands ``generate``,
-``sample``, ``moments``, ``verify``, ``solve_tr`` and ``solve_lr`` without
-``--truth`` never load them.
+by the first call that needs it.  Only the r >= 3 gauge search
+(``gauge_distance``'s Nelder-Mead refine) and the relaxation solver need
+scipy, and the lower-bound lab needs both.  The local fits use the in-repo
+Levenberg-Marquardt of ``_lm`` and the r <= 2 gauge alignment is
+closed-form, so the CLI commands ``generate``, ``sample``, ``moments``,
+``verify``, ``solve_tr``, ``solve_lr`` and ``eval`` never load them on
+networks with r <= 2, ``--truth`` included.
 """
 
 __version__ = "0.1.0"

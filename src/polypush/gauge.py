@@ -3,36 +3,33 @@
 d_G(net, net') = min over V in O(r) of max_a ||F_{V^{x omega}}(T_a) - T'_a||_F.
 The minimization is nonconvex; for r >= 3 we search candidate rotations from
 eigen-alignment of generic unit combinations, enumerate signs, and refine
-locally on O(r).  For r = 2 an exhaustive angle grid (plus reflection),
-refined around its best point, makes the bound exact to rounding.  For r = 1
-the group is {+1, -1}: both are scored in one batch and the lesser wins, +1
-on a tie, so no search or refinement runs.
+locally on O(r).  For r = 2 the minimum is found exactly, to rounding, by
+enumerating the finitely many angles where it can lie.  For r = 1 the group
+is {+1, -1}: both are scored in one batch and the lesser wins, +1 on a tie,
+so no search or refinement runs.
 
 One kernel, ``_rotate_units``, applies V^{x omega} to the stacked units with
-one matrix product per mode, for one V or a batch of them; the candidate
-scoring, the r = 2 grid scan and both refinements go through it.  The r = 2
-grid is scored in closed form: on each coset of O(2) the squared distance of
+one matrix product per mode, for one V or a batch of them; every score goes
+through it.  For r = 2, on each coset of O(2) the squared distance g_a of
 each unit is a trig polynomial of degree omega in the angle, read off by an
-FFT of 2 omega + 2 samples and evaluated on the whole grid by one product
-with a cached cos/sin basis.  Only the grid points within a rounding band of
-the least such score are scored by ``_objective``; the point a direct scan of
-every grid rotation picks is always among them (``_grid_scan_r2``).  The
-r >= 3 search starts no further Nelder-Mead run once its best value is at
-the rounding level of the units, ``FLOOR_ULPS * eps * max |T_a|``: no start
-can lower it by more than rounding, so an exact rotated copy costs no
-refinement.
+FFT of 2 omega + 2 samples.  The least max_a g_a lies where one g_a is
+stationary or two cross, so its candidates are the roots of the g_a' and the
+g_a - g_b, the eigenvalues of their companion matrices (``_align_r2``); no
+r <= 2 alignment imports scipy.  The r >= 3 search starts no further
+Nelder-Mead run once its best value is at the rounding level of the units,
+``FLOOR_ULPS * eps * max |T_a|``: no start can lower it by more than
+rounding, so an exact rotated copy costs no refinement.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._deferred import minimize, minimize_scalar
+from ._deferred import minimize
 from .errors import UsageError
 from .networks import PolyNetwork, _philox_rng, paired_outers
 from .tensors import GaugeRotation, _triu
@@ -50,21 +47,12 @@ class AlignmentConfig:
 
 # Nelder-Mead starts of the r >= 3 refinement
 RESTARTS = 8
-# angle step of the r = 2 grid scan
-GRID_STEP = 1e-3
 # generic unit combinations whose eigenframes seed the r >= 3 candidates
 COMBOS = 4
 # the rounding level of an alignment, in units of eps * max |T_a|: the best
 # eigenframe candidate of an exact rotated copy scores within ~30 of them
 # (measured up to r = 6 and omega = 5)
 FLOOR_ULPS = 64
-# the rounding band of the r = 2 Fourier grid scores, in units of
-# 2^omega * eps * max_a (||T_a||^2 + ||T'_a||^2): a score and the square of
-# the exact objective at the same grid point differ by at most 2.3 of them at
-# omega = 2 and 0.4 from omega = 5 on (measured on 150 pairs at each omega in
-# 2, 3, 5, 7, 9, 11: rotated, reflected, noisy and unrelated copies with unit
-# scales 1e-3 to 30)
-FOURIER_ULPS = 16
 # the reflection that maps SO(2) onto the other coset of O(2)
 REFL = np.diag([1.0, -1.0])
 
@@ -116,90 +104,81 @@ def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
 
 
 def _rot2(theta) -> np.ndarray:
-    """Rotations by the angles theta, (2, 2) or (B, 2, 2)."""
+    """Rotations by the angles theta, of shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
     return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(omega: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The r = 2 angle grid and its trig basis [1, cos k theta, sin k theta],
-    k = 1..omega, one column per grid angle; built on first use, then kept (a
-    few hundred KB per omega), read-only since every caller shares them."""
-    thetas = np.arange(0.0, 2 * math.pi, step)
-    ktheta = np.multiply.outer(np.arange(1, omega + 1), thetas)
-    basis = np.vstack([np.ones((1, thetas.size)), np.cos(ktheta), np.sin(ktheta)])
-    for a in (thetas, basis):
-        a.setflags(write=False)
-    return thetas, basis
+def _trig_roots(coef: np.ndarray) -> np.ndarray:
+    """Angles of the complex roots of trig polynomials, (P, 2 omega).
 
-
-def _grid_scan_r2(tensA, tensB, step):
-    """Best point of the SO(2) + reflected-coset angle grid, as a direct scan
-    of every grid rotation finds it: (index, angle, ``_objective`` value) of
-    the first least value, the proper rotations indexed before the reflected.
-
-    On each coset, h_a(theta) = <R(theta)^{x omega} T_a, T'_a> is a trig
-    polynomial of degree omega, so its values at N = 2 omega + 2 equispaced
-    angles (one ``_rotate_units`` call for both cosets) give its
-    coefficients by one real FFT.  The grid then scores
-    g_a = ||T_a||^2 + ||T'_a||^2 - 2 h_a by one product with the cached basis.
-    The score and the square of ``_objective`` at one grid point differ by
-    less than the band ``FOURIER_ULPS * 2^omega * eps * max_a (||T_a||^2 +
-    ||T'_a||^2)``, by a factor of about 7 or more as measured.  So the point
-    the direct scan picks, having the least exact value, scores within two
-    bands of the least score, and every point of equal exact value does too.
-    Only the points within two bands are scored by ``_objective``, in grid
-    order, which gives the direct scan's index, value and tie-break.
+    Row p holds the coefficients c_0..c_omega of sum_k c_k e^{ik theta}, with
+    c_{-k} = conj(c_k); its roots are those of z^omega times it, a polynomial
+    of degree 2 omega in z = e^{i theta}, found as the eigenvalues of its
+    companion matrix.  Each row is scaled to a largest coefficient of 1 and
+    its leading one floored at eps, so a vanishing top harmonic moves roots
+    towards 0 and infinity rather than dividing by zero.
     """
-    omega = tensA.ndim - 1
-    thetas, basis = _grid(omega, step)
-    d = len(tensA)
+    P, n = coef.shape[0], 2 * (coef.shape[1] - 1)
+    poly = np.concatenate([coef[:, :0:-1].conj(), coef], axis=1)
+    scale = np.abs(poly).max(axis=1, keepdims=True)
+    poly = poly / np.where(scale > 0, scale, 1.0)
+    eps = np.finfo(float).eps
+    lead = np.where(np.abs(poly[:, -1:]) < eps, eps, poly[:, -1:])
+    companion = np.zeros((P, n, n), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, :, -1] = -poly[:, :-1] / lead
+    return np.angle(np.linalg.eigvals(companion)) % (2 * math.pi)
+
+
+def _align_r2(tensA, tensB):
+    """The least ``_objective`` over O(2) and a rotation attaining it.
+
+    On each coset of O(2), g_a(theta) = ||T_a||^2 + ||T'_a||^2 - 2 h_a(theta)
+    with h_a(theta) = <R(theta)^{x omega} T_a, T'_a>, a trig polynomial of
+    degree omega: its values at N = 2 omega + 2 equispaced angles (one
+    ``_rotate_units`` call for both cosets) give its coefficients by one real
+    FFT.  max_a g_a is least where some g_a is stationary or two of them
+    cross, so the candidates of a coset are theta = 0 and the angles of the
+    roots of every g_a' and every g_a - g_b, a < b: 1 + omega d (d + 1) of
+    them.  They are scored by ``_objective``, the proper rotations first in
+    ascending angle, and the first least value wins, so a tie goes to the
+    proper rotation and to theta = 0.  The roots carry the rounding of
+    ||T_a||^2, so the winner is resolved by a zoom: 9 scans of 33 angles
+    from +-1e-5, each 1/16 as wide, moving only to a strictly lower value.
+    """
+    omega, d = tensA.ndim - 1, len(tensA)
     flatA, flatB = tensA.reshape(d, -1), tensB.reshape(d, -1)
     n = 2 * omega + 2
     R = _rot2(2 * math.pi * np.arange(n) / n)
     samples = _rotate_units(np.concatenate([R, R @ REFL]), tensA).reshape(2, n, d, -1)
-    c = np.fft.rfft(np.einsum("cjak,ak->caj", samples, flatB), axis=-1)[..., :omega + 1] * (2 / n)
-    c[..., 0] /= 2
-    # (coset, unit, [a_0, a_1..a_omega, b_1..b_omega])
-    coef = np.concatenate([c.real, -c.imag[..., 1:]], axis=-1)
+    # (coset, unit, c_0..c_omega) of h_a
+    h = np.fft.rfft(np.einsum("cjak,ak->caj", samples, flatB), axis=-1)[..., :omega + 1] / n
     norms = np.square(flatA).sum(axis=1) + np.square(flatB).sum(axis=1)
-    g = -2 * (coef @ basis)
-    # in place: the same sum into a new array took 1.2 ms against 0.1 ms (d = 10)
-    g += norms[:, None]
-    score = g.max(axis=1).ravel()
-    band = FOURIER_ULPS * tensA[0].size * np.finfo(float).eps * norms.max()
-    cand = np.flatnonzero(score <= score.min() + 2 * band)
-    ang = thetas[cand % thetas.size]
-    V = _rot2(ang)
-    flip = cand >= thetas.size
-    V[flip] = V[flip] @ REFL
-    obj = _objective(tensA, tensB, V)
-    i = int(np.argmin(obj))
-    return int(cand[i]), float(ang[i]), obj[i]
+    slope = h * (1j * np.arange(omega + 1))
+    a, b = _triu(d, 1)
+    cross = h[:, a] - h[:, b]
+    cross[..., 0] -= (norms[a] - norms[b]) / 2
+    polys = np.concatenate([slope, cross], axis=1)
+    roots = _trig_roots(polys.reshape(-1, omega + 1)).reshape(2, -1)
+    thetas = np.sort(np.concatenate([np.zeros((2, 1)), roots], axis=1), axis=1)
+    V = _rot2(thetas)
+    V[1] = V[1] @ REFL
+    obj = _objective(tensA, tensB, V.reshape(-1, 2, 2))
+    k = int(np.argmin(obj))
+    flip, theta, best = k >= thetas.shape[1], thetas.flat[k], obj[k]
 
-
-def _refine_r2(tensA, tensB, theta0, flip, best, step):
-    """Two bounded scalar passes around the grid point theta0 of the proper
-    (or, with ``flip``, reflected) coset; returns (distance, V)."""
     def rotation(theta):
         return _rot2(theta) @ REFL if flip else _rot2(theta)
 
-    # refine the offset from the grid point, not the angle itself: the
-    # bounded method stops within ~sqrt(eps) |x| of the minimum, and |theta|
-    # reaches 2 pi.  Over +-2 step that is still ~1e-10, so a second pass
-    # over +-1e-9 around the first answer resolves the angle to its rounding,
-    # and the distance to rounding whatever the size of the units.
-    theta = theta0
-    for width in (2 * step, 1e-9):
-        center = theta
-        res = minimize_scalar(
-            lambda delta: _objective(tensA, tensB, rotation(center + delta)),
-            bounds=(-width, width), method="bounded",
-            options={"xatol": 2 * math.pi * np.finfo(float).eps},
-        )
-        if res.fun <= best:
-            theta, best = center + float(res.x), res.fun
+    steps = np.linspace(-1.0, 1.0, 33)
+    width = 1e-5
+    for _ in range(9):
+        obj = _objective(tensA, tensB, rotation(theta + width * steps))
+        i = int(np.argmin(obj))
+        if obj[i] < best:
+            theta, best = theta + width * steps[i], obj[i]
+        width /= 16
     V = rotation(theta)
     return float(_objective(tensA, tensB, V)), V
 
@@ -259,9 +238,7 @@ def gauge_distance(
         U = signs[int(np.argmin(_objective(tensA, tensB, signs)))]
         return float(_objective(tensA, tensB, U)), GaugeRotation(U)
     if r == 2:
-        k, theta, best = _grid_scan_r2(tensA, tensB, GRID_STEP)
-        flip = k >= _grid(netA.omega, GRID_STEP)[0].size
-        val, V = _refine_r2(tensA, tensB, theta, flip, best, GRID_STEP)
+        val, V = _align_r2(tensA, tensB)
         # keep the orthogonality certificate tight
         u, _, vt = np.linalg.svd(V)
         return val, GaugeRotation(u @ vt)

@@ -344,9 +344,10 @@ def extend_tail_lr(
 
     head_tensors: (d', r, ..., r) recovered units; returns the (d - d') tail
     as dense symmetric tensors solving argmin sum_a (S_ab - <T_a, T>_Sigma)^2.
+    S and the head are checked as ``tensor_ring._check_tail`` states
+    (UsageError).
     """
-    S = np.asarray(S, dtype=float)
-    head_tensors = np.asarray(head_tensors, dtype=float)
+    S, head_tensors = tensor_ring._check_tail(S, head_tensors, d)
     dp = head_tensors.shape[0]
     r = head_tensors.shape[1]
     omega = head_tensors.ndim - 1

@@ -521,13 +521,13 @@ def _cap_violation(norms2: np.ndarray, cap) -> float:
     return max(0.0, float(np.max(norms2 - cap)) - INEQUALITY_SLACK)
 
 
-def _left_inverse_violation(A: np.ndarray, caps) -> float:
-    """Worst violation of the families X_k A_k = Id_m, ||X_k||_F^2 <= caps[k]
-    (_add_left_inverse) over the (k, d, m) stack A, at their least-norm
-    solutions X_k = pinv(A_k)."""
-    X = np.linalg.pinv(A)
-    eq = float(np.abs(X @ A - np.eye(A.shape[-1])).max())
-    return max(eq, _cap_violation(np.sum(X * X, axis=(1, 2)), caps))
+def _left_inverse_violation(M: np.ndarray, cap: float) -> float:
+    """Worst violation of the family L M = Id_m, ||L||_F^2 <= cap
+    (_add_left_inverse) on the (d, m) M, at its least-norm solution
+    L = pinv(M)."""
+    L = np.linalg.pinv(M)
+    eq = float(np.abs(L @ M - np.eye(M.shape[-1])).max())
+    return max(eq, _cap_violation(np.sum(L * L), cap))
 
 
 def _gauge_violation(X_lam: np.ndarray, X_mu: np.ndarray) -> float:
@@ -575,7 +575,7 @@ def tensor_ring_certificate(
         "bands": max(_band_violation(P[pairs], S[pairs], eta),
                      _band_violation(C[triples], T[triples], eta)),
         "caps": _cap_violation((M * M) @ np.where(i == j, 1.0, 2.0), R * R),
-        "left_inverse": _left_inverse_violation(M[None], r * r / kappa**2),
+        "left_inverse": _left_inverse_violation(M, r * r / kappa**2),
         "gauge": _gauge_violation((lam @ flat).reshape(r, r), (mu @ flat).reshape(r, r)),
     }
 
@@ -588,26 +588,31 @@ def lowrank_certificate(
     program, with the same arguments (ell is that of ``components``) and
     lam_mu = (lam, mu), at the point whose units are the (d, m) sorted-index
     flattening M, whose components are ``components`` and whose left
-    inverses are L = pinv(M) and P = pinv(M B), evaluated in closed form:
-    "bands" (M W M^T against S over a <= b, W = mult mult^T o Sigma_sym),
-    "caps" (the multiplicity-weighted norms within R), "structure" (each
-    T_a entry the sum of its components' products), "left_inverse" (L M =
-    Id and P M B = Id with their Frobenius caps) and "gauge" (on
-    F_a = f_a f_a^T, f = M A)."""
+    inverse is L = pinv(M), evaluated in closed form: "bands" (M W M^T
+    against S over a <= b, W = mult mult^T o Sigma_sym), "caps" (the
+    multiplicity-weighted norms within R), "structure" (each T_a entry the
+    sum of its components' products), "left_inverse" (L M = Id,
+    ||L||_F^2 <= r^omega / kappa^2) and "gauge" (on F_a = f_a f_a^T,
+    f = M A).
+
+    The program's second left inverse, P M B = Id with ||P||_F^2 <=
+    r^omega omega^(omega/2) / kappa^2, is implied and not evaluated: its
+    least-norm solution is P = B^-1 L, every singular value of B is at
+    least 1 in both Sigma modes, so ||P||_F <= ||L||_F, while its cap is
+    omega^(omega/2) >= 1 times L's."""
     d = M.shape[0]
     mult = _sorted_multiplicity(r, omega)
-    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode)
+    Sigma_sym = _mode_sigma(r, omega, sigma_mode)[0]
     pairs = _triu(d)
     weighted = M * mult
     model = (weighted @ Sigma_sym @ weighted.T)[pairs]
     products = components[:, :, _sorted_indices(r, omega)].prod(axis=-1).sum(axis=1)
     f = M @ _fvector_coefficients(r, omega)
-    caps = np.array([r**omega / kappa**2, r**omega * omega ** (omega / 2) / kappa**2])
     return {
         "bands": _band_violation(model, S[pairs], eta),
         "caps": _cap_violation((M * M) @ mult, R * R),
         "structure": float(np.abs(products - M).max()),
-        "left_inverse": _left_inverse_violation(np.stack([M, M @ B]), caps),
+        "left_inverse": _left_inverse_violation(M, r**omega / kappa**2),
         "gauge": _gauge_violation((f.T * lam) @ f, (f.T * mu) @ f),
     }
 

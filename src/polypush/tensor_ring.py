@@ -273,6 +273,21 @@ def _check_tables(S, T):
     return tables["S"], tables.get("T")
 
 
+def _check_tail(S, head, d, omega=None):
+    """(S, head) as float arrays for a tail extension; UsageError unless S
+    passes ``_check_tables``, head is (d', r, ..., r), with omega modes when
+    omega is given, and d' <= d <= len(S)."""
+    S, _ = _check_tables(S, None)
+    head = np.asarray(head, dtype=float)
+    if head.ndim < 3 or len(set(head.shape[1:])) > 1 or omega not in (None, head.ndim - 1):
+        raise UsageError(f"head has shape {head.shape}, expected (d', r, ..., r)"
+                         + (f" with {omega} modes" if omega else ""))
+    if not len(head) <= d <= len(S):
+        raise UsageError(f"d = {d} must lie between the {len(head)} head units "
+                         f"and the {len(S)} rows of S")
+    return S, head
+
+
 @dataclass
 class _Kind:
     """One network kind's part in _recover, built once per recovery.
@@ -594,10 +609,10 @@ def extend_tail(
     """Tail units by per-unit least squares against the recovered head.
 
     head: (d', r, r) recovered units; S: full (d, d) pair moments.  Returns
-    (d - d', r, r) units solving argmin sum_a (S_ab - <Q_a, Q>)^2.
+    (d - d', r, r) units solving argmin sum_a (S_ab - <Q_a, Q>)^2.  S and
+    head are checked as ``_check_tail`` states (UsageError).
     """
-    S = np.asarray(S, dtype=float)
-    head = np.asarray(head, dtype=float)
+    S, head = _check_tail(S, head, d, omega=2)
     dp, r, _ = head.shape
     m = r * (r + 1) // 2
     if dp < m:

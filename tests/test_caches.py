@@ -33,7 +33,6 @@ MODULES = sorted(p.stem for p in (SRC / "polypush").glob("*.py") if not p.stem.s
 
 # arguments each cached helper is checked at, keyed by "module.name"
 CACHED = {
-    "gauge._grid": [(3, 1e-3)],
     "moments._build_mode_sigma": [(2, 3, "gaussian"), (2, 5, "identity"), (3, 3, "gaussian")],
     "moments._sigma_sym": [(1, 3), (3, 5)],
     "relaxation._fvector_coefficients": [(2, 3), (3, 5)],

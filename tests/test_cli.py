@@ -842,6 +842,18 @@ class TestReproducibility:
                       ["sample", "--network", net, "--n", "50001", "--seed", "5",
                        "--out", samples],
                       ["moments", "--samples", samples, "--kind", kind, "--out", table]]
+        # and the eigenvalues of the r = 2 gauge alignment: both solves given
+        # --truth, and eval
+        calls += [["moments", "--network", "0net.json", "--out", "0exact.json"],
+                  ["solve_tr", "--table", "0exact.json", "--r", "2", "--truth", "0net.json",
+                   "--out", "0rec.json"],
+                  ["eval", "--network", "0rec.json", "--reference", "0net.json",
+                   "--out", "0eval.json"],
+                  ["generate", "--kind", "lowrank", "--r", "2", "--d", "4", "--omega", "3",
+                   "--ell", "1", "--rho", "0.5", "--seed", "4", "--out", "lnet.json"],
+                  ["moments", "--network", "lnet.json", "--out", "ltable.json"],
+                  ["solve_lr", "--table", "ltable.json", "--r", "2", "--omega", "3",
+                   "--ell", "1", "--truth", "lnet.json", "--out", "lrec.json"]]
         script = (f"from polypush.cli import main\n"
                   f"for argv in {calls!r}:\n    assert main(argv) == 0\n")
         path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
@@ -856,32 +868,42 @@ class TestReproducibility:
                            timeout=120)
             files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                           if not p.name.endswith(".manifest.json")})
-        assert len(files[0]) == 4 * len(runs)
+        assert len(files[0]) == 4 * len(runs) + 6
         assert files[0].keys() == files[1].keys()
         for name in files[0]:
             assert files[0][name] == files[1][name], name
 
 
-def test_fresh_process_loads_scipy_only_for_the_r2_refine(tmp_path):
-    # generate, sample, moments, verify and both solves without --truth call
-    # nothing from scipy or mpmath, so a process that runs only them imports
-    # neither; eval then loads scipy.optimize for its r = 2 refine, which
-    # shows the probe sees a load when there is one
+def test_fresh_process_loads_scipy_only_for_the_r3_refine(tmp_path):
+    # generate, sample, moments, verify, both solves and eval call nothing
+    # from scipy or mpmath at r <= 2, --truth included, so a process that
+    # runs only them imports neither; eval of two unrelated r = 3 networks
+    # then loads scipy.optimize for its Nelder-Mead refine, which shows the
+    # probe sees a load when there is one
     calls = [["generate", "--r", "2", "--d", "3", "--seed", "1", "--out", "net.json"],
              ["sample", "--network", "net.json", "--n", "50", "--out", "samples.json"],
              ["moments", "--samples", "samples.json", "--out", "est.json"],
              ["moments", "--network", "net.json", "--out", "table.json"],
              ["verify", "--network", "net.json", "--out", "verify.json"],
              ["solve_tr", "--table", "table.json", "--r", "2", "--out", "rec.json"],
+             ["solve_tr", "--table", "table.json", "--r", "2", "--truth", "net.json",
+              "--out", "trec.json"],
+             ["eval", "--network", "rec.json", "--reference", "net.json", "--out", "eval.json"],
              ["generate", "--kind", "lowrank", "--r", "2", "--d", "4", "--omega", "3",
               "--ell", "1", "--rho", "0.5", "--seed", "1", "--out", "lnet.json"],
              ["moments", "--network", "lnet.json", "--out", "ltable.json"],
              ["solve_lr", "--table", "ltable.json", "--r", "2", "--omega", "3", "--ell", "1",
-              "--out", "lrec.json"]]
-    evaluate = ["eval", "--network", "rec.json", "--reference", "net.json", "--out", "eval.json"]
+              "--out", "lrec.json"],
+             ["solve_lr", "--table", "ltable.json", "--r", "2", "--omega", "3", "--ell", "1",
+              "--truth", "lnet.json", "--out", "tlrec.json"],
+             ["generate", "--r", "3", "--d", "6", "--seed", "1", "--out", "net3.json"],
+             ["generate", "--r", "3", "--d", "6", "--seed", "2", "--out", "other3.json"]]
+    evaluate = ["eval", "--network", "other3.json", "--reference", "net3.json",
+                "--out", "eval3.json"]
     script = (
         "import sys\n"
         "import polypush, polypush.cli\n"
+        "from polypush import gauge\n"
         "from polypush.cli import main\n"
         "def loaded():\n"
         "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
@@ -889,8 +911,11 @@ def test_fresh_process_loads_scipy_only_for_the_r2_refine(tmp_path):
         f"for argv in {calls!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "assert loaded() == [], loaded()\n"
+        "starts = []\n"
+        "search = gauge.minimize\n"
+        "gauge.minimize = lambda *a, **k: starts.append(1) or search(*a, **k)\n"
         f"assert main({evaluate!r}) == 0\n"
-        "assert 'scipy.optimize' in sys.modules, loaded()\n"
+        "assert starts and 'scipy.optimize' in sys.modules, loaded()\n"
     )
     path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
             os.environ.get("PYTHONPATH")]

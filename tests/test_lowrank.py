@@ -468,6 +468,22 @@ class TestRotationInvariantSeed:
 
 
 class TestExtendTailLr:
+    def test_nan_table_rejected(self):
+        # a NaN entry of S gave NaN tail tensors without an error
+        rng = np.random.default_rng(7)
+        net = PolyNetwork(kind="lowrank", r=2, d=6, omega=3, ell=1,
+                          components=rng.standard_normal((6, 1, 2)))
+        S = exact_lowrank_pair_moments(net).S.copy()
+        S[0, 5] = np.nan
+        with pytest.raises(UsageError, match="NaN or inf"):
+            extend_tail_lr(S, sigma_matrix(2, 3).Sigma_sym, net.unit_tensors()[:4], 6)
+
+    @pytest.mark.parametrize("head_shape, d", [((4, 2, 2, 2), 7), ((4, 2, 2, 3), 6),
+                                               ((4, 2), 6)])
+    def test_bad_head_or_length_rejected(self, head_shape, d):
+        with pytest.raises(UsageError):
+            extend_tail_lr(np.eye(6), sigma_matrix(2, 3).Sigma_sym, np.ones(head_shape), d)
+
     def test_exact_head_exact_tail(self):
         rng = np.random.default_rng(4)
         r, omega, ell, d, dp = 2, 3, 1, 7, 4

@@ -81,9 +81,9 @@ def test_no_deferred_package_at_import_time(path):
     assert eager == []
 
 
-# the modules that still call scipy.optimize, through _deferred: the gauge
-# search's refines and the lower-bound lab.  The local fits call _lm, and a
-# fit that went back through scipy would import _deferred
+# the modules that still call scipy.optimize, through _deferred: the r >= 3
+# gauge search's refine and the lower-bound lab.  The local fits call _lm, and
+# a fit that went back through scipy would import _deferred
 DEFERRED_IMPORTERS = {"gauge.py", "lowerbound.py"}
 
 
@@ -203,6 +203,8 @@ KEPT_UNREACHED = {
     "sigma_inner": "the dense <T_a, T_b>_Sigma oracle of those tests",
     "kron_power": "the tests' reference for gauge._rotate_units and rotate_network",
     "apply_transform": "the tests' reference for gauge._rotate_units and rotate_network",
+    "rotate_tensor": "the tests' rotation reference for gauge._objective and the Sigma "
+                     "inner product",
     "extend_tail": "tail extension of a tensor-ring head (ROADMAP item 3)",
     "extend_tail_lr": "tail extension of a low-rank head (ROADMAP item 3)",
 }
@@ -228,9 +230,9 @@ def read_names(tree: ast.Module):
 
 
 def unreached_definitions() -> list[tuple[str, str]]:
-    """(where, name) of the top-level functions and classes of the package,
-    private ``_name`` ones and those in their module's ``__all__``, that no
-    code in the package or in perfbench reads beyond their own definition."""
+    """(where, name) of the top-level functions and classes of the package
+    that no code in the package or in perfbench reads beyond their own
+    definition."""
     trees = {p: ast.parse(p.read_text()) for p in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]}
     reads: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
@@ -238,11 +240,8 @@ def unreached_definitions() -> list[tuple[str, str]]:
             reads.setdefault(name, []).append((path, line))
     unreached = []
     for path in sorted(SRC.glob("*.py")):
-        exported = exported_names(trees[path])
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not is_private(node.name) and node.name not in exported:
                 continue
             outside = [
                 (p, line) for p, line in reads.get(node.name, [])

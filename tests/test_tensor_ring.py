@@ -847,6 +847,22 @@ class TestExtendTail:
         with pytest.raises(UsageError):
             extend_tail(np.eye(5), np.zeros((2, 2, 2)), 5)
 
+    # a NaN or an asymmetric entry of S gave NaN tail units, or units 1.84
+    # away from the truth, without an error
+    @pytest.mark.parametrize("shift, match", [(np.nan, "NaN or inf"), (1.0, "not symmetric")])
+    def test_bad_table_rejected(self, shift, match):
+        net = smoothed_net(2, 5, 0.5, 16)
+        S = exact_quadratic_moments(net).S.copy()
+        S[0, 4] += shift
+        with pytest.raises(UsageError, match=match):
+            extend_tail(S, net.Q[:3], 5)
+
+    @pytest.mark.parametrize("head_shape, d", [((3, 2, 2), 6), ((3, 2, 2), 2),
+                                               ((3, 2, 3), 5), ((3, 2, 2, 2), 5)])
+    def test_bad_head_or_length_rejected(self, head_shape, d):
+        with pytest.raises(UsageError):
+            extend_tail(np.eye(5), np.ones(head_shape), d)
+
 
 class TestVerifyAssumption:
     def test_orthonormal_flattening(self):

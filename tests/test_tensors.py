@@ -148,8 +148,8 @@ class TestGaugeDistance:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_rotated_copy_r2_precise(self, kind, seed):
-        # the grid scan's refinement resolves the angle to ~1e-12, whatever
-        # the angle; proper rotations and reflections alike
+        # the zoom resolves the angle to rounding, whatever the angle;
+        # proper rotations and reflections alike
         rng = np.random.default_rng(20 + seed)
         if kind == "quadratic":
             Q = np.stack([symmetric_gaussian(rng, 2) for _ in range(3)])
@@ -305,43 +305,47 @@ def _noisy_copy(rng, net, eta):
                        components=net.components + eta * rng.standard_normal(net.components.shape))
 
 
+def _grid_pair(omega, case, seed):
+    """The pairs the old r = 2 grid scan was checked on: rotated, reflected,
+    identical, reflection-symmetric and noisy copies of a ``_scaled_net``."""
+    rng = np.random.default_rng(1000 * omega + 10 * seed + len(case))
+    d = 1 + int(rng.integers(5))
+    net = _scaled_net(rng, omega, d, case == "symmetric")
+    V = random_orthogonal(rng, 2)
+    if (np.linalg.det(V) < 0) != (case == "reflected"):
+        V = V @ np.diag([1.0, -1.0])
+    other = net if case == "identical" else rotate_network(net, V)
+    if case == "noisy":
+        other = _noisy_copy(rng, other, 1e-3)
+    if case == "symmetric":
+        other = _scaled_net(rng, omega, d, True)
+    return other, net
+
+
+def _no_worse_than_grid(netA, netB):
+    dist, rot = gauge_distance(netA, netB, AlignmentConfig())
+    tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
+    _, _, grid = grid_scan_direct(gauge._objective, tensA, tensB, 1e-3)
+    assert dist <= grid + 1e-14 * max(1.0, netA.radius, netB.radius)
+    return dist, rot
+
+
 class TestGridScan:
-    """The Fourier-scored r = 2 grid against a direct scan of every grid
-    rotation: the same index, angle and value, bit for bit."""
+    """The r = 2 alignment against a direct scan of every rotation of a
+    1e-3 angle grid and its reflected twin: never above it, to rounding."""
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("case", ["rotated", "reflected", "identical", "symmetric", "noisy"])
     @pytest.mark.parametrize("omega", [2, 3, 5])
     def test_matches_direct_scan(self, omega, case, seed):
-        rng = np.random.default_rng(1000 * omega + 10 * seed + len(case))
-        d = 1 + int(rng.integers(5))
-        net = _scaled_net(rng, omega, d, case == "symmetric")
-        V = random_orthogonal(rng, 2)
-        if (np.linalg.det(V) < 0) != (case == "reflected"):
-            V = V @ np.diag([1.0, -1.0])
-        other = net if case == "identical" else rotate_network(net, V)
-        if case == "noisy":
-            other = _noisy_copy(rng, other, 1e-3)
-        if case == "symmetric":
-            other = _scaled_net(rng, omega, d, True)
-        tensA, tensB = other.unit_tensors(), net.unit_tensors()
-        k, theta, value = gauge._grid_scan_r2(tensA, tensB, gauge.GRID_STEP)
-        want = grid_scan_direct(gauge._objective, tensA, tensB, gauge.GRID_STEP)
-        assert (k, theta) == want[:2]
-        assert np.float64(value).tobytes() == np.float64(want[2]).tobytes()
-        if case == "symmetric":
-            # diag(1, -1) fixes every unit of both, so each grid rotation ties
-            # exactly with its reflected twin, and the proper one wins
-            twin = gauge._rot2(np.array([theta])) @ np.diag([1.0, -1.0])
-            assert gauge._objective(tensA, tensB, twin)[0] == value
-            assert k < 2 * math.pi / gauge.GRID_STEP
+        _no_worse_than_grid(*_grid_pair(omega, case, seed))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("tilt", [0.0, 1e-16, 1e-15, 1e-14, 1e-13])
     def test_flat_objective_matches_direct_scan(self, tilt, seed):
         # multiples of the identity are fixed by every rotation; tilted by
-        # less than rounding, the objective is flat on the grid and rounding
-        # alone picks its argmin, which the least Fourier score often misses
+        # less than rounding, the objective is flat and rounding alone
+        # picks its argmin
         rng = np.random.default_rng(1100 + seed)
         netA, netB = (
             PolyNetwork(kind="quadratic", r=2, d=3,
@@ -349,11 +353,7 @@ class TestGridScan:
                         + tilt * np.stack([symmetric_gaussian(rng, 2) for _ in range(3)]))
             for _ in range(2)
         )
-        tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
-        k, theta, value = gauge._grid_scan_r2(tensA, tensB, gauge.GRID_STEP)
-        want = grid_scan_direct(gauge._objective, tensA, tensB, gauge.GRID_STEP)
-        assert (k, theta) == want[:2]
-        assert np.float64(value).tobytes() == np.float64(want[2]).tobytes()
+        _no_worse_than_grid(netA, netB)
 
     def test_r2_never_starts_nelder_mead(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -365,6 +365,67 @@ class TestGridScan:
             net = _scaled_net(rng, omega, 4)
             noisy = _noisy_copy(rng, rotate_network(net, random_orthogonal(rng, 2)), 1e-2)
             gauge_distance(noisy, net, AlignmentConfig())
+
+
+class TestAlignR2:
+    @pytest.mark.parametrize("omega", [1, 2, 3, 5])
+    def test_trig_roots_bracket_every_sign_change(self, omega):
+        # the last row's top harmonic vanishes, which the companion matrix
+        # cannot divide by
+        rng = np.random.default_rng(1500 + omega)
+        coef = rng.standard_normal((6, omega + 1)) + 1j * rng.standard_normal((6, omega + 1))
+        coef[:, 0] = coef[:, 0].real
+        coef[-1, -1] = 0.0
+        angles = gauge._trig_roots(coef)
+        assert angles.shape == (6, 2 * omega)
+        thetas = np.arange(0.0, 2 * math.pi, 1e-4)
+        waves = np.exp(1j * np.multiply.outer(thetas, np.arange(omega + 1)))
+        for row, found in zip(coef, angles):
+            p = 2 * (waves @ row).real - row[0].real
+            for k in np.flatnonzero(np.sign(p[:-1]) != np.sign(p[1:])):
+                gap = np.abs(np.angle(np.exp(1j * (found - thetas[k])))).min()
+                assert gap <= 2e-4
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize("omega", [2, 3, 5])
+    def test_exact_copies_read_rounding(self, omega, reflected):
+        # unit norms spread over 1e-3 to 30 moved the old grid's best point
+        # into the wrong basin on 4 of these 240 copies
+        missed = []
+        for seed in range(40):
+            rng = np.random.default_rng([7, omega, reflected, seed])
+            d = 1 + int(rng.integers(12))
+            net = _scaled_net(rng, omega, d)
+            V = random_orthogonal(rng, 2)
+            if (np.linalg.det(V) < 0) != reflected:
+                V = V @ np.diag([1.0, -1.0])
+            dist, _ = gauge_distance(rotate_network(net, V), net, AlignmentConfig())
+            if dist > 1e-13 * max(1.0, net.radius):
+                missed.append((seed, d, dist))
+        assert missed == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("omega", [2, 3, 5])
+    def test_reflection_symmetric_pair_returns_a_proper_rotation(self, omega, seed):
+        # diag(1, -1) fixes every unit of both, so each reflection ties
+        # exactly with a proper rotation, and the proper one wins
+        netA, netB = _grid_pair(omega, "symmetric", seed)
+        _, rot = _no_worse_than_grid(netA, netB)
+        assert np.linalg.det(rot.V) > 0
+        tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
+        twin = rot.V @ np.diag([1.0, -1.0])
+        assert gauge._objective(tensA, tensB, twin) == gauge._objective(tensA, tensB, rot.V)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identity_multiples_return_the_identity(self, seed):
+        # every rotation fixes them, so theta = 0, scored first, keeps the tie
+        rng = np.random.default_rng(1400 + seed)
+        d = 1 + seed % 4
+        net = PolyNetwork(kind="quadratic", r=2, d=d,
+                          Q=10 ** rng.uniform(-3, 1.5, (d, 1, 1)) * np.eye(2))
+        dist, rot = gauge_distance(net, net, AlignmentConfig())
+        assert dist == 0.0
+        assert np.array_equal(rot.V, np.eye(2))
 
 
 def _r1_candidate_search(netA, netB):
@@ -388,7 +449,6 @@ class TestSignAlignment:
             raise AssertionError("the r = 1 path called an optimizer")
 
         monkeypatch.setattr(gauge, "minimize", refuse)
-        monkeypatch.setattr(gauge, "minimize_scalar", refuse)
 
     # at even omega, +1 and -1 act alike and tie: +1 wins
     @pytest.mark.parametrize("seed", range(4))
