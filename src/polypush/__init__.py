@@ -48,11 +48,9 @@ from .gauge import AlignmentConfig, gauge_distance
 from .moments import (
     PairMomentTable,
     QuadraticMomentTable,
-    SigmaMatrix,
     estimate_pair_moments,
     estimate_quadratic_moments,
     exact_quadratic_moments,
-    sigma_matrix,
     table_from_json,
     table_to_json,
 )
@@ -68,7 +66,6 @@ from .tensor_ring import (
 )
 from .lowrank import (
     LRConfig,
-    extend_tail_lr,
     factorize,
     verify_assumption_lr,
 )
@@ -89,12 +86,12 @@ __all__ = [
     "network_from_json", "network_to_json", "rotate_network", "sample",
     "smooth_componentwise", "smooth_quadratic", "w1_upper_bound",
     "AlignmentConfig", "gauge_distance",
-    "PairMomentTable", "QuadraticMomentTable", "SigmaMatrix",
+    "PairMomentTable", "QuadraticMomentTable",
     "estimate_pair_moments", "estimate_quadratic_moments",
-    "exact_quadratic_moments", "sigma_matrix", "table_from_json", "table_to_json",
+    "exact_quadratic_moments", "table_from_json", "table_to_json",
     "RecoveryReport", "TRConfig", "decompose", "extend_tail", "find_combo",
     "gauge_fix", "spectral_units", "verify_assumption_tr",
-    "LRConfig", "extend_tail_lr", "factorize", "verify_assumption_lr",
+    "LRConfig", "factorize", "verify_assumption_lr",
     "LBInstance", "MatchedPair", "build_networks", "char_gap",
     "param_distance_lb", "search_matched_pair",
 ]

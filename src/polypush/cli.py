@@ -25,15 +25,12 @@ Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
-import time
 import zipfile
 from itertools import chain
 from typing import Optional
@@ -41,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import PolypushError, UsageError, check_settings
+from .errors import PolypushError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .lowerbound import build_networks, pair_to_json, search_matched_pair
 from .lowrank import (
@@ -61,7 +58,6 @@ from .networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
-    _philox_rng,
     network_from_json,
     network_to_json,
     sample,
@@ -70,7 +66,6 @@ from .networks import (
     w1_upper_bound,
 )
 from .tensor_ring import REPEAT_RTOL, TRConfig, decompose, verify_assumption_tr
-from .tensors import symmetrize
 
 
 def _path_error(verb: str, path: str, exc: OSError) -> UsageError:
@@ -347,17 +342,12 @@ def _read_table(path: str, kind: str):
     return table
 
 
-def _tr_config(args, seed: int, eta: float) -> TRConfig:
-    """The decomposition settings of ``solve_tr`` and of a ``bench`` row."""
-    return TRConfig(
-        r=args.r, backend=args.backend, restarts=args.restarts, tol=args.tol,
-        rng_seed=seed, eta=eta,
-    )
-
-
 def cmd_solve_tr(args) -> int:
     table = _read_table(args.table, "quadratic")
-    cfg = _tr_config(args, args.seed, args.eta)
+    cfg = TRConfig(
+        r=args.r, backend=args.backend, restarts=args.restarts, tol=args.tol,
+        rng_seed=args.seed, eta=args.eta,
+    )
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = decompose(table.S, table.T, cfg, truth=truth)
     _write_json(args.out, network_to_json(report.network))
@@ -426,57 +416,6 @@ def cmd_lowerbound(args) -> int:
         _manifest(args)
     else:
         print(text)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    seeds = range(args.seed, args.seed + args.reps)
-    try:
-        etas = [float(e) for e in args.eta_list.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--eta-list must be comma-separated numbers: {exc}") from exc
-    check_settings({"reps": args.reps}, {})
-    for eta in etas:
-        check_settings({}, {}, {"eta": eta})
-    for eta in etas:
-        for s in seeds:
-            base = PolyNetwork(
-                kind="quadratic", r=args.r, d=args.d,
-                Q=np.zeros((args.d, args.r, args.r)),
-            )
-            truth = smooth_quadratic(SmoothingParams(rho=args.rho, base=base, rng_seed=s))
-            table = exact_quadratic_moments(truth)
-            # noise symmetric like every estimated table's
-            rng = _philox_rng(s, 99)
-            S = table.S + eta * rng.uniform(-1, 1, size=table.S.shape)
-            T = table.T + eta * symmetrize(rng.uniform(-1, 1, size=table.T.shape))
-            S = 0.5 * (S + S.T)
-            t0 = time.perf_counter()
-            cfg = _tr_config(args, s, eta)
-            try:
-                report = decompose(S, T, cfg, truth=truth)
-                gd, resid = report.gauge_dist, report.residual
-            except UsageError:
-                # the flags are wrong for every row, not this instance
-                raise
-            except PolypushError:
-                gd, resid = float("nan"), float("nan")
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
-            rows.append(
-                [args.r, args.d, 2, 0, args.rho, eta, 0, args.backend, s,
-                 float(gd), float(resid), float(wall_ms)]
-            )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["r", "d", "omega", "ell", "rho", "eta", "n", "backend", "seed",
-         "gauge_dist", "residual", "wall_ms"]
-    )
-    writer.writerows(rows)
-    with _open(args.out, "w") as fh:
-        fh.write(buf.getvalue())
-    _manifest(args)
     return 0
 
 
@@ -587,19 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lowerbound)
-
-    # no abbreviations: solve_tr's --eta would read as --eta-list here
-    p = sub.add_parser("bench", help="sweep decomposition accuracy and runtime to CSV",
-                       allow_abbrev=False)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--eta-list", default="0.0,1e-4,1e-3")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _common_solver_flags(p, TRConfig)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

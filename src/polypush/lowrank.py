@@ -45,7 +45,6 @@ from .tensors import (
     _sorted_multiplicity,
     _triu,
     _triu_mask,
-    from_sorted_entries,
     sorted_entries,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "LRConfig",
     "factorize",
     "exact_lowrank_pair_moments",
-    "extend_tail_lr",
     "verify_assumption_lr",
 ]
 
@@ -332,36 +330,6 @@ def factorize(
     from it in gaussian mode.
     """
     return tensor_ring._recover(_pair_kind, S, None, config, truth)
-
-
-def extend_tail_lr(
-    S: np.ndarray,
-    Sigma_sym: np.ndarray,
-    head_tensors: np.ndarray,
-    d: int,
-) -> np.ndarray:
-    """Tail tensors by per-unit least squares in the Sigma inner product.
-
-    head_tensors: (d', r, ..., r) recovered units; returns the (d - d') tail
-    as dense symmetric tensors solving argmin sum_a (S_ab - <T_a, T>_Sigma)^2.
-    S and the head are checked as ``tensor_ring._check_tail`` states
-    (UsageError).
-    """
-    S, head_tensors = tensor_ring._check_tail(S, head_tensors, d)
-    dp = head_tensors.shape[0]
-    r = head_tensors.shape[1]
-    omega = head_tensors.ndim - 1
-    mult = _sorted_multiplicity(r, omega)
-    m = mult.size
-    if dp < m:
-        raise UsageError(f"head must have at least C(r+omega-1,omega) = {m} units")
-    # design row a: <T_a, T>_Sigma = sum_v [sum_u mult_u Ta_u Sig_uv mult_v] T_v
-    H = (mult * sorted_entries(head_tensors, omega)) @ Sigma_sym * mult
-    svals = np.linalg.svd(H, compute_uv=False)
-    if svals[-1] < 1e-10 * max(1.0, svals[0]):
-        raise DegeneracyError("head design matrix is rank deficient")
-    coef, *_ = np.linalg.lstsq(H, S[:dp, dp:d], rcond=None)  # (m, d-d')
-    return from_sorted_entries(coef.T, r, omega)
 
 
 @dataclass

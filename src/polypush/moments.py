@@ -29,26 +29,22 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError, check_settings
 from .networks import PolyNetwork, SeedDistribution, blas_product, gaussian_norm_moment
 from .tensors import (
     _sorted_indices,
     _sorted_multiplicity,
     num_sorted_indices,
     symmetrize,
-    vec,
 )
 
 __all__ = [
     "QuadraticMomentTable",
     "PairMomentTable",
-    "SigmaMatrix",
     "trace_moments",
     "trace_moment_gradients",
     "exact_quadratic_moments",
     "estimate_quadratic_moments",
-    "sigma_matrix",
-    "sigma_inner",
     "pair_moment_closed_form",
     "pair_moment_partials",
     "estimate_pair_moments",
@@ -84,8 +80,7 @@ class QuadraticMomentTable:
         self.mu = np.asarray(self.mu, dtype=float)
         self.S = np.asarray(self.S, dtype=float)
         self.T = np.asarray(self.T, dtype=float)
-        if self.eta < 0:
-            raise UsageError("eta must be nonnegative")
+        check_settings({}, {}, {"eta": self.eta})
 
     @property
     def d(self) -> int:
@@ -101,23 +96,11 @@ class PairMomentTable:
 
     def __post_init__(self):
         self.S = np.asarray(self.S, dtype=float)
-        if self.eta < 0:
-            raise UsageError("eta must be nonnegative")
+        check_settings({}, {}, {"eta": self.eta})
 
     @property
     def d(self) -> int:
         return self.S.shape[0]
-
-
-@dataclass
-class SigmaMatrix:
-    """Sigma, its sorted-index symmetrization, and the multiplicity diagonal."""
-
-    r: int
-    omega: int
-    Sigma: np.ndarray
-    Sigma_sym: np.ndarray
-    D: np.ndarray
 
 
 def chunked_mean(x: np.ndarray) -> np.ndarray:
@@ -222,52 +205,13 @@ def _double_factorial_table(maxc: int) -> np.ndarray:
     return t
 
 
-def _check_dense_bytes(need: int, what: str, r: int, omega: int):
-    if need > DENSE_BYTES_CAP:
-        raise ResourceError(
-            f"{what} for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
-            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
-        )
-
-
-def sigma_matrix(
-    r: int, omega: int, seed: Optional[SeedDistribution] = None
-) -> SigmaMatrix:
-    """The moment matrix Sigma = E[g^{x omega} (g^{x omega})^T] and friends.
-
-    Entries are E[g_{i_1}..g_{i_omega} g_{j_1}..g_{j_omega}]; independence of
-    coordinates reduces each to a product of univariate even moments
-    (the Wick pairing count per coordinate).  Rotation-invariant seeds rescale
-    every entry by the degree-2*omega radial factor.
-    """
-    n = r**omega
-    m = num_sorted_indices(r, omega)
-    # every dense 8-byte array built below: Sigma (n x n) and the int64 index
-    # sum and float64 lookup temporaries of its product loop, and the four
-    # m x m arrays of _sigma_sym
-    _check_dense_bytes(8 * (3 * n * n + 4 * m * m), "Sigma", r, omega)
-    idx = np.stack(np.meshgrid(*([np.arange(r)] * omega), indexing="ij"), axis=-1)
-    idx = idx.reshape(n, omega)
-    counts = np.zeros((n, r), dtype=np.int64)
-    for k in range(r):
-        counts[:, k] = np.sum(idx == k, axis=1)
-    table = _double_factorial_table(2 * omega)
-    Sigma = np.ones((n, n))
-    for k in range(r):
-        Sigma *= table[counts[:, k][:, None] + counts[None, :, k]]
-    Sigma_sym, D = (a.copy() for a in _sigma_sym(r, omega))
-    if seed is not None and seed.kind == "rotation_invariant":
-        scale = rotation_invariant_scale(seed, 2 * omega, r)
-        Sigma, Sigma_sym = Sigma * scale, Sigma_sym * scale
-    return SigmaMatrix(r=r, omega=omega, Sigma=Sigma, Sigma_sym=Sigma_sym, D=D)
-
-
 @functools.lru_cache(maxsize=16)
 def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma_sym, D) of sigma_matrix for the Gaussian seed, without the
-    r^omega x r^omega Sigma: Sigma on the sorted multi-indices, and the
-    diagonal of their multiplicities.  It checks no cap: its callers,
-    sigma_matrix and _mode_sigma, do."""
+    """(Sigma_sym, D) for the Gaussian seed, without the r^omega x r^omega
+    Sigma: the Gaussian moment matrix on the sorted multi-indices, each entry
+    the product over coordinates of the univariate even moment (2c-1)!! of
+    its count c (Wick pairing), and the diagonal of their multiplicities.  It
+    checks no cap: its one caller, _mode_sigma, does."""
     m = num_sorted_indices(r, omega)
     table = _double_factorial_table(2 * omega)
     scounts = np.sum(_sorted_indices(r, omega)[:, :, None] == np.arange(r), axis=1)
@@ -288,7 +232,12 @@ def _mode_sigma(r: int, omega: int, mode: str):
     m = num_sorted_indices(r, omega)
     # Sigma_sym, the int64 index sum and float64 lookup temporaries of its
     # product loop, and D, each m x m
-    _check_dense_bytes(8 * 4 * m * m, "Sigma_sym", r, omega)
+    need = 8 * 4 * m * m
+    if need > DENSE_BYTES_CAP:
+        raise ResourceError(
+            f"Sigma_sym for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
+            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
+        )
     return _build_mode_sigma(r, omega, mode)
 
 
@@ -298,7 +247,8 @@ def _build_mode_sigma(r: int, omega: int, mode: str):
     _check_sigma_mode(mode)
     Sigma_sym, D = _sigma_sym(r, omega)
     if mode == "identity":
-        # vec^T Sigma_sym vec is then the Frobenius product of symmetric tensors
+        # (D v)^T Sigma_sym (D w) of sorted entries v, w is then the
+        # Frobenius product of the symmetric tensors
         Sigma_sym = np.diag(1.0 / np.diag(D))
     w, U = np.linalg.eigh(Sigma_sym)
     w = np.clip(w, 0.0, None)
@@ -307,14 +257,6 @@ def _build_mode_sigma(r: int, omega: int, mode: str):
     for a in (Sigma_sym, B):
         a.setflags(write=False)
     return Sigma_sym, B, floor
-
-
-def sigma_inner(Ta: np.ndarray, Tb: np.ndarray, Sigma: np.ndarray) -> float:
-    """vec(T_a)^T Sigma vec(T_b); with Sigma = Id this is the Frobenius product."""
-    va, vb = vec(Ta), vec(Tb)
-    if Sigma.shape != (va.size, vb.size):
-        raise UsageError("Sigma dimension mismatch")
-    return float(va @ Sigma @ vb)
 
 
 def pair_moment_closed_form(dot, nv2, nw2, omega: int):

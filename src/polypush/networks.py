@@ -89,10 +89,6 @@ class PolyNetwork:
         else:
             raise UsageError(f"unknown network kind {self.kind!r}")
 
-    def unit_tensor(self, a: int) -> np.ndarray:
-        """Dense order-omega tensor of unit a."""
-        return self.unit_tensors()[a]
-
     def unit_tensors(self) -> np.ndarray:
         """The (d, r, ..., r) stack of every unit's dense tensor.
 
@@ -381,9 +377,9 @@ def w1_upper_bound(
     dist: float, r: int, d: int, omega: int, seed: SeedDistribution
 ) -> float:
     """Wasserstein-1 bound dist * sqrt(d) * E||x||^omega between two pushforwards
-    whose networks are within gauge distance ``dist``."""
-    if dist < 0:
-        raise UsageError("distance must be nonnegative")
+    whose networks are within gauge distance ``dist``; UsageError unless
+    ``dist`` is finite and >= 0."""
+    check_settings({}, {}, {"distance": dist})
     if seed.kind == "gaussian":
         m = gaussian_norm_moment(r, omega)
     else:

@@ -131,8 +131,10 @@ def find_combo(
     U^T x: x ~ N(0, Id_d) from Philox stream (rng_seed, 11), U = H with unit
     columns.  Their law is N(0, Id_m), and they flip with any column eigh
     returns flipped, so the pair does not depend on eigenvector signs.
-    Raises DegeneracyError where _whiten does.
+    Raises UsageError unless Ghat passes _check_tables as S, and
+    DegeneracyError where _whiten does.
     """
+    Ghat, _ = _check_tables(Ghat, None)
     H, W = _whiten(Ghat, r * (r + 1) // 2, eta)  # columns w^{(ij)}
     U = H / np.linalg.norm(H, axis=0)
     rng = _philox_rng(rng_seed, 11)
@@ -173,15 +175,16 @@ def spectral_units(
     JMLR 2014), every eigenvector of L is an idempotent, there are no c_ij,
     and the units come out diagonal.
 
-    Returns (Q, the chosen smallest eigengap of L).  Raises DegeneracyError
-    where _whiten does (an S of rank below m, e.g. commuting units at
-    m = C(r+1,2)) or when the pairing is not one-to-one.
+    Returns (Q, the chosen smallest eigengap of L).  Raises UsageError
+    unless S and T pass _check_tables, and DegeneracyError where _whiten does
+    (an S of rank below m, e.g. commuting units at m = C(r+1,2)) or when the
+    pairing is not one-to-one.
     """
+    S, T = _check_tables(S, T)
     if m is None:
         m = r * (r + 1) // 2
     H, W = _whiten(S, m, eta)
-    tau = np.einsum("abc,ak,bl,cn->kln", np.asarray(T, dtype=float), W, W, W,
-                    optimize=True)
+    tau = np.einsum("abc,ak,bl,cn->kln", T, W, W, W, optimize=True)
     rng = _philox_rng(rng_seed, 13)
     gap, C = -np.inf, None
     for _ in range(PEIRCE_DRAWS):
@@ -227,9 +230,16 @@ def gauge_fix(
     the relaxations' first-row family holds with the returned mu.  Returns
     (rotation, mu, upsilon = (min eigengap of Q_lambda, min |entry| of Q_mu
     in Q_lambda's eigenbasis)); the caller applies the rotation.  Raises
-    DegeneracyError on an eigengap <= GAP_TOL.
+    UsageError unless lam and mu are finite vectors of one weight per unit,
+    and DegeneracyError on an eigengap <= GAP_TOL.
     """
-    mu = np.asarray(mu, dtype=float)
+    d = len(units)
+    lam, mu = (np.asarray(v, dtype=float) for v in (lam, mu))
+    for name, v in (("lam", lam), ("mu", mu)):
+        if v.shape != (d,):
+            raise UsageError(f"{name} has shape {v.shape}, expected ({d},), one weight per unit")
+        if not np.isfinite(v).all():
+            raise UsageError(f"{name} has NaN or inf entries")
     w, V = np.linalg.eigh(np.einsum("a,aij->ij", lam, units))
     gap = float(np.min(np.diff(w))) if len(w) > 1 else float("inf")
     if gap <= GAP_TOL:
@@ -271,21 +281,6 @@ def _check_tables(S, T):
             if asym > band:
                 raise UsageError(f"table field {name!r} is not symmetric (off by {asym:.3e})")
     return tables["S"], tables.get("T")
-
-
-def _check_tail(S, head, d, omega=None):
-    """(S, head) as float arrays for a tail extension; UsageError unless S
-    passes ``_check_tables``, head is (d', r, ..., r), with omega modes when
-    omega is given, and d' <= d <= len(S)."""
-    S, _ = _check_tables(S, None)
-    head = np.asarray(head, dtype=float)
-    if head.ndim < 3 or len(set(head.shape[1:])) > 1 or omega not in (None, head.ndim - 1):
-        raise UsageError(f"head has shape {head.shape}, expected (d', r, ..., r)"
-                         + (f" with {omega} modes" if omega else ""))
-    if not len(head) <= d <= len(S):
-        raise UsageError(f"d = {d} must lie between the {len(head)} head units "
-                         f"and the {len(S)} rows of S")
-    return S, head
 
 
 @dataclass
@@ -609,10 +604,17 @@ def extend_tail(
     """Tail units by per-unit least squares against the recovered head.
 
     head: (d', r, r) recovered units; S: full (d, d) pair moments.  Returns
-    (d - d', r, r) units solving argmin sum_a (S_ab - <Q_a, Q>)^2.  S and
-    head are checked as ``_check_tail`` states (UsageError).
+    (d - d', r, r) units solving argmin sum_a (S_ab - <Q_a, Q>)^2.
+    UsageError unless S passes ``_check_tables``, head is (d', r, r) and
+    d' <= d <= len(S).
     """
-    S, head = _check_tail(S, head, d, omega=2)
+    S, _ = _check_tables(S, None)
+    head = np.asarray(head, dtype=float)
+    if head.ndim != 3 or head.shape[1] != head.shape[2]:
+        raise UsageError(f"head has shape {head.shape}, expected (d', r, r)")
+    if not len(head) <= d <= len(S):
+        raise UsageError(f"d = {d} must lie between the {len(head)} head units "
+                         f"and the {len(S)} rows of S")
     dp, r, _ = head.shape
     m = r * (r + 1) // 2
     if dp < m:

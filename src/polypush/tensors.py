@@ -1,15 +1,13 @@
-"""Sorted-index flattening of symmetric tensors and Kronecker-power transforms.
+"""Sorted-index flattening of symmetric tensors, their paired contraction and
+symmetrization, and the gauge rotation type.
 
 Conventions
 -----------
 Multi-indices are 0-based tuples ``(i_1, ..., i_omega)`` with entries in
-``range(r)``.  Dense tensors are numpy arrays of shape ``(r,) * omega`` and
-their vectorization is C-order (lexicographic on the index tuple), so for a
-matrix ``vec([[a, b], [c, d]]) == (a, b, c, d)`` and
-``kron(V, V) @ vec(Q) == vec(V @ Q @ V.T)``.  A symmetric tensor is also
-flattened to its m = C(r+omega-1, omega) entries at the sorted multi-indices
-(``sorted_entries``, ``from_sorted_entries``), each of which stands for
-``multiplicity`` dense entries.
+``range(r)``.  Dense tensors are numpy arrays of shape ``(r,) * omega``.  A
+symmetric tensor is flattened to its m = C(r+omega-1, omega) entries at the
+sorted multi-indices in lexicographic order (``sorted_entries``), each of
+which stands for ``multiplicity`` dense entries.
 
 Caches
 ------
@@ -36,10 +34,6 @@ __all__ = [
     "sorted_multi_indices",
     "multiplicity",
     "sorted_entries",
-    "from_sorted_entries",
-    "vec",
-    "kron_power",
-    "apply_transform",
     "symmetrize",
     "num_sorted_indices",
 ]
@@ -108,58 +102,6 @@ def sorted_entries(T: np.ndarray, omega: int) -> np.ndarray:
     """The (..., m) entries of the stacked order-omega tensors T, of shape
     (..., r, ..., r), at the sorted multi-indices (sorted_multi_indices)."""
     return T[(Ellipsis, *_sorted_indices(T.shape[-1], omega).T)]
-
-
-def from_sorted_entries(v: np.ndarray, r: int, omega: int) -> np.ndarray:
-    """The dense symmetric tensors, of shape (..., r, ..., r), whose sorted
-    entries are the (..., m) array v: each entry reads the one at its sorted
-    multi-index."""
-    v = np.asarray(v, dtype=float)
-    # a multi-index's rank in lexicographic order is the rank of its base-r key
-    weights = r ** np.arange(omega - 1, -1, -1, dtype=np.int64)
-    sidx = _sorted_indices(r, omega)
-    full = np.sort(np.indices((r,) * omega).reshape(omega, -1), axis=0)
-    pos = np.searchsorted(sidx @ weights, weights @ full)
-    return v[..., pos].reshape(v.shape[:-1] + (r,) * omega)
-
-
-def vec(T: np.ndarray) -> np.ndarray:
-    """Flatten a tensor in lexicographic (C) order."""
-    return np.asarray(T).reshape(-1)
-
-
-def kron_power(V: np.ndarray, omega: int) -> np.ndarray:
-    """The omega-fold Kronecker power V x V x ... x V."""
-    out = np.asarray(V, dtype=float)
-    for _ in range(omega - 1):
-        out = np.kron(out, V)
-    return out
-
-
-def apply_transform(U: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Apply a linear map on vectorized tensors: returns U @ vec(T) reshaped as T.
-
-    For ``U = kron_power(V, 2)`` this reduces to ``V @ Q @ V.T``.
-    """
-    T = np.asarray(T, dtype=float)
-    U = np.asarray(U, dtype=float)
-    n = T.size
-    if U.shape != (n, n):
-        raise UsageError(f"transform shape {U.shape} does not match tensor size {n}")
-    return (U @ vec(T)).reshape(T.shape)
-
-
-def rotate_tensor(V: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Apply the gauge action of V on an order-omega tensor without forming V^{x omega}.
-
-    Contracts V onto every mode; equivalent to apply_transform(kron_power(V, omega), T).
-    """
-    T = np.asarray(T, dtype=float)
-    out = T
-    for axis in range(T.ndim):
-        out = np.tensordot(V, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
 
 
 def paired_contraction(T: np.ndarray, omega: int) -> np.ndarray:

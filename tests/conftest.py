@@ -6,10 +6,13 @@ code that shares no implementation with the package.
 """
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from polypush.errors import DENSE_BYTES_CAP, ResourceError, UsageError
 
 # the same examples on every run, and no per-example deadline: timings on
 # small shared hosts vary too much for one
@@ -230,3 +233,104 @@ def paired_outers_per_unit(net):
         f = paired_contraction(T, net.omega)
         F[a] = np.outer(f, f)
     return F
+
+
+def vec(T):
+    """Flatten a tensor in lexicographic (C) order, so for a matrix
+    ``vec([[a, b], [c, d]]) == (a, b, c, d)`` and
+    ``kron(V, V) @ vec(Q) == vec(V @ Q @ V.T)``."""
+    return np.asarray(T).reshape(-1)
+
+
+def kron_power(V, omega):
+    """The omega-fold Kronecker power V x V x ... x V."""
+    out = np.asarray(V, dtype=float)
+    for _ in range(omega - 1):
+        out = np.kron(out, V)
+    return out
+
+
+def apply_transform(U, T):
+    """Apply a linear map on vectorized tensors: returns U @ vec(T) reshaped as T.
+
+    For ``U = kron_power(V, 2)`` this reduces to ``V @ Q @ V.T``.
+    """
+    T = np.asarray(T, dtype=float)
+    U = np.asarray(U, dtype=float)
+    n = T.size
+    if U.shape != (n, n):
+        raise UsageError(f"transform shape {U.shape} does not match tensor size {n}")
+    return (U @ vec(T)).reshape(T.shape)
+
+
+def rotate_tensor(V, T):
+    """The gauge action of V on one order-omega tensor, without forming
+    V^{x omega}: V contracted onto every mode, as
+    apply_transform(kron_power(V, omega), T)."""
+    T = np.asarray(T, dtype=float)
+    out = T
+    for axis in range(T.ndim):
+        out = np.tensordot(V, out, axes=([1], [axis]))
+        out = np.moveaxis(out, 0, axis)
+    return out
+
+
+@dataclass
+class SigmaMatrix:
+    """Sigma, its restriction to the sorted multi-indices, and the
+    multiplicity diagonal."""
+
+    r: int
+    omega: int
+    Sigma: np.ndarray
+    Sigma_sym: np.ndarray
+    D: np.ndarray
+
+
+def sigma_matrix(r, omega, seed=None):
+    """The dense moment matrix Sigma = E[g^{x omega} (g^{x omega})^T] and friends.
+
+    Entries are E[g_{i_1}..g_{i_omega} g_{j_1}..g_{j_omega}]; independence of
+    coordinates reduces each to a product of univariate even moments
+    (2c-1)!!, c the count of a coordinate (the Wick pairing count).
+    Sigma_sym is Sigma at the flat positions of the sorted multi-indices, and
+    D the diagonal of their multiplicities omega! / prod c!.  A
+    rotation-invariant seed rescales every entry by the degree-2 omega radial
+    factor E_D||x||^(2 omega) / E||g||^(2 omega), where
+    E||g||^(2 omega) = r (r + 2) ... (r + 2 omega - 2).  ResourceError when
+    the dense arrays would exceed the package's DENSE_BYTES_CAP.
+    """
+    n = r**omega
+    sidx = list(itertools.combinations_with_replacement(range(r), omega))
+    m = len(sidx)
+    # Sigma and the int64 index sum and float64 lookup temporaries of its
+    # product loop, each n x n, and Sigma_sym and D, each m x m
+    need = 8 * (3 * n * n + 2 * m * m)
+    if need > DENSE_BYTES_CAP:
+        raise ResourceError(
+            f"Sigma for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
+            f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
+        )
+    idx = np.array(list(itertools.product(range(r), repeat=omega))).reshape(n, omega)
+    counts = np.stack([np.sum(idx == k, axis=1) for k in range(r)], axis=1)
+    table = np.zeros(2 * omega + 1)
+    table[::2] = [math.prod(range(2 * c - 1, 0, -2)) for c in range(omega + 1)]
+    Sigma = np.ones((n, n))
+    for k in range(r):
+        Sigma *= table[counts[:, k][:, None] + counts[None, :, k]]
+    flat = np.ravel_multi_index(np.array(sidx).T, (r,) * omega)
+    Sigma_sym = Sigma[np.ix_(flat, flat)]
+    D = np.diag([math.factorial(omega) / math.prod(math.factorial(t.count(k)) for k in range(r))
+                 for t in sidx])
+    if seed is not None and seed.kind == "rotation_invariant":
+        scale = seed.radial_moment(2 * omega) / math.prod(range(r, r + 2 * omega, 2))
+        Sigma, Sigma_sym = Sigma * scale, Sigma_sym * scale
+    return SigmaMatrix(r=r, omega=omega, Sigma=Sigma, Sigma_sym=Sigma_sym, D=D)
+
+
+def sigma_inner(Ta, Tb, Sigma):
+    """vec(T_a)^T Sigma vec(T_b); with Sigma = Id this is the Frobenius product."""
+    va, vb = vec(Ta), vec(Tb)
+    if Sigma.shape != (va.size, vb.size):
+        raise UsageError("Sigma dimension mismatch")
+    return float(va @ Sigma @ vb)

@@ -336,19 +336,6 @@ class TestLowerbound:
         assert obj["sup_gap"] == pytest.approx(inst.sup_gap, rel=1e-9)
 
 
-class TestBench:
-    def test_csv_schema(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run("bench", "--r", "2", "--d", "3", "--rho", "0.5",
-                   "--reps", "1", "--eta-list", "0.0,1e-4",
-                   "--out", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "r,d,omega,ell,rho,eta,n,backend,seed,gauge_dist,residual,wall_ms"
-        assert len(lines) == 3  # header + 2 eta values x 1 rep
-        row = lines[1].split(",")
-        assert float(row[9]) <= 1e-2  # noiseless gauge distance
-
-
 class TestExitCodes:
     def test_usage_error(self, tmp_path):
         assert run("generate", "--r", "0", "--d", "2",
@@ -454,8 +441,10 @@ class TestExitCodes:
         assert run(command[0], "--table", str(table), *command[1:],
                    "--out", str(tmp_path / "rec.json")) == 2
 
-    def test_bench_bad_eta_list(self, tmp_path):
-        assert run("bench", "--eta-list", "abc", "--out", str(tmp_path / "b.csv")) == 2
+    def test_bench_is_an_invalid_choice(self, tmp_path, capsys):
+        # the sweep command is gone; perfbench is the one harness
+        assert run("bench", "--out", str(tmp_path / "b.csv")) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_moments_needs_a_source(self, tmp_path):
         assert run("moments", "--out", str(tmp_path / "t.json")) == 2
@@ -474,8 +463,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ("solve_tr", "--table", "qtab", "--r", "2"),
         ("solve_lr", "--table", "ptab", "--r", "1"),
-        ("bench",),
-    ], ids=["solve_tr", "solve_lr", "bench"])
+    ], ids=["solve_tr", "solve_lr"])
     def test_solve_lr_rejects_hybrid(self, tmp_path, input_files, command, backend):
         _, paths = input_files
         argv = [paths.get(a, a) for a in command]
@@ -486,6 +474,7 @@ class TestExitCodes:
         ("solve_tr", ("--r", "-1")),
         ("solve_tr", ("--r", "2", "--restarts", "0")),
         ("solve_tr", ("--r", "2", "--tol", "-1")),
+        ("solve_tr", ("--r", "2", "--tol", "0")),
         ("solve_tr", ("--r", "2", "--tol", "nan")),
         ("solve_tr", ("--r", "2", "--eta", "-1")),
         ("solve_tr", ("--r", "2", "--eta", "inf")),
@@ -506,14 +495,9 @@ class TestExitCodes:
         assert f"{flags[-2][2:]} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, name", [
-        (("bench", "--reps", "0"), "reps"),
-        (("bench", "--reps", "-2"), "reps"),
-        (("bench", "--reps", "1", "--eta-list=-1"), "eta"),
-        (("bench", "--reps", "1", "--eta-list", "0.0,nan"), "eta"),
         (("lowerbound", "--r", "3", "--restarts", "0"), "restarts"),
         (("lowerbound", "--r", "3", "--tol", "-1"), "tol"),
-    ], ids=["bench-reps-0", "bench-reps-negative", "bench-eta-negative", "bench-eta-nan",
-            "lowerbound-restarts-0", "lowerbound-tol-negative"])
+    ], ids=["lowerbound-restarts-0", "lowerbound-tol-negative"])
     def test_settings_checked_where_they_enter(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 2
@@ -538,26 +522,10 @@ class TestExitCodes:
         assert "ell >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ("--eta", "0.5"),
-        ("--tol", "0"),
-        ("--restarts", "0"),
-    ], ids=["eta", "tol-0", "restarts-0"])
-    def test_bench_flags_as_solve_tr(self, tmp_path, input_files, flags):
-        # bench reads no --eta, and builds its decomposition settings as
-        # solve_tr does, so a setting solve_tr rejects fails the run
-        assert run("bench", "--reps", "1", "--eta-list", "0.0", *flags,
-                   "--out", str(tmp_path / "b.csv")) == 2
-        if flags[0] != "--eta":
-            _, paths = input_files
-            assert run("solve_tr", "--table", paths["qtab"], "--r", "2", *flags,
-                       "--out", str(tmp_path / "rec.json")) == 2
-
     @pytest.mark.parametrize("command, flags", [
         ("solve_tr", ("--table", "t.json", "--r", "1")),
         ("solve_lr", ("--table", "t.json", "--r", "1")),
-        ("bench", ()),
-    ], ids=["solve_tr", "solve_lr", "bench"])
+    ], ids=["solve_tr", "solve_lr"])
     def test_no_degree_flag(self, tmp_path, capsys, command, flags):
         # each program fixes its relaxation degree: 4, or 2 omega
         assert run(command, *flags, "--degree", "4", "--out", str(tmp_path / "out")) == 2
@@ -669,7 +637,6 @@ LIBRARY_CALLS = {
     "eval": ("gauge_distance", lambda p: ["--network", p["net"], "--reference", p["lnet"]]),
     "verify": ("verify_assumption_tr", lambda p: ["--network", p["net"]]),
     "lowerbound": ("search_matched_pair", lambda p: ["--r", "3"]),
-    "bench": ("exact_quadratic_moments", lambda p: ["--reps", "1"]),
 }
 
 
@@ -784,12 +751,9 @@ class TestFailedRuns:
         assert "exit_code" not in man and "error" not in man
 
 
-@pytest.mark.parametrize("command, config", [
-    ("solve_tr", TRConfig), ("solve_lr", LRConfig), ("bench", TRConfig),
-])
+@pytest.mark.parametrize("command, config", [("solve_tr", TRConfig), ("solve_lr", LRConfig)])
 def test_solver_flag_defaults_are_the_config_defaults(command, config):
-    args = cli.build_parser().parse_args([command, "--table", "t.json", "--r", "2", "--out", "o"]
-                                         if command != "bench" else [command, "--out", "o"])
+    args = cli.build_parser().parse_args([command, "--table", "t.json", "--r", "2", "--out", "o"])
     cfg = config(r=2)
     assert (args.backend, args.restarts, args.tol) == (cfg.backend, cfg.restarts, cfg.tol)
 

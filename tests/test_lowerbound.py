@@ -7,7 +7,6 @@ import pytest
 
 from polypush.errors import UsageError
 from polypush.lowerbound import (
-    LBInstance,
     MatchedPair,
     build_networks,
     char_gap,

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complex_step_jacobian, gaussian_product_moment, random_orthogonal
+from conftest import (
+    complex_step_jacobian,
+    gaussian_product_moment,
+    random_orthogonal,
+    rotate_tensor,
+    sigma_inner,
+    sigma_matrix,
+)
 from polypush import lowrank, moments
 from polypush.errors import ConvergenceError, DegeneracyError, UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.lowrank import (
     LRConfig,
     exact_lowrank_pair_moments,
-    extend_tail_lr,
     factorize,
     verify_assumption_lr,
 )
-from polypush.moments import rotation_invariant_scale, sigma_inner, sigma_matrix
+from polypush.moments import rotation_invariant_scale
 from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
@@ -27,7 +33,6 @@ from polypush.networks import (
 from polypush.tensor_ring import TRConfig
 from polypush.tensors import (
     paired_contraction,
-    rotate_tensor,
     sorted_multi_indices,
     symmetrize,
 )
@@ -130,7 +135,7 @@ class TestFactorize:
         net = PolyNetwork(kind="lowrank", r=1, d=3, omega=3, ell=1, components=comps)
         S = 15.0 * np.outer(t, t)  # E g^6 = 15
         rep = factorize(S, LRConfig(r=1, omega=3, ell=1, restarts=10), truth=net)
-        got = np.array([rep.network.unit_tensor(a)[0, 0, 0] for a in range(3)])
+        got = rep.network.unit_tensors()[:, 0, 0, 0]
         assert np.allclose(got, t, atol=1e-7) or np.allclose(got, -t, atol=1e-7)
         assert rep.gauge_dist <= 1e-7
 
@@ -467,72 +472,14 @@ class TestRotationInvariantSeed:
             assert rep.gauge_dist <= 1e-12
 
 
-class TestExtendTailLr:
-    def test_nan_table_rejected(self):
-        # a NaN entry of S gave NaN tail tensors without an error
-        rng = np.random.default_rng(7)
-        net = PolyNetwork(kind="lowrank", r=2, d=6, omega=3, ell=1,
-                          components=rng.standard_normal((6, 1, 2)))
-        S = exact_lowrank_pair_moments(net).S.copy()
-        S[0, 5] = np.nan
-        with pytest.raises(UsageError, match="NaN or inf"):
-            extend_tail_lr(S, sigma_matrix(2, 3).Sigma_sym, net.unit_tensors()[:4], 6)
-
-    @pytest.mark.parametrize("head_shape, d", [((4, 2, 2, 2), 7), ((4, 2, 2, 3), 6),
-                                               ((4, 2), 6)])
-    def test_bad_head_or_length_rejected(self, head_shape, d):
-        with pytest.raises(UsageError):
-            extend_tail_lr(np.eye(6), sigma_matrix(2, 3).Sigma_sym, np.ones(head_shape), d)
-
-    def test_exact_head_exact_tail(self):
-        rng = np.random.default_rng(4)
-        r, omega, ell, d, dp = 2, 3, 1, 7, 4
-        comps = rng.standard_normal((d, ell, r))
-        comps /= np.linalg.norm(comps, axis=2, keepdims=True)
-        net = PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
-                          components=comps)
-        S = exact_lowrank_pair_moments(net).S
-        Sigma_sym = sigma_sym_oracle(r, omega)
-        assert np.allclose(Sigma_sym, sigma_matrix(r, omega).Sigma_sym, atol=1e-12)
-        tens = net.unit_tensors()
-        tail = extend_tail_lr(S, Sigma_sym, tens[:dp], d)
-        assert np.max(np.abs(tail - tens[dp:])) <= 1e-8
-
-    def test_noop(self):
-        rng = np.random.default_rng(5)
-        comps = rng.standard_normal((4, 1, 2))
-        net = PolyNetwork(kind="lowrank", r=2, d=4, omega=3, ell=1, components=comps)
-        S = exact_lowrank_pair_moments(net).S
-        tail = extend_tail_lr(S, sigma_matrix(2, 3).Sigma_sym, net.unit_tensors(), 4)
-        assert tail.shape == (0, 2, 2, 2)
-
-    def test_perturbation_linear_in_eta(self):
-        rng = np.random.default_rng(6)
-        r, d, dp = 2, 8, 4
-        comps = rng.standard_normal((d, 1, r))
-        comps /= np.linalg.norm(comps, axis=2, keepdims=True)
-        net = PolyNetwork(kind="lowrank", r=r, d=d, omega=3, ell=1, components=comps)
-        S = exact_lowrank_pair_moments(net).S
-        sig = sigma_matrix(r, 3).Sigma_sym
-        tens = net.unit_tensors()
-        noise = rng.uniform(-1, 1, S.shape)
-        noise = 0.5 * (noise + noise.T)
-        errs = []
-        for eta in (1e-6, 1e-4):
-            tail = extend_tail_lr(S + eta * noise, sig, tens[:dp], d)
-            errs.append(np.max(np.abs(tail - tens[dp:])))
-        ratio = errs[1] / errs[0]
-        assert 10 <= ratio <= 1000  # linear in eta: ratio ~ 100
-
-    def test_rank_deficient_head(self):
-        with pytest.raises(DegeneracyError):
-            extend_tail_lr(np.eye(6), sigma_matrix(2, 3).Sigma_sym,
-                           np.zeros((4, 2, 2, 2)), 6)
-
-    def test_small_head_rejected(self):
-        with pytest.raises(UsageError):
-            extend_tail_lr(np.eye(6), sigma_matrix(2, 3).Sigma_sym,
-                           np.zeros((2, 2, 2, 2)), 6)
+class TestSigmaSym:
+    @pytest.mark.parametrize("r, omega", [(1, 3), (2, 3), (3, 3), (2, 5)])
+    def test_matches_the_dense_sigma(self, r, omega):
+        # the Gaussian Sigma_sym of the low-rank path against the pairing
+        # count, and against the dense Sigma at the sorted multi-indices
+        Sigma_sym = moments._mode_sigma(r, omega, "gaussian")[0]
+        assert np.allclose(Sigma_sym, sigma_sym_oracle(r, omega), atol=1e-12)
+        assert np.array_equal(Sigma_sym, sigma_matrix(r, omega).Sigma_sym)
 
 
 class TestVerifyAssumptionLr:
@@ -614,9 +561,7 @@ class TestSignConsistency:
         _, rot = gauge_distance(rep.network, net, AlignmentConfig())
         aligned = rotate_network(rep.network, rot)
         resid = math.sqrt(max(rep.residual_S, 0.0))
-        for a in range(4):
-            ta = aligned.unit_tensor(a)
-            tt = net.unit_tensor(a)
+        for ta, tt in zip(aligned.unit_tensors(), net.unit_tensors()):
             mask = np.abs(tt) > 10 * max(resid, 1e-6)
             assert np.all(np.sign(ta[mask]) == np.sign(tt[mask]))
 

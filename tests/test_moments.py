@@ -9,7 +9,10 @@ from conftest import (
     gaussian_product_moment,
     joint_cumulant,
     random_orthogonal,
+    sigma_inner,
+    sigma_matrix,
     symmetric_gaussian,
+    vec,
     wick_linear_pair_moment,
 )
 from polypush import moments
@@ -20,8 +23,6 @@ from polypush.moments import (
     exact_quadratic_moments,
     pair_moment_closed_form,
     rotation_invariant_scale,
-    sigma_inner,
-    sigma_matrix,
     table_from_json,
     table_to_json,
 )
@@ -31,7 +32,7 @@ from polypush.networks import (
     rotate_network,
     sample,
 )
-from polypush.tensors import sorted_multi_indices, symmetrize, vec
+from polypush.tensors import sorted_multi_indices, symmetrize
 
 GAUSS = SeedDistribution(kind="gaussian")
 
@@ -175,9 +176,10 @@ class TestEstimators:
         z = sample(net, GAUSS, 10**6, rng_seed=3)
         est = estimate_pair_moments(z).S
         Sigma = sigma_matrix(2, 3).Sigma
+        tens = net.unit_tensors()
         for a in range(2):
             for b in range(2):
-                exact = sigma_inner(net.unit_tensor(a), net.unit_tensor(b), Sigma)
+                exact = sigma_inner(tens[a], tens[b], Sigma)
                 assert est[a, b] == pytest.approx(exact, rel=0.02)
 
 
@@ -408,3 +410,21 @@ class TestJsonTables:
     def test_non_object_rejected(self):
         with pytest.raises(UsageError):
             table_from_json("[1, 2]")
+
+
+class TestNoiseLevel:
+    # a non-finite eta made a table, and json.dumps(table_to_json(...)) then
+    # wrote "eta": Infinity, which no strict JSON reader accepts
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("make", [
+        lambda z, eta: moments.PairMomentTable(S=np.eye(2), eta=eta),
+        lambda z, eta: moments.QuadraticMomentTable(
+            mu=np.zeros(2), S=np.eye(2), T=np.zeros((2, 2, 2)), eta=eta),
+        estimate_pair_moments,
+        estimate_quadratic_moments,
+    ], ids=["PairMomentTable", "QuadraticMomentTable", "estimate_pair_moments",
+            "estimate_quadratic_moments"])
+    def test_refused(self, make, eta):
+        z = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(UsageError, match="eta must be finite and >= 0"):
+            make(z, eta)

@@ -267,7 +267,6 @@ class TestUnitTensors:
             assert same_bits(paired_outers(net), paired_outers_per_unit(net))
         units = unit_tensors_per_unit(net)
         assert same_bits(net.unit_tensors(), units)
-        assert all(same_bits(net.unit_tensor(a), units[a]) for a in range(d))
         assert net.radius == max(float(np.linalg.norm(T)) for T in units)
 
 
@@ -442,6 +441,12 @@ class TestW1Bound:
     def test_rejects_negative_distance(self):
         with pytest.raises(UsageError):
             w1_upper_bound(-1.0, 2, 2, 2, GAUSS)
+
+    @pytest.mark.parametrize("dist", [float("nan"), float("inf")])
+    def test_rejects_non_finite_distance(self, dist):
+        # a NaN distance gave a NaN bound
+        with pytest.raises(UsageError, match="distance must be finite and >= 0"):
+            w1_upper_bound(dist, 2, 2, 2, GAUSS)
 
     def test_rotation_invariant_seed_moment(self):
         r = 4

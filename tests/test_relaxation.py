@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import certify_oracle, check_point, oracle_violation, symmetric_gaussian
+from conftest import (
+    certify_oracle,
+    check_point,
+    oracle_violation,
+    sigma_matrix,
+    symmetric_gaussian,
+)
 from polypush import lowrank, relaxation, tensor_ring
 from polypush.errors import ConvergenceError, ResourceError, UsageError
 from polypush.lowrank import LRConfig, exact_lowrank_pair_moments
@@ -13,7 +19,6 @@ from polypush.moments import (
     estimate_pair_moments,
     estimate_quadratic_moments,
     exact_quadratic_moments,
-    sigma_matrix,
 )
 from polypush.networks import (
     PolyNetwork,
@@ -43,8 +48,7 @@ from polypush.tensors import sorted_entries
 
 def lowrank_flattening(prog, net):
     """The (d, m) sorted-index flattening of a low-rank network's units."""
-    return np.array([[net.unit_tensor(a)[t] for t in prog.meta["sidx"]]
-                     for a in range(net.d)])
+    return np.array([[T[t] for t in prog.meta["sidx"]] for T in net.unit_tensors()])
 
 
 def single_var_program(degree=2):

@@ -612,6 +612,34 @@ def test_symmetry_band_is_relative(scale):
         tensor_ring._check_tables(S, T)
 
 
+@pytest.mark.parametrize("case", ["spectral_units-nan-S", "spectral_units-T-shape",
+                                  "find_combo-nan-S", "find_combo-gram-shape",
+                                  "gauge_fix-lam-length", "gauge_fix-mu-nan"])
+def test_recovery_helpers_check_their_input(case):
+    # each raised numpy's own error before (LinAlgError, or a ValueError of
+    # einsum or broadcasting); the helpers now check as _recover does
+    net = smoothed_net(2, 3, 1.0, 1)
+    t = exact_quadratic_moments(net)
+    lam, mu = find_combo(t.S, 2, rng_seed=1)
+    nan_S = t.S.copy()
+    nan_S[0, 1] = nan_S[1, 0] = np.nan
+    match, call = {
+        "spectral_units-nan-S": ("'S' has NaN or inf",
+                                 lambda: tensor_ring.spectral_units(nan_S, t.T, 2)),
+        "spectral_units-T-shape": (r"'T' has shape \(2, 3, 3\)",
+                                   lambda: tensor_ring.spectral_units(t.S, t.T[:2], 2)),
+        "find_combo-nan-S": ("'S' has NaN or inf", lambda: find_combo(nan_S, 2)),
+        "find_combo-gram-shape": (r"'S' has shape \(3, 2\)",
+                                  lambda: find_combo(t.S[:, :2], 2)),
+        "gauge_fix-lam-length": (r"lam has shape \(2,\)",
+                                 lambda: gauge_fix(net.Q, lam[:2], mu)),
+        "gauge_fix-mu-nan": ("mu has NaN or inf",
+                             lambda: gauge_fix(net.Q, lam, np.full(3, np.nan))),
+    }[case]
+    with pytest.raises(UsageError, match=match):
+        call()
+
+
 # the diagnostics keys of a fitted recovery, for both kinds
 FIT_KEYS = {"backend", "start", "spectral_gap", "restarts_used", "fit_stop", "lm_stop",
             "lm_nfev", "gauge_fixed"}

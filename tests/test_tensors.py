@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,23 +6,26 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from conftest import grid_scan_direct, random_orthogonal, symmetric_gaussian
+from conftest import (
+    apply_transform,
+    grid_scan_direct,
+    kron_power,
+    random_orthogonal,
+    rotate_tensor,
+    symmetric_gaussian,
+    vec,
+)
 from polypush import gauge
 from polypush.errors import UsageError
 from polypush.gauge import AlignmentConfig, gauge_distance
 from polypush.networks import PolyNetwork, rotate_network
 from polypush.tensors import (
     GaugeRotation,
-    apply_transform,
-    from_sorted_entries,
-    kron_power,
     multiplicity,
     num_sorted_indices,
-    rotate_tensor,
     sorted_entries,
     sorted_multi_indices,
     symmetrize,
-    vec,
 )
 
 
@@ -123,9 +125,9 @@ class TestRotateNetwork:
         net = PolyNetwork(kind="lowrank", r=2, d=2, omega=3, ell=2, components=comps)
         V = random_orthogonal(rng, 2)
         out = rotate_network(net, V)
-        for a in range(2):
-            expected = apply_transform(kron_power(V, 3), net.unit_tensor(a))
-            assert np.max(np.abs(out.unit_tensor(a) - expected)) <= 1e-10
+        for T, rotated in zip(net.unit_tensors(), out.unit_tensors()):
+            expected = apply_transform(kron_power(V, 3), T)
+            assert np.max(np.abs(rotated - expected)) <= 1e-10
 
 
 class TestGaugeDistance:
@@ -481,11 +483,6 @@ class TestTypes:
             entries = sorted_entries(T, omega)
             assert entries.shape == (2, num_sorted_indices(r, omega))
             assert np.array_equal(entries, [[Tk[idx] for idx in sidx] for Tk in T])
-            dense = from_sorted_entries(entries, r, omega)
-            pos = {idx: u for u, idx in enumerate(sidx)}
-            for idx in itertools.product(range(r), repeat=omega):
-                assert np.array_equal(dense[(slice(None), *idx)],
-                                      entries[:, pos[tuple(sorted(idx))]])
             # each sorted entry stands for multiplicity-many dense ones
             norms = np.sqrt(np.sum(multiplicity(sidx) * entries**2, axis=1))
             assert np.allclose(norms, np.linalg.norm(T.reshape(2, -1), axis=1), atol=1e-12)
