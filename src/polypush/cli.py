@@ -365,8 +365,7 @@ def cmd_solve_lr(args) -> int:
     table = _read_table(args.table, "pair")
     cfg = LRConfig(
         r=args.r, omega=args.omega, ell=args.ell, backend=args.backend,
-        restarts=args.restarts, tol=args.tol, rng_seed=args.seed,
-        sigma_mode=args.sigma, eta=args.eta,
+        restarts=args.restarts, tol=args.tol, rng_seed=args.seed, eta=args.eta,
     )
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = factorize(table.S, cfg, truth=truth)
@@ -499,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--omega", type=int, default=3)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--sigma", choices=("gaussian", "identity"), default="gaussian")
     p.add_argument("--truth", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

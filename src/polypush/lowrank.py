@@ -25,7 +25,6 @@ from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .moments import (
     PairMomentTable,
-    _check_sigma_mode,
     _mode_sigma,
     pair_moment_closed_form,
     pair_moment_partials,
@@ -65,7 +64,6 @@ class LRConfig:
     restarts: int = 20
     tol: float = 1e-10
     rng_seed: int = 0
-    sigma_mode: str = "gaussian"  # gaussian | identity
     eta: float = 0.0
 
     def __post_init__(self):
@@ -74,27 +72,15 @@ class LRConfig:
             {"tol": self.tol},
             {"eta": self.eta},
         )
-        _check_sigma_mode(self.sigma_mode)
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown low-rank backend {self.backend!r}")
 
 
-def _pair_values(dot, nv2, nw2, omega: int, mode: str):
-    """<v^{x omega}, w^{x omega}>_Sigma from the inner product ``dot`` and
-    the squared norms ``nv2``, ``nw2`` of v and w, elementwise.
-
-    gaussian: the Gaussian pair moment E<v,g>^omega <w,g>^omega;
-    identity: the plain Frobenius product <v,w>^omega.
-    """
-    if mode == "identity":
-        return dot**omega
-    return pair_moment_closed_form(dot, nv2, nw2, omega)
-
-
-def _pair_table(comps: np.ndarray, omega: int, mode: str) -> np.ndarray:
-    """The pair-moment model: S_ab sums _pair_values of (v_{a,t}, v_{b,t'})
+def _pair_table(comps: np.ndarray, omega: int) -> np.ndarray:
+    """The pair-moment model: S_ab sums the Gaussian pair moments
+    E<v,g>^omega <w,g>^omega (pair_moment_closed_form) of (v_{a,t}, v_{b,t'})
     over the components t of unit a and t' of unit b, from the Gram of all
     components; the upper triangle is mirrored (adding 0.0 turns a -0.0
     entry into +0.0, as np.triu(S) + np.triu(S, 1).T does)."""
@@ -102,20 +88,12 @@ def _pair_table(comps: np.ndarray, omega: int, mode: str) -> np.ndarray:
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
-    vals = _pair_values(G, n2[:, None], n2[None, :], omega, mode)
+    vals = pair_moment_closed_form(G, n2[:, None], n2[None, :], omega)
     S = vals.reshape(d, ell, d, ell).sum(axis=(1, 3))
     return np.where(_triu_mask(d), S, S.T) + 0.0
 
 
-def _pair_partials(dot, nv2, nw2, omega: int, mode: str):
-    """The partials of _pair_values in dot, nv2 and nw2, elementwise."""
-    if mode == "identity":
-        zero = np.zeros_like(dot)
-        return omega * dot ** (omega - 1), zero, zero
-    return pair_moment_partials(dot, nv2, nw2, omega)
-
-
-def _pair_table_jacobian(comps: np.ndarray, omega: int, mode: str, rows) -> np.ndarray:
+def _pair_table_jacobian(comps: np.ndarray, omega: int, rows) -> np.ndarray:
     """Jacobian of the _pair_table entries S_ab at (a, b) = ``rows`` in the
     components, one row per entry and one column per component entry.
 
@@ -127,7 +105,7 @@ def _pair_table_jacobian(comps: np.ndarray, omega: int, mode: str, rows) -> np.n
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
-    p_dot, p_nv2, p_nw2 = _pair_partials(G, n2[:, None], n2[None, :], omega, mode)
+    p_dot, p_nv2, p_nw2 = pair_moment_partials(G, n2[:, None], n2[None, :], omega)
     g_i = p_dot[..., None] * V[None, :, :] + 2 * p_nv2[..., None] * V[:, None, :]
     g_j = p_dot[..., None] * V[:, None, :] + 2 * p_nw2[..., None] * V[None, :, :]
     g_i = g_i.reshape(d, ell, d, ell, r).sum(axis=3)  # [a, t, b]: summed over b's components
@@ -140,20 +118,12 @@ def _pair_table_jacobian(comps: np.ndarray, omega: int, mode: str, rows) -> np.n
     return J.reshape(a.size, -1)
 
 
-def exact_lowrank_pair_moments(net: PolyNetwork, mode: str = "gaussian") -> PairMomentTable:
-    """Exact pair moments S_ab = <T_a, T_b>_Sigma of a low-rank network, in
-    Sigma mode ``mode`` (SIGMA_MODES); in gaussian mode they are E[y_a y_b]
-    of its pushforward.
-
-    A Hermite-activation network with unit directions u_{a,t} and
-    coefficients lambda_{a,t}, T_a = sum_t lambda_{a,t} u_{a,t}^{x omega},
-    is the identity-mode low-rank network with components
-    sign(lambda) |lambda|^(1/omega) u (omega odd).
-    """
+def exact_lowrank_pair_moments(net: PolyNetwork) -> PairMomentTable:
+    """Exact pair moments S_ab = <T_a, T_b>_Sigma = E[y_a y_b] of a low-rank
+    network's pushforward of the Gaussian seed."""
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
-    _check_sigma_mode(mode)
-    return PairMomentTable(S=_pair_table(net.components, net.omega, mode), eta=0.0)
+    return PairMomentTable(S=_pair_table(net.components, net.omega), eta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +134,23 @@ def exact_lowrank_pair_moments(net: PolyNetwork, mode: str = "gaussian") -> Pair
 NEWTON_STEPS = 60
 
 
-def _pair_cosines(y, omega: int, mode: str):
+def _pair_cosines(y, omega: int):
     """The t in [-1, 1] with p(t) = y p(1), elementwise, where
-    p(t) = _pair_values(t, 1, 1, ...) is odd and increasing for odd omega;
-    |y| >= 1 maps to +-1.
+    p(t) = pair_moment_closed_form(t, 1, 1, omega) is odd and increasing for
+    odd omega; |y| >= 1 maps to +-1.
 
-    Newton's method from t = y^(1/omega), the root in identity mode, falls
+    Newton's method from t = y^(1/omega), the root of t^omega = y, falls
     back to bisection whenever a step leaves the bracket of the root.
     """
-    c = _pair_values(1.0, 1.0, 1.0, omega, mode)
+    c = pair_moment_closed_form(1.0, 1.0, 1.0, omega)
     y = np.clip(y, -1.0, 1.0)
     t = np.sign(y) * np.abs(y) ** (1.0 / omega)
     lo, hi = -np.ones_like(t), np.ones_like(t)
     for _ in range(NEWTON_STEPS):
-        f = _pair_values(t, 1.0, 1.0, omega, mode) - c * y
+        f = pair_moment_closed_form(t, 1.0, 1.0, omega) - c * y
         lo = np.where(f < 0, t, lo)
         hi = np.where(f > 0, t, hi)
-        slope = _pair_partials(t, 1.0, 1.0, omega, mode)[0]
+        slope = pair_moment_partials(t, 1.0, 1.0, omega)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = t - f / slope
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
@@ -198,20 +168,20 @@ def _rank1_components(S: np.ndarray, cfg: LRConfig) -> tuple[np.ndarray, float]:
     pair(v_a, v_b) = |v_a|^omega |v_b|^omega p(cos), so S_aa = c |v_a|^(2 omega)
     with c = p(1) gives the norms, p(t_ab) = c S_ab / sqrt(S_aa S_bb) the
     cosines (_pair_cosines), and the top-r eigenpairs of the Gram
-    |v_a| |v_b| t_ab the components up to O(r), in every Sigma mode.
+    |v_a| |v_b| t_ab the components up to O(r).
     Returns (the components, the gap between the Gram's r-th eigenvalue and
     the next, 0 past the last).  Raises DegeneracyError at ell >= 2 or when
     a diagonal entry of S is not positive.
     """
     if cfg.ell != 1:
         raise DegeneracyError("the closed form needs ell = 1")
-    mode, omega, r = cfg.sigma_mode, cfg.omega, cfg.r
+    omega, r = cfg.omega, cfg.r
     diag = np.diag(S)
-    s = diag / _pair_values(1.0, 1.0, 1.0, omega, mode)
+    s = diag / pair_moment_closed_form(1.0, 1.0, 1.0, omega)
     if np.min(s) <= 0:
         raise DegeneracyError("the closed form needs a positive diagonal of S")
     norms = s ** (1.0 / (2 * omega))
-    cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega, mode)
+    cos = _pair_cosines(S / np.sqrt(np.outer(diag, diag)), omega)
     w, U = np.linalg.eigh(np.outer(norms, norms) * cos)
     order = np.argsort(w)[::-1]
     gap = float(w[order[r - 1]] - (w[order[r]] if w.size > r else 0.0))
@@ -237,12 +207,11 @@ def _random_components(S: np.ndarray, cfg: LRConfig):
 def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig):
     """The certificate of the gauge-fixed fit ``net``: relaxation's closed
     form of the degree-2 omega program encode_lowrank states with the gauge
-    families of (lam, mu) and the Sigma_sym of ``cfg.sigma_mode``, at the
-    point the fit completes.  Returns (its worst violation, the worst
-    violation of each constraint family); raises ConvergenceError when the
-    fit breaks the program's constraints."""
+    families of (lam, mu), at the point the fit completes.  Returns (its
+    worst violation, the worst violation of each constraint family); raises
+    ConvergenceError when the fit breaks the program's constraints."""
     r, omega = cfg.r, cfg.omega
-    floor = _mode_sigma(r, omega, cfg.sigma_mode)[2]
+    floor = _mode_sigma(r, omega)[2]
     # the program is stated in the scale where tensor entries are O(1), so
     # the certificate's absolute floor of 1e-7 is relative to the table
     sc = 1.0 / math.sqrt(float(np.max(np.diag(S))) + 1e-300)
@@ -256,7 +225,7 @@ def _certify(S: np.ndarray, net: PolyNetwork, lam, mu, cfg: LRConfig):
     )
     families = lowrank_certificate(
         sorted_entries(scaled.unit_tensors(), omega), scaled.components, r, omega, S,
-        cfg.sigma_mode, R=R, kappa=KAPPA, eta=eta_sc, lam=lam, mu=mu,
+        R=R, kappa=KAPPA, eta=eta_sc, lam=lam, mu=mu,
     )
     return gate_certificate(families, eta_sc), families
 
@@ -271,7 +240,7 @@ def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
     certificate never builds, lifts or solves the program, so r, d and omega
     are not capped."""
     d = S.shape[0]
-    r, ell, omega, mode = cfg.r, cfg.ell, cfg.omega, cfg.sigma_mode
+    r, ell, omega = cfg.r, cfg.ell, cfg.omega
     m = math.comb(r + omega - 1, omega)
     if cfg.backend == "sos" and d < m:
         raise UsageError(f"relaxation path needs d >= C(r+omega-1,omega) = {m}")
@@ -284,11 +253,11 @@ def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
     target = S[iu]
 
     def fun(x):
-        return _pair_table(x.reshape(d, ell, r), omega, mode)[iu] - target
+        return _pair_table(x.reshape(d, ell, r), omega)[iu] - target
 
     def fit(x0):
         sol = least_squares(
-            fun, x0, jac=lambda x: _pair_table_jacobian(x.reshape(d, ell, r), omega, mode, iu),
+            fun, x0, jac=lambda x: _pair_table_jacobian(x.reshape(d, ell, r), omega, iu),
             max_nfev=tensor_ring.FIT_MAX_NFEV,
         )
         return sol.x.reshape(d, ell, r), float(np.max(np.abs(sol.fun))), sol
@@ -299,7 +268,7 @@ def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
             raise ConvergenceError(f"component fit residual {res:.3e} above {threshold:.3e}")
 
     def residuals(net, sos):
-        return float(np.max(np.abs(_pair_table(net.components, omega, mode) - S))), 0.0
+        return float(np.max(np.abs(_pair_table(net.components, omega) - S))), 0.0
 
     return dict(
         network=lambda comps: PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
@@ -319,15 +288,14 @@ def factorize(
 ) -> RecoveryReport:
     """Recover a rank-ell network from pairwise Sigma-moments:
     tensor_ring._recover's path with the low-rank fields of _pair_kind.
-    ``sos`` states its program with the Sigma_sym of ``config.sigma_mode``,
-    and its certificate families are "bands", "caps", "structure",
+    ``sos``'s certificate families are "bands", "caps", "structure",
     "left_inverse" and "gauge".
 
     A rotation-invariant seed D only rescales the pair moments: its table
     is S = C S_G, with S_G the Gaussian table of the same network and
     C = moments.rotation_invariant_scale(D, 2 * omega, r).  So
     ``factorize(S / C, LRConfig(..., eta=eta / C))`` recovers the network
-    from it in gaussian mode.
+    from it.
     """
     return tensor_ring._recover(_pair_kind, S, None, config, truth)
 

@@ -12,11 +12,11 @@ with Sigma the Gaussian moment matrix E[g^{x omega} (g^{x omega})^T].
 
 Caches
 ------
-The Sigma arrays that depend only on (r, omega) and the Sigma mode,
-``_sigma_sym`` and ``_mode_sigma``'s, come from ``functools.lru_cache``
-helpers: built on first use, then kept, bounded by their ``maxsize`` and
-read-only, since every caller shares them.  The dense cap is checked on
-every call all the same.  Importing the package builds none of them.
+The Sigma arrays of ``_mode_sigma``, which depend only on (r, omega),
+come from one ``functools.lru_cache`` helper: built on first use, then
+kept, bounded by its ``maxsize`` and read-only, since every caller shares
+them.  The dense cap is checked on every call all the same.  Importing the
+package builds none of them.
 """
 
 from __future__ import annotations
@@ -55,16 +55,6 @@ __all__ = [
 ]
 
 CHUNK = 4096
-# the Sigma of a low-rank recovery: the Gaussian moment matrix or the
-# Frobenius product of symmetric tensors (a rotation-invariant seed's table
-# is the Gaussian one times a scalar; see lowrank.factorize)
-SIGMA_MODES = ("gaussian", "identity")
-
-
-def _check_sigma_mode(mode: str) -> None:
-    """UsageError unless ``mode`` is one of SIGMA_MODES."""
-    if mode not in SIGMA_MODES:
-        raise UsageError(f"unknown Sigma mode {mode!r}; expected one of {SIGMA_MODES}")
 
 
 @dataclass
@@ -205,30 +195,13 @@ def _double_factorial_table(maxc: int) -> np.ndarray:
     return t
 
 
-@functools.lru_cache(maxsize=16)
-def _sigma_sym(r: int, omega: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma_sym, D) for the Gaussian seed, without the r^omega x r^omega
-    Sigma: the Gaussian moment matrix on the sorted multi-indices, each entry
-    the product over coordinates of the univariate even moment (2c-1)!! of
-    its count c (Wick pairing), and the diagonal of their multiplicities.  It
-    checks no cap: its one caller, _mode_sigma, does."""
-    m = num_sorted_indices(r, omega)
-    table = _double_factorial_table(2 * omega)
-    scounts = np.sum(_sorted_indices(r, omega)[:, :, None] == np.arange(r), axis=1)
-    Sigma_sym = np.ones((m, m))
-    for k in range(r):
-        Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
-    D = np.diag(_sorted_multiplicity(r, omega))
-    for a in (Sigma_sym, D):
-        a.setflags(write=False)
-    return Sigma_sym, D
-
-
-def _mode_sigma(r: int, omega: int, mode: str):
-    """(Sigma_sym, B, its least eigenvalue) of Sigma mode ``mode``
-    (SIGMA_MODES), where B = D Sigma_sym^{1/2} takes the multiplicity
-    diagonal D and the PSD square root.  ResourceError when the m x m arrays
-    would exceed ``DENSE_BYTES_CAP``, whether or not they are cached."""
+def _mode_sigma(r: int, omega: int):
+    """(Sigma_sym, B, its least eigenvalue) of the Gaussian seed, without
+    the r^omega x r^omega Sigma: Sigma_sym is the Gaussian moment matrix on
+    the sorted multi-indices, and B = D Sigma_sym^{1/2} takes the
+    multiplicity diagonal D and the PSD square root.  ResourceError when the
+    m x m arrays would exceed ``DENSE_BYTES_CAP``, whether or not they are
+    cached."""
     m = num_sorted_indices(r, omega)
     # Sigma_sym, the int64 index sum and float64 lookup temporaries of its
     # product loop, and D, each m x m
@@ -238,18 +211,21 @@ def _mode_sigma(r: int, omega: int, mode: str):
             f"Sigma_sym for r={r}, omega={omega} needs {need / 2**30:.3g} GiB, "
             f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap"
         )
-    return _build_mode_sigma(r, omega, mode)
+    return _build_mode_sigma(r, omega)
 
 
 @functools.lru_cache(maxsize=16)
-def _build_mode_sigma(r: int, omega: int, mode: str):
-    """_mode_sigma's arrays."""
-    _check_sigma_mode(mode)
-    Sigma_sym, D = _sigma_sym(r, omega)
-    if mode == "identity":
-        # (D v)^T Sigma_sym (D w) of sorted entries v, w is then the
-        # Frobenius product of the symmetric tensors
-        Sigma_sym = np.diag(1.0 / np.diag(D))
+def _build_mode_sigma(r: int, omega: int):
+    """_mode_sigma's arrays.  Each entry of Sigma_sym is the product over
+    coordinates of the univariate even moment (2c-1)!! of its count c (Wick
+    pairing)."""
+    m = num_sorted_indices(r, omega)
+    table = _double_factorial_table(2 * omega)
+    scounts = np.sum(_sorted_indices(r, omega)[:, :, None] == np.arange(r), axis=1)
+    Sigma_sym = np.ones((m, m))
+    for k in range(r):
+        Sigma_sym *= table[scounts[:, k][:, None] + scounts[None, :, k]]
+    D = np.diag(_sorted_multiplicity(r, omega))
     w, U = np.linalg.eigh(Sigma_sym)
     w = np.clip(w, 0.0, None)
     B = D @ ((U * np.sqrt(w)) @ U.T)

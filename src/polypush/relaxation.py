@@ -582,7 +582,7 @@ def tensor_ring_certificate(
 
 def lowrank_certificate(
     M: np.ndarray, components: np.ndarray, r: int, omega: int, S: np.ndarray,
-    sigma_mode: str, R: float, kappa: float, eta: float, lam, mu,
+    R: float, kappa: float, eta: float, lam, mu,
 ) -> dict[str, float]:
     """The worst violation of each constraint family of encode_lowrank's
     program, with the same arguments (ell is that of ``components``) and
@@ -598,11 +598,11 @@ def lowrank_certificate(
     The program's second left inverse, P M B = Id with ||P||_F^2 <=
     r^omega omega^(omega/2) / kappa^2, is implied and not evaluated: its
     least-norm solution is P = B^-1 L, every singular value of B is at
-    least 1 in both Sigma modes, so ||P||_F <= ||L||_F, while its cap is
-    omega^(omega/2) >= 1 times L's."""
+    least 1, so ||P||_F <= ||L||_F, while its cap is omega^(omega/2) >= 1
+    times L's."""
     d = M.shape[0]
     mult = _sorted_multiplicity(r, omega)
-    Sigma_sym = _mode_sigma(r, omega, sigma_mode)[0]
+    Sigma_sym = _mode_sigma(r, omega)[0]
     pairs = _triu(d)
     weighted = M * mult
     model = (weighted @ Sigma_sym @ weighted.T)[pairs]
@@ -765,7 +765,6 @@ def encode_lowrank(
     omega: int,
     ell: int,
     S: np.ndarray,
-    sigma_mode: str,
     R: float,
     kappa: float,
     eta: float,
@@ -779,7 +778,7 @@ def encode_lowrank(
     the (d, ell, r) rank-ell components v_{a,t}; and "L" and "P", (m, d)
     left inverses of M and of M B, where B = D Sigma_sym^{1/2} (``meta["B"]``)
     takes the multiplicity diagonal D and the PSD square root of the
-    Sigma_sym of ``sigma_mode`` (moments.SIGMA_MODES).
+    Gaussian Sigma_sym (moments._mode_sigma).
     Each unit's entries and components form one group at degree 2 omega.
     ``lam_mu`` appends the gauge-fixing families on F_lam / F_mu built from
     the paired-contraction vectors f_a; without it the program is
@@ -793,7 +792,7 @@ def encode_lowrank(
     m = len(sidx)
     mult = _sorted_multiplicity(r, omega)
     # B (m, m): column u weight of T entries
-    Sigma_sym, B, _ = _mode_sigma(r, omega, sigma_mode)
+    Sigma_sym, B, _ = _mode_sigma(r, omega)
 
     (units, comps, L, P), nvars = _blocks((d, m), (d, ell, r), (m, d), (m, d))
     t, v = units.tolist(), comps.tolist()

@@ -263,8 +263,9 @@ SYM_RTOL = 1e-12
 
 def _check_tables(S, T):
     """(S, T) as float arrays, T None for a pair table; UsageError naming the
-    field unless each is finite, S is (d, d) with d >= 1, T is (d, d, d) and
-    each is symmetric to relative SYM_RTOL."""
+    field unless each is finite, S is (d, d) with d >= 1, T is (d, d, d),
+    each is symmetric to relative SYM_RTOL and no diagonal entry of S is
+    negative (S_aa is Var(z_a) / 2 or E[z_a^2])."""
     tables = {"S": np.asarray(S, dtype=float)}
     if T is not None:
         tables["T"] = np.asarray(T, dtype=float)
@@ -280,6 +281,8 @@ def _check_tables(S, T):
             asym = np.abs(X - X.swapaxes(k, k + 1)).max()
             if asym > band:
                 raise UsageError(f"table field {name!r} is not symmetric (off by {asym:.3e})")
+    if np.diag(tables["S"]).min() < 0:
+        raise UsageError("table field 'S' has a negative diagonal entry")
     return tables["S"], tables.get("T")
 
 
@@ -605,13 +608,15 @@ def extend_tail(
 
     head: (d', r, r) recovered units; S: full (d, d) pair moments.  Returns
     (d - d', r, r) units solving argmin sum_a (S_ab - <Q_a, Q>)^2.
-    UsageError unless S passes ``_check_tables``, head is (d', r, r) and
-    d' <= d <= len(S).
+    UsageError unless S passes ``_check_tables``, head is a finite
+    (d', r, r) array and d' <= d <= len(S).
     """
     S, _ = _check_tables(S, None)
     head = np.asarray(head, dtype=float)
     if head.ndim != 3 or head.shape[1] != head.shape[2]:
         raise UsageError(f"head has shape {head.shape}, expected (d', r, r)")
+    if not np.isfinite(head).all():
+        raise UsageError("head has NaN or inf entries")
     if not len(head) <= d <= len(S):
         raise UsageError(f"d = {d} must lie between the {len(head)} head units "
                          f"and the {len(S)} rows of S")

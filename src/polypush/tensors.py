@@ -147,6 +147,8 @@ class GaugeRotation:
         r = V.shape[0]
         if V.shape != (r, r):
             raise UsageError("rotation must be square")
+        if not np.isfinite(V).all():
+            raise UsageError("rotation has NaN or inf entries")
         err = np.max(np.abs(V.T @ V - np.eye(r)))
         if err > 1e-10:
             raise UsageError(f"matrix is not orthogonal (deviation {err:.2e})")

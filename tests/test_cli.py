@@ -19,7 +19,7 @@ from polypush import cli, moments, networks
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
-from polypush.lowrank import LRConfig, exact_lowrank_pair_moments
+from polypush.lowrank import LRConfig
 from polypush.networks import SeedDistribution, network_from_json, sample
 from polypush.tensor_ring import TRConfig
 
@@ -256,23 +256,6 @@ class TestRoundTrip:
                    "--out", str(out)) == 0
         assert read(out)["gauge_dist"] <= 1e-4
 
-    def test_solve_lr_sigma_identity(self, tmp_path, capsys):
-        # an identity-convention table is recovered under --sigma identity;
-        # the default Gaussian model cannot fit it
-        net = tmp_path / "lr.json"
-        assert run("generate", "--kind", "lowrank", "--r", "2", "--d", "4",
-                   "--omega", "3", "--ell", "1", "--rho", "0.5", "--seed", "3",
-                   "--out", str(net)) == 0
-        table = tmp_path / "identity.json"
-        S = exact_lowrank_pair_moments(network_from_json(read(net)), mode="identity")
-        table.write_text(json.dumps(moments.table_to_json(S)))
-        solve = ("solve_lr", "--table", str(table), "--r", "2", "--truth", str(net))
-        capsys.readouterr()
-        assert run(*solve, "--sigma", "identity", "--out", str(tmp_path / "a.json")) == 0
-        assert json.loads(capsys.readouterr().out)["gauge_dist"] <= 1e-12
-        assert run(*solve, "--out", str(tmp_path / "b.json")) == 3
-        assert "component fit residual 2.119e-04" in capsys.readouterr().err
-
     def test_verify_both_kinds(self, tmp_path, quad_net, capsys):
         assert run("verify", "--network", str(quad_net)) == 0
         rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -369,8 +352,10 @@ class TestExitCodes:
                    "T": (5.0 * np.ones((3, 3, 3))).tolist(), "eta": 0.0}
             flags = ["--eta", "1e-3"]
         else:
-            # no pair-moment model has a negative diagonal entry
-            obj = {"kind": "pair", "S": np.diag([1.0, -1000.0, 1.0, 1.0]).tolist(), "eta": 0.0}
+            # no pair-moment model has |S_12| above sqrt(S_11 S_22)
+            S = np.diag([1.0, 1000.0, 1.0, 1.0])
+            S[1, 2] = S[2, 1] = 1000.0
+            obj = {"kind": "pair", "S": S.tolist(), "eta": 0.0}
             flags = ["--eta", "0.1"]
         table.write_text(json.dumps(obj))
         assert run(command, "--table", str(table), "--r", "2", *flags,
@@ -419,18 +404,21 @@ class TestExitCodes:
         assert run(command[0], "--network", str(net), *command[1:],
                    "--out", str(tmp_path / "out.json")) == 2
 
-    @pytest.mark.parametrize("flaw", ["nan", "shape", "asym"])
+    @pytest.mark.parametrize("flaw", ["nan", "shape", "asym", "negdiag"])
     @pytest.mark.parametrize("command", [
         ("solve_tr", "--r", "2", "--restarts", "2"),
         ("solve_lr", "--r", "1", "--restarts", "2"),
     ], ids=["solve_tr", "solve_lr"])
-    def test_solve_rejects_bad_table(self, tmp_path, command, flaw):
+    def test_solve_rejects_bad_table(self, tmp_path, capsys, command, flaw):
         d = 3
         S = np.eye(d)
         if flaw == "nan":
             S[0, 1] = S[1, 0] = float("nan")
         elif flaw == "asym":
             S[0, 1] = 0.5
+        elif flaw == "negdiag":
+            # S_aa is Var(z_a) / 2 or E[z_a^2]
+            S[1, 1] = -1.0
         else:
             S = S[:, :2]
         obj = {"kind": "pair", "S": S.tolist(), "eta": 0.0}
@@ -440,6 +428,7 @@ class TestExitCodes:
         table.write_text(json.dumps(obj))
         assert run(command[0], "--table", str(table), *command[1:],
                    "--out", str(tmp_path / "rec.json")) == 2
+        assert "field 'S'" in capsys.readouterr().err
 
     def test_bench_is_an_invalid_choice(self, tmp_path, capsys):
         # the sweep command is gone; perfbench is the one harness
@@ -541,13 +530,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags", [
         ("sample", ("--network", "net.json", "--n", "5")),
         ("eval", ("--network", "net.json", "--reference", "net.json")),
-    ], ids=["sample", "eval"])
+        ("solve_tr", ("--table", "table.json", "--r", "2")),
+        ("solve_lr", ("--table", "table.json", "--r", "2")),
+    ], ids=["sample", "eval", "solve_tr", "solve_lr"])
     def test_no_sigma_flag(self, tmp_path, capsys, command, flags):
-        # both draw from, or bound with, the Gaussian seed; solve_lr's
-        # --sigma names a moment-table convention
-        assert run(command, *flags, "--sigma", "identity",
+        # every command draws from, bounds with or fits the moments of the
+        # Gaussian seed, so none names a Sigma
+        assert run(command, *flags, "--sigma", "gaussian",
                    "--out", str(tmp_path / "out")) == 2
-        assert "unrecognized arguments: --sigma identity" in capsys.readouterr().err
+        assert "unrecognized arguments: --sigma gaussian" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
@@ -675,7 +666,7 @@ class TestFailedRuns:
         assert man["outputs"] == {}
 
     def test_dense_cap_exits_5(self, tmp_path, input_files, monkeypatch):
-        # low-rank sos builds Sigma_sym through moments._sigma_sym, which
+        # low-rank sos builds Sigma_sym through moments._mode_sigma, which
         # checks the cap
         _, paths = input_files
         monkeypatch.setattr(moments, "DENSE_BYTES_CAP", 1)

@@ -21,7 +21,7 @@ from polypush.lowrank import (
     factorize,
     verify_assumption_lr,
 )
-from polypush.moments import rotation_invariant_scale
+from polypush.moments import pair_moment_closed_form, rotation_invariant_scale
 from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
@@ -52,15 +52,6 @@ def stacked_net(*vectors):
     comps = np.array(vectors, dtype=float)[:, None, :]
     d, _, r = comps.shape
     return PolyNetwork(kind="lowrank", r=r, d=d, omega=3, ell=1, components=comps)
-
-
-def hermite_net(lam, units, omega):
-    """The identity-mode low-rank network of the Hermite-activation network
-    T_a = sum_t lam[a, t] units[a, t]^{x omega}: its components are
-    sign(lam) |lam|^(1/omega) units."""
-    comps = (np.sign(lam) * np.abs(lam) ** (1.0 / omega))[..., None] * units
-    d, ell, r = comps.shape
-    return PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
 
 
 def sigma_sym_oracle(r, omega):
@@ -102,12 +93,6 @@ class TestFVector:
 
 
 class TestPairInner:
-    def test_identity_mode(self):
-        v = np.array([1.0, 2.0])
-        w = np.array([0.5, -1.0])
-        S = exact_lowrank_pair_moments(stacked_net(v, w), mode="identity").S
-        assert S[0, 1] == pytest.approx(float(v @ w) ** 3, abs=1e-12)
-
     def test_gaussian_matches_sigma(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(2)
@@ -115,7 +100,7 @@ class TestPairInner:
         Tv = np.einsum("i,j,k->ijk", v, v, v)
         Tw = np.einsum("i,j,k->ijk", w, w, w)
         Sigma = sigma_matrix(2, 3).Sigma
-        S = exact_lowrank_pair_moments(stacked_net(v, w), mode="gaussian").S
+        S = exact_lowrank_pair_moments(stacked_net(v, w)).S
         assert S[0, 1] == pytest.approx(sigma_inner(Tv, Tw, Sigma), rel=1e-10)
 
     def test_sigma_gauge_invariance(self):
@@ -159,15 +144,11 @@ class TestFactorize:
         assert mutual <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_identity_and_gaussian_modes_agree_on_recoverability(self, seed):
+    def test_smoothed_networks_are_recovered(self, seed):
         net = smoothed_lr_net(2, 4, 3, 1, 0.5, 100 + seed)
-        for mode in ("gaussian", "identity"):
-            S = exact_lowrank_pair_moments(net, mode=mode).S
-            rep = factorize(
-                S, LRConfig(r=2, omega=3, ell=1, sigma_mode=mode, rng_seed=seed),
-                truth=net,
-            )
-            assert rep.gauge_dist <= 1e-4
+        S = exact_lowrank_pair_moments(net).S
+        rep = factorize(S, LRConfig(r=2, omega=3, ell=1, rng_seed=seed), truth=net)
+        assert rep.gauge_dist <= 1e-4
 
     def test_sos_backend_r1(self):
         t = np.array([1.1, 0.6, -0.9])
@@ -196,8 +177,6 @@ class TestFactorize:
         (LRConfig, {"restarts": 0}),
         (LRConfig, {"tol": 0.0}),
         (LRConfig, {"tol": float("nan")}),
-        (LRConfig, {"sigma_mode": "gausian"}),
-        (LRConfig, {"sigma_mode": "rotation_invariant"}),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else "=".join(map(str, *v.items())))
     def test_settings_checked(self, config, bad):
         with pytest.raises(UsageError):
@@ -298,13 +277,11 @@ class TestFactorize:
         with pytest.raises(error):
             factorize(S, LRConfig(r=2, omega=omega, ell=1, backend="sos"))
 
-    @pytest.mark.parametrize("mode", ["gaussian", "identity"])
-    def test_sos_certifies_every_sigma_mode(self, forbid_solve, mode):
-        # the program is stated with the fit's Sigma_sym
+    def test_sos_certifies_exact_tables(self, forbid_solve):
         for seed in range(4):
             net = smoothed_lr_net(1, 3, 3, 1, 1.0, seed)
-            S = exact_lowrank_pair_moments(net, mode=mode).S
-            cfg = LRConfig(r=1, backend="sos", sigma_mode=mode, rng_seed=seed)
+            S = exact_lowrank_pair_moments(net).S
+            cfg = LRConfig(r=1, backend="sos", rng_seed=seed)
             rep = factorize(S, cfg, truth=net)
             assert rep.gauge_dist <= 1e-12
             assert rep.diagnostics["certificate_violation"] <= 1e-7
@@ -327,8 +304,6 @@ class TestFactorize:
 
 
 class TestClosedForm:
-    MODES = moments.SIGMA_MODES
-
     @staticmethod
     def record_fits(monkeypatch):
         seen = []
@@ -341,32 +316,28 @@ class TestClosedForm:
         monkeypatch.setattr(lowrank, "least_squares", recording)
         return seen
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("r, d, omega", [(2, 4, 3), (3, 10, 3), (2, 6, 5)])
-    def test_exact_tables_need_no_random_start(self, monkeypatch, r, d, omega, mode):
+    def test_exact_tables_need_no_random_start(self, monkeypatch, r, d, omega):
         seen = self.record_fits(monkeypatch)
         for seed in range(3):
             net = smoothed_lr_net(r, d, omega, 1, 0.5, seed)
-            S = exact_lowrank_pair_moments(net, mode=mode).S
-            cfg = LRConfig(r=r, omega=omega, sigma_mode=mode, rng_seed=seed)
+            S = exact_lowrank_pair_moments(net).S
+            cfg = LRConfig(r=r, omega=omega, rng_seed=seed)
             x, _ = lowrank._rank1_components(S, cfg)
-            model = lowrank._pair_table(x.reshape(d, 1, r), omega, mode)
+            model = lowrank._pair_table(x.reshape(d, 1, r), omega)
             assert np.max(np.abs(model - S)) <= 1e-12 * np.max(np.abs(S))
             seen.clear()
             rep = factorize(S, cfg)
             assert len(seen) == 1 and np.array_equal(seen[0], x)
             assert rep.diagnostics["start"] == "closed_form"
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_cosines_invert_the_pair_moment(self, mode):
+    def test_cosines_invert_the_pair_moment(self):
         t = np.linspace(-1.0, 1.0, 41)
         for omega in (1, 3, 5):
-            p = lowrank._pair_values(t, 1.0, 1.0, omega, mode)
-            y = p / lowrank._pair_values(1.0, 1.0, 1.0, omega, mode)
-            assert np.max(np.abs(lowrank._pair_cosines(y, omega, mode) - t)) <= 1e-12
-        assert np.array_equal(
-            lowrank._pair_cosines(np.array([-3.0, 1.5]), 3, mode), [-1.0, 1.0]
-        )
+            p = pair_moment_closed_form(t, 1.0, 1.0, omega)
+            y = p / pair_moment_closed_form(1.0, 1.0, 1.0, omega)
+            assert np.max(np.abs(lowrank._pair_cosines(y, omega) - t)) <= 1e-12
+        assert np.array_equal(lowrank._pair_cosines(np.array([-3.0, 1.5]), 3), [-1.0, 1.0])
 
     def test_ell_2_keeps_the_random_starts(self, monkeypatch):
         # no closed form at ell >= 2: the starts are stream 42's draws, in
@@ -383,7 +354,8 @@ class TestClosedForm:
             assert np.array_equal(x0, scale * rng.standard_normal(5 * 2 * 1) / math.sqrt(1))
 
     def test_nonpositive_diagonal_falls_back(self, monkeypatch):
-        S = np.diag([1.0, -1.0, 1.0])
+        # a zero diagonal entry; a negative one is refused before any fit
+        S = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(DegeneracyError):
             lowrank._rank1_components(S, LRConfig(r=1))
         seen = self.record_fits(monkeypatch)
@@ -400,23 +372,12 @@ class TestExactPairMoments:
     def test_gaussian_matches_sigma_inner(self, net):
         Sigma = sigma_matrix(2, 3).Sigma
         tens = net.unit_tensors()
-        S = exact_lowrank_pair_moments(net, mode="gaussian").S
+        S = exact_lowrank_pair_moments(net).S
         for a in range(net.d):
             for b in range(net.d):
                 assert S[a, b] == pytest.approx(
                     sigma_inner(tens[a], tens[b], Sigma), rel=1e-10, abs=1e-12
                 )
-
-    def test_identity_is_frobenius(self, net):
-        tens = net.unit_tensors()
-        S = exact_lowrank_pair_moments(net, mode="identity").S
-        dense = np.einsum("aijk,bijk->ab", tens, tens)
-        assert np.allclose(S, dense, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["bogus", "rotation_invariant"])
-    def test_sigma_mode_checked(self, net, mode):
-        with pytest.raises(UsageError):
-            exact_lowrank_pair_moments(net, mode=mode)
 
 
 def scale_mixture_seed(r):
@@ -433,7 +394,7 @@ def scale_mixture_seed(r):
 class TestRotationInvariantSeed:
     """A rotation-invariant seed rescales the pair moments by one scalar,
     C = rotation_invariant_scale(seed, 2 omega, r): its table divided by C
-    is the Gaussian table, which factorize recovers in gaussian mode."""
+    is the Gaussian table, which factorize recovers."""
 
     SHAPES = [(1, 3, 3), (2, 4, 3), (2, 6, 5), (3, 10, 3)]
 
@@ -477,7 +438,7 @@ class TestSigmaSym:
     def test_matches_the_dense_sigma(self, r, omega):
         # the Gaussian Sigma_sym of the low-rank path against the pairing
         # count, and against the dense Sigma at the sorted multi-indices
-        Sigma_sym = moments._mode_sigma(r, omega, "gaussian")[0]
+        Sigma_sym = moments._mode_sigma(r, omega)[0]
         assert np.allclose(Sigma_sym, sigma_sym_oracle(r, omega), atol=1e-12)
         assert np.array_equal(Sigma_sym, sigma_matrix(r, omega).Sigma_sym)
 
@@ -516,43 +477,6 @@ class TestVerifyAssumptionLr:
         assert "skipped" in rep.k_skipped
 
 
-class TestHermiteNetworkPairMoments:
-    # a Hermite-activation network is an identity-mode low-rank network
-    def test_orthonormal_identity(self):
-        units = np.zeros((2, 1, 2))
-        units[0, 0, 0] = 1.0
-        units[1, 0, 1] = 1.0
-        net = hermite_net(np.ones((2, 1)), units, 3)
-        t = exact_lowrank_pair_moments(net, mode="identity")
-        assert np.allclose(t.S, np.eye(2), atol=1e-12)
-
-    def test_shared_direction(self):
-        v = np.array([0.6, 0.8])
-        units = np.stack([v[None], v[None]])
-        lam = np.array([[2.0], [-3.0]])
-        t = exact_lowrank_pair_moments(hermite_net(lam, units, 3), mode="identity")
-        assert t.S[0, 1] == pytest.approx(-6.0, abs=1e-12)
-
-    def test_matches_frobenius_expansion(self):
-        # dense tensor oracle at r=2, omega=3, ell=2
-        rng = np.random.default_rng(7)
-        units = rng.standard_normal((2, 2, 2))
-        units /= np.linalg.norm(units, axis=2, keepdims=True)
-        lam = rng.standard_normal((2, 2))
-        t = exact_lowrank_pair_moments(hermite_net(lam, units, 3), mode="identity")
-        tens = []
-        for a in range(2):
-            T = np.zeros((2, 2, 2))
-            for k in range(2):
-                v = units[a, k]
-                T += lam[a, k] * np.einsum("i,j,k->ijk", v, v, v)
-            tens.append(T)
-        for a in range(2):
-            for b in range(2):
-                frob = float(np.sum(tens[a] * tens[b]))
-                assert t.S[a, b] == pytest.approx(frob, abs=1e-10)
-
-
 class TestSignConsistency:
     def test_signs_match_after_alignment(self):
         net = smoothed_lr_net(2, 4, 3, 1, 0.5, 77)
@@ -571,17 +495,17 @@ class TestJacobians:
     @given(
         d=st.integers(1, 5), ell=st.integers(1, 2), r=st.integers(1, 3),
         omega=st.sampled_from([3, 5]),
-        mode=st.sampled_from(moments.SIGMA_MODES), seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_pair_table_matches_complex_step(self, d, ell, r, omega, mode, seed):
+    def test_pair_table_matches_complex_step(self, d, ell, r, omega, seed):
         rows = np.triu_indices(d)
         x = np.random.default_rng(seed).standard_normal(d * ell * r)
 
         def model(x):
-            return lowrank._pair_table(x.reshape(d, ell, r), omega, mode)[rows]
+            return lowrank._pair_table(x.reshape(d, ell, r), omega)[rows]
 
         want = complex_step_jacobian(model, x)
-        got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, mode, rows)
+        got = lowrank._pair_table_jacobian(x.reshape(d, ell, r), omega, rows)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

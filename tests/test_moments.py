@@ -12,7 +12,6 @@ from conftest import (
     sigma_inner,
     sigma_matrix,
     symmetric_gaussian,
-    vec,
     wick_linear_pair_moment,
 )
 from polypush import moments
@@ -280,14 +279,6 @@ class TestSigmaInner:
         T = np.zeros((2, 2, 2))
         T[0, 0, 0] = 1.0
         assert sigma_inner(T, T, sigma_matrix(2, 3).Sigma) == 15.0  # E g^6
-
-    def test_identity_mode_is_frobenius(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((2, 2, 2))
-        B = rng.standard_normal((2, 2, 2))
-        assert sigma_inner(A, B, np.eye(8)) == pytest.approx(
-            float(vec(A) @ vec(B)), abs=1e-12
-        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):

@@ -367,8 +367,7 @@ class TestEncodeTensorRing:
 class TestEncodeLowrank:
     def test_r1_structure(self):
         prog = encode_lowrank(
-            1, 3, 1, np.array([[15.0]]), "gaussian",
-            R=1.5, kappa=0.1, eta=0.0,
+            1, 3, 1, np.array([[15.0]]), R=1.5, kappa=0.1, eta=0.0,
         )
         # the low-rank family at r=1, ell=1 reads T = v^3
         cubic = [p for p, _ in prog.equalities if p.degree() == 3]
@@ -388,8 +387,7 @@ class TestEncodeLowrank:
     def test_even_omega_rejected(self):
         with pytest.raises(UsageError):
             encode_lowrank(
-                1, 2, 1, np.array([[1.0]]), "gaussian",
-                R=1.0, kappa=0.1, eta=0.0,
+                1, 2, 1, np.array([[1.0]]), R=1.0, kappa=0.1, eta=0.0,
             )
 
     def test_ground_truth_feasible(self):
@@ -402,8 +400,7 @@ class TestEncodeLowrank:
         )
         S = exact_lowrank_pair_moments(net).S
         prog = encode_lowrank(
-            r, omega, ell, S, "gaussian",
-            R=net.radius * 1.01, kappa=1e-3, eta=0.0,
+            r, omega, ell, S, R=net.radius * 1.01, kappa=1e-3, eta=0.0,
         )
         assert certify_oracle(prog, lowrank_flattening(prog, net), net.components) <= 1e-7
 
@@ -491,9 +488,9 @@ def certificate_call(net, table, rng_seed, eta):
 
 def closed_form(args, kw):
     """The closed-form families at a recorded call's arguments: (M, r, S, T)
-    for the tensor-ring program, (M, components, r, omega, S, sigma_mode)
-    for the low-rank one, and lam, mu, R, kappa, eta by keyword."""
-    if len(args) == 6:
+    for the tensor-ring program, (M, components, r, omega, S) for the
+    low-rank one, and lam, mu, R, kappa, eta by keyword."""
+    if len(args) == 5:
         return relaxation.lowrank_certificate(*args, **kw)
     return relaxation.tensor_ring_certificate(*args, **kw)
 
@@ -504,10 +501,10 @@ def oracle_point(args, kw):
     if len(args) == 4:
         M, *rest = args
         return encode_tensor_ring(*rest, **kw), M, None
-    M, comps, r, omega, S, mode = args
+    M, comps, r, omega, S = args
     kw = dict(kw)
     lam_mu = (kw.pop("lam"), kw.pop("mu"))
-    return encode_lowrank(r, omega, comps.shape[1], S, mode, lam_mu=lam_mu, **kw), M, comps
+    return encode_lowrank(r, omega, comps.shape[1], S, lam_mu=lam_mu, **kw), M, comps
 
 
 def assert_matches_oracle(args, kw, closed):
@@ -567,8 +564,7 @@ class TestCertify:
         lam, mu = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
         rot, mu, _ = gauge_fix(F, lam, mu)
         fixed = rotate_network(net, rot)
-        return ((sorted_entries(fixed.unit_tensors(), omega), fixed.components, r, omega, S,
-                 "gaussian"),
+        return ((sorted_entries(fixed.unit_tensors(), omega), fixed.components, r, omega, S),
                 {"R": net.radius * radius_factor, "kappa": 1e-3, "eta": 0.0,
                  "lam": lam, "mu": mu})
 
@@ -686,8 +682,7 @@ class TestCertify:
             )
         ell, omega = dims[2:]
         return encode_lowrank(
-            r, omega, ell, rng.standard_normal((d, d)), "gaussian",
-            R=1.0, kappa=0.1, eta=0.0,
+            r, omega, ell, rng.standard_normal((d, d)), R=1.0, kappa=0.1, eta=0.0,
         )
 
     @pytest.mark.parametrize("dims", LAYOUT_DIMS, ids=lambda dims: ",".join(map(str, dims)))

@@ -332,3 +332,45 @@ def test_every_cli_command_is_run_or_kept():
     run = commands & string_constants(ast.parse((PERFBENCH / "workloads.py").read_text()))
     assert sorted(commands - run) == sorted(KEPT_COMMANDS)
     assert not set(KEPT_COMMANDS) & run
+
+
+# every value a caller can set: the fields of the config classes and the
+# options of each CLI command.  A change that adds or removes a knob fails
+# here until it edits the pin, so the change states it.
+SETTABLE_FIELDS = {
+    "TRConfig": ["r", "backend", "restarts", "tol", "rng_seed", "eta"],
+    "LRConfig": ["r", "omega", "ell", "backend", "restarts", "tol", "rng_seed", "eta"],
+    "AlignmentConfig": ["rng_seed"],
+}
+CLI_OPTIONS = {
+    "generate": ["--kind", "--r", "--d", "--omega", "--ell", "--rho", "--base", "--seed",
+                 "--out"],
+    "sample": ["--network", "--n", "--seed", "--out"],
+    "moments": ["--network", "--samples", "--kind", "--out"],
+    "solve_tr": ["--table", "--r", "--truth", "--seed", "--out", "--eta", "--backend",
+                 "--restarts", "--tol"],
+    "solve_lr": ["--table", "--r", "--omega", "--ell", "--truth", "--seed", "--out", "--eta",
+                 "--backend", "--restarts", "--tol"],
+    "eval": ["--network", "--reference", "--seed", "--out"],
+    "verify": ["--network", "--out"],
+    "lowerbound": ["--r", "--restarts", "--tol", "--seed", "--out"],
+}
+
+
+def test_settable_values_are_pinned():
+    import argparse
+    import dataclasses
+
+    from polypush import cli
+    from polypush.gauge import AlignmentConfig
+    from polypush.lowrank import LRConfig
+    from polypush.tensor_ring import TRConfig
+
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (TRConfig, LRConfig, AlignmentConfig)}
+    assert fields == SETTABLE_FIELDS
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS

@@ -141,12 +141,14 @@ class TestFindCombo:
             with pytest.raises(DegeneracyError):
                 find_combo(G, 2, rng_seed=5, eta=eta)
         # the rounding floor d eps lambda_max holds at any eta: an
-        # eigenvalue at -floor counts as zero, one below it is raised
+        # eigenvalue at -floor counts as zero, one below it is raised;
+        # find_combo refuses these Grams' negative diagonal entry, so the
+        # floor is checked on _whiten, which reads it
         floor = 3 * np.finfo(float).eps * 4.0
-        find_combo(np.diag([4.0, 1.0, -2 * floor]), 2, rng_seed=5, eta=1e-2)
+        tensor_ring._whiten(np.diag([4.0, 1.0, -2 * floor]), 3, eta=1e-2)
         for eta in (0.0, 1e-2):
             with pytest.raises(DegeneracyError):
-                find_combo(np.diag([4.0, 1.0, -floor]), 2, rng_seed=5, eta=eta)
+                tensor_ring._whiten(np.diag([4.0, 1.0, -floor]), 3, eta=eta)
 
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
     def test_pair_does_not_depend_on_eigenvector_signs(self, monkeypatch, kind):
@@ -575,17 +577,23 @@ def exact_tables(kind):
         tables["S"], LRConfig(r=2, backend=backend, rng_seed=9))
 
 
-@pytest.mark.parametrize("flaw", ["nan", "inf", "shape", "asym"])
+@pytest.mark.parametrize("flaw", ["nan", "inf", "shape", "asym", "negdiag"])
 @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
 def test_bad_tables_are_usage_errors(monkeypatch, kind, flaw):
     # each table is checked once, where recovery starts, and refused with the
-    # field named before any combination or fit
+    # field named before any combination or fit; a negative S_aa, which no
+    # network or estimator yields, crashed math.sqrt in the tensor ring's
+    # random starts when it was the largest
     tables, recover = exact_tables(kind)
     calls = record_calls(monkeypatch, "find_combo", "_fit")
     for field, X in tables.items():
         X = X.copy()
         corner = (0, 1) + (0,) * (X.ndim - 2)
-        if flaw == "nan":
+        if flaw == "negdiag":
+            if field != "S":
+                continue
+            X = -X
+        elif flaw == "nan":
             X[corner] = np.nan
         elif flaw == "inf":
             X[corner] = np.inf
@@ -884,6 +892,14 @@ class TestExtendTail:
         S[0, 4] += shift
         with pytest.raises(UsageError, match=match):
             extend_tail(S, net.Q[:3], 5)
+
+    def test_non_finite_head_rejected(self):
+        # a NaN reached np.linalg.svd, which raised LinAlgError
+        net = smoothed_net(2, 5, 0.5, 16)
+        head = net.Q[:3].copy()
+        head[0, 0, 1] = np.nan
+        with pytest.raises(UsageError, match="head has NaN or inf"):
+            extend_tail(exact_quadratic_moments(net).S, head, 5)
 
     @pytest.mark.parametrize("head_shape, d", [((3, 2, 2), 6), ((3, 2, 2), 2),
                                                ((3, 2, 3), 5), ((3, 2, 2, 2), 5)])

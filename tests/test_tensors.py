@@ -491,6 +491,9 @@ class TestTypes:
         GaugeRotation(np.eye(3))
         with pytest.raises(UsageError):
             GaugeRotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        # a NaN deviation passed the orthogonality check err > 1e-10
+        with pytest.raises(UsageError, match="NaN or inf"):
+            GaugeRotation(np.full((2, 2), np.nan))
 
     def test_frobenius_preserved_under_rotation(self):
         rng = np.random.default_rng(12)
