@@ -67,7 +67,6 @@ class LMResult:
     x: np.ndarray
     fun: np.ndarray
     nfev: int
-    njev: int
     stop: str  # "tol", "step", "plateau" or "cap"
 
 
@@ -118,7 +117,7 @@ def least_squares(fun, x0, jac, max_nfev: int) -> LMResult:
     x = np.array(x0, dtype=float)
     f = np.asarray(fun(x), dtype=float)
     cost = 0.5 * float(f @ f)
-    nfev, njev = 1, 0
+    nfev = 1
     D = np.zeros(x.size)
     delta = None
     prev_step = None
@@ -126,17 +125,16 @@ def least_squares(fun, x0, jac, max_nfev: int) -> LMResult:
     new_iterate = True
     while True:
         if nfev >= max_nfev:
-            return LMResult(x, f, nfev, njev, "cap")
+            return LMResult(x, f, nfev, "cap")
         if new_iterate:
             J = np.asarray(jac(x), dtype=float)
-            njev += 1
             D = np.maximum(D, np.linalg.norm(J, axis=0))
             scale = np.where(D > 0, D, 1.0)
             U, s, Vt = _svd(J / scale)
             g = U.T @ f
             # |Jsᵀ f| = |s g|; a start whose residual is not finite stops here
             if not np.linalg.norm(s * g) > GTOL * math.sqrt(2 * cost):
-                return LMResult(x, f, nfev, njev, "tol")
+                return LMResult(x, f, nfev, "tol")
             keep = s > RCOND * s[0]
             s, g, Vt = s[keep], g[keep], Vt[keep]
             # the reduction of the Gauss-Newton step
@@ -150,9 +148,11 @@ def least_squares(fun, x0, jac, max_nfev: int) -> LMResult:
         z = -Vt.T @ (s / (s * s + mu) * g)
         step = float(np.linalg.norm(z))
         x_new = x + z / scale
-        f_new = np.asarray(fun(x_new), dtype=float)
+        # a far trial may overflow: its cost is then not finite, a failed step
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_new = np.asarray(fun(x_new), dtype=float)
+            cost_new = 0.5 * float(f_new @ f_new)
         nfev += 1
-        cost_new = 0.5 * float(f_new @ f_new)
         # the reduction of 0.5 |f + Js z|^2, computed without cancellation
         damp = mu / (s * s + mu)
         pred = 0.5 * float(np.sum(g * g * (1.0 - damp * damp)))
@@ -175,7 +175,7 @@ def least_squares(fun, x0, jac, max_nfev: int) -> LMResult:
             costs.append(cost)
             new_iterate = True
         if small:
-            return LMResult(x, f, nfev, njev, "step")
+            return LMResult(x, f, nfev, "step")
         if (new_iterate and len(costs) > PLATEAU_WINDOW
                 and costs[-1 - PLATEAU_WINDOW] - cost <= PLATEAU_RTOL * cost):
-            return LMResult(x, f, nfev, njev, "plateau")
+            return LMResult(x, f, nfev, "plateau")

@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lowrank, tensor_ring
 from .errors import PolypushError, UsageError
 from .gauge import AlignmentConfig, gauge_distance
 from .lowerbound import build_networks, pair_to_json, search_matched_pair
@@ -88,10 +89,22 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _json_text(obj, where: str, **layout) -> str:
+    """``json.dumps(obj, **layout)`` as strict JSON; a UsageError naming
+    ``where``, the output, when ``obj`` holds a NaN or an infinity."""
+    try:
+        return json.dumps(obj, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise UsageError(f"cannot write {where}: it holds a non-finite number, which "
+                         "strict JSON cannot represent") from exc
+
+
 def _write_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` with indent 2 and sorted keys; it is
+    serialized first, so a refused one leaves no file."""
+    text = _json_text(obj, path, indent=2, sort_keys=True)
     with _open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 SAMPLE_CHUNK = 4096
@@ -224,9 +237,11 @@ def _manifest(args, error: Optional[PolypushError] = None,
     """Write ``<--out>.manifest.json``: the command, its flags and seed, and
     the digests of its input files and of ``--out``, each listed only if it
     exists.  ``digests`` holds those the command already took, by path.  A
-    failed run's manifest adds its exit code and error."""
+    failed run's manifest adds its exit code and error.  A NaN or infinite
+    flag is listed as its string, "nan", "inf" or "-inf"."""
     flags = {
-        k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in vars(args).items() if k not in ("func",) and v is not None
     }
     inputs = [getattr(args, k) for k in INPUT_FLAGS if getattr(args, k, None)]
     known = digests or {}
@@ -345,8 +360,8 @@ def _read_table(path: str, kind: str):
 def cmd_solve_tr(args) -> int:
     table = _read_table(args.table, "quadratic")
     cfg = TRConfig(
-        r=args.r, backend=args.backend, restarts=args.restarts, tol=args.tol,
-        rng_seed=args.seed, eta=args.eta,
+        r=args.r, backend=args.backend, restarts=args.restarts, rng_seed=args.seed,
+        eta=args.eta,
     )
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = decompose(table.S, table.T, cfg, truth=truth)
@@ -356,7 +371,7 @@ def cmd_solve_tr(args) -> int:
         "residual_T": float(report.residual_T),
         "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
-    print(json.dumps(summary))
+    print(_json_text(summary, "stdout"))
     _manifest(args)
     return 0
 
@@ -365,7 +380,7 @@ def cmd_solve_lr(args) -> int:
     table = _read_table(args.table, "pair")
     cfg = LRConfig(
         r=args.r, omega=args.omega, ell=args.ell, backend=args.backend,
-        restarts=args.restarts, tol=args.tol, rng_seed=args.seed, eta=args.eta,
+        restarts=args.restarts, rng_seed=args.seed, eta=args.eta,
     )
     truth = network_from_json(_read_json(args.truth)) if args.truth else None
     report = factorize(table.S, cfg, truth=truth)
@@ -374,7 +389,7 @@ def cmd_solve_lr(args) -> int:
         "residual_S": float(report.residual_S),
         "gauge_dist": None if report.gauge_dist is None else float(report.gauge_dist),
     }
-    print(json.dumps(summary))
+    print(_json_text(summary, "stdout"))
     _manifest(args)
     return 0
 
@@ -385,7 +400,7 @@ def cmd_eval(args) -> int:
     dist, _ = gauge_distance(net_a, net_b, AlignmentConfig(rng_seed=args.seed))
     w1 = w1_upper_bound(dist, net_a.r, net_a.d, net_a.omega, SeedDistribution())
     out = {"gauge_dist": float(dist), "w1_upper_bound": float(w1)}
-    print(json.dumps(out))
+    print(_json_text(out, "stdout"))
     if args.out:
         _write_json(args.out, out)
         _manifest(args)
@@ -398,7 +413,7 @@ def cmd_verify(args) -> int:
         out = {"kind": "quadratic", **dataclasses.asdict(verify_assumption_tr(net))}
     else:
         out = {"kind": "lowrank", **dataclasses.asdict(verify_assumption_lr(net))}
-    print(json.dumps(out))
+    print(_json_text(out, "stdout"))
     if args.out:
         _write_json(args.out, out)
         _manifest(args)
@@ -407,8 +422,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     pair = search_matched_pair(args.r, restarts=args.restarts, tol=args.tol, rng_seed=args.seed)
-    inst = build_networks(pair)
-    text = pair_to_json(inst)
+    text = _json_text(pair_to_json(build_networks(pair)), args.out or "stdout", indent=2)
     if args.out:
         with _open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -418,18 +432,18 @@ def cmd_lowerbound(args) -> int:
     return 0
 
 
-def _common_solver_flags(p, config):
-    """--backend, --restarts and --tol, with the defaults of the ``config``
-    class (TRConfig or LRConfig) the command builds."""
+def _common_solver_flags(p, config, fit_tol: float):
+    """--backend and --restarts, with the defaults of the ``config`` class
+    (TRConfig or LRConfig) the command builds; ``fit_tol`` is its kind's
+    FIT_TOL."""
     defaults = {f.name: f.default for f in dataclasses.fields(config)}
     p.add_argument("--backend", choices=("sos", "local"), default=defaults["backend"])
     p.add_argument(
         "--restarts", type=int, default=defaults["restarts"],
         help="random starts of the local fit, tried in turn after its closed-form "
-        "start (where one can be formed) while the fit misses --tol; with --eta > 0 "
-        "they also stop once a start repeats the best residual so far",
+        f"start (where one can be formed) until a fit's residual is at most {fit_tol:g}; "
+        "with --eta > 0 they also stop once a start repeats the best residual so far",
     )
-    p.add_argument("--tol", type=float, default=defaults["tol"])
 
 
 ETA_HELP = (
@@ -490,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
-    _common_solver_flags(p, TRConfig)
+    _common_solver_flags(p, TRConfig, tensor_ring.FIT_TOL)
     p.set_defaults(func=cmd_solve_tr)
 
     p = sub.add_parser("solve_lr", help="low-rank factorization from a pair-moment table")
@@ -502,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--eta", type=float, default=0.0, help=ETA_HELP)
-    _common_solver_flags(p, LRConfig)
+    _common_solver_flags(p, LRConfig, lowrank.FIT_TOL)
     p.set_defaults(func=cmd_solve_lr)
 
     p = sub.add_parser("eval", help="gauge distance and Wasserstein bound")

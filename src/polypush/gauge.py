@@ -224,13 +224,19 @@ def gauge_distance(
 
     Returns (distance upper bound, rotation V achieving it); the bound equals
     min over the searched V of max_a ||F_{V^{x omega}}(T_a) - T'_a||_F.
-    Deterministic given cfg.rng_seed.
+    Deterministic given cfg.rng_seed.  UsageError unless the networks share
+    (r, d, omega) and every unit's norm is a finite float.
     """
     cfg = cfg or AlignmentConfig()
     if (netA.r, netA.d, netA.omega) != (netB.r, netB.d, netB.omega):
         raise UsageError("networks must share (r, d, omega)")
     r = netA.r
     tensA, tensB = netA.unit_tensors(), netB.unit_tensors()
+    for name, tens in (("netA", tensA), ("netB", tensB)):
+        with np.errstate(over="ignore"):
+            norms = np.square(tens).reshape(len(tens), -1).sum(axis=1)
+        if not np.isfinite(norms).all():
+            raise UsageError(f"{name} has a unit whose norm overflows float64")
 
     if r == 1:
         # O(1) = {+1, -1}: score both, +1 first on a tie

@@ -18,7 +18,6 @@ positive for distinct multisets).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -302,23 +301,21 @@ def param_distance_lb(pair: MatchedPair) -> float:
     return 2.0 * float(np.abs(np.sort(pair.a) - np.sort(pair.b)).sum())
 
 
-def pair_to_json(inst: LBInstance) -> str:
+def pair_to_json(inst: LBInstance) -> dict:
+    """The JSON form of the instance's pair and bounds."""
     pair = inst.pair
-    return json.dumps(
-        {
-            "r": pair.r,
-            "a": [float(v) for v in pair.a],
-            "b": [float(v) for v in pair.b],
-            "a_hp": pair.a_hp,
-            "b_hp": pair.b_hp,
-            "residual": pair.residual,
-            "residual_matched": pair.residual_matched,
-            "moment_diffs": pair.moment_diffs,
-            "separation": pair.separation,
-            "success": pair.success,
-            "sup_gap": inst.sup_gap,
-            "analytic_bound": inst.analytic_bound,
-            "param_distance": inst.param_distance,
-        },
-        indent=2,
-    )
+    return {
+        "r": pair.r,
+        "a": [float(v) for v in pair.a],
+        "b": [float(v) for v in pair.b],
+        "a_hp": pair.a_hp,
+        "b_hp": pair.b_hp,
+        "residual": pair.residual,
+        "residual_matched": pair.residual_matched,
+        "moment_diffs": pair.moment_diffs,
+        "separation": pair.separation,
+        "success": pair.success,
+        "sup_gap": inst.sup_gap,
+        "analytic_bound": inst.analytic_bound,
+        "param_distance": inst.param_distance,
+    }

@@ -62,16 +62,12 @@ class LRConfig:
     ell: int = 1
     backend: str = "local"  # local | sos
     restarts: int = 20
-    tol: float = 1e-10
     rng_seed: int = 0
     eta: float = 0.0
 
     def __post_init__(self):
-        check_settings(
-            {"r": self.r, "omega": self.omega, "ell": self.ell, "restarts": self.restarts},
-            {"tol": self.tol},
-            {"eta": self.eta},
-        )
+        check_settings({"r": self.r, "omega": self.omega, "ell": self.ell,
+                        "restarts": self.restarts}, {}, {"eta": self.eta})
         if self.omega % 2 == 0:
             raise UsageError("the factorization path needs odd omega")
         if self.backend not in ("local", "sos"):
@@ -123,13 +119,15 @@ def exact_lowrank_pair_moments(net: PolyNetwork) -> PairMomentTable:
     network's pushforward of the Gaussian seed."""
     if net.kind != "lowrank":
         raise UsageError("pair-moment tables need a low-rank network")
-    return PairMomentTable(S=_pair_table(net.components, net.omega), eta=0.0)
+    return PairMomentTable(S=_pair_table(net.components, net.omega))
 
 
 # ---------------------------------------------------------------------------
 # the pair-moment fit and its starts
 # ---------------------------------------------------------------------------
 
+# a component fit's residual at or below this ends its starts
+FIT_TOL = 1e-10
 # safeguarded Newton steps _pair_cosines takes at most
 NEWTON_STEPS = 60
 
@@ -273,7 +271,7 @@ def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
     return dict(
         network=lambda comps: PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
                                           components=comps),
-        fit=fit, closed_form=lambda: _rank1_components(S, cfg),
+        omega=omega, fit_tol=FIT_TOL, fit=fit, closed_form=lambda: _rank1_components(S, cfg),
         random_starts=_random_components(S, cfg), fit_gate=fit_gate, stack=paired_outers,
         certificate=lambda net, lam, mu: _certify(S, net, lam, mu, cfg),
         residuals=residuals,

@@ -22,14 +22,13 @@ package builds none of them.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DENSE_BYTES_CAP, ResourceError, UsageError, check_settings
+from .errors import DENSE_BYTES_CAP, ResourceError, UsageError
 from .networks import PolyNetwork, SeedDistribution, blas_product, gaussian_norm_moment
 from .tensors import (
     _sorted_indices,
@@ -64,17 +63,6 @@ class QuadraticMomentTable:
     mu: np.ndarray
     S: np.ndarray
     T: np.ndarray
-    eta: float = 0.0
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.S = np.asarray(self.S, dtype=float)
-        self.T = np.asarray(self.T, dtype=float)
-        check_settings({}, {}, {"eta": self.eta})
-
-    @property
-    def d(self) -> int:
-        return self.mu.shape[0]
 
 
 @dataclass
@@ -82,15 +70,6 @@ class PairMomentTable:
     """Pairwise data S_ab ~ <T_a, T_b>_Sigma for a degree-omega transformation."""
 
     S: np.ndarray
-    eta: float = 0.0
-
-    def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-        check_settings({}, {}, {"eta": self.eta})
-
-    @property
-    def d(self) -> int:
-        return self.S.shape[0]
 
 
 def chunked_mean(x: np.ndarray) -> np.ndarray:
@@ -142,24 +121,22 @@ def trace_moment_gradients(
 
 
 def exact_quadratic_moments(net: PolyNetwork) -> QuadraticMomentTable:
-    """Population moment table of a quadratic network (eta = 0)."""
+    """Population moment table of a quadratic network."""
     if net.kind != "quadratic":
         raise UsageError("exact_quadratic_moments needs a quadratic network")
     Q = net.Q
     mu = np.einsum("aii->a", Q)
     S, T = trace_moments(Q)
     # cyclic traces give 3 of the 6 permutations; average over all of them
-    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T), eta=0.0)
+    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T))
 
 
-def estimate_quadratic_moments(
-    samples: np.ndarray, eta: float = 0.0
-) -> QuadraticMomentTable:
+def estimate_quadratic_moments(samples: np.ndarray) -> QuadraticMomentTable:
     """Two-pass centered estimators from an (n, d) sample matrix.
 
     S_ab = mean((z_a - mean z_a)(z_b - mean z_b)) / 2 and the triple analogue
     divided by 8, summed over chunks of ``CHUNK`` rows with one matrix product
-    each.  ``eta`` records the caller's entrywise accuracy target.
+    each.
     """
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
@@ -183,7 +160,7 @@ def estimate_quadratic_moments(
     # the six orderings of a product round differently; reading each entry at
     # its sorted index makes T, and so its symmetrization, exactly symmetric
     T = T[tuple(np.sort(np.indices((d, d, d)).reshape(3, -1), axis=0))].reshape(d, d, d)
-    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T), eta=eta)
+    return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T))
 
 
 def _double_factorial_table(maxc: int) -> np.ndarray:
@@ -271,7 +248,7 @@ def _pair_coefficients(omega: int):
         )
 
 
-def estimate_pair_moments(samples: np.ndarray, eta: float = 0.0) -> PairMomentTable:
+def estimate_pair_moments(samples: np.ndarray) -> PairMomentTable:
     """Uncentered pairwise estimator S_ab = mean(z_a z_b)."""
     z = np.asarray(samples, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
@@ -285,7 +262,7 @@ def estimate_pair_moments(samples: np.ndarray, eta: float = 0.0) -> PairMomentTa
         S += c.T @ c
     S /= n
     S = 0.5 * (S + S.T)
-    return PairMomentTable(S=S, eta=eta)
+    return PairMomentTable(S=S)
 
 
 def rotation_invariant_scale(
@@ -317,10 +294,9 @@ def table_to_json(table) -> dict:
             "mu": table.mu.tolist(),
             "S": table.S.tolist(),
             "T": table.T.tolist(),
-            "eta": table.eta,
         }
     if isinstance(table, PairMomentTable):
-        return {"kind": "pair", "S": table.S.tolist(), "eta": table.eta}
+        return {"kind": "pair", "S": table.S.tolist()}
     raise UsageError(f"unknown table type {type(table).__name__}")
 
 
@@ -334,15 +310,10 @@ def _finite_array(value, key: str) -> np.ndarray:
     return arr
 
 
-def table_from_json(obj: dict | str):
-    """A moment table from its JSON form.  Raises UsageError unless every
-    entry is finite, S is d x d, T is d x d x d, mu has length d and eta is
-    a number."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid moment-table JSON: {exc}") from exc
+def table_from_json(obj: dict):
+    """A moment table from its parsed JSON form.  Raises UsageError unless
+    every entry is finite, S is d x d, T is d x d x d and mu has length d.
+    Other keys, such as the "eta" that older tables carry, are ignored."""
     if not isinstance(obj, dict):
         raise UsageError("a moment table must be a JSON object")
     try:
@@ -351,19 +322,17 @@ def table_from_json(obj: dict | str):
             raise UsageError(f"unknown moment-table kind {kind!r}")
         keys = ("mu", "S", "T") if kind == "quadratic" else ("S",)
         arrays = {key: _finite_array(obj[key], key) for key in keys}
-        arrays["eta"] = _finite_array(obj.get("eta", 0.0), "eta")
     except KeyError as exc:
         raise UsageError(f"moment-table JSON missing field {exc}") from exc
     S = arrays["S"]
     d = S.shape[0] if S.ndim else 0
-    shapes = {"eta": (), "mu": (d,), "S": (d, d), "T": (d, d, d)}
+    shapes = {"mu": (d,), "S": (d, d), "T": (d, d, d)}
     for key, arr in arrays.items():
         if arr.shape != shapes[key]:
             raise UsageError(
                 f"moment-table field {key!r} has shape {arr.shape}, "
                 f"expected {shapes[key]}"
             )
-    eta = float(arrays["eta"])
     if kind == "pair":
-        return PairMomentTable(S=S, eta=eta)
-    return QuadraticMomentTable(mu=arrays["mu"], S=S, T=arrays["T"], eta=eta)
+        return PairMomentTable(S=S)
+    return QuadraticMomentTable(mu=arrays["mu"], S=S, T=arrays["T"])

@@ -10,7 +10,6 @@ R^r; the transformation it defines pushes a seed ``x`` forward to
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -404,15 +403,12 @@ def network_to_json(net: PolyNetwork) -> dict:
     return obj
 
 
-def network_from_json(obj: dict | str) -> PolyNetwork:
-    """A network from its JSON form.  The optional ``smoothing_rho`` must be
-    finite and >= 0; UsageError otherwise, and on a missing or malformed
-    field."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid network JSON: {exc}") from exc
+def network_from_json(obj: dict) -> PolyNetwork:
+    """A network from its parsed JSON form.  The optional ``smoothing_rho``
+    must be finite and >= 0; UsageError otherwise, and on a missing or
+    malformed field."""
+    if not isinstance(obj, dict):
+        raise UsageError("a network must be a JSON object")
     try:
         kind = obj["kind"]
         rho = obj.get("smoothing_rho")

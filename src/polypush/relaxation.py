@@ -1,8 +1,8 @@
 """Moment relaxations: monomial polynomials, program encodings, conic solver.
 
 A ``PolynomialProgram`` declares variables, polynomial equalities/inequalities,
-and a relaxation degree.  ``encode_tensor_ring`` and ``encode_lowrank`` state
-the paper's recovery programs, at degree 4 and 2 omega.  The ``sos``
+and the relaxation degree of each variable group.  ``encode_tensor_ring`` and
+``encode_lowrank`` state the paper's recovery programs, at degree 4 and 2 omega.  The ``sos``
 backends add one certificate step to the ``local`` recovery: the gauge-fixed
 local fit, completed by least-norm left inverses to a point of the program,
 is gated on its worst constraint violation.  ``tensor_ring_certificate`` and
@@ -145,7 +145,6 @@ class PolynomialProgram:
     groups: list[VarGroup]
     equalities: list[tuple[Poly, int]] = field(default_factory=list)   # (p, group id)
     inequalities: list[tuple[Poly, int]] = field(default_factory=list)  # p >= 0
-    degree: int = 4
     meta: dict = field(default_factory=dict)
 
     def validate(self):
@@ -184,17 +183,11 @@ class Infeasible:
 
 @dataclass
 class Pseudoexpectation:
-    degree: int
     values: dict[Monomial, float]
     moment_matrices: list[np.ndarray]
     moment_bases: list[list[Monomial]]
     residual: float
     iterations: int
-    program: PolynomialProgram
-
-    @property
-    def moment_matrix(self) -> np.ndarray:
-        return self.moment_matrices[0]
 
 
 def pseudo_expect(pe: Pseudoexpectation, poly: Poly | float) -> float:
@@ -492,13 +485,11 @@ def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
         mats.append(_svec_to_mat(zX[off:off + size], s))
         bases.append(basis)
     return Pseudoexpectation(
-        degree=program.degree,
         values=values,
         moment_matrices=mats,
         moment_bases=bases,
         residual=res,
         iterations=it,
-        program=program,
     )
 
 
@@ -745,7 +736,7 @@ def encode_tensor_ring(
     qvar = units[:, pos]
     prog = PolynomialProgram(
         nvars=nvars, groups=[VarGroup(tuple(range(d * m)), 4), VarGroup(tuple(range(nvars)), 2)],
-        degree=4, meta={"units": units, "L": L, "qvar": qvar, "eta": eta},
+        meta={"units": units, "L": L, "qvar": qvar, "eta": eta},
     )
     q = qvar.tolist()
     _add_trace_bands(prog, q, (S, T), eta)
@@ -802,7 +793,7 @@ def encode_lowrank(
     groups.append(VarGroup(tuple(tv_all), 4))
     groups.append(VarGroup(tuple(tv_all + L.ravel().tolist() + P.ravel().tolist()), 2))
     prog = PolynomialProgram(
-        nvars=nvars, groups=groups, degree=2 * omega,
+        nvars=nvars, groups=groups,
         meta={"units": units, "components": comps, "L": L, "P": P,
               "sidx": sidx, "B": B, "eta": eta},
     )

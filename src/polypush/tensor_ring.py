@@ -60,14 +60,11 @@ class TRConfig:
     r: int
     backend: str = "local"  # local | sos
     restarts: int = 20
-    tol: float = 1e-9
     rng_seed: int = 0
     eta: float = 0.0
 
     def __post_init__(self):
-        check_settings(
-            {"r": self.r, "restarts": self.restarts}, {"tol": self.tol}, {"eta": self.eta}
-        )
+        check_settings({"r": self.r, "restarts": self.restarts}, {}, {"eta": self.eta})
         if self.backend not in ("local", "sos"):
             raise UsageError(f"unknown tensor-ring backend {self.backend!r}")
 
@@ -83,10 +80,6 @@ class RecoveryReport:
     residual_T: float
     gauge_dist: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def residual(self) -> float:
-        return max(self.residual_S, self.residual_T)
 
 
 def _whiten(Ghat: np.ndarray, m: int, eta: float = 0.0):
@@ -292,9 +285,11 @@ class _Kind:
 
     ``fit(x0)`` runs one LM fit through the kind module's least_squares,
     looked up at call time: (unit array, table residual, LMResult), and
-    ``network`` makes the unit array a network.  ``closed_form()`` is (packed first start, its eigengap), or raises
-    DegeneracyError or LinAlgError.  ``fit_gate`` and ``residuals``, which
-    returns (residual_S, residual_T), raise the kind's ConvergenceErrors.
+    ``network`` makes the unit array a network of order ``omega``; a fit
+    whose residual is at most ``fit_tol`` ends the starts.  ``closed_form()``
+    is (packed first start, its eigengap), or raises DegeneracyError or
+    LinAlgError.  ``fit_gate`` and ``residuals``, which returns (residual_S,
+    residual_T), raise the kind's ConvergenceErrors.
     ``stack`` co-rotates with the gauge (Q_a or F_a), and ``unfixable`` is
     why sos refuses a fit it cannot gauge-fix ("{exc}": the cause).  A
     ``gram`` (S) has the pair drawn before the fit; ``commuting()`` is
@@ -302,6 +297,8 @@ class _Kind:
     """
 
     network: Callable[[np.ndarray], PolyNetwork]
+    omega: int
+    fit_tol: float
     fit: Callable[[np.ndarray], tuple]
     closed_form: Callable[[], tuple]
     random_starts: Iterator[np.ndarray]
@@ -319,6 +316,8 @@ class _Kind:
 REPEAT_RTOL = 1e-6
 # residual evaluations one start of either kind's local fit may spend
 FIT_MAX_NFEV = 2000
+# a quadratic fit's residual at or below this ends its starts
+FIT_TOL = 1e-9
 
 
 def _best_fit(fits, tol: float, eta: float):
@@ -360,7 +359,7 @@ def _fit(kind: _Kind, config):
         pass
     else:
         starts = itertools.chain([x0], starts)
-    units, res, best, diag = _best_fit(map(kind.fit, starts), config.tol, config.eta)
+    units, res, best, diag = _best_fit(map(kind.fit, starts), kind.fit_tol, config.eta)
     diag["start"] = "closed_form" if gap is not None and best == 0 else "random"
     diag["spectral_gap"] = gap
     return units, res, diag
@@ -371,13 +370,15 @@ def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> Re
     quadratic network, S alone (T None) for a low-rank one.
 
     Checks the table (_check_tables) and builds the kind's _Kind from
-    ``fields_of(S, T, config)``, once each.  A kind with a ``gram`` draws its
-    one combination (lambda, mu) from it (find_combo, ``config.rng_seed``)
-    before the fit; without one, ``sos`` raises ConvergenceError and
-    ``local`` takes the kind's ``commuting`` network or the unfixed fit.
+    ``fields_of(S, T, config)``, once each, and refuses a ``truth`` of
+    another (r, d, omega) than the recovery's before the fit.  A kind with a
+    ``gram`` draws its one combination (lambda, mu) from it (find_combo,
+    ``config.rng_seed``) before the fit; without one, ``sos`` raises
+    ConvergenceError and ``local`` takes the kind's ``commuting`` network or
+    the unfixed fit.
     The fit (_fit) runs Levenberg-Marquardt from the closed form, then from
-    up to ``config.restarts`` random starts while the best misses
-    ``config.tol``, each within FIT_MAX_NFEV residual evaluations; with
+    up to ``config.restarts`` random starts while the best misses the
+    kind's ``fit_tol``, each within FIT_MAX_NFEV residual evaluations; with
     noise (``config.eta`` > 0) the starts also stop once one repeats the
     best residual.  After the kind's fit gate, both backends gauge-fix the
     fit once (_gauge_fixed): ``local`` returns a fit that cannot be fixed
@@ -398,6 +399,10 @@ def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> Re
     """
     S, T = _check_tables(S, T)
     kind = _Kind(**fields_of(S, T, config))
+    want = (config.r, len(S), kind.omega)
+    if truth is not None and (truth.r, truth.d, truth.omega) != want:
+        raise UsageError(f"the truth network has (r, d, omega) = {truth.r, truth.d, truth.omega}"
+                         f", but the recovery from this table has {want}")
     sos = config.backend == "sos"
     diag: dict = {"backend": config.backend, "gauge_fixed": False}
     combo = cause = net = None
@@ -557,7 +562,7 @@ def _quadratic_kind(S: np.ndarray, T: np.ndarray, config: TRConfig) -> dict:
         return res
 
     return dict(
-        network=network, fit=fit, closed_form=closed_form,
+        network=network, omega=2, fit_tol=FIT_TOL, fit=fit, closed_form=closed_form,
         random_starts=_random_starts(S, r, config.rng_seed, 21, config.restarts),
         fit_gate=fit_gate, stack=lambda net: net.Q,
         certificate=lambda net, lam, mu: _certify(S, T, net.Q, lam, mu, eta),

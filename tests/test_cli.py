@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polypush import cli, moments, networks
+from polypush import cli, lowrank, moments, networks, tensor_ring
 from polypush.cli import main
 from polypush.errors import PolypushError
 from polypush.lowerbound import build_networks, search_matched_pair
@@ -361,6 +362,18 @@ class TestExitCodes:
         assert run(command, "--table", str(table), "--r", "2", *flags,
                    "--out", str(tmp_path / "rec.json")) == 3
 
+    def test_overflowing_trial_points_raise_no_warning(self, tmp_path):
+        # the fit's far trial points overflow here; their cost is not finite,
+        # so the step fails, in silence
+        S = np.eye(4)
+        S[0, 1] = S[1, 0] = 1000.0
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps({"kind": "pair", "S": S.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("solve_lr", "--table", str(table), "--r", "2", "--eta", "0.1",
+                       "--out", str(tmp_path / "rec.json")) == 3
+
     @pytest.mark.parametrize("obj", [
         {"n": 2, "d": 2},
         {"n": 2, "d": 2, "z": [[1.0, 2.0], [3.0]]},
@@ -462,17 +475,12 @@ class TestExitCodes:
         ("solve_tr", ("--r", "0")),
         ("solve_tr", ("--r", "-1")),
         ("solve_tr", ("--r", "2", "--restarts", "0")),
-        ("solve_tr", ("--r", "2", "--tol", "-1")),
-        ("solve_tr", ("--r", "2", "--tol", "0")),
-        ("solve_tr", ("--r", "2", "--tol", "nan")),
         ("solve_tr", ("--r", "2", "--eta", "-1")),
         ("solve_tr", ("--r", "2", "--eta", "inf")),
         ("solve_lr", ("--r", "0")),
         ("solve_lr", ("--r", "1", "--omega", "-1")),
         ("solve_lr", ("--r", "1", "--ell", "0")),
         ("solve_lr", ("--r", "1", "--restarts", "0")),
-        ("solve_lr", ("--r", "1", "--tol", "-1")),
-        ("solve_lr", ("--r", "1", "--tol", "nan")),
         ("solve_lr", ("--r", "1", "--eta", "-1")),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v[-2:]))
     def test_solver_settings_checked(self, tmp_path, input_files, capsys, command, flags):
@@ -539,6 +547,36 @@ class TestExitCodes:
         assert run(command, *flags, "--sigma", "gaussian",
                    "--out", str(tmp_path / "out")) == 2
         assert "unrecognized arguments: --sigma gaussian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, table", [("solve_tr", "qtab"), ("solve_lr", "ptab")])
+    def test_no_tol_flag(self, tmp_path, input_files, capsys, command, table):
+        # each kind's fit stops at its module's FIT_TOL
+        _, paths = input_files
+        assert run(command, "--table", paths[table], "--r", "1", "--tol", "1e-9",
+                   "--out", str(tmp_path / "rec.json")) == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, table, kind, module", [
+        ("solve_tr", "qtab", "quadratic", tensor_ring),
+        ("solve_lr", "ptab", "lowrank", lowrank),
+    ], ids=["solve_tr", "solve_lr"])
+    def test_truth_of_another_shape_refused_before_the_fit(
+            self, tmp_path, input_files, capsys, monkeypatch, command, table, kind, module):
+        _, paths = input_files
+        r = 2 if kind == "quadratic" else 1
+        truth = tmp_path / "truth.json"
+        assert run("generate", "--kind", kind, "--r", str(r), "--d", "4",
+                   "--out", str(truth)) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(module, "least_squares", no_fit)
+        assert run(command, "--table", paths[table], "--r", str(r), "--truth", str(truth),
+                   "--out", str(tmp_path / "rec.json")) == 2
+        omega = 2 if kind == "quadratic" else 3
+        err = capsys.readouterr().err
+        assert f"({r}, 4, {omega})" in err and f"({r}, 3, {omega})" in err
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["quadratic", "lowrank"])
@@ -742,11 +780,69 @@ class TestFailedRuns:
         assert "exit_code" not in man and "error" not in man
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("command, table, r", [("solve_tr", "qtab", "2"),
+                                                   ("solve_lr", "ptab", "1")])
+    def test_table_eta_key_is_ignored(self, tmp_path, input_files, capsys, command, table, r):
+        # tables written before the key was dropped carry "eta": 0.0
+        _, paths = input_files
+        obj = read(paths[table])
+        assert "eta" not in obj
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**obj, "eta": 0.0}))
+        outputs = []
+        for name, path in (("new", paths[table]), ("old", str(old))):
+            out = tmp_path / f"{name}-rec.json"
+            assert run(command, "--table", path, "--r", r, "--out", str(out)) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.fixture
+    def huge_net(self, tmp_path):
+        # finite entries whose squares overflow float64
+        path = tmp_path / "huge.json"
+        Q = np.array([1e200, -1e200, 1e200])[:, None, None] * np.eye(2)
+        path.write_text(json.dumps({"kind": "quadratic", "r": 2, "d": 3, "Q": Q.tolist()}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["eval", "moments", "moments-samples", "verify"])
+    def test_overflow_exits_2_and_writes_no_infinity(
+            self, tmp_path, input_files, capsys, huge_net, command):
+        _, paths = input_files
+        out = str(tmp_path / "out.json")
+        argv = {
+            "eval": ["eval", "--network", huge_net, "--reference", paths["net"]],
+            "moments": ["moments", "--network", huge_net],
+            "moments-samples": ["moments", "--samples", str(tmp_path / "z.json")],
+            "verify": ["verify", "--network", huge_net],
+        }[command]
+        if command == "moments-samples":
+            assert run("sample", "--network", huge_net, "--n", "50",
+                       "--out", str(tmp_path / "z.json")) == 0
+        # the estimators' products and verify's radius overflow with numpy
+        # RuntimeWarnings, which are errors here
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(*argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and not os.path.exists(out)
+        if command != "eval":
+            assert ("cannot write stdout" if command == "verify"
+                    else f"cannot write {out}") in captured.err
+        for text in [captured.out, *(p.read_text() for p in tmp_path.glob("*.json"))]:
+            assert "Infinity" not in text and "NaN" not in text
+
+    def test_non_finite_flag_is_a_string_in_the_manifest(self, tmp_path):
+        out = tmp_path / "net.json"
+        assert run("generate", "--r", "2", "--d", "3", "--rho", "nan", "--out", str(out)) == 2
+        text = (tmp_path / "net.json.manifest.json").read_text()
+        assert json.loads(text)["flags"]["rho"] == "nan" and "NaN" not in text
+
+
 @pytest.mark.parametrize("command, config", [("solve_tr", TRConfig), ("solve_lr", LRConfig)])
 def test_solver_flag_defaults_are_the_config_defaults(command, config):
     args = cli.build_parser().parse_args([command, "--table", "t.json", "--r", "2", "--out", "o"])
     cfg = config(r=2)
-    assert (args.backend, args.restarts, args.tol) == (cfg.backend, cfg.restarts, cfg.tol)
+    assert (args.backend, args.restarts) == (cfg.backend, cfg.restarts)
 
 
 class TestSolveBackends:

@@ -142,7 +142,7 @@ class TestParamDistance:
 class TestJson:
     def test_roundtrip(self, pair_r5):
         inst = build_networks(pair_r5)
-        out = json.loads(pair_to_json(inst))
+        out = json.loads(json.dumps(pair_to_json(inst)))
         assert out["r"] == 5
         assert np.array_equal(out["a"], inst.pair.a)
         assert np.array_equal(out["b"], inst.pair.b)

@@ -168,15 +168,10 @@ class TestFactorize:
         (TRConfig, {"r": 0}),
         (TRConfig, {"r": -1}),
         (TRConfig, {"restarts": 0}),
-        (TRConfig, {"tol": -1.0}),
-        (TRConfig, {"tol": float("nan")}),
-        (TRConfig, {"tol": float("inf")}),
         (LRConfig, {"r": 0}),
         (LRConfig, {"omega": -1}),
         (LRConfig, {"ell": 0}),
         (LRConfig, {"restarts": 0}),
-        (LRConfig, {"tol": 0.0}),
-        (LRConfig, {"tol": float("nan")}),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else "=".join(map(str, *v.items())))
     def test_settings_checked(self, config, bad):
         with pytest.raises(UsageError):

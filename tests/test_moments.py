@@ -402,20 +402,3 @@ class TestJsonTables:
         with pytest.raises(UsageError):
             table_from_json("[1, 2]")
 
-
-class TestNoiseLevel:
-    # a non-finite eta made a table, and json.dumps(table_to_json(...)) then
-    # wrote "eta": Infinity, which no strict JSON reader accepts
-    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0])
-    @pytest.mark.parametrize("make", [
-        lambda z, eta: moments.PairMomentTable(S=np.eye(2), eta=eta),
-        lambda z, eta: moments.QuadraticMomentTable(
-            mu=np.zeros(2), S=np.eye(2), T=np.zeros((2, 2, 2)), eta=eta),
-        estimate_pair_moments,
-        estimate_quadratic_moments,
-    ], ids=["PairMomentTable", "QuadraticMomentTable", "estimate_pair_moments",
-            "estimate_quadratic_moments"])
-    def test_refused(self, make, eta):
-        z = np.random.default_rng(0).standard_normal((20, 2))
-        with pytest.raises(UsageError, match="eta must be finite and >= 0"):
-            make(z, eta)

@@ -52,7 +52,7 @@ def lowrank_flattening(prog, net):
 
 
 def single_var_program(degree=2):
-    return PolynomialProgram(nvars=1, groups=[VarGroup((0,), degree)], degree=degree)
+    return PolynomialProgram(nvars=1, groups=[VarGroup((0,), degree)])
 
 
 class TestPoly:
@@ -163,7 +163,7 @@ def small_programs(draw):
     groups = [VarGroup(variables, degree)]
     if draw(st.booleans()):
         groups.append(VarGroup(variables[:draw(st.integers(1, nvars))], 2))
-    prog = PolynomialProgram(nvars=nvars, groups=groups, degree=degree)
+    prog = PolynomialProgram(nvars=nvars, groups=groups)
     coef = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3)
     for family in (prog.equalities, prog.inequalities):
         for _ in range(draw(st.integers(0, 3))):
@@ -331,7 +331,7 @@ class TestEncodeTensorRing:
         # inequalities: Frobenius cap, first-row-of-mu, L norm cap
         assert len(prog.inequalities) == 3
         # symmetry / diagonal / sorted families are vacuous at r = 1
-        assert prog.degree == 4
+        assert [g.degree for g in prog.groups] == [4, 2]
 
     def test_ground_truth_feasible(self):
         rng = np.random.default_rng(1)
@@ -447,7 +447,7 @@ def oracle_instance(dims, sampled, seed):
         return net, exact(net), 0.0
     eta = 3 / math.sqrt(ORACLE_N)
     z = sample(net, SeedDistribution(kind="gaussian"), ORACLE_N, rng_seed=seed)
-    return net, estimate(z, eta), eta
+    return net, estimate(z), eta
 
 
 def certificate_call(net, table, rng_seed, eta):

@@ -304,6 +304,86 @@ def test_every_setting_is_set_somewhere():
     assert unset_settings([ast.parse(p.read_text()) for p in paths]) == []
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def record_fields(tree: ast.Module):
+    """(class, name) of the fields and properties of each dataclass in the
+    module."""
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls, stmt.target.id
+            elif isinstance(stmt, ast.FunctionDef) and any(
+                getattr(dec, "id", None) == "property" for dec in stmt.decorator_list
+            ):
+                yield cls, stmt.name
+
+
+def unread_fields(trees: dict[str, ast.Module], package: list[str]) -> list[str]:
+    """"Class.name" of every field or property of a dataclass in the
+    ``package`` trees that no tree reads as an attribute outside the class
+    body.  Reads are matched by attribute name alone, so a field that shares
+    its name with an attribute read elsewhere, such as ``eta``, ``d`` or
+    ``residual``, counts as read."""
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for key, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((key, node.lineno))
+    return [f"{cls.name}.{name}" for key in package for cls, name in record_fields(trees[key])
+            if all(k == key and cls.lineno <= line <= cls.end_lineno
+                   for k, line in reads.get(name, []))]
+
+
+def test_unread_fields_are_found():
+    lib = ast.parse(
+        "@dataclass\nclass Report:\n    x: int\n    y: int\n    z: int = 0\n"
+        "    def total(self):\n        return self.z\n"
+        "    @property\n    def w(self):\n        return 0\n"
+        "@dataclass(frozen=True)\nclass Frozen:\n    v: int\n"
+        "class Plain:\n    u: int\n"
+        "def use(rep):\n    rep.y = 1\n    return rep.x\n"
+    )
+    bench = ast.parse("print(report.w)\n")
+    assert unread_fields({"lib": lib, "bench": bench}, ["lib"]) == [
+        "Report.y", "Report.z", "Frozen.v"]
+
+
+# dataclass fields and properties that no code in the package or in perfbench
+# reads as an attribute, kept on purpose, each with its reason
+KEPT_UNREAD_FIELDS = {
+    **{f"AssumptionReport{kind}.{name}": "`verify` writes every field through "
+       "dataclasses.asdict"
+       for kind, names in (("TR", ("m", "sigma_m", "flag", "warning")),
+                           ("LR", ("sigma_min_M", "sigma_min_H", "sigma_min_K",
+                                   "k_skipped", "flag_psi", "flag_kappa")))
+       for name in names},
+    "RecoveryReport.diagnostics": "the run manifest's trace (ROADMAP item 13)",
+    "LBInstance.net_a": "the lower-bound lab's product, its pair of networks",
+    "LBInstance.net_b": "the lower-bound lab's product, its pair of networks",
+    "Pseudoexpectation.moment_matrices": "the solver's primal blocks, checked by "
+                                         "test_moment_matrix_invariants",
+    "Pseudoexpectation.moment_bases": "the solver's primal blocks, checked by "
+                                      "test_moment_matrix_invariants",
+}
+
+
+def test_no_unread_record_fields():
+    # a field that nothing reads is a result in name only: read it, keep it
+    # here with a reason, or delete it.  Matching by name cannot see a field
+    # named like an attribute read elsewhere (unread_fields)
+    paths = {p.name if p.parent == SRC else f"perfbench/{p.name}": p
+             for p in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]}
+    trees = {key: ast.parse(p.read_text()) for key, p in paths.items()}
+    package = sorted(key for key, p in paths.items() if p.parent == SRC)
+    assert sorted(unread_fields(trees, package)) == sorted(KEPT_UNREAD_FIELDS)
+
+
 # CLI commands that no perfbench workload runs, kept on purpose, each with
 # its reason
 KEPT_COMMANDS = {
@@ -338,8 +418,8 @@ def test_every_cli_command_is_run_or_kept():
 # options of each CLI command.  A change that adds or removes a knob fails
 # here until it edits the pin, so the change states it.
 SETTABLE_FIELDS = {
-    "TRConfig": ["r", "backend", "restarts", "tol", "rng_seed", "eta"],
-    "LRConfig": ["r", "omega", "ell", "backend", "restarts", "tol", "rng_seed", "eta"],
+    "TRConfig": ["r", "backend", "restarts", "rng_seed", "eta"],
+    "LRConfig": ["r", "omega", "ell", "backend", "restarts", "rng_seed", "eta"],
     "AlignmentConfig": ["rng_seed"],
 }
 CLI_OPTIONS = {
@@ -348,9 +428,9 @@ CLI_OPTIONS = {
     "sample": ["--network", "--n", "--seed", "--out"],
     "moments": ["--network", "--samples", "--kind", "--out"],
     "solve_tr": ["--table", "--r", "--truth", "--seed", "--out", "--eta", "--backend",
-                 "--restarts", "--tol"],
+                 "--restarts"],
     "solve_lr": ["--table", "--r", "--omega", "--ell", "--truth", "--seed", "--out", "--eta",
-                 "--backend", "--restarts", "--tol"],
+                 "--backend", "--restarts"],
     "eval": ["--network", "--reference", "--seed", "--out"],
     "verify": ["--network", "--out"],
     "lowerbound": ["--r", "--restarts", "--tol", "--seed", "--out"],
