@@ -13,11 +13,21 @@ non-finite sample, so the file is strict JSON.
 ``sample`` also writes a binary sidecar ``<--out>.z.npz`` next to an
 all-finite samples file: an uncompressed zip holding the float64 matrix as
 ``z.npy``, with the sha256 of the JSON bytes as its zip comment.
-``moments --samples`` takes the matrix from the sidecar when that digest
-equals the JSON file's sha256, and parses the JSON otherwise (a missing,
-stale, truncated or foreign sidecar).  The JSON stays the file of record:
-the sidecar is a cache, listed in no manifest, and deleting it is safe.
-Shortest-repr floats read back bitwise, so the table is the same either way.
+``moments --samples`` takes its table from the sidecar only when the
+sidecar's key, its zip comment, equals the JSON file's sha256, and parses the
+JSON otherwise (a missing, stale, truncated or foreign sidecar).  The JSON
+stays the file of record: the sidecar is a cache, listed in no manifest, and
+deleting it is safe.  Shortest-repr floats read back bitwise, so the table is
+the same either way.
+
+The sha256 of a samples file runs on one helper thread, beside the main
+thread's work: in ``sample`` the helper hashes each chunk the main thread has
+formatted and writes, and in ``moments --samples`` it hashes the file while
+the main thread reads the sidecar and estimates from its matrix, an estimate
+that is dropped, with any error it raised, unless the keys match.  hashlib
+releases the GIL on large buffers, so the two overlap on a second CPU.  The
+helper is joined before the command goes on, on every path; it is a daemon
+thread, so not even a leaked one could keep the interpreter from exiting.
 
 Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 """
@@ -32,6 +42,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import zipfile
 from itertools import chain
 from typing import Optional
@@ -82,11 +93,21 @@ def _open(path: str, mode: str = "r", **kwargs):
 
 
 def _digest(path: str) -> str:
-    h = hashlib.sha256()
+    """The sha256 of the file at ``path``, in one GIL-free hashlib call on
+    the file mapped into memory, or read in 1 MiB pieces when it cannot be
+    mapped (an empty file, a pipe)."""
+    import mmap
+
     with _open(path, "rb") as fh:
+        try:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                return hashlib.sha256(view).hexdigest()
+        except (ValueError, OSError):
+            pass
+        h = hashlib.sha256()
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+        return h.hexdigest()
 
 
 def _json_text(obj, where: str, **layout) -> str:
@@ -99,12 +120,21 @@ def _json_text(obj, where: str, **layout) -> str:
                          "strict JSON cannot represent") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` and a newline to ``path``; an OSError of opening,
+    writing or closing it is raised as a UsageError that names ``path``."""
+    fh = _open(path, "w")
+    try:
+        with fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _path_error("write", path, exc) from exc
+
+
 def _write_json(path: str, obj) -> None:
     """Write ``obj`` to ``path`` with indent 2 and sorted keys; it is
     serialized first, so a refused one leaves no file."""
-    text = _json_text(obj, path, indent=2, sort_keys=True)
-    with _open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write_text(path, _json_text(obj, path, indent=2, sort_keys=True))
 
 
 SAMPLE_CHUNK = 4096
@@ -118,33 +148,64 @@ ROWS_TAIL = b"\n    ]\n  ]\n}"
 def _write_samples(path: str, z: np.ndarray) -> str:
     """Write ``{"d", "n", "z"}`` as orjson lays it out with indent 2 and
     sorted keys, with ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows;
-    returns the sha256 of the bytes written.
+    returns the sha256 of the bytes written.  An OSError of opening, writing
+    or closing the file is raised as a UsageError that names ``path``.
 
     Each chunk is one ``orjson.dumps({"z": block})`` with indent 2, less the
     text around its rows.  Its floats are Ryu's shortest round-trip digits,
     spelled as repr spells them for every |x| in [1e-4, 1e16) and zero, and
     as ``0.00001`` or ``1e16`` beyond; a non-finite entry is ``null``.
+
+    A helper thread hashes each chunk, taken from a queue of at most two,
+    while this one formats and writes the next.  The write stays here: a
+    helper that wrote too waited for the GIL at every chunk while orjson
+    held it.
     """
-    # imported here, not with the module: only `sample` needs it, and the
-    # library's other users then neither load it nor pay its ~14 ms import
+    # imported here, not with the module: only `sample` needs them, and the
+    # library's other users then neither load them nor pay orjson's ~14 ms
+    # import
     import orjson
+    import queue
 
     option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
     n, d = z.shape
     h = hashlib.sha256()
-    with _open(path, "wb") as fh:
-        def put(data: bytes) -> None:
-            h.update(data)
+    fh = _open(path, "wb")
+    # one item per chunk, its separator included; None ends the helper
+    pending: queue.Queue = queue.Queue(maxsize=2)
+
+    def hash_chunks() -> None:
+        for parts in iter(pending.get, None):
+            for data in parts:
+                h.update(data)
+
+    def put(*parts: bytes) -> None:
+        pending.put(parts)
+        for data in parts:
             fh.write(data)
 
-        put(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      '.encode())
-        for start in range(0, n, SAMPLE_CHUNK):
-            # orjson takes C-contiguous arrays only
-            block = np.ascontiguousarray(z[start:start + SAMPLE_CHUNK], dtype=np.float64)
-            if start:
-                put(ROW_SEP)
-            put(orjson.dumps({"z": block}, option=option)[len(ROWS_HEAD):-len(ROWS_TAIL)])
-        put(b"\n    ]\n  ]\n}\n")
+    hasher = threading.Thread(target=hash_chunks, daemon=True)
+    try:
+        with fh:
+            hasher.start()
+            try:
+                put(f'{{\n  "d": {d},\n  "n": {n},\n  "z": [\n    [\n      '.encode())
+                for start in range(0, n, SAMPLE_CHUNK):
+                    # orjson takes C-contiguous arrays only
+                    block = np.ascontiguousarray(z[start:start + SAMPLE_CHUNK],
+                                                 dtype=np.float64)
+                    rows = orjson.dumps({"z": block},
+                                        option=option)[len(ROWS_HEAD):-len(ROWS_TAIL)]
+                    if start:
+                        put(ROW_SEP, rows)
+                    else:
+                        put(rows)
+                put(b"\n    ]\n  ]\n}\n")
+            finally:
+                pending.put(None)
+                hasher.join()
+    except OSError as exc:
+        raise _path_error("write", path, exc) from exc
     return h.hexdigest()
 
 
@@ -188,34 +249,34 @@ def _write_sidecar(path: str, z: np.ndarray, digest: str) -> None:
         raise
 
 
-def _read_sidecar(path: str, digest: str) -> Optional[np.ndarray]:
-    """The matrix in ``path``'s sidecar, or None unless the sidecar's comment
-    is ``digest`` and it holds a C-order 2-D float64 ``z.npy``, stored as
-    ``_write_sidecar`` stores it: uncompressed, unencrypted and no larger than
-    the sidecar itself."""
+def _read_sidecar(path: str) -> tuple[Optional[np.ndarray], Optional[str]]:
+    """The matrix in ``path``'s sidecar and the sidecar's key, its zip
+    comment, or (None, None) unless it holds a C-order 2-D float64 ``z.npy``,
+    stored as ``_write_sidecar`` stores it: uncompressed, unencrypted and no
+    larger than the sidecar itself.  The key is not checked here."""
+    none = None, None
     try:
         with open(path + SIDECAR, "rb") as raw, zipfile.ZipFile(raw) as zf:
-            if zf.comment != digest.encode():
-                return None
+            key = zf.comment.decode()
             info = zf.getinfo("z.npy")
             if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-                return None
+                return none
             with zf.open(info) as fh:
                 if np.lib.format.read_magic(fh) != (1, 0):
-                    return None
+                    return none
                 shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
                 nbytes = info.file_size - fh.tell()
                 if (len(shape) != 2 or fortran or dtype != np.float64
                         or nbytes != 8 * shape[0] * shape[1]
                         or nbytes > os.fstat(raw.fileno()).st_size):
-                    return None
+                    return none
                 z = np.empty(shape)
                 # the member's CRC is checked once its last byte is read
                 if fh.readinto(z) != nbytes:
-                    return None
+                    return none
     except (OSError, ValueError, KeyError, EOFError, NotImplementedError, zipfile.BadZipFile):
-        return None
-    return z
+        return none
+    return z, key
 
 
 def _read_json(path: str):
@@ -289,18 +350,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_samples(path: str) -> tuple[np.ndarray, str]:
-    """The (n, d) sample matrix of a samples file and the sha256 of the file.
-
-    The matrix comes from the file's sidecar when that is keyed by this
-    sha256, else from the JSON: every entry a number (not a string or
-    boolean), and "n" and "d", when present, matching its shape.  A null
-    entry, a non-finite sample as ``sample`` writes it, is refused here;
-    NaN and Infinity tokens are refused by the estimators."""
-    digest = _digest(path)
-    z = _read_sidecar(path, digest)
-    if z is not None:
-        return z, digest
+def _parse_samples(path: str) -> np.ndarray:
+    """The (n, d) sample matrix in the JSON of a samples file: every entry a
+    number (not a string or boolean), and "n" and "d", when present, matching
+    its shape.  A null entry, a non-finite sample as ``sample`` writes it, is
+    refused here; NaN and Infinity tokens are refused by the estimators."""
     obj = _read_json(path)
     if not isinstance(obj, dict) or "z" not in obj:
         raise UsageError(f"{path}: samples JSON has no \"z\" field")
@@ -322,18 +376,63 @@ def _read_samples(path: str) -> tuple[np.ndarray, str]:
         raise UsageError(
             f"{path}: header says n={obj.get('n')}, d={obj.get('d')} but \"z\" is {n}x{d}"
         )
-    return z, digest
+    return z
+
+
+def _estimate(z: np.ndarray, kind: str):
+    """The ``kind`` ("quadratic" or "pair") moment table of the samples
+    ``z``.  Products that overflow give a non-finite table, which the
+    strict-JSON check refuses, instead of numpy warnings."""
+    estimate = estimate_quadratic_moments if kind == "quadratic" else estimate_pair_moments
+    with np.errstate(over="ignore", invalid="ignore"):
+        return estimate(z)
+
+
+def _samples_moments(path: str, kind: str):
+    """The ``kind`` moment table estimated from the samples file at ``path``,
+    and the sha256 of the file.
+
+    A helper thread takes the sha256 while this one reads the sidecar and
+    estimates from its matrix.  That table, or the error it raised, stands
+    only if the sidecar's key equals the sha256; otherwise both are dropped
+    and the JSON is parsed."""
+    found: list = []
+
+    def hash_file() -> None:
+        try:
+            found.append(_digest(path))
+        except BaseException as exc:  # raised again by the calling thread
+            found.append(exc)
+
+    hasher = threading.Thread(target=hash_file, daemon=True)
+    hasher.start()
+    try:
+        z, key = _read_sidecar(path)
+        table = error = None
+        if z is not None:
+            try:
+                table = _estimate(z, kind)
+            except PolypushError as exc:
+                error = exc
+    finally:
+        hasher.join()
+    digest, = found
+    if isinstance(digest, BaseException):
+        raise digest
+    if z is not None and key == digest:
+        if error is not None:
+            raise error
+        return table, digest
+    # drop the sidecar's matrix before the JSON's is built
+    del z, table, error
+    return _estimate(_parse_samples(path), kind), digest
 
 
 def cmd_moments(args) -> int:
     digests = None
     if args.samples:
-        z, digest = _read_samples(args.samples)
+        table, digest = _samples_moments(args.samples, args.kind)
         digests = {args.samples: digest}
-        if args.kind == "quadratic":
-            table = estimate_quadratic_moments(z)
-        else:
-            table = estimate_pair_moments(z)
     else:
         net = network_from_json(_read_json(args.network))
         if net.kind == "quadratic":
@@ -409,10 +508,12 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     net = network_from_json(_read_json(args.network))
-    if net.kind == "quadratic":
-        out = {"kind": "quadratic", **dataclasses.asdict(verify_assumption_tr(net))}
-    else:
-        out = {"kind": "lowrank", **dataclasses.asdict(verify_assumption_lr(net))}
+    # a radius that overflows is refused as a non-finite output, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if net.kind == "quadratic":
+            out = {"kind": "quadratic", **dataclasses.asdict(verify_assumption_tr(net))}
+        else:
+            out = {"kind": "lowrank", **dataclasses.asdict(verify_assumption_lr(net))}
     print(_json_text(out, "stdout"))
     if args.out:
         _write_json(args.out, out)
@@ -424,8 +525,7 @@ def cmd_lowerbound(args) -> int:
     pair = search_matched_pair(args.r, restarts=args.restarts, tol=args.tol, rng_seed=args.seed)
     text = _json_text(pair_to_json(build_networks(pair)), args.out or "stdout", indent=2)
     if args.out:
-        with _open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text)
         _manifest(args)
     else:
         print(text)

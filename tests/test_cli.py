@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -7,7 +8,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -669,6 +672,23 @@ LIBRARY_CALLS = {
 }
 
 
+@pytest.fixture
+def no_thread_left():
+    """Fails the test when a thread outlives it, as a helper thread left
+    waiting by a command would."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) == before
+
+
+class DiskFull(io.FileIO):
+    """A file on a full disk: every write fails with ENOSPC."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.usefixtures("no_thread_left")
 class TestFailedRuns:
     @pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
     @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
@@ -769,6 +789,33 @@ class TestFailedRuns:
             # the samples file is written before its sidecar
             assert man["outputs"] == ({out: sha256(out)} if os.path.exists(out) else {})
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--r", "2", "--d", "3"),
+        ("sample", "--network", "{net}", "--n", "5"),
+        ("sample", "--network", "{net}", "--n", "20000"),
+        ("moments", "--network", "{net}"),
+        ("lowerbound", "--r", "3"),
+    ], ids=["generate", "sample", "sample-chunks", "moments", "lowerbound"])
+    def test_write_error_exits_2(self, tmp_path, input_files, capsys, argv):
+        # --out on a full disk.  Small outputs fail when the buffer is
+        # flushed at close, n = 20000 samples at the write of a chunk
+        _, paths = input_files
+        out = str(tmp_path / "out.json")
+        real_open = open
+
+        def full_disk_open(file, mode="r", **kwargs):
+            if file != out or "r" in mode:
+                return real_open(file, mode, **kwargs)
+            raw = io.BufferedWriter(DiskFull(file, "w"))
+            return raw if "b" in mode else io.TextIOWrapper(raw, **kwargs)
+
+        with mock.patch.object(cli, "open", full_disk_open, create=True):
+            assert run(*(a.format(net=paths["net"]) for a in argv), "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+        man = read(out + ".manifest.json")
+        assert man["exit_code"] == 2 and man["error"].startswith(f"cannot write {out}: ")
+
     def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "rec.json"
         assert run("solve_tr", "--table", str(tmp_path / "missing.json"), "--r", "2",
@@ -778,6 +825,24 @@ class TestFailedRuns:
     def test_success_manifest_has_no_error(self, quad_net):
         man = read(str(quad_net) + ".manifest.json")
         assert "exit_code" not in man and "error" not in man
+
+
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS) + ["moments-samples"])
+def test_no_thread_outlives_a_command(tmp_path, input_files, command):
+    _, paths = input_files
+    out = str(tmp_path / "out.json")
+    if command == "moments-samples":
+        samples = str(tmp_path / "samples.json")
+        assert run("sample", "--network", paths["net"], "--n", "50", "--out", samples) == 0
+        argv = ["moments", "--samples", samples]
+    elif command == "eval":
+        # LIBRARY_CALLS's pair of networks differs in kind, which eval refuses
+        argv = ["eval", "--network", paths["net"], "--reference", paths["net"]]
+    else:
+        argv = [command, *LIBRARY_CALLS[command][1](paths)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(*argv, "--out", out) == 0
 
 
 class TestStrictJson:
@@ -805,7 +870,8 @@ class TestStrictJson:
         path.write_text(json.dumps({"kind": "quadratic", "r": 2, "d": 3, "Q": Q.tolist()}))
         return str(path)
 
-    @pytest.mark.parametrize("command", ["eval", "moments", "moments-samples", "verify"])
+    @pytest.mark.parametrize("command", ["eval", "moments", "moments-samples",
+                                         "moments-samples-pair", "verify"])
     def test_overflow_exits_2_and_writes_no_infinity(
             self, tmp_path, input_files, capsys, huge_net, command):
         _, paths = input_files
@@ -814,15 +880,16 @@ class TestStrictJson:
             "eval": ["eval", "--network", huge_net, "--reference", paths["net"]],
             "moments": ["moments", "--network", huge_net],
             "moments-samples": ["moments", "--samples", str(tmp_path / "z.json")],
+            "moments-samples-pair": ["moments", "--samples", str(tmp_path / "z.json"),
+                                     "--kind", "pair"],
             "verify": ["verify", "--network", huge_net],
         }[command]
-        if command == "moments-samples":
+        if command.startswith("moments-samples"):
             assert run("sample", "--network", huge_net, "--n", "50",
                        "--out", str(tmp_path / "z.json")) == 0
-        # the estimators' products and verify's radius overflow with numpy
-        # RuntimeWarnings, which are errors here
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(*argv, "--out", out) == 2
+        # the estimators' products and verify's radius overflow, which must
+        # not show as numpy RuntimeWarnings (errors here)
+        assert run(*argv, "--out", out) == 2
         captured = capsys.readouterr()
         assert "error: " in captured.err and not os.path.exists(out)
         if command != "eval":
@@ -979,7 +1046,7 @@ def test_fresh_process_loads_scipy_only_for_the_r3_refine(tmp_path):
 def moments_run(samples, out):
     """Exit code, stderr, table bytes and manifest bytes of ``moments --samples``."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stderr(err):
         code = main(["moments", "--samples", str(samples), "--out", str(out)])
     files = [out, out.with_name(out.name + ".manifest.json")]
     return code, err.getvalue(), tuple(p.read_bytes() if p.exists() else None for p in files)
@@ -988,6 +1055,14 @@ def moments_run(samples, out):
 def write_samples(path, z):
     """The files ``sample`` writes for the matrix z."""
     cli._write_sidecar(str(path), z, cli._write_samples(str(path), z))
+
+
+def write_sidecar(path, z, key):
+    """A sidecar for ``path`` holding ``z``, finite or not, keyed by ``key``."""
+    with zipfile.ZipFile(str(path) + cli.SIDECAR, "w") as zf:
+        zf.comment = key.encode()
+        with zf.open("z.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array(member, np.ascontiguousarray(z, dtype=np.float64))
 
 
 class TestSidecar:
@@ -1006,7 +1081,8 @@ class TestSidecar:
     def test_table_with_and_without(self, tmp_path_factory, z):
         samples = tmp_path_factory.mktemp("samples") / "samples.json"
         write_samples(samples, z)
-        side = cli._read_sidecar(str(samples), sha256(samples))
+        side, key = cli._read_sidecar(str(samples))
+        assert key == sha256(samples)
         assert side.tobytes() == np.ascontiguousarray(z).tobytes()
         # with a sidecar keyed by the file, the JSON is not parsed
         with mock.patch.object(cli, "_read_json", side_effect=AssertionError):
@@ -1059,6 +1135,32 @@ class TestSidecar:
                                  "empty": b""}[damage])
         got = moments_run(samples, tmp_path / "t.json")
         assert got[0] == 0 and got == want
+
+    @pytest.mark.parametrize("case", ["empty", "directory", "other-file", "stale-inf"])
+    def test_unkeyed_sidecar_leaves_bytes_and_stderr(self, sampled, tmp_path, case):
+        # moments reads the sidecar, and estimates from it, while the file is
+        # hashed: a sidecar keyed by another file must change nothing, even
+        # one whose matrix the estimators refuse
+        samples, _ = sampled
+        target = tmp_path / f"{case}.json"
+        if case == "empty":
+            target.write_bytes(b"")
+        elif case == "directory":
+            target.mkdir()
+        else:
+            # the same samples in other bytes
+            target.write_text(samples.read_text().replace("]", " ]", 1))
+        want = moments_run(target, tmp_path / "t.json")
+        z = 2 * np.array(read(samples)["z"])
+        if case == "stale-inf":
+            z[0, 0] = np.inf
+        write_sidecar(target, z, sha256(samples))
+        assert cli._read_sidecar(str(target))[1] == sha256(samples)
+        assert moments_run(target, tmp_path / "t.json") == want
+        assert want[:2] == {
+            "empty": (2, f"error: {target}: invalid JSON at line 1: Expecting value\n"),
+            "directory": (2, f"error: cannot read {target}: Is a directory\n"),
+        }.get(case, (0, ""))
 
     def test_non_finite_writes_none(self, tmp_path):
         samples = tmp_path / "samples.json"
