@@ -3,7 +3,9 @@
 Every command is a pure function of (inputs, flags, seed); a RunManifest
 JSON with input/output digests is written next to each output so runs can
 be audited and replayed; a run that fails with a PolypushError writes one
-too, with its exit code and error.  Floats are written as the shortest
+too, with its exit code and error, listing ``--out`` only when the run
+finished writing it; a write that fails midway leaves no partial file.
+Floats are written as the shortest
 repr that reads back to the same float64.  A samples file is the largest
 output by far, and orjson writes it (see ``_write_samples``): the layout of
 ``json.dump`` and the same shortest digits, spelled as ``0.00001`` where repr
@@ -35,6 +37,7 @@ Exit codes: 0 success, 2 usage, 3 convergence, 4 degeneracy, 5 resource.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -110,6 +113,12 @@ def _digest(path: str) -> str:
         return h.hexdigest()
 
 
+def _discard(path: str) -> None:
+    """Remove the file at ``path`` if it can; OSErrors are ignored."""
+    with contextlib.suppress(OSError):
+        os.remove(path)
+
+
 def _json_text(obj, where: str, **layout) -> str:
     """``json.dumps(obj, **layout)`` as strict JSON; a UsageError naming
     ``where``, the output, when ``obj`` holds a NaN or an infinity."""
@@ -122,12 +131,14 @@ def _json_text(obj, where: str, **layout) -> str:
 
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` and a newline to ``path``; an OSError of opening,
-    writing or closing it is raised as a UsageError that names ``path``."""
+    writing or closing it is raised as a UsageError that names ``path``, and
+    the file is removed."""
     fh = _open(path, "w")
     try:
         with fh:
             fh.write(text + "\n")
     except OSError as exc:
+        _discard(path)
         raise _path_error("write", path, exc) from exc
 
 
@@ -149,7 +160,8 @@ def _write_samples(path: str, z: np.ndarray) -> str:
     """Write ``{"d", "n", "z"}`` as orjson lays it out with indent 2 and
     sorted keys, with ``z`` streamed in chunks of ``SAMPLE_CHUNK`` rows;
     returns the sha256 of the bytes written.  An OSError of opening, writing
-    or closing the file is raised as a UsageError that names ``path``.
+    or closing the file is raised as a UsageError that names ``path``, and
+    the file is removed.
 
     Each chunk is one ``orjson.dumps({"z": block})`` with indent 2, less the
     text around its rows.  Its floats are Ryu's shortest round-trip digits,
@@ -205,6 +217,7 @@ def _write_samples(path: str, z: np.ndarray) -> str:
                 pending.put(None)
                 hasher.join()
     except OSError as exc:
+        _discard(path)
         raise _path_error("write", path, exc) from exc
     return h.hexdigest()
 
@@ -293,26 +306,28 @@ def _read_json(path: str):
 INPUT_FLAGS = ("base", "network", "samples", "table", "truth", "reference")
 
 
-def _manifest(args, error: Optional[PolypushError] = None,
-              digests: Optional[dict[str, str]] = None) -> None:
+def _manifest(args, error: Optional[PolypushError] = None) -> None:
     """Write ``<--out>.manifest.json``: the command, its flags and seed, and
-    the digests of its input files and of ``--out``, each listed only if it
-    exists.  ``digests`` holds those the command already took, by path.  A
-    failed run's manifest adds its exit code and error.  A NaN or infinite
-    flag is listed as its string, "nan", "inf" or "-inf"."""
+    the digests of its input files that exist and of ``--out``.
+    ``args.digests``, when the command sets it, holds the digests it has
+    taken, by path.  A failed run's manifest adds its exit code and error,
+    and lists ``--out`` only when it is in ``args.digests``: the run
+    finished writing it, so it is not an earlier run's file.  A NaN or
+    infinite flag is listed as its string, "nan", "inf" or "-inf"."""
     flags = {
         k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-        for k, v in vars(args).items() if k not in ("func",) and v is not None
+        for k, v in vars(args).items() if k not in ("func", "digests") and v is not None
     }
     inputs = [getattr(args, k) for k in INPUT_FLAGS if getattr(args, k, None)]
-    known = digests or {}
+    known = getattr(args, "digests", {})
+    outputs = [p for p in [args.out] if (p in known if error else os.path.isfile(p))]
     man = {
         "command": args.command,
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": {p: known.get(p) or _digest(p) for p in inputs if os.path.isfile(p)},
-        "outputs": {p: known.get(p) or _digest(p) for p in [args.out] if os.path.isfile(p)},
+        "outputs": {p: known.get(p) or _digest(p) for p in outputs},
     }
     if error is not None:
         man["exit_code"] = error.exit_code
@@ -342,11 +357,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    # a failed run leaves no earlier run's sidecar
+    _discard(args.out + SIDECAR)
     net = network_from_json(_read_json(args.network))
     z = sample(net, SeedDistribution(), args.n, rng_seed=args.seed)
     digest = _write_samples(args.out, z)
+    args.digests = {args.out: digest}
     _write_sidecar(args.out, z, digest)
-    _manifest(args, digests={args.out: digest})
+    _manifest(args)
     return 0
 
 
@@ -429,10 +447,9 @@ def _samples_moments(path: str, kind: str):
 
 
 def cmd_moments(args) -> int:
-    digests = None
     if args.samples:
         table, digest = _samples_moments(args.samples, args.kind)
-        digests = {args.samples: digest}
+        args.digests = {args.samples: digest}
     else:
         net = network_from_json(_read_json(args.network))
         if net.kind == "quadratic":
@@ -440,7 +457,7 @@ def cmd_moments(args) -> int:
         else:
             table = exact_lowrank_pair_moments(net)
     _write_json(args.out, table_to_json(table))
-    _manifest(args, digests=digests)
+    _manifest(args)
     return 0
 
 

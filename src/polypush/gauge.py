@@ -31,7 +31,7 @@ import numpy as np
 
 from ._deferred import minimize
 from .errors import UsageError
-from .networks import PolyNetwork, _philox_rng, paired_outers
+from .networks import PolyNetwork, _philox_rng, gauge_stack
 from .tensors import GaugeRotation, _triu
 
 __all__ = ["AlignmentConfig", "gauge_distance"]
@@ -80,16 +80,11 @@ def _objective(tensA: np.ndarray, tensB: np.ndarray, V: np.ndarray):
 
 
 def _candidates(netA: PolyNetwork, netB: PolyNetwork, cfg: AlignmentConfig):
-    """Candidate rotations from eigen-alignment of generic combinations.
-
-    The stacks co-rotate with the gauge: the units of a quadratic network,
-    the rank-one F_a = f_a f_a^T of an odd-order one.
-    """
+    """Candidate rotations from eigen-alignment of generic combinations of
+    the stacks that co-rotate with the gauge (networks.gauge_stack)."""
     r = netA.r
     rng = _philox_rng(cfg.rng_seed, 77)
-    stackA, stackB = (
-        net.Q if net.kind == "quadratic" else paired_outers(net) for net in (netA, netB)
-    )
+    stackA, stackB = gauge_stack(netA), gauge_stack(netB)
     cands = [np.eye(r)]
     for _ in range(COMBOS):
         c = rng.standard_normal(netA.d)

@@ -29,7 +29,7 @@ from .moments import (
     pair_moment_closed_form,
     pair_moment_partials,
 )
-from .networks import PolyNetwork, _philox_rng, paired_outers
+from .networks import PolyNetwork, _philox_rng, gauge_stack
 from .relaxation import KAPPA, gate_certificate, lowrank_certificate
 # tensor_ring._recover computes the gauge distance, and no recovery path
 # encodes or solves a program: perfbench/tracing.py wraps the names
@@ -43,7 +43,6 @@ from .tensors import (
     _sorted_indices,
     _sorted_multiplicity,
     _triu,
-    _triu_mask,
     sorted_entries,
 )
 
@@ -79,14 +78,17 @@ def _pair_table(comps: np.ndarray, omega: int) -> np.ndarray:
     E<v,g>^omega <w,g>^omega (pair_moment_closed_form) of (v_{a,t}, v_{b,t'})
     over the components t of unit a and t' of unit b, from the Gram of all
     components; the upper triangle is mirrored (adding 0.0 turns a -0.0
-    entry into +0.0, as np.triu(S) + np.triu(S, 1).T does)."""
+    entry into +0.0, as np.triu(S) + np.triu(S, 1).T does, at a third of
+    its cost)."""
     d, ell, r = comps.shape
     V = comps.reshape(d * ell, r)
     G = V @ V.T
     n2 = np.diag(G)
     vals = pair_moment_closed_form(G, n2[:, None], n2[None, :], omega)
     S = vals.reshape(d, ell, d, ell).sum(axis=(1, 3))
-    return np.where(_triu_mask(d), S, S.T) + 0.0
+    iu, ju = _triu(d, 1)
+    S[ju, iu] = S[iu, ju]
+    return S + 0.0
 
 
 def _pair_table_jacobian(comps: np.ndarray, omega: int, rows) -> np.ndarray:
@@ -272,7 +274,7 @@ def _pair_kind(S: np.ndarray, T: None, cfg: LRConfig) -> dict:
         network=lambda comps: PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell,
                                           components=comps),
         omega=omega, fit_tol=FIT_TOL, fit=fit, closed_form=lambda: _rank1_components(S, cfg),
-        random_starts=_random_components(S, cfg), fit_gate=fit_gate, stack=paired_outers,
+        random_starts=_random_components(S, cfg), fit_gate=fit_gate,
         certificate=lambda net, lam, mu: _certify(S, net, lam, mu, cfg),
         residuals=residuals,
         unfixable="the Gram of its F_a or the lambda-combination is degenerate",
@@ -319,7 +321,9 @@ def verify_assumption_lr(net: PolyNetwork) -> AssumptionReportLR:
     """Condition-number diagnostics for low-rank networks.
 
     M*: rows are sorted-index flattenings of T_a (multiplicity-weighted so the
-    Gram matches the Frobenius product); H: rows (f_a)_i (f_a)_j over i <= j;
+    Gram matches the Frobenius product); H: rows are the upper triangles of
+    F_a = f_a f_a^T (gauge_stack), off-diagonal entries weighted by sqrt(2),
+    so sigma_min_H does not depend on the gauge either;
     K^{(e)}: rows are sorted-index flattenings of w_a^{x e} for the
     concatenated component vector w_a, e = omega*(ell+1), computed only when
     the column count stays under K_MAX_COLS.
@@ -335,7 +339,7 @@ def verify_assumption_lr(net: PolyNetwork) -> AssumptionReportLR:
 
     mh = r * (r + 1) // 2
     iu, ju = _triu(r)
-    H = paired_outers(net)[:, iu, ju]
+    H = gauge_stack(net)[:, iu, ju] * np.where(iu == ju, 1.0, math.sqrt(2.0))
     hs = np.linalg.svd(H, compute_uv=False)
     sigma_min_H = float(hs[min(d, mh) - 1])
 

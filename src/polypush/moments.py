@@ -131,6 +131,17 @@ def exact_quadratic_moments(net: PolyNetwork) -> QuadraticMomentTable:
     return QuadraticMomentTable(mu=mu, S=S, T=symmetrize(T))
 
 
+def _checked_samples(samples) -> np.ndarray:
+    """``samples`` as a float array; UsageError unless it is a nonempty,
+    finite (n, d) matrix."""
+    z = np.asarray(samples, dtype=float)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise UsageError("samples must be a nonempty (n, d) matrix")
+    if not np.isfinite(z).all():
+        raise UsageError("samples must be finite (no NaN or inf entries)")
+    return z
+
+
 def estimate_quadratic_moments(samples: np.ndarray) -> QuadraticMomentTable:
     """Two-pass centered estimators from an (n, d) sample matrix.
 
@@ -138,11 +149,7 @@ def estimate_quadratic_moments(samples: np.ndarray) -> QuadraticMomentTable:
     divided by 8, summed over chunks of ``CHUNK`` rows with one matrix product
     each.
     """
-    z = np.asarray(samples, dtype=float)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise UsageError("samples must be a nonempty (n, d) matrix")
-    if not np.isfinite(z).all():
-        raise UsageError("samples must be finite (no NaN or inf entries)")
+    z = _checked_samples(samples)
     mu = chunked_mean(z)
     zc = z - mu
     n, d = z.shape
@@ -250,11 +257,7 @@ def _pair_coefficients(omega: int):
 
 def estimate_pair_moments(samples: np.ndarray) -> PairMomentTable:
     """Uncentered pairwise estimator S_ab = mean(z_a z_b)."""
-    z = np.asarray(samples, dtype=float)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise UsageError("samples must be a nonempty (n, d) matrix")
-    if not np.isfinite(z).all():
-        raise UsageError("samples must be finite (no NaN or inf entries)")
+    z = _checked_samples(samples)
     n, d = z.shape
     S = np.zeros((d, d))
     for start in range(0, n, CHUNK):
@@ -300,39 +303,59 @@ def table_to_json(table) -> dict:
     raise UsageError(f"unknown table type {type(table).__name__}")
 
 
-def _finite_array(value, key: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"moment-table field {key!r} is not numeric") from exc
-    if not np.isfinite(arr).all():
-        raise UsageError(f"moment-table field {key!r} has NaN or inf entries")
-    return arr
+# exact tables are symmetric to 1.6 eps of their largest entry, estimated
+# ones exactly; asymmetry beyond this share of the largest entry is refused
+SYM_RTOL = 1e-12
+
+
+def _check_tables(S, T):
+    """(S, T) as float arrays, T None for a pair table; UsageError naming the
+    field unless each is finite, S is (d, d) with d >= 1, T is (d, d, d),
+    each is symmetric to relative SYM_RTOL and no diagonal entry of S is
+    negative (S_aa is Var(z_a) / 2 or E[z_a^2])."""
+    tables = {name: np.asarray(X, dtype=float) for name, X in (("S", S), ("T", T))
+              if X is not None}
+    d = len(tables["S"]) if tables["S"].ndim else 0
+    for name, X in tables.items():
+        want = (d,) * (2 if name == "S" else 3)
+        if d == 0 or X.shape != want:
+            raise UsageError(f"table field {name!r} has shape {X.shape}, expected {want}")
+        if not np.isfinite(X).all():
+            raise UsageError(f"table field {name!r} has NaN or inf entries")
+        band = SYM_RTOL * np.abs(X).max()
+        for k in range(X.ndim - 1):
+            asym = np.abs(X - X.swapaxes(k, k + 1)).max()
+            if asym > band:
+                raise UsageError(f"table field {name!r} is not symmetric (off by {asym:.3e})")
+    if np.diag(tables["S"]).min() < 0:
+        raise UsageError("table field 'S' has a negative diagonal entry")
+    return tables["S"], tables.get("T")
 
 
 def table_from_json(obj: dict):
     """A moment table from its parsed JSON form.  Raises UsageError unless
-    every entry is finite, S is d x d, T is d x d x d and mu has length d.
-    Other keys, such as the "eta" that older tables carry, are ignored."""
+    S, and T for a quadratic table, pass _check_tables, and mu is a finite
+    vector of length d.  Other keys, such as the "eta" that older tables
+    carry, are ignored."""
     if not isinstance(obj, dict):
         raise UsageError("a moment table must be a JSON object")
+    arrays = {}
     try:
         kind = obj["kind"]
         if kind not in ("quadratic", "pair"):
             raise UsageError(f"unknown moment-table kind {kind!r}")
-        keys = ("mu", "S", "T") if kind == "quadratic" else ("S",)
-        arrays = {key: _finite_array(obj[key], key) for key in keys}
+        for key in ("mu", "S", "T") if kind == "quadratic" else ("S",):
+            arrays[key] = np.asarray(obj[key], dtype=float)
     except KeyError as exc:
         raise UsageError(f"moment-table JSON missing field {exc}") from exc
-    S = arrays["S"]
-    d = S.shape[0] if S.ndim else 0
-    shapes = {"mu": (d,), "S": (d, d), "T": (d, d, d)}
-    for key, arr in arrays.items():
-        if arr.shape != shapes[key]:
-            raise UsageError(
-                f"moment-table field {key!r} has shape {arr.shape}, "
-                f"expected {shapes[key]}"
-            )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"moment-table field {key!r} is not numeric: {exc}") from exc
+    S, T = _check_tables(arrays["S"], arrays.get("T"))
     if kind == "pair":
         return PairMomentTable(S=S)
-    return QuadraticMomentTable(mu=arrays["mu"], S=S, T=arrays["T"])
+    mu = arrays["mu"]
+    if mu.shape != (len(S),):
+        raise UsageError(f"table field 'mu' has shape {mu.shape}, expected {(len(S),)}")
+    if not np.isfinite(mu).all():
+        raise UsageError("table field 'mu' has NaN or inf entries")
+    return QuadraticMomentTable(mu=mu, S=S, T=T)

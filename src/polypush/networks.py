@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ResourceError, UsageError, check_settings
-from .tensors import GaugeRotation, _triu, paired_contraction
+from .tensors import GaugeRotation, _triu
 
 __all__ = [
     "PolyNetwork",
     "SeedDistribution",
     "SmoothingParams",
     "rotate_network",
-    "paired_outers",
+    "gauge_stack",
     "sample",
     "smooth_quadratic",
     "smooth_componentwise",
@@ -111,11 +111,16 @@ class PolyNetwork:
         return max(float(np.linalg.norm(T)) for T in self.unit_tensors())
 
 
-def paired_outers(net: PolyNetwork) -> np.ndarray:
-    """The (d, r, r) stack F_a = f_a f_a^T of an odd-order network, f_a the
-    paired contraction of unit a.  The F_a co-rotate with the gauge like
-    quadratic units."""
-    f = paired_contraction(net.unit_tensors(), net.omega)
+def gauge_stack(net: PolyNetwork) -> np.ndarray:
+    """The (d, r, r) stack that co-rotates with the gauge: a quadratic
+    network's Q_a, an odd-order one's F_a = f_a f_a^T, with f_a = sum over
+    j_1..j_k of T_a[j_1, j_1, ..., j_k, j_k, :] (omega = 2k+1), the leading
+    pair traced first."""
+    if net.kind == "quadratic":
+        return net.Q
+    f = net.unit_tensors()
+    for _ in range(net.omega // 2):
+        f = np.trace(f, axis1=1, axis2=2)
     return f[:, :, None] * f[:, None, :]
 
 
@@ -126,20 +131,8 @@ def rotate_network(net: PolyNetwork, V: GaugeRotation | np.ndarray) -> PolyNetwo
         raise UsageError("rotation dimension mismatch")
     if net.kind == "quadratic":
         Q = np.einsum("ij,ajk,lk->ail", Vm, net.Q, Vm)
-        Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
-        return PolyNetwork(
-            kind="quadratic", r=net.r, d=net.d, Q=Q, smoothing_rho=net.smoothing_rho
-        )
-    comps = np.einsum("ij,atj->ati", Vm, net.components)
-    return PolyNetwork(
-        kind="lowrank",
-        r=net.r,
-        d=net.d,
-        omega=net.omega,
-        ell=net.ell,
-        components=comps,
-        smoothing_rho=net.smoothing_rho,
-    )
+        return replace(net, Q=0.5 * (Q + np.transpose(Q, (0, 2, 1))))
+    return replace(net, components=np.einsum("ij,atj->ati", Vm, net.components))
 
 
 @dataclass

@@ -18,8 +18,9 @@ its monomial basis, equalities are multiplied by basis monomials within the
 degree budget, inequalities get localizing blocks, and the resulting conic
 feasibility problem (affine slice of a product of PSD cones) is solved by
 ADMM with a small trace-of-moment-matrix objective as a deterministic
-tie-break.  The lift and the solver are the package's only users of
-scipy.linalg and scipy.sparse, and import them when called.
+tie-break; it returns the value on each monomial, not the blocks.  The lift
+and the solver are the package's only users of scipy.linalg and
+scipy.sparse, and import them when called.
 
 The lift is one pass over the program (``_Lifted``): it numbers the
 monomials and writes the rows of the block map A and the equality system E
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError
 from .moments import _mode_sigma, trace_moments
-from .tensors import _sorted_indices, _sorted_multiplicity, _triu, sorted_multi_indices
+from .tensors import _sorted_indices, _sorted_multiplicity, _triu, _unpack, sorted_multi_indices
 
 __all__ = [
     "Poly",
@@ -184,8 +185,6 @@ class Infeasible:
 @dataclass
 class Pseudoexpectation:
     values: dict[Monomial, float]
-    moment_matrices: list[np.ndarray]
-    moment_bases: list[list[Monomial]]
     residual: float
     iterations: int
 
@@ -242,8 +241,6 @@ class _Lifted:
 
         program.validate()
         self.mono_index: dict[Monomial, int] = {(): 0}
-        # (basis, localizing poly or None for a plain moment block)
-        self.blocks: list[tuple[list[Monomial], Optional[Poly]]] = []
         self.block_slices: list[tuple[int, int]] = []  # (svec offset, side)
         self.diag_positions: list[int] = []  # svec positions of moment diagonals
         self.nX = 0
@@ -289,7 +286,6 @@ class _Lifted:
         and its rows of A, as COO triplets, to ``a_coo``."""
         rows, cols, vals = a_coo
         s = len(basis)
-        self.blocks.append((basis, p))
         self.block_slices.append((self.nX, s))
         sqrt2 = math.sqrt(2.0)
         pos = self.nX
@@ -310,16 +306,6 @@ class _Lifted:
                         vals.append(scale * c)
                 pos += 1
         self.nX = pos
-
-
-def _svec_to_mat(v: np.ndarray, s: int) -> np.ndarray:
-    M = np.zeros((s, s))
-    iu = np.triu_indices(s)
-    M[iu] = v
-    off = iu[0] != iu[1]
-    M[iu[0][off], iu[1][off]] /= math.sqrt(2.0)
-    M = M + np.triu(M, 1).T
-    return M
 
 
 def _cone_plan(block_slices: list[tuple[int, int]]) -> list[tuple]:
@@ -345,7 +331,9 @@ def _project_cones(v: np.ndarray, plan: list[tuple], out: np.ndarray):
         if s == 1:
             out[idx] = np.maximum(x, 0.0)
             continue
-        # divide as _svec_to_mat does: times 1/sqrt(2) rounds differently
+        # divided: times 1/sqrt(2) rounds differently, and the iterates
+        # would change bits.  Unpacked inline, not by _unpack, whose dtype
+        # and shape handling this loop of every ADMM iteration does not need
         x[:, off] /= math.sqrt(2.0)
         M = np.empty((len(idx), s, s))
         M[:, iu, ju] = x
@@ -477,20 +465,7 @@ def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
             return Infeasible(residual=res, iterations=it)
 
     values = {m: float(xy[j]) for m, j in lifted.mono_index.items()}
-    mats, bases = [], []
-    for (off, s), (basis, p) in zip(lifted.block_slices, lifted.blocks):
-        if p is not None:
-            continue
-        size = s * (s + 1) // 2
-        mats.append(_svec_to_mat(zX[off:off + size], s))
-        bases.append(basis)
-    return Pseudoexpectation(
-        values=values,
-        moment_matrices=mats,
-        moment_bases=bases,
-        residual=res,
-        iterations=it,
-    )
+    return Pseudoexpectation(values=values, residual=res, iterations=it)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +531,7 @@ def tensor_ring_certificate(
     "left_inverse" (L M = Id, ||L||_F^2 <= r^2 / kappa^2) and "gauge"."""
     d = M.shape[0]
     i, j = _triu(r)
-    Q = np.empty((d, r, r))
-    Q[:, i, j] = M
-    Q[:, j, i] = M
+    Q = _unpack(M, d, r)
     P, C = trace_moments(Q)
     pairs, triples = _triu(d), tuple(_sorted_indices(d, 3).T)
     flat = Q.reshape(d, r * r)

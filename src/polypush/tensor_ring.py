@@ -34,14 +34,14 @@ import numpy as np
 from ._lm import least_squares
 from .errors import ConvergenceError, DegeneracyError, UsageError, check_settings
 from .gauge import AlignmentConfig, gauge_distance
-from .moments import trace_moment_gradients, trace_moments
-from .networks import PolyNetwork, _philox_rng, rotate_network
+from .moments import _check_tables, trace_moment_gradients, trace_moments
+from .networks import PolyNetwork, _philox_rng, gauge_stack, rotate_network
 from .relaxation import KAPPA, gate_certificate, tensor_ring_certificate
 # no recovery path encodes or solves a program: perfbench/tracing.py wraps
 # the names tensor_ring.encode_tensor_ring and tensor_ring.solve, and
 # tests/test_trace_points.py checks that they resolve
 from .relaxation import encode_tensor_ring, solve  # noqa: F401
-from .tensors import GaugeRotation, _sorted_indices, _triu
+from .tensors import GaugeRotation, _sorted_indices, _triu, _unpack
 
 __all__ = [
     "TRConfig",
@@ -249,36 +249,6 @@ def gauge_fix(
 # the one recovery path of both network kinds
 # ---------------------------------------------------------------------------
 
-# exact tables are symmetric to 1.6 eps of their largest entry, estimated
-# ones exactly; asymmetry beyond this share of the largest entry is refused
-SYM_RTOL = 1e-12
-
-
-def _check_tables(S, T):
-    """(S, T) as float arrays, T None for a pair table; UsageError naming the
-    field unless each is finite, S is (d, d) with d >= 1, T is (d, d, d),
-    each is symmetric to relative SYM_RTOL and no diagonal entry of S is
-    negative (S_aa is Var(z_a) / 2 or E[z_a^2])."""
-    tables = {"S": np.asarray(S, dtype=float)}
-    if T is not None:
-        tables["T"] = np.asarray(T, dtype=float)
-    d = len(tables["S"]) if tables["S"].ndim else 0
-    for name, X in tables.items():
-        want = (d,) * (2 if name == "S" else 3)
-        if d == 0 or X.shape != want:
-            raise UsageError(f"table field {name!r} has shape {X.shape}, expected {want}")
-        if not np.isfinite(X).all():
-            raise UsageError(f"table field {name!r} has NaN or inf entries")
-        band = SYM_RTOL * np.abs(X).max()
-        for k in range(X.ndim - 1):
-            asym = np.abs(X - X.swapaxes(k, k + 1)).max()
-            if asym > band:
-                raise UsageError(f"table field {name!r} is not symmetric (off by {asym:.3e})")
-    if np.diag(tables["S"]).min() < 0:
-        raise UsageError("table field 'S' has a negative diagonal entry")
-    return tables["S"], tables.get("T")
-
-
 @dataclass
 class _Kind:
     """One network kind's part in _recover, built once per recovery.
@@ -290,8 +260,8 @@ class _Kind:
     is (packed first start, its eigengap), or raises DegeneracyError or
     LinAlgError.  ``fit_gate`` and ``residuals``, which returns (residual_S,
     residual_T), raise the kind's ConvergenceErrors.
-    ``stack`` co-rotates with the gauge (Q_a or F_a), and ``unfixable`` is
-    why sos refuses a fit it cannot gauge-fix ("{exc}": the cause).  A
+    ``unfixable`` is why sos refuses a fit it cannot gauge-fix ("{exc}": the
+    cause); the gauge is fixed on networks.gauge_stack (Q_a or F_a).  A
     ``gram`` (S) has the pair drawn before the fit; ``commuting()`` is
     local's network when it has none, or None.
     """
@@ -303,7 +273,6 @@ class _Kind:
     closed_form: Callable[[], tuple]
     random_starts: Iterator[np.ndarray]
     fit_gate: Callable[[float, bool, Optional[DegeneracyError]], None]
-    stack: Callable[[PolyNetwork], np.ndarray]
     certificate: Callable[[PolyNetwork, np.ndarray, np.ndarray], tuple]
     residuals: Callable[[PolyNetwork, bool], tuple[float, float]]
     unfixable: str
@@ -430,8 +399,8 @@ def _recover(fields_of, S, T, config, truth: Optional[PolyNetwork] = None) -> Re
 
 
 def _gauge_fixed(kind: _Kind, net: PolyNetwork, combo, config, diag: dict) -> PolyNetwork:
-    """``net`` gauge-fixed by gauge_fix on its stack with ``combo``, or with
-    one drawn from the stack's Gram (d >= C(r+1,2)) when None, the +-Id of
+    """``net`` gauge-fixed by gauge_fix on its gauge_stack with ``combo``, or
+    with one drawn from the stack's Gram (d >= C(r+1,2)) when None, the +-Id of
     odd orders fixed by an anchor entry, and for ``sos`` certified: the fit
     must be feasible, at that one point, for the kind's moment program
     stated with lambda and the corner-signed mu, whose constraints are
@@ -439,7 +408,7 @@ def _gauge_fixed(kind: _Kind, net: PolyNetwork, combo, config, diag: dict) -> Po
     guarantee, which rests on the pseudo-expectation being unique; no
     program is solved.  Sets ``diag``'s keys of the step."""
     r = net.r
-    units = kind.stack(net)
+    units = gauge_stack(net)
     try:
         if combo is None:
             if net.d < r * (r + 1) // 2:
@@ -472,15 +441,6 @@ def _gauge_fixed(kind: _Kind, net: PolyNetwork, combo, config, diag: dict) -> Po
 # ---------------------------------------------------------------------------
 # quadratic networks: trace moments
 # ---------------------------------------------------------------------------
-
-def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
-    i, j = _triu(r)
-    X = np.asarray(x).reshape(d, i.size)
-    Q = np.zeros((d, r, r), dtype=np.result_type(X, float))
-    Q[:, i, j] = X
-    Q[:, j, i] = X
-    return Q
-
 
 def _packed_moment_jacobian(x: np.ndarray, d: int, r: int, pairs, triples) -> np.ndarray:
     """Jacobian of the trace moments at the index arrays ``pairs`` and
@@ -564,7 +524,7 @@ def _quadratic_kind(S: np.ndarray, T: np.ndarray, config: TRConfig) -> dict:
     return dict(
         network=network, omega=2, fit_tol=FIT_TOL, fit=fit, closed_form=closed_form,
         random_starts=_random_starts(S, r, config.rng_seed, 21, config.restarts),
-        fit_gate=fit_gate, stack=lambda net: net.Q,
+        fit_gate=fit_gate,
         certificate=lambda net, lam, mu: _certify(S, T, net.Q, lam, mu, eta),
         residuals=residuals, unfixable="{exc}", gram=S, commuting=commuting,
     )

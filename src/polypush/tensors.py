@@ -1,5 +1,5 @@
-"""Sorted-index flattening of symmetric tensors, their paired contraction and
-symmetrization, and the gauge rotation type.
+"""Sorted-index flattening and symmetrization of symmetric tensors, the
+packing of symmetric matrices, and the gauge rotation type.
 
 Conventions
 -----------
@@ -13,7 +13,7 @@ Caches
 ------
 The index arrays that depend only on integer shape arguments, the sorted
 multi-indices of (r, omega) with their multiplicities and the upper-triangle
-indices and mask of an n x n matrix, come from ``functools.lru_cache`` helpers: built
+indices of an n x n matrix, come from ``functools.lru_cache`` helpers: built
 on first use, then kept, bounded by their ``maxsize`` and read-only, since
 every caller shares them.  Importing the package builds none of them.
 """
@@ -90,37 +90,21 @@ def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-@functools.lru_cache(maxsize=32)
-def _triu_mask(n: int) -> np.ndarray:
-    """The (n, n) boolean mask of the upper triangle, diagonal included."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
 def sorted_entries(T: np.ndarray, omega: int) -> np.ndarray:
     """The (..., m) entries of the stacked order-omega tensors T, of shape
     (..., r, ..., r), at the sorted multi-indices (sorted_multi_indices)."""
     return T[(Ellipsis, *_sorted_indices(T.shape[-1], omega).T)]
 
 
-def paired_contraction(T: np.ndarray, omega: int) -> np.ndarray:
-    """Contract the order-omega tensors stacked along T's leading axes, of
-    shape (..., r, ..., r), over (omega-1)/2 paired axes to r-vectors.
-
-    Returns sum_{j_1..j_k} T[..., j_1, j_1, ..., j_k, j_k, :] for omega =
-    2k+1, tracing the leading pair first, so each tensor of a stack gets the
-    bits it gets alone.
-    """
-    T = np.asarray(T, dtype=float)
-    if omega % 2 == 0 or T.ndim < omega:
-        raise UsageError(f"paired contraction needs an odd order of at most the "
-                         f"array's {T.ndim} axes, got {omega}")
-    lead = T.ndim - omega
-    out = T
-    for _ in range(omega // 2):
-        out = np.trace(out, axis1=lead, axis2=lead + 1)
-    return out
+def _unpack(x: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The (d, r, r) symmetric matrices whose upper triangles, row by row
+    (_triu), are the d rows of the packed ``x``."""
+    i, j = _triu(r)
+    X = np.asarray(x).reshape(d, i.size)
+    Q = np.zeros((d, r, r), dtype=np.result_type(X, float))
+    Q[:, i, j] = X
+    Q[:, j, i] = X
+    return Q
 
 
 def symmetrize(T: np.ndarray) -> np.ndarray:

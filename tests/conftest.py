@@ -223,11 +223,17 @@ def unit_tensors_per_unit(net):
     return np.stack(units)
 
 
+def paired_contraction(T, omega):
+    """The r-vector sum_{j_1..j_k} T[j_1, j_1, ..., j_k, j_k, :] of one
+    order-omega tensor, omega = 2k+1, tracing the leading pair first."""
+    for _ in range(omega // 2):
+        T = np.trace(T, axis1=0, axis2=1)
+    return T
+
+
 def paired_outers_per_unit(net):
     """F_a = f_a f_a^T of an odd-order network one unit at a time, f_a the
     paired contraction of unit_tensors_per_unit's T_a."""
-    from polypush.tensors import paired_contraction
-
     F = np.zeros((net.d, net.r, net.r))
     for a, T in enumerate(unit_tensors_per_unit(net)):
         f = paired_contraction(T, net.omega)

@@ -39,7 +39,6 @@ CACHED = {
     "tensors._sorted_indices": [(1, 3), (3, 5), (4, 3)],
     "tensors._sorted_multiplicity": [(1, 3), (3, 5)],
     "tensors._triu": [(1,), (4,), (5, 1)],
-    "tensors._triu_mask": [(1,), (4,)],
     "tensors.sorted_multi_indices": [(2, 3), (4, 5)],
 }
 

@@ -759,12 +759,16 @@ class TestFailedRuns:
             "sample-sidecar-dir", "sample-non-finite-sidecar-dir"])
     def test_os_error_exits_2(self, tmp_path, input_files, capsys, argv, bad, verb):
         # a directory as input, --out in a directory that does not exist, or a
-        # directory where sample's sidecar goes
+        # directory where sample's sidecar goes; an earlier run's --out is
+        # left as it was unless this run writes it
         _, paths = input_files
         names = {"dir": str(tmp_path / "a-dir"), "out": str(tmp_path / "out.json"),
                  "net": paths["net"], "inf": str(tmp_path / "inf.json"),
                  "lost": str(tmp_path / "no-such-dir" / "out.json")}
         os.mkdir(names["dir"])
+        with open(names["out"], "w") as fh:
+            fh.write("an earlier run's output\n")
+        earlier = sha256(names["out"])
         # z = 8e307 x^2 is inf for |x| > 1.5
         with open(names["inf"], "w") as fh:
             json.dump({"kind": "quadratic", "r": 1, "d": 1, "Q": [[[8e307]]]}, fh)
@@ -786,8 +790,12 @@ class TestFailedRuns:
             assert man["exit_code"] == 2 and bad in man["error"]
             nets = (names["net"], names["inf"])
             assert man["inputs"] == {p: sha256(p) for p in argv if p in nets}
-            # the samples file is written before its sidecar
-            assert man["outputs"] == ({out: sha256(out)} if os.path.exists(out) else {})
+            # the samples file is written before its sidecar, and listed
+            if bad.endswith(cli.SIDECAR):
+                assert man["outputs"] == {out: sha256(out)}
+            else:
+                assert man["outputs"] == {}
+                assert sha256(out) == earlier
 
     @pytest.mark.parametrize("argv", [
         ("generate", "--r", "2", "--d", "3"),
@@ -797,10 +805,15 @@ class TestFailedRuns:
         ("lowerbound", "--r", "3"),
     ], ids=["generate", "sample", "sample-chunks", "moments", "lowerbound"])
     def test_write_error_exits_2(self, tmp_path, input_files, capsys, argv):
-        # --out on a full disk.  Small outputs fail when the buffer is
-        # flushed at close, n = 20000 samples at the write of a chunk
+        # --out on a full disk, over an earlier run's output.  Small outputs
+        # fail when the buffer is flushed at close, n = 20000 samples at the
+        # write of a chunk; the partial file, and an earlier sample's
+        # sidecar, are removed, and the manifest lists no output
         _, paths = input_files
         out = str(tmp_path / "out.json")
+        argv = [a.format(net=paths["net"]) for a in argv]
+        assert run(*argv, "--out", out) == 0
+        capsys.readouterr()
         real_open = open
 
         def full_disk_open(file, mode="r", **kwargs):
@@ -810,11 +823,31 @@ class TestFailedRuns:
             return raw if "b" in mode else io.TextIOWrapper(raw, **kwargs)
 
         with mock.patch.object(cli, "open", full_disk_open, create=True):
-            assert run(*(a.format(net=paths["net"]) for a in argv), "--out", out) == 2
+            assert run(*argv, "--out", out) == 2
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
         man = read(out + ".manifest.json")
         assert man["exit_code"] == 2 and man["error"].startswith(f"cannot write {out}: ")
+        assert man["outputs"] == {}
+        assert not os.path.exists(out) and not os.path.exists(out + cli.SIDECAR)
+
+    def test_failed_rerun_lists_no_stale_output(self, tmp_path, input_files):
+        # solve_tr succeeds, then a rerun on a bad table exits 2: the earlier
+        # rec.json stays as it was, and the rerun's manifest does not list it
+        _, paths = input_files
+        out = str(tmp_path / "rec.json")
+        assert run("solve_tr", "--table", paths["qtab"], "--r", "2", "--out", out) == 0
+        before = sha256(out)
+        assert read(out + ".manifest.json")["outputs"] == {out: before}
+        table = read(paths["qtab"])
+        table["S"][0][1] += 1.0
+        bad = tmp_path / "asymmetric.json"
+        bad.write_text(json.dumps(table))
+        assert run("solve_tr", "--table", str(bad), "--r", "2", "--out", out) == 2
+        man = read(out + ".manifest.json")
+        assert man["exit_code"] == 2 and "'S' is not symmetric" in man["error"]
+        assert man["outputs"] == {}
+        assert sha256(out) == before
 
     def test_unwritable_manifest_keeps_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "rec.json"

@@ -388,12 +388,32 @@ class TestJsonTables:
         with pytest.raises(UsageError, match="shape"):
             table_from_json(obj)
 
+    @pytest.mark.parametrize("kind, field", [("quadratic", "S"), ("quadratic", "T"),
+                                             ("pair", "S")])
+    def test_asymmetric_table_rejected(self, kind, field):
+        # the recoveries' table check runs where the table is read
+        obj = self._quadratic_obj() if kind == "quadratic" else {"kind": "pair",
+                                                                 "S": np.eye(2).tolist()}
+        arr = np.asarray(obj[field], dtype=float)
+        arr[(0, 1) + (0,) * (arr.ndim - 2)] = 1e-3
+        obj[field] = arr.tolist()
+        with pytest.raises(UsageError, match=f"'{field}' is not symmetric"):
+            table_from_json(obj)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "pair"])
+    def test_negative_diagonal_rejected(self, kind):
+        S = np.diag([1.0, -1.0]).tolist()
+        obj = {**self._quadratic_obj(), "S": S} if kind == "quadratic" else {"kind": kind, "S": S}
+        with pytest.raises(UsageError, match="'S' has a negative diagonal entry"):
+            table_from_json(obj)
+
     def test_pair_shape_mismatch_rejected(self):
         with pytest.raises(UsageError, match="shape"):
             table_from_json({"kind": "pair", "S": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
 
-    @pytest.mark.parametrize("S", [[[1.0, 0.0], [0.0]], [["a", 0.0], [0.0, 1.0]]],
-                             ids=["ragged", "non-numeric"])
+    @pytest.mark.parametrize("S", [[[1.0, 0.0], [0.0]], [["a", 0.0], [0.0, 1.0]],
+                                   [[10**400]]],
+                             ids=["ragged", "non-numeric", "huge-int"])
     def test_malformed_entries_rejected(self, S):
         with pytest.raises(UsageError, match="not numeric"):
             table_from_json({"kind": "pair", "S": S})

@@ -34,7 +34,7 @@ from polypush.networks import (
     gaussian_norm_moment,
     network_from_json,
     network_to_json,
-    paired_outers,
+    gauge_stack,
     rotate_network,
     sample,
     smooth_componentwise,
@@ -261,10 +261,11 @@ class TestUnitTensors:
         if kind == "quadratic":
             A = data.draw(hnp.arrays(np.float64, (d, r, r), elements=entries))
             net = PolyNetwork(kind="quadratic", r=r, d=d, Q=A + np.transpose(A, (0, 2, 1)))
+            assert gauge_stack(net) is net.Q
         else:
             comps = data.draw(hnp.arrays(np.float64, (d, ell, r), elements=entries))
             net = PolyNetwork(kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps)
-            assert same_bits(paired_outers(net), paired_outers_per_unit(net))
+            assert same_bits(gauge_stack(net), paired_outers_per_unit(net))
         units = unit_tensors_per_unit(net)
         assert same_bits(net.unit_tensors(), units)
         assert net.radius == max(float(np.linalg.norm(T)) for T in units)

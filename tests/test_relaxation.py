@@ -24,7 +24,7 @@ from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
-    paired_outers,
+    gauge_stack,
     rotate_network,
     sample,
     smooth_componentwise,
@@ -101,13 +101,18 @@ class TestSolve:
         assert ex**2 <= ex2 + 1e-6
 
     def test_moment_matrix_invariants(self):
+        # each group's moment matrix, rebuilt from the values over its
+        # monomial basis, is PSD with a unit constant entry
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 2.0, 0))
         pe = solve(prog)
-        for M, basis in zip(pe.moment_matrices, pe.moment_bases):
+        for grp in prog.groups:
+            basis = [m for k in range(grp.degree // 2 + 1)
+                     for m in itertools.combinations_with_replacement(grp.variables, k)]
+            M = np.array([[pe.values[tuple(sorted(u + v))] for v in basis] for u in basis])
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-6
-            k = basis.index(())
-            assert abs(M[k, k] - 1.0) <= 1e-8
+            assert abs(M[0, 0] - 1.0) <= 1e-8
+            assert M[0, 2] == pytest.approx(2.0, abs=1e-6)
         assert pseudo_expect(pe, 1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_determinism(self):
@@ -458,11 +463,10 @@ def certificate_call(net, table, rng_seed, eta):
     accuracy ``eta``, as the ``sos`` backends run it on a fit.  Returns
     (the step's violation, or its ConvergenceError; the (args, kwargs) of
     its one call of the closed form)."""
+    units = gauge_stack(net)
     if net.kind == "quadratic":
-        units = net.Q
         lam, mu = find_combo(table.S, net.r, rng_seed=rng_seed, eta=eta)
     else:
-        units = paired_outers(net)
         lam, mu = find_combo(np.einsum("aij,bij->ab", units, units), net.r, rng_seed=rng_seed)
     rot, mu, _ = gauge_fix(units, lam, mu)
     fixed = rotate_network(net, rot)
@@ -560,7 +564,7 @@ class TestCertify:
             kind="lowrank", r=r, d=d, omega=omega, ell=ell, components=comps
         )
         S = exact_lowrank_pair_moments(net).S
-        F = paired_outers(net)
+        F = gauge_stack(net)
         lam, mu = find_combo(np.einsum("aij,bij->ab", F, F), r, rng_seed=0)
         rot, mu, _ = gauge_fix(F, lam, mu)
         fixed = rotate_network(net, rot)

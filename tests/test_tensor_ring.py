@@ -27,7 +27,7 @@ from polypush.networks import (
     PolyNetwork,
     SeedDistribution,
     SmoothingParams,
-    paired_outers,
+    gauge_stack,
     rotate_network,
     sample,
     smooth_componentwise,
@@ -155,7 +155,7 @@ class TestFindCombo:
         if kind == "quadratic":
             r, G = 3, exact_quadratic_moments(smoothed_net(3, 6, 0.5, 0)).S
         else:
-            F = paired_outers(smoothed_lr_net(0))
+            F = gauge_stack(smoothed_lr_net(0))
             r, G = 2, np.einsum("aij,bij->ab", F, F)
         want = find_combo(G, r, rng_seed=3)
         real = np.linalg.eigh
@@ -926,6 +926,13 @@ class TestVerifyAssumption:
         rep = verify_assumption_tr(net)
         assert rep.sigma_m == 0.0
         assert rep.warning is not None
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_sigma_m_does_not_depend_on_the_gauge(self, seed):
+        net = smoothed_net(3, 8, 0.5, seed)
+        V = random_orthogonal(np.random.default_rng(seed), 3)
+        rot = verify_assumption_tr(rotate_network(net, V))
+        assert rot.sigma_m == pytest.approx(verify_assumption_tr(net).sigma_m, rel=1e-12, abs=0)
 
     def test_smoothed_flag(self):
         hits = 0
