@@ -14,9 +14,9 @@ closed form and for the benchmark's cold solve.
 
 Importing polypush loads neither scipy nor mpmath: each module is imported
 by the first call that needs it.  Only the r >= 3 gauge search
-(``gauge_distance``'s Nelder-Mead refine) and the relaxation solver need
-scipy, and the lower-bound lab needs both.  The local fits use the in-repo
-Levenberg-Marquardt of ``_lm`` and the r <= 2 gauge alignment is
+(``gauge_distance``'s Nelder-Mead refine) needs scipy, and the lower-bound
+lab needs both.  The relaxation solver uses numpy alone, the local fits the
+in-repo Levenberg-Marquardt of ``_lm``, and the r <= 2 gauge alignment is
 closed-form, so the CLI commands ``generate``, ``sample``, ``moments``,
 ``verify``, ``solve_tr``, ``solve_lr`` and ``eval`` never load them on
 networks with r <= 2, ``--truth`` included.

@@ -159,7 +159,7 @@ def estimate_quadratic_moments(samples: np.ndarray) -> QuadraticMomentTable:
         c = zc[start:start + CHUNK]
         S += c.T @ c
         # T_abc += sum_n (c_a c_b) c_c, one matrix product per chunk
-        cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), d * d)
+        cc = np.einsum("ni,nj->nij", c, c).reshape(len(c), d * d)
         T += blas_product(cc.T, c).reshape(d, d, d)
     S /= 2.0 * n
     T /= 8.0 * n

@@ -18,16 +18,15 @@ its monomial basis, equalities are multiplied by basis monomials within the
 degree budget, inequalities get localizing blocks, and the resulting conic
 feasibility problem (affine slice of a product of PSD cones) is solved by
 ADMM with a small trace-of-moment-matrix objective as a deterministic
-tie-break; it returns the value on each monomial, not the blocks.  The lift
-and the solver are the package's only users of scipy.linalg and
-scipy.sparse, and import them when called.
+tie-break; it returns the value on each monomial, not the blocks.
 
 The lift is one pass over the program (``_Lifted``): it numbers the
-monomials and writes the rows of the block map A and the equality system E
-as it goes, visiting the upper triangle of each block only.  Each ADMM
-iteration projects the blocks of one side together (``_cone_plan``,
-``_project_cones``): one batched ``eigh`` per side s > 1, one clip for the
-side-1 blocks.
+monomials and writes the rows of the dense block map A and equality system
+E as it goes, visiting the upper triangle of each block only.  Each ADMM
+iteration takes the affine step, one product by the dense projector onto
+{(y, A y) : E y = f} built once per solve (``_affine_step``), and projects
+the blocks of one side together (``_cone_plan``, ``_project_cones``): one
+batched ``eigh`` per side s > 1, one clip for the side-1 blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import numpy as np
 
 from .errors import DENSE_BYTES_CAP, ConvergenceError, ResourceError, UsageError
 from .moments import _mode_sigma, trace_moments
+from .networks import blas_product
 from .tensors import _sorted_indices, _sorted_multiplicity, _triu, _unpack, sorted_multi_indices
 
 __all__ = [
@@ -237,8 +237,6 @@ class _Lifted:
     """
 
     def __init__(self, program: PolynomialProgram):
-        import scipy.sparse as sp
-
         program.validate()
         self.mono_index: dict[Monomial, int] = {(): 0}
         self.block_slices: list[tuple[int, int]] = []  # (svec offset, side)
@@ -253,8 +251,7 @@ class _Lifted:
                 )
             self._add_block(basis, None, a_coo)
         # normalization, then each equality times every multiplier monomial
-        erows, ecols, evals = [0], [0], [1.0]
-        eq_rhs = [1.0]
+        e_rows: list[dict[int, float]] = [{0: 1.0}]
         for p, g in program.equalities:
             grp = program.groups[g]
             for q in _monomials(grp.variables, grp.degree - p.degree()):
@@ -262,19 +259,27 @@ class _Lifted:
                 for m, c in p.terms.items():
                     j = self._touch(_merge(m, q))
                     row[j] = row.get(j, 0.0) + c
-                erows.extend([len(eq_rhs)] * len(row))
-                ecols.extend(row)
-                evals.extend(row.values())
-                eq_rhs.append(0.0)
+                e_rows.append(row)
         for p, g in program.inequalities:
             grp = program.groups[g]
             half = (grp.degree - p.degree()) // 2
             self._add_block(_monomials(grp.variables, half), p, a_coo)
         self.ny = len(self.mono_index)
+        # the float64 arrays solve holds at once: A, E, and _affine_step's
+        # bordered matrix with its sweep buffer or with the step Q
+        n_eq, side, m = len(e_rows), self.ny + len(e_rows) + 1, self.ny + self.nX
+        need = 8 * (self.ny * (self.nX + n_eq) + side * side + max(side * side, m * (m + 1)))
+        if need > DENSE_BYTES_CAP:
+            raise ResourceError(f"the relaxation's dense arrays need {need / 2**30:.3g} GiB, "
+                                f"over the {DENSE_BYTES_CAP / 2**30:g} GiB cap")
+        # no (row, column) pair repeats: a row's columns are distinct merges
         rows, cols, vals = a_coo
-        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(self.nX, self.ny))
-        self.E = sp.csr_matrix((evals, (erows, ecols)), shape=(len(eq_rhs), self.ny))
-        self.f = np.asarray(eq_rhs)
+        self.A = np.zeros((self.nX, self.ny))
+        self.A[rows, cols] = vals
+        self.E = np.zeros((n_eq, self.ny))
+        for i, row in enumerate(e_rows):
+            self.E[i, list(row)] = list(row.values())
+        self.f = np.eye(1, n_eq)[0]  # 1 on the normalization row
 
     def _touch(self, m: Monomial) -> int:
         if m not in self.mono_index:
@@ -345,108 +350,101 @@ def _project_cones(v: np.ndarray, plan: list[tuple], out: np.ndarray):
         out[idx] = x
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """a @ b into ``out``, two columns of b at a time: blas_product keeps
+    those bits at any thread count, and a wider product does not."""
+    for j in range(0, b.shape[1], 2):
+        out[:, j:j + 2] = blas_product(a, b[:, j:j + 2])
+
+
+def _affine_step(A: np.ndarray, E: np.ndarray, f: np.ndarray):
+    """(Q, gap): Q (t, 1) = (y, A y) projects t = (t_y, t_X) onto {(y, A y) :
+    E y = f}, y minimizing ||y - t_y||^2 + ||A y - t_X||^2; gap is the worst
+    violation of E y = f at y(0) = p0.  Q = [I; A] [P, P A^T, p0] with
+    P = M^-1 - M^-1 E^T S^+ E M^-1 and p0 = M^-1 E^T S^+ f, M = I + A^T A,
+    S = E M^-1 E^T: sweeping [[M, E^T, 0], [E, 0, f], [0, f^T, 0]] on the M
+    pivots leaves -M^-1 and -S, then on S's rows, largest diagonal first,
+    while one exceeds 1e-14 times the first (the multiplier expansion makes
+    dependent rows).  Unlike LAPACK's inverses, the same bits at any BLAS
+    thread count."""
+    (nX, ny), n = A.shape, A.shape[1] + len(f)
+    T = np.zeros((n + 1, n + 1))
+    _product(A.T, A, T[:ny, :ny])
+    T[range(ny), range(ny)] += 1.0
+    T[:ny, ny:n] = E.T
+    T[ny:n, :ny] = E
+    T[ny:n, n] = T[n, ny:n] = f
+    buf = np.empty_like(T)
+    def sweep(k):
+        # T_jl -= T_jk T_kl / T_kk, the outer product one rounding an entry
+        # and without the scratch of numpy's broadcasting
+        d, c = T[k, k], T[k] / T[k, k]
+        np.subtract(T, np.matmul(T[:, k:k + 1], c[None], out=buf), out=T)
+        T[k] = T[:, k] = c
+        T[k, k] = -1.0 / d
+    for k in range(ny):
+        sweep(k)
+    schur = T.diagonal()[ny:n]  # -S's diagonal, a view; swept entries turn positive
+    tol = -1e-14 * float(np.min(schur))
+    while -schur[j := int(np.argmin(schur))] > tol:
+        sweep(ny + j)
+    del buf
+    T *= -1.0  # P in the top-left block, -p0 in the last column
+    Q = np.empty((ny + nX, ny + nX + 1))
+    Q[:ny, :ny], Q[:ny, -1] = T[:ny, :ny], -T[:ny, n]
+    _product(Q[:ny, :ny], A.T, Q[:ny, ny:-1])
+    _product(A, Q[:ny], Q[ny:])
+    return Q, float(np.max(np.abs(blas_product(E, Q[:ny, -1:])[:, 0] - f)))
+
+
 def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
     """ADMM conic solve of the lifted relaxation.
 
-    Lifts the program in one pass, then alternates an affine projection
-    (moment-matrix consistency + equality rows, KKT system factorized once)
-    with a PSD-cone projection, batched over the blocks of each side, carrying
-    a scaled dual; stops when the primal and dual residuals drop below
-    SOLVER_TOL, or after MAX_ITER iterations.
+    Lifts the program in one pass to dense A and E, then alternates the
+    affine step, one product by the projector Q built once per solve
+    (``_affine_step``), with a PSD-cone projection, batched over the blocks
+    of each side, carrying a scaled dual; stops when the primal and dual
+    residuals drop below SOLVER_TOL, or after MAX_ITER iterations.
     Returns ``Infeasible`` when the residual stalls above 10*SOLVER_TOL for
-    STALL_WINDOW consecutive iterations.  Fully deterministic.
+    STALL_WINDOW consecutive iterations, or at 0 iterations when dependent
+    equality rows disagree.  The same bits at any BLAS thread count.
+
+    Dense suits the programs solved (the tests', the benchmark's r = 1
+    tensor ring; a few hundred moments at most): an iteration costs
+    (ny + nX)^2, not the nonzeros of A.  ResourceError in the lift, before
+    allocating, when the dense arrays would exceed ``DENSE_BYTES_CAP``.
     """
-    import scipy.linalg as sla
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     lifted = _Lifted(program)
-    A, E, f = lifted.A, lifted.E, lifted.f
     ny, nX = lifted.ny, lifted.nX
-    # multiplier expansion produces linearly dependent equality rows, which
-    # would make the KKT system singular; keep an independent subset
-    # rank-revealing pivoted Cholesky of the row Gram matrix (much cheaper
-    # than a pivoted QR of E^T at these sizes)
-    n_eq = E.shape[0]
-    # the dense arrays built below: G and LAPACK's copy of it, n_eq x n_eq
-    need = 16 * n_eq * n_eq
-    if need > DENSE_BYTES_CAP:
-        raise ResourceError(
-            f"the relaxation's {n_eq} equality rows over {ny} moments need "
-            f"{need / 2**30:.3g} GiB of dense arrays, over the "
-            f"{DENSE_BYTES_CAP / 2**30:g} GiB cap"
-        )
-    G = (E @ E.T).toarray()
-    _, piv_rows, rank, _ = sla.lapack.dpstrf(
-        G, tol=1e-14 * max(1.0, float(G.diagonal().max())), lower=1
-    )
-    keep = np.sort(piv_rows[:rank] - 1)
-    fkeep = f[keep]
-    dropped = np.setdiff1d(np.arange(n_eq), keep)
-    E_drop = E[dropped]
-    E = E[keep]
-    # a coefficient that cancelled in the lift is stored as an explicit zero;
-    # keep it out of the KKT matrix's sparsity pattern
-    E.eliminate_zeros()
-    neq = E.shape[0]
+    Q, gap = _affine_step(lifted.A, lifted.E, lifted.f)
+    # the iteration would project a contradicting row away in silence
+    if gap > 1e-8:
+        return Infeasible(residual=gap, iterations=0)
 
-    # KKT for min ||y - t_y||^2 + ||A y - t_X||^2 s.t. E y = f
-    K = sp.bmat(
-        [[sp.identity(ny) + A.T @ A, E.T], [E, None]], format="csc"
-    )
-    kkt = spla.splu(K)
-
-    if dropped.size:
-        # a dropped row is a combination of the kept ones; if its right-hand
-        # side disagrees, the equality system (and hence the program) is
-        # infeasible and the iteration could silently project it away
-        probe = np.zeros(ny + neq)
-        probe[ny:] = fkeep
-        y0 = kkt.solve(probe)[:ny]
-        gap = float(np.max(np.abs(E_drop @ y0 - f[dropped])))
-        scale = max(1.0, float(np.max(np.abs(f))))
-        if gap > 1e-8 * scale:
-            return Infeasible(residual=gap, iterations=0)
-    f = fkeep
-
-    cX = np.zeros(nX)
-    cX[lifted.diag_positions] = TRACE_WEIGHT
-
-    zy = np.zeros(ny)
-    zy[0] = 1.0
-    zX = np.zeros(nX)
-    uy = np.zeros(ny)
-    uX = np.zeros(nX)
-    rhs = np.zeros(ny + neq)
-    rhs[ny:] = f
-    AT = A.T
+    # the iterates stack the moments y and the blocks' svecs X
+    c, z, u = np.zeros(ny + nX), np.zeros(ny + nX), np.zeros(ny + nX)
+    c[ny:][lifted.diag_positions] = TRACE_WEIGHT
+    z[0] = 1.0
     plan = _cone_plan(lifted.block_slices)
+    # column 0 holds (t, 1); the zero column 1 spares blas_product one
+    t2 = np.zeros((ny + nX + 1, 2))
+    t, t2[-1, 0] = t2[:-1, 0], 1.0
 
-    best_res = np.inf
-    stall = 0
-    it = 0
-    res = np.inf
+    best_res, res, stall, it = np.inf, np.inf, 0, 0
     for it in range(1, MAX_ITER + 1):
-        ty = zy - uy
-        tX = zX - uX - cX
-        rhs[:ny] = ty + AT @ tX
-        sol = kkt.solve(rhs)
-        xy = sol[:ny]
-        xX = A @ xy
+        np.subtract(z, u, out=t)
+        t -= c
+        x = blas_product(Q, t2)[:, 0]
         # plain alternation: over-relaxation limit-cycles once the trace
         # objective is present
-        zX_new = np.empty_like(zX)
-        _project_cones(xX + uX, plan, zX_new)
-        zy_new = xy + uy
-        uy += xy - zy_new
-        uX += xX - zX_new
-        dual = math.sqrt(
-            float(np.sum((zX_new - zX) ** 2)) + float(np.sum((zy_new - zy) ** 2))
-        )
-        zy, zX = zy_new, zX_new
-        res = math.sqrt(
-            float(np.sum((xX - zX) ** 2)) + float(np.sum((xy - zy) ** 2))
-        )
+        z_new = x + u
+        # in place: each side's svecs are gathered before any is written
+        _project_cones(z_new[ny:], plan, z_new[ny:])
+        u += x - z_new
+        # np.add.reduce: np.sum's pairwise sum without its dispatch
+        dual = math.sqrt(float(np.add.reduce((z_new - z) ** 2)))
+        z = z_new
+        res = math.sqrt(float(np.add.reduce((x - z) ** 2)))
         if res <= SOLVER_TOL and dual <= 10 * SOLVER_TOL:
             break
         if res <= max(1e-12, 1e-3 * SOLVER_TOL):
@@ -464,7 +462,7 @@ def solve(program: PolynomialProgram) -> Pseudoexpectation | Infeasible:
         if res > 100 * SOLVER_TOL:
             return Infeasible(residual=res, iterations=it)
 
-    values = {m: float(xy[j]) for m, j in lifted.mono_index.items()}
+    values = {m: float(x[j]) for m, j in lifted.mono_index.items()}
     return Pseudoexpectation(values=values, residual=res, iterations=it)
 
 

@@ -1,5 +1,10 @@
+import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from conftest import (
     sigma_matrix,
     symmetric_gaussian,
 )
-from polypush import lowrank, relaxation, tensor_ring
+from polypush import lowrank, networks, relaxation, tensor_ring
 from polypush.errors import ConvergenceError, ResourceError, UsageError
 from polypush.lowrank import LRConfig, exact_lowrank_pair_moments
 from polypush.moments import (
@@ -55,6 +60,45 @@ def single_var_program(degree=2):
     return PolynomialProgram(nvars=1, groups=[VarGroup((0,), degree)])
 
 
+def cold_program():
+    """The benchmark's cold r = 1, d = 1 tensor-ring program."""
+    return encode_tensor_ring(1, np.array([[1.0]]), np.ones((1, 1, 1)), np.array([1.0]),
+                              np.array([1.0]), R=1.1, kappa=0.1, eta=0.0)
+
+
+def box_program():
+    """x_0 = 1/2 and x_i^2 <= 1 over six variables at degree 4: 210 moments."""
+    prog = PolynomialProgram(nvars=6, groups=[VarGroup(tuple(range(6)), 4)])
+    for i in range(6):
+        prog.inequalities.append((1.0 - Poly.var(i) * Poly.var(i), 0))
+    prog.equalities.append((Poly.var(0) - 0.5, 0))
+    return prog
+
+
+def r1_tensor_ring_program(d):
+    """The r = 1 tensor-ring program of an exact (1, d) table."""
+    q = np.arange(1.0, d + 1.0) / d
+    t = exact_quadratic_moments(PolyNetwork(kind="quadratic", r=1, d=d, Q=q.reshape(d, 1, 1)))
+    return encode_tensor_ring(1, t.S, t.T, np.ones(1), np.ones(1), R=1.1, kappa=0.1, eta=0.0)
+
+
+def solve_bytes(lifted):
+    """The float64 bytes solve holds at once: A, E, and the affine step's
+    bordered matrix, of side ny + n_eq + 1, with its sweep buffer or with
+    the (ny + nX) x (ny + nX + 1) step it builds."""
+    (n_eq, ny), nX = lifted.E.shape, lifted.nX
+    side, m = ny + n_eq + 1, ny + nX
+    return 8 * (ny * (nX + n_eq) + side * side + max(side * side, m * (m + 1)))
+
+
+def child_env(threads="1"):
+    """The environment of a fresh process that imports this polypush."""
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(relaxation.__file__))),
+            os.environ.get("PYTHONPATH")]
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 class TestPoly:
     def test_arithmetic(self):
         x, y = Poly.var(0), Poly.var(1)
@@ -71,13 +115,11 @@ class TestPoly:
 
 class TestSolve:
     def test_dense_cap_counts_bytes(self, monkeypatch):
-        # G and its LAPACK copy, n_eq^2 float64 each; the cap is lowered so
-        # nothing large is built
+        # A, E, and the affine step's bordered matrix and its sweep buffer
+        # or step; the cap is lowered so nothing large is built
         prog = single_var_program(degree=4)
         prog.equalities.append((Poly.var(0) * Poly.var(0) - 1.0, 0))
-        lifted = relaxation._Lifted(prog)
-        n_eq = lifted.E.shape[0]
-        need = 16 * n_eq * n_eq
+        need = solve_bytes(relaxation._Lifted(prog))
         monkeypatch.setattr(relaxation, "DENSE_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError):
             solve(prog)
@@ -132,6 +174,57 @@ class TestSolve:
         prog.equalities.append((Poly.var(0) + 1.0, 0))
         out = solve(prog)
         assert isinstance(out, Infeasible)
+        assert out.iterations == 0
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_dense_cap_matches_tracemalloc(self, d, monkeypatch):
+        # 53, 100 and 171 moments, one iteration each: the arrays are
+        # built before it
+        prog = r1_tensor_ring_program(d)
+        need = solve_bytes(relaxation._Lifted(prog))
+        monkeypatch.setattr(relaxation, "MAX_ITER", 1)
+        tracemalloc.start()
+        try:
+            solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # above the arrays: the lift's numbering of the monomials and its
+        # block lists, some 30 kB at 171 moments
+        assert peak <= need + 2**16
+        assert need <= 1.5 * peak
+
+    def test_redundant_equality_changes_nothing(self):
+        def run(*scales):
+            prog = single_var_program(degree=4)
+            for s in scales:
+                prog.equalities.append((s * (Poly.var(0) * Poly.var(0) - 2.0), 0))
+            return solve(prog)
+
+        once, twice = run(1.0), run(1.0, 3.0)
+        assert isinstance(twice, Pseudoexpectation)
+        assert once.values.keys() == twice.values.keys()
+        for m, v in once.values.items():
+            assert twice.values[m] == pytest.approx(v, abs=1e-7)
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # the cold program, and one whose products and sweep exceed
+        # BLAS_INNER, where LAPACK's and square products' bits differ
+        assert relaxation._Lifted(box_program()).ny > networks.BLAS_INNER
+        script = (
+            "import numpy as np\n"
+            "from polypush.relaxation import (Poly, PolynomialProgram, VarGroup,\n"
+            "                                 encode_tensor_ring, solve)\n"
+            + inspect.getsource(cold_program) + inspect.getsource(box_program)
+            + "for prog in (cold_program(), box_program()):\n"
+            "    pe = solve(prog)\n"
+            "    print(pe.iterations, [v.hex() for v in pe.values.values()])\n"
+        )
+        outs = [subprocess.run([sys.executable, "-c", script], env=child_env(threads),
+                               capture_output=True, text=True, check=True, timeout=120).stdout
+                for threads in ("1", "2")]
+        assert outs[0].split()[0] == "874"
+        assert outs[0] == outs[1]
 
     def test_constraint_residuals_small(self):
         prog = single_var_program()
@@ -288,6 +381,23 @@ class TestConePlan:
         pe = solve(prog)
         assert pe.iterations == 874
         assert len(calls) == 874 * len(sides)
+
+
+def test_fresh_process_solves_without_scipy():
+    # encoding and solving the benchmark's cold program import nothing from
+    # scipy: the solver is numpy alone
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from polypush.relaxation import encode_tensor_ring, solve\n"
+        + inspect.getsource(cold_program)
+        + "assert solve(cold_program()).iterations == 874\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded == [], loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPseudoExpect:

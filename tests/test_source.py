@@ -117,9 +117,10 @@ def test_no_deferred_package_at_import_time(path):
     assert eager == []
 
 
-# the modules that still call scipy.optimize, through _deferred: the r >= 3
-# gauge search's refine and the lower-bound lab.  The local fits call _lm, and
-# a fit that went back through scipy would import _deferred
+# the modules that still call scipy.optimize, through _deferred, the only
+# module that imports scipy: the r >= 3 gauge search's refine and the
+# lower-bound lab.  The local fits call _lm and the relaxation solver numpy
+# alone; a fit that went back through scipy would import _deferred
 DEFERRED_IMPORTERS = {"gauge.py", "lowerbound.py"}
 
 
@@ -140,6 +141,36 @@ def imports_deferred(tree: ast.Module) -> bool:
 def test_only_the_gauge_search_and_the_lab_import_deferred():
     importers = {p.name for p in SRC.glob("*.py") if imports_deferred(ast.parse(p.read_text()))}
     assert importers == DEFERRED_IMPORTERS
+
+
+def scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the module's imports of scipy, function bodies included."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_imports_are_found():
+    tree = ast.parse(
+        "import numpy, scipy.sparse\n"
+        "from .scipy import x\n"
+        "def f():\n    from scipy.optimize import minimize\n"
+        "def g():\n    import scipyx\n"
+    )
+    assert scipy_imports(tree) == [1, 4]
+
+
+def test_only_deferred_imports_scipy():
+    importers = {p.name for p in SRC.glob("*.py") if scipy_imports(ast.parse(p.read_text()))}
+    assert importers == {"_deferred.py"}
 
 
 def unbounded_caches(tree: ast.Module) -> list[int]:
